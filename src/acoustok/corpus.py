@@ -9,7 +9,6 @@ stage can be checked against exact ground truth.
 
 from __future__ import annotations
 
-import csv
 import json
 import struct
 import wave
@@ -379,9 +378,13 @@ def matf_bytes(seq: FeatureSequence) -> bytes:
     )
 
 
-def write_matf(path, seq: FeatureSequence):
-    with open(path, "wb") as f:
-        f.write(matf_bytes(seq))
+def read_exact(f, n: int, path, field: str) -> bytes:
+    """The next n bytes of an open binary artifact; a short read raises a
+    ValueError naming the file and the field being read."""
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError(f"{path}: truncated at {field} (need {n} bytes, got {len(data)})")
+    return data
 
 
 def read_matf(path, utterance_id: str | None = None, frame_shift: float = 0.010,
@@ -390,39 +393,36 @@ def read_matf(path, utterance_id: str | None = None, frame_shift: float = 0.010,
         magic = f.read(4)
         if magic != MATF_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        rows, cols = struct.unpack("<II", f.read(8))
-        data = np.frombuffer(f.read(rows * cols * 4), dtype="<f4")
-    if data.size != rows * cols:
-        raise ValueError(f"{path}: truncated feature file")
+        rows, cols = struct.unpack("<II", read_exact(f, 8, path, "shape"))
+        data = np.frombuffer(read_exact(f, rows * cols * 4, path, "frames"), dtype="<f4")
     if utterance_id is None:
         utterance_id = Path(path).stem
     return FeatureSequence(data.reshape(rows, cols), frame_shift, frame_length, utterance_id)
 
 
-def write_features_csv(path, seq: FeatureSequence):
-    """CSV export with a header row of dimension indices."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(list(range(seq.dim)))
-        for row in seq.frames:
-            writer.writerow([repr(v) for v in row])
+def corpus_files(corpus: Corpus) -> dict[str, bytes]:
+    """One .matf per utterance plus the corpus.jsonl index, keyed by file name."""
+    files = {}
+    lines = []
+    for seq in corpus:
+        files[f"{seq.utterance_id}.matf"] = matf_bytes(seq)
+        lines.append(json.dumps({
+            "utt": seq.utterance_id,
+            "frames": seq.n_frames,
+            "dim": seq.dim,
+            "frame_shift": seq.frame_shift,
+            "speaker": corpus.speakers.get(seq.utterance_id),
+        }))
+    files["corpus.jsonl"] = "".join(line + "\n" for line in lines).encode()
+    return files
 
 
 def save_corpus(directory, corpus: Corpus):
     """Write one .matf per utterance plus a corpus.jsonl index."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "corpus.jsonl", "w") as f:
-        for seq in corpus:
-            write_matf(directory / f"{seq.utterance_id}.matf", seq)
-            rec = {
-                "utt": seq.utterance_id,
-                "frames": seq.n_frames,
-                "dim": seq.dim,
-                "frame_shift": seq.frame_shift,
-                "speaker": corpus.speakers.get(seq.utterance_id),
-            }
-            f.write(json.dumps(rec) + "\n")
+    for name, data in corpus_files(corpus).items():
+        (directory / name).write_bytes(data)
 
 
 def load_corpus(directory) -> Corpus:
@@ -443,11 +443,17 @@ def load_corpus(directory) -> Corpus:
     return Corpus(utterances, speakers)
 
 
+def ground_truth_jsonl(truth: GroundTruth) -> str:
+    """One JSON object {utt, token, start, end} per true span, utterances sorted by id."""
+    lines = []
+    for utt in sorted(truth.spans):
+        for token, start, end in truth.spans[utt]:
+            lines.append(json.dumps({"utt": utt, "token": token, "start": start, "end": end}))
+    return "".join(line + "\n" for line in lines)
+
+
 def write_ground_truth(path, truth: GroundTruth):
-    with open(path, "w") as f:
-        for utt in sorted(truth.spans):
-            for token, start, end in truth.spans[utt]:
-                f.write(json.dumps({"utt": utt, "token": token, "start": start, "end": end}) + "\n")
+    Path(path).write_text(ground_truth_jsonl(truth))
 
 
 def read_ground_truth(path) -> GroundTruth:

@@ -130,13 +130,12 @@ class CooccurrenceMatrix:
             order.append((argmax[row], -peak[row], row))
         return [row for _, _, row in sorted(order)]
 
-    def write_csv(self, path, grouped: bool = False):
-        rows = self.grouped_row_order() if grouped else range(len(self.token_ids))
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["token"] + [str(r) for r in self.ref_labels])
-            for row in rows:
-                writer.writerow([self.token_ids[row]] + list(self.counts[row].astype(int)))
+    def to_csv(self) -> str:
+        """Header 'token,<reference labels>' then one row of counts per token."""
+        lines = ["token," + ",".join(str(r) for r in self.ref_labels)]
+        for token, row in zip(self.token_ids, self.counts):
+            lines.append(str(token) + "," + ",".join(str(int(c)) for c in row))
+        return "\n".join(lines) + "\n"
 
 
 def cooccurrence(labels: LabelSet, reference: dict[str, list[tuple]]) -> CooccurrenceMatrix:
@@ -170,6 +169,13 @@ class SpeakerTokenMap:
     speakers: list[str]
     token_order: list[int]
     beta: float
+
+    def to_csv(self) -> str:
+        """Header 'speaker,<token order>' then one row of intensities per speaker."""
+        lines = ["speaker," + ",".join(str(t) for t in self.token_order)]
+        for speaker, row in zip(self.speakers, self.intensities):
+            lines.append(speaker + "," + ",".join(repr(float(v)) for v in row))
+        return "\n".join(lines) + "\n"
 
 
 def _solve_beta(counts: np.ndarray, target: float) -> float:
@@ -237,21 +243,20 @@ def speaker_token_map(labels: LabelSet, speakers: dict[str, str],
 # granularity grids and image export
 # ---------------------------------------------------------------------------
 
-def emit_grid(results: dict[tuple[int, int], float], path):
+def grid_csv(results: dict[tuple[int, int], float]) -> str:
     """CSV rows (m, n, value) sorted by granularity, then one summary row
     'summary,avg,std,max,min' over the level values."""
     if not results:
         raise ValueError("no levels to emit")
     values = np.array([results[k] for k in sorted(results)])
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["m", "n", "value"])
-        for (m, n) in sorted(results):
-            writer.writerow([m, n, repr(float(results[(m, n)]))])
-        writer.writerow(
-            ["summary", repr(float(values.mean())), repr(float(values.std())),
-             repr(float(values.max())), repr(float(values.min()))]
-        )
+    lines = ["m,n,value"]
+    for (m, n) in sorted(results):
+        lines.append(f"{m},{n},{float(results[(m, n)])!r}")
+    lines.append(
+        f"summary,{float(values.mean())!r},{float(values.std())!r},"
+        f"{float(values.max())!r},{float(values.min())!r}"
+    )
+    return "\n".join(lines) + "\n"
 
 
 def read_grid(path) -> tuple[dict[tuple[int, int], float], tuple[float, float, float, float]]:
@@ -268,10 +273,8 @@ def read_grid(path) -> tuple[dict[tuple[int, int], float], tuple[float, float, f
     return results, summary
 
 
-def write_pgm(path, values: np.ndarray):
+def pgm_bytes(values: np.ndarray) -> bytes:
     """Binary portable graymap of values in [0, 1], darker = smaller."""
     gray = np.clip(np.round(values * 255.0), 0, 255).astype(np.uint8)
     h, w = gray.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(gray.tobytes())
+    return f"P5\n{w} {h}\n255\n".encode() + gray.tobytes()

@@ -7,7 +7,6 @@ cross-level fusion stage and the network trainer.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -85,11 +84,6 @@ def labels_to_jsonl(labels: LabelSet) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_labels_jsonl(path, labels: LabelSet):
-    with open(path, "w") as f:
-        f.write(labels_to_jsonl(labels))
-
-
 def read_labels_jsonl(path) -> LabelSet:
     per_utt: dict[str, list[Segment]] = {}
     with open(path) as f:
@@ -106,11 +100,3 @@ def read_labels_jsonl(path) -> LabelSet:
         for utt, segs in per_utt.items()
     }
 
-
-def write_labels_csv(path, labels: LabelSet):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["utt", "token", "start", "end"])
-        for utt in sorted(labels):
-            for token, start, end in labels[utt].segments:
-                writer.writerow([utt, token, start, end])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import ContextFeatureSequence, FeatureSequence
+from .corpus import ContextFeatureSequence, FeatureSequence, read_exact
 from .labels import LabelSet
 from .tokenizer import Granularity, GranularityGrid
 
@@ -178,10 +178,6 @@ class TrainingLog:
         for e, loss, accs in zip(self.epochs, self.losses, self.head_accuracy):
             lines.append(",".join([str(e), repr(loss)] + [repr(a) for a in accs]))
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as f:
-            f.write(self.to_csv())
 
 
 def head_accuracies(model: MdnnModel, x: np.ndarray, targets: np.ndarray) -> list[float]:
@@ -357,33 +353,32 @@ def matn_bytes(model: MdnnModel) -> bytes:
     return b"".join(parts)
 
 
-def write_matn(path, model: MdnnModel):
-    with open(path, "wb") as f:
-        f.write(matn_bytes(model))
-
-
 def read_matn(path) -> MdnnModel:
     with open(path, "rb") as f:
         if f.read(4) != MATN_MAGIC:
             raise ValueError(f"{path}: bad magic")
-        version, seed = struct.unpack("<Iq", f.read(12))
+
+        def unpack(fmt, field):
+            return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt), path, field))
+
+        version, seed = unpack("<Iq", "header")
         if version != MATN_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        (n_sizes,) = struct.unpack("<I", f.read(4))
-        sizes = list(struct.unpack(f"<{n_sizes}I", f.read(4 * n_sizes)))
-        (n_heads,) = struct.unpack("<I", f.read(4))
+        (n_sizes,) = unpack("<I", "layer count")
+        sizes = list(unpack(f"<{n_sizes}I", "layer sizes"))
+        (n_heads,) = unpack("<I", "head count")
         head_keys, head_sizes = [], []
         for _ in range(n_heads):
-            m, n, width = struct.unpack("<III", f.read(12))
+            m, n, width = unpack("<III", "head descriptor")
             head_keys.append(Granularity(m, n))
             head_sizes.append(width)
 
-        def read_array(shape):
+        def read_array(shape, field):
             count = int(np.prod(shape))
-            return np.frombuffer(f.read(8 * count), "<f8").reshape(shape).copy()
+            return np.frombuffer(read_exact(f, 8 * count, path, field), "<f8").reshape(shape).copy()
 
-        layer_weights = [read_array((a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
-        layer_biases = [read_array((b,)) for b in sizes[1:]]
-        head_weights = [read_array((sizes[-1], w)) for w in head_sizes]
-        head_biases = [read_array((w,)) for w in head_sizes]
+        layer_weights = [read_array((a, b), "layer weights") for a, b in zip(sizes[:-1], sizes[1:])]
+        layer_biases = [read_array((b,), "layer biases") for b in sizes[1:]]
+        head_weights = [read_array((sizes[-1], w), "head weights") for w in head_sizes]
+        head_biases = [read_array((w,), "head biases") for w in head_sizes]
     return MdnnModel(layer_weights, layer_biases, head_weights, head_biases, head_keys, seed)

@@ -11,7 +11,6 @@ number of reinforcement rounds applied.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,9 +25,10 @@ from .corpus import (
     FeatureSequence,
     GroundTruth,
     apply_cmvn,
+    corpus_files,
     extract_features,
+    ground_truth_jsonl,
     load_audio,
-    matf_bytes,
     read_ground_truth,
     synthesize_corpus,
     utterance_stats,
@@ -38,7 +38,6 @@ from .initialization import make_initial_labels
 from .labels import labels_to_jsonl, read_labels_jsonl
 from .manifest import Manifest, StageWriter, atomic_write_text, file_sha256
 from .mdnn import build_targets, extract_bnf, make_iteration_input, read_matn, train_mdnn
-from .reinforce import build_documents, fuse_boundaries, lda_fit, relabel
 from .tokenizer import read_matm, run_mat
 
 
@@ -94,17 +93,8 @@ def _load_corpus(ctx: RunContext, rel_dir: str) -> tuple[Corpus, dict[str, str]]
 
 
 def _add_corpus(writer: StageWriter, rel_dir: str, corpus: Corpus):
-    lines = []
-    for seq in corpus:
-        writer.add_bytes(f"{rel_dir}/{seq.utterance_id}.matf", matf_bytes(seq))
-        lines.append(json.dumps({
-            "utt": seq.utterance_id,
-            "frames": seq.n_frames,
-            "dim": seq.dim,
-            "frame_shift": seq.frame_shift,
-            "speaker": corpus.speakers.get(seq.utterance_id),
-        }))
-    writer.add_text(f"{rel_dir}/corpus.jsonl", "\n".join(lines) + "\n")
+    for name, data in corpus_files(corpus).items():
+        writer.add_bytes(f"{rel_dir}/{name}", data)
 
 
 def _run_stage(ctx: RunContext, key: str, work) -> bool:
@@ -128,11 +118,7 @@ def cmd_synth(ctx: RunContext):
     def work(writer: StageWriter):
         corpus, truth = synthesize_corpus(ctx.cfg.synth, ctx.cfg.seed)
         _add_corpus(writer, "features", corpus)
-        lines = []
-        for utt in sorted(truth.spans):
-            for token, start, end in truth.spans[utt]:
-                lines.append(json.dumps({"utt": utt, "token": token, "start": start, "end": end}))
-        writer.add_text("truth.jsonl", "\n".join(lines) + "\n")
+        writer.add_text("truth.jsonl", ground_truth_jsonl(truth))
         return {}
 
     _run_stage(ctx, "synth", work)
@@ -215,30 +201,16 @@ def cmd_mr(ctx: RunContext, iteration: int = 1, mr_round: int = 1):
     the per-n LDA models."""
     def work(writer: StageWriter):
         level_labels, inputs = _load_level_labels(ctx, tok_dir(iteration, mr_round - 1))
-        cfg_r = ctx.cfg.reinforce
-        fused = fuse_boundaries(level_labels, cfg_r)
-        documents = build_documents(fused, level_labels, ctx.cfg.grid, cfg_r)
-        fused_lines = [
-            json.dumps({"utt": utt, "boundaries": fused[utt]}) for utt in sorted(fused)
-        ]
-        writer.add_text(f"iter{iteration}/mr{mr_round}/fused.jsonl",
-                        "\n".join(fused_lines) + "\n")
-        doc_lines = [
-            json.dumps({"utt": utt, "start": start, "end": end, "words": words})
-            for (utt, start, end), words in zip(documents.spans, documents.docs)
-        ]
-        writer.add_text(f"iter{iteration}/mr{mr_round}/documents.jsonl",
-                        "\n".join(doc_lines) + "\n")
+        result = reinforce.mutual_reinforce(
+            level_labels, ctx.cfg.grid, ctx.cfg.reinforce,
+            seed=stage_seed(ctx.cfg.seed, f"mr/{iteration}/{mr_round}"),
+        )
+        base = f"iter{iteration}/mr{mr_round}"
+        writer.add_text(f"{base}/fused.jsonl", reinforce.fused_jsonl(result.fused))
+        writer.add_text(f"{base}/documents.jsonl", reinforce.documents_jsonl(result.documents))
         for n in ctx.cfg.grid.phonetic:
-            seed = reinforce.derived_seed(
-                stage_seed(ctx.cfg.seed, f"mr/{iteration}/{mr_round}"), n
-            )
-            model = lda_fit(documents.docs, n, documents.vocab_size, cfg_r, seed)
-            writer.add_bytes(f"iter{iteration}/mr{mr_round}/lda_n{n}.matl",
-                             reinforce.matl_bytes(model))
-            labels = relabel(documents, model)
-            writer.add_text(f"iter{iteration}/mr{mr_round}/labels_n{n}.jsonl",
-                            labels_to_jsonl(labels))
+            writer.add_bytes(f"{base}/lda_n{n}.matl", reinforce.matl_bytes(result.models[n]))
+            writer.add_text(f"{base}/labels_n{n}.jsonl", labels_to_jsonl(result.labels[n]))
         return inputs
 
     _run_stage(ctx, f"iter{iteration}/mr{mr_round}", work)
@@ -381,11 +353,7 @@ def cmd_std(ctx: RunContext):
                 index, q, query_tokens=q_tokens, query_features=corpus[q],
                 mode=mode, weights=weights,
             ))
-        lines = ["query_id\tdoc_id\trank\tscore"]
-        for ranked in lists:
-            for rank, (doc, score) in enumerate(ranked.entries, start=1):
-                lines.append(f"{ranked.query_id}\t{doc}\t{rank}\t{score!r}")
-        writer.add_text("std/rankings.tsv", "\n".join(lines) + "\n")
+        writer.add_text("std/rankings.tsv", retrieval.rankings_tsv(lists))
         return inputs
 
     _run_stage(ctx, "std", work)
@@ -419,25 +387,12 @@ def cmd_eval(ctx: RunContext):
             rank_path = _require(ctx.out / "std/rankings.tsv", "rankings (run std first)")
             inputs["std/rankings.tsv"] = file_sha256(rank_path)
             relevance = retrieval.read_relevance_csv(rel_path)
-            lists = _read_rankings(rank_path)
+            lists = retrieval.read_rankings_tsv(rank_path)
             value = retrieval.mean_average_precision(lists, relevance)
             writer.add_text("eval/map.csv", f"map\n{value!r}\n")
         return inputs
 
     _run_stage(ctx, "eval", work)
-
-
-def _read_rankings(path) -> list[retrieval.RankedList]:
-    per_query: dict[str, list[tuple[int, str, float]]] = {}
-    with open(path) as f:
-        next(f)
-        for line in f:
-            q, doc, rank, score = line.rstrip("\n").split("\t")
-            per_query.setdefault(q, []).append((int(rank), doc, float(score)))
-    return [
-        retrieval.RankedList(q, [(doc, score) for _, doc, score in sorted(rows)])
-        for q, rows in per_query.items()
-    ]
 
 
 def cmd_viz(ctx: RunContext):
@@ -458,46 +413,18 @@ def cmd_viz(ctx: RunContext):
         for g in ctx.cfg.grid.levels():
             tag = f"m{g.m}_n{g.n}"
             mat = evalviz.cooccurrence(level_labels[g], reference)
-            writer.add_text(f"viz/cooccurrence_{tag}.csv", _cooccurrence_csv(mat))
+            writer.add_text(f"viz/cooccurrence_{tag}.csv", mat.to_csv())
             peak = mat.counts.max()
             image = mat.counts[mat.grouped_row_order()] / peak if peak else mat.counts
-            writer.add_bytes(f"viz/cooccurrence_{tag}.pgm", _pgm_bytes(image))
+            writer.add_bytes(f"viz/cooccurrence_{tag}.pgm", evalviz.pgm_bytes(image))
             if corpus.speakers:
                 stm = evalviz.speaker_token_map(level_labels[g], corpus.speakers)
-                writer.add_bytes(f"viz/speaker_map_{tag}.pgm", _pgm_bytes(stm.intensities))
-                rows = ["speaker," + ",".join(str(t) for t in stm.token_order)]
-                for s, spk in enumerate(stm.speakers):
-                    rows.append(spk + "," + ",".join(repr(v) for v in stm.intensities[s]))
-                writer.add_text(f"viz/speaker_map_{tag}.csv", "\n".join(rows) + "\n")
+                writer.add_bytes(f"viz/speaker_map_{tag}.pgm", evalviz.pgm_bytes(stm.intensities))
+                writer.add_text(f"viz/speaker_map_{tag}.csv", stm.to_csv())
             _, _, f = evalviz.corpus_boundary_prf(level_labels[g], ref_bounds)
             grid_values[(g.m, g.n)] = f
-        writer.add_text("viz/grid_boundary_f.csv", _grid_csv(grid_values))
+        writer.add_text("viz/grid_boundary_f.csv", evalviz.grid_csv(grid_values))
         return inputs
 
     _run_stage(ctx, "viz", work)
 
-
-def _cooccurrence_csv(mat) -> str:
-    lines = ["token," + ",".join(str(r) for r in mat.ref_labels)]
-    for row in range(len(mat.token_ids)):
-        lines.append(
-            str(mat.token_ids[row]) + "," + ",".join(str(int(c)) for c in mat.counts[row])
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _grid_csv(values: dict[tuple[int, int], float]) -> str:
-    arr = np.array([values[k] for k in sorted(values)])
-    lines = ["m,n,value"]
-    for (m, n) in sorted(values):
-        lines.append(f"{m},{n},{values[(m, n)]!r}")
-    lines.append(
-        f"summary,{arr.mean()!r},{arr.std()!r},{arr.max()!r},{arr.min()!r}"
-    )
-    return "\n".join(lines) + "\n"
-
-
-def _pgm_bytes(values: np.ndarray) -> bytes:
-    gray = np.clip(np.round(values * 255.0), 0, 255).astype(np.uint8)
-    h, w = gray.shape
-    return f"P5\n{w} {h}\n255\n".encode() + gray.tobytes()

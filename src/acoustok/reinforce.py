@@ -11,13 +11,14 @@ detected exactly.
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .corpus import Corpus
+from .corpus import read_exact
 from .labels import LabelSet, TokenLabelSequence
 from .tokenizer import Granularity, GranularityGrid
 
@@ -272,26 +273,37 @@ def relabel(documents: PseudoDocuments, model: LdaModel) -> LabelSet:
 # the whole reinforcement pass
 # ---------------------------------------------------------------------------
 
+@dataclass
+class Reinforcement:
+    """One reinforcement pass: the fused boundaries, the pseudo-word documents,
+    and per phonetic granularity n the LDA model and the new label set."""
+
+    fused: dict[str, list[int]]
+    documents: PseudoDocuments
+    models: dict[int, LdaModel]
+    labels: dict[int, LabelSet]
+
+
 def mutual_reinforce(level_labels: dict[Granularity, LabelSet],
-                     corpus: Corpus,
                      grid: GranularityGrid,
                      cfg: ReinforceConfig | None = None,
-                     seed: int = 0) -> dict[int, LabelSet]:
+                     seed: int = 0) -> Reinforcement:
     """Fuse boundaries, build documents, and fit one LDA per phonetic
-    granularity; returns the new initial label set for each n (shared by all
-    temporal granularities)."""
+    granularity; the new initial label set for each n is shared by all
+    temporal granularities."""
     cfg = cfg or ReinforceConfig()
     missing = [g for g in grid.levels() if g not in level_labels]
     if missing:
         raise ValueError(f"missing level labels for {missing}")
     fused = fuse_boundaries(level_labels, cfg)
     documents = build_documents(fused, level_labels, grid, cfg)
-    out: dict[int, LabelSet] = {}
+    models: dict[int, LdaModel] = {}
+    labels: dict[int, LabelSet] = {}
     for n in grid.phonetic:
-        model = lda_fit(documents.docs, n, documents.vocab_size, cfg,
-                        seed=derived_seed(seed, n))
-        out[n] = relabel(documents, model)
-    return out
+        models[n] = lda_fit(documents.docs, n, documents.vocab_size, cfg,
+                            seed=derived_seed(seed, n))
+        labels[n] = relabel(documents, models[n])
+    return Reinforcement(fused, documents, models, labels)
 
 
 def derived_seed(seed: int, n: int) -> int:
@@ -299,8 +311,23 @@ def derived_seed(seed: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# model file I/O
+# file formats
 # ---------------------------------------------------------------------------
+
+def fused_jsonl(fused: dict[str, list[int]]) -> str:
+    """One JSON object {utt, boundaries} per utterance, sorted by id."""
+    return "".join(
+        json.dumps({"utt": utt, "boundaries": fused[utt]}) + "\n" for utt in sorted(fused)
+    )
+
+
+def documents_jsonl(documents: PseudoDocuments) -> str:
+    """One JSON object {utt, start, end, words} per document, in document order."""
+    return "".join(
+        json.dumps({"utt": utt, "start": start, "end": end, "words": words}) + "\n"
+        for (utt, start, end), words in zip(documents.spans, documents.docs)
+    )
+
 
 def matl_bytes(model: LdaModel) -> bytes:
     return b"".join([
@@ -313,19 +340,17 @@ def matl_bytes(model: LdaModel) -> bytes:
     ])
 
 
-def write_matl(path, model: LdaModel):
-    with open(path, "wb") as f:
-        f.write(matl_bytes(model))
-
-
 def read_matl(path) -> LdaModel:
     with open(path, "rb") as f:
         if f.read(4) != MATL_MAGIC:
             raise ValueError(f"{path}: bad magic")
-        version, K, V, D, alpha, beta, seed = struct.unpack("<IIIIddq", f.read(40))
+        version, K, V, D, alpha, beta, seed = struct.unpack(
+            "<IIIIddq", read_exact(f, 40, path, "header"))
         if version != MATL_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        topic_word = np.frombuffer(f.read(8 * K * V), "<f8").reshape(K, V)
-        doc_topic = np.frombuffer(f.read(8 * D * K), "<f8").reshape(D, K)
+        topic_word = np.frombuffer(read_exact(f, 8 * K * V, path, "topic-word counts"),
+                                   "<f8").reshape(K, V)
+        doc_topic = np.frombuffer(read_exact(f, 8 * D * K, path, "document-topic counts"),
+                                  "<f8").reshape(D, K)
     return LdaModel(K, topic_word.astype(np.int64), doc_topic.astype(np.int64),
                     alpha, beta, seed)

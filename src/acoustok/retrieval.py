@@ -108,10 +108,6 @@ def subsequence_dtw(cost: np.ndarray) -> float:
     return float(acc[:, Q - 1].min() / Q)
 
 
-def token_dtw(W: np.ndarray) -> float:
-    return subsequence_dtw(W)
-
-
 def frame_cost_matrix(doc: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Pairwise cosine distance (1 - cosine similarity); zero-norm frames cost 1."""
     dn = np.linalg.norm(doc, axis=1)
@@ -172,7 +168,7 @@ def token_scores(index: RetrievalIndex, query_tokens: dict[Granularity, list[int
         total = 0.0
         for g in levels:
             W = matching_matrix(index.distances[g], tokens_by_level[g], query_tokens[g])
-            total += token_dtw(W)
+            total += subsequence_dtw(W)
         scores[doc_id] = total
     return scores
 
@@ -254,13 +250,28 @@ def mean_average_precision(lists: list[RankedList],
     return float(sum(aps) / len(aps))
 
 
-def write_ranking_tsv(path, lists: list[RankedList]):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, delimiter="\t")
-        writer.writerow(["query_id", "doc_id", "rank", "score"])
-        for ranked in lists:
-            for rank, (doc_id, score) in enumerate(ranked.entries, start=1):
-                writer.writerow([ranked.query_id, doc_id, rank, repr(score)])
+def rankings_tsv(lists: list[RankedList]) -> str:
+    """Header plus one (query_id, doc_id, rank, score) row per entry; scores
+    are written with repr so they read back exactly."""
+    lines = ["query_id\tdoc_id\trank\tscore"]
+    for ranked in lists:
+        for rank, (doc_id, score) in enumerate(ranked.entries, start=1):
+            lines.append(f"{ranked.query_id}\t{doc_id}\t{rank}\t{float(score)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def read_rankings_tsv(path) -> list[RankedList]:
+    """Inverse of rankings_tsv: queries in file order, entries in rank order."""
+    per_query: dict[str, list[tuple[int, str, float]]] = {}
+    with open(path) as f:
+        next(f)
+        for line in f:
+            q, doc, rank, score = line.rstrip("\n").split("\t")
+            per_query.setdefault(q, []).append((int(rank), doc, float(score)))
+    return [
+        RankedList(q, [(doc, score) for _, doc, score in sorted(rows)])
+        for q, rows in per_query.items()
+    ]
 
 
 def read_relevance_csv(path) -> dict[str, dict[str, int]]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .corpus import Corpus
+from .corpus import Corpus, read_exact
 from .labels import LabelSet, TokenLabelSequence, validate_label_set
 
 MATM_MAGIC = b"MATM"
@@ -629,28 +629,28 @@ def matm_bytes(model: LevelModel) -> bytes:
     return b"".join(parts)
 
 
-def write_matm(path, model: LevelModel):
-    with open(path, "wb") as f:
-        f.write(matm_bytes(model))
-
-
 def read_matm(path) -> LevelModel:
     with open(path, "rb") as f:
         if f.read(4) != MATM_MAGIC:
             raise ValueError(f"{path}: bad magic")
-        version, m, n, d = struct.unpack("<IIII", f.read(16))
+        version, m, n, d = struct.unpack("<IIII", read_exact(f, 16, path, "header"))
         if version != MATM_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+
+        def read_array(shape, field):
+            count = int(np.prod(shape))
+            return np.frombuffer(read_exact(f, 8 * count, path, field), "<f8").reshape(shape).copy()
+
         hmms = []
         for token in range(n):
             states = []
             for _ in range(m):
-                (c,) = struct.unpack("<I", f.read(4))
-                weights = np.frombuffer(f.read(8 * c), "<f8").copy()
-                means = np.frombuffer(f.read(8 * c * d), "<f8").reshape(c, d).copy()
-                variances = np.frombuffer(f.read(8 * c * d), "<f8").reshape(c, d).copy()
+                (c,) = struct.unpack("<I", read_exact(f, 4, path, "component count"))
+                weights = read_array((c,), "weights")
+                means = read_array((c, d), "means")
+                variances = read_array((c, d), "variances")
                 states.append(GaussState(weights, means, variances))
-            trans = np.frombuffer(f.read(16 * m), "<f8").reshape(m, 2).copy()
+            trans = read_array((m, 2), "transitions")
             hmms.append(TokenHmm(token, states, trans))
-        prior = np.frombuffer(f.read(8 * n), "<f8").copy()
+        prior = read_array((n,), "prior")
     return LevelModel(Granularity(m, n), hmms, prior)

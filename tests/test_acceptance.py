@@ -29,8 +29,8 @@ from acoustok.retrieval import (
     mean_average_precision,
     rank_documents,
     state_kl,
+    subsequence_dtw,
     token_distance_matrix,
-    token_dtw,
 )
 from acoustok.tokenizer import GaussState, Granularity, GranularityGrid, decode_level, run_level, run_mat
 
@@ -128,7 +128,7 @@ class TestCriterion4:
             g: corpus_boundary_prf(level_labels[g], ref_bounds, tol=2)[2]
             for g in grid.levels()
         }
-        new_labels = mutual_reinforce(level_labels, corpus, grid, seed=0)
+        new_labels = mutual_reinforce(level_labels, grid, seed=0).labels
         fused_f = corpus_boundary_prf(new_labels[grid.phonetic[0]], ref_bounds, tol=2)[2]
 
         cfg_r = ReinforceConfig()
@@ -186,7 +186,7 @@ class TestCriterion6:
             D = int(rng.integers(1, 7))
             Q = int(rng.integers(1, 5))
             W = np.round(rng.uniform(0, 2, size=(D, Q)), 2)
-            if token_dtw(W) != brute_force_subsequence_dtw(W):
+            if subsequence_dtw(W) != brute_force_subsequence_dtw(W):
                 mismatches += 1
         elapsed = time.perf_counter() - start
         ok = mismatches == 0 and elapsed < 10

@@ -2,6 +2,7 @@ import pytest
 
 from acoustok.cli import main
 from acoustok.config import PipelineConfig, config_sha256, dump_config, load_config
+from acoustok.evalviz import read_grid
 from acoustok.manifest import Manifest, atomic_write_text, file_sha256
 from acoustok.mdnn import read_matn
 
@@ -241,6 +242,14 @@ class TestIterate:
         assert main(["viz", "--config", str(cfg2), "--out", str(out2)]) == 0
         assert (out2 / "viz/grid_boundary_f.csv").exists()
         assert (out2 / "viz/cooccurrence_m3_n4.pgm").read_bytes().startswith(b"P5\n")
+        values, summary = read_grid(out2 / "viz/grid_boundary_f.csv")
+        assert summary[2] == max(values.values())
+        maps = sorted((out2 / "viz").glob("speaker_map_*.csv"))
+        assert maps
+        for path in maps:
+            for row in path.read_text().splitlines()[1:]:
+                for cell in row.split(",")[1:]:
+                    float(cell)
 
 
 class TestDeterminism:

@@ -10,14 +10,13 @@ from acoustok.corpus import (
     extract_features,
     load_audio,
     load_corpus,
+    matf_bytes,
     read_matf,
     save_audio,
     save_corpus,
     synthesize_corpus,
     utterance_stats,
     window_context,
-    write_features_csv,
-    write_matf,
 )
 
 
@@ -192,23 +191,16 @@ class TestFeatureFiles:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         seq = FeatureSequence(rng.normal(size=(12, 7)).astype(np.float32), utterance_id="u")
-        write_matf(tmp_path / "u.matf", seq)
-        first = (tmp_path / "u.matf").read_bytes()
+        first = matf_bytes(seq)
+        (tmp_path / "u.matf").write_bytes(first)
         back = read_matf(tmp_path / "u.matf")
         assert np.array_equal(back.frames, seq.frames)
-        write_matf(tmp_path / "u2.matf", back)
-        assert (tmp_path / "u2.matf").read_bytes() == first
+        assert matf_bytes(back) == first
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "x.matf").write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(ValueError, match="bad magic"):
             read_matf(tmp_path / "x.matf")
-
-    def test_csv_header(self, tmp_path):
-        seq = FeatureSequence(np.zeros((2, 3)))
-        write_features_csv(tmp_path / "f.csv", seq)
-        header = (tmp_path / "f.csv").read_text().splitlines()[0]
-        assert header == "0,1,2"
 
     def test_corpus_roundtrip(self, tmp_path):
         corpus, _ = synthesize_corpus(SynthSpec(n_utterances=4), seed=6)

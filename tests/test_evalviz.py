@@ -7,11 +7,11 @@ from acoustok.evalviz import (
     cluster_purity_nmi,
     cooccurrence,
     corpus_boundary_prf,
-    emit_grid,
     frame_label_pairs,
+    grid_csv,
+    pgm_bytes,
     read_grid,
     speaker_token_map,
-    write_pgm,
 )
 from acoustok.labels import TokenLabelSequence
 
@@ -124,11 +124,10 @@ class TestCooccurrence:
         order = mat.grouped_row_order()
         assert order == [3, 1, 0, 2]
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self):
         counts = np.array([[1, 2], [3, 0]])
         mat = CooccurrenceMatrix(counts, [0, 1], ["a", "b"])
-        mat.write_csv(tmp_path / "c.csv")
-        lines = (tmp_path / "c.csv").read_text().splitlines()
+        lines = mat.to_csv().splitlines()
         assert lines[0] == "token,a,b"
         assert lines[1] == "0,1,2"
 
@@ -189,21 +188,20 @@ class TestSpeakerTokenMap:
 
 
 class TestGrid:
-    def test_sixteen_levels_plus_summary(self, tmp_path):
+    def test_sixteen_levels_plus_summary(self):
         results = {(m, n): float(m * n) for m in (3, 5, 7, 9) for n in (50, 100, 300, 500)}
-        emit_grid(results, tmp_path / "g.csv")
-        lines = (tmp_path / "g.csv").read_text().splitlines()
+        lines = grid_csv(results).splitlines()
         assert len(lines) == 1 + 16 + 1
 
     def test_single_level_summary(self, tmp_path):
-        emit_grid({(3, 5): 0.75}, tmp_path / "g.csv")
+        (tmp_path / "g.csv").write_text(grid_csv({(3, 5): 0.75}))
         _, summary = read_grid(tmp_path / "g.csv")
         assert summary == (0.75, 0.0, 0.75, 0.75)
 
     def test_summary_recomputable(self, tmp_path):
         rng = np.random.default_rng(3)
         results = {(m, n): float(rng.uniform()) for m in (3, 5) for n in (4, 8)}
-        emit_grid(results, tmp_path / "g.csv")
+        (tmp_path / "g.csv").write_text(grid_csv(results))
         back, summary = read_grid(tmp_path / "g.csv")
         values = np.array([back[k] for k in sorted(back)])
         assert summary[0] == pytest.approx(values.mean(), abs=1e-9)
@@ -213,8 +211,7 @@ class TestGrid:
 
 
 class TestPgm:
-    def test_header_and_size(self, tmp_path):
-        write_pgm(tmp_path / "m.pgm", np.linspace(0, 1, 12).reshape(3, 4))
-        data = (tmp_path / "m.pgm").read_bytes()
+    def test_header_and_size(self):
+        data = pgm_bytes(np.linspace(0, 1, 12).reshape(3, 4))
         assert data.startswith(b"P5\n4 3\n255\n")
         assert len(data) == len(b"P5\n4 3\n255\n") + 12

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from acoustok.corpus import Corpus
 from acoustok.labels import TokenLabelSequence
 from acoustok.reinforce import (
     ReinforceConfig,
@@ -12,10 +11,10 @@ from acoustok.reinforce import (
     fuse_utterance,
     lda_fit,
     level_offsets,
+    matl_bytes,
     mutual_reinforce,
     read_matl,
     relabel,
-    write_matl,
 )
 from acoustok.tokenizer import Granularity, GranularityGrid
 
@@ -240,8 +239,7 @@ class TestMutualReinforce:
     def test_one_label_set_per_phonetic_granularity(self):
         grid = GranularityGrid((3, 5), (2, 3, 4, 6))
         labels = self.make_level_labels(grid)
-        corpus = Corpus([])
-        out = mutual_reinforce(labels, corpus, grid, ReinforceConfig(lda_iters=10), seed=0)
+        out = mutual_reinforce(labels, grid, ReinforceConfig(lda_iters=10), seed=0).labels
         assert sorted(out) == [2, 3, 4, 6]
         for n, label_set in out.items():
             for s in label_set.values():
@@ -251,7 +249,7 @@ class TestMutualReinforce:
     def test_single_level_keeps_its_segmentation(self):
         grid = GranularityGrid((3,), (4,))
         labels = self.make_level_labels(grid)
-        out = mutual_reinforce(labels, Corpus([]), grid, ReinforceConfig(lda_iters=10), seed=0)
+        out = mutual_reinforce(labels, grid, ReinforceConfig(lda_iters=10), seed=0).labels
         g = Granularity(3, 4)
         for utt in ("u0", "u1"):
             assert [s[1:] for s in out[4][utt].segments] == [
@@ -262,14 +260,14 @@ class TestMutualReinforce:
         grid = GranularityGrid((3, 5), (4,))
         labels = {Granularity(3, 4): {"u": seq("u", [(0, 0, 10)])}}
         with pytest.raises(ValueError, match="missing level labels"):
-            mutual_reinforce(labels, Corpus([]), grid)
+            mutual_reinforce(labels, grid)
 
 
 class TestMatl:
     def test_roundtrip(self, tmp_path):
         docs, _ = disjoint_corpus_docs()
         model = lda_fit(docs, 3, 10, ReinforceConfig(lda_iters=20), seed=5)
-        write_matl(tmp_path / "m.matl", model)
+        (tmp_path / "m.matl").write_bytes(matl_bytes(model))
         back = read_matl(tmp_path / "m.matl")
         assert back.n_topics == 3
         assert back.alpha == model.alpha and back.beta == model.beta

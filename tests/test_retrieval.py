@@ -11,12 +11,13 @@ from acoustok.retrieval import (
     matching_matrix,
     mean_average_precision,
     rank_documents,
+    read_rankings_tsv,
     read_relevance_csv,
+    rankings_tsv,
     state_kl,
+    subsequence_dtw,
     token_distance_matrix,
-    token_dtw,
     token_scores,
-    write_ranking_tsv,
 )
 
 
@@ -158,12 +159,12 @@ def brute_force_subsequence_dtw(cost):
 
 class TestTokenDtw:
     def test_all_zero_matrix(self):
-        assert token_dtw(np.zeros((4, 3))) == 0.0
+        assert subsequence_dtw(np.zeros((4, 3))) == 0.0
 
     def test_single_query_token_is_min_entry(self):
         rng = np.random.default_rng(5)
         W = rng.uniform(0.5, 2.0, size=(6, 1))
-        assert token_dtw(W) == pytest.approx(W.min())
+        assert subsequence_dtw(W) == pytest.approx(W.min())
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(6)
@@ -171,12 +172,12 @@ class TestTokenDtw:
             D = int(rng.integers(1, 7))
             Q = int(rng.integers(1, 5))
             W = np.round(rng.uniform(0, 2, size=(D, Q)), 2)
-            assert token_dtw(W) == pytest.approx(brute_force_subsequence_dtw(W), abs=1e-12)
+            assert subsequence_dtw(W) == pytest.approx(brute_force_subsequence_dtw(W), abs=1e-12)
 
     def test_bounds(self):
         rng = np.random.default_rng(7)
         W = rng.uniform(0.1, 3.0, size=(5, 4))
-        val = token_dtw(W)
+        val = subsequence_dtw(W)
         assert 0.0 <= val <= W.max() * (W.shape[0] + W.shape[1])
 
 
@@ -305,9 +306,22 @@ class TestMeanAveragePrecision:
 
 
 class TestFiles:
+    def test_rankings_roundtrip_exact(self, tmp_path):
+        rng = np.random.default_rng(11)
+        lists = []
+        for q in ("q1", "q0"):
+            scores = sorted(rng.uniform(0, 3, size=6))
+            docs = [f"d{i}" for i in rng.permutation(6)]
+            lists.append(RankedList(q, list(zip(docs, scores))))
+        (tmp_path / "r.tsv").write_text(rankings_tsv(lists))
+        back = read_rankings_tsv(tmp_path / "r.tsv")
+        assert [r.query_id for r in back] == ["q1", "q0"]
+        for got, want in zip(back, lists):
+            assert got.entries == want.entries
+
     def test_ranking_tsv_and_relevance_csv(self, tmp_path):
         lists = [RankedList("q", [("a", 0.25), ("b", 1.5)])]
-        write_ranking_tsv(tmp_path / "r.tsv", lists)
+        (tmp_path / "r.tsv").write_text(rankings_tsv(lists))
         lines = (tmp_path / "r.tsv").read_text().splitlines()
         assert lines[0] == "query_id\tdoc_id\trank\tscore"
         assert lines[1].startswith("q\ta\t1\t")

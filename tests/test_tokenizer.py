@@ -16,12 +16,12 @@ from acoustok.tokenizer import (
     decode_level,
     decode_utterance,
     flat_start_model,
+    matm_bytes,
     read_matm,
     run_level,
     run_mat,
     segment_forward_ll,
     train_level_hmms,
-    write_matm,
 )
 
 from conftest import frame_error_rate, oracle_level_model
@@ -396,7 +396,7 @@ class TestModelFile:
         spec, corpus, truth = small_corpus
         cfg = TokenizerConfig(em_iters=4, mixture_schedule=(2,))
         model = train_level_hmms(corpus, truth.label_set(), Granularity(2, spec.n_tokens), cfg)
-        write_matm(tmp_path / "m.matm", model)
+        (tmp_path / "m.matm").write_bytes(matm_bytes(model))
         back = read_matm(tmp_path / "m.matm")
         assert back.granularity == model.granularity
         assert np.array_equal(back.prior, model.prior)
