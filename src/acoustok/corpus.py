@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import dct
 
-from .labels import LabelSet, TokenLabelSequence
+from .labels import LabelSet, TokenLabelSequence, read_jsonl
 
 MATF_MAGIC = b"MATF"
 
@@ -110,12 +110,6 @@ class Corpus:
 
     def frame_counts(self) -> dict[str, int]:
         return {u.utterance_id: u.n_frames for u in self.utterances}
-
-    def total_frames(self) -> int:
-        return sum(u.n_frames for u in self.utterances)
-
-    def stacked_frames(self) -> np.ndarray:
-        return np.vstack([u.frames for u in self.utterances])
 
 
 @dataclass
@@ -387,6 +381,13 @@ def read_exact(f, n: int, path, field: str) -> bytes:
     return data
 
 
+def read_end(f, path):
+    """Reject bytes after the last field of an open binary artifact."""
+    extra = len(f.read())
+    if extra:
+        raise ValueError(f"{path}: {extra} trailing bytes after the last field")
+
+
 def read_matf(path, utterance_id: str | None = None, frame_shift: float = 0.010,
               frame_length: float = 0.025) -> FeatureSequence:
     with open(path, "rb") as f:
@@ -395,6 +396,7 @@ def read_matf(path, utterance_id: str | None = None, frame_shift: float = 0.010,
             raise ValueError(f"{path}: bad magic {magic!r}")
         rows, cols = struct.unpack("<II", read_exact(f, 8, path, "shape"))
         data = np.frombuffer(read_exact(f, rows * cols * 4, path, "frames"), dtype="<f4")
+        read_end(f, path)
     if utterance_id is None:
         utterance_id = Path(path).stem
     return FeatureSequence(data.reshape(rows, cols), frame_shift, frame_length, utterance_id)
@@ -429,17 +431,15 @@ def load_corpus(directory) -> Corpus:
     directory = Path(directory)
     utterances = []
     speakers = {}
-    with open(directory / "corpus.jsonl") as f:
-        for line in f:
-            rec = json.loads(line)
-            seq = read_matf(
-                directory / f"{rec['utt']}.matf",
-                utterance_id=rec["utt"],
-                frame_shift=rec.get("frame_shift", 0.010),
-            )
-            utterances.append(seq)
-            if rec.get("speaker"):
-                speakers[rec["utt"]] = rec["speaker"]
+    for rec in read_jsonl(directory / "corpus.jsonl", ("utt",)):
+        seq = read_matf(
+            directory / f"{rec['utt']}.matf",
+            utterance_id=rec["utt"],
+            frame_shift=rec.get("frame_shift", 0.010),
+        )
+        utterances.append(seq)
+        if rec.get("speaker"):
+            speakers[rec["utt"]] = rec["speaker"]
     return Corpus(utterances, speakers)
 
 
@@ -458,10 +458,8 @@ def write_ground_truth(path, truth: GroundTruth):
 
 def read_ground_truth(path) -> GroundTruth:
     spans: dict[str, list[tuple[int, int, int]]] = {}
-    with open(path) as f:
-        for line in f:
-            rec = json.loads(line)
-            spans.setdefault(rec["utt"], []).append((rec["token"], rec["start"], rec["end"]))
+    for rec in read_jsonl(path, ("utt", "token", "start", "end")):
+        spans.setdefault(rec["utt"], []).append((rec["token"], rec["start"], rec["end"]))
     for utt in spans:
         spans[utt].sort(key=lambda s: s[1])
     return GroundTruth(spans)

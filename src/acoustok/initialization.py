@@ -227,10 +227,6 @@ def kmeans(points: np.ndarray, n: int, seed: int, iters: int = 100,
     return assign, centers
 
 
-def segment_representatives(seq: FeatureSequence, spans: list[tuple[int, int]]) -> np.ndarray:
-    return np.vstack([seq.frames[s:e].mean(axis=0) for s, e in spans])
-
-
 def cluster_segments(
     corpus: Corpus,
     segment_spans: dict[str, list[tuple[int, int]]],

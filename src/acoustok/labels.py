@@ -84,17 +84,32 @@ def labels_to_jsonl(labels: LabelSet) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def read_jsonl(path, keys: tuple[str, ...]) -> list[dict]:
+    """The JSON objects of a JSONL file, one per non-blank line.  A line that
+    does not parse, or lacks one of keys, raises a ValueError naming the file
+    and the line."""
+    records = []
+    with open(path) as f:
+        for number, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path}: line {number}: {e.msg}") from None
+            missing = [k for k in keys if not isinstance(rec, dict) or k not in rec]
+            if missing:
+                raise ValueError(f"{path}: line {number}: missing {', '.join(missing)}")
+            records.append(rec)
+    return records
+
+
 def read_labels_jsonl(path) -> LabelSet:
     per_utt: dict[str, list[Segment]] = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            per_utt.setdefault(rec["utt"], []).append(
-                (int(rec["token"]), int(rec["start"]), int(rec["end"]))
-            )
+    for rec in read_jsonl(path, ("utt", "token", "start", "end")):
+        per_utt.setdefault(rec["utt"], []).append(
+            (int(rec["token"]), int(rec["start"]), int(rec["end"]))
+        )
     return {
         utt: TokenLabelSequence(utt, sorted(segs, key=lambda s: s[1]))
         for utt, segs in per_utt.items()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import ContextFeatureSequence, FeatureSequence, read_exact
+from .corpus import ContextFeatureSequence, FeatureSequence, read_end, read_exact
 from .labels import LabelSet
 from .tokenizer import Granularity, GranularityGrid
 
@@ -54,10 +54,6 @@ class MdnnModel:
     @property
     def input_dim(self) -> int:
         return self.layer_weights[0].shape[0]
-
-    @property
-    def bottleneck_dim(self) -> int:
-        return self.layer_weights[-1].shape[1]
 
     @property
     def head_sizes(self) -> list[int]:
@@ -381,4 +377,5 @@ def read_matn(path) -> MdnnModel:
         layer_biases = [read_array((b,), "layer biases") for b in sizes[1:]]
         head_weights = [read_array((sizes[-1], w), "head weights") for w in head_sizes]
         head_biases = [read_array((w,), "head biases") for w in head_sizes]
+        read_end(f, path)
     return MdnnModel(layer_weights, layer_biases, head_weights, head_biases, head_keys, seed)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .corpus import read_exact
+from .corpus import read_end, read_exact
 from .labels import LabelSet, TokenLabelSequence
 from .tokenizer import Granularity, GranularityGrid
 
@@ -111,12 +111,6 @@ class PseudoDocuments:
     spans: list[tuple[str, int, int]]  # (utterance, start, end) per document
     docs: list[list[int]]
     vocab_size: int
-
-    def by_utterance(self) -> dict[str, list[tuple[int, int]]]:
-        out: dict[str, list[tuple[int, int]]] = {}
-        for utt, start, end in self.spans:
-            out.setdefault(utt, []).append((start, end))
-        return out
 
 
 def level_offsets(grid: GranularityGrid) -> dict[Granularity, int]:
@@ -352,5 +346,6 @@ def read_matl(path) -> LdaModel:
                                    "<f8").reshape(K, V)
         doc_topic = np.frombuffer(read_exact(f, 8 * D * K, path, "document-topic counts"),
                                   "<f8").reshape(D, K)
+        read_end(f, path)
     return LdaModel(K, topic_word.astype(np.int64), doc_topic.astype(np.int64),
                     alpha, beta, seed)

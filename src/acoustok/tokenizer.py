@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .corpus import Corpus, read_exact
+from .corpus import Corpus, read_end, read_exact
 from .labels import LabelSet, TokenLabelSequence, validate_label_set
 
 MATM_MAGIC = b"MATM"
@@ -160,7 +160,9 @@ class TokenizerConfig:
     em_tol: float = 1e-4           # relative per-token log-likelihood gain
     outer_iters: int = 5
     lm_scale: float = 1.0
-    mixture_schedule: tuple[int, ...] = ()  # EM iterations at which components double
+    # from each listed EM iteration on, states hold twice as many mixture
+    # components; a warm start that already holds them is not split again
+    mixture_schedule: tuple[int, ...] = ()
     var_floor_frac: float = 1e-4   # floor = frac * global per-dimension variance
     reseed_scale: float = 0.1      # perturbation for dead-token reseeding
 
@@ -171,36 +173,33 @@ class TokenizerConfig:
 
 def segment_forward_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
     """Forward log-likelihood of a span: enter state 0, exit from the last state."""
-    emis = hmm.emission_matrix(frames)
-    return _forward_ll_from_emissions(hmm, emis)
-
-
-def _forward_ll_from_emissions(hmm: TokenHmm, emis: np.ndarray) -> float:
-    L, m = emis.shape
-    if L < m:
-        return -np.inf
-    log_self, log_adv = hmm.log_transitions()
-    alpha = np.full(m, -np.inf)
-    alpha[0] = emis[0, 0]
-    for t in range(1, L):
-        move = np.concatenate(([-np.inf], alpha[:-1] + log_adv[:-1]))
-        alpha = np.logaddexp(alpha + log_self, move) + emis[t]
-    return float(alpha[m - 1] + log_adv[m - 1])
+    return _span_ll(hmm, frames, np.logaddexp)
 
 
 def segment_viterbi_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
     """Best-path log-likelihood of a span under the same entry/exit convention."""
+    return _span_ll(hmm, frames, np.maximum)
+
+
+def _span_ll(hmm: TokenHmm, frames: np.ndarray, combine) -> float:
     emis = hmm.emission_matrix(frames)
     L, m = emis.shape
     if L < m:
         return -np.inf
     log_self, log_adv = hmm.log_transitions()
-    delta = np.full(m, -np.inf)
-    delta[0] = emis[0, 0]
+    return float(_alpha(emis, log_self, log_adv, combine)[L - 1, m - 1] + log_adv[m - 1])
+
+
+def _alpha(emis: np.ndarray, log_self: np.ndarray, log_adv: np.ndarray, combine) -> np.ndarray:
+    """(L, m) left-to-right recursion entering state 0; combine is np.logaddexp
+    for the forward sum over paths, np.maximum for the best path."""
+    L, m = emis.shape
+    alpha = np.full((L, m), -np.inf)
+    alpha[0, 0] = emis[0, 0]
     for t in range(1, L):
-        move = np.concatenate(([-np.inf], delta[:-1] + log_adv[:-1]))
-        delta = np.maximum(delta + log_self, move) + emis[t]
-    return float(delta[m - 1] + log_adv[m - 1])
+        move = np.concatenate(([-np.inf], alpha[t - 1, :-1] + log_adv[:-1]))
+        alpha[t] = combine(alpha[t - 1] + log_self, move) + emis[t]
+    return alpha
 
 
 def _forward_backward(hmm: TokenHmm, emis: np.ndarray):
@@ -211,11 +210,7 @@ def _forward_backward(hmm: TokenHmm, emis: np.ndarray):
     """
     L, m = emis.shape
     log_self, log_adv = hmm.log_transitions()
-    alpha = np.full((L, m), -np.inf)
-    alpha[0, 0] = emis[0, 0]
-    for t in range(1, L):
-        move = np.concatenate(([-np.inf], alpha[t - 1, :-1] + log_adv[:-1]))
-        alpha[t] = np.logaddexp(alpha[t - 1] + log_self, move) + emis[t]
+    alpha = _alpha(emis, log_self, log_adv, np.logaddexp)
     ll = alpha[L - 1, m - 1] + log_adv[m - 1]
     if not np.isfinite(ll):
         return ll, None, None, None
@@ -239,15 +234,12 @@ def _forward_backward(hmm: TokenHmm, emis: np.ndarray):
     return float(ll), log_gamma, stay_post, move_post
 
 
-def _uniform_alignment(length: int, m: int) -> np.ndarray:
-    """Frame-to-state hard alignment; trailing states stay empty when length < m."""
+def _uniform_edges(length: int, m: int) -> list[int]:
+    """Hard alignment: state s takes frames edges[s]:edges[s + 1]; when
+    length < m, one frame per state and the trailing states stay empty."""
     if length >= m:
-        edges = [(length * s) // m for s in range(m + 1)]
-        states = np.empty(length, dtype=np.int64)
-        for s in range(m):
-            states[edges[s] : edges[s + 1]] = s
-        return states
-    return np.arange(length, dtype=np.int64)
+        return [(length * s) // m for s in range(m + 1)]
+    return list(range(length + 1)) + [length] * (m - length)
 
 
 # ---------------------------------------------------------------------------
@@ -263,42 +255,47 @@ class _TokenStats:
         self.move = np.zeros(m)
         self.ll = 0.0
 
-    def add_soft(self, hmm: TokenHmm, frames: np.ndarray, ll, log_gamma, stay_post, move_post):
+    def _add_state(self, s: int, resp: np.ndarray, frames: np.ndarray):
+        """Accumulate state s's (L, c) component responsibilities for the frames."""
+        c = resp.shape[1]
+        self.occ[s, :c] += resp.sum(axis=0)
+        self.first[s, :c] += resp.T @ frames
+        self.second[s, :c] += resp.T @ (frames * frames)
+
+    def add_soft(self, frames: np.ndarray, post: list, ll, log_gamma, stay_post, move_post):
         gamma = np.exp(log_gamma)  # (L, m)
-        for s, state in enumerate(hmm.states):
-            comp = state.component_log_density(frames) + state.log_weights()[None, :]
-            comp -= logsumexp(comp, axis=1, keepdims=True)
-            resp = gamma[:, s : s + 1] * np.exp(comp)  # (L, c)
-            c = state.n_components
-            self.occ[s, :c] += resp.sum(axis=0)
-            self.first[s, :c] += resp.T @ frames
-            self.second[s, :c] += resp.T @ (frames * frames)
+        m = gamma.shape[1]
+        for s in range(m):
+            self._add_state(s, gamma[:, s : s + 1] * post[s], frames)
         self.stay += stay_post.sum(axis=0)
         self.move += move_post.sum(axis=0)
-        self.move[hmm.m - 1] += gamma[-1, hmm.m - 1]  # exit transition
+        self.move[m - 1] += gamma[-1, m - 1]  # exit transition
         self.ll += ll
 
-    def add_hard(self, hmm: TokenHmm, frames: np.ndarray, alignment: np.ndarray):
-        """Used for spans shorter than m, where the full traversal is infeasible."""
+    def add_hard(self, hmm: TokenHmm, frames: np.ndarray, emis: np.ndarray, post: list):
+        """Uniform-alignment statistics for a span no path traverses: one
+        shorter than m, or one of zero likelihood."""
         score = 0.0
         log_self, log_adv = hmm.log_transitions()
-        for s in range(alignment.max() + 1 if len(alignment) else 0):
-            rows = frames[alignment == s]
-            if not len(rows):
+        edges = _uniform_edges(len(frames), hmm.m)
+        for s in range(hmm.m):
+            start, end = edges[s], edges[s + 1]
+            if start == end:
                 continue
-            state = hmm.states[s]
-            comp = state.component_log_density(rows) + state.log_weights()[None, :]
-            total = logsumexp(comp, axis=1)
-            score += total.sum()
-            resp = np.exp(comp - total[:, None])
-            c = state.n_components
-            self.occ[s, :c] += resp.sum(axis=0)
-            self.first[s, :c] += resp.T @ rows
-            self.second[s, :c] += resp.T @ (rows * rows)
-            self.stay[s] += len(rows) - 1
+            score += emis[start:end, s].sum()
+            self._add_state(s, post[s][start:end], frames[start:end])
+            self.stay[s] += end - start - 1
             self.move[s] += 1.0
-            score += (len(rows) - 1) * log_self[s] + log_adv[s]
+            score += (end - start - 1) * log_self[s] + log_adv[s]
         self.ll += score
+
+
+def _span_posteriors(hmm: TokenHmm, frames: np.ndarray) -> tuple[np.ndarray, list]:
+    """One density evaluation per state: the (L, m) emission matrix and each
+    state's (L, c) component posteriors."""
+    joint = [s.component_log_density(frames) + s.log_weights()[None, :] for s in hmm.states]
+    emis = np.stack([logsumexp(j, axis=1) for j in joint], axis=1)
+    return emis, [np.exp(j - emis[:, s, None]) for s, j in enumerate(joint)]
 
 
 def _m_step(hmm: TokenHmm, stats: _TokenStats, var_floor: np.ndarray) -> TokenHmm:
@@ -331,36 +328,29 @@ def _m_step(hmm: TokenHmm, stats: _TokenStats, var_floor: np.ndarray) -> TokenHm
 
 
 def _flat_start_token(token_id, spans_frames, m, var_floor, global_mean, global_var):
-    """Initial single-Gaussian model from a uniform state alignment of the spans."""
-    d = len(global_mean)
-    occ = np.zeros(m)
-    first = np.zeros((m, d))
-    second = np.zeros((m, d))
-    stay = np.zeros(m)
-    move = np.zeros(m)
+    """Initial single-Gaussian model from a uniform state alignment of the spans.
+
+    A template state has one component, so each frame's whole weight goes to
+    it and no density is evaluated.  States that no span reaches keep the
+    template's global statistics.
+    """
+    template = TokenHmm(
+        token_id, [GaussState.single(global_mean, global_var) for _ in range(m)],
+        np.full((m, 2), 0.5),
+    )
+    stats = _TokenStats(m, 1, len(global_mean))
     for frames in spans_frames:
-        alignment = _uniform_alignment(len(frames), m)
+        edges = _uniform_edges(len(frames), m)
         for s in range(m):
-            rows = frames[alignment == s]
+            rows = frames[edges[s] : edges[s + 1]]
             if not len(rows):
                 continue
-            occ[s] += len(rows)
-            first[s] += rows.sum(axis=0)
-            second[s] += (rows * rows).sum(axis=0)
-            stay[s] += len(rows) - 1
-            move[s] += 1.0
-    states = []
-    trans = np.full((m, 2), 0.5)
-    for s in range(m):
-        if occ[s] > 0:
-            mean = first[s] / occ[s]
-            var = np.maximum(second[s] / occ[s] - mean**2, var_floor)
-            states.append(GaussState.single(mean, var))
-            denom = stay[s] + move[s]
-            trans[s] = (stay[s] / denom, move[s] / denom)
-        else:
-            states.append(GaussState.single(global_mean, global_var))
-    return TokenHmm(token_id, states, trans)
+            stats.occ[s, 0] += len(rows)
+            stats.first[s, 0] += rows.sum(axis=0)
+            stats.second[s, 0] += (rows * rows).sum(axis=0)
+            stats.stay[s] += len(rows) - 1
+            stats.move[s] += 1.0
+    return _m_step(template, stats, var_floor)
 
 
 def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
@@ -433,23 +423,23 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
             continue
         prev_ll = None
         for it in range(cfg.em_iters):
-            if it in split_at:
-                hmm = TokenHmm(token, [s.split() for s in hmm.states], hmm.transitions.copy())
+            # a warm start already holds the components of earlier splits
+            target = 2 ** sum(k <= it for k in split_at)
+            if any(s.n_components < target for s in hmm.states):
+                hmm = TokenHmm(token, [s.split() if s.n_components < target else s
+                                       for s in hmm.states], hmm.transitions.copy())
                 prev_ll = None  # mixture count changed, restart convergence check
             max_c = max(s.n_components for s in hmm.states)
             stats = _TokenStats(g.m, max_c, dim)
             for frames in spans[token]:
-                if len(frames) >= g.m:
-                    emis = hmm.emission_matrix(frames)
-                    ll, log_gamma, stay_post, move_post = _forward_backward(hmm, emis)
-                    if log_gamma is None:
-                        stats.add_hard(hmm, frames, _uniform_alignment(len(frames), g.m))
-                    else:
-                        stats.add_soft(hmm, frames, ll, log_gamma, stay_post, move_post)
+                emis, post = _span_posteriors(hmm, frames)
+                ll, log_gamma, stay_post, move_post = _forward_backward(hmm, emis)
+                if log_gamma is None:
+                    stats.add_hard(hmm, frames, emis, post)
                 else:
-                    stats.add_hard(hmm, frames, _uniform_alignment(len(frames), g.m))
+                    stats.add_soft(frames, post, ll, log_gamma, stay_post, move_post)
             hmm = _m_step(hmm, stats, var_floor)
-            if prev_ll is not None and it not in split_at:
+            if prev_ll is not None:
                 gain = stats.ll - prev_ll
                 if abs(gain) / max(1.0, abs(prev_ll)) < cfg.em_tol:
                     break
@@ -479,8 +469,7 @@ def decode_utterance(model: LevelModel, frames: np.ndarray, lm_scale: float = 1.
     n, m = g.n, g.m
     T = len(frames)
     log_prior = model.log_prior(lm_scale)
-    log_self = np.stack([np.log(np.maximum(h.transitions[:, 0], TRANS_FLOOR)) for h in model.hmms])
-    log_adv = np.stack([np.log(np.maximum(h.transitions[:, 1], TRANS_FLOOR)) for h in model.hmms])
+    log_self, log_adv = map(np.stack, zip(*(h.log_transitions() for h in model.hmms)))
     emis = np.stack([h.emission_matrix(frames) for h in model.hmms], axis=1)  # (T, n, m)
 
     if T < m:
@@ -653,4 +642,5 @@ def read_matm(path) -> LevelModel:
             trans = read_array((m, 2), "transitions")
             hmms.append(TokenHmm(token, states, trans))
         prior = read_array((n,), "prior")
+        read_end(f, path)
     return LevelModel(Granularity(m, n), hmms, prior)

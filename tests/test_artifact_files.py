@@ -1,10 +1,21 @@
-"""Binary artifact readers on truncated input: every prefix of a valid file
-must fail with a ValueError that names the file."""
+"""Artifact readers on damaged input: a truncated or over-long binary file and a
+truncated JSONL file must each fail with a ValueError that names the file."""
 
 import numpy as np
 import pytest
 
-from acoustok.corpus import FeatureSequence, matf_bytes, read_matf
+from acoustok.corpus import (
+    FeatureSequence,
+    SynthSpec,
+    corpus_files,
+    ground_truth_jsonl,
+    load_corpus,
+    matf_bytes,
+    read_ground_truth,
+    read_matf,
+    synthesize_corpus,
+)
+from acoustok.labels import labels_to_jsonl, read_labels_jsonl
 from acoustok.mdnn import MdnnConfig, init_mdnn, matn_bytes, read_matn
 from acoustok.reinforce import ReinforceConfig, lda_fit, matl_bytes, read_matl
 from acoustok.tokenizer import GaussState, Granularity, LevelModel, TokenHmm, matm_bytes, read_matm
@@ -33,12 +44,15 @@ def tiny_matn() -> bytes:
     return matn_bytes(init_mdnn(2, [2], [Granularity(2, 2)], cfg, seed=1))
 
 
-@pytest.mark.parametrize("suffix, make, read", [
+BINARY_FORMATS = pytest.mark.parametrize("suffix, make, read", [
     ("matf", tiny_matf, read_matf),
     ("matm", tiny_matm, read_matm),
     ("matl", tiny_matl, read_matl),
     ("matn", tiny_matn, read_matn),
 ])
+
+
+@BINARY_FORMATS
 def test_truncation_names_the_file(tmp_path, suffix, make, read):
     data = make()
     path = tmp_path / f"tiny.{suffix}"
@@ -49,3 +63,50 @@ def test_truncation_names_the_file(tmp_path, suffix, make, read):
         with pytest.raises(ValueError) as excinfo:
             read(path)
         assert str(path) in str(excinfo.value), (offset, str(excinfo.value))
+
+
+@BINARY_FORMATS
+def test_trailing_bytes_name_the_file(tmp_path, suffix, make, read):
+    data = make()
+    path = tmp_path / f"tiny.{suffix}"
+    for extra in (b"\x00", data):  # one appended byte; the file written twice
+        path.write_bytes(data + extra)
+        with pytest.raises(ValueError, match="trailing bytes") as excinfo:
+            read(path)
+        assert str(path) in str(excinfo.value)
+
+
+def _corpus_dir(directory):
+    corpus, _ = synthesize_corpus(SynthSpec(n_utterances=2), seed=4)
+    directory = directory / "features"
+    directory.mkdir()
+    for name, data in corpus_files(corpus).items():
+        (directory / name).write_bytes(data)
+    return directory / "corpus.jsonl", lambda path: load_corpus(path.parent)
+
+
+def _labels_file(directory):
+    _, truth = synthesize_corpus(SynthSpec(n_utterances=2), seed=4)
+    path = directory / "labels.jsonl"
+    path.write_text(labels_to_jsonl(truth.label_set()))
+    return path, read_labels_jsonl
+
+
+def _truth_file(directory):
+    _, truth = synthesize_corpus(SynthSpec(n_utterances=2), seed=4)
+    path = directory / "truth.jsonl"
+    path.write_text(ground_truth_jsonl(truth))
+    return path, read_ground_truth
+
+
+@pytest.mark.parametrize("make", [_corpus_dir, _labels_file, _truth_file])
+def test_truncated_jsonl_names_the_file(tmp_path, make):
+    path, read = make(tmp_path)
+    text = path.read_text()
+    read(path)  # the whole file reads back
+    first_line = text.index("\n")
+    for cut in (first_line // 2, first_line + 5, len(text) - 3):
+        path.write_text(text[:cut])
+        with pytest.raises(ValueError) as excinfo:
+            read(path)
+        assert str(path) in str(excinfo.value), (cut, str(excinfo.value))

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from acoustok.corpus import Corpus, FeatureSequence
+from acoustok.corpus import Corpus, FeatureSequence, SynthSpec, synthesize_corpus
 from acoustok.labels import TokenLabelSequence
 from acoustok.tokenizer import (
     GaussState,
@@ -227,6 +227,32 @@ class TestTraining:
             for state in hmm.states:
                 assert state.n_components == 4
                 assert state.weights.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_mixture_schedule_not_repeated_on_warm_starts(self, small_corpus):
+        spec, corpus, truth = small_corpus
+        cfg = TokenizerConfig(em_iters=6, mixture_schedule=(2, 4), outer_iters=3)
+        model, _, trace = run_level(corpus, truth.label_set(), Granularity(3, spec.n_tokens), cfg)
+        assert len(trace) >= 4  # trained at least twice, warm-started after the first
+        for hmm in model.hmms:
+            assert [s.n_components for s in hmm.states] == [4, 4, 4]
+
+    def test_one_density_evaluation_per_span_and_state(self, monkeypatch):
+        spec = SynthSpec(n_tokens=3, states_per_token=3, dim=4, n_utterances=6)
+        corpus, truth = synthesize_corpus(spec, seed=8)
+        labels = truth.label_set()
+        g = Granularity(3, spec.n_tokens)
+        init = flat_start_model(corpus, labels, g)
+        calls = []
+        real = GaussState.component_log_density
+
+        def spy(state, frames):
+            calls.append(len(frames))
+            return real(state, frames)
+
+        monkeypatch.setattr(GaussState, "component_log_density", spy)
+        train_level_hmms(corpus, labels, g, TokenizerConfig(em_iters=1), init_model=init)
+        spans = sum(len(seq.segments) for seq in labels.values())
+        assert len(calls) == spans * g.m
 
     def test_order_independent(self, small_corpus):
         spec, corpus, truth = small_corpus
