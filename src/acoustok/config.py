@@ -9,7 +9,9 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .corpus import FeatureConfig, SynthSpec
 from .initialization import InitConfig
@@ -29,10 +31,10 @@ class RetrievalConfig:
 @dataclass
 class PipelineConfig:
     out_dir: str = "runs/default"
-    audio_dir: str = ""
     seed: int = 0
     iterations: int = 1
     mr_rounds: int = 1
+    audio_dir: str = ""
     features: FeatureConfig = field(default_factory=FeatureConfig)
     grid: GranularityGrid = field(
         default_factory=lambda: GranularityGrid((3, 5, 7, 9), (50, 100, 300, 500))
@@ -47,101 +49,62 @@ class PipelineConfig:
 
 def _parse_value(raw: str, kind, name: str):
     raw = raw.strip()
-    if kind is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
+    if kind is not bool:
+        return kind(raw)
+    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
         raise ValueError(f"{name}: expected a boolean, got {raw!r}")
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    if kind is str:
-        return raw
-    raise ValueError(f"{name}: unsupported option type {kind}")
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
-def _parse_tuple(raw: str, element, name: str):
-    parts = raw.split()
-    return tuple(_parse_value(p, element, name) for p in parts)
+def _option_type(field_type, where: str) -> tuple[type, bool, bool]:
+    """(scalar kind, is a tuple, may be None) of a config field's type."""
+    hint = field_type
+    optional = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    if optional:
+        rest = [a for a in typing.get_args(hint) if a is not type(None)]
+        hint = rest[0] if len(rest) == 1 else None
+    many = typing.get_origin(hint) is tuple
+    if many:
+        kinds = set(typing.get_args(hint)) - {Ellipsis}
+        hint = kinds.pop() if len(kinds) == 1 else None
+    if hint not in (bool, int, float, str):
+        raise TypeError(f"{where}: unsupported option type {field_type}")
+    return hint, many, optional
 
 
-_SECTION_SPECS = {
-    "run": {
-        "out": ("out_dir", str),
-        "seed": ("seed", int),
-        "iterations": ("iterations", int),
-        "mr_rounds": ("mr_rounds", int),
-        "audio_dir": ("audio_dir", str),
-    },
-    "features": {
-        "window": ("window", float),
-        "shift": ("shift", float),
-        "n_ceps": ("n_ceps", int),
-        "n_filters": ("n_filters", int),
-        "preemphasis": ("preemphasis", float),
-        "delta_window": ("delta_window", int),
-        "cmvn": ("cmvn", bool),
-        "context_radius": ("context_radius", int),
-    },
-    "grid": {
-        "temporal": ("temporal", (tuple, int)),
-        "phonetic": ("phonetic", (tuple, int)),
-    },
-    "init": {
-        "alpha": ("alpha", float),
-        "min_segment_frames": ("min_segment_frames", int),
-        "min_subword_frames": ("min_subword_frames", int),
-        "side_frames": ("side_frames", int),
-        "dotplot_sigma": ("dotplot_sigma", float),
-        "kmeans_iters": ("kmeans_iters", int),
-    },
-    "tokenizer": {
-        "em_iters": ("em_iters", int),
-        "em_tol": ("em_tol", float),
-        "outer_iters": ("outer_iters", int),
-        "lm_scale": ("lm_scale", float),
-        "mixture_schedule": ("mixture_schedule", (tuple, int)),
-        "var_floor_frac": ("var_floor_frac", float),
-        "reseed_scale": ("reseed_scale", float),
-    },
-    "reinforce": {
-        "tau": ("tau", float),
-        "min_gap": ("min_gap", int),
-        "overlap": ("overlap", float),
-        "lda_iters": ("lda_iters", int),
-        "lda_beta": ("lda_beta", float),
-        "lda_alpha": ("lda_alpha", float),
-    },
-    "mdnn": {
-        "hidden": ("hidden", (tuple, int)),
-        "bottleneck": ("bottleneck", int),
-        "epochs": ("epochs", int),
-        "batch_size": ("batch_size", int),
-        "learning_rate": ("learning_rate", float),
-        "momentum": ("momentum", float),
-    },
-    "retrieval": {
-        "mode": ("mode", str),
-        "queries": ("queries", (tuple, str)),
-        "relevance": ("relevance", str),
-        "weights": ("weights", (tuple, float)),
-    },
-    "synth": {
-        "n_tokens": ("n_tokens", int),
-        "states_per_token": ("states_per_token", int),
-        "dim": ("dim", int),
-        "n_utterances": ("n_utterances", int),
-        "tokens_per_utterance": ("tokens_per_utterance", (tuple, int)),
-        "frames_per_state": ("frames_per_state", (tuple, int)),
-        "mean_separation": ("mean_separation", float),
-        "emission_std": ("emission_std", float),
-        "state_drift": ("state_drift", float),
-        "allow_repeats": ("allow_repeats", bool),
-        "n_speakers": ("n_speakers", int),
-    },
-}
+class _Option(typing.NamedTuple):
+    name: str       # dataclass field
+    kind: type      # bool, int, float or str
+    many: bool      # a space-separated tuple of kind
+    optional: bool  # empty text means None
+
+
+# fields the INI format spells differently, and fields it cannot express
+# (these keep their defaults)
+_RENAMED = {(PipelineConfig, "out_dir"): "out"}
+_UNLISTED = {(SynthSpec, "token_sequences")}
+
+
+def _schema() -> dict[str, dict[str, _Option]]:
+    """Section -> INI key -> option.  [run] holds PipelineConfig's own scalar
+    fields; every other section is one of its dataclass attributes."""
+    hints = typing.get_type_hints(PipelineConfig)
+    sections = {"run": PipelineConfig}
+    sections.update((f.name, hints[f.name]) for f in fields(PipelineConfig)
+                    if is_dataclass(hints[f.name]))
+    schema = {}
+    for section, cls in sections.items():
+        hints = typing.get_type_hints(cls)
+        schema[section] = {
+            _RENAMED.get((cls, f.name), f.name):
+                _Option(f.name, *_option_type(hints[f.name], f"{cls.__name__}.{f.name}"))
+            for f in fields(cls)
+            if (cls, f.name) not in _UNLISTED and not is_dataclass(hints[f.name])
+        }
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def load_config(path=None, text: str | None = None) -> PipelineConfig:
@@ -154,66 +117,35 @@ def load_config(path=None, text: str | None = None) -> PipelineConfig:
             parser.read_file(f)
     cfg = PipelineConfig()
     for section in parser.sections():
-        if section not in _SECTION_SPECS:
+        if section not in _SCHEMA:
             raise ValueError(f"unknown config section [{section}]")
-        spec = _SECTION_SPECS[section]
+        options = _SCHEMA[section]
+        values = {}
         for key, raw in parser.items(section):
-            if key not in spec:
+            if key not in options:
                 raise ValueError(f"unknown option {key!r} in section [{section}]")
-            attr, kind = spec[key]
-            if raw.strip() == "" and not isinstance(kind, tuple):
-                continue  # empty scalar keeps the default
-            if isinstance(kind, tuple):
-                value = _parse_tuple(raw, kind[1], f"[{section}] {key}")
-            else:
-                value = _parse_value(raw, kind, f"[{section}] {key}")
-            _apply(cfg, section, attr, value)
-    return cfg
-
-
-def _apply(cfg: PipelineConfig, section: str, attr: str, value):
-    if section == "run":
-        setattr(cfg, attr, value)
-    elif section == "grid":
-        current = cfg.grid
-        if attr == "temporal":
-            cfg.grid = GranularityGrid(value, current.phonetic)
+            opt = options[key]
+            where = f"[{section}] {key}"
+            if opt.many:
+                values[opt.name] = tuple(_parse_value(p, opt.kind, where) for p in raw.split())
+            elif raw.strip():
+                values[opt.name] = _parse_value(raw, opt.kind, where)
+            elif opt.optional:
+                values[opt.name] = None
+            # an empty scalar keeps the default
+        if section == "run":
+            cfg = replace(cfg, **values)
         else:
-            cfg.grid = GranularityGrid(current.temporal, value)
-    else:
-        target = {
-            "features": cfg.features,
-            "init": cfg.init,
-            "tokenizer": cfg.tokenizer,
-            "reinforce": cfg.reinforce,
-            "mdnn": cfg.mdnn,
-            "retrieval": cfg.retrieval,
-            "synth": cfg.synth,
-        }[section]
-        setattr(target, attr, value)
+            setattr(cfg, section, replace(getattr(cfg, section), **values))
+    return cfg
 
 
 def dump_config(cfg: PipelineConfig) -> str:
     """Canonical text form, used for snapshots and config hashing."""
     parser = configparser.ConfigParser()
-
-    def put(section: str, values: dict):
-        parser[section] = {k: _format(v) for k, v in values.items()}
-
-    put("run", {
-        "out": cfg.out_dir, "seed": cfg.seed, "iterations": cfg.iterations,
-        "mr_rounds": cfg.mr_rounds, "audio_dir": cfg.audio_dir,
-    })
-    put("features", {f.name: getattr(cfg.features, f.name) for f in fields(cfg.features)})
-    put("grid", {"temporal": cfg.grid.temporal, "phonetic": cfg.grid.phonetic})
-    put("init", {f.name: getattr(cfg.init, f.name) for f in fields(cfg.init)})
-    put("tokenizer", {f.name: getattr(cfg.tokenizer, f.name) for f in fields(cfg.tokenizer)})
-    put("reinforce", {f.name: getattr(cfg.reinforce, f.name) for f in fields(cfg.reinforce)})
-    put("mdnn", {f.name: getattr(cfg.mdnn, f.name) for f in fields(cfg.mdnn)})
-    put("retrieval", {f.name: getattr(cfg.retrieval, f.name) for f in fields(cfg.retrieval)})
-    synth = {f.name: getattr(cfg.synth, f.name) for f in fields(cfg.synth)}
-    synth.pop("token_sequences", None)  # not expressible in the flat format
-    put("synth", synth)
+    for section, options in _SCHEMA.items():
+        obj = cfg if section == "run" else getattr(cfg, section)
+        parser[section] = {key: _format(getattr(obj, opt.name)) for key, opt in options.items()}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

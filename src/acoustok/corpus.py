@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import dct
 
-from .labels import LabelSet, TokenLabelSequence, read_jsonl
+from .labels import LabelSet, TokenLabelSequence, labels_to_jsonl, read_jsonl, read_labels_jsonl
 
 MATF_MAGIC = b"MATF"
 
@@ -428,28 +428,26 @@ def save_corpus(directory, corpus: Corpus):
 
 
 def load_corpus(directory) -> Corpus:
+    """The utterances corpus.jsonl lists.  A .matf in the directory that the
+    index does not list means the index was cut short, and raises."""
     directory = Path(directory)
-    utterances = []
-    speakers = {}
-    for rec in read_jsonl(directory / "corpus.jsonl", ("utt",)):
-        seq = read_matf(
-            directory / f"{rec['utt']}.matf",
-            utterance_id=rec["utt"],
-            frame_shift=rec.get("frame_shift", 0.010),
-        )
-        utterances.append(seq)
-        if rec.get("speaker"):
-            speakers[rec["utt"]] = rec["speaker"]
+    index = directory / "corpus.jsonl"
+    records = read_jsonl(index, ("utt",))
+    unlisted = sorted({p.stem for p in directory.glob("*.matf")} - {r["utt"] for r in records})
+    if unlisted:
+        raise ValueError(f"{index}: {len(unlisted)} .matf files not listed, "
+                         f"the first {unlisted[0]}.matf")
+    utterances = [
+        read_matf(directory / f"{r['utt']}.matf", r["utt"], r.get("frame_shift", 0.010))
+        for r in records
+    ]
+    speakers = {r["utt"]: r["speaker"] for r in records if r.get("speaker")}
     return Corpus(utterances, speakers)
 
 
 def ground_truth_jsonl(truth: GroundTruth) -> str:
-    """One JSON object {utt, token, start, end} per true span, utterances sorted by id."""
-    lines = []
-    for utt in sorted(truth.spans):
-        for token, start, end in truth.spans[utt]:
-            lines.append(json.dumps({"utt": utt, "token": token, "start": start, "end": end}))
-    return "".join(line + "\n" for line in lines)
+    """The true spans in the labels JSONL format."""
+    return labels_to_jsonl(truth.label_set())
 
 
 def write_ground_truth(path, truth: GroundTruth):
@@ -457,9 +455,4 @@ def write_ground_truth(path, truth: GroundTruth):
 
 
 def read_ground_truth(path) -> GroundTruth:
-    spans: dict[str, list[tuple[int, int, int]]] = {}
-    for rec in read_jsonl(path, ("utt", "token", "start", "end")):
-        spans.setdefault(rec["utt"], []).append((rec["token"], rec["start"], rec["end"]))
-    for utt in spans:
-        spans[utt].sort(key=lambda s: s[1])
-    return GroundTruth(spans)
+    return GroundTruth({utt: seq.segments for utt, seq in read_labels_jsonl(path).items()})

@@ -15,6 +15,8 @@ import os
 import tempfile
 from pathlib import Path
 
+from .labels import read_jsonl
+
 
 def file_sha256(path) -> str:
     digest = hashlib.sha256()
@@ -42,12 +44,29 @@ def atomic_write_text(path, text: str):
     atomic_write_bytes(path, text.encode())
 
 
+class PipelineError(RuntimeError):
+    pass
+
+
 class StageWriter:
-    """Collects a stage's outputs in memory and lands them atomically."""
+    """Records the hashes of a stage's inputs as it reads them, and collects
+    its outputs in memory to land them atomically."""
 
     def __init__(self, root):
         self.root = Path(root)
+        self.inputs: dict[str, str] = {}
         self.outputs: dict[str, bytes] = {}
+
+    def read(self, path, what: str) -> Path:
+        """Check that an upstream file exists and record its sha256, keyed by
+        its path relative to the run directory, or as given when it lies
+        outside it."""
+        path = Path(path)
+        if not path.exists():
+            raise PipelineError(f"missing upstream artifact: {what} ({path})")
+        key = path.relative_to(self.root).as_posix() if path.is_relative_to(self.root) else str(path)
+        self.inputs[key] = file_sha256(path)
+        return path
 
     def add_bytes(self, relpath: str, data: bytes):
         self.outputs[relpath] = data
@@ -73,13 +92,7 @@ class Manifest:
     def entries(self) -> list[dict]:
         if not self.path.exists():
             return []
-        out = []
-        with open(self.path) as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
-        return out
+        return read_jsonl(self.path, ("stage", "inputs", "outputs", "config_sha"))
 
     def find(self, stage: str) -> dict | None:
         for entry in reversed(self.entries()):

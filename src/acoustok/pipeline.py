@@ -36,13 +36,9 @@ from .corpus import (
 )
 from .initialization import make_initial_labels
 from .labels import labels_to_jsonl, read_labels_jsonl
-from .manifest import Manifest, StageWriter, atomic_write_text, file_sha256
+from .manifest import Manifest, PipelineError, StageWriter, atomic_write_text
 from .mdnn import build_targets, extract_bnf, make_iteration_input, read_matn, train_mdnn
 from .tokenizer import read_matm, run_mat
-
-
-class PipelineError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -79,17 +75,25 @@ def tok_dir(iteration: int, mr_round: int) -> str:
     return f"iter{iteration}/TOK-{ordinal(iteration)}_MR-{mr_round}"
 
 
-def _require(path: Path, what: str) -> Path:
-    if not path.exists():
-        raise PipelineError(f"missing upstream artifact: {what} ({path})")
-    return path
+def _read_corpus(ctx: RunContext, writer: StageWriter, rel_dir: str) -> Corpus:
+    index = writer.read(ctx.out / rel_dir / "corpus.jsonl", f"feature directory {rel_dir}")
+    return corpus_mod.load_corpus(index.parent)
 
 
-def _load_corpus(ctx: RunContext, rel_dir: str) -> tuple[Corpus, dict[str, str]]:
-    directory = _require(ctx.out / rel_dir, f"feature directory {rel_dir}")
-    corpus = corpus_mod.load_corpus(directory)
-    inputs = {f"{rel_dir}/corpus.jsonl": file_sha256(directory / "corpus.jsonl")}
-    return corpus, inputs
+def _read_levels(ctx: RunContext, writer: StageWriter, rel_dir: str,
+                 name: str = "labels_m{m}_n{n}.jsonl", read=read_labels_jsonl) -> dict:
+    """One artifact per grid level of rel_dir, labels unless name and read say otherwise."""
+    return {
+        g: read(writer.read(ctx.out / rel_dir / name.format(m=g.m, n=g.n),
+                            f"level artifact {rel_dir} ({g.m},{g.n})"))
+        for g in ctx.cfg.grid.levels()
+    }
+
+
+def _read_truth(ctx: RunContext, writer: StageWriter) -> GroundTruth:
+    return read_ground_truth(
+        writer.read(ctx.out / "truth.jsonl", "ground truth (synthetic corpora only)")
+    )
 
 
 def _add_corpus(writer: StageWriter, rel_dir: str, corpus: Corpus):
@@ -103,9 +107,9 @@ def _run_stage(ctx: RunContext, key: str, work) -> bool:
         return False
     start = time.perf_counter()
     writer = StageWriter(ctx.out)
-    inputs = work(writer)
+    work(writer)
     outputs = writer.commit()
-    ctx.manifest.record(key, outputs, inputs or {}, ctx.config_sha,
+    ctx.manifest.record(key, outputs, writer.inputs, ctx.config_sha,
                         time.perf_counter() - start)
     return True
 
@@ -119,7 +123,6 @@ def cmd_synth(ctx: RunContext):
         corpus, truth = synthesize_corpus(ctx.cfg.synth, ctx.cfg.seed)
         _add_corpus(writer, "features", corpus)
         writer.add_text("truth.jsonl", ground_truth_jsonl(truth))
-        return {}
 
     _run_stage(ctx, "synth", work)
 
@@ -132,67 +135,45 @@ def cmd_features(ctx: RunContext):
         wavs = sorted(audio_dir.glob("*.wav"))
         if not wavs:
             raise PipelineError(f"no .wav files in {audio_dir}")
-        inputs = {}
         sequences = []
         for wav in wavs:
-            inputs[str(wav)] = file_sha256(wav)
-            seq = extract_features(load_audio(wav), ctx.cfg.features)
+            seq = extract_features(load_audio(writer.read(wav, "audio")), ctx.cfg.features)
             if ctx.cfg.features.cmvn:
                 seq = apply_cmvn(seq)
             sequences.append(seq)
         _add_corpus(writer, "features", Corpus(sequences))
-        return inputs
 
     _run_stage(ctx, "features", work)
 
 
 def cmd_init(ctx: RunContext, iteration: int = 1):
     def work(writer: StageWriter):
-        corpus, inputs = _load_corpus(ctx, features_dir(iteration))
+        corpus = _read_corpus(ctx, writer, features_dir(iteration))
         for n in ctx.cfg.grid.phonetic:
             labels = make_initial_labels(
                 corpus, n, stage_seed(ctx.cfg.seed, f"init/{iteration}/{n}"), ctx.cfg.init
             )
             writer.add_text(f"iter{iteration}/init/labels_n{n}.jsonl", labels_to_jsonl(labels))
-        return inputs
 
     _run_stage(ctx, f"iter{iteration}/init", work)
 
 
-def _labels_source(iteration: int, mr_round: int) -> str:
-    if mr_round == 0:
-        return f"iter{iteration}/init"
-    return f"iter{iteration}/mr{mr_round}"
-
-
 def cmd_mat(ctx: RunContext, iteration: int = 1, mr_round: int = 0):
     def work(writer: StageWriter):
-        corpus, inputs = _load_corpus(ctx, features_dir(iteration))
-        src = _labels_source(iteration, mr_round)
-        init_labels = {}
-        for n in ctx.cfg.grid.phonetic:
-            path = _require(ctx.out / src / f"labels_n{n}.jsonl", f"{src} labels for n={n}")
-            inputs[f"{src}/labels_n{n}.jsonl"] = file_sha256(path)
-            init_labels[n] = read_labels_jsonl(path)
+        corpus = _read_corpus(ctx, writer, features_dir(iteration))
+        src = f"iter{iteration}/mr{mr_round}" if mr_round else f"iter{iteration}/init"
+        init_labels = {
+            n: read_labels_jsonl(writer.read(ctx.out / src / f"labels_n{n}.jsonl",
+                                             f"{src} labels for n={n}"))
+            for n in ctx.cfg.grid.phonetic
+        }
         models, labels = run_mat(corpus, ctx.cfg.grid, init_labels, ctx.cfg.tokenizer)
         base = tok_dir(iteration, mr_round)
         for g in ctx.cfg.grid.levels():
             writer.add_bytes(f"{base}/model_m{g.m}_n{g.n}.matm", tokenizer.matm_bytes(models[g]))
             writer.add_text(f"{base}/labels_m{g.m}_n{g.n}.jsonl", labels_to_jsonl(labels[g]))
-        return inputs
 
     _run_stage(ctx, f"iter{iteration}/mat_mr{mr_round}", work)
-
-
-def _load_level_labels(ctx: RunContext, rel_dir: str):
-    labels = {}
-    inputs = {}
-    for g in ctx.cfg.grid.levels():
-        path = _require(ctx.out / rel_dir / f"labels_m{g.m}_n{g.n}.jsonl",
-                        f"level labels {rel_dir} ({g.m},{g.n})")
-        inputs[f"{rel_dir}/labels_m{g.m}_n{g.n}.jsonl"] = file_sha256(path)
-        labels[g] = read_labels_jsonl(path)
-    return labels, inputs
 
 
 def cmd_mr(ctx: RunContext, iteration: int = 1, mr_round: int = 1):
@@ -200,7 +181,7 @@ def cmd_mr(ctx: RunContext, iteration: int = 1, mr_round: int = 1):
     round-r initial label sets plus the fused boundaries, the documents, and
     the per-n LDA models."""
     def work(writer: StageWriter):
-        level_labels, inputs = _load_level_labels(ctx, tok_dir(iteration, mr_round - 1))
+        level_labels = _read_levels(ctx, writer, tok_dir(iteration, mr_round - 1))
         result = reinforce.mutual_reinforce(
             level_labels, ctx.cfg.grid, ctx.cfg.reinforce,
             seed=stage_seed(ctx.cfg.seed, f"mr/{iteration}/{mr_round}"),
@@ -211,21 +192,17 @@ def cmd_mr(ctx: RunContext, iteration: int = 1, mr_round: int = 1):
         for n in ctx.cfg.grid.phonetic:
             writer.add_bytes(f"{base}/lda_n{n}.matl", reinforce.matl_bytes(result.models[n]))
             writer.add_text(f"{base}/labels_n{n}.jsonl", labels_to_jsonl(result.labels[n]))
-        return inputs
 
     _run_stage(ctx, f"iter{iteration}/mr{mr_round}", work)
 
 
-def _mdnn_inputs(ctx: RunContext, iteration: int):
+def _mdnn_inputs(ctx: RunContext, writer: StageWriter, iteration: int):
     """Per-utterance network input: acoustic context, bottleneck context from
-    every earlier iteration, then the utterance statistics vector."""
-    acoustic, inputs = _load_corpus(ctx, "features")
+    every earlier iteration, then the utterance statistics vector.  Returns
+    the rows and the acoustic corpus."""
+    acoustic = _read_corpus(ctx, writer, "features")
     radius = ctx.cfg.features.context_radius
-    bnf_corpora = []
-    for k in range(1, iteration):
-        bnf, extra = _load_corpus(ctx, f"iter{k}/bnf")
-        bnf_corpora.append(bnf)
-        inputs.update(extra)
+    bnf_corpora = [_read_corpus(ctx, writer, f"iter{k}/bnf") for k in range(1, iteration)]
     rows = {}
     for utt in sorted(acoustic.ids()):
         mfcc_ctx = window_context(acoustic[utt], radius).frames
@@ -235,16 +212,17 @@ def _mdnn_inputs(ctx: RunContext, iteration: int):
         rows[utt] = make_iteration_input(
             mfcc_ctx, bnf_ctx, extras, utterance_stats(acoustic[utt])
         )
-    return rows, inputs
+    return rows, acoustic
+
+
+def _matn_name(ctx: RunContext, iteration: int) -> str:
+    return f"iter{iteration}/BNF-{ordinal(iteration)}_MR-{ctx.cfg.mr_rounds}.matn"
 
 
 def cmd_mdnn(ctx: RunContext, iteration: int = 1):
     def work(writer: StageWriter):
-        level_labels, inputs = _load_level_labels(
-            ctx, tok_dir(iteration, ctx.cfg.mr_rounds)
-        )
-        rows, more = _mdnn_inputs(ctx, iteration)
-        inputs.update(more)
+        level_labels = _read_levels(ctx, writer, tok_dir(iteration, ctx.cfg.mr_rounds))
+        rows, _ = _mdnn_inputs(ctx, writer, iteration)
         targets_by_utt = build_targets(level_labels, ctx.cfg.grid)
         order = sorted(rows)
         X = np.vstack([rows[u] for u in order])
@@ -254,28 +232,16 @@ def cmd_mdnn(ctx: RunContext, iteration: int = 1):
             X, Y, [g.n for g in levels], levels, ctx.cfg.mdnn,
             seed=stage_seed(ctx.cfg.seed, f"mdnn/{iteration}"),
         )
-        writer.add_bytes(
-            f"iter{iteration}/BNF-{ordinal(iteration)}_MR-{ctx.cfg.mr_rounds}.matn",
-            mdnn.matn_bytes(model),
-        )
+        writer.add_bytes(_matn_name(ctx, iteration), mdnn.matn_bytes(model))
         writer.add_text(f"iter{iteration}/mdnn_log.csv", log.to_csv())
-        return inputs
 
     _run_stage(ctx, f"iter{iteration}/mdnn", work)
 
 
-def _mdnn_model_path(ctx: RunContext, iteration: int) -> Path:
-    return ctx.out / f"iter{iteration}/BNF-{ordinal(iteration)}_MR-{ctx.cfg.mr_rounds}.matn"
-
-
 def cmd_extract(ctx: RunContext, iteration: int = 1):
     def work(writer: StageWriter):
-        model_path = _require(_mdnn_model_path(ctx, iteration), "trained network")
-        inputs = {str(model_path.relative_to(ctx.out)): file_sha256(model_path)}
-        model = read_matn(model_path)
-        rows, more = _mdnn_inputs(ctx, iteration)
-        inputs.update(more)
-        acoustic, _ = _load_corpus(ctx, "features")
+        model = read_matn(writer.read(ctx.out / _matn_name(ctx, iteration), "trained network"))
+        rows, acoustic = _mdnn_inputs(ctx, writer, iteration)
         sequences = []
         for utt in acoustic.ids():
             bnf = extract_bnf(model, rows[utt])
@@ -283,7 +249,6 @@ def cmd_extract(ctx: RunContext, iteration: int = 1):
                 bnf.frames, acoustic[utt].frame_shift, acoustic[utt].frame_length, utt
             ))
         _add_corpus(writer, f"iter{iteration}/bnf", Corpus(sequences, dict(acoustic.speakers)))
-        return inputs
 
     _run_stage(ctx, f"iter{iteration}/extract", work)
 
@@ -309,17 +274,6 @@ def _final_tok_dir(ctx: RunContext) -> str:
     return tok_dir(ctx.cfg.iterations, ctx.cfg.mr_rounds)
 
 
-def _load_models(ctx: RunContext, rel_dir: str):
-    models = {}
-    inputs = {}
-    for g in ctx.cfg.grid.levels():
-        path = _require(ctx.out / rel_dir / f"model_m{g.m}_n{g.n}.matm",
-                        f"level model {rel_dir} ({g.m},{g.n})")
-        inputs[f"{rel_dir}/model_m{g.m}_n{g.n}.matm"] = file_sha256(path)
-        models[g] = read_matm(path)
-    return models, inputs
-
-
 def cmd_std(ctx: RunContext):
     """Rank documents for each configured query utterance; queries are held
     out of the document collection."""
@@ -328,11 +282,9 @@ def cmd_std(ctx: RunContext):
         if not queries:
             raise PipelineError("no queries configured in [retrieval]")
         base = _final_tok_dir(ctx)
-        level_labels, inputs = _load_level_labels(ctx, base)
-        models, more = _load_models(ctx, base)
-        inputs.update(more)
-        corpus, feat_inputs = _load_corpus(ctx, features_dir(ctx.cfg.iterations))
-        inputs.update(feat_inputs)
+        level_labels = _read_levels(ctx, writer, base)
+        models = _read_levels(ctx, writer, base, "model_m{m}_n{n}.matm", read_matm)
+        corpus = _read_corpus(ctx, writer, features_dir(ctx.cfg.iterations))
 
         doc_ids = [u for u in corpus.ids() if u not in set(queries)]
         doc_labels = {
@@ -354,23 +306,16 @@ def cmd_std(ctx: RunContext):
                 mode=mode, weights=weights,
             ))
         writer.add_text("std/rankings.tsv", retrieval.rankings_tsv(lists))
-        return inputs
 
     _run_stage(ctx, "std", work)
-
-
-def _load_truth(ctx: RunContext) -> tuple[GroundTruth, dict[str, str]]:
-    path = _require(ctx.out / "truth.jsonl", "ground truth (synthetic corpora only)")
-    return read_ground_truth(path), {"truth.jsonl": file_sha256(path)}
 
 
 def cmd_eval(ctx: RunContext):
     """Boundary PRF and purity/NMI per level against the synthetic ground
     truth, plus MAP over the written rankings when a relevance table exists."""
     def work(writer: StageWriter):
-        truth, inputs = _load_truth(ctx)
-        level_labels, more = _load_level_labels(ctx, _final_tok_dir(ctx))
-        inputs.update(more)
+        truth = _read_truth(ctx, writer)
+        level_labels = _read_levels(ctx, writer, _final_tok_dir(ctx))
         ref_bounds = {utt: truth.boundaries(utt) for utt in truth.spans}
         truth_labels = truth.label_set()
         lines = ["m,n,boundary_p,boundary_r,boundary_f,purity,nmi"]
@@ -382,15 +327,12 @@ def cmd_eval(ctx: RunContext):
         writer.add_text("eval/levels.csv", "\n".join(lines) + "\n")
 
         if ctx.cfg.retrieval.relevance:
-            rel_path = _require(Path(ctx.cfg.retrieval.relevance), "relevance table")
-            inputs[str(rel_path)] = file_sha256(rel_path)
-            rank_path = _require(ctx.out / "std/rankings.tsv", "rankings (run std first)")
-            inputs["std/rankings.tsv"] = file_sha256(rank_path)
-            relevance = retrieval.read_relevance_csv(rel_path)
-            lists = retrieval.read_rankings_tsv(rank_path)
+            relevance = retrieval.read_relevance_csv(
+                writer.read(ctx.cfg.retrieval.relevance, "relevance table"))
+            lists = retrieval.read_rankings_tsv(
+                writer.read(ctx.out / "std/rankings.tsv", "rankings (run std first)"))
             value = retrieval.mean_average_precision(lists, relevance)
             writer.add_text("eval/map.csv", f"map\n{value!r}\n")
-        return inputs
 
     _run_stage(ctx, "eval", work)
 
@@ -399,11 +341,9 @@ def cmd_viz(ctx: RunContext):
     """Per-level co-occurrence maps against the true tokens, speaker-token
     intensity maps, and the granularity grid of boundary F-scores."""
     def work(writer: StageWriter):
-        truth, inputs = _load_truth(ctx)
-        level_labels, more = _load_level_labels(ctx, _final_tok_dir(ctx))
-        inputs.update(more)
-        corpus, feat_inputs = _load_corpus(ctx, "features")
-        inputs.update(feat_inputs)
+        truth = _read_truth(ctx, writer)
+        level_labels = _read_levels(ctx, writer, _final_tok_dir(ctx))
+        corpus = _read_corpus(ctx, writer, "features")
         reference = {
             utt: [(str(token), start, end) for token, start, end in spans]
             for utt, spans in truth.spans.items()
@@ -424,7 +364,6 @@ def cmd_viz(ctx: RunContext):
             _, _, f = evalviz.corpus_boundary_prf(level_labels[g], ref_bounds)
             grid_values[(g.m, g.n)] = f
         writer.add_text("viz/grid_boundary_f.csv", evalviz.grid_csv(grid_values))
-        return inputs
 
     _run_stage(ctx, "viz", work)
 

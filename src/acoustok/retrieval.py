@@ -250,10 +250,13 @@ def mean_average_precision(lists: list[RankedList],
     return float(sum(aps) / len(aps))
 
 
+_RANKINGS_HEADER = "query_id\tdoc_id\trank\tscore"
+
+
 def rankings_tsv(lists: list[RankedList]) -> str:
     """Header plus one (query_id, doc_id, rank, score) row per entry; scores
     are written with repr so they read back exactly."""
-    lines = ["query_id\tdoc_id\trank\tscore"]
+    lines = [_RANKINGS_HEADER]
     for ranked in lists:
         for rank, (doc_id, score) in enumerate(ranked.entries, start=1):
             lines.append(f"{ranked.query_id}\t{doc_id}\t{rank}\t{float(score)!r}")
@@ -261,13 +264,22 @@ def rankings_tsv(lists: list[RankedList]) -> str:
 
 
 def read_rankings_tsv(path) -> list[RankedList]:
-    """Inverse of rankings_tsv: queries in file order, entries in rank order."""
-    per_query: dict[str, list[tuple[int, str, float]]] = {}
+    """Inverse of rankings_tsv: queries in file order, entries in rank order.
+    A missing header or final newline, or a row other than four fields,
+    raises a ValueError naming the file (and the line)."""
     with open(path) as f:
-        next(f)
-        for line in f:
-            q, doc, rank, score = line.rstrip("\n").split("\t")
+        lines = f.read().split("\n")
+    if lines[-1]:
+        raise ValueError(f"{path}: no newline at the end of the file")
+    if lines[0] != _RANKINGS_HEADER:
+        raise ValueError(f"{path}: line 1: expected the header {_RANKINGS_HEADER!r}")
+    per_query: dict[str, list[tuple[int, str, float]]] = {}
+    for number, line in enumerate(lines[1:-1], start=2):
+        try:
+            q, doc, rank, score = line.split("\t")
             per_query.setdefault(q, []).append((int(rank), doc, float(score)))
+        except ValueError as e:
+            raise ValueError(f"{path}: line {number}: {e}") from None
     return [
         RankedList(q, [(doc, score) for _, doc, score in sorted(rows)])
         for q, rows in per_query.items()
@@ -275,11 +287,17 @@ def read_rankings_tsv(path) -> list[RankedList]:
 
 
 def read_relevance_csv(path) -> dict[str, dict[str, int]]:
-    """CSV of (query_id, doc_id, 0/1), with or without a header row."""
+    """CSV of (query_id, doc_id, 0/1), with or without a header row.  Any
+    other row raises a ValueError naming the file and the line."""
     table: dict[str, dict[str, int]] = {}
     with open(path, newline="") as f:
-        for row in csv.reader(f):
-            if not row or row[2] not in ("0", "1"):
+        reader = csv.reader(f)
+        for row in reader:
+            header = reader.line_num == 1 and len(row) == 3 and row[2] not in ("0", "1")
+            if not row or header:
                 continue
+            if len(row) != 3 or row[2] not in ("0", "1"):
+                raise ValueError(f"{path}: line {reader.line_num}: expected "
+                                 f"query_id,doc_id,0/1, got {','.join(row)!r}")
             table.setdefault(row[0], {})[row[1]] = int(row[2])
     return table

@@ -1,5 +1,6 @@
-"""Artifact readers on damaged input: a truncated or over-long binary file and a
-truncated JSONL file must each fail with a ValueError that names the file."""
+"""Artifact readers on damaged input: a truncated or over-long binary file, a
+truncated JSONL or rankings file, and a malformed text row must each fail with
+a ValueError that names the file."""
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from acoustok.corpus import (
     synthesize_corpus,
 )
 from acoustok.labels import labels_to_jsonl, read_labels_jsonl
+from acoustok.manifest import Manifest
 from acoustok.mdnn import MdnnConfig, init_mdnn, matn_bytes, read_matn
 from acoustok.reinforce import ReinforceConfig, lda_fit, matl_bytes, read_matl
+from acoustok.retrieval import RankedList, rankings_tsv, read_rankings_tsv, read_relevance_csv
 from acoustok.tokenizer import GaussState, Granularity, LevelModel, TokenHmm, matm_bytes, read_matm
 
 
@@ -99,7 +102,22 @@ def _truth_file(directory):
     return path, read_ground_truth
 
 
-@pytest.mark.parametrize("make", [_corpus_dir, _labels_file, _truth_file])
+def _manifest_file(directory):
+    manifest = Manifest(directory)
+    manifest.record("synth", {"truth.jsonl": "ab"}, {}, "cfg", 0.25)
+    manifest.record("iter1/init", {"iter1/init/labels_n4.jsonl": "cd"},
+                    {"features/corpus.jsonl": "ef"}, "cfg", 0.5)
+    return manifest.path, lambda path: Manifest(path.parent).entries()
+
+
+def _rankings_file(directory):
+    path = directory / "rankings.tsv"
+    path.write_text(rankings_tsv([RankedList("q", [("a", 0.25), ("b", 1.5)])]))
+    return path, read_rankings_tsv
+
+
+@pytest.mark.parametrize("make", [_corpus_dir, _labels_file, _truth_file, _manifest_file,
+                                  _rankings_file])
 def test_truncated_jsonl_names_the_file(tmp_path, make):
     path, read = make(tmp_path)
     text = path.read_text()
@@ -110,3 +128,37 @@ def test_truncated_jsonl_names_the_file(tmp_path, make):
         with pytest.raises(ValueError) as excinfo:
             read(path)
         assert str(path) in str(excinfo.value), (cut, str(excinfo.value))
+
+
+def test_corpus_index_cut_at_a_line_boundary(tmp_path):
+    path, read = _corpus_dir(tmp_path)
+    text = path.read_text()
+    path.write_text(text[:text.index("\n") + 1])
+    with pytest.raises(ValueError, match="not listed") as excinfo:
+        read(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),                                        # no header
+    ("query_id\tdoc_id\trank\tscore\nq\ta\t1\n", 2),  # three fields
+    ("query_id\tdoc_id\trank\tscore\nq\ta\tfirst\t0.5\n", 2),
+])
+def test_malformed_rankings_name_the_file_and_line(tmp_path, text, line):
+    path = tmp_path / "rankings.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"line {line}") as excinfo:
+        read_rankings_tsv(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("q,a,1\nq,b\n", 2),           # two fields
+    ("query_id,doc_id,rel\nq,a,2\n", 2),
+])
+def test_malformed_relevance_names_the_file_and_line(tmp_path, text, line):
+    path = tmp_path / "rel.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"line {line}") as excinfo:
+        read_relevance_csv(path)
+    assert str(path) in str(excinfo.value)

@@ -1,3 +1,6 @@
+import configparser
+from dataclasses import fields, is_dataclass
+
 import pytest
 
 from acoustok.cli import main
@@ -47,6 +50,83 @@ queries = utt000
 """
 
 
+# every option of every section, each set to a value other than its default
+EVERY_OPTION_CONFIG = """
+[run]
+out = runs/every
+seed = 7
+iterations = 3
+mr_rounds = 2
+audio_dir = wavs
+
+[features]
+window = 0.03
+shift = 0.015
+n_ceps = 12
+n_filters = 24
+preemphasis = 0.95
+delta_window = 3
+cmvn = false
+context_radius = 3
+
+[grid]
+temporal = 2 4
+phonetic = 6 8 10
+
+[init]
+alpha = 0.5
+min_segment_frames = 6
+min_subword_frames = 4
+side_frames = 3
+dotplot_sigma = 2.0
+kmeans_iters = 50
+
+[tokenizer]
+em_iters = 4
+em_tol = 0.001
+outer_iters = 2
+lm_scale = 0.5
+mixture_schedule = 2 4
+var_floor_frac = 0.001
+reseed_scale = 0.2
+
+[reinforce]
+tau = -0.1
+min_gap = 3
+overlap = 0.25
+lda_iters = 20
+lda_beta = 0.1
+lda_alpha = 0.5
+
+[mdnn]
+hidden = 32 16
+bottleneck = 8
+epochs = 3
+batch_size = 32
+learning_rate = 0.05
+momentum = 0.5
+
+[retrieval]
+mode = fusion
+queries = utt000 utt001
+relevance = rel.csv
+weights = 0.25 0.75
+
+[synth]
+n_tokens = 4
+states_per_token = 2
+dim = 6
+n_utterances = 12
+tokens_per_utterance = 3 5
+frames_per_state = 3 6
+mean_separation = 5.0
+emission_std = 0.5
+state_drift = 1.0
+allow_repeats = true
+n_speakers = 3
+"""
+
+
 def write_config(tmp_path, text=TINY_CONFIG, **overrides):
     path = tmp_path / "config.ini"
     body = text
@@ -84,6 +164,31 @@ class TestConfig:
         cfg = load_config(text=TINY_CONFIG)
         again = load_config(text=dump_config(cfg))
         assert config_sha256(cfg) == config_sha256(again)
+
+    def test_every_option_round_trips(self):
+        cfg = load_config(text=EVERY_OPTION_CONFIG)
+        default = PipelineConfig()
+        sections = [f.name for f in fields(PipelineConfig) if is_dataclass(getattr(cfg, f.name))]
+        for obj, ref in [(cfg, default)] + [(getattr(cfg, s), getattr(default, s))
+                                            for s in sections]:
+            for f in fields(obj):
+                if f.name not in sections and f.name != "token_sequences":
+                    assert getattr(obj, f.name) != getattr(ref, f.name), f.name
+        assert load_config(text=dump_config(cfg)) == cfg
+
+    def test_ini_keys_are_the_dataclass_fields(self):
+        parser = configparser.ConfigParser()
+        parser.read_string(dump_config(PipelineConfig()))
+        keys = {(s, k) for s in parser.sections() for k in parser[s]}
+        cfg = PipelineConfig()
+        expected = set()
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            if is_dataclass(value):
+                expected |= {(f.name, g.name) for g in fields(value)}
+            else:
+                expected.add(("run", "out" if f.name == "out_dir" else f.name))
+        assert keys == expected - {("synth", "token_sequences")}
 
 
 class TestManifest:
@@ -175,7 +280,43 @@ def full_run(tmp_path_factory):
     return cfg_path, out
 
 
+def _per_n(rel_dir):
+    return {f"{rel_dir}/labels_n4.jsonl", f"{rel_dir}/labels_n6.jsonl"}
+
+
+def _per_level(rel_dir, name="labels", ext="jsonl"):
+    return {f"{rel_dir}/{name}_m3_n4.{ext}", f"{rel_dir}/{name}_m3_n6.{ext}"}
+
+
+def _stage_inputs(out) -> dict[str, set[str]]:
+    return {e["stage"]: set(e["inputs"]) for e in Manifest(out).entries()}
+
+
+FEATURES, BNF1 = "features/corpus.jsonl", "iter1/bnf/corpus.jsonl"
+FINAL_TOK = "iter2/TOK-2nd_MR-1"
+
+
 class TestIterate:
+    def test_stage_inputs(self, full_run):
+        _, out = full_run
+        recorded = _stage_inputs(out)
+        assert {stage: recorded[stage] for stage in recorded if stage not in
+                ("std", "eval", "viz")} == {
+            "synth": set(),
+            "iter1/init": {FEATURES},
+            "iter1/mat_mr0": {FEATURES} | _per_n("iter1/init"),
+            "iter1/mr1": _per_level("iter1/TOK-1st_MR-0"),
+            "iter1/mat_mr1": {FEATURES} | _per_n("iter1/mr1"),
+            "iter1/mdnn": {FEATURES} | _per_level("iter1/TOK-1st_MR-1"),
+            "iter1/extract": {FEATURES, "iter1/BNF-1st_MR-1.matn"},
+            "iter2/init": {BNF1},
+            "iter2/mat_mr0": {BNF1} | _per_n("iter2/init"),
+            "iter2/mr1": _per_level("iter2/TOK-2nd_MR-0"),
+            "iter2/mat_mr1": {BNF1} | _per_n("iter2/mr1"),
+            "iter2/mdnn": {FEATURES, BNF1} | _per_level(FINAL_TOK),
+            "iter2/extract": {FEATURES, BNF1, "iter2/BNF-2nd_MR-1.matn"},
+        }
+
     def test_stage_sequence(self, full_run):
         _, out = full_run
         stages = [e["stage"] for e in Manifest(out).entries()]
@@ -250,6 +391,12 @@ class TestIterate:
             for row in path.read_text().splitlines()[1:]:
                 for cell in row.split(",")[1:]:
                     float(cell)
+
+        recorded = _stage_inputs(out2)
+        labels = _per_level(FINAL_TOK)
+        assert recorded["std"] == {BNF1} | labels | _per_level(FINAL_TOK, "model", "matm")
+        assert recorded["eval"] == {str(rel), "std/rankings.tsv", "truth.jsonl"} | labels
+        assert recorded["viz"] == {FEATURES, "truth.jsonl"} | labels
 
 
 class TestDeterminism:
