@@ -77,7 +77,10 @@ def tok_dir(iteration: int, mr_round: int) -> str:
 
 def _read_corpus(ctx: RunContext, writer: StageWriter, rel_dir: str) -> Corpus:
     index = writer.read(ctx.out / rel_dir / "corpus.jsonl", f"feature directory {rel_dir}")
-    return corpus_mod.load_corpus(index.parent)
+    corpus = corpus_mod.load_corpus(index.parent)
+    for utt in corpus.ids():
+        writer.read(index.parent / f"{utt}.matf", f"features of {utt} in {rel_dir}")
+    return corpus
 
 
 def _read_levels(ctx: RunContext, writer: StageWriter, rel_dir: str,

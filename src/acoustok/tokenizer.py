@@ -7,6 +7,9 @@ left-to-right HMMs to the current label spans (warm-started from the previous
 alternation so the likelihood cannot drop), then re-decode the corpus with the
 fitted models to obtain new labels.  Levels are trained independently; levels
 sharing the same n start from the same initial label set.
+
+The E-step evaluates each state once on its token's stacked span frames; each
+alternation's decoding and likelihood trace share one table per utterance.
 """
 
 from __future__ import annotations
@@ -132,13 +135,6 @@ class TokenHmm:
         """(T, m) state log densities."""
         return np.stack([s.log_density(frames) for s in self.states], axis=1)
 
-    def copy(self) -> "TokenHmm":
-        return TokenHmm(
-            self.token_id,
-            [GaussState(s.weights.copy(), s.means.copy(), s.variances.copy()) for s in self.states],
-            self.transitions.copy(),
-        )
-
 
 @dataclass
 class LevelModel:
@@ -166,6 +162,10 @@ class TokenizerConfig:
     var_floor_frac: float = 1e-4   # floor = frac * global per-dimension variance
     reseed_scale: float = 0.1      # perturbation for dead-token reseeding
 
+    def __post_init__(self):
+        if self.outer_iters < 1:
+            raise ValueError(f"outer_iters must be >= 1, got {self.outer_iters}")
+
 
 # ---------------------------------------------------------------------------
 # segment-level forward / backward / viterbi
@@ -173,21 +173,13 @@ class TokenizerConfig:
 
 def segment_forward_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
     """Forward log-likelihood of a span: enter state 0, exit from the last state."""
-    return _span_ll(hmm, frames, np.logaddexp)
+    return _span_ll(hmm, hmm.emission_matrix(frames), np.logaddexp)
 
 
-def segment_viterbi_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
-    """Best-path log-likelihood of a span under the same entry/exit convention."""
-    return _span_ll(hmm, frames, np.maximum)
-
-
-def _span_ll(hmm: TokenHmm, frames: np.ndarray, combine) -> float:
-    emis = hmm.emission_matrix(frames)
-    L, m = emis.shape
-    if L < m:
-        return -np.inf
+def _span_ll(hmm: TokenHmm, emis: np.ndarray, combine) -> float:
+    """Span log-likelihood from its (L, m) emissions, -inf if L < m; combine as in _alpha."""
     log_self, log_adv = hmm.log_transitions()
-    return float(_alpha(emis, log_self, log_adv, combine)[L - 1, m - 1] + log_adv[m - 1])
+    return float(_alpha(emis, log_self, log_adv, combine)[-1, -1] + log_adv[-1])
 
 
 def _alpha(emis: np.ndarray, log_self: np.ndarray, log_adv: np.ndarray, combine) -> np.ndarray:
@@ -221,16 +213,10 @@ def _forward_backward(hmm: TokenHmm, emis: np.ndarray):
         move = np.concatenate((log_adv[:-1] + emis[t + 1, 1:] + beta[t + 1, 1:], [-np.inf]))
         beta[t] = np.logaddexp(stay, move)
     log_gamma = alpha + beta - ll
-    if L > 1:
-        stay_post = np.exp(alpha[:-1] + log_self[None, :] + emis[1:] + beta[1:] - ll)
-        move_log = (
-            alpha[:-1, :-1] + log_adv[None, :-1] + emis[1:, 1:] + beta[1:, 1:] - ll
-        )
-        move_post = np.zeros((L - 1, m))
-        move_post[:, :-1] = np.exp(move_log)
-    else:
-        stay_post = np.zeros((0, m))
-        move_post = np.zeros((0, m))
+    stay_post = np.exp(alpha[:-1] + log_self[None, :] + emis[1:] + beta[1:] - ll)
+    move_post = np.zeros((L - 1, m))
+    move_post[:, :-1] = np.exp(alpha[:-1, :-1] + log_adv[None, :-1] + emis[1:, 1:]
+                               + beta[1:, 1:] - ll)
     return float(ll), log_gamma, stay_post, move_post
 
 
@@ -291,8 +277,8 @@ class _TokenStats:
 
 
 def _span_posteriors(hmm: TokenHmm, frames: np.ndarray) -> tuple[np.ndarray, list]:
-    """One density evaluation per state: the (L, m) emission matrix and each
-    state's (L, c) component posteriors."""
+    """One density evaluation per state of a token's stacked span frames: the
+    (L, m) emission matrix and each state's (L, c) component posteriors."""
     joint = [s.component_log_density(frames) + s.log_weights()[None, :] for s in hmm.states]
     emis = np.stack([logsumexp(j, axis=1) for j in joint], axis=1)
     return emis, [np.exp(j - emis[:, s, None]) for s, j in enumerate(joint)]
@@ -327,22 +313,21 @@ def _m_step(hmm: TokenHmm, stats: _TokenStats, var_floor: np.ndarray) -> TokenHm
     return TokenHmm(hmm.token_id, states, trans)
 
 
-def _flat_start_token(token_id, spans_frames, m, var_floor, global_mean, global_var):
-    """Initial single-Gaussian model from a uniform state alignment of the spans.
+def _flat_start_token(token_id, frames, edges, m, var_floor, global_mean, global_var):
+    """Initial single-Gaussian model from a uniform state alignment of the
+    spans frames[edges[i]:edges[i + 1]].
 
     A template state has one component, so each frame's whole weight goes to
     it and no density is evaluated.  States that no span reaches keep the
     template's global statistics.
     """
-    template = TokenHmm(
-        token_id, [GaussState.single(global_mean, global_var) for _ in range(m)],
-        np.full((m, 2), 0.5),
-    )
+    template = TokenHmm(token_id, [GaussState.single(global_mean, global_var) for _ in range(m)],
+                        np.full((m, 2), 0.5))
     stats = _TokenStats(m, 1, len(global_mean))
-    for frames in spans_frames:
-        edges = _uniform_edges(len(frames), m)
+    for a, b in zip(edges[:-1], edges[1:]):
+        cut = _uniform_edges(b - a, m)
         for s in range(m):
-            rows = frames[edges[s] : edges[s + 1]]
+            rows = frames[a + cut[s] : a + cut[s + 1]]
             if not len(rows):
                 continue
             stats.occ[s, 0] += len(rows)
@@ -360,14 +345,15 @@ def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
     spans = _collect_spans(corpus, labels, g.n)
     global_mean, global_var = _global_stats(corpus)
     var_floor = cfg.var_floor_frac * global_var
-    hmms = [
-        _flat_start_token(i, spans[i], g.m, var_floor, global_mean, global_var)
-        for i in range(g.n)
-    ]
+    hmms = [_flat_start_token(i, *spans[i], g.m, var_floor, global_mean, global_var)
+            for i in range(g.n)]
     return LevelModel(g, hmms, _estimate_prior(labels, g.n))
 
 
-def _collect_spans(corpus: Corpus, labels: LabelSet, n: int) -> list[list[np.ndarray]]:
+def _collect_spans(corpus: Corpus, labels: LabelSet, n: int
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per token, its labeled frames stacked into one array and the edges that
+    cut the stack back into spans: span i is frames[edges[i]:edges[i + 1]]."""
     # sorted utterance order fixes the reduction order, making training
     # independent of how the corpus happens to be ordered
     spans: list[list[np.ndarray]] = [[] for _ in range(n)]
@@ -377,7 +363,9 @@ def _collect_spans(corpus: Corpus, labels: LabelSet, n: int) -> list[list[np.nda
             if token >= n:
                 raise ValueError(f"{utt}: token id {token} >= n={n}")
             spans[token].append(frames[start:end])
-    return spans
+    dim = corpus.utterances[0].dim if corpus.utterances else 0
+    return [(np.concatenate(s) if s else np.empty((0, dim)), np.cumsum([0] + [len(f) for f in s]))
+            for s in spans]
 
 
 def _global_stats(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
@@ -414,11 +402,12 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
     split_at = set(cfg.mixture_schedule)
     hmms: list[TokenHmm] = []
     for token in range(g.n):
+        frames, edges = spans[token]
         if init_model is not None:
-            hmm = init_model.hmms[token].copy()
+            hmm = init_model.hmms[token]  # read only: EM builds new states
         else:
-            hmm = _flat_start_token(token, spans[token], g.m, var_floor, global_mean, global_var)
-        if not spans[token]:
+            hmm = _flat_start_token(token, frames, edges, g.m, var_floor, global_mean, global_var)
+        if not len(frames):
             hmms.append(hmm)  # reseeded afterwards
             continue
         prev_ll = None
@@ -431,31 +420,28 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
                 prev_ll = None  # mixture count changed, restart convergence check
             max_c = max(s.n_components for s in hmm.states)
             stats = _TokenStats(g.m, max_c, dim)
-            for frames in spans[token]:
-                emis, post = _span_posteriors(hmm, frames)
-                ll, log_gamma, stay_post, move_post = _forward_backward(hmm, emis)
+            emis, post = _span_posteriors(hmm, frames)
+            for a, b in zip(edges[:-1], edges[1:]):
+                span_post = [p[a:b] for p in post]
+                ll, log_gamma, stay_post, move_post = _forward_backward(hmm, emis[a:b])
                 if log_gamma is None:
-                    stats.add_hard(hmm, frames, emis, post)
+                    stats.add_hard(hmm, frames[a:b], emis[a:b], span_post)
                 else:
-                    stats.add_soft(frames, post, ll, log_gamma, stay_post, move_post)
+                    stats.add_soft(frames[a:b], span_post, ll, log_gamma, stay_post, move_post)
             hmm = _m_step(hmm, stats, var_floor)
             if prev_ll is not None:
-                gain = stats.ll - prev_ll
-                if abs(gain) / max(1.0, abs(prev_ll)) < cfg.em_tol:
+                if abs(stats.ll - prev_ll) / max(1.0, abs(prev_ll)) < cfg.em_tol:
                     break
             prev_ll = stats.ll
         hmms.append(hmm)
 
-    frames_per_token = np.array([sum(len(f) for f in s) for s in spans])
+    frames_per_token = np.array([len(frames) for frames, _ in spans])
     if np.any(frames_per_token == 0) and np.any(frames_per_token > 0):
         populous = int(np.argmax(frames_per_token))  # argmax ties -> lowest id
         for token in np.flatnonzero(frames_per_token == 0):
             donor = hmms[populous]
-            hmms[token] = TokenHmm(
-                int(token),
-                [s.perturbed(cfg.reseed_scale) for s in donor.states],
-                donor.transitions.copy(),
-            )
+            hmms[token] = TokenHmm(int(token), [s.perturbed(cfg.reseed_scale)
+                                                for s in donor.states], donor.transitions.copy())
     return LevelModel(g, hmms, _estimate_prior(labels, g.n))
 
 
@@ -463,14 +449,21 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
 # decoding
 # ---------------------------------------------------------------------------
 
+def _emission_table(model: LevelModel, frames: np.ndarray) -> np.ndarray:
+    """(T, n, m) state log densities of every token: one evaluation per state."""
+    return np.stack([h.emission_matrix(frames) for h in model.hmms], axis=1)
+
+
 def decode_utterance(model: LevelModel, frames: np.ndarray, lm_scale: float = 1.0) -> list:
     """Token-loop Viterbi: any token may follow any token, weighted by the prior."""
-    g = model.granularity
-    n, m = g.n, g.m
-    T = len(frames)
+    return _viterbi_tokens(model, _emission_table(model, frames), lm_scale)
+
+
+def _viterbi_tokens(model: LevelModel, emis: np.ndarray, lm_scale: float) -> list:
+    """Token-loop Viterbi over an utterance's (T, n, m) emission table."""
+    T, n, m = emis.shape
     log_prior = model.log_prior(lm_scale)
     log_self, log_adv = map(np.stack, zip(*(h.log_transitions() for h in model.hmms)))
-    emis = np.stack([h.emission_matrix(frames) for h in model.hmms], axis=1)  # (T, n, m)
 
     if T < m:
         return [(int(np.argmax(log_prior)), 0, T)]
@@ -484,8 +477,7 @@ def decode_utterance(model: LevelModel, frames: np.ndarray, lm_scale: float = 1.
     for t in range(1, T):
         stay = delta + log_self
         move = np.full((n, m), -np.inf)
-        if m > 1:
-            move[:, 1:] = delta[:, :-1] + log_adv[:, :-1]
+        move[:, 1:] = delta[:, :-1] + log_adv[:, :-1]
         exit_scores = delta[:, m - 1] + log_adv[:, m - 1]
         best_exit_token = int(np.argmax(exit_scores))
         enter = exit_scores[best_exit_token] + log_prior  # (n,) into state 0
@@ -512,20 +504,15 @@ def decode_utterance(model: LevelModel, frames: np.ndarray, lm_scale: float = 1.
             state = m - 1
     boundaries.append((0, token))
     boundaries.reverse()
-    segments = []
-    for i, (start, tok) in enumerate(boundaries):
-        end = boundaries[i + 1][0] if i + 1 < len(boundaries) else T
-        segments.append((tok, start, end))
-    return segments
+    ends = [start for start, _ in boundaries[1:]] + [T]
+    return [(tok, start, end) for (start, tok), end in zip(boundaries, ends)]
 
 
 def decode_level(model: LevelModel, corpus: Corpus,
                  cfg: TokenizerConfig | None = None) -> LabelSet:
-    cfg = cfg or TokenizerConfig()
-    return {
-        utt: TokenLabelSequence(utt, decode_utterance(model, corpus[utt].frames, cfg.lm_scale))
-        for utt in corpus.ids()
-    }
+    lm_scale = (cfg or TokenizerConfig()).lm_scale
+    return {utt: TokenLabelSequence(utt, decode_utterance(model, corpus[utt].frames, lm_scale))
+            for utt in corpus.ids()}
 
 
 def corpus_log_likelihood(model: LevelModel, corpus: Corpus, labels: LabelSet,
@@ -535,16 +522,24 @@ def corpus_log_likelihood(model: LevelModel, corpus: Corpus, labels: LabelSet,
     method "forward" sums over state alignments; "viterbi" takes the best one
     (the quantity the decoder maximizes).
     """
-    score_span = segment_forward_ll if method == "forward" else segment_viterbi_ll
-    log_prior = model.log_prior(lm_scale)
+    combine = {"forward": np.logaddexp, "viterbi": np.maximum}.get(method)
+    if combine is None:
+        raise ValueError(f"unknown likelihood method {method!r}: expected 'forward' or 'viterbi'")
     total = 0.0
     for utt in corpus.ids():
         if utt not in labels:
             raise ValueError(f"missing labels for {utt}")
-        frames = corpus[utt].frames
-        for token, start, end in labels[utt].segments:
-            total += score_span(model.hmms[token], frames[start:end]) + log_prior[token]
+        table = _emission_table(model, corpus[utt].frames)
+        total = _add_segment_lls(total, model, table, labels[utt].segments, lm_scale, combine)
     return float(total)
+
+
+def _add_segment_lls(total, model: LevelModel, emis, segments, lm_scale, combine=np.logaddexp):
+    """total plus, added one by one, each segment's span LL and prior from a (T, n, m) table."""
+    log_prior = model.log_prior(lm_scale)
+    for token, start, end in segments:
+        total += _span_ll(model.hmms[token], emis[start:end, token], combine) + log_prior[token]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +560,17 @@ def run_level(corpus: Corpus, init_labels: LabelSet, g: Granularity,
     trace: list[tuple[str, float]] = []
     for _ in range(cfg.outer_iters):
         model = train_level_hmms(corpus, labels, g, cfg, init_model=model)
-        trace.append(("train", corpus_log_likelihood(model, corpus, labels, cfg.lm_scale)))
-        new_labels = decode_level(model, corpus, cfg)
-        trace.append(("decode", corpus_log_likelihood(model, corpus, new_labels, cfg.lm_scale)))
-        changed = any(
-            new_labels[utt].segments != labels[utt].segments for utt in corpus.ids()
-        )
+        # one emission table per utterance serves decoding and both trace points
+        train_ll = decode_ll = 0.0
+        new_labels: LabelSet = {}
+        for utt in corpus.ids():
+            table = _emission_table(model, corpus[utt].frames)
+            segments = _viterbi_tokens(model, table, cfg.lm_scale)
+            new_labels[utt] = TokenLabelSequence(utt, segments)
+            train_ll = _add_segment_lls(train_ll, model, table, labels[utt].segments, cfg.lm_scale)
+            decode_ll = _add_segment_lls(decode_ll, model, table, segments, cfg.lm_scale)
+        trace += [("train", float(train_ll)), ("decode", float(decode_ll))]
+        changed = any(new_labels[utt].segments != labels[utt].segments for utt in corpus.ids())
         labels = new_labels
         if not changed:
             break

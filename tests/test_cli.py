@@ -5,6 +5,7 @@ import pytest
 
 from acoustok.cli import main
 from acoustok.config import PipelineConfig, config_sha256, dump_config, load_config
+from acoustok.corpus import FeatureSequence, matf_bytes, read_matf
 from acoustok.evalviz import read_grid
 from acoustok.manifest import Manifest, atomic_write_text, file_sha256
 from acoustok.mdnn import read_matn
@@ -254,6 +255,29 @@ class TestStages:
         assert (tok / "labels_m3_n5.jsonl").exists()
         assert Manifest(out).find("iter1/mat_mr0") is not None
 
+    def test_rewritten_feature_file_changes_recorded_input(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "run"
+        for cmd in ("synth", "init"):
+            assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
+        before = Manifest(out).find("iter1/init")["inputs"]
+        path = out / "features/utt003.matf"
+        seq = read_matf(path)
+        path.write_bytes(matf_bytes(FeatureSequence(seq.frames + 1.0, utterance_id="utt003")))
+        (out / "iter1/init/labels_n4.jsonl").unlink()  # so that init runs again
+        assert main(["init", "--config", str(cfg_path), "--out", str(out)]) == 0
+        after = Manifest(out).find("iter1/init")["inputs"]
+        assert read_matf(path).n_frames == seq.n_frames
+        assert set(after) == set(before)
+        assert {key for key in before if after[key] != before[key]} == {"features/utt003.matf"}
+
+    def test_outer_iters_below_one_fails_cleanly(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, TINY_CONFIG.replace("outer_iters = 2", "outer_iters = 0"))
+        code = main(["iterate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("acoustok iterate: ") and "outer_iters" in err
+
     def test_missing_upstream_fails_with_diagnostic(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "run"
@@ -292,7 +316,13 @@ def _stage_inputs(out) -> dict[str, set[str]]:
     return {e["stage"]: set(e["inputs"]) for e in Manifest(out).entries()}
 
 
-FEATURES, BNF1 = "features/corpus.jsonl", "iter1/bnf/corpus.jsonl"
+def _feature_dir(rel_dir):
+    """A feature directory as recorded inputs: its index and the .matf of each
+    of the tiny corpus's 8 utterances."""
+    return {f"{rel_dir}/corpus.jsonl"} | {f"{rel_dir}/utt{i:03d}.matf" for i in range(8)}
+
+
+FEATURES, BNF1 = _feature_dir("features"), _feature_dir("iter1/bnf")
 FINAL_TOK = "iter2/TOK-2nd_MR-1"
 
 
@@ -303,18 +333,18 @@ class TestIterate:
         assert {stage: recorded[stage] for stage in recorded if stage not in
                 ("std", "eval", "viz")} == {
             "synth": set(),
-            "iter1/init": {FEATURES},
-            "iter1/mat_mr0": {FEATURES} | _per_n("iter1/init"),
+            "iter1/init": FEATURES,
+            "iter1/mat_mr0": FEATURES | _per_n("iter1/init"),
             "iter1/mr1": _per_level("iter1/TOK-1st_MR-0"),
-            "iter1/mat_mr1": {FEATURES} | _per_n("iter1/mr1"),
-            "iter1/mdnn": {FEATURES} | _per_level("iter1/TOK-1st_MR-1"),
-            "iter1/extract": {FEATURES, "iter1/BNF-1st_MR-1.matn"},
-            "iter2/init": {BNF1},
-            "iter2/mat_mr0": {BNF1} | _per_n("iter2/init"),
+            "iter1/mat_mr1": FEATURES | _per_n("iter1/mr1"),
+            "iter1/mdnn": FEATURES | _per_level("iter1/TOK-1st_MR-1"),
+            "iter1/extract": FEATURES | {"iter1/BNF-1st_MR-1.matn"},
+            "iter2/init": BNF1,
+            "iter2/mat_mr0": BNF1 | _per_n("iter2/init"),
             "iter2/mr1": _per_level("iter2/TOK-2nd_MR-0"),
-            "iter2/mat_mr1": {BNF1} | _per_n("iter2/mr1"),
-            "iter2/mdnn": {FEATURES, BNF1} | _per_level(FINAL_TOK),
-            "iter2/extract": {FEATURES, BNF1, "iter2/BNF-2nd_MR-1.matn"},
+            "iter2/mat_mr1": BNF1 | _per_n("iter2/mr1"),
+            "iter2/mdnn": FEATURES | BNF1 | _per_level(FINAL_TOK),
+            "iter2/extract": FEATURES | BNF1 | {"iter2/BNF-2nd_MR-1.matn"},
         }
 
     def test_stage_sequence(self, full_run):
@@ -394,9 +424,9 @@ class TestIterate:
 
         recorded = _stage_inputs(out2)
         labels = _per_level(FINAL_TOK)
-        assert recorded["std"] == {BNF1} | labels | _per_level(FINAL_TOK, "model", "matm")
+        assert recorded["std"] == BNF1 | labels | _per_level(FINAL_TOK, "model", "matm")
         assert recorded["eval"] == {str(rel), "std/rankings.tsv", "truth.jsonl"} | labels
-        assert recorded["viz"] == {FEATURES, "truth.jsonl"} | labels
+        assert recorded["viz"] == FEATURES | {"truth.jsonl"} | labels
 
 
 class TestDeterminism:

@@ -236,7 +236,7 @@ class TestTraining:
         for hmm in model.hmms:
             assert [s.n_components for s in hmm.states] == [4, 4, 4]
 
-    def test_one_density_evaluation_per_span_and_state(self, monkeypatch):
+    def test_one_density_evaluation_per_token_and_state(self, monkeypatch):
         spec = SynthSpec(n_tokens=3, states_per_token=3, dim=4, n_utterances=6)
         corpus, truth = synthesize_corpus(spec, seed=8)
         labels = truth.label_set()
@@ -251,8 +251,11 @@ class TestTraining:
 
         monkeypatch.setattr(GaussState, "component_log_density", spy)
         train_level_hmms(corpus, labels, g, TokenizerConfig(em_iters=1), init_model=init)
-        spans = sum(len(seq.segments) for seq in labels.values())
-        assert len(calls) == spans * g.m
+        segments = [seg for seq in labels.values() for seg in seq.segments]
+        tokens_with_spans = len({token for token, _, _ in segments})
+        labelled_frames = sum(end - start for _, start, end in segments)
+        assert len(calls) == tokens_with_spans * g.m
+        assert sum(calls) == labelled_frames * g.m
 
     def test_order_independent(self, small_corpus):
         spec, corpus, truth = small_corpus
@@ -306,6 +309,13 @@ class TestLikelihood:
         assert corpus_log_likelihood(model, both, {**la, **lb}) == pytest.approx(
             corpus_log_likelihood(model, c1, la) + corpus_log_likelihood(model, c2, lb)
         )
+
+    def test_unknown_method_rejected(self):
+        model, frames = random_instance(np.random.default_rng(13), T=4, n=1, m=1)
+        corpus = Corpus([FeatureSequence(frames, utterance_id="u")])
+        labels = {"u": TokenLabelSequence("u", [(0, 0, 4)])}
+        with pytest.raises(ValueError, match="Forward"):
+            corpus_log_likelihood(model, corpus, labels, method="Forward")
 
     def test_short_segment_is_minus_inf(self):
         model, frames = random_instance(np.random.default_rng(10), T=4, n=1, m=2)
@@ -369,6 +379,42 @@ class TestRunLevel:
         decode_lls = [v for step, v in trace if step == "decode"]
         for prev, cur in zip(decode_lls, decode_lls[1:]):
             assert cur >= prev - 1e-6
+
+    def test_one_emission_table_per_utterance_outside_training(self, small_corpus, monkeypatch):
+        spec, corpus, truth = small_corpus
+        g = Granularity(3, spec.n_tokens)
+        import acoustok.tokenizer as tok
+
+        calls = {"train": 0, "other": 0}
+        training = []
+        real_density = GaussState.component_log_density
+        real_train = tok.train_level_hmms
+
+        def density_spy(state, frames):
+            calls["train" if training else "other"] += 1
+            return real_density(state, frames)
+
+        def train_spy(*args, **kwargs):
+            training.append(True)
+            try:
+                return real_train(*args, **kwargs)
+            finally:
+                training.pop()
+
+        monkeypatch.setattr(GaussState, "component_log_density", density_spy)
+        monkeypatch.setattr(tok, "train_level_hmms", train_spy)
+        run_level(corpus, truth.label_set(), g, TokenizerConfig(outer_iters=1, em_iters=1))
+        assert calls["train"] > 0
+        assert calls["other"] == len(corpus) * g.n * g.m
+
+    def test_last_trace_value_is_corpus_log_likelihood(self, small_corpus):
+        spec, corpus, truth = small_corpus
+        from acoustok.initialization import make_initial_labels
+
+        cfg = TokenizerConfig(outer_iters=2, lm_scale=0.5)
+        init = make_initial_labels(corpus, spec.n_tokens, seed=2)
+        model, labels, trace = run_level(corpus, init, Granularity(3, spec.n_tokens), cfg)
+        assert trace[-1] == ("decode", corpus_log_likelihood(model, corpus, labels, cfg.lm_scale))
 
 
 class TestRunMat:
