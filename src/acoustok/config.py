@@ -50,7 +50,10 @@ class PipelineConfig:
 def _parse_value(raw: str, kind, name: str):
     raw = raw.strip()
     if kind is not bool:
-        return kind(raw)
+        try:
+            return kind(raw)
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from None
     if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
         raise ValueError(f"{name}: expected a boolean, got {raw!r}")
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]

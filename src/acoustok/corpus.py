@@ -89,8 +89,8 @@ class Corpus:
     speakers: dict[str, str] = field(default_factory=dict)  # utterance id -> speaker id
 
     def __post_init__(self):
-        ids = [u.utterance_id for u in self.utterances]
-        if len(set(ids)) != len(ids):
+        self._by_id = {u.utterance_id: u for u in self.utterances}
+        if len(self._by_id) != len(self.utterances):
             raise ValueError("duplicate utterance ids in corpus")
 
     def __iter__(self):
@@ -100,10 +100,7 @@ class Corpus:
         return len(self.utterances)
 
     def __getitem__(self, utterance_id: str) -> FeatureSequence:
-        for u in self.utterances:
-            if u.utterance_id == utterance_id:
-                return u
-        raise KeyError(utterance_id)
+        return self._by_id[utterance_id]
 
     def ids(self) -> list[str]:
         return [u.utterance_id for u in self.utterances]

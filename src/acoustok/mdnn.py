@@ -116,16 +116,19 @@ def _forward(model: MdnnModel, x: np.ndarray):
     return acts, head_probs
 
 
-def mdnn_loss(model: MdnnModel, x: np.ndarray, targets: np.ndarray) -> float:
-    """Uniformly weighted mean cross-entropy over the heads."""
-    _, head_probs = _forward(model, x)
-    B = x.shape[0]
-    H = len(head_probs)
+def _cross_entropy(head_probs: list[np.ndarray], targets: np.ndarray) -> float:
+    """The loss of mdnn_loss and _backward, from the heads' output probabilities."""
+    B = targets.shape[0]
     loss = 0.0
     for h, probs in enumerate(head_probs):
         p = np.maximum(probs[np.arange(B), targets[:, h]], 1e-300)
         loss -= np.log(p).sum() / B
-    return float(loss / H)
+    return float(loss / len(head_probs))
+
+
+def mdnn_loss(model: MdnnModel, x: np.ndarray, targets: np.ndarray) -> float:
+    """Uniformly weighted mean cross-entropy over the heads."""
+    return _cross_entropy(_forward(model, x)[1], targets)
 
 
 def _backward(model: MdnnModel, x: np.ndarray, targets: np.ndarray):
@@ -136,20 +139,15 @@ def _backward(model: MdnnModel, x: np.ndarray, targets: np.ndarray):
     H = len(head_probs)
     bottleneck = acts[-1]
 
-    loss = 0.0
     d_bottleneck = np.zeros_like(bottleneck)
     g_head_w, g_head_b = [], []
     for h, probs in enumerate(head_probs):
-        onehot_rows = np.arange(B)
-        p = np.maximum(probs[onehot_rows, targets[:, h]], 1e-300)
-        loss -= np.log(p).sum() / B
         d_logits = probs.copy()
-        d_logits[onehot_rows, targets[:, h]] -= 1.0
+        d_logits[np.arange(B), targets[:, h]] -= 1.0
         d_logits /= B * H
         g_head_w.append(bottleneck.T @ d_logits)
         g_head_b.append(d_logits.sum(axis=0))
         d_bottleneck += d_logits @ model.head_weights[h].T
-    loss = float(loss / H)
 
     g_layer_w = [None] * len(model.layer_weights)
     g_layer_b = [None] * len(model.layer_biases)
@@ -159,7 +157,7 @@ def _backward(model: MdnnModel, x: np.ndarray, targets: np.ndarray):
         g_layer_b[i] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ model.layer_weights[i].T) * acts[i] * (1.0 - acts[i])
-    return loss, g_layer_w + g_layer_b + g_head_w + g_head_b
+    return _cross_entropy(head_probs, targets), g_layer_w + g_layer_b + g_head_w + g_head_b
 
 
 @dataclass

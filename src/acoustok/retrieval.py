@@ -25,53 +25,52 @@ from .tokenizer import GaussState, Granularity, LevelModel
 # HMM state distances
 # ---------------------------------------------------------------------------
 
-def diag_gauss_kl(mean_p, var_p, mean_q, var_q) -> float:
-    """Closed-form KL(p || q) between diagonal Gaussians."""
-    ratio = var_p / var_q
-    return float(0.5 * np.sum(np.log(var_q) - np.log(var_p) + ratio
-                              + (mean_p - mean_q) ** 2 / var_q - 1.0))
+def _variational_kls(states: list[GaussState]) -> np.ndarray:
+    """(n, n) variational approximations of KL(states[i] || states[j]) for
+    diagonal-covariance GMMs (Hershey & Olsen, ICASSP 2007); exact (the closed
+    form) between single components.  Computed in log domain.
 
-
-def _component_kl_table(a: GaussState, b: GaussState) -> np.ndarray:
-    """(ca, cb) pairwise closed-form KLs between the mixtures' components."""
-    out = np.empty((a.n_components, b.n_components))
-    for i in range(a.n_components):
-        for j in range(b.n_components):
-            out[i, j] = diag_gauss_kl(a.means[i], a.variances[i], b.means[j], b.variances[j])
+    The states are stacked into (n, c, d) arrays; a state with fewer than c
+    components is padded with zero-weight components whose log-weight is -inf,
+    so they add nothing to either sum.  One row i is evaluated at a time as an
+    (n, c, c, d) block of component-pair KLs against every state."""
+    n, c, d = len(states), max(st.n_components for st in states), states[0].dim
+    weights, log_weights = np.zeros((n, c)), np.full((n, c), -np.inf)
+    means, variances = np.zeros((n, c, d)), np.ones((n, c, d))
+    for k, st in enumerate(states):
+        weights[k, :st.n_components] = st.weights
+        log_weights[k, :st.n_components] = np.log(np.maximum(st.weights, 1e-300))
+        means[k, :st.n_components] = st.means
+        variances[k, :st.n_components] = st.variances
+    log_variances = np.log(variances)
+    mq, vq, log_vq = means[:, None], variances[:, None], log_variances[:, None]
+    out = np.empty((n, n))
+    for i in range(n):
+        mp, vp, log_vp = means[i][:, None], variances[i][:, None], log_variances[i][:, None]
+        # [j, a, b] = KL(component a of i || component b of j), closed form
+        terms = log_vq - log_vp + vp / vq + (mp - mq) ** 2 / vq - 1.0
+        pair_kl = 0.5 * np.sum(terms, axis=-1)
+        # [j, a] = log sum_b w_jb exp(-KL(i_a || j_b)); row i is the self term
+        log_match = logsumexp(-pair_kl + log_weights[:, None, :], axis=-1)
+        out[i] = np.sum(weights[i] * (log_match[i] - log_match), axis=-1)
     return out
-
-
-def _variational_kl(a: GaussState, b: GaussState) -> float:
-    """Variational approximation of KL(a || b) for diagonal-covariance GMMs;
-    exact (the closed form) when both mixtures have a single component.
-    Computed in log domain; +inf when the mixtures share no mass at all."""
-    self_table = _component_kl_table(a, a)
-    cross_table = _component_kl_table(a, b)
-    log_wa = np.log(np.maximum(a.weights, 1e-300))
-    log_wb = np.log(np.maximum(b.weights, 1e-300))
-    log_num = logsumexp(-self_table + log_wa[None, :], axis=1)
-    log_den = logsumexp(-cross_table + log_wb[None, :], axis=1)
-    return float(np.sum(a.weights * (log_num - log_den)))
 
 
 def state_kl(a: GaussState, b: GaussState) -> float:
     """Symmetric variational KL between two emission states, clamped at 0."""
     if a.dim != b.dim:
         raise ValueError("states have different feature dimensions")
-    return max(0.0, _variational_kl(a, b) + _variational_kl(b, a))
+    K = _variational_kls([a, b])
+    return max(0.0, float(K[0, 1] + K[1, 0]))
 
 
 def token_distance_matrix(model: LevelModel) -> np.ndarray:
     """S(i, j) = sum over states s of state_kl(HMM_i state s, HMM_j state s)."""
-    n = model.granularity.n
-    m = model.granularity.m
-    S = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = sum(state_kl(model.hmms[i].states[s], model.hmms[j].states[s])
-                    for s in range(m))
-            S[i, j] = d
-            S[j, i] = d
+    S = np.zeros((model.granularity.n, model.granularity.n))
+    for s in range(model.granularity.m):
+        K = _variational_kls([hmm.states[s] for hmm in model.hmms])
+        S += np.maximum(0.0, K + K.T)
+    np.fill_diagonal(S, 0.0)
     return S
 
 

@@ -1,4 +1,5 @@
 import configparser
+import re
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -132,7 +133,7 @@ def write_config(tmp_path, text=TINY_CONFIG, **overrides):
     path = tmp_path / "config.ini"
     body = text
     for key, value in overrides.items():
-        body = body.replace(f"{key} = ", f"{key} = {value} ;", 1)
+        body = re.sub(rf"^{key} = .*$", f"{key} = {value}", body, count=1, flags=re.M)
     path.write_text(body)
     return path
 
@@ -160,6 +161,24 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown option"):
             load_config(text="[tokenizer]\nem_iters = 3\nbogus = 1\n")
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("tokenizer", "outer_iters = 3 ;2",
+         "[tokenizer] outer_iters: invalid literal for int() with base 10: '3 ;2'"),
+        ("tokenizer", "var_floor_frac = 0.0l",
+         "[tokenizer] var_floor_frac: could not convert string to float: '0.0l'"),
+        ("grid", "phonetic = 4 six",
+         "[grid] phonetic: invalid literal for int() with base 10: 'six'"),
+    ])
+    def test_parse_errors_name_the_setting(self, section, line, message):
+        with pytest.raises(ValueError) as err:
+            load_config(text=f"[{section}]\n{line}\n")
+        assert str(err.value) == message
+
+    def test_write_config_override_replaces_value(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, outer_iters=4, phonetic="5 7"))
+        assert cfg.tokenizer.outer_iters == 4
+        assert cfg.grid.phonetic == (5, 7)
 
     def test_dump_load_roundtrip_stable_hash(self):
         cfg = load_config(text=TINY_CONFIG)
@@ -272,7 +291,7 @@ class TestStages:
         assert {key for key in before if after[key] != before[key]} == {"features/utt003.matf"}
 
     def test_outer_iters_below_one_fails_cleanly(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, TINY_CONFIG.replace("outer_iters = 2", "outer_iters = 0"))
+        cfg_path = write_config(tmp_path, outer_iters=0)
         code = main(["iterate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
         assert code == 1
         err = capsys.readouterr().err

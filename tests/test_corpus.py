@@ -3,6 +3,7 @@ import pytest
 
 from acoustok.corpus import (
     AudioError,
+    Corpus,
     FeatureSequence,
     SynthSpec,
     Waveform,
@@ -185,6 +186,19 @@ class TestSynthesizeCorpus:
         spec = SynthSpec(token_sequences={"q": [2, 0, 3]})
         _, truth = synthesize_corpus(spec, seed=3)
         assert [s[0] for s in truth.spans["q"]] == [2, 0, 3]
+
+
+class TestCorpusLookup:
+    def test_unknown_id_raises_key_error(self):
+        corpus = Corpus([FeatureSequence(np.zeros((2, 3)), utterance_id=u) for u in ("b", "a")])
+        with pytest.raises(KeyError) as err:
+            corpus["missing"]
+        assert err.value.args == ("missing",)
+
+    def test_duplicate_ids_rejected(self):
+        seqs = [FeatureSequence(np.zeros((2, 3)), utterance_id="a") for _ in range(2)]
+        with pytest.raises(ValueError, match="duplicate utterance ids"):
+            Corpus(seqs)
 
 
 class TestFeatureFiles:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from acoustok.corpus import FeatureSequence
 from acoustok.tokenizer import GaussState, Granularity, LevelModel, TokenHmm
@@ -27,6 +28,27 @@ def closed_form_symmetric_kl(m1, v1, m2, v2):
         return 0.5 * np.sum(np.log(vq / vp) + (vp + (mp - mq) ** 2) / vq - 1.0)
 
     return one_way(m1, v1, m2, v2) + one_way(m2, v2, m1, v1)
+
+
+def reference_state_kl(a, b):
+    """Independent reference: the symmetric variational GMM KL (Hershey & Olsen,
+    ICASSP 2007) of two states, one closed-form KL per component pair, with
+    the same element-wise operations as the library's batched kernel."""
+    def component_kl(mp, vp, mq, vq):
+        return 0.5 * np.sum(np.log(vq) - np.log(vp) + vp / vq + (mp - mq) ** 2 / vq - 1.0)
+
+    def table(p, q):
+        return np.array([[component_kl(mp, vp, mq, vq) for mq, vq in zip(q.means, q.variances)]
+                         for mp, vp in zip(p.means, p.variances)])
+
+    def directed(p, q):
+        log_wp = np.log(np.maximum(p.weights, 1e-300))
+        log_wq = np.log(np.maximum(q.weights, 1e-300))
+        log_num = logsumexp(-table(p, p) + log_wp[None, :], axis=1)
+        log_den = logsumexp(-table(p, q) + log_wq[None, :], axis=1)
+        return float(np.sum(p.weights * (log_num - log_den)))
+
+    return max(0.0, directed(a, b) + directed(b, a))
 
 
 def single(mean, var):
@@ -61,6 +83,18 @@ class TestStateKl:
                 want = closed_form_symmetric_kl(m1, v1, m2, v2)
                 assert got == pytest.approx(want, abs=1e-9)
 
+    def test_different_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="different feature dimensions"):
+            state_kl(single([0.0, 1.0], [1.0, 1.0]), single([0.0], [1.0]))
+
+    def test_equals_reference_on_ragged_mixtures(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            d = int(rng.integers(1, 40))
+            a, b = (random_mixture(rng, int(rng.integers(1, 4)), d, zero_weight=True)
+                    for _ in range(2))
+            assert state_kl(a, b) == reference_state_kl(a, b)
+
     def test_gmm_reduces_to_zero_for_identical_mixtures(self):
         rng = np.random.default_rng(2)
         state = GaussState(
@@ -68,6 +102,13 @@ class TestStateKl:
         )
         other = GaussState(state.weights.copy(), state.means.copy(), state.variances.copy())
         assert state_kl(state, other) == pytest.approx(0.0, abs=1e-9)
+
+
+def random_mixture(rng, c, d, zero_weight=False):
+    weights = rng.dirichlet(np.ones(c))
+    if zero_weight and c > 1:
+        weights[rng.integers(c)] = 0.0
+    return GaussState(weights, 2.0 * rng.normal(size=(c, d)), rng.uniform(0.1, 3.0, (c, d)))
 
 
 def tiny_level_model(means_by_token, m=2, var=1.0):
@@ -102,6 +143,25 @@ class TestDistanceMatrix:
         )
         assert S[0, 1] == pytest.approx(want, abs=1e-12)
         assert S[1, 0] == S[0, 1]
+
+    def test_equals_reference_per_state_sum_on_ragged_level(self):
+        rng = np.random.default_rng(7)
+        n, m, d = 6, 3, 13
+        states = [[random_mixture(rng, int(rng.integers(1, 4)), d) for _ in range(m)]
+                  for _ in range(n)]
+        states[2][1] = random_mixture(rng, 3, d, zero_weight=True)
+        counts = {st.n_components for row in states for st in row}
+        assert counts == {1, 2, 3}
+        assert any(np.any(st.weights == 0.0) for row in states for st in row)
+        hmms = [TokenHmm(t, states[t], np.tile(np.full(m, 1.0 / m), (m, 1))) for t in range(n)]
+        S = token_distance_matrix(LevelModel(Granularity(m, n), hmms, np.full(n, 1.0 / n)))
+        want = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    want[i, j] = sum(reference_state_kl(states[i][s], states[j][s])
+                                     for s in range(m))
+        assert np.array_equal(S, want)
 
     def test_properties_on_trained_style_model(self):
         rng = np.random.default_rng(3)
