@@ -68,22 +68,6 @@ class FeatureSequence:
 
 
 @dataclass
-class ContextFeatureSequence:
-    frames: np.ndarray  # (T, d * (2r + 1))
-    radius: int
-    frame_shift: float = 0.010
-    utterance_id: str = ""
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[1]
-
-
-@dataclass
 class Corpus:
     utterances: list[FeatureSequence]
     speakers: dict[str, str] = field(default_factory=dict)  # utterance id -> speaker id
@@ -255,7 +239,7 @@ def apply_cmvn(seq: FeatureSequence) -> FeatureSequence:
     return replace(seq, frames=(seq.frames - mean) / np.sqrt(var))
 
 
-def window_context(seq: FeatureSequence, radius: int) -> ContextFeatureSequence:
+def window_context(seq: FeatureSequence, radius: int) -> FeatureSequence:
     """Concatenate radius frames on each side of every frame, replicating edges."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -264,7 +248,7 @@ def window_context(seq: FeatureSequence, radius: int) -> ContextFeatureSequence:
     for k in range(-radius, radius + 1):
         idx = np.clip(np.arange(T) + k, 0, T - 1)
         blocks.append(seq.frames[idx])
-    return ContextFeatureSequence(np.hstack(blocks), radius, seq.frame_shift, seq.utterance_id)
+    return FeatureSequence(np.hstack(blocks), seq.frame_shift, seq.frame_length, seq.utterance_id)
 
 
 def utterance_stats(seq: FeatureSequence) -> np.ndarray:
@@ -425,20 +409,23 @@ def save_corpus(directory, corpus: Corpus):
 
 
 def load_corpus(directory) -> Corpus:
-    """The utterances corpus.jsonl lists.  A .matf in the directory that the
-    index does not list means the index was cut short, and raises."""
+    """The utterances corpus.jsonl lists.  A .matf the index does not list (the
+    index was cut short), or of another shape than its record, raises."""
     directory = Path(directory)
     index = directory / "corpus.jsonl"
-    records = read_jsonl(index, ("utt",))
-    unlisted = sorted({p.stem for p in directory.glob("*.matf")} - {r["utt"] for r in records})
+    records = read_jsonl(index, ("utt", "frames", "dim"))
+    unlisted = sorted({p.stem for p in directory.glob("*.matf")} - {r["utt"] for _, r in records})
     if unlisted:
         raise ValueError(f"{index}: {len(unlisted)} .matf files not listed, "
                          f"the first {unlisted[0]}.matf")
-    utterances = [
-        read_matf(directory / f"{r['utt']}.matf", r["utt"], r.get("frame_shift", 0.010))
-        for r in records
-    ]
-    speakers = {r["utt"]: r["speaker"] for r in records if r.get("speaker")}
+    utterances = []
+    for number, r in records:
+        seq = read_matf(directory / f"{r['utt']}.matf", r["utt"], r.get("frame_shift", 0.010))
+        if seq.frames.shape != (r["frames"], r["dim"]):
+            raise ValueError(f"{directory / r['utt']}.matf: {seq.n_frames} x {seq.dim} frames, "
+                             f"but line {number} of {index} records {r['frames']} x {r['dim']}")
+        utterances.append(seq)
+    speakers = {r["utt"]: r["speaker"] for _, r in records if r.get("speaker")}
     return Corpus(utterances, speakers)
 
 

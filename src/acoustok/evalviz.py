@@ -266,10 +266,13 @@ def read_grid(path) -> tuple[dict[tuple[int, int], float], tuple[float, float, f
         reader = csv.reader(f)
         next(reader)  # header
         for row in reader:
-            if row[0] == "summary":
-                summary = tuple(float(v) for v in row[1:5])
-            else:
-                results[(int(row[0]), int(row[1]))] = float(row[2])
+            try:
+                if row[0] == "summary":
+                    summary = tuple(float(v) for v in row[1:5])
+                else:
+                    results[(int(row[0]), int(row[1]))] = float(row[2])
+            except (IndexError, ValueError) as e:
+                raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
     return results, summary
 
 

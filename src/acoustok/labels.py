@@ -84,10 +84,10 @@ def labels_to_jsonl(labels: LabelSet) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def read_jsonl(path, keys: tuple[str, ...]) -> list[dict]:
-    """The JSON objects of a JSONL file, one per non-blank line.  A line that
-    does not parse, or lacks one of keys, raises a ValueError naming the file
-    and the line."""
+def read_jsonl(path, keys: tuple[str, ...]) -> list[tuple[int, dict]]:
+    """The JSON objects of a JSONL file, one per non-blank line, each with its
+    line number.  A line that does not parse, or lacks one of keys, raises a
+    ValueError naming the file and the line."""
     records = []
     with open(path) as f:
         for number, line in enumerate(f, 1):
@@ -100,18 +100,23 @@ def read_jsonl(path, keys: tuple[str, ...]) -> list[dict]:
             missing = [k for k in keys if not isinstance(rec, dict) or k not in rec]
             if missing:
                 raise ValueError(f"{path}: line {number}: missing {', '.join(missing)}")
-            records.append(rec)
+            records.append((number, rec))
     return records
 
 
 def read_labels_jsonl(path) -> LabelSet:
+    """Inverse of labels_to_jsonl.  A non-integer field, or segments that do
+    not tile their utterance, raise a ValueError naming the file (and line)."""
     per_utt: dict[str, list[Segment]] = {}
-    for rec in read_jsonl(path, ("utt", "token", "start", "end")):
-        per_utt.setdefault(rec["utt"], []).append(
-            (int(rec["token"]), int(rec["start"]), int(rec["end"]))
-        )
-    return {
-        utt: TokenLabelSequence(utt, sorted(segs, key=lambda s: s[1]))
-        for utt, segs in per_utt.items()
-    }
+    for number, rec in read_jsonl(path, ("utt", "token", "start", "end")):
+        try:
+            segment = (int(rec["token"]), int(rec["start"]), int(rec["end"]))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: line {number}: {e}") from None
+        per_utt.setdefault(rec["utt"], []).append(segment)
+    try:
+        return {utt: TokenLabelSequence(utt, sorted(segs, key=lambda s: s[1]))
+                for utt, segs in per_utt.items()}
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 

@@ -92,7 +92,7 @@ class Manifest:
     def entries(self) -> list[dict]:
         if not self.path.exists():
             return []
-        return read_jsonl(self.path, ("stage", "inputs", "outputs", "config_sha"))
+        return [e for _, e in read_jsonl(self.path, ("stage", "inputs", "outputs", "config_sha"))]
 
     def find(self, stage: str) -> dict | None:
         for entry in reversed(self.entries()):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import ContextFeatureSequence, FeatureSequence, read_end, read_exact
+from .corpus import FeatureSequence, read_end, read_exact
 from .labels import LabelSet
 from .tokenizer import Granularity, GranularityGrid
 
@@ -316,7 +316,7 @@ def make_iteration_input(mfcc_context: np.ndarray,
 
 def extract_bnf(model: MdnnModel, inputs) -> FeatureSequence:
     """Bottleneck activations per frame, as a FeatureSequence."""
-    if isinstance(inputs, (FeatureSequence, ContextFeatureSequence)):
+    if isinstance(inputs, FeatureSequence):
         frames = inputs.frames
         shift = inputs.frame_shift
         utt = inputs.utterance_id

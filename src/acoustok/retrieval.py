@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .corpus import FeatureSequence
-from .tokenizer import GaussState, Granularity, LevelModel
+from .tokenizer import GaussState, Granularity, LevelModel, stack_states
 
 
 # ---------------------------------------------------------------------------
@@ -30,22 +30,13 @@ def _variational_kls(states: list[GaussState]) -> np.ndarray:
     diagonal-covariance GMMs (Hershey & Olsen, ICASSP 2007); exact (the closed
     form) between single components.  Computed in log domain.
 
-    The states are stacked into (n, c, d) arrays; a state with fewer than c
-    components is padded with zero-weight components whose log-weight is -inf,
-    so they add nothing to either sum.  One row i is evaluated at a time as an
-    (n, c, c, d) block of component-pair KLs against every state."""
-    n, c, d = len(states), max(st.n_components for st in states), states[0].dim
-    weights, log_weights = np.zeros((n, c)), np.full((n, c), -np.inf)
-    means, variances = np.zeros((n, c, d)), np.ones((n, c, d))
-    for k, st in enumerate(states):
-        weights[k, :st.n_components] = st.weights
-        log_weights[k, :st.n_components] = np.log(np.maximum(st.weights, 1e-300))
-        means[k, :st.n_components] = st.means
-        variances[k, :st.n_components] = st.variances
+    The padding of `stack_states` adds nothing to either sum.  One row i is
+    evaluated at a time as an (n, c, c, d) block of component-pair KLs."""
+    weights, log_weights, means, variances = stack_states(states)
     log_variances = np.log(variances)
     mq, vq, log_vq = means[:, None], variances[:, None], log_variances[:, None]
-    out = np.empty((n, n))
-    for i in range(n):
+    out = np.empty((len(states), len(states)))
+    for i in range(len(states)):
         mp, vp, log_vp = means[i][:, None], variances[i][:, None], log_variances[i][:, None]
         # [j, a, b] = KL(component a of i || component b of j), closed form
         terms = log_vq - log_vp + vp / vq + (mp - mq) ** 2 / vq - 1.0

@@ -8,8 +8,9 @@ alternation so the likelihood cannot drop), then re-decode the corpus with the
 fitted models to obtain new labels.  Levels are trained independently; levels
 sharing the same n start from the same initial label set.
 
-The E-step evaluates each state once on its token's stacked span frames; each
-alternation's decoding and likelihood trace share one table per utterance.
+Every state density comes from one kernel, `component_log_joints`, called once
+per token: by the E-step on the token's stacked span frames, for emissions and
+component posteriors, and by decoding, whose table serves the likelihood trace.
 """
 
 from __future__ import annotations
@@ -83,20 +84,9 @@ class GaussState:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def component_log_density(self, frames: np.ndarray) -> np.ndarray:
-        """(T, c) per-component log densities."""
-        diff = frames[:, None, :] - self.means[None, :, :]
-        quad = np.sum(diff * diff / self.variances[None, :, :], axis=2)
-        logdet = np.sum(np.log(self.variances), axis=1)
-        return -0.5 * (quad + logdet + self.dim * LOG_2PI)
-
-    def log_weights(self) -> np.ndarray:
-        return np.log(np.maximum(self.weights, 1e-300))
-
     def log_density(self, frames: np.ndarray) -> np.ndarray:
         """(T,) mixture log densities."""
-        comp = self.component_log_density(frames)
-        return logsumexp(comp + self.log_weights()[None, :], axis=1)
+        return logsumexp(component_log_joints([self], frames), axis=2)[:, 0]
 
     def split(self, scale: float = 0.2) -> "GaussState":
         """Double the component count, offsetting means by +/- scale * std."""
@@ -133,7 +123,32 @@ class TokenHmm:
 
     def emission_matrix(self, frames: np.ndarray) -> np.ndarray:
         """(T, m) state log densities."""
-        return np.stack([s.log_density(frames) for s in self.states], axis=1)
+        return logsumexp(component_log_joints(self.states, frames), axis=2)
+
+
+def stack_states(states: list[GaussState]) -> tuple[np.ndarray, ...]:
+    """(S, c) weights and log-weights and (S, c, d) means and variances, c the
+    most components a state holds; fewer are padded with weight 0, log-weight
+    -inf, mean 0 and variance 1, which add nothing to a mixture sum."""
+    S, c, d = len(states), max(st.n_components for st in states), states[0].dim
+    weights, log_weights = np.zeros((S, c)), np.full((S, c), -np.inf)
+    means, variances = np.zeros((S, c, d)), np.ones((S, c, d))
+    for k, st in enumerate(states):
+        weights[k, :st.n_components] = st.weights
+        log_weights[k, :st.n_components] = np.log(np.maximum(st.weights, 1e-300))
+        means[k, :st.n_components] = st.means
+        variances[k, :st.n_components] = st.variances
+    return weights, log_weights, means, variances
+
+
+def component_log_joints(states: list[GaussState], frames: np.ndarray) -> np.ndarray:
+    """(T, S, c) log weight plus log density of every (padded) component of
+    every state at every frame, in one broadcast over a (T, S, c, d) block."""
+    _, log_weights, means, variances = stack_states(states)
+    diff = frames[:, None, None, :] - means
+    quad = np.sum(diff * diff / variances, axis=3)
+    logdet = np.sum(np.log(variances), axis=2)
+    return -0.5 * (quad + logdet + means.shape[2] * LOG_2PI) + log_weights
 
 
 @dataclass
@@ -248,17 +263,17 @@ class _TokenStats:
         self.first[s, :c] += resp.T @ frames
         self.second[s, :c] += resp.T @ (frames * frames)
 
-    def add_soft(self, frames: np.ndarray, post: list, ll, log_gamma, stay_post, move_post):
+    def add_soft(self, frames: np.ndarray, post: np.ndarray, ll, log_gamma, stay_post, move_post):
         gamma = np.exp(log_gamma)  # (L, m)
         m = gamma.shape[1]
         for s in range(m):
-            self._add_state(s, gamma[:, s : s + 1] * post[s], frames)
+            self._add_state(s, gamma[:, s : s + 1] * post[:, s], frames)
         self.stay += stay_post.sum(axis=0)
         self.move += move_post.sum(axis=0)
         self.move[m - 1] += gamma[-1, m - 1]  # exit transition
         self.ll += ll
 
-    def add_hard(self, hmm: TokenHmm, frames: np.ndarray, emis: np.ndarray, post: list):
+    def add_hard(self, hmm: TokenHmm, frames: np.ndarray, emis: np.ndarray, post: np.ndarray):
         """Uniform-alignment statistics for a span no path traverses: one
         shorter than m, or one of zero likelihood."""
         score = 0.0
@@ -269,19 +284,18 @@ class _TokenStats:
             if start == end:
                 continue
             score += emis[start:end, s].sum()
-            self._add_state(s, post[s][start:end], frames[start:end])
+            self._add_state(s, post[start:end, s], frames[start:end])
             self.stay[s] += end - start - 1
             self.move[s] += 1.0
             score += (end - start - 1) * log_self[s] + log_adv[s]
         self.ll += score
 
 
-def _span_posteriors(hmm: TokenHmm, frames: np.ndarray) -> tuple[np.ndarray, list]:
-    """One density evaluation per state of a token's stacked span frames: the
-    (L, m) emission matrix and each state's (L, c) component posteriors."""
-    joint = [s.component_log_density(frames) + s.log_weights()[None, :] for s in hmm.states]
-    emis = np.stack([logsumexp(j, axis=1) for j in joint], axis=1)
-    return emis, [np.exp(j - emis[:, s, None]) for s, j in enumerate(joint)]
+def _span_posteriors(hmm: TokenHmm, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, m) emissions and (L, m, c) component posteriors from one kernel call."""
+    joint = component_log_joints(hmm.states, frames)
+    emis = logsumexp(joint, axis=2)
+    return emis, np.exp(joint - emis[:, :, None])
 
 
 def _m_step(hmm: TokenHmm, stats: _TokenStats, var_floor: np.ndarray) -> TokenHmm:
@@ -422,12 +436,11 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
             stats = _TokenStats(g.m, max_c, dim)
             emis, post = _span_posteriors(hmm, frames)
             for a, b in zip(edges[:-1], edges[1:]):
-                span_post = [p[a:b] for p in post]
                 ll, log_gamma, stay_post, move_post = _forward_backward(hmm, emis[a:b])
                 if log_gamma is None:
-                    stats.add_hard(hmm, frames[a:b], emis[a:b], span_post)
+                    stats.add_hard(hmm, frames[a:b], emis[a:b], post[a:b])
                 else:
-                    stats.add_soft(frames[a:b], span_post, ll, log_gamma, stay_post, move_post)
+                    stats.add_soft(frames[a:b], post[a:b], ll, log_gamma, stay_post, move_post)
             hmm = _m_step(hmm, stats, var_floor)
             if prev_ll is not None:
                 if abs(stats.ll - prev_ll) / max(1.0, abs(prev_ll)) < cfg.em_tol:
@@ -450,7 +463,8 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
 # ---------------------------------------------------------------------------
 
 def _emission_table(model: LevelModel, frames: np.ndarray) -> np.ndarray:
-    """(T, n, m) state log densities of every token: one evaluation per state."""
+    """(T, n, m) state log densities: one kernel call per token, so the largest
+    temporary is (T, m, c, d), never the (T, n * m, c, d) of all tokens."""
     return np.stack([h.emission_matrix(frames) for h in model.hmms], axis=1)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from acoustok.corpus import (
+    Corpus,
     FeatureSequence,
     SynthSpec,
     corpus_files,
@@ -14,8 +15,10 @@ from acoustok.corpus import (
     matf_bytes,
     read_ground_truth,
     read_matf,
+    save_corpus,
     synthesize_corpus,
 )
+from acoustok.evalviz import grid_csv, read_grid
 from acoustok.labels import labels_to_jsonl, read_labels_jsonl
 from acoustok.manifest import Manifest
 from acoustok.mdnn import MdnnConfig, init_mdnn, matn_bytes, read_matn
@@ -162,3 +165,44 @@ def test_malformed_relevance_names_the_file_and_line(tmp_path, text, line):
     with pytest.raises(ValueError, match=f"line {line}") as excinfo:
         read_relevance_csv(path)
     assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("name, read", [("labels.jsonl", read_labels_jsonl),
+                                        ("truth.jsonl", read_ground_truth)])
+@pytest.mark.parametrize("lines, match", [
+    # a gap: the second segment starts one frame after the first ends
+    (['{"utt": "u", "token": 0, "start": 0, "end": 4}',
+      '{"utt": "u", "token": 1, "start": 5, "end": 9}'], "u: segment starts at 5, expected 4"),
+    (['{"utt": "u", "token": 0, "start": 0, "end": 4}',
+      '{"utt": "u", "token": "x", "start": 4, "end": 9}'], "line 2: invalid literal"),
+    (['{"utt": "u", "token": 0, "start": null, "end": 4}'], "line 1: "),
+])
+def test_malformed_labels_name_the_file(tmp_path, name, read, lines, match):
+    path = tmp_path / name
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError, match=match) as excinfo:
+        read(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("row, line", [("3,x,0.5", 3), ("3", 3), ("summary,0.5,x,1.0,0.0", 4)])
+def test_malformed_grid_names_the_file_and_line(tmp_path, row, line):
+    lines = grid_csv({(3, 4): 0.25, (5, 4): 0.75}).splitlines()
+    lines.insert(line - 1, row)
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line {line}: ") as excinfo:
+        read_grid(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def test_matf_of_another_shape_than_its_record_names_the_file(tmp_path):
+    save_corpus(tmp_path, Corpus([FeatureSequence(np.ones((10, 3)), utterance_id="a"),
+                                  FeatureSequence(np.ones((4, 3)), utterance_id="b")]))
+    load_corpus(tmp_path)  # the corpus as written reads back
+    path = tmp_path / "a.matf"
+    path.write_bytes(matf_bytes(FeatureSequence(np.ones((6, 2)), utterance_id="a")))
+    match = "6 x 2 frames, but line 1 of .* records 10 x 3"
+    with pytest.raises(ValueError, match=match) as excinfo:
+        load_corpus(tmp_path)
+    assert str(excinfo.value).startswith(f"{path}: ")

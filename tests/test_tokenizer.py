@@ -2,7 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+import acoustok.tokenizer as tok
 from acoustok.corpus import Corpus, FeatureSequence, SynthSpec, synthesize_corpus
 from acoustok.labels import TokenLabelSequence
 from acoustok.tokenizer import (
@@ -12,6 +14,7 @@ from acoustok.tokenizer import (
     LevelModel,
     TokenHmm,
     TokenizerConfig,
+    component_log_joints,
     corpus_log_likelihood,
     decode_level,
     decode_utterance,
@@ -148,6 +151,97 @@ class TestViterbiOracle:
             assert ll == pytest.approx(want, abs=1e-8)
 
 
+# ---------------------------------------------------------------------------
+# independent reference: the mixture density of one state at a time
+# ---------------------------------------------------------------------------
+
+def reference_state_joint(state, frames):
+    """Independent reference: one state's (T, c) component log-joints by the
+    per-state formula, with the same element-wise operations as the batched
+    kernel, so the two agree bit for bit."""
+    diff = frames[:, None, :] - state.means[None, :, :]
+    quad = np.sum(diff * diff / state.variances[None, :, :], axis=2)
+    logdet = np.sum(np.log(state.variances), axis=1)
+    comp = -0.5 * (quad + logdet + state.dim * np.log(2.0 * np.pi))
+    return comp + np.log(np.maximum(state.weights, 1e-300))[None, :]
+
+
+def random_token(rng, components, d, zero_weight=False):
+    states = []
+    for c in components:
+        weights = rng.dirichlet(np.ones(c))
+        if zero_weight and c > 1:
+            weights[rng.integers(c)] = 0.0
+        states.append(GaussState(weights, 2.0 * rng.normal(size=(c, d)),
+                                 rng.uniform(0.1, 3.0, (c, d))))
+    return TokenHmm(0, states, np.full((len(components), 2), 0.5))
+
+
+# component counts per state, feature dimension, zero-weight components
+KERNEL_CASES = pytest.mark.parametrize("components, d, zero_weight", [
+    ((4, 4, 4), 6, False),          # equal counts
+    ((1, 3, 7, 2), 8, False),       # ragged: padded to 7
+    ((2, 5, 1), 39, False),         # ragged at d = 39
+    ((8, 8), 39, True),             # equal counts of 8 with zero weights
+    ((3, 6, 4, 5, 1), 6, True),     # ragged with zero weights
+])
+
+
+class TestMixtureKernel:
+    @KERNEL_CASES
+    def test_joints_equal_the_per_state_formula(self, components, d, zero_weight):
+        rng = np.random.default_rng(sum(components) * d)
+        hmm = random_token(rng, components, d, zero_weight)
+        frames = 2.0 * rng.normal(size=(17, d))
+        joint = component_log_joints(hmm.states, frames)
+        assert joint.shape == (17, len(components), max(components))
+        for s, (state, c) in enumerate(zip(hmm.states, components)):
+            assert np.array_equal(joint[:, s, :c], reference_state_joint(state, frames))
+            assert np.all(joint[:, s, c:] == -np.inf)  # padding adds nothing
+
+    @KERNEL_CASES
+    def test_densities_and_posteriors_equal_the_per_state_formula(self, components, d,
+                                                                  zero_weight):
+        rng = np.random.default_rng(sum(components) * d + 1)
+        hmm = random_token(rng, components, d, zero_weight)
+        frames = 2.0 * rng.normal(size=(23, d))
+        ref_joint = [reference_state_joint(state, frames) for state in hmm.states]
+        ref_emis = np.stack([logsumexp(j, axis=1) for j in ref_joint], axis=1)
+        assert np.array_equal(hmm.emission_matrix(frames), ref_emis)
+        for s, state in enumerate(hmm.states):
+            assert np.array_equal(state.log_density(frames), ref_emis[:, s])
+        emis, post = tok._span_posteriors(hmm, frames)
+        assert np.array_equal(emis, ref_emis)
+        for s, c in enumerate(components):
+            assert np.array_equal(post[:, s, :c], np.exp(ref_joint[s] - ref_emis[:, s, None]))
+            assert not post[:, s, c:].any()
+
+    def test_padding_to_eight_or_more_components_agrees_to_rounding(self):
+        # numpy sums 8 or more terms pairwise, so a state padded from 7 to 8
+        # components is summed in another grouping and may differ in the last
+        # bit; equal weights and nearby means make such frames common
+        rng = np.random.default_rng(0)
+        states = [GaussState(np.full(c, 1.0 / c), 0.1 * rng.normal(size=(c, 6)), np.ones((c, 6)))
+                  for c in (8, 7)]
+        hmm = TokenHmm(0, states, np.full((2, 2), 0.5))
+        frames = rng.normal(size=(40, 6))
+        ref = logsumexp(reference_state_joint(hmm.states[1], frames), axis=1)
+        np.testing.assert_allclose(hmm.emission_matrix(frames)[:, 1], ref, rtol=1e-14, atol=0)
+
+    def test_emission_table_is_one_kernel_call_per_token(self, monkeypatch):
+        model, frames = random_instance(np.random.default_rng(3), T=6, n=3, m=2)
+        calls = []
+        real = tok.component_log_joints
+
+        def spy(states, frames):
+            calls.append((len(states), len(frames)))
+            return real(states, frames)
+
+        monkeypatch.setattr(tok, "component_log_joints", spy)
+        decode_utterance(model, frames)
+        assert calls == [(2, 6)] * 3
+
+
 class TestGrid:
     def test_standard_grid_has_16_levels(self):
         grid = GranularityGrid((3, 5, 7, 9), (50, 100, 300, 500))
@@ -243,18 +337,18 @@ class TestTraining:
         g = Granularity(3, spec.n_tokens)
         init = flat_start_model(corpus, labels, g)
         calls = []
-        real = GaussState.component_log_density
+        real = tok.component_log_joints
 
-        def spy(state, frames):
-            calls.append(len(frames))
-            return real(state, frames)
+        def spy(states, frames):
+            calls.append(len(states) * len(frames))
+            return real(states, frames)
 
-        monkeypatch.setattr(GaussState, "component_log_density", spy)
+        monkeypatch.setattr(tok, "component_log_joints", spy)
         train_level_hmms(corpus, labels, g, TokenizerConfig(em_iters=1), init_model=init)
         segments = [seg for seq in labels.values() for seg in seq.segments]
         tokens_with_spans = len({token for token, _, _ in segments})
         labelled_frames = sum(end - start for _, start, end in segments)
-        assert len(calls) == tokens_with_spans * g.m
+        assert len(calls) == tokens_with_spans
         assert sum(calls) == labelled_frames * g.m
 
     def test_order_independent(self, small_corpus):
@@ -383,16 +477,15 @@ class TestRunLevel:
     def test_one_emission_table_per_utterance_outside_training(self, small_corpus, monkeypatch):
         spec, corpus, truth = small_corpus
         g = Granularity(3, spec.n_tokens)
-        import acoustok.tokenizer as tok
 
         calls = {"train": 0, "other": 0}
         training = []
-        real_density = GaussState.component_log_density
+        real_density = tok.component_log_joints
         real_train = tok.train_level_hmms
 
-        def density_spy(state, frames):
-            calls["train" if training else "other"] += 1
-            return real_density(state, frames)
+        def density_spy(states, frames):
+            calls["train" if training else "other"] += len(states)
+            return real_density(states, frames)
 
         def train_spy(*args, **kwargs):
             training.append(True)
@@ -401,7 +494,7 @@ class TestRunLevel:
             finally:
                 training.pop()
 
-        monkeypatch.setattr(GaussState, "component_log_density", density_spy)
+        monkeypatch.setattr(tok, "component_log_joints", density_spy)
         monkeypatch.setattr(tok, "train_level_hmms", train_spy)
         run_level(corpus, truth.label_set(), g, TokenizerConfig(outer_iters=1, em_iters=1))
         assert calls["train"] > 0
