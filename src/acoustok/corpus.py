@@ -5,6 +5,9 @@ coefficients (c0 replaced by log frame energy) plus delta and double delta,
 from 25 ms windows every 10 ms.  Synthetic corpora are generated directly in
 feature space from known token state distributions so that every downstream
 stage can be checked against exact ground truth.
+
+ArtifactReader frames every binary artifact (MATF, MATM, MATL, MATN): magic,
+optional version word, fields in file order, no trailing bytes.
 """
 
 from __future__ import annotations
@@ -353,34 +356,56 @@ def matf_bytes(seq: FeatureSequence) -> bytes:
     )
 
 
-def read_exact(f, n: int, path, field: str) -> bytes:
-    """The next n bytes of an open binary artifact; a short read raises a
-    ValueError naming the file and the field being read."""
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"{path}: truncated at {field} (need {n} bytes, got {len(data)})")
-    return data
+class ArtifactReader:
+    """The fields of a binary artifact in file order: the 4-byte magic, then,
+    when a version is given, a u32 version word, then what the caller asks
+    for.  A wrong magic or version, a short read and bytes after the last
+    field each raise a ValueError naming the file (and the field)."""
 
+    def __init__(self, path, magic: bytes, version: int | None = None):
+        self.path = path
+        with open(path, "rb") as f:
+            self._data = memoryview(f.read())
+        if self._data[:4] != magic:
+            raise ValueError(f"{path}: bad magic {self._data[:4].tobytes()!r}")
+        self._pos = 4
+        if version is not None:
+            (found,) = self.unpack("<I", "version")
+            if found != version:
+                raise ValueError(f"{path}: unsupported version {found}")
 
-def read_end(f, path):
-    """Reject bytes after the last field of an open binary artifact."""
-    extra = len(f.read())
-    if extra:
-        raise ValueError(f"{path}: {extra} trailing bytes after the last field")
+    def _take(self, n: int, field: str) -> memoryview:
+        data = self._data[self._pos : self._pos + n]
+        if len(data) != n:
+            raise ValueError(f"{self.path}: truncated at {field} (need {n} bytes, got {len(data)})")
+        self._pos += n
+        return data
+
+    def unpack(self, fmt: str, field: str) -> tuple:
+        return struct.unpack(fmt, self._take(struct.calcsize(fmt), field))
+
+    def array(self, shape, field: str, dtype: str = "<f8") -> np.ndarray:
+        """The next array of this shape, as a writable copy."""
+        dtype = np.dtype(dtype)
+        count = int(np.prod(shape))
+        return np.frombuffer(self._take(dtype.itemsize * count, field), dtype).reshape(shape).copy()
+
+    def end(self):
+        """Reject bytes after the last field."""
+        extra = len(self._data) - self._pos
+        if extra:
+            raise ValueError(f"{self.path}: {extra} trailing bytes after the last field")
 
 
 def read_matf(path, utterance_id: str | None = None, frame_shift: float = 0.010,
               frame_length: float = 0.025) -> FeatureSequence:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MATF_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        rows, cols = struct.unpack("<II", read_exact(f, 8, path, "shape"))
-        data = np.frombuffer(read_exact(f, rows * cols * 4, path, "frames"), dtype="<f4")
-        read_end(f, path)
+    f = ArtifactReader(path, MATF_MAGIC)
+    rows, cols = f.unpack("<II", "shape")
+    frames = f.array((rows, cols), "frames", "<f4")
+    f.end()
     if utterance_id is None:
         utterance_id = Path(path).stem
-    return FeatureSequence(data.reshape(rows, cols), frame_shift, frame_length, utterance_id)
+    return FeatureSequence(frames, frame_shift, frame_length, utterance_id)
 
 
 def corpus_files(corpus: Corpus) -> dict[str, bytes]:

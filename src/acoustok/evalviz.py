@@ -260,11 +260,15 @@ def grid_csv(results: dict[tuple[int, int], float]) -> str:
 
 
 def read_grid(path) -> tuple[dict[tuple[int, int], float], tuple[float, float, float, float]]:
+    """The level values and summary of a grid_csv file.  A missing or wrong
+    header, a malformed row or a missing summary row raises a ValueError
+    naming the file and the line."""
     results = {}
     summary = None
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        next(reader)  # header
+        if next(reader, None) != ["m", "n", "value"]:
+            raise ValueError(f"{path}: line 1: expected the header m,n,value")
         for row in reader:
             try:
                 if row[0] == "summary":
@@ -273,6 +277,8 @@ def read_grid(path) -> tuple[dict[tuple[int, int], float], tuple[float, float, f
                     results[(int(row[0]), int(row[1]))] = float(row[2])
             except (IndexError, ValueError) as e:
                 raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
+        if summary is None:
+            raise ValueError(f"{path}: line {reader.line_num + 1}: no summary row")
     return results, summary
 
 

@@ -290,12 +290,16 @@ def subword_spans(seq: FeatureSequence, cfg: InitConfig | None = None) -> list[t
     return spans
 
 
-def make_initial_labels(corpus: Corpus, n: int, seed: int, cfg: InitConfig | None = None) -> LabelSet:
+def make_initial_labels(corpus: Corpus, seeds: dict[int, int],
+                        cfg: InitConfig | None = None) -> dict[int, LabelSet]:
     """The whole bootstrap: word segmentation, watershed refinement, k-means ids.
 
-    The word-like structure is flattened: the output is one subword-like token
-    sequence per utterance, tiling it exactly.
+    seeds maps each phonetic granularity n to its k-means seed.  Every
+    utterance is segmented once, and the same subword spans are clustered
+    into n ids for each n.  The word-like structure is flattened: each label
+    set holds one subword-like token sequence per utterance, tiling it exactly.
     """
     cfg = cfg or InitConfig()
     spans = {utt: subword_spans(corpus[utt], cfg) for utt in corpus.ids()}
-    return cluster_segments(corpus, spans, n, seed, cfg.kmeans_iters)
+    return {n: cluster_segments(corpus, spans, n, seed, cfg.kmeans_iters)
+            for n, seed in seeds.items()}

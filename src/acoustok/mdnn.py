@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import FeatureSequence, read_end, read_exact
+from .corpus import ArtifactReader
 from .labels import LabelSet
 from .tokenizer import Granularity, GranularityGrid
 
@@ -314,20 +314,12 @@ def make_iteration_input(mfcc_context: np.ndarray,
     return np.hstack(blocks)
 
 
-def extract_bnf(model: MdnnModel, inputs) -> FeatureSequence:
-    """Bottleneck activations per frame, as a FeatureSequence."""
-    if isinstance(inputs, FeatureSequence):
-        frames = inputs.frames
-        shift = inputs.frame_shift
-        utt = inputs.utterance_id
-    else:
-        frames = np.asarray(inputs)
-        shift = 0.010
-        utt = ""
+def extract_bnf(model: MdnnModel, frames: np.ndarray) -> np.ndarray:
+    """Bottleneck activations of each input frame, (T, bottleneck width)."""
     if frames.shape[1] != model.input_dim:
         raise ValueError(f"input dim {frames.shape[1]} != model input {model.input_dim}")
     acts, _ = _forward(model, frames)
-    return FeatureSequence(acts[-1], shift, 0.025, utt)
+    return acts[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -348,32 +340,19 @@ def matn_bytes(model: MdnnModel) -> bytes:
 
 
 def read_matn(path) -> MdnnModel:
-    with open(path, "rb") as f:
-        if f.read(4) != MATN_MAGIC:
-            raise ValueError(f"{path}: bad magic")
-
-        def unpack(fmt, field):
-            return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt), path, field))
-
-        version, seed = unpack("<Iq", "header")
-        if version != MATN_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        (n_sizes,) = unpack("<I", "layer count")
-        sizes = list(unpack(f"<{n_sizes}I", "layer sizes"))
-        (n_heads,) = unpack("<I", "head count")
-        head_keys, head_sizes = [], []
-        for _ in range(n_heads):
-            m, n, width = unpack("<III", "head descriptor")
-            head_keys.append(Granularity(m, n))
-            head_sizes.append(width)
-
-        def read_array(shape, field):
-            count = int(np.prod(shape))
-            return np.frombuffer(read_exact(f, 8 * count, path, field), "<f8").reshape(shape).copy()
-
-        layer_weights = [read_array((a, b), "layer weights") for a, b in zip(sizes[:-1], sizes[1:])]
-        layer_biases = [read_array((b,), "layer biases") for b in sizes[1:]]
-        head_weights = [read_array((sizes[-1], w), "head weights") for w in head_sizes]
-        head_biases = [read_array((w,), "head biases") for w in head_sizes]
-        read_end(f, path)
+    f = ArtifactReader(path, MATN_MAGIC, MATN_VERSION)
+    (seed,) = f.unpack("<q", "seed")
+    (n_sizes,) = f.unpack("<I", "layer count")
+    sizes = list(f.unpack(f"<{n_sizes}I", "layer sizes"))
+    (n_heads,) = f.unpack("<I", "head count")
+    head_keys, head_sizes = [], []
+    for _ in range(n_heads):
+        m, n, width = f.unpack("<III", "head descriptor")
+        head_keys.append(Granularity(m, n))
+        head_sizes.append(width)
+    layer_weights = [f.array((a, b), "layer weights") for a, b in zip(sizes[:-1], sizes[1:])]
+    layer_biases = [f.array((b,), "layer biases") for b in sizes[1:]]
+    head_weights = [f.array((sizes[-1], w), "head weights") for w in head_sizes]
+    head_biases = [f.array((w,), "head biases") for w in head_sizes]
+    f.end()
     return MdnnModel(layer_weights, layer_biases, head_weights, head_biases, head_keys, seed)

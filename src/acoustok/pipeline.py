@@ -152,10 +152,9 @@ def cmd_features(ctx: RunContext):
 def cmd_init(ctx: RunContext, iteration: int = 1):
     def work(writer: StageWriter):
         corpus = _read_corpus(ctx, writer, features_dir(iteration))
-        for n in ctx.cfg.grid.phonetic:
-            labels = make_initial_labels(
-                corpus, n, stage_seed(ctx.cfg.seed, f"init/{iteration}/{n}"), ctx.cfg.init
-            )
+        seeds = {n: stage_seed(ctx.cfg.seed, f"init/{iteration}/{n}")
+                 for n in ctx.cfg.grid.phonetic}
+        for n, labels in make_initial_labels(corpus, seeds, ctx.cfg.init).items():
             writer.add_text(f"iter{iteration}/init/labels_n{n}.jsonl", labels_to_jsonl(labels))
 
     _run_stage(ctx, f"iter{iteration}/init", work)
@@ -249,7 +248,7 @@ def cmd_extract(ctx: RunContext, iteration: int = 1):
         for utt in acoustic.ids():
             bnf = extract_bnf(model, rows[utt])
             sequences.append(FeatureSequence(
-                bnf.frames, acoustic[utt].frame_shift, acoustic[utt].frame_length, utt
+                bnf, acoustic[utt].frame_shift, acoustic[utt].frame_length, utt
             ))
         _add_corpus(writer, f"iter{iteration}/bnf", Corpus(sequences, dict(acoustic.speakers)))
 

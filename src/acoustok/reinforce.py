@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .corpus import read_end, read_exact
+from .corpus import ArtifactReader
 from .labels import LabelSet, TokenLabelSequence
 from .tokenizer import Granularity, GranularityGrid
 
@@ -335,17 +335,10 @@ def matl_bytes(model: LdaModel) -> bytes:
 
 
 def read_matl(path) -> LdaModel:
-    with open(path, "rb") as f:
-        if f.read(4) != MATL_MAGIC:
-            raise ValueError(f"{path}: bad magic")
-        version, K, V, D, alpha, beta, seed = struct.unpack(
-            "<IIIIddq", read_exact(f, 40, path, "header"))
-        if version != MATL_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        topic_word = np.frombuffer(read_exact(f, 8 * K * V, path, "topic-word counts"),
-                                   "<f8").reshape(K, V)
-        doc_topic = np.frombuffer(read_exact(f, 8 * D * K, path, "document-topic counts"),
-                                  "<f8").reshape(D, K)
-        read_end(f, path)
+    f = ArtifactReader(path, MATL_MAGIC, MATL_VERSION)
+    K, V, D, alpha, beta, seed = f.unpack("<IIIddq", "header")
+    topic_word = f.array((K, V), "topic-word counts")
+    doc_topic = f.array((D, K), "document-topic counts")
+    f.end()
     return LdaModel(K, topic_word.astype(np.int64), doc_topic.astype(np.int64),
                     alpha, beta, seed)

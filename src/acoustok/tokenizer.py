@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .corpus import Corpus, read_end, read_exact
+from .corpus import ArtifactReader, Corpus
 from .labels import LabelSet, TokenLabelSequence, validate_label_set
 
 MATM_MAGIC = b"MATM"
@@ -633,28 +633,19 @@ def matm_bytes(model: LevelModel) -> bytes:
 
 
 def read_matm(path) -> LevelModel:
-    with open(path, "rb") as f:
-        if f.read(4) != MATM_MAGIC:
-            raise ValueError(f"{path}: bad magic")
-        version, m, n, d = struct.unpack("<IIII", read_exact(f, 16, path, "header"))
-        if version != MATM_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-
-        def read_array(shape, field):
-            count = int(np.prod(shape))
-            return np.frombuffer(read_exact(f, 8 * count, path, field), "<f8").reshape(shape).copy()
-
-        hmms = []
-        for token in range(n):
-            states = []
-            for _ in range(m):
-                (c,) = struct.unpack("<I", read_exact(f, 4, path, "component count"))
-                weights = read_array((c,), "weights")
-                means = read_array((c, d), "means")
-                variances = read_array((c, d), "variances")
-                states.append(GaussState(weights, means, variances))
-            trans = read_array((m, 2), "transitions")
-            hmms.append(TokenHmm(token, states, trans))
-        prior = read_array((n,), "prior")
-        read_end(f, path)
+    f = ArtifactReader(path, MATM_MAGIC, MATM_VERSION)
+    m, n, d = f.unpack("<III", "header")
+    hmms = []
+    for token in range(n):
+        states = []
+        for _ in range(m):
+            (c,) = f.unpack("<I", "component count")
+            weights = f.array((c,), "weights")
+            means = f.array((c, d), "means")
+            variances = f.array((c, d), "variances")
+            states.append(GaussState(weights, means, variances))
+        trans = f.array((m, 2), "transitions")
+        hmms.append(TokenHmm(token, states, trans))
+    prior = f.array((n,), "prior")
+    f.end()
     return LevelModel(Granularity(m, n), hmms, prior)

@@ -50,7 +50,7 @@ def mat_grid_run(small_corpus):
     spec, corpus, truth = small_corpus
     start = time.perf_counter()
     grid = GranularityGrid((3, 5), (5, 8))
-    init = {n: make_initial_labels(corpus, n, seed=0) for n in grid.phonetic}
+    init = make_initial_labels(corpus, {n: 0 for n in grid.phonetic})
     models, labels = run_mat(corpus, grid, init)
     return grid, models, labels, time.perf_counter() - start
 
@@ -59,7 +59,7 @@ class TestCriterion1:
     def test_em_decode_monotonicity(self, small_corpus):
         spec, corpus, _ = small_corpus
         start = time.perf_counter()
-        init = make_initial_labels(corpus, 5, seed=0)
+        init = make_initial_labels(corpus, {5: 0})[5]
         _, _, trace = run_level(corpus, init, Granularity(3, 5))
         elapsed = time.perf_counter() - start
         values = [v for _, v in trace]
@@ -104,7 +104,7 @@ class TestCriterion3:
     def test_synthetic_recovery(self, small_corpus):
         spec, corpus, truth = small_corpus
         start = time.perf_counter()
-        init = make_initial_labels(corpus, 5, seed=0)
+        init = make_initial_labels(corpus, {5: 0})[5]
         _, labels, _ = run_level(corpus, init, Granularity(3, 5))
         elapsed = time.perf_counter() - start
         ref_bounds = {u: truth.boundaries(u) for u in truth.spans}
@@ -268,7 +268,7 @@ class TestCriterion8:
         spec = SynthSpec(n_tokens=5, states_per_token=3, dim=8, token_sequences=sequences)
         corpus, _ = synthesize_corpus(spec, seed=4242)
         grid = GranularityGrid((3, 5), (5, 8))
-        init = {n: make_initial_labels(corpus, n, seed=0) for n in grid.phonetic}
+        init = make_initial_labels(corpus, {n: 0 for n in grid.phonetic})
         models, labels = run_mat(corpus, grid, init)
         doc_ids = [u for u in corpus.ids() if u != "query"]
         doc_labels = {g: {u: labels[g][u] for u in doc_ids} for g in labels}

@@ -2,6 +2,8 @@
 truncated JSONL or rankings file, and a malformed text row must each fail with
 a ValueError that names the file."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -50,12 +52,14 @@ def tiny_matn() -> bytes:
     return matn_bytes(init_mdnn(2, [2], [Granularity(2, 2)], cfg, seed=1))
 
 
-BINARY_FORMATS = pytest.mark.parametrize("suffix, make, read", [
+FORMATS = [
     ("matf", tiny_matf, read_matf),
     ("matm", tiny_matm, read_matm),
     ("matl", tiny_matl, read_matl),
     ("matn", tiny_matn, read_matn),
-])
+]
+BINARY_FORMATS = pytest.mark.parametrize("suffix, make, read", FORMATS)
+VERSIONED_FORMATS = pytest.mark.parametrize("suffix, make, read", FORMATS[1:])
 
 
 @BINARY_FORMATS
@@ -80,6 +84,25 @@ def test_trailing_bytes_name_the_file(tmp_path, suffix, make, read):
         with pytest.raises(ValueError, match="trailing bytes") as excinfo:
             read(path)
         assert str(path) in str(excinfo.value)
+
+
+@BINARY_FORMATS
+def test_wrong_magic_names_the_file(tmp_path, suffix, make, read):
+    path = tmp_path / f"tiny.{suffix}"
+    path.write_bytes(b"XXXX" + make()[4:])
+    with pytest.raises(ValueError, match="bad magic") as excinfo:
+        read(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+@VERSIONED_FORMATS
+def test_wrong_version_names_the_file(tmp_path, suffix, make, read):
+    data = make()
+    path = tmp_path / f"tiny.{suffix}"
+    path.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+    with pytest.raises(ValueError, match="unsupported version 2") as excinfo:
+        read(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
 
 
 def _corpus_dir(directory):
@@ -191,6 +214,19 @@ def test_malformed_grid_names_the_file_and_line(tmp_path, row, line):
     lines.insert(line - 1, row)
     path = tmp_path / "grid.csv"
     path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"line {line}: ") as excinfo:
+        read_grid(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("lines, line", [
+    ([], 1),                                               # empty file
+    (["x,y", "3,4,0.25", "summary,0.25,0.0,0.25,0.25"], 1),  # wrong header
+    (["m,n,value", "3,4,0.25", "5,4,0.75"], 4),            # cut before the summary row
+])
+def test_grid_header_and_summary_name_the_file_and_line(tmp_path, lines, line):
+    path = tmp_path / "grid.csv"
+    path.write_text("".join(row + "\n" for row in lines))
     with pytest.raises(ValueError, match=f"line {line}: ") as excinfo:
         read_grid(path)
     assert str(excinfo.value).startswith(f"{path}: ")

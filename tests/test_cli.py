@@ -4,6 +4,7 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
+from acoustok import initialization
 from acoustok.cli import main
 from acoustok.config import PipelineConfig, config_sha256, dump_config, load_config
 from acoustok.corpus import FeatureSequence, matf_bytes, read_matf
@@ -289,6 +290,22 @@ class TestStages:
         assert read_matf(path).n_frames == seq.n_frames
         assert set(after) == set(before)
         assert {key for key in before if after[key] != before[key]} == {"features/utt003.matf"}
+
+    def test_init_segments_each_utterance_once(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path)  # phonetic = 4 6: two k-means runs
+        out = tmp_path / "run"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+        calls = []
+        real = initialization.subword_spans
+
+        def spy(seq, cfg=None):
+            calls.append(seq.utterance_id)
+            return real(seq, cfg)
+
+        monkeypatch.setattr(initialization, "subword_spans", spy)
+        assert main(["init", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out / "iter1/init/labels_n6.jsonl").exists()
+        assert sorted(calls) == [f"utt{i:03d}" for i in range(8)]
 
     def test_outer_iters_below_one_fails_cleanly(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, outer_iters=0)

@@ -176,15 +176,15 @@ class TestClusterSegments:
 class TestMakeInitialLabels:
     def test_tiles_and_id_range(self):
         corpus, _ = synthesize_corpus(SynthSpec(n_utterances=8), seed=1)
-        labels = make_initial_labels(corpus, n=5, seed=0)
+        labels = make_initial_labels(corpus, {5: 0})[5]
         for utt in corpus.ids():
             assert labels[utt].n_frames == corpus[utt].n_frames
             assert all(0 <= t < 5 for t in labels[utt].token_ids())
 
     def test_deterministic(self):
         corpus, _ = synthesize_corpus(SynthSpec(n_utterances=6), seed=2)
-        a = make_initial_labels(corpus, n=4, seed=3)
-        b = make_initial_labels(corpus, n=4, seed=3)
+        a = make_initial_labels(corpus, {4: 3})[4]
+        b = make_initial_labels(corpus, {4: 3})[4]
         assert all(a[u].segments == b[u].segments for u in corpus.ids())
 
     def test_subword_spans_tile_words(self):

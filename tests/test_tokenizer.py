@@ -447,7 +447,7 @@ class TestRunLevel:
         spec, corpus, truth = small_corpus
         from acoustok.initialization import make_initial_labels
 
-        init = make_initial_labels(corpus, spec.n_tokens, seed=0)
+        init = make_initial_labels(corpus, {spec.n_tokens: 0})[spec.n_tokens]
         _, _, trace = run_level(corpus, init, Granularity(3, spec.n_tokens))
         values = [v for _, v in trace]
         for prev, cur in zip(values, values[1:]):
@@ -468,7 +468,7 @@ class TestRunLevel:
         spec, corpus, truth = small_corpus
         from acoustok.initialization import make_initial_labels
 
-        init = make_initial_labels(corpus, spec.n_tokens, seed=1)
+        init = make_initial_labels(corpus, {spec.n_tokens: 1})[spec.n_tokens]
         _, _, trace = run_level(corpus, init, Granularity(3, spec.n_tokens))
         decode_lls = [v for step, v in trace if step == "decode"]
         for prev, cur in zip(decode_lls, decode_lls[1:]):
@@ -505,7 +505,7 @@ class TestRunLevel:
         from acoustok.initialization import make_initial_labels
 
         cfg = TokenizerConfig(outer_iters=2, lm_scale=0.5)
-        init = make_initial_labels(corpus, spec.n_tokens, seed=2)
+        init = make_initial_labels(corpus, {spec.n_tokens: 2})[spec.n_tokens]
         model, labels, trace = run_level(corpus, init, Granularity(3, spec.n_tokens), cfg)
         assert trace[-1] == ("decode", corpus_log_likelihood(model, corpus, labels, cfg.lm_scale))
 
@@ -526,7 +526,7 @@ class TestRunMat:
         grid = GranularityGrid((2, 3), (3, 4))
         from acoustok.initialization import make_initial_labels
 
-        init = {n: make_initial_labels(corpus, n, seed=0) for n in grid.phonetic}
+        init = make_initial_labels(corpus, {n: 0 for n in grid.phonetic})
         models, labels = run_mat(corpus, grid, init, TokenizerConfig(outer_iters=2, em_iters=3))
         assert set(models) == set(grid.levels())
         assert all(models[g].granularity == g for g in grid.levels())
