@@ -136,10 +136,13 @@ def load_config(path=None, text: str | None = None) -> PipelineConfig:
             elif opt.optional:
                 values[opt.name] = None
             # an empty scalar keeps the default
-        if section == "run":
-            cfg = replace(cfg, **values)
-        else:
-            setattr(cfg, section, replace(getattr(cfg, section), **values))
+        try:  # the dataclasses' own checks run here
+            if section == "run":
+                cfg = replace(cfg, **values)
+            else:
+                setattr(cfg, section, replace(getattr(cfg, section), **values))
+        except ValueError as err:
+            raise ValueError(f"[{section}] {err}") from None
     return cfg
 
 

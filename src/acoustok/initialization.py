@@ -27,6 +27,11 @@ class InitConfig:
     dotplot_sigma: float = 1.0
     kmeans_iters: int = 100
 
+    def __post_init__(self):
+        for name in ("side_frames", "kmeans_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class SegmentBoundarySet:

@@ -35,6 +35,10 @@ class MdnnConfig:
     learning_rate: float = 0.01
     momentum: float = 0.9
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 @dataclass
 class MdnnModel:

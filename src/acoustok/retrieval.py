@@ -181,6 +181,9 @@ def fuse_scores(streams: list[dict[str, float]],
         weights = [1.0] * len(streams)
     if len(weights) != len(streams):
         raise ValueError("one weight per stream required")
+    if min(weights) < 0 or sum(weights) <= 0:
+        raise ValueError(f"fusion weights must be non-negative with a positive sum, "
+                         f"got {list(weights)}")
     total_w = sum(weights)
     docs = set(streams[0])
     for s in streams[1:]:

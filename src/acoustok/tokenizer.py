@@ -11,6 +11,11 @@ sharing the same n start from the same initial label set.
 Every state density comes from one kernel, `component_log_joints`, called once
 per token: by the E-step on the token's stacked span frames, for emissions and
 component posteriors, and by decoding, whose table serves the likelihood trace.
+
+The E-step accumulates once per token: every span's alignment, from
+forward-backward or, for a span no path traverses, the uniform alignment the
+flat start also uses, fills one (N, m) occupancy table over the token's stacked
+frames, and one M-step reduces it with the component posteriors.
 """
 
 from __future__ import annotations
@@ -210,86 +215,52 @@ def _alpha(emis: np.ndarray, log_self: np.ndarray, log_adv: np.ndarray, combine)
 
 
 def _forward_backward(hmm: TokenHmm, emis: np.ndarray):
-    """Alpha/beta over one span; returns (ll, log_gamma, stay_post, move_post).
+    """Alignment of one span from its (L, m) emissions: (ll, gamma, stay, move).
 
-    stay_post[t, s] and move_post[t, s] are linear-domain posteriors of taking
-    the self-loop / advance transition out of state s at frame t (t < L-1).
+    gamma is the (L, m) state occupancy; stay and move are the (m,) expected
+    self-loop and advance counts, the exit from the last state included.  A
+    span no path traverses (shorter than m, or of zero likelihood) gets the
+    uniform alignment, scored along it.
     """
     L, m = emis.shape
     log_self, log_adv = hmm.log_transitions()
     alpha = _alpha(emis, log_self, log_adv, np.logaddexp)
     ll = alpha[L - 1, m - 1] + log_adv[m - 1]
     if not np.isfinite(ll):
-        return ll, None, None, None
+        gamma, stay, move = _uniform_alignment(L, m)
+        return float(emis[gamma > 0].sum() + stay @ log_self + move @ log_adv), gamma, stay, move
     beta = np.full((L, m), -np.inf)
     beta[L - 1, m - 1] = log_adv[m - 1]
     for t in range(L - 2, -1, -1):
         stay = log_self + emis[t + 1] + beta[t + 1]
         move = np.concatenate((log_adv[:-1] + emis[t + 1, 1:] + beta[t + 1, 1:], [-np.inf]))
         beta[t] = np.logaddexp(stay, move)
-    log_gamma = alpha + beta - ll
-    stay_post = np.exp(alpha[:-1] + log_self[None, :] + emis[1:] + beta[1:] - ll)
-    move_post = np.zeros((L - 1, m))
-    move_post[:, :-1] = np.exp(alpha[:-1, :-1] + log_adv[None, :-1] + emis[1:, 1:]
-                               + beta[1:, 1:] - ll)
-    return float(ll), log_gamma, stay_post, move_post
+    gamma = np.exp(alpha + beta - ll)
+    stay = np.exp(alpha[:-1] + log_self + emis[1:] + beta[1:] - ll).sum(axis=0)
+    move = np.zeros(m)
+    move[:-1] = np.exp(alpha[:-1, :-1] + log_adv[:-1] + emis[1:, 1:]
+                       + beta[1:, 1:] - ll).sum(axis=0)
+    move[-1] = gamma[-1, -1]
+    return float(ll), gamma, stay, move
 
 
-def _uniform_edges(length: int, m: int) -> list[int]:
-    """Hard alignment: state s takes frames edges[s]:edges[s + 1]; when
-    length < m, one frame per state and the trailing states stay empty."""
+def _uniform_alignment(length: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hard alignment of a span: the one-hot (length, m) occupancy with its
+    self-loop and advance counts.  State s takes frames length * s // m up to
+    length * (s + 1) // m; when length < m, one frame per state and the
+    trailing states stay empty."""
     if length >= m:
-        return [(length * s) // m for s in range(m + 1)]
-    return list(range(length + 1)) + [length] * (m - length)
+        state = np.repeat(np.arange(m), np.diff(np.arange(m + 1) * length // m))
+    else:
+        state = np.arange(length)
+    gamma = np.eye(m)[state]
+    frames_in = gamma.sum(axis=0)
+    return gamma, np.maximum(frames_in - 1.0, 0.0), np.minimum(frames_in, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# per-token statistics and M-step
+# M-step
 # ---------------------------------------------------------------------------
-
-class _TokenStats:
-    def __init__(self, m: int, max_components: int, d: int):
-        self.occ = np.zeros((m, max_components))
-        self.first = np.zeros((m, max_components, d))
-        self.second = np.zeros((m, max_components, d))
-        self.stay = np.zeros(m)
-        self.move = np.zeros(m)
-        self.ll = 0.0
-
-    def _add_state(self, s: int, resp: np.ndarray, frames: np.ndarray):
-        """Accumulate state s's (L, c) component responsibilities for the frames."""
-        c = resp.shape[1]
-        self.occ[s, :c] += resp.sum(axis=0)
-        self.first[s, :c] += resp.T @ frames
-        self.second[s, :c] += resp.T @ (frames * frames)
-
-    def add_soft(self, frames: np.ndarray, post: np.ndarray, ll, log_gamma, stay_post, move_post):
-        gamma = np.exp(log_gamma)  # (L, m)
-        m = gamma.shape[1]
-        for s in range(m):
-            self._add_state(s, gamma[:, s : s + 1] * post[:, s], frames)
-        self.stay += stay_post.sum(axis=0)
-        self.move += move_post.sum(axis=0)
-        self.move[m - 1] += gamma[-1, m - 1]  # exit transition
-        self.ll += ll
-
-    def add_hard(self, hmm: TokenHmm, frames: np.ndarray, emis: np.ndarray, post: np.ndarray):
-        """Uniform-alignment statistics for a span no path traverses: one
-        shorter than m, or one of zero likelihood."""
-        score = 0.0
-        log_self, log_adv = hmm.log_transitions()
-        edges = _uniform_edges(len(frames), hmm.m)
-        for s in range(hmm.m):
-            start, end = edges[s], edges[s + 1]
-            if start == end:
-                continue
-            score += emis[start:end, s].sum()
-            self._add_state(s, post[start:end, s], frames[start:end])
-            self.stay[s] += end - start - 1
-            self.move[s] += 1.0
-            score += (end - start - 1) * log_self[s] + log_adv[s]
-        self.ll += score
-
 
 def _span_posteriors(hmm: TokenHmm, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(L, m) emissions and (L, m, c) component posteriors from one kernel call."""
@@ -298,32 +269,33 @@ def _span_posteriors(hmm: TokenHmm, frames: np.ndarray) -> tuple[np.ndarray, np.
     return emis, np.exp(joint - emis[:, :, None])
 
 
-def _m_step(hmm: TokenHmm, stats: _TokenStats, var_floor: np.ndarray) -> TokenHmm:
+def _m_step(hmm: TokenHmm, resp: np.ndarray, frames: np.ndarray, stay: np.ndarray,
+            move: np.ndarray, var_floor: np.ndarray) -> TokenHmm:
+    """Reestimate a token from its (N, m, c) component responsibilities over the
+    stacked frames and its (m,) expected self-loop and advance counts."""
+    squares = frames * frames
     states = []
     for s, state in enumerate(hmm.states):
         c = state.n_components
-        occ = stats.occ[s, :c]
+        r = resp[:, s, :c]
+        occ = r.sum(axis=0)
         total = occ.sum()
         if total <= 1e-8:
             states.append(state)  # unvisited state keeps its parameters
             continue
-        weights = occ / total
+        first, second = r.T @ frames, r.T @ squares
         means = state.means.copy()
         variances = state.variances.copy()
         for k in range(c):
             if occ[k] <= 1e-8:
                 continue
-            means[k] = stats.first[s, k] / occ[k]
-            variances[k] = np.maximum(
-                stats.second[s, k] / occ[k] - means[k] ** 2, var_floor
-            )
-        states.append(GaussState(weights, means, variances))
+            means[k] = first[k] / occ[k]
+            variances[k] = np.maximum(second[k] / occ[k] - means[k] ** 2, var_floor)
+        states.append(GaussState(occ / total, means, variances))
     trans = hmm.transitions.copy()
-    for s in range(hmm.m):
-        denom = stats.stay[s] + stats.move[s]
-        if denom > 1e-8:
-            trans[s, 0] = stats.stay[s] / denom
-            trans[s, 1] = stats.move[s] / denom
+    denom = stay + move
+    seen = denom > 1e-8
+    trans[seen] = np.stack([stay[seen], move[seen]], axis=1) / denom[seen, None]
     return TokenHmm(hmm.token_id, states, trans)
 
 
@@ -337,19 +309,11 @@ def _flat_start_token(token_id, frames, edges, m, var_floor, global_mean, global
     """
     template = TokenHmm(token_id, [GaussState.single(global_mean, global_var) for _ in range(m)],
                         np.full((m, 2), 0.5))
-    stats = _TokenStats(m, 1, len(global_mean))
+    gamma, stay, move = np.empty((len(frames), m)), np.zeros(m), np.zeros(m)
     for a, b in zip(edges[:-1], edges[1:]):
-        cut = _uniform_edges(b - a, m)
-        for s in range(m):
-            rows = frames[a + cut[s] : a + cut[s + 1]]
-            if not len(rows):
-                continue
-            stats.occ[s, 0] += len(rows)
-            stats.first[s, 0] += rows.sum(axis=0)
-            stats.second[s, 0] += (rows * rows).sum(axis=0)
-            stats.stay[s] += len(rows) - 1
-            stats.move[s] += 1.0
-    return _m_step(template, stats, var_floor)
+        gamma[a:b], span_stay, span_move = _uniform_alignment(b - a, m)
+        stay, move = stay + span_stay, move + span_move
+    return _m_step(template, gamma[:, :, None], frames, stay, move, var_floor)
 
 
 def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
@@ -411,7 +375,6 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
     spans = _collect_spans(corpus, labels, g.n)
     global_mean, global_var = _global_stats(corpus)
     var_floor = cfg.var_floor_frac * global_var
-    dim = len(global_mean)
 
     split_at = set(cfg.mixture_schedule)
     hmms: list[TokenHmm] = []
@@ -432,20 +395,17 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
                 hmm = TokenHmm(token, [s.split() if s.n_components < target else s
                                        for s in hmm.states], hmm.transitions.copy())
                 prev_ll = None  # mixture count changed, restart convergence check
-            max_c = max(s.n_components for s in hmm.states)
-            stats = _TokenStats(g.m, max_c, dim)
             emis, post = _span_posteriors(hmm, frames)
+            gamma, stay, move = np.empty((len(frames), g.m)), np.zeros(g.m), np.zeros(g.m)
+            ll = 0.0
             for a, b in zip(edges[:-1], edges[1:]):
-                ll, log_gamma, stay_post, move_post = _forward_backward(hmm, emis[a:b])
-                if log_gamma is None:
-                    stats.add_hard(hmm, frames[a:b], emis[a:b], post[a:b])
-                else:
-                    stats.add_soft(frames[a:b], post[a:b], ll, log_gamma, stay_post, move_post)
-            hmm = _m_step(hmm, stats, var_floor)
+                span_ll, gamma[a:b], span_stay, span_move = _forward_backward(hmm, emis[a:b])
+                ll, stay, move = ll + span_ll, stay + span_stay, move + span_move
+            hmm = _m_step(hmm, gamma[:, :, None] * post, frames, stay, move, var_floor)
             if prev_ll is not None:
-                if abs(stats.ll - prev_ll) / max(1.0, abs(prev_ll)) < cfg.em_tol:
+                if abs(ll - prev_ll) / max(1.0, abs(prev_ll)) < cfg.em_tol:
                     break
-            prev_ll = stats.ll
+            prev_ll = ll
         hmms.append(hmm)
 
     frames_per_token = np.array([len(frames) for frames, _ in spans])

@@ -1,6 +1,9 @@
 import configparser
+import importlib.util
 import re
+import shutil
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +215,28 @@ class TestConfig:
         assert keys == expected - {("synth", "token_sequences")}
 
 
+class TestReadmeDemo:
+    """README's demo.ini is the bench's demo workload; the two change together."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def readme_demo_ini(self):
+        text = (self.ROOT / "README.md").read_text()
+        section = text[text.index("## Running the pipeline"):]
+        return re.search(r"^```ini\n(.*?)^```$", section, re.M | re.S).group(1)
+
+    def test_equals_the_bench_demo_workload(self):
+        path = self.ROOT / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert self.readme_demo_ini() == workloads.DEMO_INI.format(seed=11)
+
+    def test_loads(self):
+        cfg = load_config(text=self.readme_demo_ini())
+        assert cfg.seed == 11 and cfg.iterations == 2
+
+
 class TestManifest:
     def test_atomic_write_and_hash(self, tmp_path):
         atomic_write_text(tmp_path / "x.txt", "hello\n")
@@ -313,6 +338,19 @@ class TestStages:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("acoustok iterate: ") and "outer_iters" in err
+
+    @pytest.mark.parametrize("section, key", [
+        ("mdnn", "batch_size"), ("init", "kmeans_iters"), ("init", "side_frames"),
+    ])
+    def test_setting_below_one_fails_at_load(self, tmp_path, capsys, section, key):
+        # TINY_CONFIG leaves the [init] keys at their defaults; spell them out
+        text = TINY_CONFIG.replace("[init]\n", "[init]\nkmeans_iters = 100\nside_frames = 5\n")
+        cfg_path = write_config(tmp_path, text, **{key: 0})
+        out = tmp_path / "run"
+        assert main(["iterate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"acoustok iterate: [{section}] {key} must be >= 1, got 0\n"
+        assert not out.exists()
 
     def test_missing_upstream_fails_with_diagnostic(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -463,6 +501,21 @@ class TestIterate:
         assert recorded["std"] == BNF1 | labels | _per_level(FINAL_TOK, "model", "matm")
         assert recorded["eval"] == {str(rel), "std/rankings.tsv", "truth.jsonl"} | labels
         assert recorded["viz"] == FEATURES | {"truth.jsonl"} | labels
+
+
+    @pytest.mark.parametrize("weights", ["0 0", "1 -1"])
+    def test_bad_fusion_weights_fail_cleanly(self, full_run, tmp_path, capsys, weights):
+        cfg_path, out = full_run
+        fusion = tmp_path / "fusion.ini"
+        fusion.write_text(cfg_path.read_text().replace(
+            "queries = utt000", f"queries = utt000\nmode = fusion\nweights = {weights}"))
+        run = tmp_path / "run"
+        shutil.copytree(out, run)  # keeps the shared run's snapshot untouched
+        before = Manifest(run).entries()
+        assert main(["std", "--config", str(fusion), "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("acoustok std: fusion weights must be non-negative")
+        assert Manifest(run).entries() == before
 
 
 class TestDeterminism:

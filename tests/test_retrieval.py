@@ -314,6 +314,12 @@ class TestRanking:
         fused = fuse_scores([stream, stream])
         assert all(fused[d] == pytest.approx(stream[d]) for d in stream)
 
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [1.0, -1.0], [2.0, -1.0]])
+    def test_fusion_weights_must_be_non_negative_with_positive_sum(self, weights):
+        stream = {"a": 1.0, "b": 2.0}
+        with pytest.raises(ValueError, match="fusion weights must be non-negative"):
+            fuse_scores([stream, stream], weights)
+
     def test_ties_broken_by_document_id(self):
         index = RetrievalIndex(
             {Granularity(2, 2): np.zeros((2, 2))},

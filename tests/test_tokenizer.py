@@ -371,6 +371,216 @@ class TestTraining:
             assert np.max(np.abs(hmm.transitions.sum(axis=1) - 1.0)) < 1e-9
 
 
+# ---------------------------------------------------------------------------
+# independent reference: span-by-span E-step statistics
+# ---------------------------------------------------------------------------
+
+def reference_forward_backward(hmm, emis):
+    """(ll, log_gamma, stay_post, move_post) of one span, or (ll, None, None,
+    None) when no path traverses it; stay_post[t, s] and move_post[t, s] are
+    the posteriors of the self-loop and the advance out of state s at frame t."""
+    L, m = emis.shape
+    log_self, log_adv = hmm.log_transitions()
+    alpha = tok._alpha(emis, log_self, log_adv, np.logaddexp)
+    ll = alpha[L - 1, m - 1] + log_adv[m - 1]
+    if not np.isfinite(ll):
+        return ll, None, None, None
+    beta = np.full((L, m), -np.inf)
+    beta[L - 1, m - 1] = log_adv[m - 1]
+    for t in range(L - 2, -1, -1):
+        stay = log_self + emis[t + 1] + beta[t + 1]
+        move = np.concatenate((log_adv[:-1] + emis[t + 1, 1:] + beta[t + 1, 1:], [-np.inf]))
+        beta[t] = np.logaddexp(stay, move)
+    stay_post = np.exp(alpha[:-1] + log_self[None, :] + emis[1:] + beta[1:] - ll)
+    move_post = np.zeros((L - 1, m))
+    move_post[:, :-1] = np.exp(alpha[:-1, :-1] + log_adv[None, :-1] + emis[1:, 1:]
+                               + beta[1:, 1:] - ll)
+    return float(ll), alpha + beta - ll, stay_post, move_post
+
+
+def reference_uniform_edges(length, m):
+    """State s takes frames edges[s]:edges[s + 1]; when length < m, one frame
+    per state and the trailing states stay empty."""
+    if length >= m:
+        return [(length * s) // m for s in range(m + 1)]
+    return list(range(length + 1)) + [length] * (m - length)
+
+
+class ReferenceStats:
+    """Sufficient statistics of one token, accumulated span by span and state
+    by state."""
+
+    def __init__(self, m, c, d):
+        self.occ = np.zeros((m, c))
+        self.first, self.second = np.zeros((m, c, d)), np.zeros((m, c, d))
+        self.stay, self.move = np.zeros(m), np.zeros(m)
+
+    def add_state(self, s, resp, frames):
+        c = resp.shape[1]
+        self.occ[s, :c] += resp.sum(axis=0)
+        self.first[s, :c] += resp.T @ frames
+        self.second[s, :c] += resp.T @ (frames * frames)
+
+    def add_soft(self, frames, post, log_gamma, stay_post, move_post):
+        gamma = np.exp(log_gamma)
+        m = gamma.shape[1]
+        for s in range(m):
+            self.add_state(s, gamma[:, s : s + 1] * post[:, s], frames)
+        self.stay += stay_post.sum(axis=0)
+        self.move += move_post.sum(axis=0)
+        self.move[m - 1] += gamma[-1, m - 1]  # exit transition
+
+    def add_hard(self, frames, post, m):
+        edges = reference_uniform_edges(len(frames), m)
+        for s in range(m):
+            start, end = edges[s], edges[s + 1]
+            if start == end:
+                continue
+            self.add_state(s, post[start:end, s], frames[start:end])
+            self.stay[s] += end - start - 1
+            self.move[s] += 1.0
+
+    def add_rows(self, frames, m):
+        """A flat start: every frame of a uniformly aligned state is its own."""
+        edges = reference_uniform_edges(len(frames), m)
+        for s in range(m):
+            rows = frames[edges[s] : edges[s + 1]]
+            if not len(rows):
+                continue
+            self.occ[s, 0] += len(rows)
+            self.first[s, 0] += rows.sum(axis=0)
+            self.second[s, 0] += (rows * rows).sum(axis=0)
+            self.stay[s] += len(rows) - 1
+            self.move[s] += 1.0
+
+    def m_step(self, hmm, var_floor):
+        states = []
+        for s, state in enumerate(hmm.states):
+            c = state.n_components
+            occ = self.occ[s, :c]
+            if occ.sum() <= 1e-8:
+                states.append(state)
+                continue
+            means, variances = state.means.copy(), state.variances.copy()
+            for k in range(c):
+                if occ[k] > 1e-8:
+                    means[k] = self.first[s, k] / occ[k]
+                    variances[k] = np.maximum(self.second[s, k] / occ[k] - means[k] ** 2,
+                                              var_floor)
+            states.append(GaussState(occ / occ.sum(), means, variances))
+        trans = hmm.transitions.copy()
+        for s in range(hmm.m):
+            denom = self.stay[s] + self.move[s]
+            if denom > 1e-8:
+                trans[s] = self.stay[s] / denom, self.move[s] / denom
+        return TokenHmm(hmm.token_id, states, trans)
+
+
+def reference_spans(corpus, labels, token):
+    return [corpus[utt].frames[a:b] for utt in sorted(corpus.ids())
+            for t, a, b in labels[utt].segments if t == token]
+
+
+def reference_global_stats(corpus):
+    """Global mean and variance, and the variance floor they give by default."""
+    frames = np.vstack([corpus[utt].frames for utt in sorted(corpus.ids())])
+    var = np.maximum(frames.var(axis=0), 1e-8)
+    return frames.mean(axis=0), var, TokenizerConfig().var_floor_frac * var
+
+
+def reference_em_iteration(corpus, labels, model):
+    """One EM iteration of every token from model, span by span."""
+    _, _, var_floor = reference_global_stats(corpus)
+    hmms = []
+    for token, hmm in enumerate(model.hmms):
+        spans = reference_spans(corpus, labels, token)
+        emis, post = tok._span_posteriors(hmm, np.concatenate(spans))
+        c = max(st.n_components for st in hmm.states)
+        stats = ReferenceStats(hmm.m, c, corpus.utterances[0].dim)
+        a = 0
+        for frames in spans:
+            b = a + len(frames)
+            _, log_gamma, stay_post, move_post = reference_forward_backward(hmm, emis[a:b])
+            if log_gamma is None:
+                stats.add_hard(frames, post[a:b], hmm.m)
+            else:
+                stats.add_soft(frames, post[a:b], log_gamma, stay_post, move_post)
+            a = b
+        hmms.append(stats.m_step(hmm, var_floor))
+    return hmms
+
+
+def reference_flat_start(corpus, labels, g):
+    mean, var, var_floor = reference_global_stats(corpus)
+    hmms = []
+    for token in range(g.n):
+        template = TokenHmm(token, [GaussState.single(mean, var) for _ in range(g.m)],
+                            np.full((g.m, 2), 0.5))
+        stats = ReferenceStats(g.m, 1, len(mean))
+        for span in reference_spans(corpus, labels, token):
+            stats.add_rows(span, g.m)
+        hmms.append(stats.m_step(template, var_floor))
+    return hmms
+
+
+def random_segments(corpus, n, rng, max_len=7):
+    """Labels tiling each utterance with spans of 1..max_len frames, many of
+    them shorter than m; each utterance opens with tokens 0..n-1, so every
+    token has spans."""
+    labels = {}
+    for utt in corpus.ids():
+        T, segments, start = corpus[utt].n_frames, [], 0
+        while start < T:
+            end = min(T, start + int(rng.integers(1, max_len + 1)))
+            token = len(segments) if len(segments) < n else int(rng.integers(n))
+            segments.append((token, start, end))
+            start = end
+        labels[utt] = TokenLabelSequence(utt, segments)
+    return labels
+
+
+def assert_models_match(got, want):
+    assert len(got) == len(want)
+    for h1, h2 in zip(got, want):
+        assert np.array_equal(h1.transitions, h2.transitions)
+        for s1, s2 in zip(h1.states, h2.states):
+            for name in ("weights", "means", "variances"):
+                np.testing.assert_allclose(getattr(s1, name), getattr(s2, name),
+                                           rtol=1e-12, atol=0)
+
+
+class TestEStepReference:
+    @pytest.fixture
+    def spans(self):
+        spec = SynthSpec(n_tokens=3, states_per_token=3, dim=4, n_utterances=6)
+        corpus, _ = synthesize_corpus(spec, seed=21)
+        return corpus, random_segments(corpus, 3, np.random.default_rng(21))
+
+    @pytest.mark.parametrize("m", [3, 1])
+    def test_flat_start_equals_the_row_sums(self, spans, m):
+        corpus, labels = spans
+        g = Granularity(m, 3)
+        model = flat_start_model(corpus, labels, g)
+        assert_models_match(model.hmms, reference_flat_start(corpus, labels, g))
+        counts = np.bincount([t for seq in labels.values() for t, _, _ in seq.segments])
+        assert np.array_equal(model.prior, counts / counts.sum())
+
+    # states per token, mixture components per state
+    @pytest.mark.parametrize("m, components", [(3, 1), (3, 2), (1, 1), (1, 2)])
+    def test_warm_em_iteration_equals_the_span_by_span_statistics(self, spans, m, components):
+        corpus, labels = spans
+        g = Granularity(m, 3)
+        init = flat_start_model(corpus, labels, g)
+        if components > 1:
+            init = LevelModel(g, [TokenHmm(h.token_id, [st.split() for st in h.states],
+                                           h.transitions) for h in init.hmms], init.prior)
+        if m > 1:  # the fallback is exercised
+            assert any(b - a < m for seq in labels.values() for _, a, b in seq.segments)
+        model = train_level_hmms(corpus, labels, g, TokenizerConfig(em_iters=1), init_model=init)
+        assert_models_match(model.hmms, reference_em_iteration(corpus, labels, init))
+        assert np.array_equal(model.prior, init.prior)
+
+
 class TestLikelihood:
     def test_empty_corpus_zero(self):
         model, _ = random_instance(np.random.default_rng(1), T=4, n=1, m=1)
