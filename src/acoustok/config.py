@@ -27,6 +27,10 @@ class RetrievalConfig:
     relevance: str = ""           # path to a (query_id, doc_id, 0/1) CSV
     weights: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        if self.mode not in ("token", "frame", "fusion"):
+            raise ValueError(f"mode must be token, frame or fusion, got {self.mode!r}")
+
 
 @dataclass
 class PipelineConfig:
@@ -113,11 +117,15 @@ _SCHEMA = _schema()
 def load_config(path=None, text: str | None = None) -> PipelineConfig:
     """Read and validate a config file; unknown sections or keys are errors."""
     parser = configparser.ConfigParser()
-    if text is not None:
-        parser.read_string(text)
-    elif path is not None:
-        with open(path) as f:
-            parser.read_file(f)
+    try:
+        if text is not None:
+            parser.read_string(text)
+        elif path is not None:
+            with open(path) as f:
+                parser.read_file(f)
+    except configparser.Error as err:
+        source = path if text is None else "<string>"
+        raise ValueError(f"{source}: {' '.join(str(err).split())}") from None
     cfg = PipelineConfig()
     for section in parser.sections():
         if section not in _SCHEMA:

@@ -105,6 +105,9 @@ class GroundTruth:
     def boundaries(self, utterance_id: str) -> list[int]:
         return [s[1] for s in self.spans[utterance_id][1:]]
 
+    def frame_counts(self) -> dict[str, int]:
+        return {utt: segs[-1][2] for utt, segs in self.spans.items()}
+
     def label_set(self) -> LabelSet:
         return {utt: TokenLabelSequence(utt, list(segs)) for utt, segs in self.spans.items()}
 
@@ -286,6 +289,10 @@ class SynthSpec:
     allow_repeats: bool = False
     n_speakers: int = 2
     token_sequences: dict[str, list[int]] | None = None
+
+    def __post_init__(self):
+        if self.n_speakers < 1:
+            raise ValueError(f"n_speakers must be >= 1, got {self.n_speakers}")
 
     def state_mean(self, token: int, state: int) -> np.ndarray:
         mean = np.zeros(self.dim)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .corpus import Corpus, FeatureSequence
-from .labels import LabelSet, TokenLabelSequence
+from .labels import LabelSet, label_set_from_spans
 
 
 @dataclass
@@ -240,24 +240,10 @@ def cluster_segments(
     iters: int = 100,
 ) -> LabelSet:
     """k-means over segment mean vectors; emits per-utterance token sequences."""
-    order = corpus.ids()
-    reps = []
-    index = []  # (utt, span) aligned with reps rows
-    for utt in order:
-        seq = corpus[utt]
-        for span in segment_spans[utt]:
-            reps.append(seq.frames[span[0] : span[1]].mean(axis=0))
-            index.append((utt, span))
-    assign, _ = kmeans(np.vstack(reps), n, seed, iters)
-    labels: LabelSet = {}
-    cursor = 0
-    for utt in order:
-        segs = []
-        for span in segment_spans[utt]:
-            segs.append((int(assign[cursor]), span[0], span[1]))
-            cursor += 1
-        labels[utt] = TokenLabelSequence(utt, segs)
-    return labels
+    spans = [(utt, start, end) for utt in corpus.ids() for start, end in segment_spans[utt]]
+    reps = np.vstack([corpus[utt].frames[start:end].mean(axis=0) for utt, start, end in spans])
+    assign, _ = kmeans(reps, n, seed, iters)
+    return label_set_from_spans(spans, assign)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,15 @@ class TokenLabelSequence:
 LabelSet = dict[str, TokenLabelSequence]
 
 
+def label_set_from_spans(spans: list[tuple[str, int, int]], ids) -> LabelSet:
+    """The label set of (utterance, start, end) spans in time order, each
+    labeled with the id at the same position of ids."""
+    segments: dict[str, list[Segment]] = {}
+    for (utt, start, end), token in zip(spans, ids, strict=True):
+        segments.setdefault(utt, []).append((int(token), start, end))
+    return {utt: TokenLabelSequence(utt, segs) for utt, segs in segments.items()}
+
+
 def validate_label_set(labels: LabelSet, frame_counts: dict[str, int], n_tokens: int | None = None):
     """Check that every utterance is tiled exactly and token ids are in range."""
     for utt, n_frames in frame_counts.items():

@@ -36,8 +36,9 @@ class MdnnConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("bottleneck", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass

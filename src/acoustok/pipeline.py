@@ -35,7 +35,7 @@ from .corpus import (
     window_context,
 )
 from .initialization import make_initial_labels
-from .labels import labels_to_jsonl, read_labels_jsonl
+from .labels import LabelSet, labels_to_jsonl, read_jsonl, read_labels_jsonl, validate_label_set
 from .manifest import Manifest, PipelineError, StageWriter, atomic_write_text
 from .mdnn import build_targets, extract_bnf, make_iteration_input, read_matn, train_mdnn
 from .tokenizer import read_matm, run_mat
@@ -61,6 +61,11 @@ def stage_seed(seed: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "little") % (2**63)
 
 
+def _seed_map(ctx: RunContext, tag: str) -> dict[int, int]:
+    """One seed per phonetic granularity n, derived under the tag tag/n."""
+    return {n: stage_seed(ctx.cfg.seed, f"{tag}/{n}") for n in ctx.cfg.grid.phonetic}
+
+
 def ordinal(k: int) -> str:
     return {1: "1st", 2: "2nd", 3: "3rd"}.get(k, f"{k}th")
 
@@ -83,14 +88,38 @@ def _read_corpus(ctx: RunContext, writer: StageWriter, rel_dir: str) -> Corpus:
     return corpus
 
 
-def _read_levels(ctx: RunContext, writer: StageWriter, rel_dir: str,
-                 name: str = "labels_m{m}_n{n}.jsonl", read=read_labels_jsonl) -> dict:
-    """One artifact per grid level of rel_dir, labels unless name and read say otherwise."""
+def _index_frame_counts(ctx: RunContext, writer: StageWriter, rel_dir: str) -> dict[str, int]:
+    """Frames per utterance as a feature directory's index records them,
+    without loading its features."""
+    index = writer.read(ctx.out / rel_dir / "corpus.jsonl", f"feature directory {rel_dir}")
+    return {r["utt"]: r["frames"] for _, r in read_jsonl(index, ("utt", "frames"))}
+
+
+def _read_labels(path: Path, frame_counts: dict[str, int], n: int) -> LabelSet:
+    """A label file that tiles every utterance of frame_counts with ids below
+    n; anything else raises a ValueError naming the file."""
+    labels = read_labels_jsonl(path)
+    try:
+        validate_label_set(labels, frame_counts, n)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    return labels
+
+
+def _level_paths(ctx: RunContext, writer: StageWriter, rel_dir: str, name: str) -> dict:
+    """The path of one artifact per grid level of rel_dir, recorded as input."""
     return {
-        g: read(writer.read(ctx.out / rel_dir / name.format(m=g.m, n=g.n),
-                            f"level artifact {rel_dir} ({g.m},{g.n})"))
+        g: writer.read(ctx.out / rel_dir / name.format(m=g.m, n=g.n),
+                       f"level artifact {rel_dir} ({g.m},{g.n})")
         for g in ctx.cfg.grid.levels()
     }
+
+
+def _read_levels(ctx: RunContext, writer: StageWriter, rel_dir: str,
+                 frame_counts: dict[str, int]) -> dict:
+    """The label file of every grid level of rel_dir, each checked by _read_labels."""
+    paths = _level_paths(ctx, writer, rel_dir, "labels_m{m}_n{n}.jsonl")
+    return {g: _read_labels(path, frame_counts, g.n) for g, path in paths.items()}
 
 
 def _read_truth(ctx: RunContext, writer: StageWriter) -> GroundTruth:
@@ -152,8 +181,7 @@ def cmd_features(ctx: RunContext):
 def cmd_init(ctx: RunContext, iteration: int = 1):
     def work(writer: StageWriter):
         corpus = _read_corpus(ctx, writer, features_dir(iteration))
-        seeds = {n: stage_seed(ctx.cfg.seed, f"init/{iteration}/{n}")
-                 for n in ctx.cfg.grid.phonetic}
+        seeds = _seed_map(ctx, f"init/{iteration}")
         for n, labels in make_initial_labels(corpus, seeds, ctx.cfg.init).items():
             writer.add_text(f"iter{iteration}/init/labels_n{n}.jsonl", labels_to_jsonl(labels))
 
@@ -165,8 +193,9 @@ def cmd_mat(ctx: RunContext, iteration: int = 1, mr_round: int = 0):
         corpus = _read_corpus(ctx, writer, features_dir(iteration))
         src = f"iter{iteration}/mr{mr_round}" if mr_round else f"iter{iteration}/init"
         init_labels = {
-            n: read_labels_jsonl(writer.read(ctx.out / src / f"labels_n{n}.jsonl",
-                                             f"{src} labels for n={n}"))
+            n: _read_labels(writer.read(ctx.out / src / f"labels_n{n}.jsonl",
+                                        f"{src} labels for n={n}"),
+                            corpus.frame_counts(), n)
             for n in ctx.cfg.grid.phonetic
         }
         models, labels = run_mat(corpus, ctx.cfg.grid, init_labels, ctx.cfg.tokenizer)
@@ -183,10 +212,11 @@ def cmd_mr(ctx: RunContext, iteration: int = 1, mr_round: int = 1):
     round-r initial label sets plus the fused boundaries, the documents, and
     the per-n LDA models."""
     def work(writer: StageWriter):
-        level_labels = _read_levels(ctx, writer, tok_dir(iteration, mr_round - 1))
+        frame_counts = _index_frame_counts(ctx, writer, features_dir(iteration))
+        level_labels = _read_levels(ctx, writer, tok_dir(iteration, mr_round - 1), frame_counts)
         result = reinforce.mutual_reinforce(
-            level_labels, ctx.cfg.grid, ctx.cfg.reinforce,
-            seed=stage_seed(ctx.cfg.seed, f"mr/{iteration}/{mr_round}"),
+            level_labels, ctx.cfg.grid, _seed_map(ctx, f"mr/{iteration}/{mr_round}"),
+            ctx.cfg.reinforce,
         )
         base = f"iter{iteration}/mr{mr_round}"
         writer.add_text(f"{base}/fused.jsonl", reinforce.fused_jsonl(result.fused))
@@ -223,8 +253,9 @@ def _matn_name(ctx: RunContext, iteration: int) -> str:
 
 def cmd_mdnn(ctx: RunContext, iteration: int = 1):
     def work(writer: StageWriter):
-        level_labels = _read_levels(ctx, writer, tok_dir(iteration, ctx.cfg.mr_rounds))
-        rows, _ = _mdnn_inputs(ctx, writer, iteration)
+        rows, acoustic = _mdnn_inputs(ctx, writer, iteration)
+        level_labels = _read_levels(ctx, writer, tok_dir(iteration, ctx.cfg.mr_rounds),
+                                    acoustic.frame_counts())
         targets_by_utt = build_targets(level_labels, ctx.cfg.grid)
         order = sorted(rows)
         X = np.vstack([rows[u] for u in order])
@@ -284,9 +315,10 @@ def cmd_std(ctx: RunContext):
         if not queries:
             raise PipelineError("no queries configured in [retrieval]")
         base = _final_tok_dir(ctx)
-        level_labels = _read_levels(ctx, writer, base)
-        models = _read_levels(ctx, writer, base, "model_m{m}_n{n}.matm", read_matm)
         corpus = _read_corpus(ctx, writer, features_dir(ctx.cfg.iterations))
+        level_labels = _read_levels(ctx, writer, base, corpus.frame_counts())
+        models = {g: read_matm(path) for g, path in
+                  _level_paths(ctx, writer, base, "model_m{m}_n{n}.matm").items()}
 
         doc_ids = [u for u in corpus.ids() if u not in set(queries)]
         doc_labels = {
@@ -317,7 +349,7 @@ def cmd_eval(ctx: RunContext):
     truth, plus MAP over the written rankings when a relevance table exists."""
     def work(writer: StageWriter):
         truth = _read_truth(ctx, writer)
-        level_labels = _read_levels(ctx, writer, _final_tok_dir(ctx))
+        level_labels = _read_levels(ctx, writer, _final_tok_dir(ctx), truth.frame_counts())
         ref_bounds = {utt: truth.boundaries(utt) for utt in truth.spans}
         truth_labels = truth.label_set()
         lines = ["m,n,boundary_p,boundary_r,boundary_f,purity,nmi"]
@@ -344,7 +376,7 @@ def cmd_viz(ctx: RunContext):
     intensity maps, and the granularity grid of boundary F-scores."""
     def work(writer: StageWriter):
         truth = _read_truth(ctx, writer)
-        level_labels = _read_levels(ctx, writer, _final_tok_dir(ctx))
+        level_labels = _read_levels(ctx, writer, _final_tok_dir(ctx), truth.frame_counts())
         corpus = _read_corpus(ctx, writer, "features")
         reference = {
             utt: [(str(token), start, end) for token, start, end in spans]

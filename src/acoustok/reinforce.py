@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .corpus import ArtifactReader
-from .labels import LabelSet, TokenLabelSequence
+from .labels import LabelSet, TokenLabelSequence, label_set_from_spans
 from .tokenizer import Granularity, GranularityGrid
 
 MATL_MAGIC = b"MATL"
@@ -257,10 +257,7 @@ def document_topic_log_scores(documents: PseudoDocuments, model: LdaModel) -> np
 def relabel(documents: PseudoDocuments, model: LdaModel) -> LabelSet:
     """Label each fused segment with its most probable topic (ties: lowest id)."""
     topics = np.argmax(document_topic_log_scores(documents, model), axis=1)
-    segments: dict[str, list[tuple[int, int, int]]] = {}
-    for (utt, start, end), k in zip(documents.spans, topics):
-        segments.setdefault(utt, []).append((int(k), start, end))
-    return {utt: TokenLabelSequence(utt, segs) for utt, segs in segments.items()}
+    return label_set_from_spans(documents.spans, topics)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +277,11 @@ class Reinforcement:
 
 def mutual_reinforce(level_labels: dict[Granularity, LabelSet],
                      grid: GranularityGrid,
-                     cfg: ReinforceConfig | None = None,
-                     seed: int = 0) -> Reinforcement:
+                     seeds: dict[int, int],
+                     cfg: ReinforceConfig | None = None) -> Reinforcement:
     """Fuse boundaries, build documents, and fit one LDA per phonetic
-    granularity; the new initial label set for each n is shared by all
-    temporal granularities."""
+    granularity n in seeds, seeded with seeds[n]; the new initial label set
+    for each n is shared by all temporal granularities."""
     cfg = cfg or ReinforceConfig()
     missing = [g for g in grid.levels() if g not in level_labels]
     if missing:
@@ -293,15 +290,10 @@ def mutual_reinforce(level_labels: dict[Granularity, LabelSet],
     documents = build_documents(fused, level_labels, grid, cfg)
     models: dict[int, LdaModel] = {}
     labels: dict[int, LabelSet] = {}
-    for n in grid.phonetic:
-        models[n] = lda_fit(documents.docs, n, documents.vocab_size, cfg,
-                            seed=derived_seed(seed, n))
+    for n, seed in seeds.items():
+        models[n] = lda_fit(documents.docs, n, documents.vocab_size, cfg, seed)
         labels[n] = relabel(documents, models[n])
     return Reinforcement(fused, documents, models, labels)
-
-
-def derived_seed(seed: int, n: int) -> int:
-    return (seed * 1_000_003 + n) % (2**63)
 
 
 # ---------------------------------------------------------------------------

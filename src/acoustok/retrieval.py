@@ -146,12 +146,12 @@ class RetrievalIndex:
         return cls(distances, doc_tokens, doc_features)
 
 
-def token_scores(index: RetrievalIndex, query_tokens: dict[Granularity, list[int]],
-                 levels: list[Granularity] | None = None) -> dict[str, float]:
-    """Per-document token-DTW distance summed over the requested levels."""
-    levels = levels if levels is not None else sorted(index.distances, key=lambda g: (g.m, g.n))
+def token_scores(index: RetrievalIndex,
+                 query_tokens: dict[Granularity, list[int]]) -> dict[str, float]:
+    """Per-document token-DTW distance summed over the index's levels."""
+    levels = sorted(index.distances, key=lambda g: (g.m, g.n))
     for g in levels:
-        if g not in index.distances or g not in query_tokens:
+        if g not in query_tokens:
             raise ValueError(f"missing level data for {g}")
     scores: dict[str, float] = {}
     for doc_id, tokens_by_level in index.doc_tokens.items():
@@ -198,15 +198,14 @@ def rank_documents(index: RetrievalIndex, query_id: str,
                    query_tokens: dict[Granularity, list[int]] | None = None,
                    query_features: FeatureSequence | None = None,
                    mode: str = "token",
-                   levels: list[Granularity] | None = None,
                    weights: list[float] | None = None) -> RankedList:
     """Rank all indexed documents for one query; ascending distance, ties by id."""
     if mode == "token":
-        scores = token_scores(index, query_tokens, levels)
+        scores = token_scores(index, query_tokens)
     elif mode == "frame":
         scores = frame_scores(index, query_features)
     elif mode == "fusion":
-        streams = [token_scores(index, query_tokens, levels),
+        streams = [token_scores(index, query_tokens),
                    frame_scores(index, query_features)]
         scores = fuse_scores(streams, weights)
     else:

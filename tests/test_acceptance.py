@@ -128,7 +128,7 @@ class TestCriterion4:
             g: corpus_boundary_prf(level_labels[g], ref_bounds, tol=2)[2]
             for g in grid.levels()
         }
-        new_labels = mutual_reinforce(level_labels, grid, seed=0).labels
+        new_labels = mutual_reinforce(level_labels, grid, {n: n for n in grid.phonetic}).labels
         fused_f = corpus_boundary_prf(new_labels[grid.phonetic[0]], ref_bounds, tol=2)[2]
 
         cfg_r = ReinforceConfig()

@@ -14,6 +14,8 @@ from acoustok.corpus import FeatureSequence, matf_bytes, read_matf
 from acoustok.evalviz import read_grid
 from acoustok.manifest import Manifest, atomic_write_text, file_sha256
 from acoustok.mdnn import read_matn
+from acoustok.pipeline import stage_seed
+from acoustok.reinforce import read_matl
 
 
 TINY_CONFIG = """
@@ -365,6 +367,33 @@ class TestStages:
         assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "r")]) == 1
         assert "unknown config section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 3\n[run]\n", "File contains no section headers."),
+        ("[run]\nseed = 3\nseed = 4\n", "option 'seed' in section 'run' already exists"),
+    ], ids=["no-section-header", "duplicate-option"])
+    def test_unparsable_config_names_the_file(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"acoustok synth: {bad}: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_speakers", "0", "[synth] n_speakers must be >= 1, got 0"),
+        ("bottleneck", "0", "[mdnn] bottleneck must be >= 1, got 0"),
+        ("mode", "bogus", "[retrieval] mode must be token, frame or fusion, got 'bogus'"),
+    ], ids=["n_speakers", "bottleneck", "mode"])
+    def test_out_of_range_setting_fails_at_load(self, tmp_path, capsys, key, value, message):
+        # TINY_CONFIG leaves these keys at their defaults; spell them out
+        text = TINY_CONFIG.replace("[synth]\n", "[synth]\nn_speakers = 2\n").replace(
+            "queries = utt000", "queries = utt000\nmode = token")
+        cfg_path = write_config(tmp_path, text, **{key: value})
+        out = tmp_path / "run"
+        assert main(["iterate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"acoustok iterate: {message}\n"
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def full_run(tmp_path_factory):
@@ -409,13 +438,13 @@ class TestIterate:
             "synth": set(),
             "iter1/init": FEATURES,
             "iter1/mat_mr0": FEATURES | _per_n("iter1/init"),
-            "iter1/mr1": _per_level("iter1/TOK-1st_MR-0"),
+            "iter1/mr1": {"features/corpus.jsonl"} | _per_level("iter1/TOK-1st_MR-0"),
             "iter1/mat_mr1": FEATURES | _per_n("iter1/mr1"),
             "iter1/mdnn": FEATURES | _per_level("iter1/TOK-1st_MR-1"),
             "iter1/extract": FEATURES | {"iter1/BNF-1st_MR-1.matn"},
             "iter2/init": BNF1,
             "iter2/mat_mr0": BNF1 | _per_n("iter2/init"),
-            "iter2/mr1": _per_level("iter2/TOK-2nd_MR-0"),
+            "iter2/mr1": {"iter1/bnf/corpus.jsonl"} | _per_level("iter2/TOK-2nd_MR-0"),
             "iter2/mat_mr1": BNF1 | _per_n("iter2/mr1"),
             "iter2/mdnn": FEATURES | BNF1 | _per_level(FINAL_TOK),
             "iter2/extract": FEATURES | BNF1 | {"iter2/BNF-2nd_MR-1.matn"},
@@ -516,6 +545,33 @@ class TestIterate:
         err = capsys.readouterr().err
         assert err.startswith("acoustok std: fusion weights must be non-negative")
         assert Manifest(run).entries() == before
+
+    def test_mr_seeds_come_from_stage_seed(self, full_run):
+        cfg_path, out = full_run
+        cfg = load_config(cfg_path)
+        for k in (1, 2):
+            for n in cfg.grid.phonetic:
+                model = read_matl(out / f"iter{k}/mr1/lda_n{n}.matl")
+                assert model.seed == stage_seed(cfg.seed, f"mr/{k}/1/{n}")
+
+    @pytest.mark.parametrize("stage, labels", [
+        ("mat", "iter1/init/labels_n4.jsonl"),
+        ("mr", "iter1/TOK-1st_MR-0/labels_m3_n4.jsonl"),
+        ("std", f"{FINAL_TOK}/labels_m3_n4.jsonl"),
+        ("eval", f"{FINAL_TOK}/labels_m3_n4.jsonl"),
+    ], ids=["mat", "mr", "std", "eval"])
+    def test_labels_missing_an_utterance_fail_cleanly(self, full_run, tmp_path, capsys,
+                                                       stage, labels):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)  # another out directory, so every stage re-runs
+        path = run / labels
+        kept = [line for line in path.read_text().splitlines(keepends=True)
+                if '"utt003"' not in line]
+        path.write_text("".join(kept))
+        assert main([stage, "--config", str(cfg_path), "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"acoustok {stage}: {path}: missing labels for utterance utt003\n"
 
 
 class TestDeterminism:

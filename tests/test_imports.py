@@ -1,0 +1,39 @@
+"""The package depends on the standard library, numpy and scipy only."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "acoustok"}
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "acoustok").glob("*.py"))
+
+
+def absolute_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, top-level module) of every absolute import in a source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return found
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "pipeline.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_stdlib_numpy_scipy(path):
+    outside = [f"line {line}: {module}" for line, module in absolute_imports(path)
+               if module not in ALLOWED]
+    assert not outside, f"{path.name} imports outside the allowed set: {outside}"
+
+
+def test_guard_catches_a_third_party_import(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text("import os\nfrom . import corpus\nimport pandas as pd\n"
+                      "from sklearn.cluster import KMeans\n")
+    assert [m for _, m in absolute_imports(source) if m not in ALLOWED] == ["pandas", "sklearn"]

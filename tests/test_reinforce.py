@@ -239,7 +239,8 @@ class TestMutualReinforce:
     def test_one_label_set_per_phonetic_granularity(self):
         grid = GranularityGrid((3, 5), (2, 3, 4, 6))
         labels = self.make_level_labels(grid)
-        out = mutual_reinforce(labels, grid, ReinforceConfig(lda_iters=10), seed=0).labels
+        out = mutual_reinforce(labels, grid, {n: n for n in grid.phonetic},
+                               ReinforceConfig(lda_iters=10)).labels
         assert sorted(out) == [2, 3, 4, 6]
         for n, label_set in out.items():
             for s in label_set.values():
@@ -249,7 +250,8 @@ class TestMutualReinforce:
     def test_single_level_keeps_its_segmentation(self):
         grid = GranularityGrid((3,), (4,))
         labels = self.make_level_labels(grid)
-        out = mutual_reinforce(labels, grid, ReinforceConfig(lda_iters=10), seed=0).labels
+        out = mutual_reinforce(labels, grid, {n: n for n in grid.phonetic},
+                               ReinforceConfig(lda_iters=10)).labels
         g = Granularity(3, 4)
         for utt in ("u0", "u1"):
             assert [s[1:] for s in out[4][utt].segments] == [
@@ -260,7 +262,20 @@ class TestMutualReinforce:
         grid = GranularityGrid((3, 5), (4,))
         labels = {Granularity(3, 4): {"u": seq("u", [(0, 0, 10)])}}
         with pytest.raises(ValueError, match="missing level labels"):
-            mutual_reinforce(labels, grid)
+            mutual_reinforce(labels, grid, {n: n for n in grid.phonetic})
+
+    def test_one_lda_per_seed(self):
+        grid = GranularityGrid((3, 5), (2, 4))
+        labels = self.make_level_labels(grid)
+        cfg = ReinforceConfig(lda_iters=10)
+        seeds = {2: 17, 4: 2**62 + 5}
+        out = mutual_reinforce(labels, grid, seeds, cfg)
+        assert sorted(out.models) == sorted(out.labels) == [2, 4]
+        for n, seed in seeds.items():
+            ref = lda_fit(out.documents.docs, n, out.documents.vocab_size, cfg, seed)
+            assert out.models[n].seed == seed
+            assert np.array_equal(out.models[n].topic_word, ref.topic_word)
+            assert np.array_equal(out.models[n].doc_topic, ref.doc_topic)
 
 
 class TestMatl:

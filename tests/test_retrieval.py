@@ -299,12 +299,11 @@ class TestRanking:
         assert ranked.entries[0][0] == "hit"
         assert ranked.entries[-1][0] == "miss"
 
-    def test_single_level_matches_stream(self):
+    def test_ranking_matches_stream(self):
         index = toy_index()
-        g = sorted(index.distances, key=lambda g: (g.m, g.n))[0]
-        query = {g: [1, 0, 2]}
-        ranked = rank_documents(index, "q", query_tokens=query, levels=[g])
-        stream = token_scores(index, {g: [1, 0, 2]}, levels=[g])
+        query = {g: [1, 0, 2] for g in index.distances}
+        ranked = rank_documents(index, "q", query_tokens=query)
+        stream = token_scores(index, query)
         assert [d for d, _ in ranked.entries] == sorted(stream, key=lambda d: (stream[d], d))
 
     def test_fusion_of_identical_streams_keeps_order(self):
@@ -332,7 +331,7 @@ class TestRanking:
     def test_missing_level_rejected(self):
         index = toy_index()
         with pytest.raises(ValueError, match="missing level"):
-            token_scores(index, {Granularity(9, 9): [0]}, levels=[Granularity(9, 9)])
+            token_scores(index, {g: [0] for g in list(index.distances)[1:]})
 
 
 class TestMeanAveragePrecision:
