@@ -21,58 +21,41 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import pipeline
 from .config import PipelineConfig, load_config
 from .corpus import AudioError
 from .mdnn import MdnnError
-from .pipeline import (
-    PipelineError,
-    RunContext,
-    cmd_eval,
-    cmd_extract,
-    cmd_features,
-    cmd_init,
-    cmd_iterate,
-    cmd_mat,
-    cmd_mdnn,
-    cmd_mr,
-    cmd_std,
-    cmd_synth,
-    cmd_viz,
-)
+from .pipeline import PipelineError, RunContext
 
-
-def _add_common(sub):
-    sub.add_argument("--config", help="pipeline config file (INI)")
-    sub.add_argument("--seed", type=int, help="override [run] seed")
-    sub.add_argument("--out", help="override [run] out directory")
+# Each subcommand's integer flags as (flag, default, help).  Every flag but
+# iterate's --iters is passed to the stage function, in this order.
+_ITERATION = ("--iteration", 1, None)
+COMMANDS = {
+    "synth": (),
+    "features": (),
+    "init": (_ITERATION,),
+    "mat": (_ITERATION, ("--round", 0, "reinforcement rounds already applied")),
+    "mr": (_ITERATION, ("--round", 1, "reinforcement round to run")),
+    "mdnn": (_ITERATION,),
+    "extract": (_ITERATION,),
+    "iterate": (("--iters", None, "override [run] iterations"),),
+    "std": (),
+    "eval": (),
+    "viz": (),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="acoustok", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("synth", "features", "std", "eval", "viz"):
-        _add_common(sub.add_parser(name))
-
-    for name in ("init", "mdnn", "extract"):
+    for name, flags in COMMANDS.items():
         p = sub.add_parser(name)
-        _add_common(p)
-        p.add_argument("--iteration", type=int, default=1)
-
-    p = sub.add_parser("mat")
-    _add_common(p)
-    p.add_argument("--iteration", type=int, default=1)
-    p.add_argument("--round", type=int, default=0, help="reinforcement rounds already applied")
-
-    p = sub.add_parser("mr")
-    _add_common(p)
-    p.add_argument("--iteration", type=int, default=1)
-    p.add_argument("--round", type=int, default=1, help="reinforcement round to run")
-
-    p = sub.add_parser("iterate")
-    _add_common(p)
-    p.add_argument("--iters", type=int, help="override [run] iterations")
+        p.add_argument("--config", help="pipeline config file (INI)")
+        p.add_argument("--seed", type=int, help="override [run] seed")
+        p.add_argument("--out", help="override [run] out directory")
+        for flag, default, help_text in flags:
+            p.add_argument(flag, type=int, default=default, help=help_text)
     return parser
 
 
@@ -90,38 +73,22 @@ def make_context(args) -> RunContext:
 def _ensure_corpus(ctx: RunContext):
     if not (ctx.out / "features/corpus.jsonl").exists():
         if ctx.cfg.audio_dir:
-            cmd_features(ctx)
+            pipeline.cmd_features(ctx)
         else:
-            cmd_synth(ctx)
+            pipeline.cmd_synth(ctx)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         ctx = make_context(args)
-        if args.command == "synth":
-            cmd_synth(ctx)
-        elif args.command == "features":
-            cmd_features(ctx)
-        elif args.command == "init":
-            cmd_init(ctx, args.iteration)
-        elif args.command == "mat":
-            cmd_mat(ctx, args.iteration, args.round)
-        elif args.command == "mr":
-            cmd_mr(ctx, args.iteration, args.round)
-        elif args.command == "mdnn":
-            cmd_mdnn(ctx, args.iteration)
-        elif args.command == "extract":
-            cmd_extract(ctx, args.iteration)
-        elif args.command == "iterate":
+        if args.command == "iterate":
             _ensure_corpus(ctx)
-            cmd_iterate(ctx)
-        elif args.command == "std":
-            cmd_std(ctx)
-        elif args.command == "eval":
-            cmd_eval(ctx)
-        elif args.command == "viz":
-            cmd_viz(ctx)
+            pipeline.cmd_iterate(ctx)
+        else:
+            # looked up on each run, so a wrapper installed on the module is called
+            stage = getattr(pipeline, f"cmd_{args.command}")
+            stage(ctx, *(getattr(args, flag[2:]) for flag, _, _ in COMMANDS[args.command]))
     except (PipelineError, AudioError, MdnnError, ValueError, OSError) as exc:
         print(f"acoustok {args.command}: {exc}", file=sys.stderr)
         return 1

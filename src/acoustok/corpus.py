@@ -412,7 +412,10 @@ def read_matf(path, utterance_id: str | None = None, frame_shift: float = 0.010,
     f.end()
     if utterance_id is None:
         utterance_id = Path(path).stem
-    return FeatureSequence(frames, frame_shift, frame_length, utterance_id)
+    try:
+        return FeatureSequence(frames, frame_shift, frame_length, utterance_id)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def corpus_files(corpus: Corpus) -> dict[str, bytes]:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .corpus import Corpus, FeatureSequence
-from .labels import LabelSet, label_set_from_spans
+from .labels import LabelSet, label_set_from_spans, pick_boundaries
 
 
 @dataclass
@@ -31,24 +31,6 @@ class InitConfig:
         for name in ("side_frames", "kmeans_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-
-@dataclass
-class SegmentBoundarySet:
-    utterance_id: str
-    n_frames: int
-    boundaries: list[int]  # interior inter-frame positions, strictly increasing
-
-    def __post_init__(self):
-        for j in self.boundaries:
-            if not 0 < j < self.n_frames:
-                raise ValueError(f"{self.utterance_id}: boundary {j} outside (0, {self.n_frames})")
-        if sorted(set(self.boundaries)) != list(self.boundaries):
-            raise ValueError(f"{self.utterance_id}: boundaries not strictly increasing")
-
-    def spans(self) -> list[tuple[int, int]]:
-        edges = [0] + list(self.boundaries) + [self.n_frames]
-        return list(zip(edges[:-1], edges[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +66,7 @@ def discontinuity(seq: FeatureSequence, cfg: InitConfig | None = None) -> np.nda
     return dist * (1.0 + dips)
 
 
-def segment_words(seq: FeatureSequence, cfg: InitConfig | None = None) -> SegmentBoundarySet:
+def segment_words(seq: FeatureSequence, cfg: InitConfig | None = None) -> list[int]:
     """Boundaries where the discontinuity exceeds mean + alpha * std.
 
     Candidates are accepted greedily by descending discontinuity; any
@@ -94,16 +76,10 @@ def segment_words(seq: FeatureSequence, cfg: InitConfig | None = None) -> Segmen
     cfg = cfg or InitConfig()
     T = seq.n_frames
     if T < 2:
-        return SegmentBoundarySet(seq.utterance_id, T, [])
+        return []
     disc = discontinuity(seq, cfg)
-    threshold = disc.mean() + cfg.alpha * disc.std()
-    candidates = [int(j) + 1 for j in np.argsort(-disc, kind="stable") if disc[j] > threshold]
-    accepted: list[int] = []
-    for j in candidates:
-        anchors = accepted + [0, T]
-        if all(abs(j - a) >= cfg.min_segment_frames for a in anchors):
-            accepted.append(j)
-    return SegmentBoundarySet(seq.utterance_id, T, sorted(accepted))
+    return pick_boundaries(disc, disc > disc.mean() + cfg.alpha * disc.std(),
+                           cfg.min_segment_frames, (0, T))
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +172,12 @@ def _kmeans_pp_seeds(points: np.ndarray, n: int, rng) -> np.ndarray:
     return centers
 
 
-def kmeans(points: np.ndarray, n: int, seed: int, iters: int = 100,
-           trace: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(points: np.ndarray, n: int, seed: int,
+           iters: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with k-means++ seeding; returns (assignments, centers).
 
     Runs to an assignment fixpoint or iters sweeps.  An empty cluster is
-    reseeded at the point currently farthest from its assigned center.  If
-    trace is a list, the objective (sum of squared distances to assigned
-    centers) is appended after each assignment step.
+    reseeded at the point currently farthest from its assigned center.
     """
     if len(points) < n:
         raise ValueError(f"insufficient segments: {len(points)} < {n}")
@@ -213,8 +187,6 @@ def kmeans(points: np.ndarray, n: int, seed: int, iters: int = 100,
     for _ in range(iters):
         d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_assign = np.argmin(d2, axis=1)
-        if trace is not None:
-            trace.append(float(d2[np.arange(len(points)), new_assign].sum()))
         empties = np.flatnonzero(np.bincount(new_assign, minlength=n) == 0)
         if len(empties):
             residual = d2[np.arange(len(points)), new_assign].copy()
@@ -269,7 +241,7 @@ def subword_spans(seq: FeatureSequence, cfg: InitConfig | None = None) -> list[t
     cfg = cfg or InitConfig()
     words = segment_words(seq, cfg)
     spans = []
-    for start, end in words.spans():
+    for start, end in zip([0] + words, words + [seq.n_frames]):
         length = end - start
         if length < 2:
             spans.append((start, end))

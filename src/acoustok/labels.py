@@ -57,6 +57,22 @@ class TokenLabelSequence:
 LabelSet = dict[str, TokenLabelSequence]
 
 
+def pick_boundaries(score: np.ndarray, eligible: np.ndarray, min_gap: int,
+                    anchors=()) -> list[int]:
+    """Greedy peak picking over inter-frame positions j = 1..T-1 (index j-1).
+
+    Eligible positions are taken by descending score, ties to the lowest j;
+    a position closer than min_gap to one already taken or to an anchor is
+    dropped.  Returns the taken positions in increasing order.
+    """
+    order = np.argsort(-score, kind="stable")
+    taken: list[int] = []
+    for j in (order[eligible[order]] + 1).tolist():
+        if all(abs(j - k) >= min_gap for k in (*taken, *anchors)):
+            taken.append(j)
+    return sorted(taken)
+
+
 def label_set_from_spans(spans: list[tuple[str, int, int]], ids) -> LabelSet:
     """The label set of (utterance, start, end) spans in time order, each
     labeled with the id at the same position of ids."""

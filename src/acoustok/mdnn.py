@@ -122,7 +122,8 @@ def _forward(model: MdnnModel, x: np.ndarray):
 
 
 def _cross_entropy(head_probs: list[np.ndarray], targets: np.ndarray) -> float:
-    """The loss of mdnn_loss and _backward, from the heads' output probabilities."""
+    """Uniformly weighted mean cross-entropy over the heads, from their output
+    probabilities: the loss _backward differentiates."""
     B = targets.shape[0]
     loss = 0.0
     for h, probs in enumerate(head_probs):
@@ -131,13 +132,8 @@ def _cross_entropy(head_probs: list[np.ndarray], targets: np.ndarray) -> float:
     return float(loss / len(head_probs))
 
 
-def mdnn_loss(model: MdnnModel, x: np.ndarray, targets: np.ndarray) -> float:
-    """Uniformly weighted mean cross-entropy over the heads."""
-    return _cross_entropy(_forward(model, x)[1], targets)
-
-
 def _backward(model: MdnnModel, x: np.ndarray, targets: np.ndarray):
-    """Analytic gradients of mdnn_loss; returns (loss, grads aligned with
+    """Analytic gradients of the loss; returns (loss, grads aligned with
     model.parameters())."""
     acts, head_probs = _forward(model, x)
     B = x.shape[0]
@@ -229,46 +225,6 @@ def train_mdnn(inputs: np.ndarray, targets: np.ndarray, head_sizes: list[int],
         log.losses.append(epoch_loss / max(n_batches, 1))
         log.head_accuracy.append(head_accuracies(model, inputs, targets))
     return model, log
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-def gradient_check(model: MdnnModel, x: np.ndarray, targets: np.ndarray,
-                   n_params: int = 500, step: float = 1e-4, seed: int = 0) -> float:
-    """Max relative error between analytic and central finite-difference
-    gradients over up to n_params randomly chosen parameters.
-
-    Relative error uses max(|analytic|, |numeric|, 1e-6) as the denominator so
-    exactly-zero gradients compare cleanly.
-    """
-    if x.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    _, grads = _backward(model, x, targets)
-    params = model.parameters()
-    sizes = [p.size for p in params]
-    total = sum(sizes)
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(total, size=min(n_params, total), replace=False)
-    offsets = np.cumsum([0] + sizes)
-    worst = 0.0
-    for flat in sorted(int(c) for c in chosen):
-        pi = int(np.searchsorted(offsets, flat, side="right")) - 1
-        local = flat - offsets[pi]
-        p = params[pi]
-        idx = np.unravel_index(local, p.shape)
-        original = p[idx]
-        p[idx] = original + step
-        up = mdnn_loss(model, x, targets)
-        p[idx] = original - step
-        down = mdnn_loss(model, x, targets)
-        p[idx] = original
-        numeric = (up - down) / (2.0 * step)
-        analytic = grads[pi][idx]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
-        worst = max(worst, rel)
-    return worst
 
 
 # ---------------------------------------------------------------------------

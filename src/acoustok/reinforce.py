@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .corpus import ArtifactReader
-from .labels import LabelSet, TokenLabelSequence, label_set_from_spans
+from .labels import LabelSet, TokenLabelSequence, label_set_from_spans, pick_boundaries
 from .tokenizer import Granularity, GranularityGrid
 
 MATL_MAGIC = b"MATL"
@@ -68,23 +68,12 @@ def fuse_utterance(b_by_level: dict[Granularity, np.ndarray],
         if len(b) != length:
             raise ValueError("levels disagree on utterance length")
         numer += g.m * b
-    B = numer / denom if denom else numer.astype(float)
+    B = numer / denom
 
     padded = np.concatenate(([0.0], B, [0.0]))  # out-of-range positions count as 0
-    candidates = []
-    for idx in range(length):
-        j = idx + 1  # boundary position
-        left, here, right = padded[idx], padded[idx + 1], padded[idx + 2]
-        if here <= 0 or here < left or here < right:
-            continue
-        if left - 2 * here + right <= cfg.tau:
-            candidates.append((-here, j))
-    candidates.sort()
-    selected: list[int] = []
-    for _, j in candidates:
-        if all(abs(j - k) >= cfg.min_gap for k in selected):
-            selected.append(j)
-    return sorted(selected), B
+    left, here, right = padded[:-2], padded[1:-1], padded[2:]
+    peaks = (here > 0) & (here >= left) & (here >= right) & (left - 2 * here + right <= cfg.tau)
+    return pick_boundaries(B, peaks, cfg.min_gap), B
 
 
 def fuse_boundaries(level_labels: dict[Granularity, LabelSet],

@@ -276,8 +276,7 @@ def _m_step(hmm: TokenHmm, resp: np.ndarray, frames: np.ndarray, stay: np.ndarra
     squares = frames * frames
     states = []
     for s, state in enumerate(hmm.states):
-        c = state.n_components
-        r = resp[:, s, :c]
+        r = resp[:, s, :state.n_components]
         occ = r.sum(axis=0)
         total = occ.sum()
         if total <= 1e-8:
@@ -286,11 +285,9 @@ def _m_step(hmm: TokenHmm, resp: np.ndarray, frames: np.ndarray, stay: np.ndarra
         first, second = r.T @ frames, r.T @ squares
         means = state.means.copy()
         variances = state.variances.copy()
-        for k in range(c):
-            if occ[k] <= 1e-8:
-                continue
-            means[k] = first[k] / occ[k]
-            variances[k] = np.maximum(second[k] / occ[k] - means[k] ** 2, var_floor)
+        seen = occ > 1e-8
+        means[seen] = first[seen] / occ[seen, None]
+        variances[seen] = np.maximum(second[seen] / occ[seen, None] - means[seen] ** 2, var_floor)
         states.append(GaussState(occ / total, means, variances))
     trans = hmm.transitions.copy()
     denom = stay + move

@@ -16,7 +16,6 @@ from acoustok.initialization import make_initial_labels
 from acoustok.manifest import Manifest
 from acoustok.mdnn import (
     MdnnConfig,
-    gradient_check,
     head_accuracies,
     init_mdnn,
     make_iteration_input,
@@ -34,6 +33,7 @@ from acoustok.retrieval import (
 )
 from acoustok.tokenizer import GaussState, Granularity, GranularityGrid, decode_level, run_level, run_mat
 
+from test_mdnn import gradient_check
 from test_retrieval import brute_force_subsequence_dtw, closed_form_symmetric_kl
 from test_tokenizer import oracle_best_labeling, random_instance
 

@@ -2,6 +2,7 @@ import configparser
 import importlib.util
 import re
 import shutil
+import struct
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -334,6 +335,45 @@ class TestStages:
         assert (out / "iter1/init/labels_n6.jsonl").exists()
         assert sorted(calls) == [f"utt{i:03d}" for i in range(8)]
 
+    def test_iteration_and_round_flags(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "run"
+        for argv in (["synth"], ["init", "--iteration", "1"],
+                     ["mat", "--iteration", "1", "--round", "0"],
+                     ["mr", "--iteration", "1", "--round", "1"],
+                     ["mat", "--iteration", "1", "--round", "1"]):
+            assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 0
+        stages = [e["stage"] for e in Manifest(out).entries()]
+        assert stages == ["synth", "iter1/init", "iter1/mat_mr0", "iter1/mr1", "iter1/mat_mr1"]
+        assert (out / "iter1/TOK-1st_MR-0/labels_m3_n4.jsonl").exists()
+        assert (out / "iter1/TOK-1st_MR-1/labels_m3_n6.jsonl").exists()
+
+    def test_iters_overrides_iterations(self, tmp_path):
+        cfg_path = write_config(tmp_path, iterations=2)
+        out = tmp_path / "run"
+        assert main(["iterate", "--iters", "1", "--config", str(cfg_path), "--out", str(out)]) == 0
+        stages = [e["stage"] for e in Manifest(out).entries()]
+        assert "iter1/extract" in stages
+        assert not [s for s in stages if s.startswith("iter2/")]
+
+    def test_seed_overrides_config(self, tmp_path):
+        cfg_path = write_config(tmp_path)  # seed = 3
+        out = tmp_path / "run"
+        assert main(["synth", "--seed", "5", "--config", str(cfg_path), "--out", str(out)]) == 0
+        snapshot = configparser.ConfigParser()
+        snapshot.read(out / "config.snapshot.ini")
+        assert snapshot["run"]["seed"] == "5"
+
+    def test_zero_row_feature_file_is_named(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+        path = out / "features/utt005.matf"
+        path.write_bytes(b"MATF" + struct.pack("<II", 0, 6))
+        assert main(["init", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"acoustok init: {path}: utt005: frames must be a non-empty T x d matrix\n")
+
     def test_outer_iters_below_one_fails_cleanly(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, outer_iters=0)
         code = main(["iterate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
@@ -572,6 +612,19 @@ class TestIterate:
         assert main([stage, "--config", str(cfg_path), "--out", str(run)]) == 1
         err = capsys.readouterr().err
         assert err == f"acoustok {stage}: {path}: missing labels for utterance utt003\n"
+
+
+    def test_non_finite_feature_file_is_named(self, full_run, tmp_path, capsys):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        path = run / "iter1/bnf/utt003.matf"
+        data = bytearray(path.read_bytes())
+        data[12:16] = struct.pack("<f", float("nan"))  # the first frame value
+        path.write_bytes(bytes(data))
+        assert main(["mat", "--iteration", "2", "--config", str(cfg_path), "--out", str(run)]) == 1
+        assert capsys.readouterr().err == (
+            f"acoustok mat: {path}: utt003: non-finite feature values\n")
 
 
 class TestDeterminism:

@@ -39,6 +39,23 @@ class TestBoundaryFunction:
         assert boundary_function(s).sum() == 3
 
 
+def reference_fused_peaks(B, tau, min_gap):
+    """The fused-curve peak scan written out position by position: local
+    maxima of B with second difference at most tau, taken by descending B
+    (ties to the lowest position) unless within min_gap of one taken."""
+    padded = [0.0] + [float(v) for v in B] + [0.0]
+    candidates = []
+    for j in range(1, len(B) + 1):
+        left, here, right = padded[j - 1], padded[j], padded[j + 1]
+        if here > 0 and here >= left and here >= right and left - 2 * here + right <= tau:
+            candidates.append((-here, j))
+    selected: list[int] = []
+    for _, j in sorted(candidates):
+        if all(abs(j - k) >= min_gap for k in selected):
+            selected.append(j)
+    return sorted(selected)
+
+
 class TestFuseUtterance:
     def test_unanimous_isolated_selected(self):
         levels = {Granularity(3, 4): np.zeros(20, dtype=np.int64),
@@ -78,6 +95,17 @@ class TestFuseUtterance:
         stacked = np.stack(list(levels.values()))
         assert np.array_equal(B == 1.0, stacked.all(axis=0))
         assert np.all((B >= 0) & (B <= 1))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = ReinforceConfig(min_gap=int(rng.integers(1, 4)))
+        for _ in range(20):
+            length = int(rng.integers(1, 40))
+            levels = {Granularity(m, 4): (rng.uniform(size=length) < 0.3).astype(np.int64)
+                      for m in (3, 5, 7)}
+            selected, B = fuse_utterance(levels, cfg)
+            assert selected == reference_fused_peaks(B, cfg.tau, cfg.min_gap)
 
     def test_min_gap_thins_adjacent_peaks(self):
         levels = {Granularity(3, 4): np.zeros(20, dtype=np.int64)}
