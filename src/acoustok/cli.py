@@ -12,14 +12,16 @@
     acoustok eval     --config cfg.ini         score against ground truth
     acoustok viz      --config cfg.ini         emit visualization data
 
-Flags --seed and --out override the config file; every stage appends to the
-run manifest and is skipped when already complete.
+Flags --seed, --out and --iters override the config file; every stage appends
+to the run manifest and is skipped when already complete.  --iteration and
+--iters are at least 1, mat --round at least 0 and mr --round at least 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import pipeline
 from .config import PipelineConfig, load_config
@@ -27,22 +29,31 @@ from .corpus import AudioError
 from .mdnn import MdnnError
 from .pipeline import PipelineError, RunContext
 
-# Each subcommand's integer flags as (flag, default, help).  Every flag but
-# iterate's --iters is passed to the stage function, in this order.
-_ITERATION = ("--iteration", 1, None)
+# Each subcommand's integer flags as (flag, default, minimum, help).  Every
+# flag but iterate's --iters is passed to the stage function, in this order.
+_ITERATION = ("--iteration", 1, 1, None)
 COMMANDS = {
     "synth": (),
     "features": (),
     "init": (_ITERATION,),
-    "mat": (_ITERATION, ("--round", 0, "reinforcement rounds already applied")),
-    "mr": (_ITERATION, ("--round", 1, "reinforcement round to run")),
+    "mat": (_ITERATION, ("--round", 0, 0, "reinforcement rounds already applied")),
+    "mr": (_ITERATION, ("--round", 1, 1, "reinforcement round to run")),
     "mdnn": (_ITERATION,),
     "extract": (_ITERATION,),
-    "iterate": (("--iters", None, "override [run] iterations"),),
+    "iterate": (("--iters", None, 1, "override [run] iterations"),),
     "std": (),
     "eval": (),
     "viz": (),
 }
+
+
+def _at_least(minimum: int):
+    def integer(text: str) -> int:  # argparse names a failed parse after the function
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,20 +65,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="pipeline config file (INI)")
         p.add_argument("--seed", type=int, help="override [run] seed")
         p.add_argument("--out", help="override [run] out directory")
-        for flag, default, help_text in flags:
-            p.add_argument(flag, type=int, default=default, help=help_text)
+        for flag, default, minimum, help_text in flags:
+            p.add_argument(flag, type=_at_least(minimum), default=default, help=help_text)
     return parser
 
 
 def make_context(args) -> RunContext:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "iters", None) is not None:
-        cfg.iterations = args.iters
-    return RunContext.create(cfg)
+    overrides = {"seed": args.seed, "out": args.out, "iterations": getattr(args, "iters", None)}
+    return RunContext.create(replace(cfg, **{k: v for k, v in overrides.items() if v is not None}))
 
 
 def _ensure_corpus(ctx: RunContext):
@@ -88,7 +94,7 @@ def main(argv=None) -> int:
         else:
             # looked up on each run, so a wrapper installed on the module is called
             stage = getattr(pipeline, f"cmd_{args.command}")
-            stage(ctx, *(getattr(args, flag[2:]) for flag, _, _ in COMMANDS[args.command]))
+            stage(ctx, *(getattr(args, flag[2:]) for flag, *_ in COMMANDS[args.command]))
     except (PipelineError, AudioError, MdnnError, ValueError, OSError) as exc:
         print(f"acoustok {args.command}: {exc}", file=sys.stderr)
         return 1

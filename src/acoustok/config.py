@@ -25,16 +25,19 @@ class RetrievalConfig:
     mode: str = "token"           # token | frame | fusion
     queries: tuple[str, ...] = () # utterance ids used as spoken queries
     relevance: str = ""           # path to a (query_id, doc_id, 0/1) CSV
-    weights: tuple[float, ...] = ()
+    weights: tuple[float, ...] = () # fusion weights: token, then frame
 
     def __post_init__(self):
         if self.mode not in ("token", "frame", "fusion"):
             raise ValueError(f"mode must be token, frame or fusion, got {self.mode!r}")
+        if self.weights and len(self.weights) != 2:
+            raise ValueError(f"weights: expected two values (token, then frame), "
+                             f"got {len(self.weights)}")
 
 
 @dataclass
 class PipelineConfig:
-    out_dir: str = "runs/default"
+    out: str = "runs/default"
     seed: int = 0
     iterations: int = 1
     mr_rounds: int = 1
@@ -49,6 +52,12 @@ class PipelineConfig:
     mdnn: MdnnConfig = field(default_factory=MdnnConfig)
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     synth: SynthSpec = field(default_factory=SynthSpec)
+
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if self.mr_rounds < 0:
+            raise ValueError(f"mr_rounds must be >= 0, got {self.mr_rounds}")
 
 
 def _parse_value(raw: str, kind, name: str):
@@ -86,9 +95,7 @@ class _Option(typing.NamedTuple):
     optional: bool  # empty text means None
 
 
-# fields the INI format spells differently, and fields it cannot express
-# (these keep their defaults)
-_RENAMED = {(PipelineConfig, "out_dir"): "out"}
+# fields the INI format cannot express (these keep their defaults)
 _UNLISTED = {(SynthSpec, "token_sequences")}
 
 
@@ -103,8 +110,7 @@ def _schema() -> dict[str, dict[str, _Option]]:
     for section, cls in sections.items():
         hints = typing.get_type_hints(cls)
         schema[section] = {
-            _RENAMED.get((cls, f.name), f.name):
-                _Option(f.name, *_option_type(hints[f.name], f"{cls.__name__}.{f.name}"))
+            f.name: _Option(f.name, *_option_type(hints[f.name], f"{cls.__name__}.{f.name}"))
             for f in fields(cls)
             if (cls, f.name) not in _UNLISTED and not is_dataclass(hints[f.name])
         }

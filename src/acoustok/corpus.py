@@ -38,7 +38,6 @@ class Waveform:
     samples: np.ndarray  # float64 in [-1, 1]
     sample_rate: int
     utterance_id: str
-    speaker_id: str | None = None
 
     def __post_init__(self):
         if self.sample_rate <= 0:
@@ -150,16 +149,6 @@ def load_audio(path) -> Waveform:
     return Waveform(samples, sample_rate, utterance_id=Path(path).stem)
 
 
-def save_audio(path, waveform: Waveform):
-    """Write a waveform back to PCM 16-bit mono WAV (test fixtures)."""
-    pcm = np.clip(np.round(waveform.samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as w:
-        w.setnchannels(1)
-        w.setsampwidth(2)
-        w.setframerate(waveform.sample_rate)
-        w.writeframes(pcm.tobytes())
-
-
 # ---------------------------------------------------------------------------
 # MFCC front end
 # ---------------------------------------------------------------------------
@@ -180,11 +169,9 @@ def _mel_filterbank(n_filters: int, n_fft: int, sample_rate: int) -> np.ndarray:
     for i in range(n_filters):
         lo, mid, hi = bins[i], bins[i + 1], bins[i + 2]
         for k in range(lo, mid):
-            if mid > lo:
-                bank[i, k] = (k - lo) / (mid - lo)
+            bank[i, k] = (k - lo) / (mid - lo)
         for k in range(mid, hi):
-            if hi > mid:
-                bank[i, k] = (hi - k) / (hi - mid)
+            bank[i, k] = (hi - k) / (hi - mid)
     return bank
 
 
@@ -404,8 +391,8 @@ class ArtifactReader:
             raise ValueError(f"{self.path}: {extra} trailing bytes after the last field")
 
 
-def read_matf(path, utterance_id: str | None = None, frame_shift: float = 0.010,
-              frame_length: float = 0.025) -> FeatureSequence:
+def read_matf(path, utterance_id: str | None = None,
+              frame_shift: float = 0.010) -> FeatureSequence:
     f = ArtifactReader(path, MATF_MAGIC)
     rows, cols = f.unpack("<II", "shape")
     frames = f.array((rows, cols), "frames", "<f4")
@@ -413,7 +400,7 @@ def read_matf(path, utterance_id: str | None = None, frame_shift: float = 0.010,
     if utterance_id is None:
         utterance_id = Path(path).stem
     try:
-        return FeatureSequence(frames, frame_shift, frame_length, utterance_id)
+        return FeatureSequence(frames, frame_shift, utterance_id=utterance_id)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 

@@ -6,7 +6,6 @@ speaker-token intensity maps, and per-granularity result grids.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +50,11 @@ def _prf(matched: int, n_hyp: int, n_ref: int) -> tuple[float, float, float]:
     return precision, recall, f
 
 
-def boundary_prf(hyp: list[int], ref: list[int], tol: int = 2) -> tuple[float, float, float]:
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
-    return _prf(match_boundaries(hyp, ref, tol), len(hyp), len(ref))
-
-
 def corpus_boundary_prf(hyp_labels: LabelSet, ref_boundaries: dict[str, list[int]],
                         tol: int = 2) -> tuple[float, float, float]:
     """Micro-averaged over utterances: counts pooled before the ratios."""
+    if tol < 0:
+        raise ValueError("tolerance must be >= 0")
     matched = n_hyp = n_ref = 0
     for utt, ref in ref_boundaries.items():
         hyp = hyp_labels[utt].boundaries()
@@ -257,29 +252,6 @@ def grid_csv(results: dict[tuple[int, int], float]) -> str:
         f"{float(values.max())!r},{float(values.min())!r}"
     )
     return "\n".join(lines) + "\n"
-
-
-def read_grid(path) -> tuple[dict[tuple[int, int], float], tuple[float, float, float, float]]:
-    """The level values and summary of a grid_csv file.  A missing or wrong
-    header, a malformed row or a missing summary row raises a ValueError
-    naming the file and the line."""
-    results = {}
-    summary = None
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        if next(reader, None) != ["m", "n", "value"]:
-            raise ValueError(f"{path}: line 1: expected the header m,n,value")
-        for row in reader:
-            try:
-                if row[0] == "summary":
-                    summary = tuple(float(v) for v in row[1:5])
-                else:
-                    results[(int(row[0]), int(row[1]))] = float(row[2])
-            except (IndexError, ValueError) as e:
-                raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
-        if summary is None:
-            raise ValueError(f"{path}: line {reader.line_num + 1}: no summary row")
-    return results, summary
 
 
 def pgm_bytes(values: np.ndarray) -> bytes:

@@ -60,10 +60,6 @@ class MdnnModel:
     def input_dim(self) -> int:
         return self.layer_weights[0].shape[0]
 
-    @property
-    def head_sizes(self) -> list[int]:
-        return [w.shape[1] for w in self.head_weights]
-
     def parameters(self) -> list[np.ndarray]:
         return (
             self.layer_weights + self.layer_biases + self.head_weights + self.head_biases

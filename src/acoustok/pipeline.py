@@ -50,7 +50,7 @@ class RunContext:
 
     @classmethod
     def create(cls, cfg: PipelineConfig) -> "RunContext":
-        out = Path(cfg.out_dir)
+        out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
         atomic_write_text(out / "config.snapshot.ini", dump_config(cfg))
         return cls(cfg, out, Manifest(out), config_sha256(cfg))
@@ -378,15 +378,11 @@ def cmd_viz(ctx: RunContext):
         truth = _read_truth(ctx, writer)
         level_labels = _read_levels(ctx, writer, _final_tok_dir(ctx), truth.frame_counts())
         corpus = _read_corpus(ctx, writer, "features")
-        reference = {
-            utt: [(str(token), start, end) for token, start, end in spans]
-            for utt, spans in truth.spans.items()
-        }
         ref_bounds = {utt: truth.boundaries(utt) for utt in truth.spans}
         grid_values = {}
         for g in ctx.cfg.grid.levels():
             tag = f"m{g.m}_n{g.n}"
-            mat = evalviz.cooccurrence(level_labels[g], reference)
+            mat = evalviz.cooccurrence(level_labels[g], truth.spans)
             writer.add_text(f"viz/cooccurrence_{tag}.csv", mat.to_csv())
             peak = mat.counts.max()
             image = mat.counts[mat.grouped_row_order()] / peak if peak else mat.counts

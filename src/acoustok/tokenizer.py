@@ -58,15 +58,13 @@ class GranularityGrid:
         for name, values in (("temporal", self.temporal), ("phonetic", self.phonetic)):
             if not values:
                 raise ValueError(f"{name} granularities must be non-empty")
+            if values[0] < 1:
+                raise ValueError(f"{name} granularities must be >= 1, got {values[0]}")
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ValueError(f"{name} granularities must be strictly increasing")
 
     def levels(self) -> list[Granularity]:
         return [Granularity(m, n) for m in self.temporal for n in self.phonetic]
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.temporal) * len(self.phonetic)
 
 
 @dataclass
@@ -93,10 +91,10 @@ class GaussState:
         """(T,) mixture log densities."""
         return logsumexp(component_log_joints([self], frames), axis=2)[:, 0]
 
-    def split(self, scale: float = 0.2) -> "GaussState":
-        """Double the component count, offsetting means by +/- scale * std."""
-        std = np.sqrt(self.variances)
-        means = np.vstack([self.means - scale * std, self.means + scale * std])
+    def split(self) -> "GaussState":
+        """Double the component count, offsetting means by +/- 0.2 std."""
+        offset = 0.2 * np.sqrt(self.variances)
+        means = np.vstack([self.means - offset, self.means + offset])
         variances = np.vstack([self.variances, self.variances])
         weights = np.concatenate([self.weights, self.weights]) / 2.0
         return GaussState(weights, means, variances)

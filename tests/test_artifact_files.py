@@ -20,7 +20,6 @@ from acoustok.corpus import (
     save_corpus,
     synthesize_corpus,
 )
-from acoustok.evalviz import grid_csv, read_grid
 from acoustok.labels import labels_to_jsonl, read_labels_jsonl
 from acoustok.manifest import Manifest
 from acoustok.mdnn import MdnnConfig, init_mdnn, matn_bytes, read_matn
@@ -205,30 +204,6 @@ def test_malformed_labels_name_the_file(tmp_path, name, read, lines, match):
     path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(ValueError, match=match) as excinfo:
         read(path)
-    assert str(excinfo.value).startswith(f"{path}: ")
-
-
-@pytest.mark.parametrize("row, line", [("3,x,0.5", 3), ("3", 3), ("summary,0.5,x,1.0,0.0", 4)])
-def test_malformed_grid_names_the_file_and_line(tmp_path, row, line):
-    lines = grid_csv({(3, 4): 0.25, (5, 4): 0.75}).splitlines()
-    lines.insert(line - 1, row)
-    path = tmp_path / "grid.csv"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"line {line}: ") as excinfo:
-        read_grid(path)
-    assert str(excinfo.value).startswith(f"{path}: ")
-
-
-@pytest.mark.parametrize("lines, line", [
-    ([], 1),                                               # empty file
-    (["x,y", "3,4,0.25", "summary,0.25,0.0,0.25,0.25"], 1),  # wrong header
-    (["m,n,value", "3,4,0.25", "5,4,0.75"], 4),            # cut before the summary row
-])
-def test_grid_header_and_summary_name_the_file_and_line(tmp_path, lines, line):
-    path = tmp_path / "grid.csv"
-    path.write_text("".join(row + "\n" for row in lines))
-    with pytest.raises(ValueError, match=f"line {line}: ") as excinfo:
-        read_grid(path)
     assert str(excinfo.value).startswith(f"{path}: ")
 
 

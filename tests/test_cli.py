@@ -12,7 +12,6 @@ from acoustok import initialization
 from acoustok.cli import main
 from acoustok.config import PipelineConfig, config_sha256, dump_config, load_config
 from acoustok.corpus import FeatureSequence, matf_bytes, read_matf
-from acoustok.evalviz import read_grid
 from acoustok.manifest import Manifest, atomic_write_text, file_sha256
 from acoustok.mdnn import read_matn
 from acoustok.pipeline import stage_seed
@@ -214,7 +213,7 @@ class TestConfig:
             if is_dataclass(value):
                 expected |= {(f.name, g.name) for g in fields(value)}
             else:
-                expected.add(("run", "out" if f.name == "out_dir" else f.name))
+                expected.add(("run", f.name))
         assert keys == expected - {("synth", "token_sequences")}
 
 
@@ -423,15 +422,37 @@ class TestStages:
         ("n_speakers", "0", "[synth] n_speakers must be >= 1, got 0"),
         ("bottleneck", "0", "[mdnn] bottleneck must be >= 1, got 0"),
         ("mode", "bogus", "[retrieval] mode must be token, frame or fusion, got 'bogus'"),
-    ], ids=["n_speakers", "bottleneck", "mode"])
+        ("iterations", "0", "[run] iterations must be >= 1, got 0"),
+        ("mr_rounds", "-1", "[run] mr_rounds must be >= 0, got -1"),
+        ("phonetic", "0 4", "[grid] phonetic granularities must be >= 1, got 0"),
+        ("temporal", "0 3", "[grid] temporal granularities must be >= 1, got 0"),
+        ("weights", "1 2 3", "[retrieval] weights: expected two values (token, then frame), got 3"),
+    ], ids=["n_speakers", "bottleneck", "mode", "iterations", "mr_rounds", "phonetic",
+            "temporal", "weights"])
     def test_out_of_range_setting_fails_at_load(self, tmp_path, capsys, key, value, message):
         # TINY_CONFIG leaves these keys at their defaults; spell them out
         text = TINY_CONFIG.replace("[synth]\n", "[synth]\nn_speakers = 2\n").replace(
-            "queries = utt000", "queries = utt000\nmode = token")
+            "queries = utt000", "queries = utt000\nmode = token\nweights = 1 1")
         cfg_path = write_config(tmp_path, text, **{key: value})
         out = tmp_path / "run"
         assert main(["iterate", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"acoustok iterate: {message}\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("argv, message", [
+        (["init", "--iteration", "0"], "argument --iteration: must be >= 1, got 0"),
+        (["mat", "--round", "-1"], "argument --round: must be >= 0, got -1"),
+        (["mr", "--round", "0"], "argument --round: must be >= 1, got 0"),
+        (["iterate", "--iters", "0"], "argument --iters: must be >= 1, got 0"),
+    ], ids=["init-iteration", "mat-round", "mr-round", "iterate-iters"])
+    def test_flag_below_its_minimum_fails_before_any_stage(self, tmp_path, capsys, argv, message):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg_path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
         assert not out.exists()
 
 
@@ -556,8 +577,9 @@ class TestIterate:
         assert main(["viz", "--config", str(cfg2), "--out", str(out2)]) == 0
         assert (out2 / "viz/grid_boundary_f.csv").exists()
         assert (out2 / "viz/cooccurrence_m3_n4.pgm").read_bytes().startswith(b"P5\n")
-        values, summary = read_grid(out2 / "viz/grid_boundary_f.csv")
-        assert summary[2] == max(values.values())
+        *rows, summary = (out2 / "viz/grid_boundary_f.csv").read_text().splitlines()[1:]
+        values = [float(row.split(",")[2]) for row in rows]
+        assert float(summary.split(",")[3]) == max(values)
         maps = sorted((out2 / "viz").glob("speaker_map_*.csv"))
         assert maps
         for path in maps:

@@ -1,3 +1,5 @@
+import wave
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,21 @@ from acoustok.corpus import (
     load_corpus,
     matf_bytes,
     read_matf,
-    save_audio,
     save_corpus,
     synthesize_corpus,
     utterance_stats,
     window_context,
 )
+
+
+def save_audio(path, waveform: Waveform):
+    """Write a waveform as PCM 16-bit mono WAV."""
+    pcm = np.clip(np.round(waveform.samples * 32768.0), -32768, 32767).astype("<i2")
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(waveform.sample_rate)
+        w.writeframes(pcm.tobytes())
 
 
 def make_tone(seconds=1.0, sr=16000, freq=440.0, amp=0.5):
@@ -35,8 +46,6 @@ class TestLoadAudio:
         assert np.max(np.abs(w.samples)) <= 1.0
 
     def test_stereo_rejected(self, tmp_path):
-        import wave
-
         with wave.open(str(tmp_path / "st.wav"), "wb") as f:
             f.setnchannels(2)
             f.setsampwidth(2)

@@ -3,17 +3,22 @@ import pytest
 
 from acoustok.evalviz import (
     CooccurrenceMatrix,
-    boundary_prf,
     cluster_purity_nmi,
     cooccurrence,
     corpus_boundary_prf,
     frame_label_pairs,
     grid_csv,
     pgm_bytes,
-    read_grid,
     speaker_token_map,
 )
 from acoustok.labels import TokenLabelSequence
+
+
+def boundary_prf(hyp, ref, tol):
+    """corpus_boundary_prf on one utterance whose segments are cut at hyp."""
+    cuts = [0, *hyp, max([*hyp, *ref], default=0) + 1]
+    labels = {"u": TokenLabelSequence("u", [(0, a, b) for a, b in zip(cuts, cuts[1:])])}
+    return corpus_boundary_prf(labels, {"u": ref}, tol)
 
 
 class TestBoundaryPrf:
@@ -51,6 +56,11 @@ class TestBoundaryPrf:
         refs = {"u0": [10], "u1": [10]}
         p, r, f = corpus_boundary_prf(labels, refs, tol=2)
         assert (p, r) == (1.0, 0.5)
+
+    def test_negative_tolerance_rejected(self):
+        labels = {"u0": TokenLabelSequence("u0", [(0, 0, 10), (1, 10, 20)])}
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            corpus_boundary_prf(labels, {"u0": [10]}, tol=-1)
 
 
 class TestPurityNmi:
@@ -193,16 +203,17 @@ class TestGrid:
         lines = grid_csv(results).splitlines()
         assert len(lines) == 1 + 16 + 1
 
-    def test_single_level_summary(self, tmp_path):
-        (tmp_path / "g.csv").write_text(grid_csv({(3, 5): 0.75}))
-        _, summary = read_grid(tmp_path / "g.csv")
-        assert summary == (0.75, 0.0, 0.75, 0.75)
+    def test_single_level_summary(self):
+        assert grid_csv({(3, 5): 0.75}) == "m,n,value\n3,5,0.75\nsummary,0.75,0.0,0.75,0.75\n"
 
-    def test_summary_recomputable(self, tmp_path):
+    def test_summary_recomputable(self):
         rng = np.random.default_rng(3)
         results = {(m, n): float(rng.uniform()) for m in (3, 5) for n in (4, 8)}
-        (tmp_path / "g.csv").write_text(grid_csv(results))
-        back, summary = read_grid(tmp_path / "g.csv")
+        _, *rows, last = grid_csv(results).splitlines()
+        back = {(int(m), int(n)): float(v) for m, n, v in (r.split(",") for r in rows)}
+        assert back == results
+        summary = [float(v) for v in last.split(",")[1:]]
+        assert last.startswith("summary,")
         values = np.array([back[k] for k in sorted(back)])
         assert summary[0] == pytest.approx(values.mean(), abs=1e-9)
         assert summary[1] == pytest.approx(values.std(), abs=1e-9)

@@ -156,7 +156,7 @@ class TestTraining:
         grid = GranularityGrid((3, 5), (2, 4))
         sizes = [g.n for g in grid.levels()]
         model = init_mdnn(10, sizes, grid.levels(), MdnnConfig(hidden=(8,), bottleneck=4))
-        assert model.head_sizes == [2, 4, 2, 4]
+        assert [w.shape[1] for w in model.head_weights] == [2, 4, 2, 4]
         assert model.head_keys == grid.levels()
 
 

@@ -245,7 +245,6 @@ class TestMixtureKernel:
 class TestGrid:
     def test_standard_grid_has_16_levels(self):
         grid = GranularityGrid((3, 5, 7, 9), (50, 100, 300, 500))
-        assert grid.n_levels == 16
         assert len(grid.levels()) == 16
 
     def test_increasing_enforced(self):
