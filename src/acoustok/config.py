@@ -17,6 +17,7 @@ from .corpus import FeatureConfig, SynthSpec
 from .initialization import InitConfig
 from .mdnn import MdnnConfig
 from .reinforce import ReinforceConfig
+from .retrieval import valid_fusion_weights
 from .tokenizer import GranularityGrid, TokenizerConfig
 
 
@@ -33,6 +34,9 @@ class RetrievalConfig:
         if self.weights and len(self.weights) != 2:
             raise ValueError(f"weights: expected two values (token, then frame), "
                              f"got {len(self.weights)}")
+        if self.weights and not valid_fusion_weights(self.weights):
+            raise ValueError(f"weights must be non-negative with a positive sum, "
+                             f"got {list(self.weights)}")
 
 
 @dataclass

@@ -12,6 +12,7 @@ detected exactly.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -34,6 +35,14 @@ class ReinforceConfig:
     lda_iters: int = 200
     lda_beta: float = 0.01
     lda_alpha: float | None = None  # 50 / K when None
+
+    def __post_init__(self):
+        if self.lda_iters < 0:
+            raise ValueError(f"lda_iters must be >= 0, got {self.lda_iters}")
+        if self.lda_beta <= 0:
+            raise ValueError(f"lda_beta must be > 0, got {self.lda_beta}")
+        if self.lda_alpha is not None and self.lda_alpha <= 0:
+            raise ValueError(f"lda_alpha must be > 0 when set, got {self.lda_alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,47 +177,130 @@ def lda_fit(docs: list[list[int]], n_topics: int, vocab_size: int,
             cfg: ReinforceConfig | None = None, seed: int = 0) -> LdaModel:
     """Collapsed Gibbs sampling with the usual alpha = 50/K, beta = 0.01 defaults.
 
-    Deterministic given the seed: documents and positions are swept in order
-    and topics drawn by inverse CDF from a single generator.
+    The conditional (n_dk + a)(n_kw + b) / (n_k + V b) of a token's topic is
+    split into three buckets (SparseLDA; Yao, Mimno & McCallum 2009):
+    smoothing a b / (n_k + V b) over every topic, document n_dk b / (n_k + V b)
+    over the document's topics, and word (n_dk + a) n_kw / (n_k + V b) over the
+    word's topics.  So a draw costs the nonzero counts, not K.  The smoothing
+    total is recomputed once per sweep and the document total once per
+    document, and both are updated per token in between.
+
+    Deterministic given the seed: topics start uniform from one generator,
+    documents and positions are swept in order, and each draw takes the next
+    uniform of one rng.random(N) per sweep.
     """
     cfg = cfg or ReinforceConfig()
     if n_topics < 1:
         raise ValueError("need at least one topic")
     if not docs:
         raise ValueError("no documents")
+    K, V = n_topics, vocab_size
+    docs = [list(map(operator.index, doc)) for doc in docs]
+    for d, doc in enumerate(docs):
+        if doc and (min(doc) < 0 or max(doc) >= V):
+            bad = next(w for w in doc if not 0 <= w < V)
+            raise ValueError(f"document {d}: word id {bad} outside [0, {V})")
     alpha = cfg.lda_alpha if cfg.lda_alpha is not None else 50.0 / n_topics
     beta = cfg.lda_beta
     rng = np.random.default_rng(seed)
 
-    K, V = n_topics, vocab_size
-    doc_topic = np.zeros((len(docs), K), dtype=np.int64)
-    topic_word = np.zeros((K, V), dtype=np.int64)
-    topic_total = np.zeros(K, dtype=np.int64)
-    z = [rng.integers(K, size=len(doc)) for doc in docs]
-    for d, doc in enumerate(docs):
-        for i, w in enumerate(doc):
-            k = z[d][i]
-            doc_topic[d, k] += 1
-            topic_word[k, w] += 1
+    # sparse counts: {topic: n_dk} per document, {topic: n_kw} per word
+    z = [rng.integers(K, size=len(doc)).tolist() for doc in docs]
+    doc_topics: list[dict[int, int]] = [{} for _ in docs]
+    word_topics: list[dict[int, int]] = [{} for _ in range(V)]
+    topic_total = [0] * K
+    for doc, zd, nd in zip(docs, z, doc_topics):
+        for w, k in zip(doc, zd):
+            nd[k] = nd.get(k, 0) + 1
+            nw = word_topics[w]
+            nw[k] = nw.get(k, 0) + 1
             topic_total[k] += 1
 
+    vb, ab = V * beta, alpha * beta
+    n_tokens = sum(len(doc) for doc in docs)
+    # per topic: inv[k] = 1 / (n_k + V beta), and coef[k] = (n_dk + alpha) inv[k]
+    # for the document being swept
+    inv = [1.0 / (n + vb) for n in topic_total]
+    coef = [alpha * x for x in inv]
     for _ in range(cfg.lda_iters):
-        for d, doc in enumerate(docs):
-            zd = z[d]
+        uniforms = iter(rng.random(n_tokens).tolist())
+        smooth = ab * sum(inv)
+        for doc, zd, nd in zip(docs, z, doc_topics):
+            dsum = 0.0
+            for k, c in nd.items():
+                coef[k] = (c + alpha) * inv[k]
+                dsum += c * inv[k]
+            dsum *= beta
             for i, w in enumerate(doc):
+                # take the token out: its topic k loses one of n_k, n_dk, n_kw
                 k = zd[i]
-                doc_topic[d, k] -= 1
-                topic_word[k, w] -= 1
+                nw = word_topics[w]
                 topic_total[k] -= 1
-                p = (doc_topic[d] + alpha) * (topic_word[:, w] + beta) / (topic_total + V * beta)
-                cum = np.cumsum(p)
-                k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-                k = min(k, K - 1)
-                zd[i] = k
-                doc_topic[d, k] += 1
-                topic_word[k, w] += 1
-                topic_total[k] += 1
+                old, new = inv[k], 1.0 / (topic_total[k] + vb)
+                inv[k] = new
+                smooth += ab * (new - old)
+                c = nd[k] - 1
+                if c:
+                    nd[k] = c
+                    dsum += beta * (c * new - (c + 1) * old)
+                else:
+                    del nd[k]
+                    dsum = dsum - beta * old if nd else 0.0
+                coef[k] = (c + alpha) * new
+                c = nw[k] - 1
+                if c:
+                    nw[k] = c
+                else:
+                    del nw[k]
 
+                # draw from the word bucket, else the document bucket, else
+                # smoothing; a walk that runs out keeps its last topic, whose
+                # mass is nonzero
+                wsum = 0.0
+                for k, c in nw.items():
+                    wsum += coef[k] * c
+                u = next(uniforms) * (smooth + dsum + wsum)
+                if u < wsum:
+                    for k, c in nw.items():
+                        u -= coef[k] * c
+                        if u < 0:
+                            break
+                else:
+                    u -= wsum
+                    if u < dsum:  # dsum is exactly 0 when nd is empty
+                        for k, c in nd.items():
+                            u -= beta * c * inv[k]
+                            if u < 0:
+                                break
+                    else:
+                        u -= dsum
+                        for k in range(K):
+                            u -= ab * inv[k]
+                            if u < 0:
+                                break
+
+                # put the token back under topic k
+                zd[i] = k
+                topic_total[k] += 1
+                old, new = inv[k], 1.0 / (topic_total[k] + vb)
+                inv[k] = new
+                smooth += ab * (new - old)
+                c = nd.get(k, 0) + 1
+                nd[k] = c
+                dsum += beta * (c * new - (c - 1) * old)
+                coef[k] = (c + alpha) * new
+                nw[k] = nw.get(k, 0) + 1
+            for k in nd:
+                coef[k] = alpha * inv[k]
+
+    doc_topic = np.zeros((len(docs), K), dtype=np.int64)
+    for d, nd in enumerate(doc_topics):
+        for k, c in nd.items():
+            doc_topic[d, k] = c
+    topic_word = np.zeros((K, V), dtype=np.int64)
+    for w, nw in enumerate(word_topics):
+        for k, c in nw.items():
+            topic_word[k, w] = c
     return LdaModel(K, topic_word, doc_topic, alpha, beta, seed)
 
 

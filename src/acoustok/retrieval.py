@@ -172,6 +172,11 @@ def frame_scores(index: RetrievalIndex, query_features: FeatureSequence) -> dict
     }
 
 
+def valid_fusion_weights(weights) -> bool:
+    """No weight is negative and the weights sum above zero."""
+    return min(weights) >= 0 and sum(weights) > 0
+
+
 def fuse_scores(streams: list[dict[str, float]],
                 weights: list[float] | None = None) -> dict[str, float]:
     """Weighted mean of score streams; unweighted by default."""
@@ -181,7 +186,7 @@ def fuse_scores(streams: list[dict[str, float]],
         weights = [1.0] * len(streams)
     if len(weights) != len(streams):
         raise ValueError("one weight per stream required")
-    if min(weights) < 0 or sum(weights) <= 0:
+    if not valid_fusion_weights(weights):
         raise ValueError(f"fusion weights must be non-negative with a positive sum, "
                          f"got {list(weights)}")
     total_w = sum(weights)

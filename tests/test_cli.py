@@ -427,12 +427,21 @@ class TestStages:
         ("phonetic", "0 4", "[grid] phonetic granularities must be >= 1, got 0"),
         ("temporal", "0 3", "[grid] temporal granularities must be >= 1, got 0"),
         ("weights", "1 2 3", "[retrieval] weights: expected two values (token, then frame), got 3"),
+        ("weights", "1 -1",
+         "[retrieval] weights must be non-negative with a positive sum, got [1.0, -1.0]"),
+        ("weights", "0 0",
+         "[retrieval] weights must be non-negative with a positive sum, got [0.0, 0.0]"),
+        ("lda_iters", "-1", "[reinforce] lda_iters must be >= 0, got -1"),
+        ("lda_beta", "0", "[reinforce] lda_beta must be > 0, got 0.0"),
+        ("lda_alpha", "-0.5", "[reinforce] lda_alpha must be > 0 when set, got -0.5"),
     ], ids=["n_speakers", "bottleneck", "mode", "iterations", "mr_rounds", "phonetic",
-            "temporal", "weights"])
+            "temporal", "weights", "weights-negative", "weights-zero-sum", "lda_iters",
+            "lda_beta", "lda_alpha"])
     def test_out_of_range_setting_fails_at_load(self, tmp_path, capsys, key, value, message):
         # TINY_CONFIG leaves these keys at their defaults; spell them out
         text = TINY_CONFIG.replace("[synth]\n", "[synth]\nn_speakers = 2\n").replace(
-            "queries = utt000", "queries = utt000\nmode = token\nweights = 1 1")
+            "queries = utt000", "queries = utt000\nmode = token\nweights = 1 1").replace(
+            "lda_iters = 30\n", "lda_iters = 30\nlda_beta = 0.01\nlda_alpha = \n")
         cfg_path = write_config(tmp_path, text, **{key: value})
         out = tmp_path / "run"
         assert main(["iterate", "--config", str(cfg_path), "--out", str(out)]) == 1
@@ -605,7 +614,7 @@ class TestIterate:
         before = Manifest(run).entries()
         assert main(["std", "--config", str(fusion), "--out", str(run)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("acoustok std: fusion weights must be non-negative")
+        assert err.startswith("acoustok std: [retrieval] weights must be non-negative")
         assert Manifest(run).entries() == before
 
     def test_mr_seeds_come_from_stage_seed(self, full_run):

@@ -1,5 +1,9 @@
+import itertools
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from acoustok.labels import TokenLabelSequence
 from acoustok.reinforce import (
@@ -169,6 +173,26 @@ def disjoint_corpus_docs(n_docs=40, words_per_doc=8, seed=1):
     return docs, groups
 
 
+def exact_count_posterior(docs, K, V, alpha, beta):
+    """P(doc-topic counts, topic-word counts | words) by enumerating every
+    topic assignment, keyed like the sampler's count arrays' bytes."""
+    tokens = [(d, w) for d, doc in enumerate(docs) for w in doc]
+    post = defaultdict(float)
+    for z in itertools.product(range(K), repeat=len(tokens)):
+        doc_topic = np.zeros((len(docs), K), dtype=np.int64)
+        topic_word = np.zeros((K, V), dtype=np.int64)
+        for (d, w), k in zip(tokens, z):
+            doc_topic[d, k] += 1
+            topic_word[k, w] += 1
+        log_p = (gammaln(doc_topic + alpha).sum()
+                 - gammaln(doc_topic.sum(axis=1) + K * alpha).sum()
+                 + gammaln(topic_word + beta).sum()
+                 - gammaln(topic_word.sum(axis=1) + V * beta).sum())
+        post[doc_topic.tobytes() + topic_word.tobytes()] += np.exp(log_p)
+    total = sum(post.values())
+    return {state: p / total for state, p in post.items()}
+
+
 class TestLda:
     def test_single_topic(self):
         docs, _ = disjoint_corpus_docs()
@@ -176,12 +200,15 @@ class TestLda:
         assert np.argmax(model.doc_topic, axis=1).tolist() == [0] * len(docs)
 
     def test_disjoint_vocabulary_pure(self):
+        # at the default alpha = 50/K = 25 the prior outweighs 8-word documents
+        # and about half the seeds mix the groups; at alpha = 1 none does
         docs, groups = disjoint_corpus_docs()
-        model = lda_fit(docs, 2, 10, seed=0)
-        topics = np.argmax(model.doc_topic, axis=1)
-        by_group = [set(topics[np.array(groups) == g]) for g in (0, 1)]
-        assert len(by_group[0]) == 1 and len(by_group[1]) == 1
-        assert by_group[0] != by_group[1]
+        for seed in range(10):
+            model = lda_fit(docs, 2, 10, ReinforceConfig(lda_alpha=1.0), seed=seed)
+            topics = np.argmax(model.doc_topic, axis=1)
+            by_group = [set(topics[np.array(groups) == g]) for g in (0, 1)]
+            assert len(by_group[0]) == 1 and len(by_group[1]) == 1, seed
+            assert by_group[0] != by_group[1], seed
 
     def test_deterministic(self):
         docs, _ = disjoint_corpus_docs()
@@ -200,6 +227,43 @@ class TestLda:
             if complete_data_log_posterior(fit) >= complete_data_log_posterior(init):
                 wins += 1
         assert wins >= 19
+
+    def test_counts_match_the_corpus(self):
+        docs, _ = disjoint_corpus_docs(n_docs=30, words_per_doc=5)
+        docs = docs + [[]] + [[11, 11]]  # an empty document, a word used once
+        V = 14                             # words 10, 12 and 13 never occur
+        freq = np.bincount(np.concatenate(docs).astype(int), minlength=V)
+        for K, alpha in ((1, None), (3, 0.1), (7, None)):
+            model = lda_fit(docs, K, V, ReinforceConfig(lda_iters=5, lda_alpha=alpha), seed=K)
+            assert model.doc_topic.shape == (len(docs), K)
+            assert model.topic_word.shape == (K, V)
+            assert model.doc_topic.sum(axis=1).tolist() == [len(d) for d in docs]
+            assert model.topic_word.sum(axis=0).tolist() == freq.tolist()
+
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 0.2), (None, 0.01)],
+                             ids=["alpha0.3-beta0.2", "defaults"])
+    def test_matches_exact_posterior(self, alpha, beta):
+        # 5 tokens under K = 2: 32 assignments, 24 distinct count states.
+        # 2,000 exact draws from this posterior land at total variation 0.037
+        # (0.3, 0.2) and 0.025 (defaults) on average, at most 0.063 and 0.052
+        # over 2,000 repeats.  Skipping every sweep reads 0.51 and 0.77,
+        # dropping the smoothing bucket 0.86 and 1.00, and dropping the
+        # document bucket 0.31 at (0.3, 0.2).
+        docs, K, V, seeds = [[0, 1, 1], [1, 2]], 2, 3, 2000
+        exact = exact_count_posterior(docs, K, V, 50 / K if alpha is None else alpha, beta)
+        assert len(exact) == 24
+        cfg = ReinforceConfig(lda_iters=10, lda_alpha=alpha, lda_beta=beta)
+        seen = Counter()
+        for seed in range(seeds):
+            model = lda_fit(docs, K, V, cfg, seed=seed)
+            seen[model.doc_topic.tobytes() + model.topic_word.tobytes()] += 1
+        tv = 0.5 * sum(abs(seen[s] / seeds - exact.get(s, 0.0)) for s in exact.keys() | seen.keys())
+        assert tv < 0.08
+
+    @pytest.mark.parametrize("doc", [[0, -1, 1], [0, 2]], ids=["negative", "past-the-end"])
+    def test_word_id_outside_vocabulary_rejected(self, doc):
+        with pytest.raises(ValueError, match=r"document 0: word id -?\d outside \[0, 2\)"):
+            lda_fit([doc], 2, 2, ReinforceConfig(lda_iters=1))
 
     def test_topic_word_distribution_normalized(self):
         docs, _ = disjoint_corpus_docs()
@@ -230,13 +294,15 @@ class TestRelabel:
 
     def test_pure_documents_get_their_topic(self):
         documents, groups = self.make_documents()
-        model = lda_fit(documents.docs, 2, 10, seed=0)
-        labels = relabel(documents, model)
         # all of u0's documents are group 0 and all of u1's are group 1, so
         # each utterance must come out uniformly labeled, with distinct topics
-        assert len(set(labels["u0"].token_ids())) == 1
-        assert len(set(labels["u1"].token_ids())) == 1
-        assert labels["u0"].token_ids()[0] != labels["u1"].token_ids()[0]
+        # (alpha = 1, as in TestLda.test_disjoint_vocabulary_pure)
+        for seed in range(10):
+            model = lda_fit(documents.docs, 2, 10, ReinforceConfig(lda_alpha=1.0), seed=seed)
+            labels = relabel(documents, model)
+            assert len(set(labels["u0"].token_ids())) == 1, seed
+            assert len(set(labels["u1"].token_ids())) == 1, seed
+            assert labels["u0"].token_ids()[0] != labels["u1"].token_ids()[0], seed
 
     def test_output_tiles(self):
         documents, _ = self.make_documents()
