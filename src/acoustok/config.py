@@ -186,4 +186,5 @@ def _format(value) -> str:
 
 
 def config_sha256(cfg: PipelineConfig) -> str:
-    return hashlib.sha256(dump_config(cfg).encode()).hexdigest()
+    """Hash of the canonical text without [run] out, so a moved run resumes."""
+    return hashlib.sha256(dump_config(replace(cfg, out="")).encode()).hexdigest()

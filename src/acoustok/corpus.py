@@ -249,6 +249,23 @@ def utterance_stats(seq: FeatureSequence) -> np.ndarray:
     return np.concatenate([seq.frames.mean(axis=0), seq.frames.std(axis=0)])
 
 
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) cosine similarities of the rows of a and b, clipped to
+    [-1, 1]; a zero-norm row scores 0 against every row."""
+    def unit(x):
+        norms = np.linalg.norm(x, axis=1)
+        return x / np.where(norms > 0, norms, 1.0)[:, None], norms == 0
+
+    unit_a, zero_a = unit(a)
+    # one array given twice stays one operand, which numpy multiplies by its
+    # own transpose into an exactly symmetric product
+    unit_b, zero_b = (unit_a, zero_a) if b is a else unit(b)
+    sim = np.clip(unit_a @ unit_b.T, -1.0, 1.0)
+    sim[zero_a, :] = 0.0
+    sim[:, zero_b] = 0.0
+    return sim
+
+
 # ---------------------------------------------------------------------------
 # synthetic corpora
 # ---------------------------------------------------------------------------
@@ -432,7 +449,8 @@ def save_corpus(directory, corpus: Corpus):
 
 def load_corpus(directory) -> Corpus:
     """The utterances corpus.jsonl lists.  A .matf the index does not list (the
-    index was cut short), or of another shape than its record, raises."""
+    index was cut short) or of another shape than its record, and an utterance
+    listed twice, raise."""
     directory = Path(directory)
     index = directory / "corpus.jsonl"
     records = read_jsonl(index, ("utt", "frames", "dim"))
@@ -440,8 +458,12 @@ def load_corpus(directory) -> Corpus:
     if unlisted:
         raise ValueError(f"{index}: {len(unlisted)} .matf files not listed, "
                          f"the first {unlisted[0]}.matf")
-    utterances = []
+    utterances, lines = [], {}
     for number, r in records:
+        if r["utt"] in lines:
+            raise ValueError(f"{index}: line {number} repeats utterance {r['utt']} "
+                             f"of line {lines[r['utt']]}")
+        lines[r["utt"]] = number
         seq = read_matf(directory / f"{r['utt']}.matf", r["utt"], r.get("frame_shift", 0.010))
         if seq.frames.shape != (r["frames"], r["dim"]):
             raise ValueError(f"{directory / r['utt']}.matf: {seq.n_frames} x {seq.dim} frames, "

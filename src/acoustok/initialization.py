@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .corpus import Corpus, FeatureSequence
+from .corpus import Corpus, FeatureSequence, cosine_similarity
 from .labels import LabelSet, label_set_from_spans, pick_boundaries
 
 
@@ -87,14 +87,9 @@ def segment_words(seq: FeatureSequence, cfg: InitConfig | None = None) -> list[i
 # ---------------------------------------------------------------------------
 
 def cosine_similarity_matrix(frames: np.ndarray) -> np.ndarray:
-    """Raw frame-pair cosine similarities; zero-norm frames score 0, diagonal 1."""
-    norms = np.linalg.norm(frames, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = frames / safe[:, None]
-    sim = np.clip(unit @ unit.T, -1.0, 1.0)
-    sim[norms == 0, :] = 0.0
-    sim[:, norms == 0] = 0.0
-    nz = norms > 0
+    """Frame-pair cosine similarities; zero-norm frames score 0, diagonal 1."""
+    sim = cosine_similarity(frames, frames)
+    nz = np.linalg.norm(frames, axis=1) > 0
     sim[nz, nz] = 1.0
     return sim
 

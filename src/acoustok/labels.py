@@ -82,7 +82,7 @@ def label_set_from_spans(spans: list[tuple[str, int, int]], ids) -> LabelSet:
     return {utt: TokenLabelSequence(utt, segs) for utt, segs in segments.items()}
 
 
-def validate_label_set(labels: LabelSet, frame_counts: dict[str, int], n_tokens: int | None = None):
+def validate_label_set(labels: LabelSet, frame_counts: dict[str, int], n_tokens: int):
     """Check that every utterance is tiled exactly and token ids are in range."""
     for utt, n_frames in frame_counts.items():
         if utt not in labels:
@@ -92,10 +92,9 @@ def validate_label_set(labels: LabelSet, frame_counts: dict[str, int], n_tokens:
             raise ValueError(
                 f"{utt}: labels cover {seq.n_frames} frames, utterance has {n_frames}"
             )
-        if n_tokens is not None:
-            bad = [t for t in seq.token_ids() if t >= n_tokens]
-            if bad:
-                raise ValueError(f"{utt}: token ids {bad} out of range [0, {n_tokens})")
+        bad = [t for t in seq.token_ids() if t >= n_tokens]
+        if bad:
+            raise ValueError(f"{utt}: token ids {bad} out of range [0, {n_tokens})")
 
 
 def labels_to_jsonl(labels: LabelSet) -> str:

@@ -2,9 +2,9 @@
 and a softmax head per level, trained with a uniformly weighted cross-entropy
 objective.  The bottleneck activations are the learned frame-level features.
 
-Everything is plain numpy with an explicit backward pass so training is
-bit-deterministic given (seed, data, config) and the analytic gradients can be
-verified against finite differences.
+Everything is plain numpy, with scipy's softmax, and an explicit backward pass,
+so training is bit-deterministic given (seed, data, config) and the analytic
+gradients can be verified against finite differences.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import softmax
 
 from .corpus import ArtifactReader
 from .labels import LabelSet
@@ -36,9 +37,11 @@ class MdnnConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
-        for name in ("bottleneck", "batch_size"):
+        for name in ("bottleneck", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
 
 
 @dataclass
@@ -75,12 +78,6 @@ def _sigmoid(x):
     return out
 
 
-def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def init_mdnn(input_dim: int, head_sizes: list[int], head_keys: list[Granularity],
               cfg: MdnnConfig | None = None, seed: int = 0) -> MdnnModel:
     """Glorot-uniform weights, zero biases, in a fixed generation order."""
@@ -111,7 +108,7 @@ def _forward(model: MdnnModel, x: np.ndarray):
         acts.append(z if i == last else _sigmoid(z))
     bottleneck = acts[-1]
     head_probs = [
-        _softmax(bottleneck @ W + b)
+        softmax(bottleneck @ W + b, axis=1)
         for W, b in zip(model.head_weights, model.head_biases)
     ]
     return acts, head_probs
@@ -303,8 +300,10 @@ def read_matn(path) -> MdnnModel:
     sizes = list(f.unpack(f"<{n_sizes}I", "layer sizes"))
     (n_heads,) = f.unpack("<I", "head count")
     head_keys, head_sizes = [], []
-    for _ in range(n_heads):
+    for h in range(n_heads):
         m, n, width = f.unpack("<III", "head descriptor")
+        if m < 1 or n < 1:
+            raise ValueError(f"{path}: head {h}: m = {m}, n = {n}: both must be >= 1")
         head_keys.append(Granularity(m, n))
         head_sizes.append(width)
     layer_weights = [f.array((a, b), "layer weights") for a, b in zip(sizes[:-1], sizes[1:])]

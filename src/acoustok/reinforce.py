@@ -37,6 +37,10 @@ class ReinforceConfig:
     lda_alpha: float | None = None  # 50 / K when None
 
     def __post_init__(self):
+        if self.min_gap < 1:
+            raise ValueError(f"min_gap must be >= 1, got {self.min_gap}")
+        if not 0 < self.overlap <= 1:
+            raise ValueError(f"overlap must be in (0, 1], got {self.overlap}")
         if self.lda_iters < 0:
             raise ValueError(f"lda_iters must be >= 0, got {self.lda_iters}")
         if self.lda_beta <= 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .corpus import FeatureSequence
+from .corpus import FeatureSequence, cosine_similarity
 from .tokenizer import GaussState, Granularity, LevelModel, stack_states
 
 
@@ -100,12 +100,7 @@ def subsequence_dtw(cost: np.ndarray) -> float:
 
 def frame_cost_matrix(doc: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Pairwise cosine distance (1 - cosine similarity); zero-norm frames cost 1."""
-    dn = np.linalg.norm(doc, axis=1)
-    qn = np.linalg.norm(query, axis=1)
-    sim = (doc @ query.T) / np.outer(np.where(dn > 0, dn, 1.0), np.where(qn > 0, qn, 1.0))
-    sim[dn == 0, :] = 0.0
-    sim[:, qn == 0] = 0.0
-    return 1.0 - np.clip(sim, -1.0, 1.0)
+    return 1.0 - cosine_similarity(doc, query)
 
 
 def frame_dtw(query: FeatureSequence, doc: FeatureSequence) -> float:

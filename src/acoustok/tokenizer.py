@@ -191,24 +191,24 @@ class TokenizerConfig:
 
 def segment_forward_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
     """Forward log-likelihood of a span: enter state 0, exit from the last state."""
-    return _span_ll(hmm, hmm.emission_matrix(frames), np.logaddexp)
+    return _span_ll(hmm, hmm.emission_matrix(frames))
 
 
-def _span_ll(hmm: TokenHmm, emis: np.ndarray, combine) -> float:
-    """Span log-likelihood from its (L, m) emissions, -inf if L < m; combine as in _alpha."""
+def _span_ll(hmm: TokenHmm, emis: np.ndarray) -> float:
+    """Span forward log-likelihood from its (L, m) emissions, -inf if L < m."""
     log_self, log_adv = hmm.log_transitions()
-    return float(_alpha(emis, log_self, log_adv, combine)[-1, -1] + log_adv[-1])
+    return float(_alpha(emis, log_self, log_adv)[-1, -1] + log_adv[-1])
 
 
-def _alpha(emis: np.ndarray, log_self: np.ndarray, log_adv: np.ndarray, combine) -> np.ndarray:
-    """(L, m) left-to-right recursion entering state 0; combine is np.logaddexp
-    for the forward sum over paths, np.maximum for the best path."""
+def _alpha(emis: np.ndarray, log_self: np.ndarray, log_adv: np.ndarray) -> np.ndarray:
+    """(L, m) left-to-right forward recursion entering state 0: the log-sum over
+    the paths that reach each state at each frame."""
     L, m = emis.shape
     alpha = np.full((L, m), -np.inf)
     alpha[0, 0] = emis[0, 0]
     for t in range(1, L):
         move = np.concatenate(([-np.inf], alpha[t - 1, :-1] + log_adv[:-1]))
-        alpha[t] = combine(alpha[t - 1] + log_self, move) + emis[t]
+        alpha[t] = np.logaddexp(alpha[t - 1] + log_self, move) + emis[t]
     return alpha
 
 
@@ -222,7 +222,7 @@ def _forward_backward(hmm: TokenHmm, emis: np.ndarray):
     """
     L, m = emis.shape
     log_self, log_adv = hmm.log_transitions()
-    alpha = _alpha(emis, log_self, log_adv, np.logaddexp)
+    alpha = _alpha(emis, log_self, log_adv)
     ll = alpha[L - 1, m - 1] + log_adv[m - 1]
     if not np.isfinite(ll):
         gamma, stay, move = _uniform_alignment(L, m)
@@ -294,33 +294,29 @@ def _m_step(hmm: TokenHmm, resp: np.ndarray, frames: np.ndarray, stay: np.ndarra
     return TokenHmm(hmm.token_id, states, trans)
 
 
-def _flat_start_token(token_id, frames, edges, m, var_floor, global_mean, global_var):
-    """Initial single-Gaussian model from a uniform state alignment of the
-    spans frames[edges[i]:edges[i + 1]].
+def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
+                     cfg: TokenizerConfig | None = None) -> LevelModel:
+    """The model EM starts from: every token's states fitted to a uniform state
+    alignment of its spans, with no reestimation.
 
     A template state has one component, so each frame's whole weight goes to
     it and no density is evaluated.  States that no span reaches keep the
     template's global statistics.
     """
-    template = TokenHmm(token_id, [GaussState.single(global_mean, global_var) for _ in range(m)],
-                        np.full((m, 2), 0.5))
-    gamma, stay, move = np.empty((len(frames), m)), np.zeros(m), np.zeros(m)
-    for a, b in zip(edges[:-1], edges[1:]):
-        gamma[a:b], span_stay, span_move = _uniform_alignment(b - a, m)
-        stay, move = stay + span_stay, move + span_move
-    return _m_step(template, gamma[:, :, None], frames, stay, move, var_floor)
-
-
-def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
-                     cfg: TokenizerConfig | None = None) -> LevelModel:
-    """The model EM would start from: uniform alignments, no reestimation."""
     cfg = cfg or TokenizerConfig()
     spans = _collect_spans(corpus, labels, g.n)
     global_mean, global_var = _global_stats(corpus)
-    var_floor = cfg.var_floor_frac * global_var
-    hmms = [_flat_start_token(i, *spans[i], g.m, var_floor, global_mean, global_var)
-            for i in range(g.n)]
-    return LevelModel(g, hmms, _estimate_prior(labels, g.n))
+    hmms = []
+    for token, (frames, edges) in enumerate(spans):
+        template = TokenHmm(token, [GaussState.single(global_mean, global_var)
+                                    for _ in range(g.m)], np.full((g.m, 2), 0.5))
+        gamma, stay, move = np.empty((len(frames), g.m)), np.zeros(g.m), np.zeros(g.m)
+        for a, b in zip(edges[:-1], edges[1:]):
+            gamma[a:b], span_stay, span_move = _uniform_alignment(b - a, g.m)
+            stay, move = stay + span_stay, move + span_move
+        hmms.append(_m_step(template, gamma[:, :, None], frames, stay, move,
+                            cfg.var_floor_frac * global_var))
+    return LevelModel(g, hmms, _estimate_prior(spans))
 
 
 def _collect_spans(corpus: Corpus, labels: LabelSet, n: int
@@ -346,13 +342,11 @@ def _global_stats(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     return frames.mean(axis=0), np.maximum(frames.var(axis=0), 1e-8)
 
 
-def _estimate_prior(labels: LabelSet, n: int) -> np.ndarray:
-    counts = np.zeros(n)
-    for seq in labels.values():
-        for token, _, _ in seq.segments:
-            counts[token] += 1
+def _estimate_prior(spans: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Unigram prior from _collect_spans' per-token span counts."""
+    counts = np.array([len(edges) - 1 for _, edges in spans], dtype=float)
     total = counts.sum()
-    return counts / total if total > 0 else np.full(n, 1.0 / n)
+    return counts / total if total > 0 else np.full(len(spans), 1.0 / len(spans))
 
 
 def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
@@ -360,25 +354,23 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
                      init_model: LevelModel | None = None) -> LevelModel:
     """Fit the n token HMMs to the labeled spans by per-token EM.
 
-    Warm-starts from init_model when given (otherwise from a uniform-alignment
-    flat start), so successive calls within the alternation cannot decrease the
+    Warm-starts from init_model when given (otherwise from flat_start_model),
+    so successive calls within the alternation cannot decrease the
     likelihood of the training labels.  Tokens with no assigned spans are
     reseeded from a perturbed copy of the most populous token's model.
     """
     cfg = cfg or TokenizerConfig()
     validate_label_set(labels, corpus.frame_counts(), g.n)
     spans = _collect_spans(corpus, labels, g.n)
-    global_mean, global_var = _global_stats(corpus)
-    var_floor = cfg.var_floor_frac * global_var
+    var_floor = cfg.var_floor_frac * _global_stats(corpus)[1]
+    if init_model is None:
+        init_model = flat_start_model(corpus, labels, g, cfg)
 
     split_at = set(cfg.mixture_schedule)
     hmms: list[TokenHmm] = []
     for token in range(g.n):
         frames, edges = spans[token]
-        if init_model is not None:
-            hmm = init_model.hmms[token]  # read only: EM builds new states
-        else:
-            hmm = _flat_start_token(token, frames, edges, g.m, var_floor, global_mean, global_var)
+        hmm = init_model.hmms[token]  # read only: EM builds new states
         if not len(frames):
             hmms.append(hmm)  # reseeded afterwards
             continue
@@ -410,7 +402,7 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
             donor = hmms[populous]
             hmms[token] = TokenHmm(int(token), [s.perturbed(cfg.reseed_scale)
                                                 for s in donor.states], donor.transitions.copy())
-    return LevelModel(g, hmms, _estimate_prior(labels, g.n))
+    return LevelModel(g, hmms, _estimate_prior(spans))
 
 
 # ---------------------------------------------------------------------------
@@ -485,29 +477,22 @@ def decode_level(model: LevelModel, corpus: Corpus,
 
 
 def corpus_log_likelihood(model: LevelModel, corpus: Corpus, labels: LabelSet,
-                          lm_scale: float = 1.0, method: str = "forward") -> float:
-    """Sum over segments of the span log-likelihood plus scaled prior terms.
-
-    method "forward" sums over state alignments; "viterbi" takes the best one
-    (the quantity the decoder maximizes).
-    """
-    combine = {"forward": np.logaddexp, "viterbi": np.maximum}.get(method)
-    if combine is None:
-        raise ValueError(f"unknown likelihood method {method!r}: expected 'forward' or 'viterbi'")
+                          lm_scale: float = 1.0) -> float:
+    """Sum over segments of the span forward log-likelihood plus scaled prior terms."""
     total = 0.0
     for utt in corpus.ids():
         if utt not in labels:
             raise ValueError(f"missing labels for {utt}")
         table = _emission_table(model, corpus[utt].frames)
-        total = _add_segment_lls(total, model, table, labels[utt].segments, lm_scale, combine)
+        total = _add_segment_lls(total, model, table, labels[utt].segments, lm_scale)
     return float(total)
 
 
-def _add_segment_lls(total, model: LevelModel, emis, segments, lm_scale, combine=np.logaddexp):
+def _add_segment_lls(total, model: LevelModel, emis, segments, lm_scale):
     """total plus, added one by one, each segment's span LL and prior from a (T, n, m) table."""
     log_prior = model.log_prior(lm_scale)
     for token, start, end in segments:
-        total += _span_ll(model.hmms[token], emis[start:end, token], combine) + log_prior[token]
+        total += _span_ll(model.hmms[token], emis[start:end, token]) + log_prior[token]
     return total
 
 
@@ -590,11 +575,16 @@ def matm_bytes(model: LevelModel) -> bytes:
 def read_matm(path) -> LevelModel:
     f = ArtifactReader(path, MATM_MAGIC, MATM_VERSION)
     m, n, d = f.unpack("<III", "header")
+    if m < 1 or n < 1:
+        raise ValueError(f"{path}: header m = {m}, n = {n}: both must be >= 1")
     hmms = []
     for token in range(n):
         states = []
-        for _ in range(m):
+        for s in range(m):
             (c,) = f.unpack("<I", "component count")
+            if c < 1:
+                raise ValueError(f"{path}: token {token} state {s}: component count 0, "
+                                 "must be >= 1")
             weights = f.array((c,), "weights")
             means = f.array((c, d), "means")
             variances = f.array((c, d), "variances")

@@ -217,3 +217,44 @@ def test_matf_of_another_shape_than_its_record_names_the_file(tmp_path):
     with pytest.raises(ValueError, match=match) as excinfo:
         load_corpus(tmp_path)
     assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def test_corpus_index_listing_an_utterance_twice_names_the_file_and_line(tmp_path):
+    path, read = _corpus_dir(tmp_path)
+    text = path.read_text()
+    path.write_text(text + text[:text.index("\n") + 1])  # the first line again, as line 3
+    with pytest.raises(ValueError, match="line 3 repeats utterance utt000 of line 1") as excinfo:
+        read(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def _matm_header(m, n, d):
+    return b"MATM" + struct.pack("<IIII", 1, m, n, d)
+
+
+# files whose every field is in place, but a count is 0: a .matm with m = 0 (no
+# states, so empty transitions) or n = 0 (no tokens, an empty prior), a .matm
+# whose first state holds 0 components, and a .matn head of m = 0 or n = 0
+ZERO_COUNTS = pytest.mark.parametrize("suffix, make, read, match", [
+    ("matm", lambda: _matm_header(0, 1, 2) + struct.pack("<d", 1.0), read_matm,
+     "header m = 0, n = 1: both must be >= 1"),
+    ("matm", lambda: _matm_header(1, 0, 2), read_matm, "header m = 1, n = 0: both must be >= 1"),
+    # the first state's count (at byte 20) set to 0 and its one component's
+    # weight, means and variances (40 bytes) dropped
+    ("matm", lambda: tiny_matm()[:20] + struct.pack("<I", 0) + tiny_matm()[64:], read_matm,
+     "token 0 state 0: component count 0, must be >= 1"),
+    # the head descriptor (m, n, width) sits at byte 36 of the tiny network
+    ("matn", lambda: tiny_matn()[:36] + struct.pack("<I", 0) + tiny_matn()[40:], read_matn,
+     "head 0: m = 0, n = 2: both must be >= 1"),
+    ("matn", lambda: tiny_matn()[:40] + struct.pack("<I", 0) + tiny_matn()[44:], read_matn,
+     "head 0: m = 2, n = 0: both must be >= 1"),
+], ids=["matm-m", "matm-n", "matm-components", "matn-head-m", "matn-head-n"])
+
+
+@ZERO_COUNTS
+def test_zero_count_names_the_file(tmp_path, suffix, make, read, match):
+    path = tmp_path / f"tiny.{suffix}"
+    path.write_bytes(make())
+    with pytest.raises(ValueError) as excinfo:
+        read(path)
+    assert str(excinfo.value) == f"{path}: {match}"

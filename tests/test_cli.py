@@ -434,14 +434,21 @@ class TestStages:
         ("lda_iters", "-1", "[reinforce] lda_iters must be >= 0, got -1"),
         ("lda_beta", "0", "[reinforce] lda_beta must be > 0, got 0.0"),
         ("lda_alpha", "-0.5", "[reinforce] lda_alpha must be > 0 when set, got -0.5"),
+        ("overlap", "5", "[reinforce] overlap must be in (0, 1], got 5.0"),
+        ("overlap", "0", "[reinforce] overlap must be in (0, 1], got 0.0"),
+        ("min_gap", "-3", "[reinforce] min_gap must be >= 1, got -3"),
+        ("epochs", "0", "[mdnn] epochs must be >= 1, got 0"),
+        ("hidden", "16 0", "[mdnn] hidden widths must be >= 1, got [16, 0]"),
     ], ids=["n_speakers", "bottleneck", "mode", "iterations", "mr_rounds", "phonetic",
             "temporal", "weights", "weights-negative", "weights-zero-sum", "lda_iters",
-            "lda_beta", "lda_alpha"])
+            "lda_beta", "lda_alpha", "overlap-above-1", "overlap-zero", "min_gap",
+            "epochs", "hidden"])
     def test_out_of_range_setting_fails_at_load(self, tmp_path, capsys, key, value, message):
         # TINY_CONFIG leaves these keys at their defaults; spell them out
         text = TINY_CONFIG.replace("[synth]\n", "[synth]\nn_speakers = 2\n").replace(
             "queries = utt000", "queries = utt000\nmode = token\nweights = 1 1").replace(
-            "lda_iters = 30\n", "lda_iters = 30\nlda_beta = 0.01\nlda_alpha = \n")
+            "lda_iters = 30\n",
+            "lda_iters = 30\nlda_beta = 0.01\nlda_alpha = \noverlap = 0.5\nmin_gap = 2\n")
         cfg_path = write_config(tmp_path, text, **{key: value})
         out = tmp_path / "run"
         assert main(["iterate", "--config", str(cfg_path), "--out", str(out)]) == 1
@@ -557,6 +564,14 @@ class TestIterate:
                      "--out", str(out)]) == 0
         assert len(Manifest(out).entries()) == before
 
+    def test_moved_run_resumes(self, full_run, tmp_path):
+        cfg_path, out = full_run
+        run = tmp_path / "moved"
+        shutil.copytree(out, run)
+        before = len(Manifest(run).entries())
+        assert main(["iterate", "--config", str(cfg_path), "--out", str(run)]) == 0
+        assert len(Manifest(run).entries()) == before
+
     def test_std_eval_viz(self, full_run, tmp_path_factory):
         cfg_path, out = full_run
         assert main(["std", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -635,7 +650,8 @@ class TestIterate:
                                                        stage, labels):
         cfg_path, out = full_run
         run = tmp_path / "run"
-        shutil.copytree(out, run)  # another out directory, so every stage re-runs
+        shutil.copytree(out, run)
+        (run / "manifest.jsonl").unlink()  # so every stage re-runs
         path = run / labels
         kept = [line for line in path.read_text().splitlines(keepends=True)
                 if '"utt003"' not in line]
@@ -649,6 +665,7 @@ class TestIterate:
         cfg_path, out = full_run
         run = tmp_path / "run"
         shutil.copytree(out, run)
+        (run / "manifest.jsonl").unlink()  # so every stage re-runs
         path = run / "iter1/bnf/utt003.matf"
         data = bytearray(path.read_bytes())
         data[12:16] = struct.pack("<f", float("nan"))  # the first frame value

@@ -3,10 +3,12 @@ import pytest
 from scipy.special import logsumexp
 
 from acoustok.corpus import FeatureSequence
+from acoustok.initialization import cosine_similarity_matrix
 from acoustok.tokenizer import GaussState, Granularity, LevelModel, TokenHmm
 from acoustok.retrieval import (
     RankedList,
     RetrievalIndex,
+    frame_cost_matrix,
     frame_dtw,
     fuse_scores,
     matching_matrix,
@@ -267,6 +269,16 @@ class TestFrameDtw:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimensions differ"):
             frame_dtw(FeatureSequence(np.zeros((3, 4))), FeatureSequence(np.zeros((3, 5))))
+
+    def test_cost_is_the_bootstrap_similarity_kernel(self):
+        """The frame search and the bootstrap dotplot share one cosine kernel:
+        off the diagonal, the cost is exactly 1 - the dotplot's similarity."""
+        x = np.random.default_rng(12).normal(size=(30, 39))
+        x[7] = 0.0  # a zero-norm frame
+        off = ~np.eye(len(x), dtype=bool)
+        cost = frame_cost_matrix(x, x)
+        assert np.array_equal(cost[off], (1.0 - cosine_similarity_matrix(x))[off])
+        assert np.all(cost[7] == 1.0) and np.all(cost[:, 7] == 1.0)
 
 
 def toy_index():

@@ -1,0 +1,73 @@
+"""Every function, class and method in the package is run by the package
+itself, apart from a short list of named exceptions: one implementation per
+algorithm, and no helper that only the tests call."""
+
+import ast
+from pathlib import Path
+
+from acoustok.cli import COMMANDS
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "acoustok").glob("*.py"))
+
+# qualified name -> why the package may leave it uncalled
+ALLOWED_UNREFERENCED = {
+    "save_corpus": "bench/ writes its inputs with it",
+    "write_ground_truth": "bench/ writes its truth file with it",
+    "Manifest.output_hashes": "bench/ compares run digests with it",
+    "GaussState.log_density": "bench/ traces and times it",
+    "segment_forward_ll": "bench/ times it",
+    "decode_level": "acceptance criterion 2's decoder; bench/ traces it",
+    "state_kl": "acceptance criterion 5's pairwise distance; bench/ traces it",
+    "corpus_log_likelihood": "the check on run_level's trace; bench/ traces it",
+    "read_matl": "the MATL format's reader, kept with its writer",
+    "complete_data_log_posterior": "the LDA's convergence metric, for run telemetry",
+}
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, bare name) of every top-level function and class and
+    every method; dunder methods, which Python calls by protocol, are left out."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return found
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Every name loaded or attribute accessed in a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unreferenced(sources) -> set[str]:
+    trees = [ast.parse(path.read_text(), str(path)) for path in sources]
+    used = set().union(*map(references, trees)) | {f"cmd_{name}" for name in COMMANDS}
+    return {qualified for tree in trees for qualified, bare in definitions(tree)
+            if bare not in used}
+
+
+def test_only_the_listed_names_go_unreferenced():
+    assert unreferenced(SOURCES) == set(ALLOWED_UNREFERENCED)
+
+
+def test_guard_sees_methods_and_dispatch(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "class A:\n"
+        "    def __init__(self): self.used()\n"
+        "    def used(self): pass\n"
+        "    def idle(self): pass\n"
+        "def cmd_synth(ctx): pass\n"
+        "def cmd_bogus(ctx): pass\n"
+        "def helper(): return A()\n")
+    assert unreferenced([source]) == {"A.idle", "cmd_bogus", "helper"}
