@@ -298,12 +298,16 @@ def read_matn(path) -> MdnnModel:
     (seed,) = f.unpack("<q", "seed")
     (n_sizes,) = f.unpack("<I", "layer count")
     sizes = list(f.unpack(f"<{n_sizes}I", "layer sizes"))
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ValueError(f"{path}: layer sizes {sizes}: need at least 2, each >= 1")
     (n_heads,) = f.unpack("<I", "head count")
     head_keys, head_sizes = [], []
     for h in range(n_heads):
         m, n, width = f.unpack("<III", "head descriptor")
         if m < 1 or n < 1:
             raise ValueError(f"{path}: head {h}: m = {m}, n = {n}: both must be >= 1")
+        if width != n:
+            raise ValueError(f"{path}: head {h}: width {width} != n = {n}")
         head_keys.append(Granularity(m, n))
         head_sizes.append(width)
     layer_weights = [f.array((a, b), "layer weights") for a, b in zip(sizes[:-1], sizes[1:])]

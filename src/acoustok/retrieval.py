@@ -15,10 +15,9 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .corpus import FeatureSequence, cosine_similarity
-from .tokenizer import GaussState, Granularity, LevelModel, stack_states
+from .tokenizer import GaussState, Granularity, LevelModel, logsumexp, stack_states
 
 
 # ---------------------------------------------------------------------------

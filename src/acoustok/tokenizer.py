@@ -16,6 +16,17 @@ The E-step accumulates once per token: every span's alignment, from
 forward-backward or, for a span no path traverses, the uniform alignment the
 flat start also uses, fills one (N, m) occupancy table over the token's stacked
 frames, and one M-step reduces it with the component posteriors.
+
+Each recursion runs once per batch of rows, not once per span or utterance.
+The E-step's forward-backward runs over a token's spans padded into one
+time-major (L, B, m) emission array, -inf past each span's end.  Decoding runs
+one token-loop Viterbi over a batch of consecutive utterances' padded
+(T, U, n, m) tables, and the likelihood trace scores every segment of the batch
+in one forward pass, each row with its own token's transitions.  A batch's
+tables and its padded copy stay under BATCH_BYTES.  The batched recursions
+repeat the per-row element-wise operations, and sums over frames and over
+spans add their terms in order, so the results do not depend on how rows are
+batched.  `logsumexp` is the package's one log-sum-exp.
 """
 
 from __future__ import annotations
@@ -24,7 +35,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .corpus import ArtifactReader, Corpus
 from .labels import LabelSet, TokenLabelSequence, validate_label_set
@@ -167,6 +177,10 @@ class LevelModel:
     def log_prior(self, lm_scale: float = 1.0) -> np.ndarray:
         return lm_scale * np.log(np.maximum(self.prior, PRIOR_FLOOR))
 
+    def log_transitions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, m) log self-loop and advance probabilities of every token."""
+        return tuple(map(np.stack, zip(*(h.log_transitions() for h in self.hmms))))
+
 
 @dataclass
 class TokenizerConfig:
@@ -186,60 +200,139 @@ class TokenizerConfig:
 
 
 # ---------------------------------------------------------------------------
-# segment-level forward / backward / viterbi
+# padded rows: one recursion per batch of spans or utterances
 # ---------------------------------------------------------------------------
 
-def segment_forward_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
-    """Forward log-likelihood of a span: enter state 0, exit from the last state."""
-    return _span_ll(hmm, hmm.emission_matrix(frames))
+# bytes a batch of rows may take: its tables, as stacked, plus their padded
+# (longest, rows) copy; a batch holds at least one row, however long
+BATCH_BYTES = 64 << 20
 
 
-def _span_ll(hmm: TokenHmm, emis: np.ndarray) -> float:
-    """Span forward log-likelihood from its (L, m) emissions, -inf if L < m."""
-    log_self, log_adv = hmm.log_transitions()
-    return float(_alpha(emis, log_self, log_adv)[-1, -1] + log_adv[-1])
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along axis, by scipy.special.logsumexp's real-valued
+    formula (scipy 1.17), with which it agrees bit for bit: the maxima are
+    taken out of the sum as log1p(s / count) + log(count) + max, and where that
+    is not finite the direct log(sum(exp(a))) stands."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a, axis=axis, keepdims=True)
+        at_top = a == top
+        count = np.sum(at_top, axis=axis, keepdims=True, dtype=a.dtype)
+        rest = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), axis=axis, keepdims=True)
+        out = np.log1p(np.where(rest == 0, rest, rest / count)) + np.log(count) + top
+        direct = ~np.isfinite(out)
+        if direct.any():
+            out = np.where(direct, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
+    return np.squeeze(out, axis=axis)
+
+
+def _batches(lengths: np.ndarray, cell_bytes: int) -> list[slice]:
+    """Consecutive rows cut into batches of at most BATCH_BYTES, counting
+    cell_bytes per cell of the rows (lengths[i] cells each) and of their
+    padded copy."""
+    batches, start, total, longest = [], 0, 0, 0
+    for i, length in enumerate(lengths.tolist()):
+        total, longest = total + length, max(longest, length)
+        if i > start and (total + longest * (i + 1 - start)) * cell_bytes > BATCH_BYTES:
+            batches.append(slice(start, i))
+            start, total, longest = i, length, length
+    if len(lengths):
+        batches.append(slice(start, len(lengths)))
+    return batches
+
+
+def _pad(stacked: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The (longest, B, ...) time-major copy, -inf where padded, of B rows
+    stacked along axis 0, row b holding lengths[b] entries; and the (time, row)
+    index of every stacked entry, which gathers the copy back."""
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    time = np.arange(len(stacked)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    padded = np.full((lengths.max(), len(lengths)) + stacked.shape[1:], -np.inf)
+    padded[time, rows] = stacked
+    return padded, (time, rows)
+
+
+def _ordered_sum(values: np.ndarray):
+    """Sum along axis 0 one term at a time, first to last, as a running total
+    adds them; numpy's own sum may pair them up."""
+    return np.add.accumulate(values, axis=0)[-1] if len(values) else np.zeros(values.shape[1:])
 
 
 def _alpha(emis: np.ndarray, log_self: np.ndarray, log_adv: np.ndarray) -> np.ndarray:
-    """(L, m) left-to-right forward recursion entering state 0: the log-sum over
-    the paths that reach each state at each frame."""
-    L, m = emis.shape
-    alpha = np.full((L, m), -np.inf)
-    alpha[0, 0] = emis[0, 0]
+    """(L, B, m) left-to-right forward recursion over B padded rows of
+    emissions, each entering state 0 at its first frame: the log-sum over the
+    paths that reach each state at each frame.  The log transitions are one
+    token's (m,) or each row's (B, m); a row's -inf padding keeps its alpha
+    -inf after its last frame."""
+    L, B, m = emis.shape
+    alpha = np.full((L, B, m), -np.inf)
+    alpha[0, :, 0] = emis[0, :, 0]
+    move = np.full((B, m), -np.inf)
     for t in range(1, L):
-        move = np.concatenate(([-np.inf], alpha[t - 1, :-1] + log_adv[:-1]))
+        move[:, 1:] = alpha[t - 1, :, :-1] + log_adv[..., :-1]
         alpha[t] = np.logaddexp(alpha[t - 1] + log_self, move) + emis[t]
     return alpha
 
 
-def _forward_backward(hmm: TokenHmm, emis: np.ndarray):
-    """Alignment of one span from its (L, m) emissions: (ll, gamma, stay, move).
-
-    gamma is the (L, m) state occupancy; stay and move are the (m,) expected
-    self-loop and advance counts, the exit from the last state included.  A
-    span no path traverses (shorter than m, or of zero likelihood) gets the
-    uniform alignment, scored along it.
-    """
-    L, m = emis.shape
-    log_self, log_adv = hmm.log_transitions()
-    alpha = _alpha(emis, log_self, log_adv)
-    ll = alpha[L - 1, m - 1] + log_adv[m - 1]
-    if not np.isfinite(ll):
-        gamma, stay, move = _uniform_alignment(L, m)
-        return float(emis[gamma > 0].sum() + stay @ log_self + move @ log_adv), gamma, stay, move
-    beta = np.full((L, m), -np.inf)
-    beta[L - 1, m - 1] = log_adv[m - 1]
+def _beta(emis: np.ndarray, last: np.ndarray, log_self: np.ndarray,
+          log_adv: np.ndarray) -> np.ndarray:
+    """(L, B, m) backward recursion of one token over B padded rows of
+    emissions, row b leaving by the exit at its last frame last[b]."""
+    L, B, m = emis.shape
+    beta = np.full((L, B, m), -np.inf)
+    beta[last, np.arange(B), m - 1] = log_adv[m - 1]
+    move = np.full((B, m), -np.inf)
     for t in range(L - 2, -1, -1):
         stay = log_self + emis[t + 1] + beta[t + 1]
-        move = np.concatenate((log_adv[:-1] + emis[t + 1, 1:] + beta[t + 1, 1:], [-np.inf]))
-        beta[t] = np.logaddexp(stay, move)
-    gamma = np.exp(alpha + beta - ll)
-    stay = np.exp(alpha[:-1] + log_self + emis[1:] + beta[1:] - ll).sum(axis=0)
-    move = np.zeros(m)
-    move[:-1] = np.exp(alpha[:-1, :-1] + log_adv[:-1] + emis[1:, 1:]
-                       + beta[1:, 1:] - ll).sum(axis=0)
-    move[-1] = gamma[-1, -1]
-    return float(ll), gamma, stay, move
+        move[:, :-1] = log_adv[:-1] + emis[t + 1, :, 1:] + beta[t + 1, :, 1:]
+        np.copyto(beta[t], np.logaddexp(stay, move), where=(t < last)[:, None])
+    return beta
+
+
+def segment_forward_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
+    """Forward log-likelihood of a span: enter state 0, exit from the last state."""
+    log_self, log_adv = hmm.log_transitions()
+    alpha = _alpha(hmm.emission_matrix(frames)[:, None], log_self, log_adv)
+    return float(alpha[-1, 0, -1] + log_adv[-1])
+
+
+def _e_step(hmm: TokenHmm, emis: np.ndarray, edges: np.ndarray):
+    """Alignment of a token's spans from their stacked (N, m) emissions, span i
+    being emis[edges[i]:edges[i + 1]]: (ll, gamma, stay, move).
+
+    gamma is the (N, m) state occupancy; stay and move are the (m,) expected
+    self-loop and advance counts, the exit from the last state included.  ll,
+    stay and move add up the spans' own in span order.  A span no path
+    traverses (shorter than m, or of zero likelihood) gets the uniform
+    alignment, scored along it.  Forward and backward run once per batch of
+    spans, over their padded (L, B, m) emissions.
+    """
+    m = hmm.m
+    log_self, log_adv = hmm.log_transitions()
+    lengths = np.diff(edges)
+    gamma = np.empty_like(emis)
+    B = len(lengths)
+    lls, stays, moves = np.empty(B), np.empty((B, m)), np.empty((B, m))
+    for batch in _batches(lengths, 8 * m):
+        rows = slice(edges[batch.start], edges[batch.stop])
+        padded, index = _pad(emis[rows], lengths[batch])
+        last, spans = lengths[batch] - 1, np.arange(batch.stop - batch.start)
+        alpha = _alpha(padded, log_self, log_adv)
+        beta = _beta(padded, last, log_self, log_adv)
+        lls[batch] = alpha[last, spans, m - 1] + log_adv[m - 1]
+        # a span no path traverses is realigned below; a 0 shift keeps its
+        # exponents at -inf, where its own -inf would give NaN
+        shift = np.where(np.isfinite(lls[batch]), lls[batch], 0.0)[:, None]
+        occupancy = np.exp(alpha + beta - shift)
+        gamma[rows] = occupancy[index]
+        stays[batch] = np.exp(alpha[:-1] + log_self + padded[1:] + beta[1:] - shift).sum(axis=0)
+        moves[batch, :-1] = np.exp(alpha[:-1, :, :-1] + log_adv[:-1] + padded[1:, :, 1:]
+                                   + beta[1:, :, 1:] - shift).sum(axis=0)
+        moves[batch, -1] = occupancy[last, spans, m - 1]
+    for i in np.flatnonzero(~np.isfinite(lls)):
+        a, b = edges[i], edges[i + 1]
+        gamma[a:b], stays[i], moves[i] = _uniform_alignment(b - a, m)
+        lls[i] = emis[a:b][gamma[a:b] > 0].sum() + stays[i] @ log_self + moves[i] @ log_adv
+    return float(_ordered_sum(lls)), gamma, _ordered_sum(stays), _ordered_sum(moves)
 
 
 def _uniform_alignment(length: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -383,11 +476,7 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
                                        for s in hmm.states], hmm.transitions.copy())
                 prev_ll = None  # mixture count changed, restart convergence check
             emis, post = _span_posteriors(hmm, frames)
-            gamma, stay, move = np.empty((len(frames), g.m)), np.zeros(g.m), np.zeros(g.m)
-            ll = 0.0
-            for a, b in zip(edges[:-1], edges[1:]):
-                span_ll, gamma[a:b], span_stay, span_move = _forward_backward(hmm, emis[a:b])
-                ll, stay, move = ll + span_ll, stay + span_stay, move + span_move
+            ll, gamma, stay, move = _e_step(hmm, emis, edges)
             hmm = _m_step(hmm, gamma[:, :, None] * post, frames, stay, move, var_floor)
             if prev_ll is not None:
                 if abs(ll - prev_ll) / max(1.0, abs(prev_ll)) < cfg.em_tol:
@@ -406,7 +495,7 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
 
 
 # ---------------------------------------------------------------------------
-# decoding
+# decoding and the likelihood trace
 # ---------------------------------------------------------------------------
 
 def _emission_table(model: LevelModel, frames: np.ndarray) -> np.ndarray:
@@ -415,44 +504,60 @@ def _emission_table(model: LevelModel, frames: np.ndarray) -> np.ndarray:
     return np.stack([h.emission_matrix(frames) for h in model.hmms], axis=1)
 
 
-def decode_utterance(model: LevelModel, frames: np.ndarray, lm_scale: float = 1.0) -> list:
-    """Token-loop Viterbi: any token may follow any token, weighted by the prior."""
-    return _viterbi_tokens(model, _emission_table(model, frames), lm_scale)
+def _table_groups(model: LevelModel, corpus: Corpus):
+    """Consecutive utterances of corpus.ids() in batches, each with its
+    utterances' emission tables."""
+    g, ids = model.granularity, corpus.ids()
+    lengths = np.array([corpus[utt].n_frames for utt in ids], dtype=np.int64)
+    for batch in _batches(lengths, 8 * g.n * g.m):
+        yield ids[batch], [_emission_table(model, corpus[utt].frames) for utt in ids[batch]]
 
 
-def _viterbi_tokens(model: LevelModel, emis: np.ndarray, lm_scale: float) -> list:
-    """Token-loop Viterbi over an utterance's (T, n, m) emission table."""
-    T, n, m = emis.shape
+def _viterbi(model: LevelModel, tables: list[np.ndarray], lm_scale: float) -> list[list]:
+    """Token-loop Viterbi over utterances' (T, n, m) emission tables, in one
+    recursion over their padded (T, U, n, m) copy: any token may follow any
+    token, weighted by the prior.  An utterance's scores stop changing after
+    its last frame, and its backtrack runs alone."""
+    n, m = model.granularity.n, model.granularity.m
     log_prior = model.log_prior(lm_scale)
-    log_self, log_adv = map(np.stack, zip(*(h.log_transitions() for h in model.hmms)))
+    log_self, log_adv = model.log_transitions()
+    lengths = np.array([len(table) for table in tables], dtype=np.int64)
+    emis, _ = _pad(np.concatenate(tables), lengths)
+    T, U = len(emis), len(tables)
 
-    if T < m:
-        return [(int(np.argmax(log_prior)), 0, T)]
-
-    delta = np.full((n, m), -np.inf)
-    delta[:, 0] = log_prior + emis[0, :, 0]
+    delta = np.full((U, n, m), -np.inf)
+    delta[:, :, 0] = log_prior + emis[0, :, :, 0]
     # choice codes: 0 = self-loop, 1 = advance within token, 2 = token switch
-    choice = np.zeros((T, n, m), dtype=np.int8)
-    switch_from = np.zeros(T, dtype=np.int64)
+    choice = np.zeros((T, U, n, m), dtype=np.int8)
+    switch_from = np.zeros((T, U), dtype=np.int64)
+    move = np.full((U, n, m), -np.inf)
 
     for t in range(1, T):
         stay = delta + log_self
-        move = np.full((n, m), -np.inf)
-        move[:, 1:] = delta[:, :-1] + log_adv[:, :-1]
-        exit_scores = delta[:, m - 1] + log_adv[:, m - 1]
-        best_exit_token = int(np.argmax(exit_scores))
-        enter = exit_scores[best_exit_token] + log_prior  # (n,) into state 0
+        move[:, :, 1:] = delta[:, :, :-1] + log_adv[:, :-1]
+        exit_scores = delta[:, :, m - 1] + log_adv[:, m - 1]
+        best_exit_token = np.argmax(exit_scores, axis=1)
+        enter = exit_scores[np.arange(U), best_exit_token][:, None] + log_prior  # into state 0
 
-        new_delta = np.where(stay >= move, stay, move)
-        choice[t] = np.where(stay >= move, 0, 1)
-        better_enter = enter > new_delta[:, 0]
-        new_delta[:, 0] = np.where(better_enter, enter, new_delta[:, 0])
-        choice[t, :, 0] = np.where(better_enter, 2, choice[t, :, 0])
+        stays = stay >= move
+        new_delta = np.where(stays, stay, move)
+        choice[t] = np.where(stays, 0, 1)
+        better_enter = enter > new_delta[:, :, 0]
+        new_delta[:, :, 0] = np.where(better_enter, enter, new_delta[:, :, 0])
+        choice[t, :, :, 0] = np.where(better_enter, 2, choice[t, :, :, 0])
         switch_from[t] = best_exit_token
-        delta = new_delta + emis[t]
+        delta = np.where((t < lengths)[:, None, None], new_delta + emis[t], delta)
 
-    final = delta[:, m - 1] + log_adv[:, m - 1]
-    token = int(np.argmax(final))
+    final = delta[:, :, m - 1] + log_adv[:, m - 1]
+    return [_backtrack(choice[:L, u], switch_from[:L, u], int(np.argmax(final[u])))
+            if L >= m else [(int(np.argmax(log_prior)), 0, L)]
+            for u, L in enumerate(lengths.tolist())]
+
+
+def _backtrack(choice: np.ndarray, switch_from: np.ndarray, token: int) -> list:
+    """One utterance's segments from its (T, n, m) choice codes and (T,) switch
+    sources, ending in the last state of token."""
+    T, _, m = choice.shape
     state = m - 1
     boundaries = []  # segment start frames with their token
     for t in range(T - 1, 0, -1):
@@ -469,31 +574,51 @@ def _viterbi_tokens(model: LevelModel, emis: np.ndarray, lm_scale: float) -> lis
     return [(tok, start, end) for (start, tok), end in zip(boundaries, ends)]
 
 
+def decode_utterance(model: LevelModel, frames: np.ndarray, lm_scale: float = 1.0) -> list:
+    """Token-loop Viterbi: any token may follow any token, weighted by the prior."""
+    return _viterbi(model, [_emission_table(model, frames)], lm_scale)[0]
+
+
 def decode_level(model: LevelModel, corpus: Corpus,
                  cfg: TokenizerConfig | None = None) -> LabelSet:
     lm_scale = (cfg or TokenizerConfig()).lm_scale
-    return {utt: TokenLabelSequence(utt, decode_utterance(model, corpus[utt].frames, lm_scale))
-            for utt in corpus.ids()}
+    labels: LabelSet = {}
+    for utts, tables in _table_groups(model, corpus):
+        for utt, segments in zip(utts, _viterbi(model, tables, lm_scale)):
+            labels[utt] = TokenLabelSequence(utt, segments)
+    return labels
+
+
+def _segment_scores(model: LevelModel, tables: list[np.ndarray], segment_lists: list,
+                    lm_scale: float) -> np.ndarray:
+    """Per segment, in list-then-segment order, its span forward log-likelihood
+    plus its token's scaled log prior, segment_lists[i] cutting tables[i]: one
+    forward per batch of segments, each row with its token's transitions."""
+    log_self, log_adv = model.log_transitions()
+    tokens = np.array([token for segments in segment_lists for token, _, _ in segments],
+                      dtype=np.int64)
+    columns = [table[start:end, token] for table, segments in zip(tables, segment_lists)
+               for token, start, end in segments]
+    lengths = np.array([len(column) for column in columns], dtype=np.int64)
+    lls = np.empty(len(columns))
+    for batch in _batches(lengths, 8 * model.granularity.m):
+        padded, _ = _pad(np.concatenate(columns[batch]), lengths[batch])
+        rows = tokens[batch]
+        alpha = _alpha(padded, log_self[rows], log_adv[rows])
+        lls[batch] = alpha[lengths[batch] - 1, np.arange(len(rows)), -1] + log_adv[rows, -1]
+    return lls + model.log_prior(lm_scale)[tokens]
 
 
 def corpus_log_likelihood(model: LevelModel, corpus: Corpus, labels: LabelSet,
                           lm_scale: float = 1.0) -> float:
-    """Sum over segments of the span forward log-likelihood plus scaled prior terms."""
-    total = 0.0
+    """Sum over segments of the span forward log-likelihood plus scaled prior
+    terms, added in utterance and segment order."""
     for utt in corpus.ids():
         if utt not in labels:
             raise ValueError(f"missing labels for {utt}")
-        table = _emission_table(model, corpus[utt].frames)
-        total = _add_segment_lls(total, model, table, labels[utt].segments, lm_scale)
-    return float(total)
-
-
-def _add_segment_lls(total, model: LevelModel, emis, segments, lm_scale):
-    """total plus, added one by one, each segment's span LL and prior from a (T, n, m) table."""
-    log_prior = model.log_prior(lm_scale)
-    for token, start, end in segments:
-        total += _span_ll(model.hmms[token], emis[start:end, token]) + log_prior[token]
-    return total
+    scores = [_segment_scores(model, tables, [labels[utt].segments for utt in utts], lm_scale)
+              for utts, tables in _table_groups(model, corpus)]
+    return float(_ordered_sum(np.concatenate([np.empty(0), *scores])))
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +639,21 @@ def run_level(corpus: Corpus, init_labels: LabelSet, g: Granularity,
     trace: list[tuple[str, float]] = []
     for _ in range(cfg.outer_iters):
         model = train_level_hmms(corpus, labels, g, cfg, init_model=model)
-        # one emission table per utterance serves decoding and both trace points
-        train_ll = decode_ll = 0.0
+        # one emission table per utterance serves decoding and both trace
+        # points, whose segments share one forward per batch of utterances
         new_labels: LabelSet = {}
-        for utt in corpus.ids():
-            table = _emission_table(model, corpus[utt].frames)
-            segments = _viterbi_tokens(model, table, cfg.lm_scale)
-            new_labels[utt] = TokenLabelSequence(utt, segments)
-            train_ll = _add_segment_lls(train_ll, model, table, labels[utt].segments, cfg.lm_scale)
-            decode_ll = _add_segment_lls(decode_ll, model, table, segments, cfg.lm_scale)
-        trace += [("train", float(train_ll)), ("decode", float(decode_ll))]
+        train_scores, decode_scores = [], []
+        for utts, tables in _table_groups(model, corpus):
+            decoded = _viterbi(model, tables, cfg.lm_scale)
+            new_labels.update((utt, TokenLabelSequence(utt, segments))
+                              for utt, segments in zip(utts, decoded))
+            trained = [labels[utt].segments for utt in utts]
+            scores = _segment_scores(model, tables + tables, trained + decoded, cfg.lm_scale)
+            n_trained = sum(map(len, trained))
+            train_scores.append(scores[:n_trained])
+            decode_scores.append(scores[n_trained:])
+        trace += [("train", float(_ordered_sum(np.concatenate(train_scores)))),
+                  ("decode", float(_ordered_sum(np.concatenate(decode_scores))))]
         changed = any(new_labels[utt].segments != labels[utt].segments for utt in corpus.ids())
         labels = new_labels
         if not changed:

@@ -22,7 +22,7 @@ from acoustok.corpus import (
 )
 from acoustok.labels import labels_to_jsonl, read_labels_jsonl
 from acoustok.manifest import Manifest
-from acoustok.mdnn import MdnnConfig, init_mdnn, matn_bytes, read_matn
+from acoustok.mdnn import MdnnConfig, MdnnModel, init_mdnn, matn_bytes, read_matn
 from acoustok.reinforce import ReinforceConfig, lda_fit, matl_bytes, read_matl
 from acoustok.retrieval import RankedList, rankings_tsv, read_rankings_tsv, read_relevance_csv
 from acoustok.tokenizer import GaussState, Granularity, LevelModel, TokenHmm, matm_bytes, read_matm
@@ -257,4 +257,31 @@ def test_zero_count_names_the_file(tmp_path, suffix, make, read, match):
     path.write_bytes(make())
     with pytest.raises(ValueError) as excinfo:
         read(path)
+    assert str(excinfo.value) == f"{path}: {match}"
+
+
+def _matn(sizes, head_width, n=2) -> bytes:
+    """A network file whose every field is in place: trunk layer sizes, one
+    head of n tokens whose weights have head_width columns."""
+    weights = [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
+    return matn_bytes(MdnnModel(weights, [np.zeros(b) for b in sizes[1:]],
+                                [np.zeros((sizes[-1], head_width))], [np.zeros(head_width)],
+                                [Granularity(2, n)], seed=1))
+
+
+# a .matn that reads to the end but describes no working network: a hidden
+# layer of width 0 (extract_bnf would return the bias for every frame), and a
+# head whose width is not its descriptor's n
+INCONSISTENT_MATN = pytest.mark.parametrize("make, match", [
+    (lambda: _matn([2, 0, 2], 2), "layer sizes [2, 0, 2]: need at least 2, each >= 1"),
+    (lambda: _matn([2, 3, 2], 3), "head 0: width 3 != n = 2"),
+], ids=["zero-width-layer", "head-width-not-n"])
+
+
+@INCONSISTENT_MATN
+def test_inconsistent_matn_names_the_file(tmp_path, make, match):
+    path = tmp_path / "tiny.matn"
+    path.write_bytes(make())
+    with pytest.raises(ValueError) as excinfo:
+        read_matn(path)
     assert str(excinfo.value) == f"{path}: {match}"

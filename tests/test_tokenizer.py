@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -397,7 +398,11 @@ def reference_forward_backward(hmm, emis):
     the posteriors of the self-loop and the advance out of state s at frame t."""
     L, m = emis.shape
     log_self, log_adv = hmm.log_transitions()
-    alpha = tok._alpha(emis, log_self, log_adv)
+    alpha = np.full((L, m), -np.inf)
+    alpha[0, 0] = emis[0, 0]
+    for t in range(1, L):
+        move = np.concatenate(([-np.inf], alpha[t - 1, :-1] + log_adv[:-1]))
+        alpha[t] = np.logaddexp(alpha[t - 1] + log_self, move) + emis[t]
     ll = alpha[L - 1, m - 1] + log_adv[m - 1]
     if not np.isfinite(ll):
         return ll, None, None, None
@@ -595,6 +600,113 @@ class TestEStepReference:
         model = train_level_hmms(corpus, labels, g, TokenizerConfig(em_iters=1), init_model=init)
         assert_models_match(model.hmms, reference_em_iteration(corpus, labels, init))
         assert np.array_equal(model.prior, init.prior)
+
+
+# ---------------------------------------------------------------------------
+# the batched kernels against one span or one utterance at a time
+# ---------------------------------------------------------------------------
+
+def reference_e_step(hmm, emis, edges):
+    """(ll, gamma, stay, move) of a token's stacked spans, span by span and
+    added up in span order: forward-backward, or the uniform alignment, scored
+    along it, for a span no path traverses."""
+    m = emis.shape[1]
+    log_self, log_adv = hmm.log_transitions()
+    ll, gamma, stay, move = 0.0, np.empty_like(emis), np.zeros(m), np.zeros(m)
+    for a, b in zip(edges[:-1], edges[1:]):
+        span_ll, log_gamma, stay_post, move_post = reference_forward_backward(hmm, emis[a:b])
+        if log_gamma is None:
+            bounds = reference_uniform_edges(b - a, m)
+            span_gamma, span_stay, span_move = np.zeros((b - a, m)), np.zeros(m), np.zeros(m)
+            for s in range(m):
+                if bounds[s + 1] > bounds[s]:
+                    span_gamma[bounds[s]:bounds[s + 1], s] = 1.0
+                    span_stay[s], span_move[s] = bounds[s + 1] - bounds[s] - 1, 1.0
+            span_ll = (emis[a:b][span_gamma > 0].sum() + span_stay @ log_self
+                       + span_move @ log_adv)
+        else:
+            span_gamma = np.exp(log_gamma)
+            span_stay, span_move = stay_post.sum(axis=0), move_post.sum(axis=0)
+            span_move[m - 1] += span_gamma[-1, m - 1]  # exit transition
+        gamma[a:b] = span_gamma
+        ll, stay, move = ll + span_ll, stay + span_stay, move + span_move
+    return ll, gamma, stay, move
+
+
+class TestBatchedKernels:
+    # budget None: all spans in one batch; 1: every span a batch of its own
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_e_step_equals_the_span_by_span_reference(self, monkeypatch, m, budget):
+        if budget is not None:
+            monkeypatch.setattr(tok, "BATCH_BYTES", budget)
+        rng = np.random.default_rng(30 + m)
+        self_p = rng.uniform(0.2, 0.8, size=m)
+        hmm = TokenHmm(0, random_token(rng, (2,) * m, 3).states,
+                       np.stack([self_p, 1 - self_p], axis=1))
+        # mixed lengths: length-1 spans and others shorter than m take the
+        # uniform fallback
+        lengths = [5, 1, m - 1, 12, 2, m, 1, 9, 3, 20]
+        edges = np.cumsum([0] + lengths)
+        emis, _ = tok._span_posteriors(hmm, rng.normal(0, 2.0, size=(edges[-1], 3)))
+        ll, gamma, stay, move = tok._e_step(hmm, emis, edges)
+        want_ll, want_gamma, want_stay, want_move = reference_e_step(hmm, emis, edges)
+        assert ll == want_ll
+        assert np.array_equal(gamma, want_gamma)
+        assert np.array_equal(stay, want_stay)
+        assert np.array_equal(move, want_move)
+
+    def test_decoding_a_group_equals_decoding_each_utterance_alone(self):
+        rng = np.random.default_rng(40)
+        model, _ = random_instance(rng, n=3, m=3)
+        corpus = Corpus([FeatureSequence(rng.normal(0, 2.0, size=(T, 2)), utterance_id=f"u{i}")
+                         for i, T in enumerate([7, 2, 15, 1, 30, 3])])
+        assert len(list(tok._table_groups(model, corpus))) == 1
+        labels = decode_level(model, corpus)
+        for utt in corpus.ids():
+            assert labels[utt].segments == decode_utterance(model, corpus[utt].frames)
+        # an utterance shorter than m is one segment of the likeliest token
+        for utt, T in (("u1", 2), ("u3", 1)):
+            assert labels[utt].segments == [(int(np.argmax(model.prior)), 0, T)]
+
+    def test_split_groups_give_the_same_labels_and_trace(self, small_corpus, monkeypatch):
+        spec, corpus, _ = small_corpus
+        from acoustok.initialization import make_initial_labels
+
+        g = Granularity(3, spec.n_tokens)
+        init = make_initial_labels(corpus, {spec.n_tokens: 0})[spec.n_tokens]
+        cfg = TokenizerConfig(outer_iters=2, em_iters=2)
+        model, labels, trace = run_level(corpus, init, g, cfg)
+        assert len(list(tok._table_groups(model, corpus))) == 1
+        monkeypatch.setattr(tok, "BATCH_BYTES", 1)
+        assert len(list(tok._table_groups(model, corpus))) == len(corpus)
+        split_model, split_labels, split_trace = run_level(corpus, init, g, cfg)
+        assert split_trace == trace
+        assert matm_bytes(split_model) == matm_bytes(model)
+        for utt in corpus.ids():
+            assert split_labels[utt].segments == labels[utt].segments
+
+
+class TestLogsumexp:
+    def test_equals_scipy_without_warnings(self):
+        rng = np.random.default_rng(50)
+        for case in range(800):
+            shape = tuple(int(k) for k in rng.integers(1, 6, size=int(rng.integers(1, 5))))
+            axis = int(rng.integers(-len(shape), len(shape)))
+            a = rng.normal(size=shape) * rng.choice([0.1, 3.0, 800.0])
+            kind = case % 4
+            if kind == 1:  # -inf padding
+                a[rng.random(shape) < 0.4] = -np.inf
+            elif kind == 2:  # ties
+                a = np.round(a)
+            elif kind == 3:  # whole rows of -inf along the axis
+                row_shape = tuple(1 if k == axis % len(shape) else size
+                                  for k, size in enumerate(shape))
+                a[np.broadcast_to(rng.random(row_shape) < 0.5, shape)] = -np.inf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = tok.logsumexp(a, axis)
+            assert np.array_equal(got, logsumexp(a, axis=axis)), (shape, axis, kind)
 
 
 class TestLikelihood:

@@ -16,6 +16,7 @@ ALLOWED_UNREFERENCED = {
     "Manifest.output_hashes": "bench/ compares run digests with it",
     "GaussState.log_density": "bench/ traces and times it",
     "segment_forward_ll": "bench/ times it",
+    "decode_utterance": "decoding as a batch of one utterance; bench/ times it",
     "decode_level": "acceptance criterion 2's decoder; bench/ traces it",
     "state_kl": "acceptance criterion 5's pairwise distance; bench/ traces it",
     "corpus_log_likelihood": "the check on run_level's trace; bench/ traces it",
