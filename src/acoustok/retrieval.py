@@ -7,6 +7,23 @@ matching matrix is filled by table lookup and scanned by subsequence DTW
 Scores are summed over levels.  Frame mode runs the same DTW over cosine
 distances between feature frames.  All scores are normalized by query length;
 lower is better.
+
+Subsequence DTW runs as one anti-diagonal wavefront over a block of
+documents that share the query axis.  Cell (i, j) depends only on cells of
+the anti-diagonals i + j - 1 and i + j - 2, so each diagonal of every
+document in the block is one element-wise minimum of three neighbours plus
+one addition.  Documents are cut into consecutive blocks by
+`tokenizer._batches`' rule, so that a block's cost matrices and its skewed
+accumulator stay under DTW_BLOCK_BYTES.
+
+Every cell adds its cost to the minimum of the same neighbours as the
+cell-by-cell recursion, and sums grow along the path in path order, so the
+scores do not depend on how documents are blocked and equal exact
+enumeration of the paths.  The one difference from Python's `min` is the
+sign of a zero: on equal values `min` keeps its first argument and
+`np.minimum` need not, so a hand-built matrix of -0.0 and 0.0 entries can
+score 0.0 where `min` gives -0.0.  No cost here holds -0.0: frame costs are
+1 - clip(similarity), and token tables are zeros plus max(0, .).
 """
 
 from __future__ import annotations
@@ -17,7 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import FeatureSequence, cosine_similarity
-from .tokenizer import GaussState, Granularity, LevelModel, logsumexp, stack_states
+from .tokenizer import GaussState, Granularity, LevelModel, _batches, logsumexp, stack_states
+
+# bytes a block of documents may take in subsequence DTW: its cost matrices
+# plus its skewed accumulator; a block holds at least one document
+DTW_BLOCK_BYTES = 256 << 10
 
 
 # ---------------------------------------------------------------------------
@@ -64,37 +85,58 @@ def token_distance_matrix(model: LevelModel) -> np.ndarray:
     return S
 
 
+def _check_token_ids(ids: np.ndarray, n: int) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"token id out of range [0, {n})")
+
+
 def matching_matrix(S: np.ndarray, doc_tokens, query_tokens) -> np.ndarray:
-    """W(i, j) = S(d_i, q_j) by exact table lookup, one row per document token."""
+    """W[..., i, j] = S(d_i, q_j) by exact table lookup, one row per document
+    token; doc_tokens is one document's tokens or a block of them, padded."""
     doc = np.asarray(doc_tokens, dtype=np.int64)
     query = np.asarray(query_tokens, dtype=np.int64)
-    n = S.shape[0]
     for ids in (doc, query):
-        if ids.size and (ids.min() < 0 or ids.max() >= n):
-            raise ValueError(f"token id out of range [0, {n})")
-    return S[doc[:, None], query[None, :]]
+        _check_token_ids(ids, S.shape[0])
+    return S[doc[..., None], query]
 
 
 # ---------------------------------------------------------------------------
 # subsequence DTW
 # ---------------------------------------------------------------------------
 
-def subsequence_dtw(cost: np.ndarray) -> float:
-    """Minimal path cost over a (document, query) cost matrix, divided by the
-    query length.  Paths may start and end at any document row but must cover
-    every query column; steps are (1,1), (1,0), (0,1)."""
-    D, Q = cost.shape
+def subsequence_dtw_block(costs: np.ndarray) -> np.ndarray:
+    """Subsequence DTW of each (document, query) cost matrix in a (B, D, Q)
+    block, rows past a document's end +inf: the minimal path cost divided by
+    the query length, one score per document.  Paths may start and end at any
+    document row but must cover every query column; steps are (1,1), (1,0),
+    (0,1).
+
+    The accumulator is skewed: acc[i + j + 1, j + 1, b] holds cell (i, j) of
+    document b, so row r is the anti-diagonal r - 1 and row 0 the diagonal
+    before the first.  Cells off a document are +inf.  Column 0 is a query
+    column j = -1 of zeros that is never updated: as a neighbour of column 0 it
+    gives the free start, cost + min(0, acc[i - 1, 0]).  Diagonal 0 keeps
+    acc[0, 0] = cost[0, 0].  Sums are in path order and match the cell-by-cell
+    recursion bit for bit, apart from the sign of a zero minimum (see the
+    module docstring)."""
+    B, D, Q = costs.shape
     if D < 1 or Q < 1:
         raise ValueError("cost matrix must be non-empty")
-    acc = np.empty((D, Q))
-    acc[0, 0] = cost[0, 0]
-    for i in range(1, D):
-        acc[i, 0] = cost[i, 0] + min(0.0, acc[i - 1, 0])
-    for j in range(1, Q):
-        acc[0, j] = cost[0, j] + acc[0, j - 1]
-        for i in range(1, D):
-            acc[i, j] = cost[i, j] + min(acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
-    return float(acc[:, Q - 1].min() / Q)
+    acc = np.full((D + Q, Q + 1, B), np.inf)
+    acc[:, 0] = 0.0
+    i, j = np.ogrid[:D, :Q]
+    acc[i + j + 1, j + 1] = costs.transpose(1, 2, 0)
+    best = np.empty((Q, B))
+    for r in range(2, D + Q):
+        np.minimum(acc[r - 2, :-1], acc[r - 1, 1:], out=best)
+        np.minimum(best, acc[r - 1, :-1], out=best)
+        acc[r, 1:] += best
+    return acc[Q:, Q].min(axis=0) / Q
+
+
+def subsequence_dtw(cost: np.ndarray) -> float:
+    """Subsequence DTW of one (document, query) cost matrix: a block of one."""
+    return float(subsequence_dtw_block(cost[None])[0])
 
 
 def frame_cost_matrix(doc: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -102,10 +144,11 @@ def frame_cost_matrix(doc: np.ndarray, query: np.ndarray) -> np.ndarray:
     return 1.0 - cosine_similarity(doc, query)
 
 
-def frame_dtw(query: FeatureSequence, doc: FeatureSequence) -> float:
-    if query.dim != doc.dim:
-        raise ValueError(f"feature dimensions differ: {query.dim} vs {doc.dim}")
-    return subsequence_dtw(frame_cost_matrix(doc.frames, query.frames))
+def _dtw_blocks(lengths: np.ndarray, q: int) -> list[slice]:
+    """Consecutive documents of the given lengths cut into DTW blocks for a
+    query of q entries: a document spans lengths + q rows of q + 1 cells in
+    the skewed accumulator."""
+    return _batches(lengths + q, 8 * (q + 1), DTW_BLOCK_BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +163,29 @@ class RankedList:
 
 @dataclass
 class RetrievalIndex:
-    """Everything needed to score queries against a fixed document collection."""
+    """Everything needed to score queries against a fixed document collection.
+    Each level's document tokens are also kept padded into one (documents,
+    longest) array, with each document's length, and their ids are checked
+    once, here."""
 
     distances: dict[Granularity, np.ndarray] = field(default_factory=dict)
     doc_tokens: dict[str, dict[Granularity, list[int]]] = field(default_factory=dict)
     doc_features: dict[str, FeatureSequence] = field(default_factory=dict)
+    padded_tokens: dict[Granularity, tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False)
+
+    def __post_init__(self):
+        self.padded_tokens = {}
+        for g, S in self.distances.items():
+            rows = [tokens[g] for tokens in self.doc_tokens.values()]
+            lengths = np.array([len(row) for row in rows], dtype=np.int64)
+            padded = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.int64)
+            for b, (doc_id, row) in enumerate(zip(self.doc_tokens, rows)):
+                if len(row) == 0:
+                    raise ValueError(f"document {doc_id} has no tokens at level {g}")
+                padded[b, :len(row)] = row
+            _check_token_ids(padded, S.shape[0])
+            self.padded_tokens[g] = padded, lengths
 
     @classmethod
     def build(cls, models: dict[Granularity, LevelModel],
@@ -142,28 +203,41 @@ class RetrievalIndex:
 
 def token_scores(index: RetrievalIndex,
                  query_tokens: dict[Granularity, list[int]]) -> dict[str, float]:
-    """Per-document token-DTW distance summed over the index's levels."""
+    """Per-document token-DTW distance summed over the index's levels: one
+    table lookup and one DTW per level and block of documents."""
     levels = sorted(index.distances, key=lambda g: (g.m, g.n))
     for g in levels:
         if g not in query_tokens:
             raise ValueError(f"missing level data for {g}")
-    scores: dict[str, float] = {}
-    for doc_id, tokens_by_level in index.doc_tokens.items():
-        total = 0.0
-        for g in levels:
-            W = matching_matrix(index.distances[g], tokens_by_level[g], query_tokens[g])
-            total += subsequence_dtw(W)
-        scores[doc_id] = total
-    return scores
+    totals = np.zeros(len(index.doc_tokens))
+    for g in levels:
+        tokens, lengths = index.padded_tokens[g]
+        for block in _dtw_blocks(lengths, len(query_tokens[g])):
+            longest = lengths[block].max()
+            W = matching_matrix(index.distances[g], tokens[block, :longest], query_tokens[g])
+            W[np.arange(longest) >= lengths[block, None]] = np.inf
+            totals[block] += subsequence_dtw_block(W)
+    return dict(zip(index.doc_tokens, totals.tolist()))
 
 
 def frame_scores(index: RetrievalIndex, query_features: FeatureSequence) -> dict[str, float]:
+    """Per-document frame-DTW distance over cosine costs, one DTW per block
+    of documents."""
     if not index.doc_features:
         raise ValueError("index has no document features")
-    return {
-        doc_id: frame_dtw(query_features, seq)
-        for doc_id, seq in index.doc_features.items()
-    }
+    docs = list(index.doc_features.values())
+    for seq in docs:
+        if query_features.dim != seq.dim:
+            raise ValueError(f"feature dimensions differ: {query_features.dim} vs {seq.dim}")
+    lengths = np.array([seq.n_frames for seq in docs])
+    q = query_features.n_frames
+    scores = np.empty(len(docs))
+    for block in _dtw_blocks(lengths, q):
+        costs = np.full((len(docs[block]), lengths[block].max(), q), np.inf)
+        for b, seq in enumerate(docs[block]):
+            costs[b, :seq.n_frames] = frame_cost_matrix(seq.frames, query_features.frames)
+        scores[block] = subsequence_dtw_block(costs)
+    return dict(zip(index.doc_features, scores.tolist()))
 
 
 def valid_fusion_weights(weights) -> bool:

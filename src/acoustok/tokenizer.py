@@ -225,14 +225,14 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def _batches(lengths: np.ndarray, cell_bytes: int) -> list[slice]:
-    """Consecutive rows cut into batches of at most BATCH_BYTES, counting
+def _batches(lengths: np.ndarray, cell_bytes: int, budget: int) -> list[slice]:
+    """Consecutive rows cut into batches of at most budget bytes, counting
     cell_bytes per cell of the rows (lengths[i] cells each) and of their
     padded copy."""
     batches, start, total, longest = [], 0, 0, 0
     for i, length in enumerate(lengths.tolist()):
         total, longest = total + length, max(longest, length)
-        if i > start and (total + longest * (i + 1 - start)) * cell_bytes > BATCH_BYTES:
+        if i > start and (total + longest * (i + 1 - start)) * cell_bytes > budget:
             batches.append(slice(start, i))
             start, total, longest = i, length, length
     if len(lengths):
@@ -312,7 +312,7 @@ def _e_step(hmm: TokenHmm, emis: np.ndarray, edges: np.ndarray):
     gamma = np.empty_like(emis)
     B = len(lengths)
     lls, stays, moves = np.empty(B), np.empty((B, m)), np.empty((B, m))
-    for batch in _batches(lengths, 8 * m):
+    for batch in _batches(lengths, 8 * m, BATCH_BYTES):
         rows = slice(edges[batch.start], edges[batch.stop])
         padded, index = _pad(emis[rows], lengths[batch])
         last, spans = lengths[batch] - 1, np.arange(batch.stop - batch.start)
@@ -509,7 +509,7 @@ def _table_groups(model: LevelModel, corpus: Corpus):
     utterances' emission tables."""
     g, ids = model.granularity, corpus.ids()
     lengths = np.array([corpus[utt].n_frames for utt in ids], dtype=np.int64)
-    for batch in _batches(lengths, 8 * g.n * g.m):
+    for batch in _batches(lengths, 8 * g.n * g.m, BATCH_BYTES):
         yield ids[batch], [_emission_table(model, corpus[utt].frames) for utt in ids[batch]]
 
 
@@ -601,7 +601,7 @@ def _segment_scores(model: LevelModel, tables: list[np.ndarray], segment_lists: 
                for token, start, end in segments]
     lengths = np.array([len(column) for column in columns], dtype=np.int64)
     lls = np.empty(len(columns))
-    for batch in _batches(lengths, 8 * model.granularity.m):
+    for batch in _batches(lengths, 8 * model.granularity.m, BATCH_BYTES):
         padded, _ = _pad(np.concatenate(columns[batch]), lengths[batch])
         rows = tokens[batch]
         alpha = _alpha(padded, log_self[rows], log_adv[rows])

@@ -4,12 +4,13 @@ from scipy.special import logsumexp
 
 from acoustok.corpus import FeatureSequence
 from acoustok.initialization import cosine_similarity_matrix
+from acoustok import retrieval
 from acoustok.tokenizer import GaussState, Granularity, LevelModel, TokenHmm
 from acoustok.retrieval import (
     RankedList,
     RetrievalIndex,
     frame_cost_matrix,
-    frame_dtw,
+    frame_scores,
     fuse_scores,
     matching_matrix,
     mean_average_precision,
@@ -19,6 +20,7 @@ from acoustok.retrieval import (
     rankings_tsv,
     state_kl,
     subsequence_dtw,
+    subsequence_dtw_block,
     token_distance_matrix,
     token_scores,
 )
@@ -243,32 +245,34 @@ class TestTokenDtw:
         assert 0.0 <= val <= W.max() * (W.shape[0] + W.shape[1])
 
 
+def frame_score(query: np.ndarray, doc: np.ndarray) -> float:
+    """Frame-DTW score of one document, through an index of one document."""
+    index = RetrievalIndex({}, {}, {"d": FeatureSequence(doc, utterance_id="d")})
+    return frame_scores(index, FeatureSequence(query, utterance_id="q"))["d"]
+
+
 class TestFrameDtw:
     def test_query_is_slice_of_doc(self):
         rng = np.random.default_rng(8)
         doc = rng.normal(size=(30, 6))
-        query = FeatureSequence(doc[10:18].copy(), utterance_id="q")
-        assert frame_dtw(query, FeatureSequence(doc, utterance_id="d")) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        assert frame_score(doc[10:18].copy(), doc) == pytest.approx(0.0, abs=1e-9)
 
     def test_orthogonal_frames_cost_one(self):
         doc = np.tile([1.0, 0.0], (6, 1))
         query = np.tile([0.0, 1.0], (4, 1))
-        got = frame_dtw(FeatureSequence(query), FeatureSequence(doc))
-        assert got == pytest.approx(1.0, abs=1e-12)
+        assert frame_score(query, doc) == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(9)
         doc = rng.normal(size=(20, 5))
         query = rng.normal(size=(7, 5))
-        a = frame_dtw(FeatureSequence(query), FeatureSequence(doc))
-        b = frame_dtw(FeatureSequence(query * 3.7), FeatureSequence(doc * 0.2))
+        a = frame_score(query, doc)
+        b = frame_score(query * 3.7, doc * 0.2)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dimensions differ"):
-            frame_dtw(FeatureSequence(np.zeros((3, 4))), FeatureSequence(np.zeros((3, 5))))
+        with pytest.raises(ValueError, match="dimensions differ: 4 vs 5"):
+            frame_score(np.zeros((3, 4)), np.zeros((3, 5)))
 
     def test_cost_is_the_bootstrap_similarity_kernel(self):
         """The frame search and the bootstrap dotplot share one cosine kernel:
@@ -279,6 +283,111 @@ class TestFrameDtw:
         cost = frame_cost_matrix(x, x)
         assert np.array_equal(cost[off], (1.0 - cosine_similarity_matrix(x))[off])
         assert np.all(cost[7] == 1.0) and np.all(cost[:, 7] == 1.0)
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def ragged_block(rng, lengths, q):
+    """A (B, longest, q) block of 2-decimal costs, +inf past each length."""
+    costs = np.round(rng.uniform(0, 2, size=(len(lengths), max(lengths), q)), 2)
+    costs[np.arange(max(lengths)) >= np.asarray(lengths)[:, None]] = np.inf
+    return costs
+
+
+class TestDtwBlock:
+    def test_ragged_blocks_match_enumeration_and_single_matrices(self):
+        rng = np.random.default_rng(13)
+        for trial in range(60):
+            q = int(rng.integers(1, 6))
+            lengths = [int(d) for d in rng.integers(1, 9, size=1 if trial % 4 == 0 else 5)]
+            costs = ragged_block(rng, lengths, q)
+            got = subsequence_dtw_block(costs)
+            assert got.shape == (len(lengths),)
+            for b, d in enumerate(lengths):
+                assert got[b] == brute_force_subsequence_dtw(costs[b, :d])
+                assert bits(got[b]) == bits(subsequence_dtw(costs[b, :d]))
+
+    def test_blocking_does_not_change_a_row(self):
+        rng = np.random.default_rng(14)
+        lengths = [int(d) for d in rng.integers(1, 9, size=12)]
+        costs = ragged_block(rng, lengths, 4)
+        whole = subsequence_dtw_block(costs)
+        for b, d in enumerate(lengths):
+            assert bits(subsequence_dtw_block(costs[b:b + 1, :d])) == bits(whole[b])
+
+    def test_first_cell_is_its_cost(self):
+        """acc[0, 0] is cost[0, 0] itself, with no free-start term added."""
+        assert bits(subsequence_dtw(np.array([[-0.0]]))) == bits(-0.0)
+
+    def test_empty_rejected(self):
+        for shape in ((2, 0, 3), (2, 3, 0)):
+            with pytest.raises(ValueError, match="non-empty"):
+                subsequence_dtw_block(np.zeros(shape))
+
+
+def random_index(rng, n_docs: int, dim: int = 4) -> RetrievalIndex:
+    """Two levels of random tables over documents of 1-8 tokens and 1-8 frames."""
+    levels = {Granularity(2, 5): 5, Granularity(3, 7): 7}
+    distances = {}
+    for g, n in levels.items():
+        S = rng.uniform(0, 3, size=(n, n))
+        S = S + S.T
+        np.fill_diagonal(S, 0.0)
+        distances[g] = S
+    doc_tokens = {f"d{i:02d}": {g: [int(t) for t in rng.integers(n, size=rng.integers(1, 9))]
+                                for g, n in levels.items()} for i in range(n_docs)}
+    doc_features = {doc: FeatureSequence(rng.normal(size=(int(rng.integers(1, 9)), dim)),
+                                         utterance_id=doc) for doc in doc_tokens}
+    return RetrievalIndex(distances, doc_tokens, doc_features)
+
+
+def per_document_token_scores(index, query):
+    """Independent loop: one lookup and one DTW per document and level."""
+    out = {}
+    for doc, tokens in index.doc_tokens.items():
+        total = 0.0
+        for g in sorted(index.distances, key=lambda g: (g.m, g.n)):
+            W = index.distances[g][np.array(tokens[g])[:, None], np.array(query[g])[None, :]]
+            total += subsequence_dtw(W)
+        out[doc] = total
+    return out
+
+
+def per_document_frame_scores(index, query):
+    return {doc: subsequence_dtw(frame_cost_matrix(seq.frames, query.frames))
+            for doc, seq in index.doc_features.items()}
+
+
+class TestBlockedScores:
+    @pytest.mark.parametrize("budget", [retrieval.DTW_BLOCK_BYTES, 1500])
+    def test_scores_equal_a_per_document_loop(self, monkeypatch, budget):
+        monkeypatch.setattr(retrieval, "DTW_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(15)
+        index = random_index(rng, 17)
+        for _ in range(5):
+            query = {g: [int(t) for t in rng.integers(S.shape[0], size=rng.integers(1, 6))]
+                     for g, S in index.distances.items()}
+            features = FeatureSequence(rng.normal(size=(int(rng.integers(1, 6)), 4)))
+            for got, want in ((token_scores(index, query), per_document_token_scores(index, query)),
+                              (frame_scores(index, features),
+                               per_document_frame_scores(index, features))):
+                assert list(got) == list(want)
+                assert np.array_equal(bits(list(got.values())), bits(list(want.values())))
+
+    def test_small_budget_splits_the_documents(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "DTW_BLOCK_BYTES", 1500)
+        index = random_index(np.random.default_rng(15), 17)
+        for _, lengths in index.padded_tokens.values():
+            assert len(retrieval._dtw_blocks(lengths, 3)) > 2
+
+    def test_document_tokens_checked_when_indexed(self):
+        g = Granularity(2, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            RetrievalIndex({g: np.zeros((2, 2))}, {"a": {g: [0, 2]}}, {})
+        with pytest.raises(ValueError, match="document a has no tokens"):
+            RetrievalIndex({g: np.zeros((2, 2))}, {"a": {g: []}}, {})
 
 
 def toy_index():
