@@ -8,25 +8,31 @@ alternation so the likelihood cannot drop), then re-decode the corpus with the
 fitted models to obtain new labels.  Levels are trained independently; levels
 sharing the same n start from the same initial label set.
 
-Every state density comes from one kernel, `component_log_joints`, called once
-per token: by the E-step on the token's stacked span frames, for emissions and
-component posteriors, and by decoding, whose table serves the likelihood trace.
+A level trains and decodes as one batch of rows, not a loop over tokens.
+Every state density comes from one kernel, `_log_joints`, over a level's
+states stacked once per model use.  Training scores each frame of every token
+still in EM against its own token's states, for emissions and component
+posteriors, in one pass per EM iteration; decoding scores each utterance
+against all n * m states in one pass, and that table also serves the
+likelihood trace.
 
-The E-step accumulates once per token: every span's alignment, from
-forward-backward or, for a span no path traverses, the uniform alignment the
-flat start also uses, fills one (N, m) occupancy table over the token's stacked
-frames, and one M-step reduces it with the component posteriors.
+The E-step runs once per EM iteration over the spans of every token still
+training: every span's alignment, from forward-backward or, for a span no
+path traverses, the uniform alignment the flat start also uses, fills one
+(N, m) occupancy table over the stacked frames.  Each token's log-likelihood,
+transition counts, em_tol check and M-step stay its own, so a token follows
+the course EM would take on it alone.
 
 Each recursion runs once per batch of rows, not once per span or utterance.
-The E-step's forward-backward runs over a token's spans padded into one
-time-major (L, B, m) emission array, -inf past each span's end.  Decoding runs
-one token-loop Viterbi over a batch of consecutive utterances' padded
-(T, U, n, m) tables, and the likelihood trace scores every segment of the batch
-in one forward pass, each row with its own token's transitions.  A batch's
-tables and its padded copy stay under BATCH_BYTES.  The batched recursions
-repeat the per-row element-wise operations, and sums over frames and over
-spans add their terms in order, so the results do not depend on how rows are
-batched.  `logsumexp` is the package's one log-sum-exp.
+The E-step's forward-backward runs over the spans padded into one time-major
+(L, B, m) emission array, -inf past each span's end.  Decoding runs one
+token-loop Viterbi over a batch of consecutive utterances' padded (T, U, n, m)
+tables, and the likelihood trace scores every segment of the batch in one
+forward pass.  In the E-step and the trace, each row has its own token's
+transitions.  A batch's tables and its padded copy stay under BATCH_BYTES.
+The batched recursions repeat the per-row element-wise operations, and sums
+over frames and over spans add their terms in order, so the results do not
+depend on how rows are batched.  `logsumexp` is the package's one log-sum-exp.
 """
 
 from __future__ import annotations
@@ -156,12 +162,51 @@ def stack_states(states: list[GaussState]) -> tuple[np.ndarray, ...]:
 
 def component_log_joints(states: list[GaussState], frames: np.ndarray) -> np.ndarray:
     """(T, S, c) log weight plus log density of every (padded) component of
-    every state at every frame, in one broadcast over a (T, S, c, d) block."""
+    every state at every frame: the density kernel over the states, stacked."""
+    return _log_joints(_density_stack(states), frames, np.arange(len(states)))
+
+
+def _density_stack(states: list[GaussState]) -> tuple[np.ndarray, ...]:
+    """States as the density kernel reads them, stacked once: (S, c)
+    log-weights, (S, c, d) means and variances, and the (S, c) sums of log
+    variances."""
     _, log_weights, means, variances = stack_states(states)
-    diff = frames[:, None, None, :] - means
-    quad = np.sum(diff * diff / variances, axis=3)
-    logdet = np.sum(np.log(variances), axis=2)
-    return -0.5 * (quad + logdet + means.shape[2] * LOG_2PI) + log_weights
+    return log_weights, means, variances, np.sum(np.log(variances), axis=2)
+
+
+# bytes of the (frames, states, c, d) block one step of the density kernel
+# builds; a size that stays in cache, fixed, not a setting
+KERNEL_BLOCK_BYTES = 256 << 10
+
+
+def _log_joints(stack: tuple[np.ndarray, ...], frames: np.ndarray,
+                states: np.ndarray) -> np.ndarray:
+    """(T, k, c) log weight plus log density of every (padded) component of k
+    stacked states at each of T frames.  states holds the k rows of the
+    _density_stack that every frame is scored against, (k,), or each frame's
+    own, (T, k).  The kernel broadcasts over blocks of frames and states whose
+    (frames, states, c, d) temporaries stay under KERNEL_BLOCK_BYTES, or hold
+    one frame and one state; every entry is the same element-wise formula,
+    however the blocks fall.
+
+    c is the most components a stacked state holds.  A state padded to it
+    gains -inf joints, which add exact zeros to its mixture sums while c is
+    under 8; from 8 terms numpy sums pairwise, so a padded state's density may
+    move in the last bit."""
+    log_weights, means, variances, logdet = stack
+    c, d = means.shape[1:]
+    k = states.shape[-1]
+    cols = max(1, min(k, KERNEL_BLOCK_BYTES // (c * d * 8)))
+    rows = max(1, KERNEL_BLOCK_BYTES // (cols * c * d * 8))
+    out = np.empty((len(frames), k, c))
+    for r in range(0, len(frames), rows):
+        for s in range(0, k, cols):
+            pick = states[r:r + rows, s:s + cols] if states.ndim == 2 else states[s:s + cols]
+            diff = frames[r:r + rows, None, None, :] - means[pick]
+            quad = np.sum(diff * diff / variances[pick], axis=3)
+            out[r:r + rows, s:s + cols] = (-0.5 * (quad + logdet[pick] + d * LOG_2PI)
+                                           + log_weights[pick])
+    return out
 
 
 @dataclass
@@ -195,8 +240,14 @@ class TokenizerConfig:
     reseed_scale: float = 0.1      # perturbation for dead-token reseeding
 
     def __post_init__(self):
+        if self.em_iters < 0:
+            raise ValueError(f"em_iters must be >= 0, got {self.em_iters}")
+        if not self.em_tol >= 0:
+            raise ValueError(f"em_tol must be >= 0, got {self.em_tol}")
         if self.outer_iters < 1:
             raise ValueError(f"outer_iters must be >= 1, got {self.outer_iters}")
+        if not self.var_floor_frac > 0:  # a zero floor lets a variance reach 0
+            raise ValueError(f"var_floor_frac must be > 0, got {self.var_floor_frac}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +326,16 @@ def _alpha(emis: np.ndarray, log_self: np.ndarray, log_adv: np.ndarray) -> np.nd
 
 def _beta(emis: np.ndarray, last: np.ndarray, log_self: np.ndarray,
           log_adv: np.ndarray) -> np.ndarray:
-    """(L, B, m) backward recursion of one token over B padded rows of
-    emissions, row b leaving by the exit at its last frame last[b]."""
+    """(L, B, m) backward recursion over B padded rows of emissions, row b
+    leaving by the exit at its last frame last[b], with its own (B, m) log
+    transitions."""
     L, B, m = emis.shape
     beta = np.full((L, B, m), -np.inf)
-    beta[last, np.arange(B), m - 1] = log_adv[m - 1]
+    beta[last, np.arange(B), m - 1] = log_adv[:, m - 1]
     move = np.full((B, m), -np.inf)
     for t in range(L - 2, -1, -1):
         stay = log_self + emis[t + 1] + beta[t + 1]
-        move[:, :-1] = log_adv[:-1] + emis[t + 1, :, 1:] + beta[t + 1, :, 1:]
+        move[:, :-1] = log_adv[:, :-1] + emis[t + 1, :, 1:] + beta[t + 1, :, 1:]
         np.copyto(beta[t], np.logaddexp(stay, move), where=(t < last)[:, None])
     return beta
 
@@ -295,19 +347,21 @@ def segment_forward_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
     return float(alpha[-1, 0, -1] + log_adv[-1])
 
 
-def _e_step(hmm: TokenHmm, emis: np.ndarray, edges: np.ndarray):
-    """Alignment of a token's spans from their stacked (N, m) emissions, span i
-    being emis[edges[i]:edges[i + 1]]: (ll, gamma, stay, move).
+def _e_step(emis: np.ndarray, edges: np.ndarray, log_self: np.ndarray,
+            log_adv: np.ndarray):
+    """Alignment of spans from their stacked (N, m) emissions, span i being
+    emis[edges[i]:edges[i + 1]] with (m,) log transitions log_self[i] and
+    log_adv[i], its token's: (lls, gamma, stays, moves).
 
-    gamma is the (N, m) state occupancy; stay and move are the (m,) expected
-    self-loop and advance counts, the exit from the last state included.  ll,
-    stay and move add up the spans' own in span order.  A span no path
+    lls holds each span's log-likelihood and gamma the (N, m) state occupancy;
+    the (spans, m) stays and moves hold each span's expected self-loop and
+    advance counts, the exit from the last state included.  A span no path
     traverses (shorter than m, or of zero likelihood) gets the uniform
     alignment, scored along it.  Forward and backward run once per batch of
-    spans, over their padded (L, B, m) emissions.
+    spans, over their padded (L, B, m) emissions, each row with its own
+    transitions.
     """
-    m = hmm.m
-    log_self, log_adv = hmm.log_transitions()
+    m = emis.shape[1]
     lengths = np.diff(edges)
     gamma = np.empty_like(emis)
     B = len(lengths)
@@ -316,23 +370,24 @@ def _e_step(hmm: TokenHmm, emis: np.ndarray, edges: np.ndarray):
         rows = slice(edges[batch.start], edges[batch.stop])
         padded, index = _pad(emis[rows], lengths[batch])
         last, spans = lengths[batch] - 1, np.arange(batch.stop - batch.start)
-        alpha = _alpha(padded, log_self, log_adv)
-        beta = _beta(padded, last, log_self, log_adv)
-        lls[batch] = alpha[last, spans, m - 1] + log_adv[m - 1]
+        row_self, row_adv = log_self[batch], log_adv[batch]
+        alpha = _alpha(padded, row_self, row_adv)
+        beta = _beta(padded, last, row_self, row_adv)
+        lls[batch] = alpha[last, spans, m - 1] + row_adv[:, m - 1]
         # a span no path traverses is realigned below; a 0 shift keeps its
         # exponents at -inf, where its own -inf would give NaN
         shift = np.where(np.isfinite(lls[batch]), lls[batch], 0.0)[:, None]
         occupancy = np.exp(alpha + beta - shift)
         gamma[rows] = occupancy[index]
-        stays[batch] = np.exp(alpha[:-1] + log_self + padded[1:] + beta[1:] - shift).sum(axis=0)
-        moves[batch, :-1] = np.exp(alpha[:-1, :, :-1] + log_adv[:-1] + padded[1:, :, 1:]
+        stays[batch] = np.exp(alpha[:-1] + row_self + padded[1:] + beta[1:] - shift).sum(axis=0)
+        moves[batch, :-1] = np.exp(alpha[:-1, :, :-1] + row_adv[:, :-1] + padded[1:, :, 1:]
                                    + beta[1:, :, 1:] - shift).sum(axis=0)
         moves[batch, -1] = occupancy[last, spans, m - 1]
     for i in np.flatnonzero(~np.isfinite(lls)):
         a, b = edges[i], edges[i + 1]
         gamma[a:b], stays[i], moves[i] = _uniform_alignment(b - a, m)
-        lls[i] = emis[a:b][gamma[a:b] > 0].sum() + stays[i] @ log_self + moves[i] @ log_adv
-    return float(_ordered_sum(lls)), gamma, _ordered_sum(stays), _ordered_sum(moves)
+        lls[i] = emis[a:b][gamma[a:b] > 0].sum() + stays[i] @ log_self[i] + moves[i] @ log_adv[i]
+    return lls, gamma, stays, moves
 
 
 def _uniform_alignment(length: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -352,13 +407,6 @@ def _uniform_alignment(length: int, m: int) -> tuple[np.ndarray, np.ndarray, np.
 # ---------------------------------------------------------------------------
 # M-step
 # ---------------------------------------------------------------------------
-
-def _span_posteriors(hmm: TokenHmm, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L, m) emissions and (L, m, c) component posteriors from one kernel call."""
-    joint = component_log_joints(hmm.states, frames)
-    emis = logsumexp(joint, axis=2)
-    return emis, np.exp(joint - emis[:, :, None])
-
 
 def _m_step(hmm: TokenHmm, resp: np.ndarray, frames: np.ndarray, stay: np.ndarray,
             move: np.ndarray, var_floor: np.ndarray) -> TokenHmm:
@@ -442,15 +490,49 @@ def _estimate_prior(spans: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return counts / total if total > 0 else np.full(len(spans), 1.0 / len(spans))
 
 
+def _token_statistics(hmms: list[TokenHmm], spans: list[tuple[np.ndarray, np.ndarray]]
+                      ) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+    """E-step statistics of several tokens at once, hmms[j] with the stacked
+    frames and span edges spans[j]: per token, (ll, resp, stay, move), resp
+    being the (N, m, c) component responsibilities of its frames.
+
+    One kernel pass scores every frame against its own token's states, and one
+    _e_step aligns every span, each with its token's transitions.  ll, stay and
+    move add up the token's own spans in span order.
+    """
+    m = hmms[0].m
+    n_frames = [len(frames) for frames, _ in spans]
+    n_spans = [len(edges) - 1 for _, edges in spans]
+    frame_at = np.cumsum([0] + n_frames)
+    span_at = np.cumsum([0] + n_spans)
+    frames = np.concatenate([frames for frames, _ in spans])
+    edges = np.concatenate([[0]] + [edges[1:] + at for (_, edges), at in zip(spans, frame_at)])
+    states = np.repeat(np.arange(len(hmms)) * m, n_frames)[:, None] + np.arange(m)
+    joint = _log_joints(_density_stack([s for hmm in hmms for s in hmm.states]), frames, states)
+    emis = logsumexp(joint, axis=2)
+    log_self, log_adv = map(np.stack, zip(*(hmm.log_transitions() for hmm in hmms)))
+    owner = np.repeat(np.arange(len(hmms)), n_spans)
+    lls, gamma, stays, moves = _e_step(emis, edges, log_self[owner], log_adv[owner])
+    resp = gamma[:, :, None] * np.exp(joint - emis[:, :, None])
+    return [(float(_ordered_sum(lls[a:b])), resp[frame_at[j]:frame_at[j + 1]],
+             _ordered_sum(stays[a:b]), _ordered_sum(moves[a:b]))
+            for j, (a, b) in enumerate(zip(span_at[:-1], span_at[1:]))]
+
+
 def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
                      cfg: TokenizerConfig | None = None,
                      init_model: LevelModel | None = None) -> LevelModel:
-    """Fit the n token HMMs to the labeled spans by per-token EM.
+    """Fit the n token HMMs to the labeled spans by EM, a level at a time.
 
-    Warm-starts from init_model when given (otherwise from flat_start_model),
-    so successive calls within the alternation cannot decrease the
-    likelihood of the training labels.  Tokens with no assigned spans are
-    reseeded from a perturbed copy of the most populous token's model.
+    Each EM iteration runs one E-step over the spans of every token still
+    training (_token_statistics), then each token's own M-step.  A token stops
+    once its log-likelihood gain falls under em_tol, and its spans leave later
+    iterations; mixture splits are per token too, so every token follows the
+    course EM would take on it alone.  Warm-starts from init_model when given
+    (otherwise from flat_start_model), so successive calls within the
+    alternation cannot decrease the likelihood of the training labels.  Tokens
+    with no assigned spans are reseeded from a perturbed copy of the most
+    populous token's model.
     """
     cfg = cfg or TokenizerConfig()
     validate_label_set(labels, corpus.frame_counts(), g.n)
@@ -460,29 +542,30 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
         init_model = flat_start_model(corpus, labels, g, cfg)
 
     split_at = set(cfg.mixture_schedule)
-    hmms: list[TokenHmm] = []
-    for token in range(g.n):
-        frames, edges = spans[token]
-        hmm = init_model.hmms[token]  # read only: EM builds new states
-        if not len(frames):
-            hmms.append(hmm)  # reseeded afterwards
-            continue
-        prev_ll = None
-        for it in range(cfg.em_iters):
-            # a warm start already holds the components of earlier splits
-            target = 2 ** sum(k <= it for k in split_at)
+    hmms = list(init_model.hmms)  # read only: EM builds new states
+    prev_ll: list[float | None] = [None] * g.n
+    training = [token for token in range(g.n) if len(spans[token][0])]  # the rest are reseeded
+    for it in range(cfg.em_iters):
+        if not training:
+            break
+        # a warm start already holds the components of earlier splits
+        target = 2 ** sum(k <= it for k in split_at)
+        for token in training:
+            hmm = hmms[token]
             if any(s.n_components < target for s in hmm.states):
-                hmm = TokenHmm(token, [s.split() if s.n_components < target else s
-                                       for s in hmm.states], hmm.transitions.copy())
-                prev_ll = None  # mixture count changed, restart convergence check
-            emis, post = _span_posteriors(hmm, frames)
-            ll, gamma, stay, move = _e_step(hmm, emis, edges)
-            hmm = _m_step(hmm, gamma[:, :, None] * post, frames, stay, move, var_floor)
-            if prev_ll is not None:
-                if abs(ll - prev_ll) / max(1.0, abs(prev_ll)) < cfg.em_tol:
-                    break
-            prev_ll = ll
-        hmms.append(hmm)
+                hmms[token] = TokenHmm(token, [s.split() if s.n_components < target else s
+                                               for s in hmm.states], hmm.transitions.copy())
+                prev_ll[token] = None  # mixture count changed, restart convergence check
+        stats = _token_statistics([hmms[token] for token in training],
+                                  [spans[token] for token in training])
+        still = []
+        for token, (ll, resp, stay, move) in zip(training, stats):
+            hmms[token] = _m_step(hmms[token], resp, spans[token][0], stay, move, var_floor)
+            prev = prev_ll[token]
+            if prev is None or not abs(ll - prev) / max(1.0, abs(prev)) < cfg.em_tol:
+                still.append(token)
+            prev_ll[token] = ll
+        training = still
 
     frames_per_token = np.array([len(frames) for frames, _ in spans])
     if np.any(frames_per_token == 0) and np.any(frames_per_token > 0):
@@ -498,19 +581,22 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
 # decoding and the likelihood trace
 # ---------------------------------------------------------------------------
 
-def _emission_table(model: LevelModel, frames: np.ndarray) -> np.ndarray:
-    """(T, n, m) state log densities: one kernel call per token, so the largest
-    temporary is (T, m, c, d), never the (T, n * m, c, d) of all tokens."""
-    return np.stack([h.emission_matrix(frames) for h in model.hmms], axis=1)
+def _emission_table(stack: tuple[np.ndarray, ...], frames: np.ndarray,
+                    g: Granularity) -> np.ndarray:
+    """(T, n, m) state log densities of an utterance: one kernel pass over the
+    _density_stack of a level's n * m states, in token-major order."""
+    joint = _log_joints(stack, frames, np.arange(g.n * g.m))
+    return logsumexp(joint, axis=2).reshape(len(frames), g.n, g.m)
 
 
 def _table_groups(model: LevelModel, corpus: Corpus):
     """Consecutive utterances of corpus.ids() in batches, each with its
-    utterances' emission tables."""
+    utterances' emission tables; the model's states are stacked once."""
     g, ids = model.granularity, corpus.ids()
+    stack = _density_stack([s for hmm in model.hmms for s in hmm.states])
     lengths = np.array([corpus[utt].n_frames for utt in ids], dtype=np.int64)
     for batch in _batches(lengths, 8 * g.n * g.m, BATCH_BYTES):
-        yield ids[batch], [_emission_table(model, corpus[utt].frames) for utt in ids[batch]]
+        yield ids[batch], [_emission_table(stack, corpus[utt].frames, g) for utt in ids[batch]]
 
 
 def _viterbi(model: LevelModel, tables: list[np.ndarray], lm_scale: float) -> list[list]:
@@ -576,7 +662,8 @@ def _backtrack(choice: np.ndarray, switch_from: np.ndarray, token: int) -> list:
 
 def decode_utterance(model: LevelModel, frames: np.ndarray, lm_scale: float = 1.0) -> list:
     """Token-loop Viterbi: any token may follow any token, weighted by the prior."""
-    return _viterbi(model, [_emission_table(model, frames)], lm_scale)[0]
+    stack = _density_stack([s for hmm in model.hmms for s in hmm.states])
+    return _viterbi(model, [_emission_table(stack, frames, model.granularity)], lm_scale)[0]
 
 
 def decode_level(model: LevelModel, corpus: Corpus,

@@ -439,16 +439,20 @@ class TestStages:
         ("min_gap", "-3", "[reinforce] min_gap must be >= 1, got -3"),
         ("epochs", "0", "[mdnn] epochs must be >= 1, got 0"),
         ("hidden", "16 0", "[mdnn] hidden widths must be >= 1, got [16, 0]"),
+        ("em_iters", "-1", "[tokenizer] em_iters must be >= 0, got -1"),
+        ("em_tol", "-0.5", "[tokenizer] em_tol must be >= 0, got -0.5"),
+        ("var_floor_frac", "0", "[tokenizer] var_floor_frac must be > 0, got 0.0"),
     ], ids=["n_speakers", "bottleneck", "mode", "iterations", "mr_rounds", "phonetic",
             "temporal", "weights", "weights-negative", "weights-zero-sum", "lda_iters",
             "lda_beta", "lda_alpha", "overlap-above-1", "overlap-zero", "min_gap",
-            "epochs", "hidden"])
+            "epochs", "hidden", "em_iters", "em_tol", "var_floor_frac"])
     def test_out_of_range_setting_fails_at_load(self, tmp_path, capsys, key, value, message):
         # TINY_CONFIG leaves these keys at their defaults; spell them out
         text = TINY_CONFIG.replace("[synth]\n", "[synth]\nn_speakers = 2\n").replace(
             "queries = utt000", "queries = utt000\nmode = token\nweights = 1 1").replace(
             "lda_iters = 30\n",
-            "lda_iters = 30\nlda_beta = 0.01\nlda_alpha = \noverlap = 0.5\nmin_gap = 2\n")
+            "lda_iters = 30\nlda_beta = 0.01\nlda_alpha = \noverlap = 0.5\nmin_gap = 2\n").replace(
+            "em_iters = 3\n", "em_iters = 3\nem_tol = 0.0001\nvar_floor_frac = 0.0001\n")
         cfg_path = write_config(tmp_path, text, **{key: value})
         out = tmp_path / "run"
         assert main(["iterate", "--config", str(cfg_path), "--out", str(out)]) == 1

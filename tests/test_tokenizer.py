@@ -210,11 +210,14 @@ class TestMixtureKernel:
         assert np.array_equal(hmm.emission_matrix(frames), ref_emis)
         for s, state in enumerate(hmm.states):
             assert np.array_equal(state.log_density(frames), ref_emis[:, s])
-        emis, post = tok._span_posteriors(hmm, frames)
-        assert np.array_equal(emis, ref_emis)
+        # responsibilities: the E-step's occupancy times the component posteriors
+        edges = np.array([0, len(frames)])
+        [(_, resp, _, _)] = tok._token_statistics([hmm], [(frames, edges)])
+        _, gamma, _, _ = reference_e_step(hmm, ref_emis, edges)
         for s, c in enumerate(components):
-            assert np.array_equal(post[:, s, :c], np.exp(ref_joint[s] - ref_emis[:, s, None]))
-            assert not post[:, s, c:].any()
+            assert np.array_equal(resp[:, s, :c],
+                                  gamma[:, s, None] * np.exp(ref_joint[s] - ref_emis[:, s, None]))
+            assert not resp[:, s, c:].any()
 
     def test_padding_to_eight_or_more_components_agrees_to_rounding(self):
         # numpy sums 8 or more terms pairwise, so a state padded from 7 to 8
@@ -228,18 +231,43 @@ class TestMixtureKernel:
         ref = logsumexp(reference_state_joint(hmm.states[1], frames), axis=1)
         np.testing.assert_allclose(hmm.emission_matrix(frames)[:, 1], ref, rtol=1e-14, atol=0)
 
-    def test_emission_table_is_one_kernel_call_per_token(self, monkeypatch):
+    def test_emission_table_is_one_kernel_pass_over_the_level(self, monkeypatch):
         model, frames = random_instance(np.random.default_rng(3), T=6, n=3, m=2)
         calls = []
-        real = tok.component_log_joints
+        real = tok._log_joints
 
-        def spy(states, frames):
-            calls.append((len(states), len(frames)))
-            return real(states, frames)
+        def spy(stack, frames, states):
+            calls.append((states.shape, len(frames)))
+            return real(stack, frames, states)
 
-        monkeypatch.setattr(tok, "component_log_joints", spy)
+        monkeypatch.setattr(tok, "_log_joints", spy)
         decode_utterance(model, frames)
-        assert calls == [(2, 6)] * 3
+        assert calls == [((3 * 2,), 6)]
+
+    # bytes of a kernel block: the default, one frame and one state, between
+    @pytest.mark.parametrize("block", [None, 1, 3000])
+    def test_level_kernel_equals_the_per_state_formula(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(tok, "KERNEL_BLOCK_BYTES", block)
+        rng = np.random.default_rng(60)
+        d = 5
+        tokens = [random_token(rng, components, d, zero_weight=True)
+                  for components in ((2, 3), (1, 1), (4, 2))]
+        states = [state for hmm in tokens for state in hmm.states]
+        stack = tok._density_stack(states)
+        frames = 2.0 * rng.normal(size=(19, d))
+        # every frame against every state, as decoding scores it
+        joint = tok._log_joints(stack, frames, np.arange(len(states)))
+        assert joint.shape == (19, 6, 4)
+        for k, state in enumerate(states):
+            c = state.n_components
+            assert np.array_equal(joint[:, k, :c], reference_state_joint(state, frames))
+            assert np.all(joint[:, k, c:] == -np.inf)
+        # each frame against its own token's states, as training scores it
+        owner = rng.integers(len(tokens), size=len(frames))
+        rows = 2 * owner[:, None] + np.arange(2)
+        own = tok._log_joints(stack, frames, rows)
+        assert np.array_equal(own, joint[np.arange(len(frames))[:, None], rows])
 
 
 class TestGrid:
@@ -347,26 +375,35 @@ class TestTraining:
         for hmm in model.hmms:
             assert [s.n_components for s in hmm.states] == [4, 4, 4]
 
-    def test_one_density_evaluation_per_token_and_state(self, monkeypatch):
+    @pytest.mark.parametrize("em_iters", [1, 3])
+    def test_one_kernel_pass_and_one_e_step_per_em_iteration(self, monkeypatch, em_iters):
         spec = SynthSpec(n_tokens=3, states_per_token=3, dim=4, n_utterances=6)
         corpus, truth = synthesize_corpus(spec, seed=8)
         labels = truth.label_set()
         g = Granularity(3, spec.n_tokens)
         init = flat_start_model(corpus, labels, g)
-        calls = []
-        real = tok.component_log_joints
+        calls, e_steps = [], []
+        real_kernel, real_e_step = tok._log_joints, tok._e_step
 
-        def spy(states, frames):
-            calls.append(len(states) * len(frames))
-            return real(states, frames)
+        def kernel_spy(stack, frames, states):
+            assert states.shape == (len(frames), g.m)  # each frame against its token's states
+            calls.append(states.size)
+            return real_kernel(stack, frames, states)
 
-        monkeypatch.setattr(tok, "component_log_joints", spy)
-        train_level_hmms(corpus, labels, g, TokenizerConfig(em_iters=1), init_model=init)
+        def e_step_spy(emis, edges, log_self, log_adv):
+            e_steps.append(len(edges) - 1)
+            return real_e_step(emis, edges, log_self, log_adv)
+
+        monkeypatch.setattr(tok, "_log_joints", kernel_spy)
+        monkeypatch.setattr(tok, "_e_step", e_step_spy)
+        # em_tol = 0: no token stops early
+        cfg = TokenizerConfig(em_iters=em_iters, em_tol=0.0)
+        train_level_hmms(corpus, labels, g, cfg, init_model=init)
         segments = [seg for seq in labels.values() for seg in seq.segments]
-        tokens_with_spans = len({token for token, _, _ in segments})
         labelled_frames = sum(end - start for _, start, end in segments)
-        assert len(calls) == tokens_with_spans
-        assert sum(calls) == labelled_frames * g.m
+        assert e_steps == [len(segments)] * em_iters
+        assert len(calls) == em_iters
+        assert sum(calls) == em_iters * labelled_frames * g.m
 
     def test_order_independent(self, small_corpus):
         spec, corpus, truth = small_corpus
@@ -509,13 +546,22 @@ def reference_global_stats(corpus):
     return frames.mean(axis=0), var, TokenizerConfig().var_floor_frac * var
 
 
+def reference_posteriors(hmm, frames):
+    """(T, m) state log densities and (T, m, c) component posteriors of a
+    token whose states hold c components each, state by state."""
+    joints = [reference_state_joint(state, frames) for state in hmm.states]
+    emis = np.stack([logsumexp(joint, axis=1) for joint in joints], axis=1)
+    post = np.stack([np.exp(joint - emis[:, s, None]) for s, joint in enumerate(joints)], axis=1)
+    return emis, post
+
+
 def reference_em_iteration(corpus, labels, model):
     """One EM iteration of every token from model, span by span."""
     _, _, var_floor = reference_global_stats(corpus)
     hmms = []
     for token, hmm in enumerate(model.hmms):
         spans = reference_spans(corpus, labels, token)
-        emis, post = tok._span_posteriors(hmm, np.concatenate(spans))
+        emis, post = reference_posteriors(hmm, np.concatenate(spans))
         c = max(st.n_components for st in hmm.states)
         stats = ReferenceStats(hmm.m, c, corpus.utterances[0].dim)
         a = 0
@@ -602,6 +648,71 @@ class TestEStepReference:
         assert np.array_equal(model.prior, init.prior)
 
 
+def reference_train_level(corpus, labels, g, cfg, init):
+    """A level trained one token at a time by the per-token EM: each token
+    runs its own loop of mixture splits, span-by-span E-steps
+    (reference_e_step below), M-steps and em_tol checks; tokens with no spans
+    are then reseeded from the most populous one.  Returns the model and the
+    EM iterations each token ran."""
+    _, var, _ = reference_global_stats(corpus)
+    var_floor = cfg.var_floor_frac * var
+    hmms, iterations, frame_counts, span_counts = [], [], [], []
+    for token, hmm in enumerate(init.hmms):
+        spans = reference_spans(corpus, labels, token)
+        frame_counts.append(sum(len(span) for span in spans))
+        span_counts.append(len(spans))
+        ran, prev_ll = 0, None
+        for it in range(cfg.em_iters if spans else 0):
+            target = 2 ** sum(k <= it for k in set(cfg.mixture_schedule))
+            if any(state.n_components < target for state in hmm.states):
+                hmm = TokenHmm(token, [state.split() if state.n_components < target else state
+                                       for state in hmm.states], hmm.transitions.copy())
+                prev_ll = None
+            frames = np.concatenate(spans)
+            emis, post = reference_posteriors(hmm, frames)
+            ll, gamma, stay, move = reference_e_step(
+                hmm, emis, np.cumsum([0] + [len(span) for span in spans]))
+            hmm = tok._m_step(hmm, gamma[:, :, None] * post, frames, stay, move, var_floor)
+            ran += 1
+            if prev_ll is not None and abs(ll - prev_ll) / max(1.0, abs(prev_ll)) < cfg.em_tol:
+                break
+            prev_ll = ll
+        hmms.append(hmm)
+        iterations.append(ran)
+    donor = hmms[int(np.argmax(frame_counts))]
+    for token, count in enumerate(frame_counts):
+        if count == 0:
+            hmms[token] = TokenHmm(token, [state.perturbed(cfg.reseed_scale)
+                                           for state in donor.states], donor.transitions.copy())
+    prior = np.array(span_counts, dtype=float) / sum(span_counts)
+    return LevelModel(g, hmms, prior), iterations
+
+
+class TestLevelOracle:
+    # the level's E-step in one batch, every span a batch of its own, and
+    # every kernel block one frame against one state
+    @pytest.mark.parametrize("budget", [None, "BATCH_BYTES", "KERNEL_BLOCK_BYTES"])
+    def test_level_equals_each_token_trained_alone(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(tok, budget, 1)
+        spec = SynthSpec(n_tokens=3, states_per_token=3, dim=4, n_utterances=6)
+        corpus, _ = synthesize_corpus(spec, seed=21)
+        # tokens 0-2 hold spans, many shorter than m; token 3 holds none
+        labels = random_segments(corpus, 3, np.random.default_rng(21))
+        g = Granularity(3, 4)
+        cfg = TokenizerConfig(em_iters=14, em_tol=3e-3, mixture_schedule=(2,))
+        model = flat_start_model(corpus, labels, g)
+        for start in ("cold", "warm"):
+            want, iterations = reference_train_level(corpus, labels, g, cfg, model)
+            model = train_level_hmms(corpus, labels, g, cfg, init_model=model)
+            assert matm_bytes(model) == matm_bytes(want)
+            if start == "cold":
+                # tokens stop at different iterations, one after its split,
+                # so the warm start holds one- and two-component tokens
+                assert iterations == [12, 2, 2, 0]
+                assert [hmm.states[0].n_components for hmm in model.hmms] == [2, 1, 1, 1]
+
+
 # ---------------------------------------------------------------------------
 # the batched kernels against one span or one utterance at a time
 # ---------------------------------------------------------------------------
@@ -633,6 +744,14 @@ def reference_e_step(hmm, emis, edges):
     return ll, gamma, stay, move
 
 
+def running_sum(values):
+    """Sum along axis 0, first to last, as reference_e_step adds its spans."""
+    total = 0.0
+    for value in values:
+        total = total + value
+    return total
+
+
 class TestBatchedKernels:
     # budget None: all spans in one batch; 1: every span a batch of its own
     @pytest.mark.parametrize("budget", [None, 1])
@@ -641,20 +760,33 @@ class TestBatchedKernels:
         if budget is not None:
             monkeypatch.setattr(tok, "BATCH_BYTES", budget)
         rng = np.random.default_rng(30 + m)
-        self_p = rng.uniform(0.2, 0.8, size=m)
-        hmm = TokenHmm(0, random_token(rng, (2,) * m, 3).states,
-                       np.stack([self_p, 1 - self_p], axis=1))
-        # mixed lengths: length-1 spans and others shorter than m take the
-        # uniform fallback
-        lengths = [5, 1, m - 1, 12, 2, m, 1, 9, 3, 20]
-        edges = np.cumsum([0] + lengths)
-        emis, _ = tok._span_posteriors(hmm, rng.normal(0, 2.0, size=(edges[-1], 3)))
-        ll, gamma, stay, move = tok._e_step(hmm, emis, edges)
-        want_ll, want_gamma, want_stay, want_move = reference_e_step(hmm, emis, edges)
-        assert ll == want_ll
-        assert np.array_equal(gamma, want_gamma)
-        assert np.array_equal(stay, want_stay)
-        assert np.array_equal(move, want_move)
+        # three tokens, each with its own transitions and spans; mixed
+        # lengths: length-1 spans and others shorter than m take the uniform
+        # fallback
+        token_lengths = [[5, 1, m - 1, 12, 2, m], [1, 9, 3, 20], [m + 1, 2, 7]]
+        hmms, emis, edges = [], [], [0]
+        for token, lengths in enumerate(token_lengths):
+            self_p = rng.uniform(0.05, 0.95, size=m)
+            hmm = TokenHmm(token, random_token(rng, (2,) * m, 3).states,
+                           np.stack([self_p, 1 - self_p], axis=1))
+            hmms.append(hmm)
+            emis.append(hmm.emission_matrix(rng.normal(0, 2.0, size=(sum(lengths), 3))))
+            edges += list(edges[-1] + np.cumsum(lengths))
+        owner = np.repeat(np.arange(3), [len(lengths) for lengths in token_lengths])
+        log_self, log_adv = map(np.stack, zip(*(hmm.log_transitions() for hmm in hmms)))
+        lls, gamma, stays, moves = tok._e_step(np.concatenate(emis), np.array(edges),
+                                               log_self[owner], log_adv[owner])
+        span_at, frame_at = 0, 0
+        for hmm, token_emis, lengths in zip(hmms, emis, token_lengths):
+            spans = slice(span_at, span_at + len(lengths))
+            frames = slice(frame_at, frame_at + sum(lengths))
+            want_ll, want_gamma, want_stay, want_move = reference_e_step(
+                hmm, token_emis, np.cumsum([0] + lengths))
+            assert running_sum(lls[spans]) == want_ll
+            assert np.array_equal(gamma[frames], want_gamma)
+            assert np.array_equal(running_sum(stays[spans]), want_stay)
+            assert np.array_equal(running_sum(moves[spans]), want_move)
+            span_at, frame_at = spans.stop, frames.stop
 
     def test_decoding_a_group_equals_decoding_each_utterance_alone(self):
         rng = np.random.default_rng(40)
@@ -809,14 +941,14 @@ class TestRunLevel:
         spec, corpus, truth = small_corpus
         g = Granularity(3, spec.n_tokens)
 
-        calls = {"train": 0, "other": 0}
+        calls = {"train": [], "other": []}
         training = []
-        real_density = tok.component_log_joints
+        real_density = tok._log_joints
         real_train = tok.train_level_hmms
 
-        def density_spy(states, frames):
-            calls["train" if training else "other"] += len(states)
-            return real_density(states, frames)
+        def density_spy(stack, frames, states):
+            calls["train" if training else "other"].append(states.shape)
+            return real_density(stack, frames, states)
 
         def train_spy(*args, **kwargs):
             training.append(True)
@@ -825,11 +957,11 @@ class TestRunLevel:
             finally:
                 training.pop()
 
-        monkeypatch.setattr(tok, "component_log_joints", density_spy)
+        monkeypatch.setattr(tok, "_log_joints", density_spy)
         monkeypatch.setattr(tok, "train_level_hmms", train_spy)
         run_level(corpus, truth.label_set(), g, TokenizerConfig(outer_iters=1, em_iters=1))
-        assert calls["train"] > 0
-        assert calls["other"] == len(corpus) * g.n * g.m
+        assert calls["train"]
+        assert calls["other"] == [(g.n * g.m,)] * len(corpus)
 
     def test_last_trace_value_is_corpus_log_likelihood(self, small_corpus):
         spec, corpus, truth = small_corpus
