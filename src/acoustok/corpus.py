@@ -252,14 +252,25 @@ def utterance_stats(seq: FeatureSequence) -> np.ndarray:
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) cosine similarities of the rows of a and b, clipped to
     [-1, 1]; a zero-norm row scores 0 against every row."""
-    def unit(x):
-        norms = np.linalg.norm(x, axis=1)
-        return x / np.where(norms > 0, norms, 1.0)[:, None], norms == 0
-
-    unit_a, zero_a = unit(a)
+    rows_a = unit_rows(a)
     # one array given twice stays one operand, which numpy multiplies by its
     # own transpose into an exactly symmetric product
-    unit_b, zero_b = (unit_a, zero_a) if b is a else unit(b)
+    return unit_row_similarity(rows_a, rows_a if b is a else unit_rows(b))
+
+
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of x scaled to unit length, zero-norm rows left at 0, and the
+    mask of those zero-norm rows.  Each row is scaled on its own, so the rows
+    of a stack come out as they do one array at a time."""
+    norms = np.linalg.norm(x, axis=1)
+    return x / np.where(norms > 0, norms, 1.0)[:, None], norms == 0
+
+
+def unit_row_similarity(rows_a: tuple[np.ndarray, np.ndarray],
+                        rows_b: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """cosine_similarity of two `unit_rows` results: the product of the unit
+    rows, clipped, with every zero-norm row's entries set to 0."""
+    (unit_a, zero_a), (unit_b, zero_b) = rows_a, rows_b
     sim = np.clip(unit_a @ unit_b.T, -1.0, 1.0)
     sim[zero_a, :] = 0.0
     sim[:, zero_b] = 0.0

@@ -19,6 +19,7 @@ ALLOWED_UNREFERENCED = {
     "decode_utterance": "decoding as a batch of one utterance; bench/ times it",
     "decode_level": "acceptance criterion 2's decoder; bench/ traces it",
     "state_kl": "acceptance criterion 5's pairwise distance; bench/ traces it",
+    "frame_cost_matrix": "the tests' per-document frame-cost reference; bench/ times it",
     "subsequence_dtw": "acceptance criterion 6's DTW as a batch of one; bench/ times and traces it",
     "corpus_log_likelihood": "the check on run_level's trace; bench/ traces it",
     "read_matl": "the MATL format's reader, kept with its writer",
