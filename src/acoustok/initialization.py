@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .corpus import Corpus, FeatureSequence, cosine_similarity
 from .labels import LabelSet, label_set_from_spans, pick_boundaries
@@ -31,6 +30,8 @@ class InitConfig:
         for name in ("side_frames", "kmeans_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.dotplot_sigma >= 0:
+            raise ValueError(f"dotplot_sigma must be >= 0, got {self.dotplot_sigma}")
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +95,40 @@ def cosine_similarity_matrix(frames: np.ndarray) -> np.ndarray:
     return sim
 
 
+def _gaussian_smooth(x: np.ndarray, sigma: float) -> np.ndarray:
+    """x smoothed along axis 0, then axis 1, by a Gaussian of radius
+    int(4 sigma + 0.5) with normalized taps, the edge values repeated past
+    each end.  Each output value adds the centre tap first, then each pair of
+    taps from the outermost in, as w[j] * (left + right)."""
+    radius = int(4.0 * sigma + 0.5)
+    if radius <= 0:  # sigma under 1/8: a single tap of weight 1
+        return x
+    taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    taps = taps / taps.sum()
+    pair = np.empty_like(x)
+    for _ in range(2):  # axis 1 is axis 0 of the transpose
+        n = len(x)
+        padded = np.concatenate([np.repeat(x[:1], radius, axis=0), x,
+                                 np.repeat(x[-1:], radius, axis=0)])
+        out = x * taps[radius]
+        for j in range(radius, 0, -1):
+            np.add(padded[radius - j:radius - j + n], padded[radius + j:radius + j + n], out=pair)
+            pair *= taps[radius + j]
+            out += pair
+        x, pair = out.T, pair.T
+    return x
+
+
 def build_dotplot(frames: np.ndarray, sigma: float = 1.0) -> np.ndarray:
-    """Self-similarity dotplot smoothed by a separable Gaussian, exactly symmetric."""
+    """Self-similarity dotplot smoothed by a separable Gaussian, exactly symmetric.
+
+    The smoothing runs along axis 0, then axis 1, and gives the same bits as
+    scipy.ndimage.gaussian_filter(sim, sigma, mode="nearest") (the tests keep
+    scipy as the reference); sigma = 0 leaves the similarities unsmoothed.
+    """
     if frames.shape[0] < 2:
         raise ValueError("dotplot needs at least 2 frames")
-    sim = cosine_similarity_matrix(frames)
-    if sigma > 0:
-        sim = gaussian_filter(sim, sigma=sigma, mode="nearest")
+    sim = _gaussian_smooth(cosine_similarity_matrix(frames), sigma)
     return (sim + sim.T) / 2.0
 
 

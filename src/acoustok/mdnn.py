@@ -2,7 +2,7 @@
 and a softmax head per level, trained with a uniformly weighted cross-entropy
 objective.  The bottleneck activations are the learned frame-level features.
 
-Everything is plain numpy, with scipy's softmax, and an explicit backward pass,
+Everything is plain numpy, with an explicit backward pass,
 so training is bit-deterministic given (seed, data, config) and the analytic
 gradients can be verified against finite differences.
 """
@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import softmax
 
 from .corpus import ArtifactReader
 from .labels import LabelSet
@@ -78,6 +77,13 @@ def _sigmoid(x):
     return out
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by each row's maximum: the same bits as
+    scipy.special.softmax(z, axis=1)."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def init_mdnn(input_dim: int, head_sizes: list[int], head_keys: list[Granularity],
               cfg: MdnnConfig | None = None, seed: int = 0) -> MdnnModel:
     """Glorot-uniform weights, zero biases, in a fixed generation order."""
@@ -107,10 +113,8 @@ def _forward(model: MdnnModel, x: np.ndarray):
         z = acts[-1] @ W + b
         acts.append(z if i == last else _sigmoid(z))
     bottleneck = acts[-1]
-    head_probs = [
-        softmax(bottleneck @ W + b, axis=1)
-        for W, b in zip(model.head_weights, model.head_biases)
-    ]
+    head_probs = [_softmax(bottleneck @ W + b)
+                  for W, b in zip(model.head_weights, model.head_biases)]
     return acts, head_probs
 
 

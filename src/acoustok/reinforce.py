@@ -12,12 +12,12 @@ detected exactly.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .corpus import ArtifactReader
 from .labels import LabelSet, TokenLabelSequence, label_set_from_spans, pick_boundaries
@@ -308,6 +308,10 @@ def lda_fit(docs: list[list[int]], n_topics: int, vocab_size: int,
     return LdaModel(K, topic_word, doc_topic, alpha, beta, seed)
 
 
+# elementwise log |Gamma(x)|, by the standard library's lgamma
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
 def complete_data_log_posterior(model: LdaModel) -> float:
     """log P(w, z | alpha, beta) up to assignment-independent constants."""
     K = model.n_topics
@@ -316,12 +320,12 @@ def complete_data_log_posterior(model: LdaModel) -> float:
     doc_len = model.doc_topic.sum(axis=1)
     topic_total = model.topic_word.sum(axis=1)
     doc_part = (
-        gammaln(model.doc_topic + a).sum()
-        - gammaln(doc_len + K * a).sum()
+        _lgamma(model.doc_topic + a).sum()
+        - _lgamma(doc_len + K * a).sum()
     )
     word_part = (
-        gammaln(model.topic_word + b).sum()
-        - gammaln(topic_total + V * b).sum()
+        _lgamma(model.topic_word + b).sum()
+        - _lgamma(topic_total + V * b).sum()
     )
     return float(doc_part + word_part)
 

@@ -383,25 +383,30 @@ def _e_step(emis: np.ndarray, edges: np.ndarray, log_self: np.ndarray,
         moves[batch, :-1] = np.exp(alpha[:-1, :, :-1] + row_adv[:, :-1] + padded[1:, :, 1:]
                                    + beta[1:, :, 1:] - shift).sum(axis=0)
         moves[batch, -1] = occupancy[last, spans, m - 1]
-    for i in np.flatnonzero(~np.isfinite(lls)):
+    lost = np.flatnonzero(~np.isfinite(lls))
+    lost_edges = np.concatenate([[0], np.cumsum(lengths[lost])])
+    rows = np.arange(lost_edges[-1]) + np.repeat(edges[lost] - lost_edges[:-1], lengths[lost])
+    gamma[rows], stays[lost], moves[lost] = _uniform_alignment(lost_edges, m)
+    for i in lost:
         a, b = edges[i], edges[i + 1]
-        gamma[a:b], stays[i], moves[i] = _uniform_alignment(b - a, m)
         lls[i] = emis[a:b][gamma[a:b] > 0].sum() + stays[i] @ log_self[i] + moves[i] @ log_adv[i]
     return lls, gamma, stays, moves
 
 
-def _uniform_alignment(length: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hard alignment of a span: the one-hot (length, m) occupancy with its
-    self-loop and advance counts.  State s takes frames length * s // m up to
-    length * (s + 1) // m; when length < m, one frame per state and the
-    trailing states stay empty."""
-    if length >= m:
-        state = np.repeat(np.arange(m), np.diff(np.arange(m + 1) * length // m))
-    else:
-        state = np.arange(length)
-    gamma = np.eye(m)[state]
-    frames_in = gamma.sum(axis=0)
-    return gamma, np.maximum(frames_in - 1.0, 0.0), np.minimum(frames_in, 1.0)
+def _uniform_alignment(edges: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hard alignment of stacked spans, span i being rows edges[i] to
+    edges[i + 1]: the one-hot (N, m) occupancy with each span's (spans, m)
+    self-loop and advance counts.  State s of a span of L frames takes its
+    frames L * s // m up to L * (s + 1) // m; when L < m, one frame per state
+    and the trailing states stay empty."""
+    lengths = np.diff(edges)
+    span = np.repeat(np.arange(len(lengths)), lengths)
+    length = lengths[span]
+    frame = np.arange(edges[-1]) - edges[span]
+    # the last s with L * s // m <= frame
+    state = np.where(length >= m, (m * (frame + 1) - 1) // length, frame)
+    frames_in = np.bincount(span * m + state, minlength=len(lengths) * m).reshape(-1, m)
+    return np.eye(m)[state], np.maximum(frames_in - 1.0, 0.0), np.minimum(frames_in, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +456,9 @@ def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
     for token, (frames, edges) in enumerate(spans):
         template = TokenHmm(token, [GaussState.single(global_mean, global_var)
                                     for _ in range(g.m)], np.full((g.m, 2), 0.5))
-        gamma, stay, move = np.empty((len(frames), g.m)), np.zeros(g.m), np.zeros(g.m)
-        for a, b in zip(edges[:-1], edges[1:]):
-            gamma[a:b], span_stay, span_move = _uniform_alignment(b - a, g.m)
-            stay, move = stay + span_stay, move + span_move
-        hmms.append(_m_step(template, gamma[:, :, None], frames, stay, move,
-                            cfg.var_floor_frac * global_var))
+        gamma, stays, moves = _uniform_alignment(edges, g.m)
+        hmms.append(_m_step(template, gamma[:, :, None], frames, stays.sum(axis=0),
+                            moves.sum(axis=0), cfg.var_floor_frac * global_var))
     return LevelModel(g, hmms, _estimate_prior(spans))
 
 

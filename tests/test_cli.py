@@ -442,17 +442,30 @@ class TestStages:
         ("em_iters", "-1", "[tokenizer] em_iters must be >= 0, got -1"),
         ("em_tol", "-0.5", "[tokenizer] em_tol must be >= 0, got -0.5"),
         ("var_floor_frac", "0", "[tokenizer] var_floor_frac must be > 0, got 0.0"),
+        ("window", "0", "[features] window must be > 0, got 0.0"),
+        ("shift", "0", "[features] shift must be > 0, got 0.0"),
+        ("n_ceps", "30", "[features] n_ceps must be >= 1 and <= n_filters (26), got 30"),
+        ("n_ceps", "0", "[features] n_ceps must be >= 1 and <= n_filters (26), got 0"),
+        ("n_filters", "0", "[features] n_ceps must be >= 1 and <= n_filters (0), got 13"),
+        ("delta_window", "0", "[features] delta_window must be >= 1, got 0"),
+        ("context_radius", "-1", "[features] context_radius must be >= 0, got -1"),
+        ("dotplot_sigma", "-1", "[init] dotplot_sigma must be >= 0, got -1.0"),
     ], ids=["n_speakers", "bottleneck", "mode", "iterations", "mr_rounds", "phonetic",
             "temporal", "weights", "weights-negative", "weights-zero-sum", "lda_iters",
             "lda_beta", "lda_alpha", "overlap-above-1", "overlap-zero", "min_gap",
-            "epochs", "hidden", "em_iters", "em_tol", "var_floor_frac"])
+            "epochs", "hidden", "em_iters", "em_tol", "var_floor_frac", "window", "shift",
+            "n_ceps-above-n_filters", "n_ceps-zero", "n_filters", "delta_window",
+            "context_radius", "dotplot_sigma"])
     def test_out_of_range_setting_fails_at_load(self, tmp_path, capsys, key, value, message):
         # TINY_CONFIG leaves these keys at their defaults; spell them out
         text = TINY_CONFIG.replace("[synth]\n", "[synth]\nn_speakers = 2\n").replace(
             "queries = utt000", "queries = utt000\nmode = token\nweights = 1 1").replace(
             "lda_iters = 30\n",
             "lda_iters = 30\nlda_beta = 0.01\nlda_alpha = \noverlap = 0.5\nmin_gap = 2\n").replace(
-            "em_iters = 3\n", "em_iters = 3\nem_tol = 0.0001\nvar_floor_frac = 0.0001\n")
+            "em_iters = 3\n", "em_iters = 3\nem_tol = 0.0001\nvar_floor_frac = 0.0001\n").replace(
+            "[features]\n", "[features]\nwindow = 0.025\nshift = 0.01\nn_ceps = 13\n"
+            "n_filters = 26\ndelta_window = 2\n").replace(
+            "[init]\n", "[init]\ndotplot_sigma = 1.0\n")
         cfg_path = write_config(tmp_path, text, **{key: value})
         out = tmp_path / "run"
         assert main(["iterate", "--config", str(cfg_path), "--out", str(out)]) == 1

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from acoustok.corpus import Corpus, FeatureSequence, SynthSpec, synthesize_corpus
 from acoustok.initialization import (
+    _gaussian_smooth,
     build_dotplot,
     cluster_segments,
     cosine_similarity_matrix,
@@ -76,6 +78,29 @@ class TestDotplot:
         rng = np.random.default_rng(2)
         dot = build_dotplot(rng.normal(size=(12, 4)))
         assert np.array_equal(dot, dot.T)
+
+    def test_zero_sigma_leaves_similarities(self):
+        frames = np.random.default_rng(3).normal(size=(9, 4))
+        assert np.array_equal(build_dotplot(frames, 0.0), cosine_similarity_matrix(frames))
+
+
+class TestGaussianSmooth:
+    """The dotplot's smoothing against scipy.ndimage.gaussian_filter with
+    mode="nearest", kept here as the reference: the same bits."""
+
+    # 0.1 has radius 0, a single tap
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 1.7])
+    def test_equals_scipy_on_cosine_dotplots(self, sigma):
+        rng = np.random.default_rng(int(10 * sigma))
+        for T in range(2, 200):
+            sim = cosine_similarity_matrix(rng.normal(size=(T, 6)))
+            reference = gaussian_filter(sim, sigma, mode="nearest")
+            assert np.array_equal(_gaussian_smooth(sim, sigma), reference), T
+
+    def test_build_dotplot_symmetrizes_scipy_smoothing(self):
+        frames = np.random.default_rng(4).normal(size=(23, 6))
+        smooth = gaussian_filter(cosine_similarity_matrix(frames), 1.0, mode="nearest")
+        assert np.array_equal(build_dotplot(frames, 1.0), (smooth + smooth.T) / 2.0)
 
 
 class TestWatershed:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 from acoustok.corpus import FeatureSequence
 from acoustok.labels import TokenLabelSequence
@@ -9,6 +10,7 @@ from acoustok.mdnn import (
     _backward,
     _cross_entropy,
     _forward,
+    _softmax,
     build_targets,
     extract_bnf,
     head_accuracies,
@@ -128,6 +130,18 @@ class TestTraining:
         _, head_probs = _forward(model, inputs)
         for probs in head_probs:
             assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-6
+
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 30.0, 1e3])
+    def test_softmax_equals_scipy(self, scale):
+        rng = np.random.default_rng(int(scale * 100))
+        for _ in range(100):
+            z = rng.uniform(-scale, scale, size=(int(rng.integers(1, 40)), int(rng.integers(1, 9))))
+            assert np.array_equal(_softmax(z), softmax(z, axis=1))
+
+    def test_softmax_ties_equal_scipy(self):
+        z = np.array([[3.0, 3.0, -1.0], [0.0, 0.0, 0.0], [-1e3, 1e3, 1e3], [5.0, -5.0, 5.0]])
+        assert np.array_equal(_softmax(z), softmax(z, axis=1))
+        assert _softmax(z)[2, 1] == _softmax(z)[2, 2] == 0.5
 
     def test_bit_deterministic(self):
         inputs, targets = toy_data(n=64)
