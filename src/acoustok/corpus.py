@@ -216,7 +216,8 @@ def extract_features(waveform: Waveform, cfg: FeatureConfig | None = None) -> Fe
     """Frame the signal and compute cepstra + log energy + delta + double delta.
 
     T = floor((N - window) / shift) + 1 frames; d = 3 * n_ceps (39 by default).
-    Raises AudioError if the signal is shorter than one analysis window.
+    Raises AudioError if the window or the shift rounds to no sample at the
+    signal's rate, or if the signal is shorter than one analysis window.
     The cepstra are the log mel energies times a cosine matrix, the
     orthonormal DCT-II.  They differ from scipy.fft.dct(..., norm="ortho") by
     rounding only: by at most 9.0e-16 of the frame's largest coefficient
@@ -226,6 +227,10 @@ def extract_features(waveform: Waveform, cfg: FeatureConfig | None = None) -> Fe
     sr = waveform.sample_rate
     win = int(round(cfg.window * sr))
     shift = int(round(cfg.shift * sr))
+    for name, seconds, samples in (("window", cfg.window, win), ("shift", cfg.shift, shift)):
+        if samples < 1:
+            raise AudioError(f"{waveform.utterance_id}: {name} = {seconds} s is {samples} "
+                             f"samples at {sr} Hz; it must be at least 1")
     x = waveform.samples
     if len(x) < win:
         raise AudioError(f"{waveform.utterance_id}: audio shorter than one window")

@@ -8,29 +8,25 @@ Scores are summed over levels.  Frame mode runs the same DTW over cosine
 distances between feature frames.  All scores are normalized by query length;
 lower is better.
 
-A KL table is one matrix product per state row: row i's components, as
-(v + mu^2, mu), against every component's (1/v, -2 mu/v), plus per-component
-constants, after the state position's means are centred on the mean of its
-real components.  It rounds differently from the term-by-term closed form,
-by at most about 5e-15 relative on the levels it has been measured on.  Frame
-costs are 1 - the product of unit rows from `corpus.unit_rows`: the query's
-rows are scaled once per query and each DTW block's document frames in one
-call, and each document keeps its own product, so frame scores are
-bit-identical to `frame_cost_matrix` per document.
+A KL table is one matrix product per state row (`_variational_kls`).  It
+rounds differently from the term-by-term closed form, by at most about
+5e-15 relative on the levels it has been measured on.
 
 Subsequence DTW runs as one anti-diagonal wavefront over a block of
-documents that share the query axis.  Cell (i, j) depends only on cells of
-the anti-diagonals i + j - 1 and i + j - 2, so each diagonal of every
-document in the block is one element-wise minimum of three neighbours plus
-one addition.  Documents are cut into consecutive blocks by
-`tokenizer._batches`' rule, so that a block's cost matrices and its skewed
-accumulator stay under DTW_BLOCK_BYTES.
+documents that share the query axis: cell (i, j) depends only on the
+anti-diagonals i + j - 1 and i + j - 2, so each diagonal of every document
+in the block is one element-wise minimum of three neighbours plus one
+addition.  A block is one skewed accumulator, cut by `tokenizer._batches`'
+rule to stay under DTW_BLOCK_BYTES.  Frame costs, 1 - the product of unit
+rows from `corpus.unit_rows`, are written straight into it: the query's rows
+are scaled once per query and a block's frames in one call, and each
+document keeps its own product, so frame scores are bit-identical to
+`frame_cost_matrix` per document.
 
 Every cell adds its cost to the minimum of the same neighbours as the
-cell-by-cell recursion, and sums grow along the path in path order, so the
-scores do not depend on how documents are blocked and equal exact
-enumeration of the paths.  The one difference from Python's `min` is the
-sign of a zero: on equal values `min` keeps its first argument and
+cell-by-cell recursion, in path order, so scores do not depend on the
+blocking and equal exact enumeration of the paths, but for the sign of a
+zero: on equal values Python's `min` keeps its first argument and
 `np.minimum` need not, so a hand-built matrix of -0.0 and 0.0 entries can
 score 0.0 where `min` gives -0.0.  No cost here holds -0.0: frame costs are
 1 - clip(similarity), and token tables are zeros plus max(0, .).
@@ -46,8 +42,8 @@ import numpy as np
 from .corpus import FeatureSequence, cosine_similarity, unit_row_similarity, unit_rows
 from .tokenizer import GaussState, Granularity, LevelModel, _batches, logsumexp, stack_states
 
-# bytes a block of documents may take in subsequence DTW: its cost matrices
-# plus its skewed accumulator; a block holds at least one document
+# bytes a block of documents may take in subsequence DTW: its one skewed
+# accumulator; a block holds at least one document
 DTW_BLOCK_BYTES = 256 << 10
 
 
@@ -125,34 +121,40 @@ def matching_matrix(S: np.ndarray, doc_tokens, query_tokens) -> np.ndarray:
 # subsequence DTW
 # ---------------------------------------------------------------------------
 
-def subsequence_dtw_block(costs: np.ndarray) -> np.ndarray:
-    """Subsequence DTW of each (document, query) cost matrix in a (B, D, Q)
-    block, rows past a document's end +inf: the minimal path cost divided by
-    the query length, one score per document.  Paths may start and end at any
-    document row but must cover every query column; steps are (1,1), (1,0),
-    (0,1).
-
-    The accumulator is skewed: acc[i + j + 1, j + 1, b] holds cell (i, j) of
-    document b, so row r is the anti-diagonal r - 1 and row 0 the diagonal
-    before the first.  Cells off a document are +inf.  Column 0 is a query
-    column j = -1 of zeros that is never updated: as a neighbour of column 0 it
-    gives the free start, cost + min(0, acc[i - 1, 0]).  Diagonal 0 keeps
-    acc[0, 0] = cost[0, 0].  Sums are in path order and match the cell-by-cell
-    recursion bit for bit, apart from the sign of a zero minimum (see the
-    module docstring)."""
-    B, D, Q = costs.shape
-    if D < 1 or Q < 1:
-        raise ValueError("cost matrix must be non-empty")
+def _skewed_accumulator(B: int, D: int, Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """A (D + Q, Q + 1, B) skewed DTW accumulator and the (D, Q, B) view that
+    costs are written through: cell (i, j) of document b is acc[i + j + 1,
+    j + 1, b], so row r is the anti-diagonal r - 1.  Cells off a document stay
+    +inf.  Column 0 is a query column j = -1 of zeros: as a neighbour of column
+    0 it gives the free start, cost + min(0, acc[i - 1, 0])."""
     acc = np.full((D + Q, Q + 1, B), np.inf)
     acc[:, 0] = 0.0
-    i, j = np.ogrid[:D, :Q]
-    acc[i + j + 1, j + 1] = costs.transpose(1, 2, 0)
-    best = np.empty((Q, B))
-    for r in range(2, D + Q):
+    row, col, doc = acc.strides
+    return acc, np.lib.stride_tricks.as_strided(acc[1:, 1:], (D, Q, B), (row, row + col, doc))
+
+
+def _wavefront(acc: np.ndarray) -> np.ndarray:
+    """Subsequence DTW over a filled skewed accumulator, in place: one score
+    per document, its minimal path cost over the query length."""
+    Q = acc.shape[1] - 1
+    best = np.empty((Q, acc.shape[2]))
+    for r in range(2, len(acc)):
         np.minimum(acc[r - 2, :-1], acc[r - 1, 1:], out=best)
         np.minimum(best, acc[r - 1, :-1], out=best)
         acc[r, 1:] += best
     return acc[Q:, Q].min(axis=0) / Q
+
+
+def subsequence_dtw_block(costs: np.ndarray) -> np.ndarray:
+    """Subsequence DTW of each (document, query) cost matrix in a (B, D, Q)
+    block, rows past a document's end +inf: one score per document, for paths
+    of steps (1,1), (1,0), (0,1) over all query columns, free at both ends."""
+    B, D, Q = costs.shape
+    if D < 1 or Q < 1:
+        raise ValueError("cost matrix must be non-empty")
+    acc, cells = _skewed_accumulator(B, D, Q)
+    cells[...] = costs.transpose(1, 2, 0)
+    return _wavefront(acc)
 
 
 def subsequence_dtw(cost: np.ndarray) -> float:
@@ -166,10 +168,9 @@ def frame_cost_matrix(doc: np.ndarray, query: np.ndarray) -> np.ndarray:
 
 
 def _dtw_blocks(lengths: np.ndarray, q: int) -> list[slice]:
-    """Consecutive documents of the given lengths cut into DTW blocks for a
-    query of q entries: a document spans lengths + q rows of q + 1 cells in
-    the skewed accumulator."""
-    return _batches(lengths + q, 8 * (q + 1), DTW_BLOCK_BYTES)
+    """Consecutive documents cut into DTW blocks for a query of q entries: a
+    block's accumulator holds longest length + q rows of q + 1 cells each."""
+    return _batches(lengths + q, 8 * (q + 1), DTW_BLOCK_BYTES, stacked=False)
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +249,17 @@ def token_scores(index: RetrievalIndex,
 
 def _frame_cost_block(docs: list[FeatureSequence],
                       query: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """(B, longest, q) cosine distances of a block of documents to a query's
-    `unit_rows`, +inf past each document's end.  The block's frames are scaled
-    to unit rows in one call; each document's costs are then its own product
-    of unit rows, which rounds as `frame_cost_matrix` does.  The unit rows die
-    on return, before the DTW allocates its accumulator."""
+    """The skewed accumulator of a block of documents against a query's
+    `unit_rows`, holding each document's cosine distances: its own product of
+    unit rows, which rounds as `frame_cost_matrix` does.  The block's frames are
+    scaled in one call, and their unit rows die on return, before the DTW."""
     unit, zero = unit_rows(np.concatenate([seq.frames for seq in docs]))
     ends = np.cumsum([seq.n_frames for seq in docs]).tolist()
-    costs = np.full((len(docs), max(seq.n_frames for seq in docs), len(query[0])), np.inf)
+    acc, cells = _skewed_accumulator(len(docs), max(seq.n_frames for seq in docs), len(query[0]))
     for b, (start, end) in enumerate(zip([0] + ends, ends)):
-        costs[b, :end - start] = 1.0 - unit_row_similarity((unit[start:end], zero[start:end]),
-                                                           query)
-    return costs
+        np.subtract(1.0, unit_row_similarity((unit[start:end], zero[start:end]), query),
+                    out=cells[:end - start, :, b])
+    return acc
 
 
 def frame_scores(index: RetrievalIndex, query_features: FeatureSequence) -> dict[str, float]:
@@ -274,7 +274,7 @@ def frame_scores(index: RetrievalIndex, query_features: FeatureSequence) -> dict
     query = unit_rows(query_features.frames)
     scores = np.empty(len(docs))
     for block in _dtw_blocks(lengths, query_features.n_frames):
-        scores[block] = subsequence_dtw_block(_frame_cost_block(docs[block], query))
+        scores[block] = _wavefront(_frame_cost_block(docs[block], query))
     return dict(zip(index.doc_features, scores.tolist()))
 
 

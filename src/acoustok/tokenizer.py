@@ -276,16 +276,17 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def _batches(lengths: np.ndarray, cell_bytes: int, budget: int) -> list[slice]:
+def _batches(lengths: np.ndarray, cell_bytes: int, budget: int,
+             stacked: bool = True) -> list[slice]:
     """Consecutive rows cut into batches of at most budget bytes, counting
-    cell_bytes per cell of the rows (lengths[i] cells each) and of their
-    padded copy."""
+    cell_bytes per cell of the rows' padded copy and, if stacked, of the rows
+    themselves (lengths[i] cells each)."""
     batches, start, total, longest = [], 0, 0, 0
     for i, length in enumerate(lengths.tolist()):
-        total, longest = total + length, max(longest, length)
+        total, longest = total + length * stacked, max(longest, length)
         if i > start and (total + longest * (i + 1 - start)) * cell_bytes > budget:
             batches.append(slice(start, i))
-            start, total, longest = i, length, length
+            start, total, longest = i, length * stacked, length
     if len(lengths):
         batches.append(slice(start, len(lengths)))
     return batches
@@ -449,9 +450,15 @@ def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
     it and no density is evaluated.  States that no span reaches keep the
     template's global statistics.
     """
-    cfg = cfg or TokenizerConfig()
-    spans = _collect_spans(corpus, labels, g.n)
-    global_mean, global_var = _global_stats(corpus)
+    return _flat_start(_collect_spans(corpus, labels, g.n), _global_stats(corpus), g,
+                       cfg or TokenizerConfig())
+
+
+def _flat_start(spans: list[tuple[np.ndarray, np.ndarray]],
+                stats: tuple[np.ndarray, np.ndarray], g: Granularity,
+                cfg: TokenizerConfig) -> LevelModel:
+    """flat_start_model from already collected spans and global statistics."""
+    global_mean, global_var = stats
     hmms = []
     for token, (frames, edges) in enumerate(spans):
         template = TokenHmm(token, [GaussState.single(global_mean, global_var)
@@ -531,7 +538,7 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
     once its log-likelihood gain falls under em_tol, and its spans leave later
     iterations; mixture splits are per token too, so every token follows the
     course EM would take on it alone.  Warm-starts from init_model when given
-    (otherwise from flat_start_model), so successive calls within the
+    (otherwise from the flat start), so successive calls within the
     alternation cannot decrease the likelihood of the training labels.  Tokens
     with no assigned spans are reseeded from a perturbed copy of the most
     populous token's model.
@@ -539,9 +546,10 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
     cfg = cfg or TokenizerConfig()
     validate_label_set(labels, corpus.frame_counts(), g.n)
     spans = _collect_spans(corpus, labels, g.n)
-    var_floor = cfg.var_floor_frac * _global_stats(corpus)[1]
+    stats = _global_stats(corpus)
+    var_floor = cfg.var_floor_frac * stats[1]
     if init_model is None:
-        init_model = flat_start_model(corpus, labels, g, cfg)
+        init_model = _flat_start(spans, stats, g, cfg)
 
     split_at = set(cfg.mixture_schedule)
     hmms = list(init_model.hmms)  # read only: EM builds new states

@@ -7,6 +7,7 @@ from scipy.fft import dct
 from acoustok.corpus import (
     AudioError,
     Corpus,
+    FeatureConfig,
     FeatureSequence,
     SynthSpec,
     Waveform,
@@ -89,6 +90,13 @@ class TestExtractFeatures:
     def test_too_short(self):
         with pytest.raises(AudioError, match="shorter than one window"):
             extract_features(Waveform(np.zeros(100), 16000, "short"))
+
+    @pytest.mark.parametrize("setting", ["window", "shift"])
+    def test_setting_shorter_than_one_sample(self, setting):
+        cfg = FeatureConfig(**{setting: 1e-5})
+        with pytest.raises(AudioError, match=rf"tone: {setting} = 1e-05 s is 0 samples "
+                                             r"at 16000 Hz"):
+            extract_features(make_tone(), cfg)
 
     def test_dct_within_rounding_of_scipy(self):
         # the cosine matrix rounds differently from scipy's FFT: at most one

@@ -400,7 +400,8 @@ def per_document_frame_scores(index, query):
 
 
 class TestBlockedScores:
-    @pytest.mark.parametrize("budget", [retrieval.DTW_BLOCK_BYTES, 1500])
+    # 1 byte: every document alone; 1 GiB: every document in one block
+    @pytest.mark.parametrize("budget", [retrieval.DTW_BLOCK_BYTES, 1500, 1, 1 << 30])
     def test_scores_equal_a_per_document_loop(self, monkeypatch, budget):
         monkeypatch.setattr(retrieval, "DTW_BLOCK_BYTES", budget)
         rng = np.random.default_rng(15)
@@ -419,6 +420,22 @@ class TestBlockedScores:
         zero_docs = sum(np.any(np.all(seq.frames == 0.0, axis=1))
                         for seq in index.doc_features.values())
         assert zero_docs > 0 and zero_queries > 0
+
+    @pytest.mark.parametrize("budget", [retrieval.DTW_BLOCK_BYTES, 1500, 1])
+    def test_a_block_is_one_accumulator_within_the_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(retrieval, "DTW_BLOCK_BYTES", budget)
+        real, blocks = retrieval._wavefront, []
+        monkeypatch.setattr(retrieval, "_wavefront", lambda acc: blocks.append(acc) or real(acc))
+        rng = np.random.default_rng(15)
+        index = random_index(rng, 17)
+        token_scores(index, {g: [1, 0, 2] for g in index.distances})
+        frame_scores(index, FeatureSequence(random_frames(rng, 5, 4)))
+        # two token levels and the frames, each over all 17 documents
+        assert sum(acc.shape[2] for acc in blocks) == 3 * 17
+        for acc in blocks:
+            assert acc.flags.owndata and acc.flags.c_contiguous
+            assert acc.shape[2] == 1 or acc.nbytes <= budget
+        assert any(acc.shape[2] > 1 for acc in blocks) == (budget > 1)
 
     def test_small_budget_splits_the_documents(self, monkeypatch):
         monkeypatch.setattr(retrieval, "DTW_BLOCK_BYTES", 1500)

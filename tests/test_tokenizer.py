@@ -326,13 +326,13 @@ class TestTraining:
         g = Granularity(3, spec.n_tokens)
         labels = truth.label_set()
         calls = []
-        real = tok.flat_start_model
+        real = tok._flat_start
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(tok, "flat_start_model", spy)
+        monkeypatch.setattr(tok, "_flat_start", spy)
         cfg = TokenizerConfig(em_iters=1)
         model = train_level_hmms(corpus, labels, g, cfg)
         assert len(calls) == 1

@@ -22,6 +22,7 @@ ALLOWED_UNREFERENCED = {
     "frame_cost_matrix": "the tests' per-document frame-cost reference; bench/ times it",
     "subsequence_dtw": "acceptance criterion 6's DTW as a batch of one; bench/ times and traces it",
     "corpus_log_likelihood": "the check on run_level's trace; bench/ traces it",
+    "flat_start_model": "EM's flat start from a corpus; bench/ builds std-scale's models with it",
     "read_matl": "the MATL format's reader, kept with its writer",
     "complete_data_log_posterior": "the LDA's convergence metric, for run telemetry",
 }
