@@ -45,7 +45,8 @@ class MdnnConfig:
 
 @dataclass
 class MdnnModel:
-    """Shared trunk (hidden layers + bottleneck) and one softmax head per level.
+    """Shared trunk (hidden layers + bottleneck) and one softmax head per level,
+    head h being head_keys[h].n wide.
 
     layer_weights[i] maps activation i to activation i+1; the last trunk layer
     is the linear bottleneck, everything before it is sigmoid.
@@ -84,9 +85,10 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def init_mdnn(input_dim: int, head_sizes: list[int], head_keys: list[Granularity],
+def init_mdnn(input_dim: int, head_keys: list[Granularity],
               cfg: MdnnConfig | None = None, seed: int = 0) -> MdnnModel:
-    """Glorot-uniform weights, zero biases, in a fixed generation order."""
+    """Glorot-uniform weights, zero biases, in a fixed generation order; one
+    head per key, as wide as the key's n."""
     cfg = cfg or MdnnConfig()
     rng = np.random.default_rng(seed)
     sizes = [input_dim, *cfg.hidden, cfg.bottleneck]
@@ -96,7 +98,7 @@ def init_mdnn(input_dim: int, head_sizes: list[int], head_keys: list[Granularity
         layer_weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
         layer_biases.append(np.zeros(fan_out))
     head_weights, head_biases = [], []
-    for n_out in head_sizes:
+    for n_out in (g.n for g in head_keys):
         limit = np.sqrt(6.0 / (cfg.bottleneck + n_out))
         head_weights.append(rng.uniform(-limit, limit, size=(cfg.bottleneck, n_out)))
         head_biases.append(np.zeros(n_out))
@@ -104,18 +106,22 @@ def init_mdnn(input_dim: int, head_sizes: list[int], head_keys: list[Granularity
                      list(head_keys), seed)
 
 
-def _forward(model: MdnnModel, x: np.ndarray):
-    """Returns (activations, head_probs); activations[0] is the input and
-    activations[-1] the linear bottleneck."""
+def _trunk(model: MdnnModel, x: np.ndarray) -> list[np.ndarray]:
+    """The shared layers' activations; [0] is the input and [-1] the linear
+    bottleneck."""
     acts = [x]
     last = len(model.layer_weights) - 1
     for i, (W, b) in enumerate(zip(model.layer_weights, model.layer_biases)):
         z = acts[-1] @ W + b
         acts.append(z if i == last else _sigmoid(z))
-    bottleneck = acts[-1]
-    head_probs = [_softmax(bottleneck @ W + b)
+    return acts
+
+
+def _forward(model: MdnnModel, x: np.ndarray):
+    """Returns (the trunk's activations, each head's probabilities)."""
+    acts = _trunk(model, x)
+    return acts, [_softmax(acts[-1] @ W + b)
                   for W, b in zip(model.head_weights, model.head_biases)]
-    return acts, head_probs
 
 
 def _cross_entropy(head_probs: list[np.ndarray], targets: np.ndarray) -> float:
@@ -160,14 +166,15 @@ def _backward(model: MdnnModel, x: np.ndarray, targets: np.ndarray):
 
 @dataclass
 class TrainingLog:
-    epochs: list[int] = field(default_factory=list)
+    """One row per epoch, numbered from 0."""
+
     losses: list[float] = field(default_factory=list)
     head_accuracy: list[list[float]] = field(default_factory=list)
 
     def to_csv(self) -> str:
         n_heads = len(self.head_accuracy[0]) if self.head_accuracy else 0
         lines = ["epoch,loss," + ",".join(f"acc_head{i}" for i in range(n_heads))]
-        for e, loss, accs in zip(self.epochs, self.losses, self.head_accuracy):
+        for e, (loss, accs) in enumerate(zip(self.losses, self.head_accuracy)):
             lines.append(",".join([str(e), repr(loss)] + [repr(a) for a in accs]))
         return "\n".join(lines) + "\n"
 
@@ -180,9 +187,8 @@ def head_accuracies(model: MdnnModel, x: np.ndarray, targets: np.ndarray) -> lis
     ]
 
 
-def train_mdnn(inputs: np.ndarray, targets: np.ndarray, head_sizes: list[int],
-               head_keys: list[Granularity], cfg: MdnnConfig | None = None,
-               seed: int = 0) -> tuple[MdnnModel, TrainingLog]:
+def train_mdnn(inputs: np.ndarray, targets: np.ndarray, head_keys: list[Granularity],
+               cfg: MdnnConfig | None = None, seed: int = 0) -> tuple[MdnnModel, TrainingLog]:
     """Minibatch SGD with momentum; deterministic given (seed, data, config).
 
     Raises MdnnError with diagnostics if the loss diverges to NaN.
@@ -190,12 +196,12 @@ def train_mdnn(inputs: np.ndarray, targets: np.ndarray, head_sizes: list[int],
     cfg = cfg or MdnnConfig()
     if inputs.ndim != 2:
         raise ValueError("inputs must be (N, D)")
-    if targets.shape != (inputs.shape[0], len(head_sizes)):
+    if targets.shape != (inputs.shape[0], len(head_keys)):
         raise ValueError("targets must be (N, n_heads)")
-    for h, size in enumerate(head_sizes):
-        if targets[:, h].max() >= size:
-            raise ValueError(f"head {h}: target id out of range")
-    model = init_mdnn(inputs.shape[1], head_sizes, head_keys, cfg, seed)
+    for h, g in enumerate(head_keys):
+        if targets[:, h].min() < 0 or targets[:, h].max() >= g.n:
+            raise ValueError(f"head {h}: target id out of range [0, {g.n})")
+    model = init_mdnn(inputs.shape[1], head_keys, cfg, seed)
     rng = np.random.default_rng(seed + 1)
     velocity = [np.zeros_like(p) for p in model.parameters()]
     log = TrainingLog()
@@ -218,7 +224,6 @@ def train_mdnn(inputs: np.ndarray, targets: np.ndarray, head_sizes: list[int],
                 p += v
             epoch_loss += loss
             n_batches += 1
-        log.epochs.append(epoch)
         log.losses.append(epoch_loss / max(n_batches, 1))
         log.head_accuracy.append(head_accuracies(model, inputs, targets))
     return model, log
@@ -252,32 +257,23 @@ def build_targets(labels_by_level: dict[Granularity, LabelSet],
     return out
 
 
-def make_iteration_input(mfcc_context: np.ndarray,
-                         bnf_context: np.ndarray | None = None,
-                         extra_blocks: tuple[np.ndarray, ...] = (),
-                         utterance_vector: np.ndarray | None = None) -> np.ndarray:
-    """Per-frame concatenation in fixed order: acoustic context, bottleneck
-    context, extra blocks, then the utterance-level vector tiled to every
-    frame.  All per-frame blocks must agree on the frame count."""
-    T = mfcc_context.shape[0]
-    blocks = [mfcc_context]
-    if bnf_context is not None:
-        blocks.append(bnf_context)
-    blocks.extend(extra_blocks)
+def make_iteration_input(blocks: list[np.ndarray], utterance_vector: np.ndarray) -> np.ndarray:
+    """The per-frame blocks side by side, in their order, then the
+    utterance-level vector tiled to every frame.  All blocks must agree on
+    the frame count."""
+    T = blocks[0].shape[0]
     for b in blocks[1:]:
         if b.shape[0] != T:
             raise ValueError(f"frame count mismatch: {b.shape[0]} != {T}")
-    if utterance_vector is not None:
-        blocks.append(np.tile(utterance_vector, (T, 1)))
-    return np.hstack(blocks)
+    return np.hstack([*blocks, np.tile(utterance_vector, (T, 1))])
 
 
 def extract_bnf(model: MdnnModel, frames: np.ndarray) -> np.ndarray:
-    """Bottleneck activations of each input frame, (T, bottleneck width)."""
+    """Bottleneck activations of each input frame, (T, bottleneck width); no
+    head is evaluated."""
     if frames.shape[1] != model.input_dim:
         raise ValueError(f"input dim {frames.shape[1]} != model input {model.input_dim}")
-    acts, _ = _forward(model, frames)
-    return acts[-1]
+    return _trunk(model, frames)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +301,7 @@ def read_matn(path) -> MdnnModel:
     if len(sizes) < 2 or min(sizes) < 1:
         raise ValueError(f"{path}: layer sizes {sizes}: need at least 2, each >= 1")
     (n_heads,) = f.unpack("<I", "head count")
-    head_keys, head_sizes = [], []
+    head_keys = []
     for h in range(n_heads):
         m, n, width = f.unpack("<III", "head descriptor")
         if m < 1 or n < 1:
@@ -313,10 +309,9 @@ def read_matn(path) -> MdnnModel:
         if width != n:
             raise ValueError(f"{path}: head {h}: width {width} != n = {n}")
         head_keys.append(Granularity(m, n))
-        head_sizes.append(width)
     layer_weights = [f.array((a, b), "layer weights") for a, b in zip(sizes[:-1], sizes[1:])]
     layer_biases = [f.array((b,), "layer biases") for b in sizes[1:]]
-    head_weights = [f.array((sizes[-1], w), "head weights") for w in head_sizes]
-    head_biases = [f.array((w,), "head biases") for w in head_sizes]
+    head_weights = [f.array((sizes[-1], g.n), "head weights") for g in head_keys]
+    head_biases = [f.array((g.n,), "head biases") for g in head_keys]
     f.end()
     return MdnnModel(layer_weights, layer_biases, head_weights, head_biases, head_keys, seed)

@@ -229,21 +229,26 @@ def cmd_mr(ctx: RunContext, iteration: int = 1, mr_round: int = 1):
 
 
 def _mdnn_inputs(ctx: RunContext, writer: StageWriter, iteration: int):
-    """Per-utterance network input: acoustic context, bottleneck context from
-    every earlier iteration, then the utterance statistics vector.  Returns
-    the rows and the acoustic corpus."""
+    """Per-utterance network input: the context of the acoustic features and
+    of every earlier iteration's bottleneck features, then the utterance
+    statistics vector.  Returns the rows and the acoustic corpus."""
     acoustic = _read_corpus(ctx, writer, "features")
+    counts = acoustic.frame_counts()
+    corpora = [acoustic]
+    for k in range(1, iteration):
+        rel_dir = f"iter{k}/bnf"
+        corpora.append(_read_corpus(ctx, writer, rel_dir))
+        found = corpora[-1].frame_counts()
+        for utt in sorted(counts.keys() | found.keys()):
+            if found.get(utt) != counts.get(utt):
+                raise ValueError(f"{ctx.out / rel_dir}: {utt}: {found.get(utt, 'no')} frames, "
+                                 f"the acoustic features have {counts.get(utt, 'no')}")
     radius = ctx.cfg.features.context_radius
-    bnf_corpora = [_read_corpus(ctx, writer, f"iter{k}/bnf") for k in range(1, iteration)]
-    rows = {}
-    for utt in sorted(acoustic.ids()):
-        mfcc_ctx = window_context(acoustic[utt], radius).frames
-        blocks = [window_context(c[utt], radius).frames for c in bnf_corpora]
-        bnf_ctx = blocks[0] if blocks else None
-        extras = tuple(blocks[1:])
-        rows[utt] = make_iteration_input(
-            mfcc_ctx, bnf_ctx, extras, utterance_stats(acoustic[utt])
-        )
+    rows = {
+        utt: make_iteration_input([window_context(c[utt], radius).frames for c in corpora],
+                                  utterance_stats(acoustic[utt]))
+        for utt in sorted(acoustic.ids())
+    }
     return rows, acoustic
 
 
@@ -260,11 +265,8 @@ def cmd_mdnn(ctx: RunContext, iteration: int = 1):
         order = sorted(rows)
         X = np.vstack([rows[u] for u in order])
         Y = np.vstack([targets_by_utt[u] for u in order])
-        levels = ctx.cfg.grid.levels()
-        model, log = train_mdnn(
-            X, Y, [g.n for g in levels], levels, ctx.cfg.mdnn,
-            seed=stage_seed(ctx.cfg.seed, f"mdnn/{iteration}"),
-        )
+        model, log = train_mdnn(X, Y, ctx.cfg.grid.levels(), ctx.cfg.mdnn,
+                                seed=stage_seed(ctx.cfg.seed, f"mdnn/{iteration}"))
         writer.add_bytes(_matn_name(ctx, iteration), mdnn.matn_bytes(model))
         writer.add_text(f"iter{iteration}/mdnn_log.csv", log.to_csv())
 

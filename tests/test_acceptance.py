@@ -200,10 +200,7 @@ class TestCriterion7:
         start = time.perf_counter()
         grid = GranularityGrid((3, 5, 7, 9), (50, 100, 300, 500))
         levels = grid.levels()
-        model = init_mdnn(
-            751, [g.n for g in levels], levels,
-            MdnnConfig(hidden=(256, 256), bottleneck=39), seed=7,
-        )
+        model = init_mdnn(751, levels, MdnnConfig(hidden=(256, 256), bottleneck=39), seed=7)
         rng = np.random.default_rng(7_7777)
         x = rng.normal(size=(8, 751))
         targets = np.column_stack([rng.integers(0, g.n, size=8) for g in levels])
@@ -217,7 +214,7 @@ class TestCriterion7:
         toy_y[half:] = 1
         toy_keys = [Granularity(3, 2), Granularity(5, 2)]
         trained, _ = train_mdnn(
-            toy_x, toy_y, [2, 2], toy_keys,
+            toy_x, toy_y, toy_keys,
             MdnnConfig(hidden=(8, 8), bottleneck=4, epochs=50, batch_size=32), seed=0,
         )
         accs = head_accuracies(trained, toy_x, toy_y)
@@ -353,13 +350,8 @@ class TestCriterion9:
 class TestCriterion10:
     def test_dimension_bookkeeping(self):
         start = time.perf_counter()
-        first = make_iteration_input(
-            np.zeros((5, 351)), utterance_vector=np.zeros(400)
-        )
-        second = make_iteration_input(
-            np.zeros((5, 351)), np.zeros((5, 351)),
-            extra_blocks=(np.zeros((5, 351)),), utterance_vector=np.zeros(400),
-        )
+        first = make_iteration_input([np.zeros((5, 351))], np.zeros(400))
+        second = make_iteration_input([np.zeros((5, 351))] * 3, np.zeros(400))
         elapsed = time.perf_counter() - start
         ok = first.shape[1] == 751 and second.shape[1] == 1453 and elapsed < 1
         report(10, ok, f"iteration-1 width {first.shape[1]} (=751), "

@@ -48,7 +48,7 @@ def tiny_matl() -> bytes:
 
 def tiny_matn() -> bytes:
     cfg = MdnnConfig(hidden=(3,), bottleneck=2)
-    return matn_bytes(init_mdnn(2, [2], [Granularity(2, 2)], cfg, seed=1))
+    return matn_bytes(init_mdnn(2, [Granularity(2, 2)], cfg, seed=1))
 
 
 FORMATS = [

@@ -11,7 +11,9 @@ import pytest
 from acoustok import initialization
 from acoustok.cli import main
 from acoustok.config import PipelineConfig, config_sha256, dump_config, load_config
-from acoustok.corpus import FeatureSequence, matf_bytes, read_matf
+from acoustok.corpus import (
+    Corpus, FeatureSequence, load_corpus, matf_bytes, read_matf, save_corpus,
+)
 from acoustok.manifest import Manifest, atomic_write_text, file_sha256
 from acoustok.mdnn import read_matn
 from acoustok.pipeline import stage_seed
@@ -690,6 +692,31 @@ class TestIterate:
         assert main(["mat", "--iteration", "2", "--config", str(cfg_path), "--out", str(run)]) == 1
         assert capsys.readouterr().err == (
             f"acoustok mat: {path}: utt003: non-finite feature values\n")
+
+    @pytest.mark.parametrize("edit", ["missing", "short", "extra"])
+    def test_bnf_directory_checked_against_the_features(self, full_run, tmp_path, capsys,
+                                                        edit):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        (run / "manifest.jsonl").unlink()  # so every stage re-runs
+        bnf = run / "iter1/bnf"
+        corpus = load_corpus(bnf)
+        kept = [seq for seq in corpus if seq.utterance_id != "utt003"]
+        cut = corpus["utt003"]
+        utt, found, expected = "utt003", "no", load_corpus(run / "features")["utt003"].n_frames
+        if edit == "short":
+            kept.append(FeatureSequence(cut.frames[:-1], cut.frame_shift, cut.frame_length, utt))
+            found = cut.n_frames - 1
+        elif edit == "extra":
+            kept += [cut, FeatureSequence(cut.frames, cut.frame_shift, cut.frame_length, "utt999")]
+            utt, found, expected = "utt999", cut.n_frames, "no"
+        shutil.rmtree(bnf)
+        save_corpus(bnf, Corpus(kept, dict(corpus.speakers)))
+        argv = ["mdnn", "--iteration", "2", "--config", str(cfg_path), "--out", str(run)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"acoustok mdnn: {bnf}: {utt}: {found} frames, "
+                                           f"the acoustic features have {expected}\n")
 
 
 class TestDeterminism:

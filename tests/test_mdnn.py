@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import softmax
 
+from acoustok import mdnn
 from acoustok.corpus import FeatureSequence
 from acoustok.labels import TokenLabelSequence
 from acoustok.mdnn import (
@@ -112,21 +113,21 @@ class TestTraining:
     def test_separable_toy_reaches_full_accuracy(self):
         inputs, targets = toy_data()
         cfg = MdnnConfig(hidden=(8, 8), bottleneck=4, epochs=50, batch_size=32)
-        model, log = train_mdnn(inputs, targets, [2, 2], TOY_KEYS, cfg, seed=0)
+        model, log = train_mdnn(inputs, targets, TOY_KEYS, cfg, seed=0)
         accs = head_accuracies(model, inputs, targets)
         assert accs == [1.0, 1.0]
 
     def test_loss_trend_non_increasing_after_warmup(self):
         inputs, targets = toy_data()
         cfg = MdnnConfig(hidden=(8, 8), bottleneck=4, epochs=30, batch_size=32)
-        _, log = train_mdnn(inputs, targets, [2, 2], TOY_KEYS, cfg, seed=0)
+        _, log = train_mdnn(inputs, targets, TOY_KEYS, cfg, seed=0)
         for prev, cur in zip(log.losses[3:], log.losses[4:]):
             assert cur <= prev + 1e-3
 
     def test_softmax_rows_sum_to_one(self):
         inputs, targets = toy_data(n=32)
         cfg = MdnnConfig(hidden=(8,), bottleneck=4, epochs=2, batch_size=16)
-        model, _ = train_mdnn(inputs, targets, [2, 2], TOY_KEYS, cfg, seed=1)
+        model, _ = train_mdnn(inputs, targets, TOY_KEYS, cfg, seed=1)
         _, head_probs = _forward(model, inputs)
         for probs in head_probs:
             assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-6
@@ -148,7 +149,7 @@ class TestTraining:
         cfg = MdnnConfig(hidden=(8,), bottleneck=4, epochs=5, batch_size=16)
         blobs = []
         for _ in range(2):
-            model, _ = train_mdnn(inputs, targets, [2, 2], TOY_KEYS, cfg, seed=9)
+            model, _ = train_mdnn(inputs, targets, TOY_KEYS, cfg, seed=9)
             blobs.append(matn_bytes(model))
         assert blobs[0] == blobs[1]
 
@@ -158,20 +159,38 @@ class TestTraining:
         cfg = MdnnConfig(hidden=(8,), bottleneck=4, epochs=50, batch_size=16,
                          learning_rate=1e6)
         with pytest.raises(MdnnError, match="diverged"):
-            train_mdnn(inputs, targets, [2, 2], TOY_KEYS, cfg, seed=0)
+            train_mdnn(inputs, targets, TOY_KEYS, cfg, seed=0)
 
     def test_target_range_checked(self):
-        inputs, targets = toy_data(n=16)
-        targets[0, 0] = 7
-        with pytest.raises(ValueError, match="out of range"):
-            train_mdnn(inputs, targets, [2, 2], TOY_KEYS, MdnnConfig(epochs=1), seed=0)
+        for bad in (7, 2, -1):
+            inputs, targets = toy_data(n=16)
+            targets[0, 0] = bad
+            with pytest.raises(ValueError, match="head 0: target id out of range"):
+                train_mdnn(inputs, targets, TOY_KEYS, MdnnConfig(epochs=1), seed=0)
 
     def test_head_order_matches_grid_order(self):
         grid = GranularityGrid((3, 5), (2, 4))
-        sizes = [g.n for g in grid.levels()]
-        model = init_mdnn(10, sizes, grid.levels(), MdnnConfig(hidden=(8,), bottleneck=4))
+        model = init_mdnn(10, grid.levels(), MdnnConfig(hidden=(8,), bottleneck=4))
         assert [w.shape[1] for w in model.head_weights] == [2, 4, 2, 4]
         assert model.head_keys == grid.levels()
+
+
+class TestTrainingLog:
+    def test_csv_layout(self):
+        inputs, targets = toy_data(n=32)
+        cfg = MdnnConfig(hidden=(8,), bottleneck=4, epochs=3, batch_size=16)
+        _, log = train_mdnn(inputs, targets, TOY_KEYS, cfg, seed=2)
+        text = log.to_csv()
+        assert text.endswith("\n")
+        header, *rows = text.splitlines()
+        assert header == "epoch,loss,acc_head0,acc_head1"
+        assert rows == [
+            ",".join([str(epoch), repr(loss), *map(repr, accs)])
+            for epoch, (loss, accs) in enumerate(zip(log.losses, log.head_accuracy))
+        ]
+        assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
+        # the benchmark reads the last row's head accuracies from column 2 on
+        assert [float(v) for v in rows[-1].split(",")[2:]] == log.head_accuracy[-1]
 
 
 class TestGradientCheck:
@@ -179,12 +198,13 @@ class TestGradientCheck:
         rng = np.random.default_rng(3)
         inputs = rng.normal(size=(12, 10))
         targets = rng.integers(0, 3, size=(12, 2))
-        model = init_mdnn(10, [3, 3], TOY_KEYS, MdnnConfig(hidden=(16, 8), bottleneck=5), seed=4)
+        keys = [Granularity(3, 3), Granularity(5, 3)]
+        model = init_mdnn(10, keys, MdnnConfig(hidden=(16, 8), bottleneck=5), seed=4)
         assert gradient_check(model, inputs, targets, n_params=400) < 1e-4
 
     def test_zero_weight_model_bias_gradients(self):
         inputs, targets = toy_data(n=20)
-        model = init_mdnn(4, [2, 2], TOY_KEYS, MdnnConfig(hidden=(6,), bottleneck=3), seed=0)
+        model = init_mdnn(4, TOY_KEYS, MdnnConfig(hidden=(6,), bottleneck=3), seed=0)
         for p in model.layer_weights + model.head_weights:
             p[:] = 0.0
         assert gradient_check(model, inputs, targets, n_params=500) < 1e-4
@@ -193,7 +213,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(5)
         inputs = rng.normal(size=(8, 6))
         targets = rng.integers(0, 2, size=(8, 2))
-        model = init_mdnn(6, [2, 2], TOY_KEYS, MdnnConfig(hidden=(5,), bottleneck=3), seed=1)
+        model = init_mdnn(6, TOY_KEYS, MdnnConfig(hidden=(5,), bottleneck=3), seed=1)
         a = gradient_check(model, inputs, targets, n_params=100, seed=2)
         b = gradient_check(model, inputs, targets, n_params=100, seed=2)
         assert a == b
@@ -201,58 +221,67 @@ class TestGradientCheck:
 
 class TestExtractBnf:
     def test_default_width(self):
-        model = init_mdnn(20, [2], [Granularity(3, 2)], MdnnConfig(hidden=(8,), bottleneck=39))
+        model = init_mdnn(20, [Granularity(3, 2)], MdnnConfig(hidden=(8,), bottleneck=39))
         seq = FeatureSequence(np.random.default_rng(0).normal(size=(5, 20)))
         assert extract_bnf(model, seq.frames).shape[1] == 39
 
     def test_wide_bottleneck(self):
-        model = init_mdnn(20, [2], [Granularity(3, 2)], MdnnConfig(hidden=(8,), bottleneck=64))
+        model = init_mdnn(20, [Granularity(3, 2)], MdnnConfig(hidden=(8,), bottleneck=64))
         out = extract_bnf(model, np.zeros((4, 20)))
         assert out.shape[1] == 64
 
     def test_deterministic_on_identical_inputs(self):
-        model = init_mdnn(6, [2], [Granularity(3, 2)], MdnnConfig(hidden=(8,), bottleneck=4))
+        model = init_mdnn(6, [Granularity(3, 2)], MdnnConfig(hidden=(8,), bottleneck=4))
         frames = np.random.default_rng(1).normal(size=(7, 6))
         a = extract_bnf(model, frames)
         b = extract_bnf(model, frames.copy())
         assert np.array_equal(a, b)
 
+    def test_no_head_is_evaluated(self, monkeypatch):
+        model = init_mdnn(6, [Granularity(3, 2)], MdnnConfig(hidden=(8,), bottleneck=4))
+        frames = np.random.default_rng(1).normal(size=(7, 6))
+        expected = extract_bnf(model, frames)
+
+        def no_head(z):
+            raise AssertionError("extract_bnf evaluated a softmax head")
+
+        monkeypatch.setattr(mdnn, "_softmax", no_head)
+        assert np.array_equal(extract_bnf(model, frames), expected)
+
     def test_dimension_mismatch(self):
-        model = init_mdnn(6, [2], [Granularity(3, 2)], MdnnConfig(hidden=(8,), bottleneck=4))
+        model = init_mdnn(6, [Granularity(3, 2)], MdnnConfig(hidden=(8,), bottleneck=4))
         with pytest.raises(ValueError, match="input dim"):
             extract_bnf(model, np.zeros((3, 5)))
 
 
 class TestIterationInput:
     def test_mfcc_bnf_stats_dimension(self):
-        out = make_iteration_input(
-            np.zeros((10, 351)), np.zeros((10, 351)), utterance_vector=np.zeros(78)
-        )
+        out = make_iteration_input([np.zeros((10, 351)), np.zeros((10, 351))], np.zeros(78))
         assert out.shape == (10, 780)
 
     def test_three_block_layout_width(self):
-        out = make_iteration_input(
-            np.zeros((10, 351)),
-            np.zeros((10, 351)),
-            extra_blocks=(np.zeros((10, 351)),),
-            utterance_vector=np.zeros(400),
-        )
+        blocks = [np.full((10, 351), float(i)) for i in range(3)]
+        out = make_iteration_input(blocks, np.full(400, 3.0))
         assert out.shape == (10, 1453)
+        assert np.array_equal(out, np.hstack([*blocks, np.full((10, 400), 3.0)]))
 
     def test_identity_without_extras(self):
-        ctx = np.random.default_rng(2).normal(size=(6, 12))
-        assert np.array_equal(make_iteration_input(ctx), ctx)
+        rng = np.random.default_rng(2)
+        ctx, vector = rng.normal(size=(6, 12)), rng.normal(size=3)
+        out = make_iteration_input([ctx], vector)
+        assert np.array_equal(out[:, :12], ctx)
+        assert np.array_equal(out[:, 12:], np.tile(vector, (6, 1)))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="frame count mismatch"):
-            make_iteration_input(np.zeros((5, 4)), np.zeros((6, 4)))
+        with pytest.raises(ValueError, match="frame count mismatch: 6 != 5"):
+            make_iteration_input([np.zeros((5, 4)), np.zeros((6, 4))], np.zeros(2))
 
 
 class TestModelFile:
     def test_roundtrip(self, tmp_path):
         inputs, targets = toy_data(n=32)
         cfg = MdnnConfig(hidden=(8, 6), bottleneck=4, epochs=2, batch_size=16)
-        model, _ = train_mdnn(inputs, targets, [2, 2], TOY_KEYS, cfg, seed=3)
+        model, _ = train_mdnn(inputs, targets, TOY_KEYS, cfg, seed=3)
         (tmp_path / "m.matn").write_bytes(matn_bytes(model))
         back = read_matn(tmp_path / "m.matn")
         assert back.seed == model.seed
