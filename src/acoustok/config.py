@@ -31,6 +31,9 @@ class RetrievalConfig:
     def __post_init__(self):
         if self.mode not in ("token", "frame", "fusion"):
             raise ValueError(f"mode must be token, frame or fusion, got {self.mode!r}")
+        repeated = sorted({q for q in self.queries if self.queries.count(q) > 1})
+        if repeated:
+            raise ValueError(f"queries: {' '.join(repeated)} listed more than once")
         if self.weights and len(self.weights) != 2:
             raise ValueError(f"weights: expected two values (token, then frame), "
                              f"got {len(self.weights)}")

@@ -83,7 +83,11 @@ def label_set_from_spans(spans: list[tuple[str, int, int]], ids) -> LabelSet:
 
 
 def validate_label_set(labels: LabelSet, frame_counts: dict[str, int], n_tokens: int):
-    """Check that every utterance is tiled exactly and token ids are in range."""
+    """Check that the labels cover exactly the utterances of frame_counts,
+    each tiled exactly, and that token ids are in range."""
+    extra = sorted(set(labels) - set(frame_counts))
+    if extra:
+        raise ValueError(f"labels for utterance {extra[0]}, which the corpus lacks")
     for utt, n_frames in frame_counts.items():
         if utt not in labels:
             raise ValueError(f"missing labels for utterance {utt}")

@@ -318,11 +318,16 @@ def cmd_std(ctx: RunContext):
             raise PipelineError("no queries configured in [retrieval]")
         base = _final_tok_dir(ctx)
         corpus = _read_corpus(ctx, writer, features_dir(ctx.cfg.iterations))
+        for q in queries:
+            if q not in corpus.ids():
+                raise PipelineError(f"query utterance {q!r} not in corpus")
+        doc_ids = [u for u in corpus.ids() if u not in set(queries)]
+        if not doc_ids:
+            raise PipelineError("no documents left: every utterance is a query")
         level_labels = _read_levels(ctx, writer, base, corpus.frame_counts())
         models = {g: read_matm(path) for g, path in
                   _level_paths(ctx, writer, base, "model_m{m}_n{n}.matm").items()}
 
-        doc_ids = [u for u in corpus.ids() if u not in set(queries)]
         doc_labels = {
             g: {u: level_labels[g][u] for u in doc_ids} for g in level_labels
         }
@@ -334,8 +339,6 @@ def cmd_std(ctx: RunContext):
         weights = list(ctx.cfg.retrieval.weights) or None
         lists = []
         for q in queries:
-            if q not in corpus.ids():
-                raise PipelineError(f"query utterance {q!r} not in corpus")
             q_tokens = {g: level_labels[g][q].token_ids() for g in level_labels}
             lists.append(retrieval.rank_documents(
                 index, q, query_tokens=q_tokens, query_features=corpus[q],

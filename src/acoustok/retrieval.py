@@ -1,27 +1,29 @@
 """Query-by-example search over decoded token sequences and frame features.
 
 Token mode: a per-level n x n table of symmetric variational KL divergences
-between token HMMs is computed offline; at query time a document-query
-matching matrix is filled by table lookup and scanned by subsequence DTW
-(free start and end on the document axis, full coverage of the query axis).
-Scores are summed over levels.  Frame mode runs the same DTW over cosine
-distances between feature frames.  All scores are normalized by query length;
-lower is better.
+between token HMMs is computed offline; at query time each document's costs
+are the table's entries for its tokens against the query's, scanned by
+subsequence DTW (free start and end on the document axis, full coverage of
+the query axis).  Scores are summed over levels.  Frame mode runs the same
+DTW over cosine distances between feature frames.  All scores are
+normalized by query length; lower is better.
 
 A KL table is one matrix product per state row (`_variational_kls`).  It
 rounds differently from the term-by-term closed form, by at most about
 5e-15 relative on the levels it has been measured on.
 
-Subsequence DTW runs as one anti-diagonal wavefront over a block of
-documents that share the query axis: cell (i, j) depends only on the
-anti-diagonals i + j - 1 and i + j - 2, so each diagonal of every document
-in the block is one element-wise minimum of three neighbours plus one
-addition.  A block is one skewed accumulator, cut by `tokenizer._batches`'
-rule to stay under DTW_BLOCK_BYTES.  Frame costs, 1 - the product of unit
-rows from `corpus.unit_rows`, are written straight into it: the query's rows
-are scaled once per query and a block's frames in one call, and each
-document keeps its own product, so frame scores are bit-identical to
-`frame_cost_matrix` per document.
+Subsequence DTW has one driver, `_dtw_scores`, for token search, frame
+search and `subsequence_dtw` (a block of one).  It cuts consecutive
+documents into blocks by `tokenizer._batches`' rule, each block one skewed
+accumulator under DTW_BLOCK_BYTES, lets its caller write the block's costs
+straight into the accumulator, and runs one anti-diagonal wavefront over
+it: cell (i, j) depends only on the anti-diagonals i + j - 1 and i + j - 2,
+so each diagonal of every document in the block is one element-wise
+minimum of three neighbours plus one addition.  Token mode writes its table
+lookups; frame mode writes 1 - the product of unit rows from
+`corpus.unit_rows`, the query's rows scaled once per query and a block's
+frames in one call, with each document keeping its own product, so frame
+scores are bit-identical to `frame_cost_matrix` per document.
 
 Every cell adds its cost to the minimum of the same neighbours as the
 cell-by-cell recursion, in path order, so scores do not depend on the
@@ -107,16 +109,6 @@ def _check_token_ids(ids: np.ndarray, n: int) -> None:
         raise ValueError(f"token id out of range [0, {n})")
 
 
-def matching_matrix(S: np.ndarray, doc_tokens, query_tokens) -> np.ndarray:
-    """W[..., i, j] = S(d_i, q_j) by exact table lookup, one row per document
-    token; doc_tokens is one document's tokens or a block of them, padded."""
-    doc = np.asarray(doc_tokens, dtype=np.int64)
-    query = np.asarray(query_tokens, dtype=np.int64)
-    for ids in (doc, query):
-        _check_token_ids(ids, S.shape[0])
-    return S[doc[..., None], query]
-
-
 # ---------------------------------------------------------------------------
 # subsequence DTW
 # ---------------------------------------------------------------------------
@@ -145,32 +137,33 @@ def _wavefront(acc: np.ndarray) -> np.ndarray:
     return acc[Q:, Q].min(axis=0) / Q
 
 
-def subsequence_dtw_block(costs: np.ndarray) -> np.ndarray:
-    """Subsequence DTW of each (document, query) cost matrix in a (B, D, Q)
-    block, rows past a document's end +inf: one score per document, for paths
-    of steps (1,1), (1,0), (0,1) over all query columns, free at both ends."""
-    B, D, Q = costs.shape
-    if D < 1 or Q < 1:
-        raise ValueError("cost matrix must be non-empty")
-    acc, cells = _skewed_accumulator(B, D, Q)
-    cells[...] = costs.transpose(1, 2, 0)
-    return _wavefront(acc)
+def _dtw_scores(lengths: np.ndarray, q: int, fill) -> np.ndarray:
+    """Subsequence DTW of consecutive documents of the given lengths against
+    a query of q entries: one score per document, for paths of steps (1,1),
+    (1,0), (0,1) over all query columns, free at both document ends.  A
+    block's accumulator holds its longest length + q rows of q + 1 cells;
+    fill(block, cells) writes the block's costs through the (D, Q, B) view,
+    and cells past a document's end stay +inf."""
+    if q < 1 or np.any(lengths < 1):
+        raise ValueError("cost matrices must be non-empty")
+    scores = np.empty(len(lengths))
+    for block in _batches(lengths + q, 8 * (q + 1), DTW_BLOCK_BYTES, stacked=False):
+        acc, cells = _skewed_accumulator(block.stop - block.start, lengths[block].max(), q)
+        fill(block, cells)
+        scores[block] = _wavefront(acc)
+    return scores
 
 
 def subsequence_dtw(cost: np.ndarray) -> float:
     """Subsequence DTW of one (document, query) cost matrix: a block of one."""
-    return float(subsequence_dtw_block(cost[None])[0])
+    def fill(block, cells):
+        cells[..., 0] = cost
+    return float(_dtw_scores(np.array([cost.shape[0]]), cost.shape[1], fill)[0])
 
 
 def frame_cost_matrix(doc: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Pairwise cosine distance (1 - cosine similarity); zero-norm frames cost 1."""
     return 1.0 - cosine_similarity(doc, query)
-
-
-def _dtw_blocks(lengths: np.ndarray, q: int) -> list[slice]:
-    """Consecutive documents cut into DTW blocks for a query of q entries: a
-    block's accumulator holds longest length + q rows of q + 1 cells each."""
-    return _batches(lengths + q, 8 * (q + 1), DTW_BLOCK_BYTES, stacked=False)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +210,8 @@ class RetrievalIndex:
     @classmethod
     def build(cls, models: dict[Granularity, LevelModel],
               labels: dict[Granularity, dict], corpus=None) -> "RetrievalIndex":
+        """The index of the labelled documents in sorted id order; the
+        corpus, when given, must hold the same documents."""
         distances = {g: token_distance_matrix(m) for g, m in models.items()}
         doc_ids = sorted(next(iter(labels.values())))
         doc_tokens = {
@@ -224,7 +219,9 @@ class RetrievalIndex:
         }
         doc_features = {}
         if corpus is not None:
-            doc_features = {utt: corpus[utt] for utt in corpus.ids()}
+            if set(corpus.ids()) != set(doc_ids):
+                raise ValueError("the corpus and the labels cover different documents")
+            doc_features = {utt: corpus[utt] for utt in doc_ids}
         return cls(distances, doc_tokens, doc_features)
 
 
@@ -238,43 +235,38 @@ def token_scores(index: RetrievalIndex,
             raise ValueError(f"missing level data for {g}")
     totals = np.zeros(len(index.doc_tokens))
     for g in levels:
+        S, query = index.distances[g], np.asarray(query_tokens[g], dtype=np.int64)
+        _check_token_ids(query, S.shape[0])
         tokens, lengths = index.padded_tokens[g]
-        for block in _dtw_blocks(lengths, len(query_tokens[g])):
-            longest = lengths[block].max()
-            W = matching_matrix(index.distances[g], tokens[block, :longest], query_tokens[g])
-            W[np.arange(longest) >= lengths[block, None]] = np.inf
-            totals[block] += subsequence_dtw_block(W)
+
+        def fill(block, cells):
+            D = cells.shape[0]
+            np.copyto(cells, S[tokens[block, :D].T[:, None], query[:, None]],
+                      where=np.arange(D)[:, None, None] < lengths[block])
+        totals += _dtw_scores(lengths, len(query), fill)
     return dict(zip(index.doc_tokens, totals.tolist()))
-
-
-def _frame_cost_block(docs: list[FeatureSequence],
-                      query: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The skewed accumulator of a block of documents against a query's
-    `unit_rows`, holding each document's cosine distances: its own product of
-    unit rows, which rounds as `frame_cost_matrix` does.  The block's frames are
-    scaled in one call, and their unit rows die on return, before the DTW."""
-    unit, zero = unit_rows(np.concatenate([seq.frames for seq in docs]))
-    ends = np.cumsum([seq.n_frames for seq in docs]).tolist()
-    acc, cells = _skewed_accumulator(len(docs), max(seq.n_frames for seq in docs), len(query[0]))
-    for b, (start, end) in enumerate(zip([0] + ends, ends)):
-        np.subtract(1.0, unit_row_similarity((unit[start:end], zero[start:end]), query),
-                    out=cells[:end - start, :, b])
-    return acc
 
 
 def frame_scores(index: RetrievalIndex, query_features: FeatureSequence) -> dict[str, float]:
     """Per-document frame-DTW distance over cosine costs, one DTW per block
-    of documents; the query's frames are scaled to unit rows once."""
+    of documents.  The query's frames are scaled to unit rows once, a block's
+    frames in one call, and each document's costs are its own product of unit
+    rows, which rounds as `frame_cost_matrix` does."""
     if not index.doc_features:
         raise ValueError("index has no document features")
     docs = list(index.doc_features.values())
     if query_features.dim != docs[0].dim:
         raise ValueError(f"feature dimensions differ: {query_features.dim} vs {docs[0].dim}")
-    lengths = np.array([seq.n_frames for seq in docs])
     query = unit_rows(query_features.frames)
-    scores = np.empty(len(docs))
-    for block in _dtw_blocks(lengths, query_features.n_frames):
-        scores[block] = _wavefront(_frame_cost_block(docs[block], query))
+
+    def fill(block, cells):
+        unit, zero = unit_rows(np.concatenate([seq.frames for seq in docs[block]]))
+        ends = np.cumsum([seq.n_frames for seq in docs[block]]).tolist()
+        for b, (start, end) in enumerate(zip([0] + ends, ends)):
+            np.subtract(1.0, unit_row_similarity((unit[start:end], zero[start:end]), query),
+                        out=cells[:end - start, :, b])
+    lengths = np.array([seq.n_frames for seq in docs])
+    scores = _dtw_scores(lengths, query_features.n_frames, fill)
     return dict(zip(index.doc_features, scores.tolist()))
 
 
@@ -296,12 +288,11 @@ def fuse_scores(streams: list[dict[str, float]],
         raise ValueError(f"fusion weights must be non-negative with a positive sum, "
                          f"got {list(weights)}")
     total_w = sum(weights)
-    docs = set(streams[0])
     for s in streams[1:]:
-        if set(s) != docs:
+        if s.keys() != streams[0].keys():
             raise ValueError("streams cover different documents")
     return {
-        d: sum(w * s[d] for w, s in zip(weights, streams)) / total_w for d in docs
+        d: sum(w * s[d] for w, s in zip(weights, streams)) / total_w for d in streams[0]
     }
 
 
@@ -368,25 +359,27 @@ def rankings_tsv(lists: list[RankedList]) -> str:
 
 def read_rankings_tsv(path) -> list[RankedList]:
     """Inverse of rankings_tsv: queries in file order, entries in rank order.
-    A missing header or final newline, or a row other than four fields,
-    raises a ValueError naming the file (and the line)."""
+    A missing header or final newline, a row other than four fields, or a
+    rank repeated within a query raises a ValueError naming the file (and
+    the line)."""
     with open(path) as f:
         lines = f.read().split("\n")
     if lines[-1]:
         raise ValueError(f"{path}: no newline at the end of the file")
     if lines[0] != _RANKINGS_HEADER:
         raise ValueError(f"{path}: line 1: expected the header {_RANKINGS_HEADER!r}")
-    per_query: dict[str, list[tuple[int, str, float]]] = {}
+    per_query: dict[str, dict[int, tuple[str, float]]] = {}
     for number, line in enumerate(lines[1:-1], start=2):
         try:
             q, doc, rank, score = line.split("\t")
-            per_query.setdefault(q, []).append((int(rank), doc, float(score)))
+            rows = per_query.setdefault(q, {})
+            if int(rank) in rows:
+                raise ValueError(f"query {q} repeats rank {rank}")
+            rows[int(rank)] = doc, float(score)
         except ValueError as e:
             raise ValueError(f"{path}: line {number}: {e}") from None
-    return [
-        RankedList(q, [(doc, score) for _, doc, score in sorted(rows)])
-        for q, rows in per_query.items()
-    ]
+    return [RankedList(q, [rows[rank] for rank in sorted(rows)])
+            for q, rows in per_query.items()]
 
 
 def read_relevance_csv(path) -> dict[str, dict[str, int]]:

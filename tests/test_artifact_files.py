@@ -168,6 +168,7 @@ def test_corpus_index_cut_at_a_line_boundary(tmp_path):
     ("", 1),                                        # no header
     ("query_id\tdoc_id\trank\tscore\nq\ta\t1\n", 2),  # three fields
     ("query_id\tdoc_id\trank\tscore\nq\ta\tfirst\t0.5\n", 2),
+    ("query_id\tdoc_id\trank\tscore\nq\ta\t1\t0.5\nq\tb\t1\t0.7\n", 3),  # rank 1 twice
 ])
 def test_malformed_rankings_name_the_file_and_line(tmp_path, text, line):
     path = tmp_path / "rankings.tsv"

@@ -433,6 +433,8 @@ class TestStages:
          "[retrieval] weights must be non-negative with a positive sum, got [1.0, -1.0]"),
         ("weights", "0 0",
          "[retrieval] weights must be non-negative with a positive sum, got [0.0, 0.0]"),
+        ("queries", "utt000 utt001 utt000",
+         "[retrieval] queries: utt000 listed more than once"),
         ("lda_iters", "-1", "[reinforce] lda_iters must be >= 0, got -1"),
         ("lda_beta", "0", "[reinforce] lda_beta must be > 0, got 0.0"),
         ("lda_alpha", "-0.5", "[reinforce] lda_alpha must be > 0 when set, got -0.5"),
@@ -453,7 +455,8 @@ class TestStages:
         ("context_radius", "-1", "[features] context_radius must be >= 0, got -1"),
         ("dotplot_sigma", "-1", "[init] dotplot_sigma must be >= 0, got -1.0"),
     ], ids=["n_speakers", "bottleneck", "mode", "iterations", "mr_rounds", "phonetic",
-            "temporal", "weights", "weights-negative", "weights-zero-sum", "lda_iters",
+            "temporal", "weights", "weights-negative", "weights-zero-sum", "queries-repeated",
+            "lda_iters",
             "lda_beta", "lda_alpha", "overlap-above-1", "overlap-zero", "min_gap",
             "epochs", "hidden", "em_iters", "em_tol", "var_floor_frac", "window", "shift",
             "n_ceps-above-n_filters", "n_ceps-zero", "n_filters", "delta_window",
@@ -679,6 +682,38 @@ class TestIterate:
         err = capsys.readouterr().err
         assert err == f"acoustok {stage}: {path}: missing labels for utterance utt003\n"
 
+    @pytest.mark.parametrize("stage", ["std", "eval", "viz"])
+    def test_labels_of_an_unknown_utterance_fail_cleanly(self, full_run, tmp_path, capsys,
+                                                          stage):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        (run / "manifest.jsonl").unlink()  # so every stage re-runs
+        path = run / f"{FINAL_TOK}/labels_m3_n4.jsonl"
+        with path.open("a") as f:
+            f.write('{"utt": "utt999", "token": 0, "start": 0, "end": 5}\n')
+        assert main([stage, "--config", str(cfg_path), "--out", str(run)]) == 1
+        assert capsys.readouterr().err == (
+            f"acoustok {stage}: {path}: labels for utterance utt999, which the corpus lacks\n")
+
+    @pytest.mark.parametrize("mode", ["token", "frame", "fusion"])
+    @pytest.mark.parametrize("queries, message", [
+        (" ".join(f"utt{i:03d}" for i in range(8)),
+         "no documents left: every utterance is a query"),
+        ("utt000 utt404", "query utterance 'utt404' not in corpus"),
+    ], ids=["all-queries", "unknown-query"])
+    def test_queries_checked_before_the_models_are_read(self, full_run, tmp_path, capsys,
+                                                        mode, queries, message):
+        cfg_path, out = full_run
+        cfg = tmp_path / "std.ini"
+        cfg.write_text(cfg_path.read_text().replace(
+            "queries = utt000", f"queries = {queries}\nmode = {mode}"))
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        (run / "manifest.jsonl").unlink()  # so every stage re-runs
+        (run / f"{FINAL_TOK}/model_m3_n4.matm").unlink()
+        assert main(["std", "--config", str(cfg), "--out", str(run)]) == 1
+        assert capsys.readouterr().err == f"acoustok std: {message}\n"
 
     def test_non_finite_feature_file_is_named(self, full_run, tmp_path, capsys):
         cfg_path, out = full_run

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from acoustok.corpus import FeatureSequence
+from acoustok.corpus import Corpus, FeatureSequence
 from acoustok.initialization import cosine_similarity_matrix
+from acoustok.labels import TokenLabelSequence
 from acoustok import retrieval
 from acoustok.tokenizer import GaussState, Granularity, LevelModel, TokenHmm
 from acoustok.retrieval import (
@@ -12,7 +13,6 @@ from acoustok.retrieval import (
     frame_cost_matrix,
     frame_scores,
     fuse_scores,
-    matching_matrix,
     mean_average_precision,
     rank_documents,
     read_rankings_tsv,
@@ -20,7 +20,6 @@ from acoustok.retrieval import (
     rankings_tsv,
     state_kl,
     subsequence_dtw,
-    subsequence_dtw_block,
     token_distance_matrix,
     token_scores,
 )
@@ -207,30 +206,6 @@ class TestDistanceMatrix:
         assert np.all(S >= 0.0)
 
 
-class TestMatchingMatrix:
-    def test_shape_d6_q3(self):
-        S = np.arange(16, dtype=float).reshape(4, 4)
-        W = matching_matrix(S, [0, 1, 2, 3, 0, 1], [2, 0, 1])
-        assert W.shape == (6, 3)
-
-    def test_equal_tokens_zero_cost(self):
-        S = np.array([[0.0, 2.0], [2.0, 0.0]])
-        W = matching_matrix(S, [0, 1], [1])
-        assert W[1, 0] == 0.0
-
-    def test_values_come_from_table(self):
-        rng = np.random.default_rng(4)
-        S = rng.uniform(size=(5, 5))
-        S = (S + S.T) / 2
-        np.fill_diagonal(S, 0.0)
-        W = matching_matrix(S, [4, 2, 0], [1, 3])
-        assert set(W.ravel()) <= set(S.ravel())
-
-    def test_out_of_range_id(self):
-        with pytest.raises(ValueError, match="out of range"):
-            matching_matrix(np.zeros((2, 2)), [0, 5], [1])
-
-
 def brute_force_subsequence_dtw(cost):
     """Independent oracle: enumerate every monotone path with free document
     endpoints and full query coverage."""
@@ -320,42 +295,15 @@ def bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
-def ragged_block(rng, lengths, q):
-    """A (B, longest, q) block of 2-decimal costs, +inf past each length."""
-    costs = np.round(rng.uniform(0, 2, size=(len(lengths), max(lengths), q)), 2)
-    costs[np.arange(max(lengths)) >= np.asarray(lengths)[:, None]] = np.inf
-    return costs
-
-
 class TestDtwBlock:
-    def test_ragged_blocks_match_enumeration_and_single_matrices(self):
-        rng = np.random.default_rng(13)
-        for trial in range(60):
-            q = int(rng.integers(1, 6))
-            lengths = [int(d) for d in rng.integers(1, 9, size=1 if trial % 4 == 0 else 5)]
-            costs = ragged_block(rng, lengths, q)
-            got = subsequence_dtw_block(costs)
-            assert got.shape == (len(lengths),)
-            for b, d in enumerate(lengths):
-                assert got[b] == brute_force_subsequence_dtw(costs[b, :d])
-                assert bits(got[b]) == bits(subsequence_dtw(costs[b, :d]))
-
-    def test_blocking_does_not_change_a_row(self):
-        rng = np.random.default_rng(14)
-        lengths = [int(d) for d in rng.integers(1, 9, size=12)]
-        costs = ragged_block(rng, lengths, 4)
-        whole = subsequence_dtw_block(costs)
-        for b, d in enumerate(lengths):
-            assert bits(subsequence_dtw_block(costs[b:b + 1, :d])) == bits(whole[b])
-
     def test_first_cell_is_its_cost(self):
         """acc[0, 0] is cost[0, 0] itself, with no free-start term added."""
         assert bits(subsequence_dtw(np.array([[-0.0]]))) == bits(-0.0)
 
     def test_empty_rejected(self):
-        for shape in ((2, 0, 3), (2, 3, 0)):
+        for shape in ((0, 3), (3, 0)):
             with pytest.raises(ValueError, match="non-empty"):
-                subsequence_dtw_block(np.zeros(shape))
+                subsequence_dtw(np.zeros(shape))
 
 
 def random_frames(rng, longest: int, dim: int) -> np.ndarray:
@@ -439,9 +387,13 @@ class TestBlockedScores:
 
     def test_small_budget_splits_the_documents(self, monkeypatch):
         monkeypatch.setattr(retrieval, "DTW_BLOCK_BYTES", 1500)
+        real, blocks = retrieval._wavefront, []
+        monkeypatch.setattr(retrieval, "_wavefront", lambda acc: blocks.append(acc) or real(acc))
         index = random_index(np.random.default_rng(15), 17)
-        for _, lengths in index.padded_tokens.values():
-            assert len(retrieval._dtw_blocks(lengths, 3)) > 2
+        for g, S in index.distances.items():
+            blocks.clear()
+            token_scores(RetrievalIndex({g: S}, index.doc_tokens, {}), {g: [1, 0, 2]})
+            assert len(blocks) > 2
 
     def test_document_feature_dimensions_checked_when_indexed(self):
         features = {doc: FeatureSequence(np.ones((3, dim)), utterance_id=doc)
@@ -516,6 +468,29 @@ class TestRanking:
         )
         out = rank_documents(index, "q", query_tokens={Granularity(2, 2): [0]})
         assert [d for d, _ in out.entries] == ["a", "b"]
+
+    def test_out_of_range_query_id_rejected(self):
+        index = toy_index()
+        for bad in (4, -1):
+            with pytest.raises(ValueError, match=r"token id out of range \[0, 4\)"):
+                token_scores(index, {g: [0, bad] for g in index.distances})
+
+    def test_fusion_keeps_the_first_streams_order(self):
+        docs = [f"d{i}" for i in (3, 0, 2, 1, 4)]
+        token = {d: float(i) for i, d in enumerate(docs)}
+        frame = {d: 1.0 for d in sorted(docs)}
+        assert list(fuse_scores([token, frame])) == docs
+
+    def test_built_index_keeps_one_document_order(self):
+        g = Granularity(2, 4)
+        model = tiny_level_model([[[float(t)], [float(t + 1)]] for t in range(4)])
+        ids = ["d2", "d0", "d1"]
+        labels = {g: {u: TokenLabelSequence(u, [(i, 0, 3)]) for i, u in enumerate(ids)}}
+        corpus = Corpus([FeatureSequence(np.ones((3, 2)), utterance_id=u) for u in ids])
+        index = RetrievalIndex.build({g: model}, labels, corpus)
+        assert list(index.doc_tokens) == list(index.doc_features) == sorted(ids)
+        with pytest.raises(ValueError, match="cover different documents"):
+            RetrievalIndex.build({g: model}, labels, Corpus(corpus.utterances[:2]))
 
     def test_missing_level_rejected(self):
         index = toy_index()
