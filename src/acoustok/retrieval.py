@@ -8,9 +8,12 @@ the query axis).  Scores are summed over levels.  Frame mode runs the same
 DTW over cosine distances between feature frames.  All scores are
 normalized by query length; lower is better.
 
-A KL table is one matrix product per state row (`_variational_kls`).  It
-rounds differently from the term-by-term closed form, by at most about
-5e-15 relative on the levels it has been measured on.
+A KL table is one matrix product per state row (`_variational_kls`).  The
+rows run in blocks under the density kernel's KERNEL_BLOCK_BYTES: a block's
+per-row products are one stacked matmul and its log-sums one call, with the
+same bits as one row at a time.  The table rounds differently from the
+term-by-term closed form, by at most about 5e-15 relative on the levels it
+has been measured on.
 
 Subsequence DTW has one driver, `_dtw_scores`, for token search, frame
 search and `subsequence_dtw` (a block of one).  It cuts consecutive
@@ -42,7 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import FeatureSequence, cosine_similarity, unit_row_similarity, unit_rows
-from .tokenizer import GaussState, Granularity, LevelModel, _batches, logsumexp, stack_states
+from .tokenizer import (KERNEL_BLOCK_BYTES, GaussState, Granularity, LevelModel, _batches,
+                        logsumexp, stack_states)
 
 # bytes a block of documents may take in subsequence DTW: its one skewed
 # accumulator; a block holds at least one document
@@ -66,7 +70,15 @@ def _variational_kls(states: list[GaussState]) -> np.ndarray:
     so row i is one (c, 2d) x (2d, n c) matrix product plus per-component
     constants.  KL does not change under a shift of all means, so the means are
     first centred on the mean of the real components, which keeps the
-    cancellation in mu_p^2 - 2 mu_p mu_q + mu_q^2 small."""
+    cancellation in mu_p^2 - 2 mu_p mu_q + mu_q^2 small.
+
+    Rows run in blocks whose (rows, c, n c) products stay under
+    KERNEL_BLOCK_BYTES, or hold one row.  A block's products are one stacked
+    matmul, which numpy runs as one product of the same shape per row, and its
+    log-sums and weighted sums are one call each over element-wise terms, so
+    every entry has the same bits however the blocks fall."""
+    if len({st.dim for st in states}) > 1:
+        raise ValueError("states have different feature dimensions")
     weights, log_weights, means, variances = stack_states(states)
     n, c, d = means.shape
     means = means - means[np.isfinite(log_weights)].mean(axis=0)
@@ -76,20 +88,21 @@ def _variational_kls(states: list[GaussState]) -> np.ndarray:
     const_q = (log_det + np.sum(means ** 2 * inv_var, axis=-1)).reshape(n * c)
     const_p = log_det + d
     out = np.empty((n, n))
-    for i in range(n):
-        # [j, a, b] = KL(component a of i || component b of j), closed form
-        pair_kl = 0.5 * (left[i] @ right + const_q - const_p[i][:, None])
-        pair_kl = pair_kl.reshape(c, n, c).transpose(1, 0, 2)
-        # [j, a] = log sum_b w_jb exp(-KL(i_a || j_b)); row i is the self term
+    rows = max(1, KERNEL_BLOCK_BYTES // (n * c * c * 8))
+    for start in range(0, n, rows):
+        block = slice(start, min(n, start + rows))
+        # [i, j, a, b] = KL(component a of i || component b of j), closed form
+        pair_kl = 0.5 * (left[block] @ right + const_q - const_p[block, :, None])
+        pair_kl = pair_kl.reshape(-1, c, n, c).transpose(0, 2, 1, 3)
+        # [i, j, a] = log sum_b w_jb exp(-KL(i_a || j_b)); [i, i] is the self term
         log_match = logsumexp(-pair_kl + log_weights[:, None, :], axis=-1)
-        out[i] = np.sum(weights[i] * (log_match[i] - log_match), axis=-1)
+        own = log_match[np.arange(block.stop - start), np.arange(start, block.stop)]
+        out[block] = np.sum(weights[block, None] * (own[:, None] - log_match), axis=-1)
     return out
 
 
 def state_kl(a: GaussState, b: GaussState) -> float:
     """Symmetric variational KL between two emission states, clamped at 0."""
-    if a.dim != b.dim:
-        raise ValueError("states have different feature dimensions")
     K = _variational_kls([a, b])
     return max(0.0, float(K[0, 1] + K[1, 0]))
 
@@ -210,10 +223,22 @@ class RetrievalIndex:
     @classmethod
     def build(cls, models: dict[Granularity, LevelModel],
               labels: dict[Granularity, dict], corpus=None) -> "RetrievalIndex":
-        """The index of the labelled documents in sorted id order; the
-        corpus, when given, must hold the same documents."""
-        distances = {g: token_distance_matrix(m) for g, m in models.items()}
+        """The index of the labelled documents in sorted id order.  The models
+        and the labels must cover the same levels, at least one, every level's
+        labels the same documents, and the corpus, when given, those documents
+        too."""
+        unpaired = sorted(models.keys() ^ labels.keys(), key=lambda g: (g.m, g.n))
+        if unpaired:
+            g = unpaired[0]
+            lacks = "a model but no labels" if g in models else "labels but no model"
+            raise ValueError(f"level {g} has {lacks}")
+        if not labels:
+            raise ValueError("no levels to index")
         doc_ids = sorted(next(iter(labels.values())))
+        for g, level in labels.items():
+            if level.keys() != set(doc_ids):
+                raise ValueError(f"the labels at level {g} cover different documents")
+        distances = {g: token_distance_matrix(m) for g, m in models.items()}
         doc_tokens = {
             utt: {g: labels[g][utt].token_ids() for g in labels} for utt in doc_ids
         }

@@ -6,7 +6,8 @@ from acoustok.corpus import Corpus, FeatureSequence
 from acoustok.initialization import cosine_similarity_matrix
 from acoustok.labels import TokenLabelSequence
 from acoustok import retrieval
-from acoustok.tokenizer import GaussState, Granularity, LevelModel, TokenHmm
+from acoustok.tokenizer import GaussState, Granularity, LevelModel, TokenHmm, stack_states
+from acoustok.tokenizer import logsumexp as kernel_logsumexp
 from acoustok.retrieval import (
     RankedList,
     RetrievalIndex,
@@ -156,6 +157,27 @@ def reference_table(states):
                       for j in range(n)] for i in range(n)])
 
 
+def per_row_kls(states):
+    """The KL kernel one state row at a time: its stacking, centring and
+    expanded closed form, with each row's own product, log-sums and weighted
+    sum."""
+    weights, log_weights, means, variances = stack_states(states)
+    n, c, d = means.shape
+    means = means - means[np.isfinite(log_weights)].mean(axis=0)
+    inv_var, log_det = 1.0 / variances, np.sum(np.log(variances), axis=-1)
+    left = np.concatenate([variances + means ** 2, means], axis=-1)
+    right = np.concatenate([inv_var, -2.0 * means * inv_var], axis=-1).reshape(n * c, 2 * d).T
+    const_q = (log_det + np.sum(means ** 2 * inv_var, axis=-1)).reshape(n * c)
+    const_p = log_det + d
+    out = np.empty((n, n))
+    for i in range(n):
+        pair_kl = 0.5 * (left[i] @ right + const_q - const_p[i][:, None])
+        pair_kl = pair_kl.reshape(c, n, c).transpose(1, 0, 2)
+        log_match = kernel_logsumexp(-pair_kl + log_weights[:, None, :], axis=-1)
+        out[i] = np.sum(weights[i] * (log_match[i] - log_match), axis=-1)
+    return out
+
+
 class TestDistanceMatrix:
     def test_single_token_zero_matrix(self):
         model = tiny_level_model([[[0.0], [1.0]]])
@@ -196,6 +218,28 @@ class TestDistanceMatrix:
                      for row in states]
             np.testing.assert_allclose(token_distance_matrix(level_of(moved)),
                                        reference_table(moved), rtol=KL_RTOL, atol=0)
+
+    # 1 byte: one state row per block; 1 GiB: every row in one block
+    @pytest.mark.parametrize("budget", [None, 1, 1 << 30])
+    def test_row_blocks_equal_a_per_row_loop(self, monkeypatch, budget):
+        rng = np.random.default_rng(17)
+        wide = [[random_mixture(rng, 2, 39) for _ in range(2)] for _ in range(120)]
+        # at the default budget the wide level's (n, c, n c) products span
+        # several blocks
+        assert 120 * 2 * 120 * 2 * 8 > retrieval.KERNEL_BLOCK_BYTES
+        levels = [level_of(ragged_level_states(rng, 6, 3, 13)), level_of(wide)]
+        if budget is not None:
+            monkeypatch.setattr(retrieval, "KERNEL_BLOCK_BYTES", budget)
+        got = [token_distance_matrix(level) for level in levels]
+        monkeypatch.setattr(retrieval, "_variational_kls", per_row_kls)
+        for table, level in zip(got, levels):
+            assert np.array_equal(bits(table), bits(token_distance_matrix(level)))
+
+    def test_different_dimensions_in_a_level_rejected(self):
+        level = tiny_level_model([[[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [2.0, 0.0]]])
+        level.hmms[1].states[1] = single([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="states have different feature dimensions"):
+            token_distance_matrix(level)
 
     def test_properties_on_trained_style_model(self):
         rng = np.random.default_rng(3)
@@ -410,6 +454,11 @@ class TestBlockedScores:
             RetrievalIndex({g: np.zeros((2, 2))}, {"a": {g: []}}, {})
 
 
+def level_model(g):
+    """A level of g.n one-dimensional tokens of g.m states."""
+    return tiny_level_model([[[float(t + s)] for s in range(g.m)] for t in range(g.n)], m=g.m)
+
+
 def toy_index():
     """Two-level index over three documents; doc 'hit' contains the query's
     token sequence, doc 'miss' shares no tokens, doc 'part' shares some."""
@@ -491,6 +540,28 @@ class TestRanking:
         assert list(index.doc_tokens) == list(index.doc_features) == sorted(ids)
         with pytest.raises(ValueError, match="cover different documents"):
             RetrievalIndex.build({g: model}, labels, Corpus(corpus.utterances[:2]))
+
+    @pytest.mark.parametrize("modelled, labelled, lacks", [
+        ([(2, 2), (3, 3)], [(2, 2)], "a model but no labels"),
+        ([(2, 2)], [(2, 2), (3, 3)], "labels but no model"),
+    ])
+    def test_build_rejects_a_level_the_other_side_lacks(self, modelled, labelled, lacks):
+        models = {Granularity(*g): level_model(Granularity(*g)) for g in modelled}
+        labels = {Granularity(*g): {"a": TokenLabelSequence("a", [(0, 0, 3)])} for g in labelled}
+        with pytest.raises(ValueError, match=rf"level Granularity\(m=3, n=3\) has {lacks}"):
+            RetrievalIndex.build(models, labels)
+
+    def test_build_rejects_a_document_one_level_lacks(self):
+        models = {g: level_model(g) for g in (Granularity(2, 2), Granularity(3, 3))}
+        labels = {g: {u: TokenLabelSequence(u, [(0, 0, 3)]) for u in docs}
+                  for g, docs in zip(models, (["a", "b"], ["a"]))}
+        with pytest.raises(ValueError, match=r"the labels at level Granularity\(m=3, n=3\) "
+                                             "cover different documents"):
+            RetrievalIndex.build(models, labels)
+
+    def test_build_rejects_no_levels(self):
+        with pytest.raises(ValueError, match="no levels to index"):
+            RetrievalIndex.build({}, {})
 
     def test_missing_level_rejected(self):
         index = toy_index()
