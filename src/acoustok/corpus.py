@@ -291,11 +291,18 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return unit_row_similarity(rows_a, rows_a if b is a else unit_rows(b))
 
 
-def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of x, each row on its own, so the rows
+    of a stack get the norms they get one array at a time."""
+    return np.linalg.norm(x, axis=1)
+
+
+def unit_rows(x: np.ndarray, norms: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The rows of x scaled to unit length, zero-norm rows left at 0, and the
-    mask of those zero-norm rows.  Each row is scaled on its own, so the rows
-    of a stack come out as they do one array at a time."""
-    norms = np.linalg.norm(x, axis=1)
+    mask of those zero-norm rows.  norms, when given, are `row_norms(x)`
+    computed earlier."""
+    if norms is None:
+        norms = row_norms(x)
     return x / np.where(norms > 0, norms, 1.0)[:, None], norms == 0
 
 

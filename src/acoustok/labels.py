@@ -133,15 +133,16 @@ def read_jsonl(path, keys: tuple[str, ...]) -> list[tuple[int, dict]]:
 
 
 def read_labels_jsonl(path) -> LabelSet:
-    """Inverse of labels_to_jsonl.  A non-integer field, or segments that do
-    not tile their utterance, raise a ValueError naming the file (and line)."""
+    """Inverse of labels_to_jsonl.  A token, start or end other than a JSON
+    integer (true and false included), or segments that do not tile their
+    utterance, raise a ValueError naming the file (and line)."""
     per_utt: dict[str, list[Segment]] = {}
     for number, rec in read_jsonl(path, ("utt", "token", "start", "end")):
-        try:
-            segment = (int(rec["token"]), int(rec["start"]), int(rec["end"]))
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{path}: line {number}: {e}") from None
-        per_utt.setdefault(rec["utt"], []).append(segment)
+        for key in ("token", "start", "end"):
+            if type(rec[key]) is not int:
+                raise ValueError(f"{path}: line {number}: {key} must be an integer, "
+                                 f"got {json.dumps(rec[key])}")
+        per_utt.setdefault(rec["utt"], []).append((rec["token"], rec["start"], rec["end"]))
     try:
         return {utt: TokenLabelSequence(utt, sorted(segs, key=lambda s: s[1]))
                 for utt, segs in per_utt.items()}

@@ -16,16 +16,18 @@ term-by-term closed form, by at most about 5e-15 relative on the levels it
 has been measured on.
 
 Subsequence DTW has one driver, `_dtw_scores`, for token search, frame
-search and `subsequence_dtw` (a block of one).  It cuts consecutive
-documents into blocks by `tokenizer._batches`' rule, each block one skewed
-accumulator under DTW_BLOCK_BYTES, lets its caller write the block's costs
-straight into the accumulator, and runs one anti-diagonal wavefront over
-it: cell (i, j) depends only on the anti-diagonals i + j - 1 and i + j - 2,
-so each diagonal of every document in the block is one element-wise
-minimum of three neighbours plus one addition.  Token mode writes its table
-lookups; frame mode writes 1 - the product of unit rows from
-`corpus.unit_rows`, the query's rows scaled once per query and a block's
-frames in one call, with each document keeping its own product, so frame
+search and `subsequence_dtw` (a block of one).  It takes the documents in
+stable order of length and cuts them into blocks by `tokenizer._batches`'
+rule, each block one skewed accumulator under DTW_BLOCK_BYTES, so documents
+of like length share a block and pad little.  It lets its caller write the
+block's costs straight into the accumulator, runs one anti-diagonal
+wavefront over it and scatters the scores back to the documents' order:
+cell (i, j) depends only on the anti-diagonals i + j - 1 and i + j - 2, so
+each diagonal of every document in the block is one element-wise minimum of
+three neighbours plus one addition.  Token mode writes its table lookups;
+frame mode writes 1 - the product of unit rows from `corpus.unit_rows`, the
+query's rows scaled once per query and each document's by the row norms the
+index computed once, with each document keeping its own product, so frame
 scores are bit-identical to `frame_cost_matrix` per document.
 
 Every cell adds its cost to the minimum of the same neighbours as the
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import FeatureSequence, cosine_similarity, unit_row_similarity, unit_rows
+from .corpus import FeatureSequence, cosine_similarity, row_norms, unit_row_similarity, unit_rows
 from .tokenizer import (KERNEL_BLOCK_BYTES, GaussState, Granularity, LevelModel, _batches,
                         logsumexp, stack_states)
 
@@ -142,34 +144,41 @@ def _wavefront(acc: np.ndarray) -> np.ndarray:
     """Subsequence DTW over a filled skewed accumulator, in place: one score
     per document, its minimal path cost over the query length."""
     Q = acc.shape[1] - 1
+    # cell (i, j) is hi[r][j] for r = i + j + 1; its neighbours (i - 1, j - 1),
+    # (i - 1, j) and (i, j - 1) are lo[r - 2][j], hi[r - 1][j] and lo[r - 1][j]
+    lo, hi = acc[:, :-1], acc[:, 1:]
     best = np.empty((Q, acc.shape[2]))
     for r in range(2, len(acc)):
-        np.minimum(acc[r - 2, :-1], acc[r - 1, 1:], out=best)
-        np.minimum(best, acc[r - 1, :-1], out=best)
-        acc[r, 1:] += best
+        np.minimum(lo[r - 2], hi[r - 1], out=best)
+        np.minimum(best, lo[r - 1], out=best)
+        np.add(hi[r], best, out=hi[r])
     return acc[Q:, Q].min(axis=0) / Q
 
 
 def _dtw_scores(lengths: np.ndarray, q: int, fill) -> np.ndarray:
-    """Subsequence DTW of consecutive documents of the given lengths against
-    a query of q entries: one score per document, for paths of steps (1,1),
-    (1,0), (0,1) over all query columns, free at both document ends.  A
-    block's accumulator holds its longest length + q rows of q + 1 cells;
-    fill(block, cells) writes the block's costs through the (D, Q, B) view,
-    and cells past a document's end stay +inf."""
+    """Subsequence DTW of documents of the given lengths against a query of q
+    entries: one score per document, in the documents' order, for paths of
+    steps (1,1), (1,0), (0,1) over all query columns, free at both document
+    ends.  The blocks are cut over the documents in stable order of length,
+    so a block pads its documents to lengths close to their own.  A block's
+    accumulator holds its longest length + q rows of q + 1 cells;
+    fill(docs, cells) writes the costs of the documents at the indices docs
+    through the (D, Q, B) view, and cells past a document's end stay +inf."""
     if q < 1 or np.any(lengths < 1):
         raise ValueError("cost matrices must be non-empty")
+    order = np.argsort(lengths, kind="stable")
     scores = np.empty(len(lengths))
-    for block in _batches(lengths + q, 8 * (q + 1), DTW_BLOCK_BYTES, stacked=False):
-        acc, cells = _skewed_accumulator(block.stop - block.start, lengths[block].max(), q)
-        fill(block, cells)
-        scores[block] = _wavefront(acc)
+    for block in _batches(lengths[order] + q, 8 * (q + 1), DTW_BLOCK_BYTES, stacked=False):
+        docs = order[block]
+        acc, cells = _skewed_accumulator(len(docs), lengths[docs].max(), q)
+        fill(docs, cells)
+        scores[docs] = _wavefront(acc)
     return scores
 
 
 def subsequence_dtw(cost: np.ndarray) -> float:
     """Subsequence DTW of one (document, query) cost matrix: a block of one."""
-    def fill(block, cells):
+    def fill(docs, cells):
         cells[..., 0] = cost
     return float(_dtw_scores(np.array([cost.shape[0]]), cost.shape[1], fill)[0])
 
@@ -194,13 +203,16 @@ class RetrievalIndex:
     """Everything needed to score queries against a fixed document collection.
     Each level's document tokens are also kept padded into one (documents,
     longest) array, with each document's length, and their ids are checked
-    once, here, as is that every document's features have one dimension."""
+    once, here, as is that every document's features have one dimension.
+    Each document's frame norms are kept too, 8 bytes a frame, so frame
+    search scales a document's frames without measuring them again."""
 
     distances: dict[Granularity, np.ndarray] = field(default_factory=dict)
     doc_tokens: dict[str, dict[Granularity, list[int]]] = field(default_factory=dict)
     doc_features: dict[str, FeatureSequence] = field(default_factory=dict)
     padded_tokens: dict[Granularity, tuple[np.ndarray, np.ndarray]] = field(
         init=False, repr=False)
+    frame_norms: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.padded_tokens = {}
@@ -219,6 +231,7 @@ class RetrievalIndex:
             if dim != dims[0]:
                 raise ValueError(f"document {doc_id} has feature dimension {dim}, "
                                  f"the first document {dims[0]}")
+        self.frame_norms = [row_norms(seq.frames) for seq in self.doc_features.values()]
 
     @classmethod
     def build(cls, models: dict[Granularity, LevelModel],
@@ -261,36 +274,38 @@ def token_scores(index: RetrievalIndex,
     totals = np.zeros(len(index.doc_tokens))
     for g in levels:
         S, query = index.distances[g], np.asarray(query_tokens[g], dtype=np.int64)
+        if not len(query):
+            raise ValueError(f"query has no tokens at level {g}")
         _check_token_ids(query, S.shape[0])
         tokens, lengths = index.padded_tokens[g]
 
-        def fill(block, cells):
+        def fill(docs, cells):
             D = cells.shape[0]
-            np.copyto(cells, S[tokens[block, :D].T[:, None], query[:, None]],
-                      where=np.arange(D)[:, None, None] < lengths[block])
+            np.copyto(cells, S[tokens[docs, :D].T[:, None], query[:, None]],
+                      where=np.arange(D)[:, None, None] < lengths[docs])
         totals += _dtw_scores(lengths, len(query), fill)
     return dict(zip(index.doc_tokens, totals.tolist()))
 
 
 def frame_scores(index: RetrievalIndex, query_features: FeatureSequence) -> dict[str, float]:
     """Per-document frame-DTW distance over cosine costs, one DTW per block
-    of documents.  The query's frames are scaled to unit rows once, a block's
-    frames in one call, and each document's costs are its own product of unit
-    rows, which rounds as `frame_cost_matrix` does."""
+    of documents.  The query's frames are scaled to unit rows once, each
+    document's by the index's row norms, one document at a time, and each
+    document's costs are its own product of unit rows, which rounds as
+    `frame_cost_matrix` does."""
     if not index.doc_features:
         raise ValueError("index has no document features")
-    docs = list(index.doc_features.values())
-    if query_features.dim != docs[0].dim:
-        raise ValueError(f"feature dimensions differ: {query_features.dim} vs {docs[0].dim}")
+    seqs = list(index.doc_features.values())
+    if query_features.dim != seqs[0].dim:
+        raise ValueError(f"feature dimensions differ: {query_features.dim} vs {seqs[0].dim}")
     query = unit_rows(query_features.frames)
 
-    def fill(block, cells):
-        unit, zero = unit_rows(np.concatenate([seq.frames for seq in docs[block]]))
-        ends = np.cumsum([seq.n_frames for seq in docs[block]]).tolist()
-        for b, (start, end) in enumerate(zip([0] + ends, ends)):
-            np.subtract(1.0, unit_row_similarity((unit[start:end], zero[start:end]), query),
-                        out=cells[:end - start, :, b])
-    lengths = np.array([seq.n_frames for seq in docs])
+    def fill(docs, cells):
+        for b, d in enumerate(docs.tolist()):
+            frames = seqs[d].frames
+            np.subtract(1.0, unit_row_similarity(unit_rows(frames, index.frame_norms[d]), query),
+                        out=cells[:len(frames), :, b])
+    lengths = np.array([seq.n_frames for seq in seqs])
     scores = _dtw_scores(lengths, query_features.n_frames, fill)
     return dict(zip(index.doc_features, scores.tolist()))
 
@@ -356,7 +371,11 @@ def mean_average_precision(lists: list[RankedList],
             raise ValueError(f"no relevance entries for query {ranked.query_id}")
         hits = 0
         precisions = []
+        seen = set()
         for rank, (doc_id, _) in enumerate(ranked.entries, start=1):
+            if doc_id in seen:
+                raise ValueError(f"query {ranked.query_id} lists document {doc_id} twice")
+            seen.add(doc_id)
             if doc_id not in rel:
                 raise ValueError(f"no relevance bit for ({ranked.query_id}, {doc_id})")
             if rel[doc_id]:
@@ -384,9 +403,9 @@ def rankings_tsv(lists: list[RankedList]) -> str:
 
 def read_rankings_tsv(path) -> list[RankedList]:
     """Inverse of rankings_tsv: queries in file order, entries in rank order.
-    A missing header or final newline, a row other than four fields, or a
-    rank repeated within a query raises a ValueError naming the file (and
-    the line)."""
+    A missing header or final newline, a row other than four fields, a rank
+    or a document repeated within a query, or a query whose N ranks are not
+    1..N raises a ValueError naming the file and the line."""
     with open(path) as f:
         lines = f.read().split("\n")
     if lines[-1]:
@@ -394,15 +413,27 @@ def read_rankings_tsv(path) -> list[RankedList]:
     if lines[0] != _RANKINGS_HEADER:
         raise ValueError(f"{path}: line 1: expected the header {_RANKINGS_HEADER!r}")
     per_query: dict[str, dict[int, tuple[str, float]]] = {}
+    doc_lines: dict[str, dict[str, int]] = {}
     for number, line in enumerate(lines[1:-1], start=2):
         try:
             q, doc, rank, score = line.split("\t")
-            rows = per_query.setdefault(q, {})
-            if int(rank) in rows:
+            rank, rows, seen = int(rank), per_query.setdefault(q, {}), doc_lines.setdefault(q, {})
+            if rank < 1:
+                raise ValueError(f"query {q} has rank {rank}; ranks start at 1")
+            if rank in rows:
                 raise ValueError(f"query {q} repeats rank {rank}")
-            rows[int(rank)] = doc, float(score)
+            if doc in seen:
+                raise ValueError(f"query {q} repeats document {doc} of line {seen[doc]}")
+            rows[rank], seen[doc] = (doc, float(score)), number
         except ValueError as e:
             raise ValueError(f"{path}: line {number}: {e}") from None
+    for q, rows in per_query.items():
+        # no rank repeats and none is below 1, so 1..N lacks a rank iff one exceeds N
+        beyond = sorted(rank for rank in rows if rank > len(rows))
+        if beyond:
+            number = doc_lines[q][rows[beyond[0]][0]]
+            raise ValueError(f"{path}: line {number}: query {q} has {len(rows)} entries, "
+                             f"so rank {beyond[0]} leaves a gap in 1..{len(rows)}")
     return [RankedList(q, [rows[rank] for rank in sorted(rows)])
             for q, rows in per_query.items()]
 

@@ -169,6 +169,9 @@ def test_corpus_index_cut_at_a_line_boundary(tmp_path):
     ("query_id\tdoc_id\trank\tscore\nq\ta\t1\n", 2),  # three fields
     ("query_id\tdoc_id\trank\tscore\nq\ta\tfirst\t0.5\n", 2),
     ("query_id\tdoc_id\trank\tscore\nq\ta\t1\t0.5\nq\tb\t1\t0.7\n", 3),  # rank 1 twice
+    ("query_id\tdoc_id\trank\tscore\nq\ta\t1\t0.5\nq\ta\t2\t0.7\n", 3),  # document a twice
+    ("query_id\tdoc_id\trank\tscore\nq\ta\t1\t0.5\nq\tb\t5\t0.7\n", 3),  # ranks 1 and 5
+    ("query_id\tdoc_id\trank\tscore\nq\ta\t0\t0.5\nq\tb\t1\t0.7\n", 2),  # rank 0
 ])
 def test_malformed_rankings_name_the_file_and_line(tmp_path, text, line):
     path = tmp_path / "rankings.tsv"
@@ -197,8 +200,20 @@ def test_malformed_relevance_names_the_file_and_line(tmp_path, text, line):
     (['{"utt": "u", "token": 0, "start": 0, "end": 4}',
       '{"utt": "u", "token": 1, "start": 5, "end": 9}'], "u: segment starts at 5, expected 4"),
     (['{"utt": "u", "token": 0, "start": 0, "end": 4}',
-      '{"utt": "u", "token": "x", "start": 4, "end": 9}'], "line 2: invalid literal"),
-    (['{"utt": "u", "token": 0, "start": null, "end": 4}'], "line 1: "),
+      '{"utt": "u", "token": "x", "start": 4, "end": 9}'],
+     'line 2: token must be an integer, got "x"'),
+    (['{"utt": "u", "token": 0, "start": null, "end": 4}'], "line 1: start must be an integer"),
+    # numbers and strings that int() would coerce: JSON integers only
+    (['{"utt": "u", "token": 0, "start": 0, "end": 3}',
+      '{"utt": "u", "token": 1.7, "start": 3, "end": 5}'],
+     "line 2: token must be an integer, got 1.7"),
+    (['{"utt": "u", "token": 1, "start": 0, "end": 5.9}'],
+     "line 1: end must be an integer, got 5.9"),
+    (['{"utt": "u", "token": true, "start": 0, "end": 3}'],
+     "line 1: token must be an integer, got true"),
+    (['{"utt": "u", "token": 0, "start": 0, "end": 3}',
+      '{"utt": "u", "token": 1, "start": "3", "end": 5}'],
+     'line 2: start must be an integer, got "3"'),
 ])
 def test_malformed_labels_name_the_file(tmp_path, name, read, lines, match):
     path = tmp_path / name

@@ -357,8 +357,8 @@ def random_frames(rng, longest: int, dim: int) -> np.ndarray:
     return frames
 
 
-def random_index(rng, n_docs: int, dim: int = 4) -> RetrievalIndex:
-    """Two levels of random tables over documents of 1-8 tokens and 1-8
+def random_index(rng, n_docs: int, dim: int = 4, longest: int = 8) -> RetrievalIndex:
+    """Two levels of random tables over documents of 1 to `longest` tokens and
     frames, some frames zero-norm."""
     levels = {Granularity(2, 5): 5, Granularity(3, 7): 7}
     distances = {}
@@ -367,9 +367,10 @@ def random_index(rng, n_docs: int, dim: int = 4) -> RetrievalIndex:
         S = S + S.T
         np.fill_diagonal(S, 0.0)
         distances[g] = S
-    doc_tokens = {f"d{i:02d}": {g: [int(t) for t in rng.integers(n, size=rng.integers(1, 9))]
+    doc_tokens = {f"d{i:02d}": {g: [int(t) for t in
+                                    rng.integers(n, size=rng.integers(1, longest + 1))]
                                 for g, n in levels.items()} for i in range(n_docs)}
-    doc_features = {doc: FeatureSequence(random_frames(rng, 8, dim), utterance_id=doc)
+    doc_features = {doc: FeatureSequence(random_frames(rng, longest, dim), utterance_id=doc)
                     for doc in doc_tokens}
     return RetrievalIndex(distances, doc_tokens, doc_features)
 
@@ -397,21 +398,82 @@ class TestBlockedScores:
     def test_scores_equal_a_per_document_loop(self, monkeypatch, budget):
         monkeypatch.setattr(retrieval, "DTW_BLOCK_BYTES", budget)
         rng = np.random.default_rng(15)
-        index = random_index(rng, 17)
-        zero_queries = 0
-        for _ in range(5):
-            query = {g: [int(t) for t in rng.integers(S.shape[0], size=rng.integers(1, 6))]
-                     for g, S in index.distances.items()}
-            features = FeatureSequence(random_frames(rng, 5, 4))
-            zero_queries += int(np.any(np.all(features.frames == 0.0, axis=1)))
-            for got, want in ((token_scores(index, query), per_document_token_scores(index, query)),
-                              (frame_scores(index, features),
-                               per_document_frame_scores(index, features))):
-                assert list(got) == list(want)
-                assert np.array_equal(bits(list(got.values())), bits(list(want.values())))
-        zero_docs = sum(np.any(np.all(seq.frames == 0.0, axis=1))
-                        for seq in index.doc_features.values())
-        assert zero_docs > 0 and zero_queries > 0
+        # documents of 1-8 entries, then of 1-60 in shuffled order, which the
+        # blocks visit in order of length
+        for longest in (8, 60):
+            index = random_index(rng, 17, longest=longest)
+            frames = np.array([seq.n_frames for seq in index.doc_features.values()])
+            assert np.any(np.diff(frames) < 0) and frames.max() >= 4 * frames.min()
+            zero_queries = 0
+            for _ in range(5):
+                query = {g: [int(t) for t in rng.integers(S.shape[0], size=rng.integers(1, 6))]
+                         for g, S in index.distances.items()}
+                features = FeatureSequence(random_frames(rng, 5, 4))
+                zero_queries += int(np.any(np.all(features.frames == 0.0, axis=1)))
+                for got, want in ((token_scores(index, query),
+                                   per_document_token_scores(index, query)),
+                                  (frame_scores(index, features),
+                                   per_document_frame_scores(index, features))):
+                    assert list(got) == list(want)
+                    assert np.array_equal(bits(list(got.values())), bits(list(want.values())))
+            zero_docs = sum(np.any(np.all(seq.frames == 0.0, axis=1))
+                            for seq in index.doc_features.values())
+            assert zero_docs > 0 and zero_queries > 0
+
+    @pytest.mark.parametrize("budget", [retrieval.DTW_BLOCK_BYTES, 1500, 1])
+    def test_blocks_take_the_documents_in_order_of_length(self, monkeypatch, budget):
+        """Each document once, in one block, the blocks in order of length:
+        the documents' lengths are distinct and shuffled, and a block's
+        column b holds a document of as many cells (i, 0) as it is long."""
+        monkeypatch.setattr(retrieval, "DTW_BLOCK_BYTES", budget)
+        real, blocks = retrieval._wavefront, []
+
+        def spy(acc):
+            # cell (i, 0) of column b is acc[i + 1, 1, b], +inf past the end
+            blocks.append((len(acc), np.isfinite(acc[:, 1]).sum(axis=0).tolist()))
+            return real(acc)
+        monkeypatch.setattr(retrieval, "_wavefront", spy)
+        rng = np.random.default_rng(17)
+        g, S = Granularity(2, 5), rng.uniform(0, 3, size=(5, 5))
+        tokens = rng.permutation(np.arange(1, 18))
+        frames = rng.permutation(np.arange(1, 18) * 3)
+        docs = [f"d{i:02d}" for i in range(17)]
+        index = RetrievalIndex(
+            {g: S}, {d: {g: list(rng.integers(5, size=n))} for d, n in zip(docs, tokens)},
+            {d: FeatureSequence(random_frames(rng, 1, 4).repeat(n, axis=0), utterance_id=d)
+             for d, n in zip(docs, frames)})
+        for search, lengths in ((lambda: token_scores(index, {g: [1, 0, 2]}), tokens),
+                                (lambda: frame_scores(index, FeatureSequence(
+                                    random_frames(rng, 5, 4))), frames)):
+            blocks.clear()
+            search()
+            rows = [r for r, _ in blocks]
+            assert rows == sorted(rows)
+            assert [n for _, cols in blocks for n in cols] == sorted(lengths.tolist())
+            assert (len(blocks) == len(lengths)) == (budget == 1)
+
+    def test_index_keeps_each_documents_frame_norms(self):
+        index = random_index(np.random.default_rng(16), 9)
+        assert len(index.frame_norms) == len(index.doc_features)
+        for norms, seq in zip(index.frame_norms, index.doc_features.values()):
+            assert np.array_equal(bits(norms), bits(np.linalg.norm(seq.frames, axis=1)))
+
+    def test_a_zero_norm_frame_costs_one(self, monkeypatch):
+        real, costs = retrieval._wavefront, []
+
+        def spy(acc):
+            # cell (i, j) of the only document is acc[i + j + 1, j + 1, 0]
+            Q = acc.shape[1] - 1
+            costs.append(np.array([[acc[i + j + 1, j + 1, 0] for j in range(Q)]
+                                   for i in range(len(acc) - Q)]))
+            return real(acc)
+        monkeypatch.setattr(retrieval, "_wavefront", spy)
+        rng = np.random.default_rng(18)
+        doc, query = rng.normal(size=(6, 4)), rng.normal(size=(3, 4))
+        doc[2] = 0.0
+        frame_score(query, doc)
+        assert np.all(costs[0][2] == 1.0)
+        assert np.array_equal(bits(costs[0]), bits(frame_cost_matrix(doc, query)))
 
     @pytest.mark.parametrize("budget", [retrieval.DTW_BLOCK_BYTES, 1500, 1])
     def test_a_block_is_one_accumulator_within_the_budget(self, monkeypatch, budget):
@@ -568,6 +630,13 @@ class TestRanking:
         with pytest.raises(ValueError, match="missing level"):
             token_scores(index, {g: [0] for g in list(index.distances)[1:]})
 
+    def test_query_without_tokens_at_a_level_rejected(self):
+        index = toy_index()
+        query = {g: [1, 0, 2] for g in index.distances} | {Granularity(3, 4): []}
+        with pytest.raises(ValueError,
+                           match=r"query has no tokens at level Granularity\(m=3, n=4\)"):
+            token_scores(index, query)
+
 
 class TestMeanAveragePrecision:
     def test_all_relevant_first(self):
@@ -603,6 +672,12 @@ class TestMeanAveragePrecision:
         lists = [RankedList("q", [("a", 0.0)])]
         with pytest.raises(ValueError, match="no relevance bit"):
             mean_average_precision(lists, {"q": {}})
+
+    def test_repeated_document_is_error(self):
+        """Read as listed, a, a, b with a relevant would score AP 1.0."""
+        lists = [RankedList("q", [("a", 0.1), ("a", 0.2), ("b", 0.3)])]
+        with pytest.raises(ValueError, match="query q lists document a twice"):
+            mean_average_precision(lists, {"q": {"a": 1, "b": 0}})
 
 
 class TestFiles:
