@@ -7,6 +7,10 @@ Level weights are proportional to m, so levels with longer HMMs (which produce
 fewer, more reliable boundaries) count more.  The joint boundary function is
 kept as exact integer numerators over a common denominator, so unanimity is
 detected exactly.
+
+Topics are inferred by CVB0, a deterministic variational update of every
+token's topic distribution, so an LDA model's counts are expected counts:
+non-negative floats that sum to the document lengths and word frequencies.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .corpus import ArtifactReader
 from .labels import LabelSet, TokenLabelSequence, label_set_from_spans, pick_boundaries
-from .tokenizer import Granularity, GranularityGrid
+from .tokenizer import KERNEL_BLOCK_BYTES, Granularity, GranularityGrid
 
 MATL_MAGIC = b"MATL"
 MATL_VERSION = 1
@@ -159,14 +163,14 @@ def build_documents(fused: dict[str, list[int]],
 
 
 # ---------------------------------------------------------------------------
-# collapsed Gibbs LDA
+# LDA by zero-order collapsed variational Bayes
 # ---------------------------------------------------------------------------
 
 @dataclass
 class LdaModel:
     n_topics: int
-    topic_word: np.ndarray  # (K, V) counts
-    doc_topic: np.ndarray   # (D, K) counts
+    topic_word: np.ndarray  # (K, V) expected counts
+    doc_topic: np.ndarray   # (D, K) expected counts
     alpha: float
     beta: float
     seed: int
@@ -177,28 +181,53 @@ class LdaModel:
         return weights / weights.sum(axis=1, keepdims=True)
 
 
+def _segments(keys: np.ndarray, n_segments: int) -> tuple[np.ndarray, np.ndarray]:
+    """For ascending keys in [0, n_segments): which segments some key names,
+    and where each named segment starts."""
+    sizes = np.bincount(keys, minlength=n_segments)
+    used = sizes > 0
+    return used, (np.cumsum(sizes) - sizes)[used]
+
+
+def _segment_sums(rows: np.ndarray, segments: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(n_segments, K) sums of the rows of each segment of _segments; a segment
+    no key names sums to zeros, where reduceat would return its neighbour's
+    row."""
+    used, starts = segments
+    if len(starts) == len(used):
+        return np.add.reduceat(rows, starts, axis=0)
+    out = np.zeros((len(used), rows.shape[1]))
+    if len(starts):
+        out[used] = np.add.reduceat(rows, starts, axis=0)
+    return out
+
+
 def lda_fit(docs: list[list[int]], n_topics: int, vocab_size: int,
             cfg: ReinforceConfig | None = None, seed: int = 0) -> LdaModel:
-    """Collapsed Gibbs sampling with the usual alpha = 50/K, beta = 0.01 defaults.
+    """Synchronous zero-order collapsed variational Bayes, CVB0 (Asuncion,
+    Welling, Smyth & Teh, UAI 2009), with the usual alpha = 50/K, beta = 0.01
+    defaults.
 
-    The conditional (n_dk + a)(n_kw + b) / (n_k + V b) of a token's topic is
-    split into three buckets (SparseLDA; Yao, Mimno & McCallum 2009):
-    smoothing a b / (n_k + V b) over every topic, document n_dk b / (n_k + V b)
-    over the document's topics, and word (n_dk + a) n_kw / (n_k + V b) over the
-    word's topics.  So a draw costs the nonzero counts, not K.  The smoothing
-    total is recomputed once per sweep and the document total once per
-    document, and both are updated per token in between.
+    Every token keeps a distribution gamma over the K topics, and the counts
+    are expected counts, sums of gamma: n_dk over the document's tokens and
+    n_kw over the word's tokens, each by one reduceat over the tokens in
+    document order and in stable word order, and n_k over all tokens.  A
+    sweep takes the counts once, then updates every token at once to
+        gamma ∝ (n_dk - gamma + alpha)(n_kw - gamma + beta) / (n_k - gamma + V beta),
+    normalized per token.  The update runs in blocks of tokens whose (tokens,
+    K) temporaries stay under KERNEL_BLOCK_BYTES, or hold one token; it is
+    element-wise with one sum per token, so the bits do not depend on the
+    blocking.  The model holds the counts of the final gamma.
 
-    Deterministic given the seed: topics start uniform from one generator,
-    documents and positions are swept in order, and each draw takes the next
-    uniform of one rng.random(N) per sweep.
+    Deterministic given the seed: gamma starts one-hot at topics drawn per
+    document by rng.integers(K, size=len(doc)), and the sweeps draw nothing.
     """
     cfg = cfg or ReinforceConfig()
     if n_topics < 1:
         raise ValueError("need at least one topic")
     if not docs:
         raise ValueError("no documents")
-    K, V = n_topics, vocab_size
+    K, V, D = n_topics, vocab_size, len(docs)
     docs = [list(map(operator.index, doc)) for doc in docs]
     for d, doc in enumerate(docs):
         if doc and (min(doc) < 0 or max(doc) >= V):
@@ -208,104 +237,31 @@ def lda_fit(docs: list[list[int]], n_topics: int, vocab_size: int,
     beta = cfg.lda_beta
     rng = np.random.default_rng(seed)
 
-    # sparse counts: {topic: n_dk} per document, {topic: n_kw} per word
-    z = [rng.integers(K, size=len(doc)).tolist() for doc in docs]
-    doc_topics: list[dict[int, int]] = [{} for _ in docs]
-    word_topics: list[dict[int, int]] = [{} for _ in range(V)]
-    topic_total = [0] * K
-    for doc, zd, nd in zip(docs, z, doc_topics):
-        for w, k in zip(doc, zd):
-            nd[k] = nd.get(k, 0) + 1
-            nw = word_topics[w]
-            nw[k] = nw.get(k, 0) + 1
-            topic_total[k] += 1
+    initial = np.concatenate([rng.integers(K, size=len(doc)) for doc in docs])
+    doc_of = np.repeat(np.arange(D), [len(doc) for doc in docs])
+    words = np.array([w for doc in docs for w in doc], dtype=np.int64)
+    word_order = np.argsort(words, kind="stable")
+    by_doc, by_word = _segments(doc_of, D), _segments(words[word_order], V)
+    gamma = np.zeros((len(words), K))
+    gamma[np.arange(len(words)), initial] = 1.0
 
-    vb, ab = V * beta, alpha * beta
-    n_tokens = sum(len(doc) for doc in docs)
-    # per topic: inv[k] = 1 / (n_k + V beta), and coef[k] = (n_dk + alpha) inv[k]
-    # for the document being swept
-    inv = [1.0 / (n + vb) for n in topic_total]
-    coef = [alpha * x for x in inv]
+    def counts():
+        return (_segment_sums(gamma, by_doc), _segment_sums(gamma[word_order], by_word),
+                gamma.sum(axis=0))
+
+    vb = V * beta
+    rows = max(1, KERNEL_BLOCK_BYTES // (K * 8))
     for _ in range(cfg.lda_iters):
-        uniforms = iter(rng.random(n_tokens).tolist())
-        smooth = ab * sum(inv)
-        for doc, zd, nd in zip(docs, z, doc_topics):
-            dsum = 0.0
-            for k, c in nd.items():
-                coef[k] = (c + alpha) * inv[k]
-                dsum += c * inv[k]
-            dsum *= beta
-            for i, w in enumerate(doc):
-                # take the token out: its topic k loses one of n_k, n_dk, n_kw
-                k = zd[i]
-                nw = word_topics[w]
-                topic_total[k] -= 1
-                old, new = inv[k], 1.0 / (topic_total[k] + vb)
-                inv[k] = new
-                smooth += ab * (new - old)
-                c = nd[k] - 1
-                if c:
-                    nd[k] = c
-                    dsum += beta * (c * new - (c + 1) * old)
-                else:
-                    del nd[k]
-                    dsum = dsum - beta * old if nd else 0.0
-                coef[k] = (c + alpha) * new
-                c = nw[k] - 1
-                if c:
-                    nw[k] = c
-                else:
-                    del nw[k]
-
-                # draw from the word bucket, else the document bucket, else
-                # smoothing; a walk that runs out keeps its last topic, whose
-                # mass is nonzero
-                wsum = 0.0
-                for k, c in nw.items():
-                    wsum += coef[k] * c
-                u = next(uniforms) * (smooth + dsum + wsum)
-                if u < wsum:
-                    for k, c in nw.items():
-                        u -= coef[k] * c
-                        if u < 0:
-                            break
-                else:
-                    u -= wsum
-                    if u < dsum:  # dsum is exactly 0 when nd is empty
-                        for k, c in nd.items():
-                            u -= beta * c * inv[k]
-                            if u < 0:
-                                break
-                    else:
-                        u -= dsum
-                        for k in range(K):
-                            u -= ab * inv[k]
-                            if u < 0:
-                                break
-
-                # put the token back under topic k
-                zd[i] = k
-                topic_total[k] += 1
-                old, new = inv[k], 1.0 / (topic_total[k] + vb)
-                inv[k] = new
-                smooth += ab * (new - old)
-                c = nd.get(k, 0) + 1
-                nd[k] = c
-                dsum += beta * (c * new - (c - 1) * old)
-                coef[k] = (c + alpha) * new
-                nw[k] = nw.get(k, 0) + 1
-            for k in nd:
-                coef[k] = alpha * inv[k]
-
-    doc_topic = np.zeros((len(docs), K), dtype=np.int64)
-    for d, nd in enumerate(doc_topics):
-        for k, c in nd.items():
-            doc_topic[d, k] = c
-    topic_word = np.zeros((K, V), dtype=np.int64)
-    for w, nw in enumerate(word_topics):
-        for k, c in nw.items():
-            topic_word[k, w] = c
-    return LdaModel(K, topic_word, doc_topic, alpha, beta, seed)
+        doc_topic, word_topic, topic_total = counts()
+        for start in range(0, len(words), rows):
+            block = slice(start, start + rows)
+            g = gamma[block]
+            new = ((doc_topic[doc_of[block]] - g + alpha)
+                   * (word_topic[words[block]] - g + beta)
+                   / (topic_total - g + vb))
+            gamma[block] = new / new.sum(axis=1, keepdims=True)
+    doc_topic, word_topic, _ = counts()
+    return LdaModel(K, word_topic.T.copy(), doc_topic, alpha, beta, seed)
 
 
 # elementwise log |Gamma(x)|, by the standard library's lgamma
@@ -313,7 +269,9 @@ _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def complete_data_log_posterior(model: LdaModel) -> float:
-    """log P(w, z | alpha, beta) up to assignment-independent constants."""
+    """log P(w, z | alpha, beta) up to assignment-independent constants, the
+    collapsed joint of integer counts, evaluated at the model's expected
+    counts."""
     K = model.n_topics
     V = model.topic_word.shape[1]
     a, b = model.alpha, model.beta
@@ -331,12 +289,12 @@ def complete_data_log_posterior(model: LdaModel) -> float:
 
 
 def document_topic_log_scores(documents: PseudoDocuments, model: LdaModel) -> np.ndarray:
-    """(D, K) log posterior scores, from the final sweep's counts only:
+    """(D, K) log posterior scores, from the final expected counts only:
     log(n_dk + alpha) plus the log-likelihood of the document's words under
     each topic's word distribution.  The word term dominates for documents
     concentrated on one topic's support."""
     log_phi = np.log(model.topic_word_distribution())  # (K, V)
-    scores = np.log(model.doc_topic + model.alpha).astype(float)
+    scores = np.log(model.doc_topic + model.alpha)
     for d, doc in enumerate(documents.docs):
         if doc:
             scores[d] += log_phi[:, doc].sum(axis=1)
@@ -416,10 +374,16 @@ def matl_bytes(model: LdaModel) -> bytes:
 
 
 def read_matl(path) -> LdaModel:
+    """Inverse of matl_bytes.  The counts are expected counts, kept as f8; a
+    negative or non-finite count raises a ValueError naming the file and the
+    field."""
     f = ArtifactReader(path, MATL_MAGIC, MATL_VERSION)
     K, V, D, alpha, beta, seed = f.unpack("<IIIddq", "header")
     topic_word = f.array((K, V), "topic-word counts")
     doc_topic = f.array((D, K), "document-topic counts")
     f.end()
-    return LdaModel(K, topic_word.astype(np.int64), doc_topic.astype(np.int64),
-                    alpha, beta, seed)
+    for field, counts in (("topic-word counts", topic_word), ("document-topic counts", doc_topic)):
+        bad = counts[~(np.isfinite(counts) & (counts >= 0))]
+        if len(bad):
+            raise ValueError(f"{path}: {field}: count {float(bad[0])} is negative or not finite")
+    return LdaModel(K, topic_word, doc_topic, alpha, beta, seed)

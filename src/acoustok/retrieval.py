@@ -440,8 +440,10 @@ def read_rankings_tsv(path) -> list[RankedList]:
 
 def read_relevance_csv(path) -> dict[str, dict[str, int]]:
     """CSV of (query_id, doc_id, 0/1), with or without a header row.  Any
-    other row raises a ValueError naming the file and the line."""
+    other row, or a (query, document) pair given twice, raises a ValueError
+    naming the file and the line (and, for a repeat, the first line)."""
     table: dict[str, dict[str, int]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     with open(path, newline="") as f:
         reader = csv.reader(f)
         for row in reader:
@@ -451,5 +453,10 @@ def read_relevance_csv(path) -> dict[str, dict[str, int]]:
             if len(row) != 3 or row[2] not in ("0", "1"):
                 raise ValueError(f"{path}: line {reader.line_num}: expected "
                                  f"query_id,doc_id,0/1, got {','.join(row)!r}")
-            table.setdefault(row[0], {})[row[1]] = int(row[2])
+            q, doc, bit = row
+            if (q, doc) in first_line:
+                raise ValueError(f"{path}: line {reader.line_num}: query {q} repeats document "
+                                 f"{doc} of line {first_line[q, doc]}")
+            first_line[q, doc] = reader.line_num
+            table.setdefault(q, {})[doc] = int(bit)
     return table

@@ -301,3 +301,36 @@ def test_inconsistent_matn_names_the_file(tmp_path, make, match):
     with pytest.raises(ValueError) as excinfo:
         read_matn(path)
     assert str(excinfo.value) == f"{path}: {match}"
+
+
+def test_repeated_relevance_pair_names_both_lines(tmp_path):
+    # the bits disagree, so the table would depend on row order; a repeat that
+    # agrees is refused all the same
+    path = tmp_path / "rel.csv"
+    for text, message in (
+        ("q,a,1\nq,a,0\nq,b,1\n", "line 2: query q repeats document a of line 1"),
+        ("query_id,doc_id,rel\nq,a,1\nr,a,1\nq,a,1\n",
+         "line 4: query q repeats document a of line 2"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            read_relevance_csv(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+    path.write_text("q,a,1\nr,a,0\nq,b,1\n")  # one document under two queries
+    assert read_relevance_csv(path) == {"q": {"a": 1, "b": 1}, "r": {"a": 0}}
+
+
+# the tiny model's (2, 3) topic-word counts start at byte 44, after the magic
+# and the header, and its (2, 2) document-topic counts at byte 92
+@pytest.mark.parametrize("offset, field", [(44, "topic-word counts"),
+                                           (92 + 24, "document-topic counts")],
+                         ids=["topic-word", "document-topic"])
+@pytest.mark.parametrize("value", [-1.0, -0.5, float("nan"), float("inf")])
+def test_bad_matl_count_names_the_file_and_field(tmp_path, offset, field, value):
+    data = tiny_matl()
+    assert len(data) == 92 + 4 * 8
+    path = tmp_path / "tiny.matl"
+    path.write_bytes(data[:offset] + struct.pack("<d", value) + data[offset + 8:])
+    with pytest.raises(ValueError) as excinfo:
+        read_matl(path)
+    assert str(excinfo.value) == f"{path}: {field}: count {value} is negative or not finite"

@@ -1,10 +1,8 @@
-import itertools
-from collections import Counter, defaultdict
-
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from acoustok import reinforce
 from acoustok.labels import TokenLabelSequence
 from acoustok.reinforce import (
     ReinforceConfig,
@@ -174,24 +172,47 @@ def disjoint_corpus_docs(n_docs=40, words_per_doc=8, seed=1):
     return docs, groups
 
 
-def exact_count_posterior(docs, K, V, alpha, beta):
-    """P(doc-topic counts, topic-word counts | words) by enumerating every
-    topic assignment, keyed like the sampler's count arrays' bytes."""
+def reference_cvb0(docs, K, V, alpha, beta, sweeps, seed):
+    """Synchronous CVB0 written out one token at a time: gamma starts one-hot
+    at the topics drawn per document from default_rng(seed), each sweep adds
+    every token's gamma into the counts in token order, then updates each
+    token from those counts as (n_dk - g + alpha)(n_kw - g + beta) /
+    (n_k - g + V beta), normalized.  Returns the (D, K) and (K, V) counts of
+    the final gamma."""
+    rng = np.random.default_rng(seed)
     tokens = [(d, w) for d, doc in enumerate(docs) for w in doc]
-    post = defaultdict(float)
-    for z in itertools.product(range(K), repeat=len(tokens)):
-        doc_topic = np.zeros((len(docs), K), dtype=np.int64)
-        topic_word = np.zeros((K, V), dtype=np.int64)
-        for (d, w), k in zip(tokens, z):
-            doc_topic[d, k] += 1
-            topic_word[k, w] += 1
-        log_p = (gammaln(doc_topic + alpha).sum()
-                 - gammaln(doc_topic.sum(axis=1) + K * alpha).sum()
-                 + gammaln(topic_word + beta).sum()
-                 - gammaln(topic_word.sum(axis=1) + V * beta).sum())
-        post[doc_topic.tobytes() + topic_word.tobytes()] += np.exp(log_p)
-    total = sum(post.values())
-    return {state: p / total for state, p in post.items()}
+    topics = [k for doc in docs for k in rng.integers(K, size=len(doc))]
+    gamma = [np.eye(K)[k] for k in topics]
+
+    def counts():
+        doc_topic, word_topic, topic_total = np.zeros((len(docs), K)), np.zeros((V, K)), np.zeros(K)
+        for (d, w), g in zip(tokens, gamma):
+            doc_topic[d] += g
+            word_topic[w] += g
+            topic_total += g
+        return doc_topic, word_topic, topic_total
+
+    for _ in range(sweeps):
+        doc_topic, word_topic, topic_total = counts()
+        updated = []
+        for (d, w), g in zip(tokens, gamma):
+            p = ((doc_topic[d] - g + alpha) * (word_topic[w] - g + beta)
+                 / (topic_total - g + V * beta))
+            updated.append(p / p.sum())
+        gamma = updated
+    doc_topic, word_topic, _ = counts()
+    return doc_topic, word_topic.T
+
+
+# lda_fit sums counts by reduceat, which adds a segment's first row to the
+# pairwise sum of the rest, where reference_cvb0 adds in token order; the two
+# differ by rounding only.  The largest difference measured over
+# TestLda.test_matches_a_per_token_loop's fits is 4.6e-15 of max(|count|, 1).
+LDA_RTOL = 1e-13
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype="<f8").view("<u8")
 
 
 class TestLda:
@@ -200,12 +221,13 @@ class TestLda:
         model = lda_fit(docs, 1, 10, ReinforceConfig(lda_iters=20), seed=0)
         assert np.argmax(model.doc_topic, axis=1).tolist() == [0] * len(docs)
 
-    def test_disjoint_vocabulary_pure(self):
-        # at the default alpha = 50/K = 25 the prior outweighs 8-word documents
-        # and about half the seeds mix the groups; at alpha = 1 none does
+    @pytest.mark.parametrize("alpha", [None, 1.0], ids=["default", "alpha1"])
+    def test_disjoint_vocabulary_pure(self, alpha):
+        # CVB0 keeps the groups apart on 50 of 50 seeds at the default
+        # alpha = 50/K = 25 and at alpha = 1
         docs, groups = disjoint_corpus_docs()
         for seed in range(10):
-            model = lda_fit(docs, 2, 10, ReinforceConfig(lda_alpha=1.0), seed=seed)
+            model = lda_fit(docs, 2, 10, ReinforceConfig(lda_alpha=alpha), seed=seed)
             topics = np.argmax(model.doc_topic, axis=1)
             by_group = [set(topics[np.array(groups) == g]) for g in (0, 1)]
             assert len(by_group[0]) == 1 and len(by_group[1]) == 1, seed
@@ -248,7 +270,7 @@ class TestLda:
                      - gammaln(model.topic_word.sum(axis=1) + V * b).sum())
         assert complete_data_log_posterior(model) == pytest.approx(reference, rel=1e-13)
 
-    def test_counts_match_the_corpus(self):
+    def test_expected_counts_match_the_corpus(self):
         docs, _ = disjoint_corpus_docs(n_docs=30, words_per_doc=5)
         docs = docs + [[]] + [[11, 11]]  # an empty document, a word used once
         V = 14                             # words 10, 12 and 13 never occur
@@ -257,28 +279,82 @@ class TestLda:
             model = lda_fit(docs, K, V, ReinforceConfig(lda_iters=5, lda_alpha=alpha), seed=K)
             assert model.doc_topic.shape == (len(docs), K)
             assert model.topic_word.shape == (K, V)
-            assert model.doc_topic.sum(axis=1).tolist() == [len(d) for d in docs]
-            assert model.topic_word.sum(axis=0).tolist() == freq.tolist()
+            assert model.doc_topic.dtype == model.topic_word.dtype == np.float64
+            assert np.all(model.doc_topic >= 0) and np.all(model.topic_word >= 0)
+            assert np.allclose(model.doc_topic.sum(axis=1), [len(d) for d in docs],
+                               rtol=LDA_RTOL, atol=0)
+            assert np.allclose(model.topic_word.sum(axis=0), freq, rtol=LDA_RTOL, atol=0)
 
-    @pytest.mark.parametrize("alpha, beta", [(0.3, 0.2), (None, 0.01)],
-                             ids=["alpha0.3-beta0.2", "defaults"])
-    def test_matches_exact_posterior(self, alpha, beta):
-        # 5 tokens under K = 2: 32 assignments, 24 distinct count states.
-        # 2,000 exact draws from this posterior land at total variation 0.037
-        # (0.3, 0.2) and 0.025 (defaults) on average, at most 0.063 and 0.052
-        # over 2,000 repeats.  Skipping every sweep reads 0.51 and 0.77,
-        # dropping the smoothing bucket 0.86 and 1.00, and dropping the
-        # document bucket 0.31 at (0.3, 0.2).
-        docs, K, V, seeds = [[0, 1, 1], [1, 2]], 2, 3, 2000
-        exact = exact_count_posterior(docs, K, V, 50 / K if alpha is None else alpha, beta)
-        assert len(exact) == 24
-        cfg = ReinforceConfig(lda_iters=10, lda_alpha=alpha, lda_beta=beta)
-        seen = Counter()
-        for seed in range(seeds):
-            model = lda_fit(docs, K, V, cfg, seed=seed)
-            seen[model.doc_topic.tobytes() + model.topic_word.tobytes()] += 1
-        tv = 0.5 * sum(abs(seen[s] / seeds - exact.get(s, 0.0)) for s in exact.keys() | seen.keys())
-        assert tv < 0.08
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 0.2), (None, 0.01), (1.0, 0.01)],
+                             ids=["alpha0.3-beta0.2", "defaults", "alpha1"])
+    @pytest.mark.parametrize("K", [1, 2, 5, 9])
+    def test_matches_a_per_token_loop(self, alpha, beta, K):
+        docs, _ = disjoint_corpus_docs(n_docs=12, words_per_doc=6, seed=K)
+        docs = docs + [[3, 3, 7, 1]]
+        V = 10
+        cfg = ReinforceConfig(lda_iters=30, lda_alpha=alpha, lda_beta=beta)
+        model = lda_fit(docs, K, V, cfg, seed=K + 40)
+        doc_topic, topic_word = reference_cvb0(
+            docs, K, V, 50 / K if alpha is None else alpha, beta, cfg.lda_iters, K + 40)
+        for got, want in ((model.doc_topic, doc_topic), (model.topic_word, topic_word)):
+            assert np.all(np.abs(got - want) <= LDA_RTOL * np.maximum(np.abs(want), 1.0))
+        if K > 1:  # the sweeps moved the counts off the one-hot start
+            assert not np.array_equal(model.doc_topic, np.round(model.doc_topic))
+
+    def test_no_sweeps_counts_the_initial_topics(self):
+        docs, _ = disjoint_corpus_docs(n_docs=10)
+        K, V, seed = 3, 10, 4
+        model = lda_fit(docs, K, V, ReinforceConfig(lda_iters=0), seed=seed)
+        rng = np.random.default_rng(seed)
+        doc_topic, topic_word = np.zeros((len(docs), K)), np.zeros((K, V))
+        for d, doc in enumerate(docs):
+            for w, k in zip(doc, rng.integers(K, size=len(doc))):
+                doc_topic[d, k] += 1
+                topic_word[k, w] += 1
+        assert np.array_equal(model.doc_topic, doc_topic)
+        assert np.array_equal(model.topic_word, topic_word)
+
+    @pytest.mark.parametrize("budget", [None, 1, 1 << 30], ids=["default", "1B", "1GiB"])
+    def test_token_blocks_do_not_change_a_bit(self, monkeypatch, budget):
+        # 2,000 tokens at K = 20 make 320,000 bytes of (tokens, K) rows, so
+        # the default budget takes several blocks, 1 byte one token each and
+        # 1 GiB one block
+        docs, _ = disjoint_corpus_docs(n_docs=250, words_per_doc=8)
+        assert 2000 * 20 * 8 > reinforce.KERNEL_BLOCK_BYTES
+        cfg = ReinforceConfig(lda_iters=3)
+        want = lda_fit(docs, 20, 10, cfg, seed=3)
+        monkeypatch.setattr(reinforce, "KERNEL_BLOCK_BYTES", 1 << 30)
+        unblocked = lda_fit(docs, 20, 10, cfg, seed=3)
+        if budget is not None:
+            monkeypatch.setattr(reinforce, "KERNEL_BLOCK_BYTES", budget)
+        got = lda_fit(docs, 20, 10, cfg, seed=3)
+        for model in (want, got):
+            assert np.array_equal(bits(model.doc_topic), bits(unblocked.doc_topic))
+            assert np.array_equal(bits(model.topic_word), bits(unblocked.topic_word))
+
+    def test_empty_documents_and_unused_words_get_zeros(self):
+        # reduceat returns a neighbour's row for an empty segment, and fails on
+        # one that starts past the last token
+        docs, _ = disjoint_corpus_docs(n_docs=12, words_per_doc=4)
+        docs = [[w + 1 for w in doc] for doc in docs]       # word 0 never occurs
+        V = 13                                               # nor do 11 and 12
+        padded = [[]] + docs[:5] + [[], []] + docs[5:] + [[]]
+        cfg = ReinforceConfig(lda_iters=20)
+        model = lda_fit(padded, 4, V, cfg, seed=2)
+        empty = [d for d, doc in enumerate(padded) if not doc]
+        assert empty == [0, 6, 7, 15]
+        assert not model.doc_topic[empty].any()
+        assert not model.topic_word[:, [0, 11, 12]].any()
+        # an empty document draws no topics and adds nothing to any count, so
+        # the rest is the fit without it, bit for bit
+        plain = lda_fit(docs, 4, V, cfg, seed=2)
+        kept = [d for d, doc in enumerate(padded) if doc]
+        assert np.array_equal(bits(model.doc_topic[kept]), bits(plain.doc_topic))
+        assert np.array_equal(bits(model.topic_word), bits(plain.topic_word))
+        for only_empty in ([[]], [[], []]):
+            model = lda_fit(only_empty, 3, 5, cfg, seed=1)
+            assert model.doc_topic.shape == (len(only_empty), 3) and not model.doc_topic.any()
+            assert model.topic_word.shape == (3, 5) and not model.topic_word.any()
 
     @pytest.mark.parametrize("doc", [[0, -1, 1], [0, 2]], ids=["negative", "past-the-end"])
     def test_word_id_outside_vocabulary_rejected(self, doc):
@@ -312,13 +388,14 @@ class TestRelabel:
         for s in labels.values():
             assert all(t == 0 for t in s.token_ids())
 
-    def test_pure_documents_get_their_topic(self):
+    @pytest.mark.parametrize("alpha", [None, 1.0], ids=["default", "alpha1"])
+    def test_pure_documents_get_their_topic(self, alpha):
         documents, groups = self.make_documents()
         # all of u0's documents are group 0 and all of u1's are group 1, so
         # each utterance must come out uniformly labeled, with distinct topics
-        # (alpha = 1, as in TestLda.test_disjoint_vocabulary_pure)
+        # (as in TestLda.test_disjoint_vocabulary_pure)
         for seed in range(10):
-            model = lda_fit(documents.docs, 2, 10, ReinforceConfig(lda_alpha=1.0), seed=seed)
+            model = lda_fit(documents.docs, 2, 10, ReinforceConfig(lda_alpha=alpha), seed=seed)
             labels = relabel(documents, model)
             assert len(set(labels["u0"].token_ids())) == 1, seed
             assert len(set(labels["u1"].token_ids())) == 1, seed
@@ -396,10 +473,13 @@ class TestMatl:
     def test_roundtrip(self, tmp_path):
         docs, _ = disjoint_corpus_docs()
         model = lda_fit(docs, 3, 10, ReinforceConfig(lda_iters=20), seed=5)
+        # expected counts: most are not whole numbers
+        assert np.mean(model.topic_word != np.round(model.topic_word)) > 0.5
         (tmp_path / "m.matl").write_bytes(matl_bytes(model))
         back = read_matl(tmp_path / "m.matl")
         assert back.n_topics == 3
         assert back.alpha == model.alpha and back.beta == model.beta
         assert back.seed == model.seed
-        assert np.array_equal(back.topic_word, model.topic_word)
-        assert np.array_equal(back.doc_topic, model.doc_topic)
+        assert back.topic_word.dtype == back.doc_topic.dtype == np.float64
+        assert np.array_equal(bits(back.topic_word), bits(model.topic_word))
+        assert np.array_equal(bits(back.doc_topic), bits(model.doc_topic))
