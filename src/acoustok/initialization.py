@@ -5,16 +5,27 @@ every word-like segment is further split into subword-like pieces by a
 watershed transform of its self-similarity dotplot, and the subword segments
 are clustered corpus-wide by k-means on their mean feature vectors.  The
 resulting per-utterance token sequences seed the per-level HMM training.
+
+Every step is array code that gives the bits of the plain per-frame and
+per-cell loops: the discontinuity takes its window means through
+sliding_window_view, with a loop over the short windows at the edges only;
+the watershed is Vincent & Soille's ordered flood (IEEE TPAMI 1991), solved
+as a forest in which each cell points at its earliest-flooded neighbour; and
+k-means takes its distances in row blocks under KERNEL_BLOCK_BYTES, so its
+memory does not grow with segments x clusters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Corpus, FeatureSequence, cosine_similarity
 from .labels import LabelSet, label_set_from_spans, pick_boundaries
+from .tokenizer import KERNEL_BLOCK_BYTES
 
 
 @dataclass
@@ -32,35 +43,54 @@ class InitConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.dotplot_sigma >= 0:
             raise ValueError(f"dotplot_sigma must be >= 0, got {self.dotplot_sigma}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
 
 # ---------------------------------------------------------------------------
 # word-like segmentation
 # ---------------------------------------------------------------------------
 
+def _window_means(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Mean of x[max(0, j - before) : j + after] along axis 0 at each
+    j = 1 .. T-1.  The full windows are one mean over a sliding_window_view;
+    only the windows cut short by an edge are taken one at a time.  Either
+    way numpy sums each window as x[a:b].mean(axis=0) sums it, so the bits
+    are those of the per-position loop."""
+    T = len(x)
+    out = np.empty((T - 1,) + x.shape[1:])
+    lo, hi = max(1, before), min(T - 1, T - after)  # j whose window is whole
+    if lo <= hi:
+        windows = sliding_window_view(x, before + after, axis=0)
+        out[lo - 1 : hi] = windows[lo - before : hi - before + 1].mean(axis=-1)
+    for j in [*range(1, min(lo, T)), *range(max(lo, hi + 1), T)]:
+        out[j - 1] = x[max(0, j - before) : j + after].mean(axis=0)
+    return out
+
+
 def discontinuity(seq: FeatureSequence, cfg: InitConfig | None = None) -> np.ndarray:
     """Discontinuity value at each inter-frame position j = 1 .. T-1.
 
     Euclidean distance between the mean feature vectors over side_frames
     frames left and right of j, scaled by (1 + normalized energy dip), where
-    the first feature column is treated as the frame energy.
+    the first feature column is treated as the frame energy.  The energy dip
+    at j is the mean energy over side_frames frames each side less the lower
+    of frames j-1 and j, or 0 where that is not positive.  A sequence of 0
+    or 1 frames has no inter-frame position and gets an empty array.
     """
     cfg = cfg or InitConfig()
     X = seq.frames
-    T = X.shape[0]
+    if len(X) < 2:
+        return np.zeros(0)
     side = cfg.side_frames
-    dist = np.zeros(T - 1)
-    for j in range(1, T):
-        left = X[max(0, j - side) : j].mean(axis=0)
-        right = X[j : j + side].mean(axis=0)
-        dist[j - 1] = np.linalg.norm(left - right)
+    diff = _window_means(X, side, 0) - _window_means(X, 0, side)
+    # one dot per row, as np.linalg.norm takes it
+    dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 
     energy = X[:, 0]
-    dips = np.zeros(T - 1)
-    for j in range(1, T):
-        local = min(energy[j - 1], energy[j])
-        around = energy[max(0, j - side) : j + side].mean()
-        dips[j - 1] = max(0.0, around - local)
+    local = np.where(energy[1:] < energy[:-1], energy[1:], energy[:-1])
+    dips = _window_means(energy, side, side) - local
+    dips = np.where(dips > 0.0, dips, 0.0)
     peak = dips.max()
     if peak > 0:
         dips /= peak
@@ -135,34 +165,29 @@ def build_dotplot(frames: np.ndarray, sigma: float = 1.0) -> np.ndarray:
 def watershed_regions(relief: np.ndarray) -> np.ndarray:
     """Label every cell by ordered flooding of the relief, 4-connectivity.
 
-    Cells are processed by ascending value (ties in row-major order).  A cell
-    with no labeled neighbor opens a new region; otherwise it joins the region
-    of the neighbor that flooded first.
+    Cells flood by ascending value (ties in row-major order).  A cell with no
+    flooded neighbour opens a new region; otherwise it joins the region of
+    the neighbour that flooded first.  Flood times are unique, so that
+    neighbour is the one of lowest rank, if its rank is below the cell's: each
+    cell points at it, or at itself, and pointer doubling takes every cell to
+    its root.  Regions are numbered 1, 2, ... in the order their roots flood.
     """
-    L = relief.shape[0]
-    labels = np.zeros(relief.shape, dtype=np.int64)
-    flood_time = np.full(relief.shape, -1, dtype=np.int64)
+    size = relief.size
     order = np.argsort(relief.ravel(), kind="stable")
-    next_label = 1
-    for step, flat in enumerate(order):
-        i, j = divmod(int(flat), relief.shape[1])
-        best_time = None
-        best_label = 0
-        for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            ni, nj = i + di, j + dj
-            if 0 <= ni < L and 0 <= nj < relief.shape[1] and labels[ni, nj] > 0:
-                t = flood_time[ni, nj]
-                if best_time is None or t < best_time or (
-                    t == best_time and labels[ni, nj] < best_label
-                ):
-                    best_time = t
-                    best_label = labels[ni, nj]
-        if best_label == 0:
-            best_label = next_label
-            next_label += 1
-        labels[i, j] = best_label
-        flood_time[i, j] = step
-    return labels
+    rank = np.empty(size, dtype=np.int64)
+    rank[order] = np.arange(size)
+    padded = np.full((relief.shape[0] + 2, relief.shape[1] + 2), size, dtype=np.int64)
+    padded[1:-1, 1:-1] = rank.reshape(relief.shape)
+    earliest = np.minimum(np.minimum(padded[:-2, 1:-1], padded[2:, 1:-1]),
+                          np.minimum(padded[1:-1, :-2], padded[1:-1, 2:])).ravel()
+    parent = np.minimum(earliest, rank)[order]  # parent[r]: the rank r points at
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            break
+        parent = grand
+    region = np.cumsum(parent == np.arange(size))  # roots in rank order: 1, 2, ...
+    return region[parent][rank].reshape(relief.shape)
 
 
 def watershed_boundaries(similarity: np.ndarray) -> list[int]:
@@ -171,9 +196,8 @@ def watershed_boundaries(similarity: np.ndarray) -> list[int]:
     Regions are flooded on the inverted similarity (1 - s); a boundary at j
     means cells (j-1, j-1) and (j, j) lie in different regions.
     """
-    labels = watershed_regions(1.0 - similarity)
-    diag = np.diagonal(labels)
-    return [j for j in range(1, len(diag)) if diag[j] != diag[j - 1]]
+    diag = np.diagonal(watershed_regions(1.0 - similarity))
+    return (np.flatnonzero(diag[1:] != diag[:-1]) + 1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -201,29 +225,40 @@ def kmeans(points: np.ndarray, n: int, seed: int,
 
     Runs to an assignment fixpoint or iters sweeps.  An empty cluster is
     reseeded at the point currently farthest from its assigned center.
+    Distances are taken in blocks of points whose (points, n, d) temporaries
+    stay under KERNEL_BLOCK_BYTES, or hold one point; each is one sum over d,
+    so the bits do not depend on the blocking.  Each center is the mean of
+    its members, read as one slice after a stable sort by assignment.
     """
+    if n < 1:
+        raise ValueError(f"k-means needs n >= 1 clusters, got n = {n}")
     if len(points) < n:
         raise ValueError(f"insufficient segments: {len(points)} < {n}")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_seeds(points, n, rng)
+    rows = max(1, KERNEL_BLOCK_BYTES // (n * points.shape[1] * 8))
     assign = np.full(len(points), -1)
     for _ in range(iters):
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_assign = np.argmin(d2, axis=1)
-        empties = np.flatnonzero(np.bincount(new_assign, minlength=n) == 0)
-        if len(empties):
-            residual = d2[np.arange(len(points)), new_assign].copy()
-            for empty in empties:
-                far = int(np.argmax(residual))
-                new_assign[far] = empty
-                residual[far] = -1.0
+        new_assign = np.empty(len(points), dtype=np.int64)
+        residual = np.empty(len(points))
+        for start in range(0, len(points), rows):
+            diff = points[start:start + rows, None, :] - centers
+            d2 = np.sum(diff * diff, axis=2)
+            nearest = np.argmin(d2, axis=1)
+            new_assign[start:start + rows] = nearest
+            residual[start:start + rows] = d2[np.arange(len(d2)), nearest]
+        for empty in np.flatnonzero(np.bincount(new_assign, minlength=n) == 0):
+            far = int(np.argmax(residual))
+            new_assign[far] = empty
+            residual[far] = -1.0
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for c in range(n):
-            members = points[assign == c]
-            if len(members):
-                centers[c] = members.mean(axis=0)
+        members = points[np.argsort(assign, kind="stable")]
+        counts = np.bincount(assign, minlength=n)
+        ends = np.cumsum(counts)
+        for c in np.flatnonzero(counts):
+            centers[c] = members[ends[c] - counts[c]:ends[c]].mean(axis=0)
     return assign, centers
 
 
@@ -236,6 +271,10 @@ def cluster_segments(
 ) -> LabelSet:
     """k-means over segment mean vectors; emits per-utterance token sequences."""
     spans = [(utt, start, end) for utt in corpus.ids() for start, end in segment_spans[utt]]
+    if len(spans) < n:
+        raise ValueError(f"insufficient segments: the bootstrap found {len(spans)} subword "
+                         f"segments in {len(corpus)} utterances, too few for n = {n} "
+                         f"clusters; lower [grid] phonetic or add utterances")
     reps = np.vstack([corpus[utt].frames[start:end].mean(axis=0) for utt, start, end in spans])
     assign, _ = kmeans(reps, n, seed, iters)
     return label_set_from_spans(spans, assign)

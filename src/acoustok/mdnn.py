@@ -70,12 +70,12 @@ class MdnnModel:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
+    """Logistic function from e = exp(-|x|), which cannot overflow.  The
+    exponent is picked as -x or x, not negated from |x|, so a NaN keeps its
+    sign bit."""
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -395,6 +395,14 @@ class TestStages:
         assert err == f"acoustok iterate: [{section}] {key} must be >= 1, got 0\n"
         assert not out.exists()
 
+    def test_grid_too_fine_for_the_corpus_names_the_counts(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, phonetic="4 400")
+        assert main(["iterate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("acoustok iterate: insufficient segments: the bootstrap found ")
+        assert err.endswith(" subword segments in 8 utterances, too few for n = 400 clusters; "
+                            "lower [grid] phonetic or add utterances\n")
+
     def test_missing_upstream_fails_with_diagnostic(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "run"
@@ -454,13 +462,14 @@ class TestStages:
         ("delta_window", "0", "[features] delta_window must be >= 1, got 0"),
         ("context_radius", "-1", "[features] context_radius must be >= 0, got -1"),
         ("dotplot_sigma", "-1", "[init] dotplot_sigma must be >= 0, got -1.0"),
+        ("alpha", "nan", "[init] alpha must be finite, got nan"),
     ], ids=["n_speakers", "bottleneck", "mode", "iterations", "mr_rounds", "phonetic",
             "temporal", "weights", "weights-negative", "weights-zero-sum", "queries-repeated",
             "lda_iters",
             "lda_beta", "lda_alpha", "overlap-above-1", "overlap-zero", "min_gap",
             "epochs", "hidden", "em_iters", "em_tol", "var_floor_frac", "window", "shift",
             "n_ceps-above-n_filters", "n_ceps-zero", "n_filters", "delta_window",
-            "context_radius", "dotplot_sigma"])
+            "context_radius", "dotplot_sigma", "alpha-nan"])
     def test_out_of_range_setting_fails_at_load(self, tmp_path, capsys, key, value, message):
         # TINY_CONFIG leaves these keys at their defaults; spell them out
         text = TINY_CONFIG.replace("[synth]\n", "[synth]\nn_speakers = 2\n").replace(
@@ -470,7 +479,7 @@ class TestStages:
             "em_iters = 3\n", "em_iters = 3\nem_tol = 0.0001\nvar_floor_frac = 0.0001\n").replace(
             "[features]\n", "[features]\nwindow = 0.025\nshift = 0.01\nn_ceps = 13\n"
             "n_filters = 26\ndelta_window = 2\n").replace(
-            "[init]\n", "[init]\ndotplot_sigma = 1.0\n")
+            "[init]\n", "[init]\ndotplot_sigma = 1.0\nalpha = 1.0\n")
         cfg_path = write_config(tmp_path, text, **{key: value})
         out = tmp_path / "run"
         assert main(["iterate", "--config", str(cfg_path), "--out", str(out)]) == 1

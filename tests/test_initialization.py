@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter
 
+from acoustok import initialization
 from acoustok.corpus import Corpus, FeatureSequence, SynthSpec, synthesize_corpus
 from acoustok.initialization import (
+    InitConfig,
     _gaussian_smooth,
+    _kmeans_pp_seeds,
     build_dotplot,
     cluster_segments,
     cosine_similarity_matrix,
+    discontinuity,
     kmeans,
     make_initial_labels,
     segment_words,
@@ -222,3 +226,177 @@ class TestMakeInitialLabels:
             assert spans[-1][1] == corpus[utt].n_frames
             for (s0, e0), (s1, e1) in zip(spans, spans[1:]):
                 assert e0 == s1
+
+
+# ---------------------------------------------------------------------------
+# the array bootstrap against plain loops, bit for bit
+# ---------------------------------------------------------------------------
+
+def sequential_flood(relief):
+    """The ordered flood one cell at a time, in the stable sort's order: a
+    cell joins the region of its earliest-flooded 4-neighbour, or opens the
+    next region if no neighbour has flooded yet."""
+    rows, cols = relief.shape
+    labels = np.zeros(relief.shape, dtype=np.int64)
+    flood_time = np.full(relief.shape, -1, dtype=np.int64)
+    next_label = 1
+    for step, flat in enumerate(np.argsort(relief.ravel(), kind="stable")):
+        i, j = divmod(int(flat), cols)
+        best_time, best_label = None, 0
+        for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if 0 <= ni < rows and 0 <= nj < cols and labels[ni, nj] > 0:
+                if best_time is None or flood_time[ni, nj] < best_time:
+                    best_time, best_label = flood_time[ni, nj], labels[ni, nj]
+        if best_label == 0:
+            best_label = next_label
+            next_label += 1
+        labels[i, j] = best_label
+        flood_time[i, j] = step
+    return labels
+
+
+def per_frame_discontinuity(X, side):
+    """The discontinuity one inter-frame position at a time."""
+    T = len(X)
+    dist = np.zeros(T - 1)
+    dips = np.zeros(T - 1)
+    energy = X[:, 0]
+    for j in range(1, T):
+        left = X[max(0, j - side):j].mean(axis=0)
+        right = X[j:j + side].mean(axis=0)
+        dist[j - 1] = np.linalg.norm(left - right)
+        local = min(energy[j - 1], energy[j])
+        around = energy[max(0, j - side):j + side].mean()
+        dips[j - 1] = max(0.0, around - local)
+    peak = dips.max()
+    if peak > 0:
+        dips /= peak
+    return dist * (1.0 + dips)
+
+
+def masked_lloyd(points, n, seed, iters=100):
+    """Lloyd's sweeps with the whole (points, n, d) difference cube and one
+    boolean mask per center."""
+    rng = np.random.default_rng(seed)
+    centers = _kmeans_pp_seeds(points, n, rng)
+    assign = np.full(len(points), -1)
+    for _ in range(iters):
+        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_assign = np.argmin(d2, axis=1)
+        residual = d2[np.arange(len(points)), new_assign].copy()
+        for empty in np.flatnonzero(np.bincount(new_assign, minlength=n) == 0):
+            far = int(np.argmax(residual))
+            new_assign[far] = empty
+            residual[far] = -1.0
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(n):
+            if np.any(assign == c):
+                centers[c] = points[assign == c].mean(axis=0)
+    return assign, centers
+
+
+RELIEF_SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (5, 12), (12, 5), (17, 17)]
+
+
+class TestWatershedAgainstSequentialFlood:
+    @pytest.mark.parametrize("shape", RELIEF_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_heavy_ties(self, shape):
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        for _ in range(20):
+            relief = np.round(rng.uniform(size=shape), 1)
+            assert np.array_equal(watershed_regions(relief), sequential_flood(relief))
+
+    @pytest.mark.parametrize("shape", RELIEF_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_distinct_values(self, shape):
+        relief = np.random.default_rng(shape[0] * 37 + shape[1]).normal(size=shape)
+        assert np.array_equal(watershed_regions(relief), sequential_flood(relief))
+
+    @pytest.mark.parametrize("shape", RELIEF_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_constant_relief_is_one_region(self, shape):
+        relief = np.full(shape, 0.25)
+        assert np.array_equal(watershed_regions(relief), sequential_flood(relief))
+        assert np.all(watershed_regions(relief) == 1)
+
+    def test_synthetic_corpus_dotplots(self):
+        corpus, _ = synthesize_corpus(SynthSpec(n_utterances=6, dim=6), seed=5)
+        words = 0
+        for utt in corpus.ids():
+            seq = corpus[utt]
+            cuts = segment_words(seq)
+            for start, end in zip([0] + cuts, cuts + [seq.n_frames]):
+                if end - start >= 2:
+                    relief = 1.0 - build_dotplot(seq.frames[start:end])
+                    assert np.array_equal(watershed_regions(relief), sequential_flood(relief))
+                    words += 1
+        assert words >= 6
+
+
+class TestDiscontinuityAgainstPerFrameLoop:
+    @pytest.mark.parametrize("side", [1, 5])
+    @pytest.mark.parametrize("d", [1, 6, 39])
+    def test_every_short_length_and_a_long_one(self, d, side):
+        rng = np.random.default_rng(10 * d + side)
+        for T in [*range(2, 2 * side + 3), 300]:
+            X = rng.normal(size=(T, d)) * 3.0
+            X[: T // 2] = np.round(X[: T // 2], 1)  # repeated energies and ties
+            got = discontinuity(FeatureSequence(X), InitConfig(side_frames=side))
+            assert np.array_equal(got, per_frame_discontinuity(X, side)), T
+
+    @pytest.mark.parametrize("T", [0, 1])
+    def test_fewer_than_two_frames_is_empty(self, T):
+        seq = FeatureSequence(np.ones((1, 4)))
+        seq.frames = seq.frames[:T]
+        assert discontinuity(seq).shape == (0,)
+
+
+def kmeans_cases():
+    rng = np.random.default_rng(12)
+    spread = rng.normal(size=(60, 5))
+    duplicated = np.vstack([spread[:20], np.repeat(spread[20:23], 10, axis=0)])
+    return [(spread, 7, 3), (duplicated, 9, 4), (duplicated, 23, 5),
+            (np.round(spread[:, :1], 0), 4, 6), (np.zeros((6, 2)), 3, 0)]
+
+
+class TestKmeansArrays:
+    def test_matches_masked_lloyd(self):
+        for points, n, seed in kmeans_cases():
+            assign, centers = kmeans(points, n, seed)
+            want_assign, want_centers = masked_lloyd(points, n, seed)
+            assert np.array_equal(assign, want_assign)
+            assert np.array_equal(centers, want_centers)
+
+    @pytest.mark.parametrize("budget", [1, 1 << 30], ids=["1B", "1GiB"])
+    def test_block_budget_keeps_the_bits(self, monkeypatch, budget):
+        want = [kmeans(points, n, seed) for points, n, seed in kmeans_cases()]
+        monkeypatch.setattr(initialization, "KERNEL_BLOCK_BYTES", budget)
+        for (points, n, seed), (assign, centers) in zip(kmeans_cases(), want):
+            got_assign, got_centers = kmeans(points, n, seed)
+            assert np.array_equal(got_assign, assign)
+            assert np.array_equal(got_centers, centers)
+
+    def test_empty_clusters_reseeded_at_the_farthest_points(self):
+        # every center starts on the one point: clusters 1 and 2 come up empty
+        # and take the first points of equal (zero) residual, in order
+        assign, centers = kmeans(np.zeros((6, 2)), 3, seed=0)
+        assert assign.tolist() == [1, 2, 0, 0, 0, 0]
+        assert np.array_equal(centers, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_n_below_one_names_n(self, n):
+        with pytest.raises(ValueError, match=f"n >= 1 clusters, got n = {n}"):
+            kmeans(np.zeros((4, 2)), n, seed=0)
+
+
+class TestBootstrapSettings:
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            InitConfig(alpha=alpha)
+
+    def test_too_few_segments_names_the_counts(self):
+        corpus, spans = TestClusterSegments().make_corpus()
+        with pytest.raises(ValueError, match=r"found 4 subword segments in 2 utterances, "
+                                             r"too few for n = 5 clusters"):
+            cluster_segments(corpus, spans, 5, seed=0)

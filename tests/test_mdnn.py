@@ -11,6 +11,7 @@ from acoustok.mdnn import (
     _backward,
     _cross_entropy,
     _forward,
+    _sigmoid,
     _softmax,
     build_targets,
     extract_bnf,
@@ -143,6 +144,17 @@ class TestTraining:
         z = np.array([[3.0, 3.0, -1.0], [0.0, 0.0, 0.0], [-1e3, 1e3, 1e3], [5.0, -5.0, 5.0]])
         assert np.array_equal(_softmax(z), softmax(z, axis=1))
         assert _softmax(z)[2, 1] == _softmax(z)[2, 2] == 0.5
+
+    def test_sigmoid_equals_the_masked_form(self):
+        # the two-branch form indexed by boolean masks, the reference
+        x = np.random.default_rng(5).normal(scale=30.0, size=(64, 50))
+        x[0, :8] = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 800.0, -800.0]
+        want = np.empty_like(x)
+        pos = x >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        assert _sigmoid(x).tobytes() == want.tobytes()
 
     def test_bit_deterministic(self):
         inputs, targets = toy_data(n=64)
