@@ -7,7 +7,6 @@ override file values; defaults follow the standard experiment setup
 from __future__ import annotations
 
 import configparser
-import hashlib
 import io
 import types
 import typing
@@ -168,7 +167,7 @@ def load_config(path=None, text: str | None = None) -> PipelineConfig:
 
 
 def dump_config(cfg: PipelineConfig) -> str:
-    """Canonical text form, used for snapshots and config hashing."""
+    """Canonical text form, as written to a run's config snapshot."""
     parser = configparser.ConfigParser()
     for section, options in _SCHEMA.items():
         obj = cfg if section == "run" else getattr(cfg, section)
@@ -186,8 +185,3 @@ def _format(value) -> str:
     if value is None:
         return ""
     return str(value)
-
-
-def config_sha256(cfg: PipelineConfig) -> str:
-    """Hash of the canonical text without [run] out, so a moved run resumes."""
-    return hashlib.sha256(dump_config(replace(cfg, out="")).encode()).hexdigest()

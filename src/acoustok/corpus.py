@@ -500,8 +500,8 @@ def save_corpus(directory, corpus: Corpus):
 
 def load_corpus(directory) -> Corpus:
     """The utterances corpus.jsonl lists.  A .matf the index does not list (the
-    index was cut short) or of another shape than its record, and an utterance
-    listed twice, raise."""
+    index was cut short) or of another shape than its record, an utterance
+    listed twice, and one of another feature dimension than the first, raise."""
     directory = Path(directory)
     index = directory / "corpus.jsonl"
     records = read_jsonl(index, ("utt", "frames", "dim"))
@@ -515,6 +515,9 @@ def load_corpus(directory) -> Corpus:
             raise ValueError(f"{index}: line {number} repeats utterance {r['utt']} "
                              f"of line {lines[r['utt']]}")
         lines[r["utt"]] = number
+        if r["dim"] != records[0][1]["dim"]:
+            raise ValueError(f"{index}: line {number}: {r['utt']} has {r['dim']}-dimensional "
+                             f"features, line {records[0][0]} has {records[0][1]['dim']}")
         seq = read_matf(directory / f"{r['utt']}.matf", r["utt"], r.get("frame_shift", 0.010))
         if seq.frames.shape != (r["frames"], r["dim"]):
             raise ValueError(f"{directory / r['utt']}.matf: {seq.n_frames} x {seq.dim} frames, "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import Corpus, FeatureSequence, cosine_similarity
+from .corpus import Corpus, FeatureSequence, unit_row_similarity, unit_rows
 from .labels import LabelSet, label_set_from_spans, pick_boundaries
 from .tokenizer import KERNEL_BLOCK_BYTES
 
@@ -119,9 +119,9 @@ def segment_words(seq: FeatureSequence, cfg: InitConfig | None = None) -> list[i
 
 def cosine_similarity_matrix(frames: np.ndarray) -> np.ndarray:
     """Frame-pair cosine similarities; zero-norm frames score 0, diagonal 1."""
-    sim = cosine_similarity(frames, frames)
-    nz = np.linalg.norm(frames, axis=1) > 0
-    sim[nz, nz] = 1.0
+    rows = unit_rows(frames)
+    sim = unit_row_similarity(rows, rows)
+    sim[~rows[1], ~rows[1]] = 1.0
     return sim
 
 

@@ -1,10 +1,10 @@
 """Append-only run manifest: one JSON line per completed stage with content
 hashes of its inputs and outputs, plus atomic file writing helpers.
 
-A stage is considered complete only once its manifest line is appended, so an
-interrupted run can be resumed by re-running the stages whose lines are
-missing; individual artifacts are always written to a temp file and renamed
-into place, never left half-written.
+A stage is complete when its line exists and every file it records, read or
+written (the config snapshot among them), still hashes as recorded; so a run
+resumes by re-running the stages whose lines are missing or stale.  Artifacts
+are always written to a temp file and renamed into place, never half-written.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import tempfile
 from pathlib import Path
 
 from .labels import read_jsonl
+
+SNAPSHOT = "config.snapshot.ini"  # the run's settings, which every stage reads
 
 
 def file_sha256(path) -> str:
@@ -59,12 +61,13 @@ class StageWriter:
 
     def read(self, path, what: str) -> Path:
         """Check that an upstream file exists and record its sha256, keyed by
-        its path relative to the run directory, or as given when it lies
-        outside it."""
+        its path relative to the run directory, or by its absolute path when
+        it lies outside it."""
         path = Path(path)
         if not path.exists():
             raise PipelineError(f"missing upstream artifact: {what} ({path})")
-        key = path.relative_to(self.root).as_posix() if path.is_relative_to(self.root) else str(path)
+        key = (path.relative_to(self.root).as_posix() if path.is_relative_to(self.root)
+               else str(path.absolute()))
         self.inputs[key] = file_sha256(path)
         return path
 
@@ -92,7 +95,7 @@ class Manifest:
     def entries(self) -> list[dict]:
         if not self.path.exists():
             return []
-        return [e for _, e in read_jsonl(self.path, ("stage", "inputs", "outputs", "config_sha"))]
+        return [e for _, e in read_jsonl(self.path, ("stage", "inputs", "outputs"))]
 
     def find(self, stage: str) -> dict | None:
         for entry in reversed(self.entries()):
@@ -101,29 +104,27 @@ class Manifest:
         return None
 
     def record(self, stage: str, outputs: dict[str, str], inputs: dict[str, str],
-               config_sha: str, elapsed_s: float):
+               elapsed_s: float):
         entry = {
             "stage": stage,
             "inputs": inputs,
             "outputs": outputs,
-            "config_sha": config_sha,
             "elapsed_s": round(elapsed_s, 6),
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a") as f:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
 
-    def is_complete(self, stage: str, out_dir, config_sha: str) -> bool:
-        """A stage may be skipped if its outputs still match their hashes."""
+    def is_complete(self, stage: str, out_dir) -> bool:
+        """A stage may be skipped if every file its line records, read or
+        written, still hashes as recorded.  A line that did not read the
+        snapshot predates this rule."""
         entry = self.find(stage)
-        if entry is None or entry.get("config_sha") != config_sha:
+        if entry is None or SNAPSHOT not in entry["inputs"]:
             return False
-        root = Path(out_dir)
-        for relpath, digest in entry["outputs"].items():
-            path = root / relpath
-            if not path.exists() or file_sha256(path) != digest:
-                return False
-        return True
+        root = Path(out_dir)  # root / key is the key itself when the key is absolute
+        files = {**entry["inputs"], **entry["outputs"]}
+        return all((root / k).exists() and file_sha256(root / k) == d for k, d in files.items())
 
     def output_hashes(self) -> dict[str, dict[str, str]]:
         """stage -> {relpath: sha256}, for determinism comparisons."""

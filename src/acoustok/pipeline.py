@@ -1,25 +1,25 @@
 """Pipeline stages behind the command-line interface.
 
-Every stage reads its upstream artifacts from the run directory, writes its
-outputs atomically, and appends a manifest line with content hashes.  A stage
-whose manifest line is present and whose outputs still match their hashes is
-skipped, so interrupted runs resume where they stopped.  Artifact names follow
-the TOK-kth / BNF-kth / MR-r scheme, with k the feedback iteration and r the
-number of reinforcement rounds applied.
+Every stage reads the config snapshot and its upstream artifacts, writes its
+outputs atomically, and appends a manifest line with the content hashes of
+both.  A stage whose line is present and whose files still match is skipped,
+so interrupted runs resume and changed inputs or settings re-run.  Artifact
+names follow the TOK-kth / BNF-kth / MR-r scheme, with k the feedback
+iteration and r the number of reinforcement rounds applied.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus as corpus_mod
 from . import evalviz, mdnn, reinforce, retrieval, tokenizer
-from .config import PipelineConfig, config_sha256, dump_config
+from .config import PipelineConfig, dump_config
 from .corpus import (
     Corpus,
     FeatureSequence,
@@ -36,7 +36,7 @@ from .corpus import (
 )
 from .initialization import make_initial_labels
 from .labels import LabelSet, labels_to_jsonl, read_jsonl, read_labels_jsonl, validate_label_set
-from .manifest import Manifest, PipelineError, StageWriter, atomic_write_text
+from .manifest import SNAPSHOT, Manifest, PipelineError, StageWriter, atomic_write_text
 from .mdnn import build_targets, extract_bnf, make_iteration_input, read_matn, train_mdnn
 from .tokenizer import read_matm, run_mat
 
@@ -46,14 +46,14 @@ class RunContext:
     cfg: PipelineConfig
     out: Path
     manifest: Manifest
-    config_sha: str
 
     @classmethod
     def create(cls, cfg: PipelineConfig) -> "RunContext":
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out / "config.snapshot.ini", dump_config(cfg))
-        return cls(cfg, out, Manifest(out), config_sha256(cfg))
+        # without [run] out, so a moved or copied run still resumes
+        atomic_write_text(out / SNAPSHOT, dump_config(replace(cfg, out="")))
+        return cls(cfg, out, Manifest(out))
 
 
 def stage_seed(seed: int, tag: str) -> int:
@@ -135,14 +135,14 @@ def _add_corpus(writer: StageWriter, rel_dir: str, corpus: Corpus):
 
 def _run_stage(ctx: RunContext, key: str, work) -> bool:
     """Run a stage unless the manifest shows it complete; returns True if run."""
-    if ctx.manifest.is_complete(key, ctx.out, ctx.config_sha):
+    if ctx.manifest.is_complete(key, ctx.out):
         return False
     start = time.perf_counter()
     writer = StageWriter(ctx.out)
+    writer.read(ctx.out / SNAPSHOT, "config snapshot")
     work(writer)
     outputs = writer.commit()
-    ctx.manifest.record(key, outputs, writer.inputs, ctx.config_sha,
-                        time.perf_counter() - start)
+    ctx.manifest.record(key, outputs, writer.inputs, time.perf_counter() - start)
     return True
 
 

@@ -129,9 +129,9 @@ def _truth_file(directory):
 
 def _manifest_file(directory):
     manifest = Manifest(directory)
-    manifest.record("synth", {"truth.jsonl": "ab"}, {}, "cfg", 0.25)
+    manifest.record("synth", {"truth.jsonl": "ab"}, {}, 0.25)
     manifest.record("iter1/init", {"iter1/init/labels_n4.jsonl": "cd"},
-                    {"features/corpus.jsonl": "ef"}, "cfg", 0.5)
+                    {"features/corpus.jsonl": "ef"}, 0.5)
     return manifest.path, lambda path: Manifest(path.parent).entries()
 
 
@@ -242,6 +242,15 @@ def test_corpus_index_listing_an_utterance_twice_names_the_file_and_line(tmp_pat
     with pytest.raises(ValueError, match="line 3 repeats utterance utt000 of line 1") as excinfo:
         read(path)
     assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def test_corpus_of_mixed_feature_dimensions_names_the_file_and_line(tmp_path):
+    save_corpus(tmp_path, Corpus([FeatureSequence(np.ones((10, 3)), utterance_id="a"),
+                                  FeatureSequence(np.ones((4, 2)), utterance_id="b")]))
+    match = "line 2: b has 2-dimensional features, line 1 has 3$"
+    with pytest.raises(ValueError, match=match) as excinfo:
+        load_corpus(tmp_path)
+    assert str(excinfo.value).startswith(f"{tmp_path / 'corpus.jsonl'}: ")
 
 
 def _matm_header(m, n, d):

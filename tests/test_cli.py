@@ -1,8 +1,10 @@
 import configparser
 import importlib.util
+import json
 import re
 import shutil
 import struct
+import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -10,14 +12,15 @@ import pytest
 
 from acoustok import initialization
 from acoustok.cli import main
-from acoustok.config import PipelineConfig, config_sha256, dump_config, load_config
+from acoustok.config import PipelineConfig, dump_config, load_config
 from acoustok.corpus import (
     Corpus, FeatureSequence, load_corpus, matf_bytes, read_matf, save_corpus,
 )
-from acoustok.manifest import Manifest, atomic_write_text, file_sha256
+from acoustok.manifest import SNAPSHOT, Manifest, StageWriter, atomic_write_text, file_sha256
 from acoustok.mdnn import read_matn
 from acoustok.pipeline import stage_seed
 from acoustok.reinforce import read_matl
+from acoustok.retrieval import read_rankings_tsv
 
 
 TINY_CONFIG = """
@@ -191,7 +194,7 @@ class TestConfig:
     def test_dump_load_roundtrip_stable_hash(self):
         cfg = load_config(text=TINY_CONFIG)
         again = load_config(text=dump_config(cfg))
-        assert config_sha256(cfg) == config_sha256(again)
+        assert dump_config(cfg) == dump_config(again)
 
     def test_every_option_round_trips(self):
         cfg = load_config(text=EVERY_OPTION_CONFIG)
@@ -250,19 +253,49 @@ class TestManifest:
 
     def test_record_and_find(self, tmp_path):
         m = Manifest(tmp_path)
-        m.record("stage_a", {"out.bin": "aa"}, {"in.bin": "bb"}, "cfg", 0.5)
-        m.record("stage_b", {"two.bin": "cc"}, {}, "cfg", 0.1)
+        m.record("stage_a", {"out.bin": "aa"}, {"in.bin": "bb"}, 0.5)
+        m.record("stage_b", {"two.bin": "cc"}, {}, 0.1)
         assert m.find("stage_a")["outputs"] == {"out.bin": "aa"}
         assert set(m.output_hashes()) == {"stage_a", "stage_b"}
 
-    def test_is_complete_requires_matching_files(self, tmp_path):
-        m = Manifest(tmp_path)
-        atomic_write_text(tmp_path / "out.txt", "data")
-        m.record("s", {"out.txt": file_sha256(tmp_path / "out.txt")}, {}, "cfg", 0.0)
-        assert m.is_complete("s", tmp_path, "cfg")
-        (tmp_path / "out.txt").write_text("tampered")
-        assert not m.is_complete("s", tmp_path, "cfg")
-        assert not m.is_complete("s", tmp_path, "other-cfg")
+    @staticmethod
+    def _recorded_stage(root) -> Manifest:
+        """Stage "s" of a manifest under root, which read the snapshot and
+        in.txt and wrote out.txt."""
+        for name in (SNAPSHOT, "in.txt", "out.txt"):
+            atomic_write_text(root / name, f"{name}\n")
+        m = Manifest(root)
+        m.record("s", {"out.txt": file_sha256(root / "out.txt")},
+                 {key: file_sha256(root / key) for key in (SNAPSHOT, "in.txt")}, 0.0)
+        return m
+
+    @pytest.mark.parametrize("name", [SNAPSHOT, "in.txt", "out.txt"])
+    def test_is_complete_requires_matching_files(self, tmp_path, name):
+        m = self._recorded_stage(tmp_path)
+        assert m.is_complete("s", tmp_path)
+        (tmp_path / name).write_text("tampered\n")
+        assert not m.is_complete("s", tmp_path)
+        (tmp_path / name).write_text(f"{name}\n")
+        assert m.is_complete("s", tmp_path)
+        (tmp_path / name).unlink()
+        assert not m.is_complete("s", tmp_path)
+
+    def test_input_outside_the_run_keyed_by_absolute_path(self, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        (tmp_path / "elsewhere").mkdir()
+        m = self._recorded_stage(run)
+        (tmp_path / "rel.csv").write_text("q,d,1\n")
+        monkeypatch.chdir(tmp_path)
+        writer = StageWriter("run")
+        for path in (Path("run") / SNAPSHOT, Path("rel.csv")):
+            writer.read(path, "input")
+        assert writer.inputs == {SNAPSHOT: file_sha256(run / SNAPSHOT),
+                                 str(tmp_path / "rel.csv"): file_sha256(tmp_path / "rel.csv")}
+        m.record("t", {}, writer.inputs, 0.0)
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert m.is_complete("t", run)
+        (tmp_path / "rel.csv").write_text("q,d,0\n")
+        assert not m.is_complete("t", run)
 
 
 class TestStages:
@@ -313,12 +346,24 @@ class TestStages:
         path = out / "features/utt003.matf"
         seq = read_matf(path)
         path.write_bytes(matf_bytes(FeatureSequence(seq.frames + 1.0, utterance_id="utt003")))
-        (out / "iter1/init/labels_n4.jsonl").unlink()  # so that init runs again
         assert main(["init", "--config", str(cfg_path), "--out", str(out)]) == 0
         after = Manifest(out).find("iter1/init")["inputs"]
         assert read_matf(path).n_frames == seq.n_frames
         assert set(after) == set(before)
         assert {key for key in before if after[key] != before[key]} == {"features/utt003.matf"}
+
+    def test_line_written_without_the_snapshot_reruns(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+        entry = Manifest(out).find("synth")
+        del entry["inputs"][SNAPSHOT]
+        entry["config_sha"] = "0" * 64  # as lines were written before the snapshot was an input
+        (out / "manifest.jsonl").write_text(json.dumps(entry) + "\n")
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+        entries = Manifest(out).entries()
+        assert [e["stage"] for e in entries] == ["synth", "synth"]
+        assert SNAPSHOT in entries[-1]["inputs"] and "config_sha" not in entries[-1]
 
     def test_init_segments_each_utterance_once(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path)  # phonetic = 4 6: two k-means runs
@@ -541,8 +586,7 @@ class TestIterate:
     def test_stage_inputs(self, full_run):
         _, out = full_run
         recorded = _stage_inputs(out)
-        assert {stage: recorded[stage] for stage in recorded if stage not in
-                ("std", "eval", "viz")} == {
+        expected = {
             "synth": set(),
             "iter1/init": FEATURES,
             "iter1/mat_mr0": FEATURES | _per_n("iter1/init"),
@@ -557,6 +601,9 @@ class TestIterate:
             "iter2/mdnn": FEATURES | BNF1 | _per_level(FINAL_TOK),
             "iter2/extract": FEATURES | BNF1 | {"iter2/BNF-2nd_MR-1.matn"},
         }
+        assert {stage: recorded[stage] for stage in recorded if stage not in
+                ("std", "eval", "viz")} == {stage: {SNAPSHOT} | inputs
+                                            for stage, inputs in expected.items()}
 
     def test_stage_sequence(self, full_run):
         _, out = full_run
@@ -644,9 +691,61 @@ class TestIterate:
 
         recorded = _stage_inputs(out2)
         labels = _per_level(FINAL_TOK)
-        assert recorded["std"] == BNF1 | labels | _per_level(FINAL_TOK, "model", "matm")
-        assert recorded["eval"] == {str(rel), "std/rankings.tsv", "truth.jsonl"} | labels
-        assert recorded["viz"] == FEATURES | {"truth.jsonl"} | labels
+        models = _per_level(FINAL_TOK, "model", "matm")
+        assert recorded["std"] == {SNAPSHOT} | BNF1 | labels | models
+        assert recorded["eval"] == {SNAPSHOT, str(rel), "std/rankings.tsv", "truth.jsonl"} | labels
+        assert recorded["viz"] == {SNAPSHOT} | FEATURES | {"truth.jsonl"} | labels
+
+    def test_edited_feature_file_reruns_its_readers(self, full_run, tmp_path):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        argv = ["iterate", "--config", str(cfg_path), "--out", str(run)]
+        assert main(argv) == 0  # re-runs every stage if the copy holds another snapshot
+        before = len(Manifest(run).entries())
+        path = run / "features/utt003.matf"
+        seq = read_matf(path)
+        path.write_bytes(matf_bytes(FeatureSequence(seq.frames + 1.0, utterance_id="utt003")))
+        assert main(argv) == 0
+        rerun = [e["stage"] for e in Manifest(run).entries()[before:]]
+        assert rerun[0] == "iter1/init" and "synth" not in rerun
+        after = len(Manifest(run).entries())
+        assert main(argv) == 0
+        assert len(Manifest(run).entries()) == after
+
+    def test_edited_relevance_table_reruns_eval(self, full_run, tmp_path):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        rel = tmp_path / "rel.csv"
+        rel.write_text("".join(f"utt000,utt{i:03d},1\n" for i in range(1, 8)))
+        cfg = tmp_path / "rel.ini"
+        cfg.write_text(cfg_path.read_text().replace(
+            "queries = utt000", f"queries = utt000\nrelevance = {rel}"))
+        for stage in ("std", "eval"):
+            assert main([stage, "--config", str(cfg), "--out", str(run)]) == 0
+        assert (run / "eval/map.csv").read_text() == "map\n1.0\n"
+        # only utt005 relevant: MAP is the reciprocal of its rank
+        rel.write_text("".join(f"utt000,utt{i:03d},{int(i == 5)}\n" for i in range(1, 8)))
+        before = len(Manifest(run).entries())
+        assert main(["eval", "--config", str(cfg), "--out", str(run)]) == 0
+        assert [e["stage"] for e in Manifest(run).entries()[before:]] == ["eval"]
+        [ranked] = read_rankings_tsv(run / "std/rankings.tsv")
+        rank = [doc for doc, _ in ranked.entries].index("utt005") + 1
+        assert (run / "eval/map.csv").read_text() == f"map\n{1 / rank!r}\n"
+
+    def test_bench_expects_the_stages_iterate_runs(self, full_run, monkeypatch):
+        """The bench counts a stage missing from its list as a failed operation,
+        so a change to the stage list shows here first."""
+        cfg_path, out = full_run
+        path = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the worker adds bench/ to it
+        spec = importlib.util.spec_from_file_location("worker", path)
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        recorded = dict.fromkeys(e["stage"] for e in Manifest(out).entries())
+        iterate = [stage for stage in recorded if stage not in ("synth", "std", "eval", "viz")]
+        assert worker._expected_stages(load_config(cfg_path)) == iterate + ["std", "eval"]
 
 
     @pytest.mark.parametrize("weights", ["0 0", "1 -1"])
@@ -682,7 +781,6 @@ class TestIterate:
         cfg_path, out = full_run
         run = tmp_path / "run"
         shutil.copytree(out, run)
-        (run / "manifest.jsonl").unlink()  # so every stage re-runs
         path = run / labels
         kept = [line for line in path.read_text().splitlines(keepends=True)
                 if '"utt003"' not in line]
@@ -697,7 +795,6 @@ class TestIterate:
         cfg_path, out = full_run
         run = tmp_path / "run"
         shutil.copytree(out, run)
-        (run / "manifest.jsonl").unlink()  # so every stage re-runs
         path = run / f"{FINAL_TOK}/labels_m3_n4.jsonl"
         with path.open("a") as f:
             f.write('{"utt": "utt999", "token": 0, "start": 0, "end": 5}\n')
@@ -719,7 +816,6 @@ class TestIterate:
             "queries = utt000", f"queries = {queries}\nmode = {mode}"))
         run = tmp_path / "run"
         shutil.copytree(out, run)
-        (run / "manifest.jsonl").unlink()  # so every stage re-runs
         (run / f"{FINAL_TOK}/model_m3_n4.matm").unlink()
         assert main(["std", "--config", str(cfg), "--out", str(run)]) == 1
         assert capsys.readouterr().err == f"acoustok std: {message}\n"
@@ -728,7 +824,6 @@ class TestIterate:
         cfg_path, out = full_run
         run = tmp_path / "run"
         shutil.copytree(out, run)
-        (run / "manifest.jsonl").unlink()  # so every stage re-runs
         path = run / "iter1/bnf/utt003.matf"
         data = bytearray(path.read_bytes())
         data[12:16] = struct.pack("<f", float("nan"))  # the first frame value
@@ -743,7 +838,6 @@ class TestIterate:
         cfg_path, out = full_run
         run = tmp_path / "run"
         shutil.copytree(out, run)
-        (run / "manifest.jsonl").unlink()  # so every stage re-runs
         bnf = run / "iter1/bnf"
         corpus = load_corpus(bnf)
         kept = [seq for seq in corpus if seq.utterance_id != "utt003"]
