@@ -7,14 +7,16 @@
     acoustok mr       --config cfg.ini         one reinforcement round
     acoustok mdnn     --config cfg.ini         train the multi-target network
     acoustok extract  --config cfg.ini         extract bottleneck features
-    acoustok iterate  --config cfg.ini         the full loop, all iterations
+    acoustok iterate  --config cfg.ini         the corpus, then the full loop
     acoustok std      --config cfg.ini         rank documents for the queries
     acoustok eval     --config cfg.ini         score against ground truth
     acoustok viz      --config cfg.ini         emit visualization data
 
-Flags --seed, --out and --iters override the config file; every stage appends
-to the run manifest and is skipped when already complete.  --iteration and
---iters are at least 1, mat --round at least 0 and mr --round at least 1.
+Flags --seed, --out and --iters override the config file.  Every command
+writes the settings into the run directory, and every stage appends to the
+run manifest and is skipped while the settings and files it read and wrote
+are unchanged.  --iteration and --iters are at least 1, mat --round at least
+0 and mr --round at least 1.
 """
 
 from __future__ import annotations
@@ -76,25 +78,14 @@ def make_context(args) -> RunContext:
     return RunContext.create(replace(cfg, **{k: v for k, v in overrides.items() if v is not None}))
 
 
-def _ensure_corpus(ctx: RunContext):
-    if not (ctx.out / "features/corpus.jsonl").exists():
-        if ctx.cfg.audio_dir:
-            pipeline.cmd_features(ctx)
-        else:
-            pipeline.cmd_synth(ctx)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         ctx = make_context(args)
-        if args.command == "iterate":
-            _ensure_corpus(ctx)
-            pipeline.cmd_iterate(ctx)
-        else:
-            # looked up on each run, so a wrapper installed on the module is called
-            stage = getattr(pipeline, f"cmd_{args.command}")
-            stage(ctx, *(getattr(args, flag[2:]) for flag, *_ in COMMANDS[args.command]))
+        # looked up on each run, so a wrapper installed on the module is called
+        stage = getattr(pipeline, f"cmd_{args.command}")
+        stage(ctx, *(getattr(args, flag[2:]) for flag, *_ in COMMANDS[args.command]
+                     if flag != "--iters"))
     except (PipelineError, AudioError, MdnnError, ValueError, OSError) as exc:
         print(f"acoustok {args.command}: {exc}", file=sys.stderr)
         return 1

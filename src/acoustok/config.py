@@ -166,12 +166,22 @@ def load_config(path=None, text: str | None = None) -> PipelineConfig:
     return cfg
 
 
-def dump_config(cfg: PipelineConfig) -> str:
-    """Canonical text form, as written to a run's config snapshot."""
+# What a stage can declare that it reads: every [run] key but out, by key, and
+# every other section, by section name.  A run keeps each as its own file.
+SETTINGS = (tuple(key for key in _SCHEMA["run"] if key != "out")
+            + tuple(section for section in _SCHEMA if section != "run"))
+
+
+def dump_config(cfg: PipelineConfig, names=None) -> str:
+    """Canonical text form of the settings called names (see SETTINGS), or of
+    the whole config.  Each setting's text loads on its own."""
     parser = configparser.ConfigParser()
     for section, options in _SCHEMA.items():
         obj = cfg if section == "run" else getattr(cfg, section)
-        parser[section] = {key: _format(getattr(obj, opt.name)) for key, opt in options.items()}
+        keys = [key for key in options
+                if names is None or (key if section == "run" else section) in names]
+        if keys:
+            parser[section] = {key: _format(getattr(obj, options[key].name)) for key in keys}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

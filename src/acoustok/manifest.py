@@ -2,9 +2,12 @@
 hashes of its inputs and outputs, plus atomic file writing helpers.
 
 A stage is complete when its line exists and every file it records, read or
-written (the config snapshot among them), still hashes as recorded; so a run
-resumes by re-running the stages whose lines are missing or stale.  Artifacts
-are always written to a temp file and renamed into place, never half-written.
+written, still hashes as recorded.  The settings a stage reads are files too,
+one per setting under config/, so a run resumes by re-running the stages whose
+lines are missing or whose recorded files, settings among them, changed.  The
+manifest is parsed once per run.  Artifacts are always written to a temp file
+and renamed into place, never half-written, and a re-run stage removes the
+files its previous line wrote that it no longer writes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 
 from .labels import read_jsonl
 
-SNAPSHOT = "config.snapshot.ini"  # the run's settings, which every stage reads
+SETTINGS_DIR = "config"  # one file per setting a stage can read
 
 
 def file_sha256(path) -> str:
@@ -77,20 +80,26 @@ class StageWriter:
     def add_text(self, relpath: str, text: str):
         self.add_bytes(relpath, text.encode())
 
-    def commit(self) -> dict[str, str]:
+    def commit(self, replaced=()) -> dict[str, str]:
+        """Land the outputs, then remove each file of replaced (the stage's
+        previous outputs) that this run did not write."""
         hashes = {}
         for relpath in sorted(self.outputs):
             path = self.root / relpath
             atomic_write_bytes(path, self.outputs[relpath])
             hashes[relpath] = hashlib.sha256(self.outputs[relpath]).hexdigest()
+        for relpath in set(replaced) - hashes.keys():
+            (self.root / relpath).unlink(missing_ok=True)
         return hashes
 
 
 class Manifest:
-    """JSON-lines journal under the run directory."""
+    """JSON-lines journal under the run directory, parsed once: the latest
+    line of each stage is kept, and record adds to both."""
 
     def __init__(self, out_dir):
         self.path = Path(out_dir) / "manifest.jsonl"
+        self.latest = {entry["stage"]: entry for entry in self.entries()}
 
     def entries(self) -> list[dict]:
         if not self.path.exists():
@@ -98,10 +107,7 @@ class Manifest:
         return [e for _, e in read_jsonl(self.path, ("stage", "inputs", "outputs"))]
 
     def find(self, stage: str) -> dict | None:
-        for entry in reversed(self.entries()):
-            if entry["stage"] == stage:
-                return entry
-        return None
+        return self.latest.get(stage)
 
     def record(self, stage: str, outputs: dict[str, str], inputs: dict[str, str],
                elapsed_s: float):
@@ -114,16 +120,17 @@ class Manifest:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a") as f:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
+        self.latest[stage] = entry
 
-    def is_complete(self, stage: str, out_dir) -> bool:
+    def is_complete(self, stage: str, out_dir, outputs: bool = True) -> bool:
         """A stage may be skipped if every file its line records, read or
-        written, still hashes as recorded.  A line that did not read the
-        snapshot predates this rule."""
+        written, still hashes as recorded; with outputs=False, only what it
+        read.  A line that recorded no settings file predates this rule."""
         entry = self.find(stage)
-        if entry is None or SNAPSHOT not in entry["inputs"]:
+        if entry is None or not any(k.startswith(f"{SETTINGS_DIR}/") for k in entry["inputs"]):
             return False
         root = Path(out_dir)  # root / key is the key itself when the key is absolute
-        files = {**entry["inputs"], **entry["outputs"]}
+        files = {**entry["inputs"], **(entry["outputs"] if outputs else {})}
         return all((root / k).exists() and file_sha256(root / k) == d for k, d in files.items())
 
     def output_hashes(self) -> dict[str, dict[str, str]]:

@@ -1,10 +1,13 @@
 """Pipeline stages behind the command-line interface.
 
-Every stage reads the config snapshot and its upstream artifacts, writes its
-outputs atomically, and appends a manifest line with the content hashes of
-both.  A stage whose line is present and whose files still match is skipped,
-so interrupted runs resume and changed inputs or settings re-run.  Artifact
-names follow the TOK-kth / BNF-kth / MR-r scheme, with k the feedback
+Every command first writes the run's settings, one file per setting under
+config/.  Every stage names the settings it reads, records those files and its
+upstream artifacts as inputs, writes its outputs atomically, and appends a
+manifest line with the content hashes of both; its work sees no other setting.
+A stage whose line is present and whose files still match is skipped, so
+interrupted runs resume, and a changed input or setting re-runs exactly the
+stages that read it and those downstream whose inputs change in turn.
+Artifact names follow the TOK-kth / BNF-kth / MR-r scheme, with k the feedback
 iteration and r the number of reinforcement rounds applied.
 """
 
@@ -12,14 +15,15 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import corpus as corpus_mod
 from . import evalviz, mdnn, reinforce, retrieval, tokenizer
-from .config import PipelineConfig, dump_config
+from .config import SETTINGS, PipelineConfig, dump_config
 from .corpus import (
     Corpus,
     FeatureSequence,
@@ -36,14 +40,14 @@ from .corpus import (
 )
 from .initialization import make_initial_labels
 from .labels import LabelSet, labels_to_jsonl, read_jsonl, read_labels_jsonl, validate_label_set
-from .manifest import SNAPSHOT, Manifest, PipelineError, StageWriter, atomic_write_text
+from .manifest import SETTINGS_DIR, Manifest, PipelineError, StageWriter, atomic_write_text
 from .mdnn import build_targets, extract_bnf, make_iteration_input, read_matn, train_mdnn
 from .tokenizer import read_matm, run_mat
 
 
 @dataclass
 class RunContext:
-    cfg: PipelineConfig
+    cfg: PipelineConfig  # in a stage's work, only the settings it declared
     out: Path
     manifest: Manifest
 
@@ -51,9 +55,14 @@ class RunContext:
     def create(cls, cfg: PipelineConfig) -> "RunContext":
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
-        # without [run] out, so a moved or copied run still resumes
-        atomic_write_text(out / SNAPSHOT, dump_config(replace(cfg, out="")))
+        # [run] out is not a setting, so a moved or copied run still resumes
+        for name in SETTINGS:
+            atomic_write_text(_settings_path(out, name), dump_config(cfg, [name]))
         return cls(cfg, out, Manifest(out))
+
+
+def _settings_path(out: Path, name: str) -> Path:
+    return out / SETTINGS_DIR / f"{name}.ini"
 
 
 def stage_seed(seed: int, tag: str) -> int:
@@ -133,15 +142,21 @@ def _add_corpus(writer: StageWriter, rel_dir: str, corpus: Corpus):
         writer.add_bytes(f"{rel_dir}/{name}", data)
 
 
-def _run_stage(ctx: RunContext, key: str, work) -> bool:
-    """Run a stage unless the manifest shows it complete; returns True if run."""
+def _run_stage(ctx: RunContext, key: str, settings: tuple[str, ...], work) -> bool:
+    """Run a stage unless the manifest shows it complete; returns True if run.
+    The stage reads the settings named (see config.SETTINGS): their files are
+    recorded as inputs, and work(ctx, writer) gets a context whose cfg holds
+    only those, so reading any other setting raises AttributeError."""
     if ctx.manifest.is_complete(key, ctx.out):
         return False
     start = time.perf_counter()
     writer = StageWriter(ctx.out)
-    writer.read(ctx.out / SNAPSHOT, "config snapshot")
-    work(writer)
-    outputs = writer.commit()
+    for name in settings:
+        writer.read(_settings_path(ctx.out, name), f"setting {name}")
+    declared = SimpleNamespace(**{name: getattr(ctx.cfg, name) for name in settings})
+    work(RunContext(declared, ctx.out, ctx.manifest), writer)
+    previous = ctx.manifest.find(key)
+    outputs = writer.commit(previous["outputs"] if previous else ())
     ctx.manifest.record(key, outputs, writer.inputs, time.perf_counter() - start)
     return True
 
@@ -151,16 +166,16 @@ def _run_stage(ctx: RunContext, key: str, work) -> bool:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(ctx: RunContext):
-    def work(writer: StageWriter):
+    def work(ctx: RunContext, writer: StageWriter):
         corpus, truth = synthesize_corpus(ctx.cfg.synth, ctx.cfg.seed)
         _add_corpus(writer, "features", corpus)
         writer.add_text("truth.jsonl", ground_truth_jsonl(truth))
 
-    _run_stage(ctx, "synth", work)
+    _run_stage(ctx, "synth", ("seed", "synth"), work)
 
 
 def cmd_features(ctx: RunContext):
-    def work(writer: StageWriter):
+    def work(ctx: RunContext, writer: StageWriter):
         audio_dir = Path(ctx.cfg.audio_dir)
         if not ctx.cfg.audio_dir or not audio_dir.exists():
             raise PipelineError(f"audio_dir not found: {ctx.cfg.audio_dir!r}")
@@ -175,21 +190,21 @@ def cmd_features(ctx: RunContext):
             sequences.append(seq)
         _add_corpus(writer, "features", Corpus(sequences))
 
-    _run_stage(ctx, "features", work)
+    _run_stage(ctx, "features", ("audio_dir", "features"), work)
 
 
 def cmd_init(ctx: RunContext, iteration: int = 1):
-    def work(writer: StageWriter):
+    def work(ctx: RunContext, writer: StageWriter):
         corpus = _read_corpus(ctx, writer, features_dir(iteration))
         seeds = _seed_map(ctx, f"init/{iteration}")
         for n, labels in make_initial_labels(corpus, seeds, ctx.cfg.init).items():
             writer.add_text(f"iter{iteration}/init/labels_n{n}.jsonl", labels_to_jsonl(labels))
 
-    _run_stage(ctx, f"iter{iteration}/init", work)
+    _run_stage(ctx, f"iter{iteration}/init", ("seed", "grid", "init"), work)
 
 
 def cmd_mat(ctx: RunContext, iteration: int = 1, mr_round: int = 0):
-    def work(writer: StageWriter):
+    def work(ctx: RunContext, writer: StageWriter):
         corpus = _read_corpus(ctx, writer, features_dir(iteration))
         src = f"iter{iteration}/mr{mr_round}" if mr_round else f"iter{iteration}/init"
         init_labels = {
@@ -204,14 +219,14 @@ def cmd_mat(ctx: RunContext, iteration: int = 1, mr_round: int = 0):
             writer.add_bytes(f"{base}/model_m{g.m}_n{g.n}.matm", tokenizer.matm_bytes(models[g]))
             writer.add_text(f"{base}/labels_m{g.m}_n{g.n}.jsonl", labels_to_jsonl(labels[g]))
 
-    _run_stage(ctx, f"iter{iteration}/mat_mr{mr_round}", work)
+    _run_stage(ctx, f"iter{iteration}/mat_mr{mr_round}", ("grid", "tokenizer"), work)
 
 
 def cmd_mr(ctx: RunContext, iteration: int = 1, mr_round: int = 1):
     """Reinforcement round r reads the MAT labels of round r-1 and emits the
     round-r initial label sets plus the fused boundaries, the documents, and
     the per-n LDA models."""
-    def work(writer: StageWriter):
+    def work(ctx: RunContext, writer: StageWriter):
         frame_counts = _index_frame_counts(ctx, writer, features_dir(iteration))
         level_labels = _read_levels(ctx, writer, tok_dir(iteration, mr_round - 1), frame_counts)
         result = reinforce.mutual_reinforce(
@@ -225,7 +240,7 @@ def cmd_mr(ctx: RunContext, iteration: int = 1, mr_round: int = 1):
             writer.add_bytes(f"{base}/lda_n{n}.matl", reinforce.matl_bytes(result.models[n]))
             writer.add_text(f"{base}/labels_n{n}.jsonl", labels_to_jsonl(result.labels[n]))
 
-    _run_stage(ctx, f"iter{iteration}/mr{mr_round}", work)
+    _run_stage(ctx, f"iter{iteration}/mr{mr_round}", ("seed", "grid", "reinforce"), work)
 
 
 def _mdnn_inputs(ctx: RunContext, writer: StageWriter, iteration: int):
@@ -257,7 +272,7 @@ def _matn_name(ctx: RunContext, iteration: int) -> str:
 
 
 def cmd_mdnn(ctx: RunContext, iteration: int = 1):
-    def work(writer: StageWriter):
+    def work(ctx: RunContext, writer: StageWriter):
         rows, acoustic = _mdnn_inputs(ctx, writer, iteration)
         level_labels = _read_levels(ctx, writer, tok_dir(iteration, ctx.cfg.mr_rounds),
                                     acoustic.frame_counts())
@@ -270,11 +285,12 @@ def cmd_mdnn(ctx: RunContext, iteration: int = 1):
         writer.add_bytes(_matn_name(ctx, iteration), mdnn.matn_bytes(model))
         writer.add_text(f"iter{iteration}/mdnn_log.csv", log.to_csv())
 
-    _run_stage(ctx, f"iter{iteration}/mdnn", work)
+    _run_stage(ctx, f"iter{iteration}/mdnn",
+               ("seed", "mr_rounds", "grid", "features", "mdnn"), work)
 
 
 def cmd_extract(ctx: RunContext, iteration: int = 1):
-    def work(writer: StageWriter):
+    def work(ctx: RunContext, writer: StageWriter):
         model = read_matn(writer.read(ctx.out / _matn_name(ctx, iteration), "trained network"))
         rows, acoustic = _mdnn_inputs(ctx, writer, iteration)
         sequences = []
@@ -285,12 +301,18 @@ def cmd_extract(ctx: RunContext, iteration: int = 1):
             ))
         _add_corpus(writer, f"iter{iteration}/bnf", Corpus(sequences, dict(acoustic.speakers)))
 
-    _run_stage(ctx, f"iter{iteration}/extract", work)
+    _run_stage(ctx, f"iter{iteration}/extract", ("mr_rounds", "features"), work)
 
 
 def cmd_iterate(ctx: RunContext):
-    """init -> MAT -> (MR -> MAT)* -> MDNN -> extract, once per iteration; the
-    extracted features feed the next iteration's MAT and the network input."""
+    """The corpus source stage, synth or (with audio_dir set) features, then
+    init -> MAT -> (MR -> MAT)* -> MDNN -> extract, once per iteration; the
+    extracted features feed the next iteration's MAT and the network input.
+    The source re-runs only when its line is missing or what it read
+    changed, so a feature file edited on purpose is kept."""
+    key, source = ("features", cmd_features) if ctx.cfg.audio_dir else ("synth", cmd_synth)
+    if not ctx.manifest.is_complete(key, ctx.out, outputs=False):
+        source(ctx)
     for iteration in range(1, ctx.cfg.iterations + 1):
         cmd_init(ctx, iteration)
         cmd_mat(ctx, iteration, 0)
@@ -312,7 +334,7 @@ def _final_tok_dir(ctx: RunContext) -> str:
 def cmd_std(ctx: RunContext):
     """Rank documents for each configured query utterance; queries are held
     out of the document collection."""
-    def work(writer: StageWriter):
+    def work(ctx: RunContext, writer: StageWriter):
         queries = ctx.cfg.retrieval.queries
         if not queries:
             raise PipelineError("no queries configured in [retrieval]")
@@ -346,13 +368,13 @@ def cmd_std(ctx: RunContext):
             ))
         writer.add_text("std/rankings.tsv", retrieval.rankings_tsv(lists))
 
-    _run_stage(ctx, "std", work)
+    _run_stage(ctx, "std", ("iterations", "mr_rounds", "grid", "retrieval"), work)
 
 
 def cmd_eval(ctx: RunContext):
     """Boundary PRF and purity/NMI per level against the synthetic ground
     truth, plus MAP over the written rankings when a relevance table exists."""
-    def work(writer: StageWriter):
+    def work(ctx: RunContext, writer: StageWriter):
         truth = _read_truth(ctx, writer)
         level_labels = _read_levels(ctx, writer, _final_tok_dir(ctx), truth.frame_counts())
         ref_bounds = {utt: truth.boundaries(utt) for utt in truth.spans}
@@ -373,13 +395,13 @@ def cmd_eval(ctx: RunContext):
             value = retrieval.mean_average_precision(lists, relevance)
             writer.add_text("eval/map.csv", f"map\n{value!r}\n")
 
-    _run_stage(ctx, "eval", work)
+    _run_stage(ctx, "eval", ("iterations", "mr_rounds", "grid", "retrieval"), work)
 
 
 def cmd_viz(ctx: RunContext):
     """Per-level co-occurrence maps against the true tokens, speaker-token
     intensity maps, and the granularity grid of boundary F-scores."""
-    def work(writer: StageWriter):
+    def work(ctx: RunContext, writer: StageWriter):
         truth = _read_truth(ctx, writer)
         level_labels = _read_levels(ctx, writer, _final_tok_dir(ctx), truth.frame_counts())
         corpus = _read_corpus(ctx, writer, "features")
@@ -400,5 +422,5 @@ def cmd_viz(ctx: RunContext):
             grid_values[(g.m, g.n)] = f
         writer.add_text("viz/grid_boundary_f.csv", evalviz.grid_csv(grid_values))
 
-    _run_stage(ctx, "viz", work)
+    _run_stage(ctx, "viz", ("iterations", "mr_rounds", "grid"), work)
 

@@ -1,22 +1,25 @@
 import configparser
 import importlib.util
+import io
 import json
 import re
 import shutil
 import struct
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_corpus import save_audio
 
-from acoustok import initialization
+from acoustok import initialization, pipeline
 from acoustok.cli import main
-from acoustok.config import PipelineConfig, dump_config, load_config
+from acoustok.config import SETTINGS, PipelineConfig, dump_config, load_config
 from acoustok.corpus import (
-    Corpus, FeatureSequence, load_corpus, matf_bytes, read_matf, save_corpus,
+    Corpus, FeatureSequence, Waveform, load_corpus, matf_bytes, read_matf, save_corpus,
 )
-from acoustok.manifest import SNAPSHOT, Manifest, StageWriter, atomic_write_text, file_sha256
+from acoustok.manifest import Manifest, StageWriter, atomic_write_text, file_sha256
 from acoustok.mdnn import read_matn
 from acoustok.pipeline import stage_seed
 from acoustok.reinforce import read_matl
@@ -140,6 +143,44 @@ n_speakers = 3
 """
 
 
+# the settings each kind of stage reads: [run] keys by key, sections by name
+STAGE_SETTINGS = {
+    "synth": ("seed", "synth"),
+    "features": ("audio_dir", "features"),
+    "init": ("seed", "grid", "init"),
+    "mat": ("grid", "tokenizer"),
+    "mr": ("seed", "grid", "reinforce"),
+    "mdnn": ("seed", "mr_rounds", "grid", "features", "mdnn"),
+    "extract": ("mr_rounds", "features"),
+    "std": ("iterations", "mr_rounds", "grid", "retrieval"),
+    "eval": ("iterations", "mr_rounds", "grid", "retrieval"),
+    "viz": ("iterations", "mr_rounds", "grid"),
+}
+SEED_FILE = "config/seed.ini"
+
+
+def _settings(kind) -> set[str]:
+    """The settings files a kind of stage records among its inputs."""
+    return {f"config/{name}.ini" for name in STAGE_SETTINGS[kind]}
+
+
+def _stage_kind(key: str) -> str:
+    """iter2/mat_mr1 -> mat, iter1/mr1 -> mr, std -> std."""
+    return re.sub(r"_mr\d+$|(?<=^mr)\d+$", "", key.rsplit("/", 1)[-1])
+
+
+def write_tones(path, seed):
+    """A 1 s WAV of five 0.2 s tones, each at one of four frequencies."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(3200) / 16000
+    tones = [0.4 * np.sin(2 * np.pi * f * t) for f in rng.choice([300, 700, 1500, 3000], 5)]
+    save_audio(path, Waveform(np.concatenate(tones) + rng.normal(0, 0.01, 16000), 16000, "w"))
+
+
+def _new_stages(out, before: int) -> list[str]:
+    return [e["stage"] for e in Manifest(out).entries()[before:]]
+
+
 def write_config(tmp_path, text=TINY_CONFIG, **overrides):
     path = tmp_path / "config.ini"
     body = text
@@ -260,16 +301,16 @@ class TestManifest:
 
     @staticmethod
     def _recorded_stage(root) -> Manifest:
-        """Stage "s" of a manifest under root, which read the snapshot and
+        """Stage "s" of a manifest under root, which read the seed setting and
         in.txt and wrote out.txt."""
-        for name in (SNAPSHOT, "in.txt", "out.txt"):
+        for name in (SEED_FILE, "in.txt", "out.txt"):
             atomic_write_text(root / name, f"{name}\n")
         m = Manifest(root)
         m.record("s", {"out.txt": file_sha256(root / "out.txt")},
-                 {key: file_sha256(root / key) for key in (SNAPSHOT, "in.txt")}, 0.0)
+                 {key: file_sha256(root / key) for key in (SEED_FILE, "in.txt")}, 0.0)
         return m
 
-    @pytest.mark.parametrize("name", [SNAPSHOT, "in.txt", "out.txt"])
+    @pytest.mark.parametrize("name", [SEED_FILE, "in.txt", "out.txt"])
     def test_is_complete_requires_matching_files(self, tmp_path, name):
         m = self._recorded_stage(tmp_path)
         assert m.is_complete("s", tmp_path)
@@ -287,9 +328,9 @@ class TestManifest:
         (tmp_path / "rel.csv").write_text("q,d,1\n")
         monkeypatch.chdir(tmp_path)
         writer = StageWriter("run")
-        for path in (Path("run") / SNAPSHOT, Path("rel.csv")):
+        for path in (Path("run") / SEED_FILE, Path("rel.csv")):
             writer.read(path, "input")
-        assert writer.inputs == {SNAPSHOT: file_sha256(run / SNAPSHOT),
+        assert writer.inputs == {SEED_FILE: file_sha256(run / SEED_FILE),
                                  str(tmp_path / "rel.csv"): file_sha256(tmp_path / "rel.csv")}
         m.record("t", {}, writer.inputs, 0.0)
         monkeypatch.chdir(tmp_path / "elsewhere")
@@ -352,18 +393,24 @@ class TestStages:
         assert set(after) == set(before)
         assert {key for key in before if after[key] != before[key]} == {"features/utt003.matf"}
 
-    def test_line_written_without_the_snapshot_reruns(self, tmp_path):
+    @pytest.mark.parametrize("old", ["config_sha", "snapshot"])
+    def test_line_without_settings_files_reruns(self, tmp_path, old):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "run"
         assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
         entry = Manifest(out).find("synth")
-        del entry["inputs"][SNAPSHOT]
-        entry["config_sha"] = "0" * 64  # as lines were written before the snapshot was an input
+        entry["inputs"] = {}
+        if old == "config_sha":  # as lines were written before settings were inputs
+            entry["config_sha"] = "0" * 64
+        else:  # as lines were written while every stage read one whole-config snapshot
+            (out / "config.snapshot.ini").write_text(dump_config(load_config(cfg_path)))
+            entry["inputs"]["config.snapshot.ini"] = file_sha256(out / "config.snapshot.ini")
         (out / "manifest.jsonl").write_text(json.dumps(entry) + "\n")
         assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
         entries = Manifest(out).entries()
         assert [e["stage"] for e in entries] == ["synth", "synth"]
-        assert SNAPSHOT in entries[-1]["inputs"] and "config_sha" not in entries[-1]
+        assert set(entries[-1]["inputs"]) == _settings("synth")
+        assert "config_sha" not in entries[-1]
 
     def test_init_segments_each_utterance_once(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path)  # phonetic = 4 6: two k-means runs
@@ -406,9 +453,103 @@ class TestStages:
         cfg_path = write_config(tmp_path)  # seed = 3
         out = tmp_path / "run"
         assert main(["synth", "--seed", "5", "--config", str(cfg_path), "--out", str(out)]) == 0
-        snapshot = configparser.ConfigParser()
-        snapshot.read(out / "config.snapshot.ini")
-        assert snapshot["run"]["seed"] == "5"
+        settings = configparser.ConfigParser()
+        settings.read(out / SEED_FILE)
+        assert settings["run"]["seed"] == "5"
+
+    def test_settings_files_hold_the_config(self, tmp_path):
+        cfg_path = write_config(tmp_path, text=EVERY_OPTION_CONFIG)
+        out = tmp_path / "run"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+        cfg = replace(load_config(cfg_path), out=str(out))
+        assert sorted(p.name for p in (out / "config").iterdir()) == sorted(
+            f"{name}.ini" for name in SETTINGS)
+        merged = configparser.ConfigParser(strict=False)  # each [run] key has its own header
+        for name in SETTINGS:
+            text = (out / f"config/{name}.ini").read_text()
+            assert text == dump_config(cfg, [name])
+            assert load_config(text=text) != PipelineConfig()
+            merged.read_string(text)
+        buf = io.StringIO()
+        merged.write(buf)
+        # concatenated, the files are the whole config but [run] out
+        assert buf.getvalue() == dump_config(cfg).replace(f"out = {out}\n", "")
+        assert replace(load_config(text=buf.getvalue()), out=str(out)) == cfg
+
+    def test_undeclared_setting_fails_loudly(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "run"
+        real = pipeline._run_stage
+
+        def without_seed(ctx, key, settings, work):
+            return real(ctx, key, tuple(s for s in settings if s != "seed"), work)
+
+        monkeypatch.setattr(pipeline, "_run_stage", without_seed)
+        with pytest.raises(AttributeError, match="'seed'"):
+            main(["synth", "--config", str(cfg_path), "--out", str(out)])
+        assert Manifest(out).entries() == []
+
+    def test_stages_read_exactly_the_settings_they_declare(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, iterations=2)
+        out = tmp_path / "run"
+        real, read = pipeline._run_stage, {}
+
+        class Watched:
+            def __init__(self, cfg, names):
+                self._cfg, self._names = cfg, names
+
+            def __getattr__(self, name):
+                self._names.add(name)
+                return getattr(self._cfg, name)
+
+        def watch(ctx, key, settings, work):
+            def watched(stage_ctx, writer):
+                stage_ctx.cfg = Watched(stage_ctx.cfg, read.setdefault(key, set()))
+                return work(stage_ctx, writer)
+            return real(ctx, key, settings, watched)
+
+        monkeypatch.setattr(pipeline, "_run_stage", watch)
+        for command in ("iterate", "std", "eval", "viz"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(read) == 16
+        assert read == {key: set(STAGE_SETTINGS[_stage_kind(key)]) for key in read}
+
+    def test_more_iterations_rerun_no_earlier_stage(self, tmp_path):
+        cfg_path = write_config(tmp_path, iterations=2)
+        out = tmp_path / "run"
+        assert main(["iterate", "--iters", "1", "--config", str(cfg_path), "--out", str(out)]) == 0
+        before = len(Manifest(out).entries())
+        assert main(["iterate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert _new_stages(out, before) == ["iter2/init", "iter2/mat_mr0", "iter2/mr1",
+                                            "iter2/mat_mr1", "iter2/mdnn", "iter2/extract"]
+
+    def test_fewer_utterances_leave_no_stale_files(self, tmp_path):
+        out = tmp_path / "run"
+        for count in (12, 10):
+            cfg_path = write_config(tmp_path, n_utterances=count)
+            assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "features").glob("*.matf")) == [
+            f"utt{i:03d}.matf" for i in range(10)]
+        assert main(["iterate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(list((out / "iter1/bnf").glob("*.matf"))) == 10
+
+    def test_changed_wav_reruns_features_and_downstream(self, tmp_path):
+        wavs = tmp_path / "wavs"
+        wavs.mkdir()
+        for i in range(6):
+            write_tones(wavs / f"utt{i:03d}.wav", i)
+        cfg_path = write_config(tmp_path, TINY_CONFIG.replace(
+            "mr_rounds = 1", f"mr_rounds = 1\naudio_dir = {wavs}"))
+        out = tmp_path / "run"
+        argv = ["iterate", "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv) == 0
+        stages = _new_stages(out, 0)
+        assert stages[0] == "features" and "synth" not in stages
+        write_tones(wavs / "utt002.wav", 99)
+        assert main(argv) == 0
+        assert _new_stages(out, len(stages)) == stages
+        assert main(argv) == 0
+        assert _new_stages(out, 2 * len(stages)) == []
 
     def test_zero_row_feature_file_is_named(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
@@ -602,7 +743,7 @@ class TestIterate:
             "iter2/extract": FEATURES | BNF1 | {"iter2/BNF-2nd_MR-1.matn"},
         }
         assert {stage: recorded[stage] for stage in recorded if stage not in
-                ("std", "eval", "viz")} == {stage: {SNAPSHOT} | inputs
+                ("std", "eval", "viz")} == {stage: _settings(_stage_kind(stage)) | inputs
                                             for stage, inputs in expected.items()}
 
     def test_stage_sequence(self, full_run):
@@ -692,9 +833,10 @@ class TestIterate:
         recorded = _stage_inputs(out2)
         labels = _per_level(FINAL_TOK)
         models = _per_level(FINAL_TOK, "model", "matm")
-        assert recorded["std"] == {SNAPSHOT} | BNF1 | labels | models
-        assert recorded["eval"] == {SNAPSHOT, str(rel), "std/rankings.tsv", "truth.jsonl"} | labels
-        assert recorded["viz"] == {SNAPSHOT} | FEATURES | {"truth.jsonl"} | labels
+        assert recorded["std"] == _settings("std") | BNF1 | labels | models
+        assert recorded["eval"] == (_settings("eval") | {str(rel), "std/rankings.tsv", "truth.jsonl"}
+                                    | labels)
+        assert recorded["viz"] == _settings("viz") | FEATURES | {"truth.jsonl"} | labels
 
     def test_edited_feature_file_reruns_its_readers(self, full_run, tmp_path):
         cfg_path, out = full_run
@@ -712,6 +854,33 @@ class TestIterate:
         after = len(Manifest(run).entries())
         assert main(argv) == 0
         assert len(Manifest(run).entries()) == after
+
+    def test_changed_queries_rerun_only_std(self, full_run, tmp_path):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        assert main(["std", "--config", str(cfg_path), "--out", str(run)]) == 0
+        queries = tmp_path / "queries.ini"
+        queries.write_text(cfg_path.read_text().replace("queries = utt000",
+                                                        "queries = utt000 utt003"))
+        before = len(Manifest(run).entries())
+        for command in ("iterate", "std", "iterate"):
+            assert main([command, "--config", str(queries), "--out", str(run)]) == 0
+        assert _new_stages(run, before) == ["std"]
+        assert {row.split("\t")[0] for row in
+                (run / "std/rankings.tsv").read_text().splitlines()[1:]} == {"utt000", "utt003"}
+
+    def test_changed_synth_setting_reruns_every_stage(self, full_run, tmp_path):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        changed = tmp_path / "synth.ini"
+        changed.write_text(cfg_path.read_text().replace("tokens_per_utterance = 3 5",
+                                                        "tokens_per_utterance = 3 4"))
+        before = len(Manifest(run).entries())
+        assert main(["iterate", "--config", str(changed), "--out", str(run)]) == 0
+        assert _new_stages(run, before) == list(dict.fromkeys(
+            e["stage"] for e in Manifest(out).entries() if e["stage"] not in ("std", "eval", "viz")))
 
     def test_edited_relevance_table_reruns_eval(self, full_run, tmp_path):
         cfg_path, out = full_run
