@@ -122,15 +122,19 @@ class Manifest:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
         self.latest[stage] = entry
 
-    def is_complete(self, stage: str, out_dir, outputs: bool = True) -> bool:
+    def is_complete(self, stage: str, out_dir, outputs=None) -> bool:
         """A stage may be skipped if every file its line records, read or
-        written, still hashes as recorded; with outputs=False, only what it
-        read.  A line that recorded no settings file predates this rule."""
+        written, still hashes as recorded; when outputs names some of the
+        files it wrote, only those of them are checked, and a name its line
+        did not write fails.  A line that recorded no settings file predates
+        this rule."""
         entry = self.find(stage)
         if entry is None or not any(k.startswith(f"{SETTINGS_DIR}/") for k in entry["inputs"]):
             return False
+        written = entry["outputs"] if outputs is None else {
+            k: entry["outputs"].get(k) for k in outputs}
         root = Path(out_dir)  # root / key is the key itself when the key is absolute
-        files = {**entry["inputs"], **(entry["outputs"] if outputs else {})}
+        files = {**entry["inputs"], **written}
         return all((root / k).exists() and file_sha256(root / k) == d for k, d in files.items())
 
     def output_hashes(self) -> dict[str, dict[str, str]]:

@@ -142,11 +142,18 @@ def _add_corpus(writer: StageWriter, rel_dir: str, corpus: Corpus):
         writer.add_bytes(f"{rel_dir}/{name}", data)
 
 
+# stages whose last outputs a stage's outputs replace, besides its own: the
+# two corpus sources both write features/
+REPLACES = {"synth": ("features",), "features": ("synth",)}
+
+
 def _run_stage(ctx: RunContext, key: str, settings: tuple[str, ...], work) -> bool:
     """Run a stage unless the manifest shows it complete; returns True if run.
     The stage reads the settings named (see config.SETTINGS): their files are
     recorded as inputs, and work(ctx, writer) gets a context whose cfg holds
-    only those, so reading any other setting raises AttributeError."""
+    only those, so reading any other setting raises AttributeError.  The
+    files that its own last line or, per REPLACES, another stage's wrote and
+    it does not write again are removed."""
     if ctx.manifest.is_complete(key, ctx.out):
         return False
     start = time.perf_counter()
@@ -155,8 +162,8 @@ def _run_stage(ctx: RunContext, key: str, settings: tuple[str, ...], work) -> bo
         writer.read(_settings_path(ctx.out, name), f"setting {name}")
     declared = SimpleNamespace(**{name: getattr(ctx.cfg, name) for name in settings})
     work(RunContext(declared, ctx.out, ctx.manifest), writer)
-    previous = ctx.manifest.find(key)
-    outputs = writer.commit(previous["outputs"] if previous else ())
+    previous = [ctx.manifest.find(stage) for stage in (key, *REPLACES.get(key, ()))]
+    outputs = writer.commit([path for line in previous if line for path in line["outputs"]])
     ctx.manifest.record(key, outputs, writer.inputs, time.perf_counter() - start)
     return True
 
@@ -308,10 +315,11 @@ def cmd_iterate(ctx: RunContext):
     """The corpus source stage, synth or (with audio_dir set) features, then
     init -> MAT -> (MR -> MAT)* -> MDNN -> extract, once per iteration; the
     extracted features feed the next iteration's MAT and the network input.
-    The source re-runs only when its line is missing or what it read
-    changed, so a feature file edited on purpose is kept."""
+    The source re-runs when its line is missing, what it read changed, or
+    features/corpus.jsonl is no longer the index it wrote (the other source
+    wrote features/ since), so a feature file edited on purpose is kept."""
     key, source = ("features", cmd_features) if ctx.cfg.audio_dir else ("synth", cmd_synth)
-    if not ctx.manifest.is_complete(key, ctx.out, outputs=False):
+    if not ctx.manifest.is_complete(key, ctx.out, outputs=("features/corpus.jsonl",)):
         source(ctx)
     for iteration in range(1, ctx.cfg.iterations + 1):
         cmd_init(ctx, iteration)

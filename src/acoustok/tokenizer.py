@@ -109,11 +109,10 @@ class GaussState:
 
     def split(self) -> "GaussState":
         """Double the component count, offsetting means by +/- 0.2 std."""
-        offset = 0.2 * np.sqrt(self.variances)
-        means = np.vstack([self.means - offset, self.means + offset])
-        variances = np.vstack([self.variances, self.variances])
-        weights = np.concatenate([self.weights, self.weights]) / 2.0
-        return GaussState(weights, means, variances)
+        weights, means, variances = _split_components(
+            self.weights[None], self.means[None], self.variances[None],
+            np.array([self.n_components]))
+        return GaussState(weights[0], means[0], variances[0])
 
     def perturbed(self, scale: float) -> "GaussState":
         return GaussState(
@@ -158,6 +157,25 @@ def stack_states(states: list[GaussState]) -> tuple[np.ndarray, ...]:
         means[k, :st.n_components] = st.means
         variances[k, :st.n_components] = st.variances
     return weights, log_weights, means, variances
+
+
+def _split_components(weights: np.ndarray, means: np.ndarray, variances: np.ndarray,
+                      counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked mixtures with every component doubled: of the (S, c) weights and
+    (S, c, d) means and variances, row i holding counts[i] components, its
+    component j becomes components j and j + counts[i], with half the weight
+    and the mean minus and plus 0.2 std.  The (S, 2c) and (S, 2c, d) results
+    are padded as stack_states pads."""
+    j = np.arange(2 * weights.shape[1])
+    k = counts[:, None]
+    lower, real = j < k, j < 2 * k
+    source = np.where(lower, j, np.where(real, j - k, 0))
+    rows = np.arange(len(counts))[:, None]
+    mean, variance = means[rows, source], variances[rows, source]
+    offset = 0.2 * np.sqrt(variance)
+    return (np.where(real, weights[rows, source] / 2.0, 0.0),
+            np.where(real[..., None], np.where(lower[..., None], mean - offset, mean + offset), 0.0),
+            np.where(real[..., None], variance, 1.0))
 
 
 def component_log_joints(states: list[GaussState], frames: np.ndarray) -> np.ndarray:
@@ -281,24 +299,25 @@ def _batches(lengths: np.ndarray, cell_bytes: int, budget: int,
     """Consecutive rows cut into batches of at most budget bytes, counting
     cell_bytes per cell of the rows' padded copy and, if stacked, of the rows
     themselves (lengths[i] cells each)."""
-    batches, start, total, longest = [], 0, 0, 0
-    for i, length in enumerate(lengths.tolist()):
-        total, longest = total + length * stacked, max(longest, length)
-        if i > start and (total + longest * (i + 1 - start)) * cell_bytes > budget:
-            batches.append(slice(start, i))
-            start, total, longest = i, length * stacked, length
-    if len(lengths):
-        batches.append(slice(start, len(lengths)))
+    batches, start = [], 0
+    while start < len(lengths):
+        # a batch's bytes grow with every row it takes: it ends before the
+        # first row that would take it over the budget
+        rest = lengths[start:]
+        cells = np.cumsum(rest) * stacked + np.maximum.accumulate(rest) * np.arange(1, len(rest) + 1)
+        stop = start + max(1, int(np.count_nonzero(cells * cell_bytes <= budget)))
+        batches.append(slice(start, stop))
+        start = stop
     return batches
 
 
-def _pad(stacked: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """The (longest, B, ...) time-major copy, -inf where padded, of B rows
+def _pad(stacked: np.ndarray, lengths: np.ndarray, fill: float = -np.inf) -> tuple[np.ndarray, tuple]:
+    """The (longest, B, ...) time-major copy, fill where padded, of B rows
     stacked along axis 0, row b holding lengths[b] entries; and the (time, row)
     index of every stacked entry, which gathers the copy back."""
     rows = np.repeat(np.arange(len(lengths)), lengths)
     time = np.arange(len(stacked)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    padded = np.full((lengths.max(), len(lengths)) + stacked.shape[1:], -np.inf)
+    padded = np.full((lengths.max(), len(lengths)) + stacked.shape[1:], fill)
     padded[time, rows] = stacked
     return padded, (time, rows)
 
@@ -318,10 +337,12 @@ def _alpha(emis: np.ndarray, log_self: np.ndarray, log_adv: np.ndarray) -> np.nd
     L, B, m = emis.shape
     alpha = np.full((L, B, m), -np.inf)
     alpha[0, :, 0] = emis[0, :, 0]
-    move = np.full((B, m), -np.inf)
+    stay, move = np.empty((B, m)), np.full((B, m), -np.inf)
     for t in range(1, L):
-        move[:, 1:] = alpha[t - 1, :, :-1] + log_adv[..., :-1]
-        alpha[t] = np.logaddexp(alpha[t - 1] + log_self, move) + emis[t]
+        np.add(alpha[t - 1], log_self, out=stay)
+        np.add(alpha[t - 1, :, :-1], log_adv[..., :-1], out=move[:, 1:])
+        np.logaddexp(stay, move, out=alpha[t])
+        alpha[t] += emis[t]
     return alpha
 
 
@@ -333,11 +354,15 @@ def _beta(emis: np.ndarray, last: np.ndarray, log_self: np.ndarray,
     L, B, m = emis.shape
     beta = np.full((L, B, m), -np.inf)
     beta[last, np.arange(B), m - 1] = log_adv[:, m - 1]
-    move = np.full((B, m), -np.inf)
+    # each frame's emissions plus the transitions into them, for every frame
+    # at once; the recursion then adds beta, as (transition + emission) + beta
+    stay_emis = log_self + emis[1:]
+    move_emis = log_adv[:, :-1] + emis[1:, :, 1:]
+    stay, move = np.empty((B, m)), np.full((B, m), -np.inf)
     for t in range(L - 2, -1, -1):
-        stay = log_self + emis[t + 1] + beta[t + 1]
-        move[:, :-1] = log_adv[:, :-1] + emis[t + 1, :, 1:] + beta[t + 1, :, 1:]
-        np.copyto(beta[t], np.logaddexp(stay, move), where=(t < last)[:, None])
+        np.add(stay_emis[t], beta[t + 1], out=stay)
+        np.add(move_emis[t], beta[t + 1, :, 1:], out=move[:, :-1])
+        np.logaddexp(stay, move, out=beta[t], where=(t < last)[:, None])
     return beta
 
 
@@ -385,6 +410,8 @@ def _e_step(emis: np.ndarray, edges: np.ndarray, log_self: np.ndarray,
                                    + beta[1:, :, 1:] - shift).sum(axis=0)
         moves[batch, -1] = occupancy[last, spans, m - 1]
     lost = np.flatnonzero(~np.isfinite(lls))
+    if not len(lost):
+        return lls, gamma, stays, moves
     lost_edges = np.concatenate([[0], np.cumsum(lengths[lost])])
     rows = np.arange(lost_edges[-1]) + np.repeat(edges[lost] - lost_edges[:-1], lengths[lost])
     gamma[rows], stays[lost], moves[lost] = _uniform_alignment(lost_edges, m)
@@ -411,34 +438,124 @@ def _uniform_alignment(edges: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# M-step
+# EM on a level's stacked states
 # ---------------------------------------------------------------------------
 
-def _m_step(hmm: TokenHmm, resp: np.ndarray, frames: np.ndarray, stay: np.ndarray,
-            move: np.ndarray, var_floor: np.ndarray) -> TokenHmm:
-    """Reestimate a token from its (N, m, c) component responsibilities over the
-    stacked frames and its (m,) expected self-loop and advance counts."""
-    squares = frames * frames
-    states = []
-    for s, state in enumerate(hmm.states):
-        r = resp[:, s, :state.n_components]
-        occ = r.sum(axis=0)
-        total = occ.sum()
-        if total <= 1e-8:
-            states.append(state)  # unvisited state keeps its parameters
-            continue
-        first, second = r.T @ frames, r.T @ squares
-        means = state.means.copy()
-        variances = state.variances.copy()
-        seen = occ > 1e-8
-        means[seen] = first[seen] / occ[seen, None]
-        variances[seen] = np.maximum(second[seen] / occ[seen, None] - means[seen] ** 2, var_floor)
-        states.append(GaussState(occ / total, means, variances))
-    trans = hmm.transitions.copy()
+@dataclass
+class _StackedLevel:
+    """A level's token HMMs as EM updates them, stacked once per
+    train_level_hmms call: the (n, m) component counts, (n, m, c) weights and
+    (n, m, c, d) means and variances, padded as stack_states pads them, and
+    the (n, m, 2) transitions.  c grows when states split."""
+
+    counts: np.ndarray
+    weights: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
+    transitions: np.ndarray
+
+    @classmethod
+    def of(cls, hmms: list[TokenHmm]) -> "_StackedLevel":
+        states = [state for hmm in hmms for state in hmm.states]
+        weights, _, means, variances = stack_states(states)
+        n, m, (c, d) = len(hmms), hmms[0].m, means.shape[1:]
+        return cls(np.array([state.n_components for state in states]).reshape(n, m),
+                   weights.reshape(n, m, c), means.reshape(n, m, c, d),
+                   variances.reshape(n, m, c, d), np.stack([hmm.transitions for hmm in hmms]))
+
+    def hmms(self) -> list[TokenHmm]:
+        return [TokenHmm(token, [GaussState(self.weights[token, s, :c], self.means[token, s, :c],
+                                            self.variances[token, s, :c])
+                                 for s, c in enumerate(counts)], self.transitions[token])
+                for token, counts in enumerate(self.counts.tolist())]
+
+    def density_stack(self, c: int) -> tuple[np.ndarray, ...]:
+        """The _density_stack of the level's n * m states, token-major, cut
+        to their first c components."""
+        n, m, _, d = self.means.shape
+        weights = self.weights.reshape(n * m, -1)[:, :c]
+        variances = self.variances.reshape(n * m, -1, d)[:, :c]
+        real = np.arange(c) < self.counts.reshape(-1, 1)
+        return (np.where(real, np.log(np.maximum(weights, 1e-300)), -np.inf),
+                self.means.reshape(n * m, -1, d)[:, :c], variances,
+                np.sum(np.log(variances), axis=2))
+
+    def log_transitions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, m) log self-loop and advance probabilities, as TokenHmm's."""
+        log_t = np.log(np.maximum(self.transitions, TRANS_FLOOR))
+        return log_t[..., 0], log_t[..., 1]
+
+    def split(self, tokens: np.ndarray, target: int) -> np.ndarray:
+        """Split each state of tokens that holds fewer than target
+        components (_split_components); returns the tokens split."""
+        short = np.zeros(self.counts.shape, dtype=bool)
+        short[tokens] = self.counts[tokens] < target
+        if not short.any():
+            return tokens[:0]
+        grow = 2 * int(self.counts[short].max()) - self.weights.shape[2]
+        if grow > 0:  # the new columns are padding: weight 0, mean 0, variance 1
+            self.weights, self.means, self.variances = (
+                np.pad(a, [(0, 0), (0, 0), (0, grow)] + [(0, 0)] * (a.ndim - 3),
+                       constant_values=fill)
+                for a, fill in ((self.weights, 0.0), (self.means, 0.0), (self.variances, 1.0)))
+        c = self.weights.shape[2]
+        split = _split_components(self.weights[short], self.means[short], self.variances[short],
+                                  self.counts[short])
+        self.weights[short], self.means[short], self.variances[short] = (a[:, :c] for a in split)
+        self.counts[short] *= 2
+        return np.flatnonzero(short.any(axis=1))
+
+
+def _m_step(level: _StackedLevel, tokens: np.ndarray, resp: np.ndarray,
+            frames: list[np.ndarray], squares: list[np.ndarray], stay: np.ndarray,
+            move: np.ndarray, var_floor: np.ndarray):
+    """Reestimate tokens of level in place from the (N, m, c) component
+    responsibilities of their frames, stacked in token order, frames[j] and
+    squares[j] holding token j's frames and their squares, and their (tokens,
+    m) expected self-loop and advance counts.  An unvisited state keeps its
+    parameters, and so does an unvisited component of a visited state.
+
+    Each state's occupancy and first and second moments are reductions of its
+    own, whose bits a stacked product would change; the divisions, variance
+    floors, weights and transitions then run once over all the stacked
+    states.  A state padded to c components adds exact zeros to its total
+    occupancy while c is under 8."""
+    m, c = resp.shape[1:]
+    occ = np.zeros((len(tokens), m, c))
+    first = np.zeros((len(tokens), m, c, len(var_floor)))
+    second = np.zeros_like(first)
+    at = 0
+    for j, (token, x, xx) in enumerate(zip(tokens.tolist(), frames, squares)):
+        token_resp = resp[at:at + len(x)]
+        at += len(x)
+        for s, k in enumerate(level.counts[token].tolist()):
+            r = token_resp[:, s, :k]
+            occ[j, s, :k] = r.sum(axis=0)
+            first[j, s, :k] = r.T @ x
+            second[j, s, :k] = r.T @ xx
+    total = occ.sum(axis=2)
+    visited = total > 1e-8
+    seen = ((occ > 1e-8) & visited[..., None])[..., None]
+    occ_seen = np.where(seen, occ[..., None], 1.0)
+    means = np.where(seen, first / occ_seen, level.means[tokens, :, :c])
+    level.variances[tokens, :, :c] = np.where(
+        seen, np.maximum(second / occ_seen - means ** 2, var_floor),
+        level.variances[tokens, :, :c])
+    level.means[tokens, :, :c] = means
+    level.weights[tokens, :, :c] = np.where(visited[..., None],
+                                            occ / np.where(visited, total, 1.0)[..., None],
+                                            level.weights[tokens, :, :c])
     denom = stay + move
-    seen = denom > 1e-8
-    trans[seen] = np.stack([stay[seen], move[seen]], axis=1) / denom[seen, None]
-    return TokenHmm(hmm.token_id, states, trans)
+    moved = (denom > 1e-8)[..., None]
+    level.transitions[tokens] = np.where(
+        moved, np.stack([stay, move], axis=2) / np.where(moved, denom[..., None], 1.0),
+        level.transitions[tokens])
+
+
+def _token_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per run of consecutive rows of values, run j holding counts[j] rows,
+    their sum along axis 0, added first to last (_ordered_sum)."""
+    return _ordered_sum(_pad(values, counts, fill=0.0)[0])
 
 
 def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
@@ -457,16 +574,23 @@ def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
 def _flat_start(spans: list[tuple[np.ndarray, np.ndarray]],
                 stats: tuple[np.ndarray, np.ndarray], g: Granularity,
                 cfg: TokenizerConfig) -> LevelModel:
-    """flat_start_model from already collected spans and global statistics."""
-    global_mean, global_var = stats
-    hmms = []
-    for token, (frames, edges) in enumerate(spans):
-        template = TokenHmm(token, [GaussState.single(global_mean, global_var)
-                                    for _ in range(g.m)], np.full((g.m, 2), 0.5))
-        gamma, stays, moves = _uniform_alignment(edges, g.m)
-        hmms.append(_m_step(template, gamma[:, :, None], frames, stays.sum(axis=0),
-                            moves.sum(axis=0), cfg.var_floor_frac * global_var))
-    return LevelModel(g, hmms, _estimate_prior(spans))
+    """flat_start_model from already collected spans and global statistics:
+    one M-step of the whole level, every state starting from the template,
+    over the uniform alignment of every token's spans."""
+    template = GaussState.single(*stats)
+    level = _StackedLevel(np.ones((g.n, g.m), dtype=np.int64),
+                          *(np.broadcast_to(a, (g.n, g.m) + a.shape).copy()
+                            for a in (template.weights, template.means, template.variances)),
+                          np.full((g.n, g.m, 2), 0.5))
+    frames = [frames for frames, _ in spans]
+    frame_at = np.cumsum([0] + [len(x) for x in frames])
+    edges = np.concatenate([[0]] + [edges[1:] + at for (_, edges), at in zip(spans, frame_at)])
+    gamma, stays, moves = _uniform_alignment(edges, g.m)
+    n_spans = np.array([len(edges) - 1 for _, edges in spans])
+    _m_step(level, np.arange(g.n), gamma[:, :, None], frames, [x * x for x in frames],
+            _token_sums(stays, n_spans), _token_sums(moves, n_spans),
+            cfg.var_floor_frac * stats[1])
+    return LevelModel(g, level.hmms(), _estimate_prior(spans))
 
 
 def _collect_spans(corpus: Corpus, labels: LabelSet, n: int
@@ -499,33 +623,33 @@ def _estimate_prior(spans: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return counts / total if total > 0 else np.full(len(spans), 1.0 / len(spans))
 
 
-def _token_statistics(hmms: list[TokenHmm], spans: list[tuple[np.ndarray, np.ndarray]]
-                      ) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
-    """E-step statistics of several tokens at once, hmms[j] with the stacked
-    frames and span edges spans[j]: per token, (ll, resp, stay, move), resp
-    being the (N, m, c) component responsibilities of its frames.
+def _token_statistics(level: _StackedLevel, tokens: np.ndarray,
+                      spans: list[tuple[np.ndarray, np.ndarray]]):
+    """E-step statistics of several tokens at once, token t of level with the
+    stacked frames and span edges spans[t]: (lls, resp, stay, move), per token
+    of tokens its log-likelihood and (m,) expected self-loop and advance
+    counts, each added up over its spans in span order, and the (N, m, c)
+    component responsibilities of their frames, stacked in token order; c is
+    the most components a state of tokens holds.
 
     One kernel pass scores every frame against its own token's states, and one
-    _e_step aligns every span, each with its token's transitions.  ll, stay and
-    move add up the token's own spans in span order.
+    _e_step aligns every span, each with its token's transitions.
     """
-    m = hmms[0].m
-    n_frames = [len(frames) for frames, _ in spans]
-    n_spans = [len(edges) - 1 for _, edges in spans]
+    m = level.counts.shape[1]
+    n_frames = [len(spans[token][0]) for token in tokens]
+    n_spans = np.array([len(spans[token][1]) - 1 for token in tokens])
     frame_at = np.cumsum([0] + n_frames)
-    span_at = np.cumsum([0] + n_spans)
-    frames = np.concatenate([frames for frames, _ in spans])
-    edges = np.concatenate([[0]] + [edges[1:] + at for (_, edges), at in zip(spans, frame_at)])
-    states = np.repeat(np.arange(len(hmms)) * m, n_frames)[:, None] + np.arange(m)
-    joint = _log_joints(_density_stack([s for hmm in hmms for s in hmm.states]), frames, states)
+    frames = np.concatenate([spans[token][0] for token in tokens])
+    edges = np.concatenate([[0]] + [spans[token][1][1:] + at for token, at in zip(tokens, frame_at)])
+    states = np.repeat(tokens * m, n_frames)[:, None] + np.arange(m)
+    joint = _log_joints(level.density_stack(int(level.counts[tokens].max())), frames, states)
     emis = logsumexp(joint, axis=2)
-    log_self, log_adv = map(np.stack, zip(*(hmm.log_transitions() for hmm in hmms)))
-    owner = np.repeat(np.arange(len(hmms)), n_spans)
+    log_self, log_adv = level.log_transitions()
+    owner = np.repeat(tokens, n_spans)
     lls, gamma, stays, moves = _e_step(emis, edges, log_self[owner], log_adv[owner])
     resp = gamma[:, :, None] * np.exp(joint - emis[:, :, None])
-    return [(float(_ordered_sum(lls[a:b])), resp[frame_at[j]:frame_at[j + 1]],
-             _ordered_sum(stays[a:b]), _ordered_sum(moves[a:b]))
-            for j, (a, b) in enumerate(zip(span_at[:-1], span_at[1:]))]
+    return (_token_sums(lls, n_spans), resp, _token_sums(stays, n_spans),
+            _token_sums(moves, n_spans))
 
 
 def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
@@ -533,9 +657,10 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
                      init_model: LevelModel | None = None) -> LevelModel:
     """Fit the n token HMMs to the labeled spans by EM, a level at a time.
 
-    Each EM iteration runs one E-step over the spans of every token still
-    training (_token_statistics), then each token's own M-step.  A token stops
-    once its log-likelihood gain falls under em_tol, and its spans leave later
+    The level is stacked once (_StackedLevel).  Each EM iteration runs one
+    E-step over the spans of every token still training (_token_statistics)
+    and one M-step over their stacked states.  A token stops once its
+    log-likelihood gain falls under em_tol, and its spans leave later
     iterations; mixture splits are per token too, so every token follows the
     course EM would take on it alone.  Warm-starts from init_model when given
     (otherwise from the flat start), so successive calls within the
@@ -551,33 +676,28 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
     if init_model is None:
         init_model = _flat_start(spans, stats, g, cfg)
 
+    level = _StackedLevel.of(init_model.hmms)
+    frames = [frames for frames, _ in spans]
+    squares = [x * x for x in frames]
     split_at = set(cfg.mixture_schedule)
-    hmms = list(init_model.hmms)  # read only: EM builds new states
-    prev_ll: list[float | None] = [None] * g.n
-    training = [token for token in range(g.n) if len(spans[token][0])]  # the rest are reseeded
+    prev_ll = np.full(g.n, np.nan)  # NaN: no likelihood to compare with yet
+    training = np.flatnonzero([len(x) for x in frames])  # the rest are reseeded
     for it in range(cfg.em_iters):
-        if not training:
+        if not len(training):
             break
-        # a warm start already holds the components of earlier splits
-        target = 2 ** sum(k <= it for k in split_at)
-        for token in training:
-            hmm = hmms[token]
-            if any(s.n_components < target for s in hmm.states):
-                hmms[token] = TokenHmm(token, [s.split() if s.n_components < target else s
-                                               for s in hmm.states], hmm.transitions.copy())
-                prev_ll[token] = None  # mixture count changed, restart convergence check
-        stats = _token_statistics([hmms[token] for token in training],
-                                  [spans[token] for token in training])
-        still = []
-        for token, (ll, resp, stay, move) in zip(training, stats):
-            hmms[token] = _m_step(hmms[token], resp, spans[token][0], stay, move, var_floor)
-            prev = prev_ll[token]
-            if prev is None or not abs(ll - prev) / max(1.0, abs(prev)) < cfg.em_tol:
-                still.append(token)
-            prev_ll[token] = ll
-        training = still
+        # a warm start already holds the components of earlier splits; a
+        # split restarts its token's convergence check
+        prev_ll[level.split(training, 2 ** sum(k <= it for k in split_at))] = np.nan
+        lls, resp, stay, move = _token_statistics(level, training, spans)
+        _m_step(level, training, resp, [frames[t] for t in training],
+                [squares[t] for t in training], stay, move, var_floor)
+        prev = prev_ll[training]
+        converged = np.abs(lls - prev) / np.maximum(1.0, np.abs(prev)) < cfg.em_tol
+        prev_ll[training] = lls
+        training = training[~converged]
 
-    frames_per_token = np.array([len(frames) for frames, _ in spans])
+    hmms = level.hmms()
+    frames_per_token = np.array([len(x) for x in frames])
     if np.any(frames_per_token == 0) and np.any(frames_per_token > 0):
         populous = int(np.argmax(frames_per_token))  # argmax ties -> lowest id
         for token in np.flatnonzero(frames_per_token == 0):
@@ -593,59 +713,65 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
 
 def _emission_table(stack: tuple[np.ndarray, ...], frames: np.ndarray,
                     g: Granularity) -> np.ndarray:
-    """(T, n, m) state log densities of an utterance: one kernel pass over the
+    """(T, n, m) state log densities of T frames: one kernel pass over the
     _density_stack of a level's n * m states, in token-major order."""
     joint = _log_joints(stack, frames, np.arange(g.n * g.m))
     return logsumexp(joint, axis=2).reshape(len(frames), g.n, g.m)
 
 
 def _table_groups(model: LevelModel, corpus: Corpus):
-    """Consecutive utterances of corpus.ids() in batches, each with its
-    utterances' emission tables; the model's states are stacked once."""
+    """Consecutive utterances of corpus.ids() in batches: each batch's ids, the
+    (frames, n, m) emission table of its utterances' stacked frames, from one
+    kernel pass, and their frame counts.  The model's states are stacked
+    once."""
     g, ids = model.granularity, corpus.ids()
     stack = _density_stack([s for hmm in model.hmms for s in hmm.states])
     lengths = np.array([corpus[utt].n_frames for utt in ids], dtype=np.int64)
     for batch in _batches(lengths, 8 * g.n * g.m, BATCH_BYTES):
-        yield ids[batch], [_emission_table(stack, corpus[utt].frames, g) for utt in ids[batch]]
+        frames = np.concatenate([corpus[utt].frames for utt in ids[batch]])
+        yield ids[batch], _emission_table(stack, frames, g), lengths[batch]
 
 
-def _viterbi(model: LevelModel, tables: list[np.ndarray], lm_scale: float) -> list[list]:
-    """Token-loop Viterbi over utterances' (T, n, m) emission tables, in one
-    recursion over their padded (T, U, n, m) copy: any token may follow any
-    token, weighted by the prior.  An utterance's scores stop changing after
-    its last frame, and its backtrack runs alone."""
+def _viterbi(model: LevelModel, table: np.ndarray, lengths: np.ndarray,
+             lm_scale: float) -> list[list]:
+    """Token-loop Viterbi over utterances' stacked emission table, utterance u
+    holding lengths[u] rows, in one recursion over its padded (T, U, n, m)
+    copy: any token may follow any token, weighted by the prior.  An
+    utterance's scores stop changing after its last frame, and its backtrack
+    runs alone."""
     n, m = model.granularity.n, model.granularity.m
     log_prior = model.log_prior(lm_scale)
     log_self, log_adv = model.log_transitions()
-    lengths = np.array([len(table) for table in tables], dtype=np.int64)
-    emis, _ = _pad(np.concatenate(tables), lengths)
-    T, U = len(emis), len(tables)
+    emis, _ = _pad(table, lengths)
+    T, U = len(emis), len(lengths)
 
     delta = np.full((U, n, m), -np.inf)
     delta[:, :, 0] = log_prior + emis[0, :, :, 0]
     # choice codes: 0 = self-loop, 1 = advance within token, 2 = token switch
     choice = np.zeros((T, U, n, m), dtype=np.int8)
-    switch_from = np.zeros((T, U), dtype=np.int64)
-    move = np.full((U, n, m), -np.inf)
+    # exits[t]: the scores of leaving each token's last state after frame
+    # t - 1; past an utterance's end its padding makes every score -inf, so
+    # exits[L] holds the final scores of an utterance of L frames
+    exits = np.full((T + 1, U, n), -np.inf)
+    stay, move = np.empty((U, n, m)), np.full((U, n, m), -np.inf)
+    stays = np.empty((U, n, m), dtype=bool)
 
     for t in range(1, T):
-        stay = delta + log_self
-        move[:, :, 1:] = delta[:, :, :-1] + log_adv[:, :-1]
-        exit_scores = delta[:, :, m - 1] + log_adv[:, m - 1]
-        best_exit_token = np.argmax(exit_scores, axis=1)
-        enter = exit_scores[np.arange(U), best_exit_token][:, None] + log_prior  # into state 0
+        np.add(delta, log_self, out=stay)
+        np.add(delta[:, :, :-1], log_adv[:, :-1], out=move[:, :, 1:])
+        np.add(delta[:, :, m - 1], log_adv[:, m - 1], out=exits[t])
+        enter = exits[t].max(axis=1)[:, None] + log_prior  # into state 0
+        np.greater_equal(stay, move, out=stays)
+        delta = np.where(stays, stay, move)
+        np.logical_not(stays, out=choice[t])
+        entering = enter > delta[:, :, 0]
+        np.copyto(delta[:, :, 0], enter, where=entering)
+        np.copyto(choice[t, :, :, 0], 2, where=entering)
+        delta += emis[t]
+    np.add(delta[:, :, m - 1], log_adv[:, m - 1], out=exits[T])
 
-        stays = stay >= move
-        new_delta = np.where(stays, stay, move)
-        choice[t] = np.where(stays, 0, 1)
-        better_enter = enter > new_delta[:, :, 0]
-        new_delta[:, :, 0] = np.where(better_enter, enter, new_delta[:, :, 0])
-        choice[t, :, :, 0] = np.where(better_enter, 2, choice[t, :, :, 0])
-        switch_from[t] = best_exit_token
-        delta = np.where((t < lengths)[:, None, None], new_delta + emis[t], delta)
-
-    final = delta[:, :, m - 1] + log_adv[:, m - 1]
-    return [_backtrack(choice[:L, u], switch_from[:L, u], int(np.argmax(final[u])))
+    switch_from = np.argmax(exits, axis=2)  # ties -> lowest token id
+    return [_backtrack(choice[:L, u], switch_from[:L, u], int(np.argmax(exits[L, u])))
             if L >= m else [(int(np.argmax(log_prior)), 0, L)]
             for u, L in enumerate(lengths.tolist())]
 
@@ -673,36 +799,41 @@ def _backtrack(choice: np.ndarray, switch_from: np.ndarray, token: int) -> list:
 def decode_utterance(model: LevelModel, frames: np.ndarray, lm_scale: float = 1.0) -> list:
     """Token-loop Viterbi: any token may follow any token, weighted by the prior."""
     stack = _density_stack([s for hmm in model.hmms for s in hmm.states])
-    return _viterbi(model, [_emission_table(stack, frames, model.granularity)], lm_scale)[0]
+    table = _emission_table(stack, frames, model.granularity)
+    return _viterbi(model, table, np.array([len(frames)]), lm_scale)[0]
 
 
 def decode_level(model: LevelModel, corpus: Corpus,
                  cfg: TokenizerConfig | None = None) -> LabelSet:
     lm_scale = (cfg or TokenizerConfig()).lm_scale
     labels: LabelSet = {}
-    for utts, tables in _table_groups(model, corpus):
-        for utt, segments in zip(utts, _viterbi(model, tables, lm_scale)):
+    for utts, table, lengths in _table_groups(model, corpus):
+        for utt, segments in zip(utts, _viterbi(model, table, lengths, lm_scale)):
             labels[utt] = TokenLabelSequence(utt, segments)
     return labels
 
 
-def _segment_scores(model: LevelModel, tables: list[np.ndarray], segment_lists: list,
-                    lm_scale: float) -> np.ndarray:
+def _segment_scores(model: LevelModel, table: np.ndarray, starts: np.ndarray,
+                    segment_lists: list, lm_scale: float) -> np.ndarray:
     """Per segment, in list-then-segment order, its span forward log-likelihood
-    plus its token's scaled log prior, segment_lists[i] cutting tables[i]: one
-    forward per batch of segments, each row with its token's transitions."""
+    plus its token's scaled log prior, segment_lists[i] cutting the utterance
+    whose rows of the stacked emission table begin at starts[i]: one gather of
+    every segment's column, then one forward per batch of segments, each row
+    with its token's transitions."""
     log_self, log_adv = model.log_transitions()
-    tokens = np.array([token for segments in segment_lists for token, _, _ in segments],
-                      dtype=np.int64)
-    columns = [table[start:end, token] for table, segments in zip(tables, segment_lists)
-               for token, start, end in segments]
-    lengths = np.array([len(column) for column in columns], dtype=np.int64)
-    lls = np.empty(len(columns))
+    tokens, first, lengths = np.array(
+        [(token, at + start, end - start) for at, segments in zip(starts.tolist(), segment_lists)
+         for token, start, end in segments], dtype=np.int64).reshape(-1, 3).T
+    offsets = np.cumsum(lengths) - lengths
+    rows = np.arange(lengths.sum()) + np.repeat(first - offsets, lengths)
+    columns = table[rows, np.repeat(tokens, lengths)]
+    lls = np.empty(len(lengths))
     for batch in _batches(lengths, 8 * model.granularity.m, BATCH_BYTES):
-        padded, _ = _pad(np.concatenate(columns[batch]), lengths[batch])
-        rows = tokens[batch]
-        alpha = _alpha(padded, log_self[rows], log_adv[rows])
-        lls[batch] = alpha[lengths[batch] - 1, np.arange(len(rows)), -1] + log_adv[rows, -1]
+        stop = offsets[batch.stop - 1] + lengths[batch.stop - 1]
+        padded, _ = _pad(columns[offsets[batch.start]:stop], lengths[batch])
+        own = tokens[batch]
+        alpha = _alpha(padded, log_self[own], log_adv[own])
+        lls[batch] = alpha[lengths[batch] - 1, np.arange(len(own)), -1] + log_adv[own, -1]
     return lls + model.log_prior(lm_scale)[tokens]
 
 
@@ -713,8 +844,9 @@ def corpus_log_likelihood(model: LevelModel, corpus: Corpus, labels: LabelSet,
     for utt in corpus.ids():
         if utt not in labels:
             raise ValueError(f"missing labels for {utt}")
-    scores = [_segment_scores(model, tables, [labels[utt].segments for utt in utts], lm_scale)
-              for utts, tables in _table_groups(model, corpus)]
+    scores = [_segment_scores(model, table, np.cumsum(lengths) - lengths,
+                              [labels[utt].segments for utt in utts], lm_scale)
+              for utts, table, lengths in _table_groups(model, corpus)]
     return float(_ordered_sum(np.concatenate([np.empty(0), *scores])))
 
 
@@ -736,16 +868,18 @@ def run_level(corpus: Corpus, init_labels: LabelSet, g: Granularity,
     trace: list[tuple[str, float]] = []
     for _ in range(cfg.outer_iters):
         model = train_level_hmms(corpus, labels, g, cfg, init_model=model)
-        # one emission table per utterance serves decoding and both trace
-        # points, whose segments share one forward per batch of utterances
+        # one emission table per batch of utterances serves decoding and both
+        # trace points, whose segments share one forward per batch
         new_labels: LabelSet = {}
         train_scores, decode_scores = [], []
-        for utts, tables in _table_groups(model, corpus):
-            decoded = _viterbi(model, tables, cfg.lm_scale)
+        for utts, table, lengths in _table_groups(model, corpus):
+            decoded = _viterbi(model, table, lengths, cfg.lm_scale)
             new_labels.update((utt, TokenLabelSequence(utt, segments))
                               for utt, segments in zip(utts, decoded))
             trained = [labels[utt].segments for utt in utts]
-            scores = _segment_scores(model, tables + tables, trained + decoded, cfg.lm_scale)
+            starts = np.cumsum(lengths) - lengths
+            scores = _segment_scores(model, table, np.concatenate([starts, starts]),
+                                     trained + decoded, cfg.lm_scale)
             n_trained = sum(map(len, trained))
             train_scores.append(scores[:n_trained])
             decode_scores.append(scores[n_trained:])
@@ -799,7 +933,18 @@ def matm_bytes(model: LevelModel) -> bytes:
     return b"".join(parts)
 
 
+def _require(ok: np.ndarray, values: np.ndarray, where: str, rule: str):
+    """Raise a ValueError naming where and the first of values that breaks
+    rule, ok being False there."""
+    if not ok.all():
+        raise ValueError(f"{where}: {rule.format(float(values[~ok][0]))}")
+
+
 def read_matm(path) -> LevelModel:
+    """Inverse of matm_bytes.  A value no model can hold (a weight or prior
+    negative or not finite, a mean not finite, a variance not finite or not
+    > 0, a transition outside [0, 1]) raises a ValueError naming the file, the
+    token, the state and the field."""
     f = ArtifactReader(path, MATM_MAGIC, MATM_VERSION)
     m, n, d = f.unpack("<III", "header")
     if m < 1 or n < 1:
@@ -808,16 +953,27 @@ def read_matm(path) -> LevelModel:
     for token in range(n):
         states = []
         for s in range(m):
+            where = f"{path}: token {token} state {s}"
             (c,) = f.unpack("<I", "component count")
             if c < 1:
-                raise ValueError(f"{path}: token {token} state {s}: component count 0, "
-                                 "must be >= 1")
+                raise ValueError(f"{where}: component count 0, must be >= 1")
             weights = f.array((c,), "weights")
             means = f.array((c, d), "means")
             variances = f.array((c, d), "variances")
+            _require(np.isfinite(weights) & (weights >= 0), weights, where,
+                     "weight {} is negative or not finite")
+            _require(np.isfinite(means), means, where, "mean {} is not finite")
+            _require(np.isfinite(variances) & (variances > 0), variances, where,
+                     "variance {} is not finite or not > 0")
             states.append(GaussState(weights, means, variances))
         trans = f.array((m, 2), "transitions")
+        for s, row in enumerate(trans):
+            _require((row >= 0) & (row <= 1), row, f"{path}: token {token} state {s}",
+                     "transition {} is outside [0, 1]")
         hmms.append(TokenHmm(token, states, trans))
     prior = f.array((n,), "prior")
     f.end()
+    bad = np.flatnonzero(~(np.isfinite(prior) & (prior >= 0)))
+    if len(bad):
+        raise ValueError(f"{path}: token {bad[0]}: prior {prior[bad[0]]} is negative or not finite")
     return LevelModel(Granularity(m, n), hmms, prior)

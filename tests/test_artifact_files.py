@@ -32,14 +32,18 @@ def tiny_matf() -> bytes:
     return matf_bytes(FeatureSequence(np.arange(6.0).reshape(3, 2), utterance_id="u"))
 
 
-def tiny_matm() -> bytes:
-    two = GaussState(np.array([0.4, 0.6]), np.zeros((2, 2)), np.ones((2, 2)))
+def tiny_level() -> LevelModel:
     hmms = [
-        TokenHmm(k, [GaussState.single(np.full(2, k), np.ones(2)), two],
+        TokenHmm(k, [GaussState.single(np.full(2, k), np.ones(2)),
+                     GaussState(np.array([0.4, 0.6]), np.zeros((2, 2)), np.ones((2, 2)))],
                  np.array([[0.5, 0.5], [0.5, 0.5]]))
         for k in range(2)
     ]
-    return matm_bytes(LevelModel(Granularity(2, 2), hmms, np.array([0.5, 0.5])))
+    return LevelModel(Granularity(2, 2), hmms, np.array([0.5, 0.5]))
+
+
+def tiny_matm() -> bytes:
+    return matm_bytes(tiny_level())
 
 
 def tiny_matl() -> bytes:
@@ -343,3 +347,46 @@ def test_bad_matl_count_names_the_file_and_field(tmp_path, offset, field, value)
     with pytest.raises(ValueError) as excinfo:
         read_matl(path)
     assert str(excinfo.value) == f"{path}: {field}: count {value} is negative or not finite"
+
+
+def _set_weight(model, value):
+    model.hmms[1].states[1].weights[1] = value
+
+
+def _set_mean(model, value):
+    model.hmms[1].states[1].means[1, 0] = value
+
+
+def _set_variance(model, value):
+    model.hmms[1].states[1].variances[0, 1] = value
+
+
+def _set_transition(model, value):
+    model.hmms[1].transitions[1, 0] = value
+
+
+def _set_prior(model, value):
+    model.prior[1] = value
+
+
+# one value of token 1 (state 1) that no model can hold, and the message
+@pytest.mark.parametrize("change, values, message", [
+    (_set_weight, [float("nan"), -0.5, float("inf")],
+     "token 1 state 1: weight {} is negative or not finite"),
+    (_set_mean, [float("nan"), float("inf"), -float("inf")], "token 1 state 1: mean {} is not finite"),
+    (_set_variance, [-1.0, 0.0, float("nan"), float("inf")],
+     "token 1 state 1: variance {} is not finite or not > 0"),
+    (_set_transition, [1.5, -0.5, float("nan")], "token 1 state 1: transition {} is outside [0, 1]"),
+    (_set_prior, [-0.1, float("nan"), float("inf")],
+     "token 1: prior {} is negative or not finite"),
+], ids=["weight", "mean", "variance", "transition", "prior"])
+def test_matm_value_no_model_holds_names_the_file_token_state_and_field(tmp_path, change,
+                                                                          values, message):
+    path = tmp_path / "tiny.matm"
+    for value in values:
+        model = tiny_level()
+        change(model, value)
+        path.write_bytes(matm_bytes(model))
+        with pytest.raises(ValueError) as excinfo:
+            read_matm(path)
+        assert str(excinfo.value) == f"{path}: {message.format(value)}"

@@ -2,9 +2,11 @@ import configparser
 import importlib.util
 import io
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
 import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -551,6 +553,33 @@ class TestStages:
         assert main(argv) == 0
         assert _new_stages(out, 2 * len(stages)) == []
 
+    def test_switching_the_corpus_source_replaces_the_corpus(self, tmp_path):
+        # 8 synthetic utterances, then 6 WAVs, then the 8 synthetic again:
+        # each iterate trains on exactly its own corpus, which features/ then
+        # holds, as the source alone writes it into a fresh run
+        wavs = tmp_path / "wavs"
+        wavs.mkdir()
+        for i in range(6):
+            write_tones(wavs / f"utt{i:03d}.wav", i)
+        (tmp_path / "synth").mkdir()
+        (tmp_path / "audio").mkdir()
+        synth = write_config(tmp_path / "synth")
+        audio = write_config(tmp_path / "audio", TINY_CONFIG.replace(
+            "mr_rounds = 1", f"mr_rounds = 1\naudio_dir = {wavs}"))
+        out = tmp_path / "run"
+
+        def files(root):
+            return {p.relative_to(root).as_posix(): p.read_bytes()
+                    for p in [*(root / "features").iterdir(), root / "truth.jsonl"] if p.exists()}
+
+        for step, (cfg_path, source) in enumerate([(synth, "synth"), (audio, "features"),
+                                                   (synth, "synth")]):
+            assert main(["iterate", "--config", str(cfg_path), "--out", str(out)]) == 0
+            fresh = tmp_path / f"fresh{step}"
+            assert main([source, "--config", str(cfg_path), "--out", str(fresh)]) == 0
+            assert files(out) == files(fresh)
+            assert len(list((out / "iter1/bnf").glob("*.matf"))) == (6 if step == 1 else 8)
+
     def test_zero_row_feature_file_is_named(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "run"
@@ -1035,3 +1064,20 @@ class TestDeterminism:
             assert main(["iterate", "--config", str(cfg_path), "--out", str(out)]) == 0
             hashes.append(Manifest(out).output_hashes())
         assert hashes[0] == hashes[1]
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # each run in its own process, the thread count set in its environment
+        # only, since a BLAS library reads it once, when it loads
+        cfg_path = write_config(tmp_path)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        hashes = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+            subprocess.run([sys.executable, "-m", "acoustok.cli", "iterate", "--config", str(cfg_path),
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            hashes.append(Manifest(out).output_hashes())
+        assert len(hashes[0]) == 7  # synth, then the six stages of one iteration
+        assert hashes[0] == hashes[1]
+

@@ -212,7 +212,8 @@ class TestMixtureKernel:
             assert np.array_equal(state.log_density(frames), ref_emis[:, s])
         # responsibilities: the E-step's occupancy times the component posteriors
         edges = np.array([0, len(frames)])
-        [(_, resp, _, _)] = tok._token_statistics([hmm], [(frames, edges)])
+        _, resp, _, _ = tok._token_statistics(tok._StackedLevel.of([hmm]), np.array([0]),
+                                              [(frames, edges)])
         _, gamma, _, _ = reference_e_step(hmm, ref_emis, edges)
         for s, c in enumerate(components):
             assert np.array_equal(resp[:, s, :c],
@@ -648,6 +649,35 @@ class TestEStepReference:
         assert np.array_equal(model.prior, init.prior)
 
 
+def reference_m_step(hmm, resp, frames, stay, move, var_floor):
+    """A token reestimated from its (N, m, c) component responsibilities over
+    its stacked frames and its (m,) expected self-loop and advance counts,
+    state by state.  Unlike ReferenceStats.m_step, which adds the moments span
+    by span, it reduces each state's frames at once, as the level's M-step
+    does, so the two agree bit for bit."""
+    squares = frames * frames
+    states = []
+    for s, state in enumerate(hmm.states):
+        r = resp[:, s, :state.n_components]
+        occ = r.sum(axis=0)
+        total = occ.sum()
+        if total <= 1e-8:
+            states.append(state)  # unvisited state keeps its parameters
+            continue
+        first, second = r.T @ frames, r.T @ squares
+        means = state.means.copy()
+        variances = state.variances.copy()
+        seen = occ > 1e-8
+        means[seen] = first[seen] / occ[seen, None]
+        variances[seen] = np.maximum(second[seen] / occ[seen, None] - means[seen] ** 2, var_floor)
+        states.append(GaussState(occ / total, means, variances))
+    trans = hmm.transitions.copy()
+    denom = stay + move
+    seen = denom > 1e-8
+    trans[seen] = np.stack([stay[seen], move[seen]], axis=1) / denom[seen, None]
+    return TokenHmm(hmm.token_id, states, trans)
+
+
 def reference_train_level(corpus, labels, g, cfg, init):
     """A level trained one token at a time by the per-token EM: each token
     runs its own loop of mixture splits, span-by-span E-steps
@@ -672,7 +702,7 @@ def reference_train_level(corpus, labels, g, cfg, init):
             emis, post = reference_posteriors(hmm, frames)
             ll, gamma, stay, move = reference_e_step(
                 hmm, emis, np.cumsum([0] + [len(span) for span in spans]))
-            hmm = tok._m_step(hmm, gamma[:, :, None] * post, frames, stay, move, var_floor)
+            hmm = reference_m_step(hmm, gamma[:, :, None] * post, frames, stay, move, var_floor)
             ran += 1
             if prev_ll is not None and abs(ll - prev_ll) / max(1.0, abs(prev_ll)) < cfg.em_tol:
                 break
@@ -711,6 +741,41 @@ class TestLevelOracle:
                 # so the warm start holds one- and two-component tokens
                 assert iterations == [12, 2, 2, 0]
                 assert [hmm.states[0].n_components for hmm in model.hmms] == [2, 1, 1, 1]
+
+    def test_unvisited_state_and_component_keep_their_parameters(self):
+        spec = SynthSpec(n_tokens=3, states_per_token=3, dim=4, n_utterances=6)
+        corpus, _ = synthesize_corpus(spec, seed=22)
+        # token 2 holds only one-frame spans, so its states 1 and 2 see no frame
+        labels = {}
+        for utt in corpus.ids():
+            T, segments, start = corpus[utt].n_frames, [], 0
+            while start < T:
+                token, length = [(0, 6), (2, 1), (1, 5)][len(segments) % 3]
+                segments.append((token, start, min(T, start + length)))
+                start = segments[-1][2]
+            labels[utt] = TokenLabelSequence(utt, segments)
+        g = Granularity(3, 3)
+        init = flat_start_model(corpus, labels, g)
+        # token 0's states hold two components, the second of weight 0, which
+        # no frame visits
+        states = []
+        for state in init.hmms[0].states:
+            split = state.split()
+            states.append(GaussState(np.array([1.0, 0.0]), split.means, split.variances))
+        init.hmms[0] = TokenHmm(0, states, init.hmms[0].transitions)
+        cfg = TokenizerConfig(em_iters=3, em_tol=0.0)
+        want, iterations = reference_train_level(corpus, labels, g, cfg, init)
+        model = train_level_hmms(corpus, labels, g, cfg, init_model=init)
+        assert iterations == [3, 3, 3]
+        assert matm_bytes(model) == matm_bytes(want)
+        for s in (1, 2):
+            got, start = model.hmms[2].states[s], init.hmms[2].states[s]
+            for name in ("weights", "means", "variances"):
+                assert np.array_equal(getattr(got, name), getattr(start, name))
+        for got, start in zip(model.hmms[0].states, init.hmms[0].states):
+            assert got.weights[1] < 1e-8
+            assert np.array_equal(got.means[1], start.means[1])
+            assert np.array_equal(got.variances[1], start.variances[1])
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +882,80 @@ class TestBatchedKernels:
         assert matm_bytes(split_model) == matm_bytes(model)
         for utt in corpus.ids():
             assert split_labels[utt].segments == labels[utt].segments
+
+
+def reference_viterbi(model, table, lm_scale=1.0):
+    """Token-loop Viterbi over one utterance's (T, n, m) emission table, one
+    frame at a time.  Its ties: a self-loop wins over an advance of equal
+    score, a state-0 score over an equal entry, and the lowest token id among
+    equal exits and among equal final scores."""
+    T, n, m = table.shape
+    log_prior = model.log_prior(lm_scale)
+    log_self, log_adv = model.log_transitions()
+    if T < m:
+        return [(int(np.argmax(log_prior)), 0, T)]
+    delta = np.full((n, m), -np.inf)
+    delta[:, 0] = log_prior + table[0, :, 0]
+    choice = np.zeros((T, n, m), dtype=np.int8)  # 0 stay, 1 advance, 2 switch
+    switch_from = np.zeros(T, dtype=np.int64)
+    for t in range(1, T):
+        stay = delta + log_self
+        move = np.full((n, m), -np.inf)
+        move[:, 1:] = delta[:, :-1] + log_adv[:, :-1]
+        exit_scores = delta[:, m - 1] + log_adv[:, m - 1]
+        switch_from[t] = np.argmax(exit_scores)
+        enter = exit_scores[switch_from[t]] + log_prior
+        stays = stay >= move
+        new = np.where(stays, stay, move)
+        choice[t] = np.where(stays, 0, 1)
+        entering = enter > new[:, 0]
+        new[:, 0] = np.where(entering, enter, new[:, 0])
+        choice[t, :, 0] = np.where(entering, 2, choice[t, :, 0])
+        delta = new + table[t]
+    token, state = int(np.argmax(delta[:, m - 1] + log_adv[:, m - 1])), m - 1
+    starts = []  # segment start frames with their token, last first
+    for t in range(T - 1, 0, -1):
+        if choice[t, token, state] == 1:
+            state -= 1
+        elif choice[t, token, state] == 2:
+            starts.append((t, token))
+            token, state = int(switch_from[t]), m - 1
+    starts.append((0, token))
+    starts.reverse()
+    ends = [start for start, _ in starts[1:]] + [T]
+    return [(token, start, end) for (start, token), end in zip(starts, ends)]
+
+
+class TestViterbiTies:
+    # budget None: every utterance in one batch; 1: each a batch of its own
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_decode_level_keeps_the_per_frame_reference_path_on_tied_tables(self, monkeypatch,
+                                                                           budget):
+        if budget is not None:
+            monkeypatch.setattr(tok, "BATCH_BYTES", budget)
+        # emissions rounded to 0.5, equal transitions, an equal prior and states
+        # of two means: many paths tie, and the decoder must keep the
+        # reference's.  A tie between a self-loop and an advance moves a
+        # boundary rarely (in 2 of these 240 utterances), so there are many.
+        real = tok._emission_table
+        monkeypatch.setattr(tok, "_emission_table",
+                            lambda stack, frames, g: np.round(2 * real(stack, frames, g)) / 2)
+        rng = np.random.default_rng(70)
+        n, m, d = 3, 3, 1
+        for _ in range(40):
+            hmms = [TokenHmm(k, [GaussState.single(rng.integers(0, 2, d) * 1.0, np.ones(d))
+                                 for _ in range(m)], np.full((m, 2), 0.5)) for k in range(n)]
+            model = LevelModel(Granularity(m, n), hmms, np.full(n, 1.0 / n))
+            # ragged lengths, some shorter than m
+            corpus = Corpus([FeatureSequence(rng.normal(0, 1.5, size=(T, d)), utterance_id=f"u{i}")
+                             for i, T in enumerate(rng.integers(1, 25, size=6))])
+            labels = decode_level(model, corpus)
+            for utt in corpus.ids():
+                frames = corpus[utt].frames
+                table = np.stack([logsumexp(reference_state_joint(state, frames), axis=1)
+                                  for hmm in hmms for state in hmm.states], axis=1)
+                want = reference_viterbi(model, np.round(2 * table.reshape(-1, n, m)) / 2)
+                assert labels[utt].segments == want
 
 
 class TestLogsumexp:
@@ -937,9 +1076,14 @@ class TestRunLevel:
         for prev, cur in zip(decode_lls, decode_lls[1:]):
             assert cur >= prev - 1e-6
 
-    def test_one_emission_table_per_utterance_outside_training(self, small_corpus, monkeypatch):
+    # budget None: the corpus is one table batch; 1: every utterance is one
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_one_emission_table_per_utterance_outside_training(self, small_corpus, monkeypatch,
+                                                               budget):
         spec, corpus, truth = small_corpus
         g = Granularity(3, spec.n_tokens)
+        if budget is not None:
+            monkeypatch.setattr(tok, "BATCH_BYTES", budget)
 
         calls = {"train": [], "other": []}
         training = []
@@ -947,7 +1091,7 @@ class TestRunLevel:
         real_train = tok.train_level_hmms
 
         def density_spy(stack, frames, states):
-            calls["train" if training else "other"].append(states.shape)
+            calls["train" if training else "other"].append((states.shape, len(frames)))
             return real_density(stack, frames, states)
 
         def train_spy(*args, **kwargs):
@@ -961,7 +1105,11 @@ class TestRunLevel:
         monkeypatch.setattr(tok, "train_level_hmms", train_spy)
         run_level(corpus, truth.label_set(), g, TokenizerConfig(outer_iters=1, em_iters=1))
         assert calls["train"]
-        assert calls["other"] == [(g.n * g.m,)] * len(corpus)
+        # one kernel call per table batch, against all n * m states, whose
+        # frames add up to the corpus once
+        batches = 1 if budget is None else len(corpus)
+        assert [shape for shape, _ in calls["other"]] == [(g.n * g.m,)] * batches
+        assert sum(frames for _, frames in calls["other"]) == sum(corpus.frame_counts().values())
 
     def test_last_trace_value_is_corpus_log_likelihood(self, small_corpus):
         spec, corpus, truth = small_corpus
