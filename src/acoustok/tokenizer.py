@@ -10,18 +10,24 @@ sharing the same n start from the same initial label set.
 
 A level trains and decodes as one batch of rows, not a loop over tokens.
 Every state density comes from one kernel, `_log_joints`, over a level's
-states stacked once per model use.  Training scores each frame of every token
-still in EM against its own token's states, for emissions and component
-posteriors, in one pass per EM iteration; decoding scores each utterance
-against all n * m states in one pass, and that table also serves the
-likelihood trace.
+states stacked into arrays.  `train_level_hmms` stacks the level once per call
+(`_StackedLevel`: component counts, weights, means, variances, transitions),
+and EM, mixture splits included, updates those arrays; the `TokenHmm`s are
+built once, on return.  Decoding stacks a model once per pass over the
+corpus.  Training scores each frame of every token still in EM against its
+own token's states, for emissions and component posteriors, in one pass per
+EM iteration; decoding scores a batch of utterances against all n * m states
+in one pass, and that table also serves the likelihood trace.
 
 The E-step runs once per EM iteration over the spans of every token still
 training: every span's alignment, from forward-backward or, for a span no
 path traverses, the uniform alignment the flat start also uses, fills one
-(N, m) occupancy table over the stacked frames.  Each token's log-likelihood,
-transition counts, em_tol check and M-step stay its own, so a token follows
-the course EM would take on it alone.
+(N, m) occupancy table over the stacked frames.  One M-step then reestimates
+every token still training; the flat start is the same M-step over the
+uniform alignment.  Each state's occupancy and moments stay reductions of its
+own, and each token's log-likelihood, transition counts, em_tol check and
+mixture splits stay its own, so a token follows the course EM would take on
+it alone.
 
 Each recursion runs once per batch of rows, not once per span or utterance.
 The E-step's forward-backward runs over the spans padded into one time-major
@@ -29,10 +35,11 @@ The E-step's forward-backward runs over the spans padded into one time-major
 token-loop Viterbi over a batch of consecutive utterances' padded (T, U, n, m)
 tables, and the likelihood trace scores every segment of the batch in one
 forward pass.  In the E-step and the trace, each row has its own token's
-transitions.  A batch's tables and its padded copy stay under BATCH_BYTES.
-The batched recursions repeat the per-row element-wise operations, and sums
-over frames and over spans add their terms in order, so the results do not
-depend on how rows are batched.  `logsumexp` is the package's one log-sum-exp.
+transitions.  A batch's tables and its padded copy stay under BATCH_BYTES,
+a decoding batch's counted c times over for the kernel's joints.  The
+batched recursions repeat the per-row element-wise operations, and sums over
+frames and over spans add their terms in order, so the results do not depend
+on how rows are batched.  `logsumexp` is the package's one log-sum-exp.
 """
 
 from __future__ import annotations
@@ -507,13 +514,13 @@ class _StackedLevel:
 
 
 def _m_step(level: _StackedLevel, tokens: np.ndarray, resp: np.ndarray,
-            frames: list[np.ndarray], squares: list[np.ndarray], stay: np.ndarray,
-            move: np.ndarray, var_floor: np.ndarray):
+            spans: list[tuple[np.ndarray, np.ndarray]], stay: np.ndarray, move: np.ndarray,
+            var_floor: np.ndarray):
     """Reestimate tokens of level in place from the (N, m, c) component
-    responsibilities of their frames, stacked in token order, frames[j] and
-    squares[j] holding token j's frames and their squares, and their (tokens,
-    m) expected self-loop and advance counts.  An unvisited state keeps its
-    parameters, and so does an unvisited component of a visited state.
+    responsibilities of their frames, token t's stacked frames being
+    spans[t][0], stacked in token order, and their (tokens, m) expected
+    self-loop and advance counts.  An unvisited state keeps its parameters,
+    and so does an unvisited component of a visited state.
 
     Each state's occupancy and first and second moments are reductions of its
     own, whose bits a stacked product would change; the divisions, variance
@@ -525,7 +532,9 @@ def _m_step(level: _StackedLevel, tokens: np.ndarray, resp: np.ndarray,
     first = np.zeros((len(tokens), m, c, len(var_floor)))
     second = np.zeros_like(first)
     at = 0
-    for j, (token, x, xx) in enumerate(zip(tokens.tolist(), frames, squares)):
+    for j, token in enumerate(tokens.tolist()):
+        x = spans[token][0]
+        xx = x * x
         token_resp = resp[at:at + len(x)]
         at += len(x)
         for s, k in enumerate(level.counts[token].tolist()):
@@ -582,14 +591,12 @@ def _flat_start(spans: list[tuple[np.ndarray, np.ndarray]],
                           *(np.broadcast_to(a, (g.n, g.m) + a.shape).copy()
                             for a in (template.weights, template.means, template.variances)),
                           np.full((g.n, g.m, 2), 0.5))
-    frames = [frames for frames, _ in spans]
-    frame_at = np.cumsum([0] + [len(x) for x in frames])
+    frame_at = np.cumsum([0] + [len(frames) for frames, _ in spans])
     edges = np.concatenate([[0]] + [edges[1:] + at for (_, edges), at in zip(spans, frame_at)])
     gamma, stays, moves = _uniform_alignment(edges, g.m)
     n_spans = np.array([len(edges) - 1 for _, edges in spans])
-    _m_step(level, np.arange(g.n), gamma[:, :, None], frames, [x * x for x in frames],
-            _token_sums(stays, n_spans), _token_sums(moves, n_spans),
-            cfg.var_floor_frac * stats[1])
+    _m_step(level, np.arange(g.n), gamma[:, :, None], spans, _token_sums(stays, n_spans),
+            _token_sums(moves, n_spans), cfg.var_floor_frac * stats[1])
     return LevelModel(g, level.hmms(), _estimate_prior(spans))
 
 
@@ -648,8 +655,8 @@ def _token_statistics(level: _StackedLevel, tokens: np.ndarray,
     owner = np.repeat(tokens, n_spans)
     lls, gamma, stays, moves = _e_step(emis, edges, log_self[owner], log_adv[owner])
     resp = gamma[:, :, None] * np.exp(joint - emis[:, :, None])
-    return (_token_sums(lls, n_spans), resp, _token_sums(stays, n_spans),
-            _token_sums(moves, n_spans))
+    sums = _token_sums(np.column_stack([lls, stays, moves]), n_spans)
+    return sums[:, 0], resp, sums[:, 1:m + 1], sums[:, m + 1:]
 
 
 def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
@@ -677,11 +684,10 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
         init_model = _flat_start(spans, stats, g, cfg)
 
     level = _StackedLevel.of(init_model.hmms)
-    frames = [frames for frames, _ in spans]
-    squares = [x * x for x in frames]
+    frames_per_token = np.array([len(frames) for frames, _ in spans])
     split_at = set(cfg.mixture_schedule)
     prev_ll = np.full(g.n, np.nan)  # NaN: no likelihood to compare with yet
-    training = np.flatnonzero([len(x) for x in frames])  # the rest are reseeded
+    training = np.flatnonzero(frames_per_token)  # the rest are reseeded
     for it in range(cfg.em_iters):
         if not len(training):
             break
@@ -689,15 +695,13 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
         # split restarts its token's convergence check
         prev_ll[level.split(training, 2 ** sum(k <= it for k in split_at))] = np.nan
         lls, resp, stay, move = _token_statistics(level, training, spans)
-        _m_step(level, training, resp, [frames[t] for t in training],
-                [squares[t] for t in training], stay, move, var_floor)
+        _m_step(level, training, resp, spans, stay, move, var_floor)
         prev = prev_ll[training]
         converged = np.abs(lls - prev) / np.maximum(1.0, np.abs(prev)) < cfg.em_tol
         prev_ll[training] = lls
         training = training[~converged]
 
     hmms = level.hmms()
-    frames_per_token = np.array([len(x) for x in frames])
     if np.any(frames_per_token == 0) and np.any(frames_per_token > 0):
         populous = int(np.argmax(frames_per_token))  # argmax ties -> lowest id
         for token in np.flatnonzero(frames_per_token == 0):
@@ -727,7 +731,8 @@ def _table_groups(model: LevelModel, corpus: Corpus):
     g, ids = model.granularity, corpus.ids()
     stack = _density_stack([s for hmm in model.hmms for s in hmm.states])
     lengths = np.array([corpus[utt].n_frames for utt in ids], dtype=np.int64)
-    for batch in _batches(lengths, 8 * g.n * g.m, BATCH_BYTES):
+    # a frame's kernel joints take c times the bytes of its table row
+    for batch in _batches(lengths, 8 * g.n * g.m * stack[0].shape[1], BATCH_BYTES):
         frames = np.concatenate([corpus[utt].frames for utt in ids[batch]])
         yield ids[batch], _emission_table(stack, frames, g), lengths[batch]
 
@@ -736,9 +741,9 @@ def _viterbi(model: LevelModel, table: np.ndarray, lengths: np.ndarray,
              lm_scale: float) -> list[list]:
     """Token-loop Viterbi over utterances' stacked emission table, utterance u
     holding lengths[u] rows, in one recursion over its padded (T, U, n, m)
-    copy: any token may follow any token, weighted by the prior.  An
-    utterance's scores stop changing after its last frame, and its backtrack
-    runs alone."""
+    copy: any token may follow any token, weighted by the prior.  Past an
+    utterance's last frame its -inf padding makes its scores -inf; its final
+    scores are kept at its last frame, and its backtrack runs alone."""
     n, m = model.granularity.n, model.granularity.m
     log_prior = model.log_prior(lm_scale)
     log_self, log_adv = model.log_transitions()
