@@ -309,12 +309,19 @@ def _batches(lengths: np.ndarray, cell_bytes: int, budget: int,
     batches, start = [], 0
     while start < len(lengths):
         # a batch's bytes grow with every row it takes: it ends before the
-        # first row that would take it over the budget
-        rest = lengths[start:]
-        cells = np.cumsum(rest) * stacked + np.maximum.accumulate(rest) * np.arange(1, len(rest) + 1)
-        stop = start + max(1, int(np.count_nonzero(cells * cell_bytes <= budget)))
-        batches.append(slice(start, stop))
-        start = stop
+        # first row that would take it over the budget, looked for in a
+        # window of rows that doubles until it holds that row or the last
+        window = 256
+        while True:
+            rest = lengths[start:start + window]
+            cells = (np.cumsum(rest) * stacked
+                     + np.maximum.accumulate(rest) * np.arange(1, len(rest) + 1))
+            fits = int(np.count_nonzero(cells * cell_bytes <= budget))
+            if fits < len(rest) or start + window >= len(lengths):
+                break
+            window *= 2
+        batches.append(slice(start, start + max(1, fits)))
+        start += max(1, fits)
     return batches
 
 

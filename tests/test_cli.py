@@ -1076,8 +1076,8 @@ class TestDeterminism:
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
             subprocess.run([sys.executable, "-m", "acoustok.cli", "iterate", "--config", str(cfg_path),
-                            "--out", str(out)], env=env, check=True, capture_output=True)
+                            "--out", str(out)], env=env, check=True, capture_output=True,
+                           timeout=300)
             hashes.append(Manifest(out).output_hashes())
         assert len(hashes[0]) == 7  # synth, then the six stages of one iteration
         assert hashes[0] == hashes[1]
-
