@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .corpus import FeatureConfig, SynthSpec
 from .initialization import InitConfig
+from .labels import open_text
 from .mdnn import MdnnConfig
 from .reinforce import ReinforceConfig
 from .retrieval import valid_fusion_weights
@@ -127,26 +128,25 @@ _SCHEMA = _schema()
 
 
 def load_config(path=None, text: str | None = None) -> PipelineConfig:
-    """Read and validate a config file; unknown sections or keys are errors."""
+    """Read and validate a config file; unknown sections or keys are errors
+    that name the file."""
     parser = configparser.ConfigParser()
+    source = path if text is None else "<string>"
+    if text is None and path is not None:
+        text = open_text(path).read()
     try:
-        if text is not None:
-            parser.read_string(text)
-        elif path is not None:
-            with open(path) as f:
-                parser.read_file(f)
+        parser.read_string(text or "", source=str(source))
     except configparser.Error as err:
-        source = path if text is None else "<string>"
         raise ValueError(f"{source}: {' '.join(str(err).split())}") from None
     cfg = PipelineConfig()
     for section in parser.sections():
         if section not in _SCHEMA:
-            raise ValueError(f"unknown config section [{section}]")
+            raise ValueError(f"{source}: unknown config section [{section}]")
         options = _SCHEMA[section]
         values = {}
         for key, raw in parser.items(section):
             if key not in options:
-                raise ValueError(f"unknown option {key!r} in section [{section}]")
+                raise ValueError(f"{source}: unknown option {key!r} in section [{section}]")
             opt = options[key]
             where = f"[{section}] {key}"
             if opt.many:

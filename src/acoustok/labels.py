@@ -7,6 +7,7 @@ cross-level fusion stage and the network trainer.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -112,23 +113,36 @@ def labels_to_jsonl(labels: LabelSet) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def open_text(path, newline=None) -> io.StringIO:
+    """A UTF-8 text file, read whole, as open(path, newline=newline) reads it.
+    Every text reader of the package goes through here: a byte that is not
+    UTF-8 raises a ValueError naming the file and the line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path}: line {line}: byte 0x{data[e.start]:02x} is not UTF-8 "
+                         f"({e.reason})") from None
+
+
 def read_jsonl(path, keys: tuple[str, ...]) -> list[tuple[int, dict]]:
     """The JSON objects of a JSONL file, one per non-blank line, each with its
     line number.  A line that does not parse, or lacks one of keys, raises a
     ValueError naming the file and the line."""
     records = []
-    with open(path) as f:
-        for number, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: line {number}: {e.msg}") from None
-            missing = [k for k in keys if not isinstance(rec, dict) or k not in rec]
-            if missing:
-                raise ValueError(f"{path}: line {number}: missing {', '.join(missing)}")
-            records.append((number, rec))
+    for number, line in enumerate(open_text(path), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: line {number}: {e.msg}") from None
+        missing = [k for k in keys if not isinstance(rec, dict) or k not in rec]
+        if missing:
+            raise ValueError(f"{path}: line {number}: missing {', '.join(missing)}")
+        records.append((number, rec))
     return records
 
 

@@ -4,10 +4,12 @@ hashes of its inputs and outputs, plus atomic file writing helpers.
 A stage is complete when its line exists and every file it records, read or
 written, still hashes as recorded.  The settings a stage reads are files too,
 one per setting under config/, so a run resumes by re-running the stages whose
-lines are missing or whose recorded files, settings among them, changed.  The
-manifest is parsed once per run.  Artifacts are always written to a temp file
-and renamed into place, never half-written, and a re-run stage removes the
-files its previous line wrote that it no longer writes.
+lines are missing or whose recorded files, settings among them, changed.  A
+stage can also record the names a glob pattern matches, so that a file added
+to a directory it lists re-runs it.  The manifest is parsed once per run.
+Artifacts are always written to a temp file and renamed into place, never
+half-written, and a re-run stage removes the files its previous line wrote
+that it no longer writes.
 """
 
 from __future__ import annotations
@@ -29,6 +31,19 @@ def file_sha256(path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def path_sha256(path) -> str | None:
+    """What a manifest line records of a path: a file's sha256 or, for a glob
+    pattern such as wavs/*.wav, the sha256 of the sorted names it matches in
+    its directory; None when the file or the pattern's directory is missing."""
+    path = Path(path)
+    if path.is_file():
+        return file_sha256(path)
+    if not set("*?[") & set(path.name) or not path.parent.is_dir():
+        return None
+    names = "\n".join(sorted(p.name for p in path.parent.glob(path.name)))
+    return hashlib.sha256(names.encode()).hexdigest()
 
 
 def atomic_write_bytes(path, data: bytes):
@@ -63,15 +78,16 @@ class StageWriter:
         self.outputs: dict[str, bytes] = {}
 
     def read(self, path, what: str) -> Path:
-        """Check that an upstream file exists and record its sha256, keyed by
-        its path relative to the run directory, or by its absolute path when
-        it lies outside it."""
+        """Check that an upstream file, or a glob pattern's directory, exists
+        and record its path_sha256, keyed by its path relative to the run
+        directory, or by its absolute path when it lies outside it."""
         path = Path(path)
-        if not path.exists():
+        digest = path_sha256(path)
+        if digest is None:
             raise PipelineError(f"missing upstream artifact: {what} ({path})")
         key = (path.relative_to(self.root).as_posix() if path.is_relative_to(self.root)
                else str(path.absolute()))
-        self.inputs[key] = file_sha256(path)
+        self.inputs[key] = digest
         return path
 
     def add_bytes(self, relpath: str, data: bytes):
@@ -123,11 +139,11 @@ class Manifest:
         self.latest[stage] = entry
 
     def is_complete(self, stage: str, out_dir, outputs=None) -> bool:
-        """A stage may be skipped if every file its line records, read or
-        written, still hashes as recorded; when outputs names some of the
-        files it wrote, only those of them are checked, and a name its line
-        did not write fails.  A line that recorded no settings file predates
-        this rule."""
+        """A stage may be skipped if every path its line records, read or
+        written, still hashes as recorded (see path_sha256); when outputs
+        names some of the files it wrote, only those of them are checked, and
+        a name its line did not write fails.  A line that recorded no
+        settings file predates this rule."""
         entry = self.find(stage)
         if entry is None or not any(k.startswith(f"{SETTINGS_DIR}/") for k in entry["inputs"]):
             return False
@@ -135,7 +151,7 @@ class Manifest:
             k: entry["outputs"].get(k) for k in outputs}
         root = Path(out_dir)  # root / key is the key itself when the key is absolute
         files = {**entry["inputs"], **written}
-        return all((root / k).exists() and file_sha256(root / k) == d for k, d in files.items())
+        return all(d is not None and path_sha256(root / k) == d for k, d in files.items())
 
     def output_hashes(self) -> dict[str, dict[str, str]]:
         """stage -> {relpath: sha256}, for determinism comparisons."""

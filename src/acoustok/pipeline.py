@@ -1,14 +1,14 @@
 """Pipeline stages behind the command-line interface.
 
 Every command first writes the run's settings, one file per setting under
-config/.  Every stage names the settings it reads, records those files and its
+config/.  Every stage records the settings it reads (STAGE_KINDS) and its
 upstream artifacts as inputs, writes its outputs atomically, and appends a
 manifest line with the content hashes of both; its work sees no other setting.
 A stage whose line is present and whose files still match is skipped, so
 interrupted runs resume, and a changed input or setting re-runs exactly the
-stages that read it and those downstream whose inputs change in turn.
-Artifact names follow the TOK-kth / BNF-kth / MR-r scheme, with k the feedback
-iteration and r the number of reinforcement rounds applied.
+stages that read it and those downstream whose inputs change in turn.  Artifact
+names follow the TOK-kth / BNF-kth / MR-r scheme, with k the feedback iteration
+and r the number of reinforcement rounds applied.
 """
 
 from __future__ import annotations
@@ -18,26 +18,15 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import corpus as corpus_mod
 from . import evalviz, mdnn, reinforce, retrieval, tokenizer
 from .config import SETTINGS, PipelineConfig, dump_config
-from .corpus import (
-    Corpus,
-    FeatureSequence,
-    GroundTruth,
-    apply_cmvn,
-    corpus_files,
-    extract_features,
-    ground_truth_jsonl,
-    load_audio,
-    read_ground_truth,
-    synthesize_corpus,
-    utterance_stats,
-    window_context,
-)
+from .corpus import (Corpus, FeatureSequence, GroundTruth, apply_cmvn, corpus_files,
+                     extract_features, ground_truth_jsonl, load_audio, load_corpus,
+                     read_ground_truth, synthesize_corpus, utterance_stats, window_context)
 from .initialization import make_initial_labels
 from .labels import LabelSet, labels_to_jsonl, read_jsonl, read_labels_jsonl, validate_label_set
 from .manifest import SETTINGS_DIR, Manifest, PipelineError, StageWriter, atomic_write_text
@@ -91,7 +80,7 @@ def tok_dir(iteration: int, mr_round: int) -> str:
 
 def _read_corpus(ctx: RunContext, writer: StageWriter, rel_dir: str) -> Corpus:
     index = writer.read(ctx.out / rel_dir / "corpus.jsonl", f"feature directory {rel_dir}")
-    corpus = corpus_mod.load_corpus(index.parent)
+    corpus = load_corpus(index.parent)
     for utt in corpus.ids():
         writer.read(index.parent / f"{utt}.matf", f"features of {utt} in {rel_dir}")
     return corpus
@@ -117,11 +106,9 @@ def _read_labels(path: Path, frame_counts: dict[str, int], n: int) -> LabelSet:
 
 def _level_paths(ctx: RunContext, writer: StageWriter, rel_dir: str, name: str) -> dict:
     """The path of one artifact per grid level of rel_dir, recorded as input."""
-    return {
-        g: writer.read(ctx.out / rel_dir / name.format(m=g.m, n=g.n),
-                       f"level artifact {rel_dir} ({g.m},{g.n})")
-        for g in ctx.cfg.grid.levels()
-    }
+    return {g: writer.read(ctx.out / rel_dir / name.format(m=g.m, n=g.n),
+                           f"level artifact {rel_dir} ({g.m},{g.n})")
+            for g in ctx.cfg.grid.levels()}
 
 
 def _read_levels(ctx: RunContext, writer: StageWriter, rel_dir: str,
@@ -131,10 +118,23 @@ def _read_levels(ctx: RunContext, writer: StageWriter, rel_dir: str,
     return {g: _read_labels(path, frame_counts, g.n) for g, path in paths.items()}
 
 
-def _read_truth(ctx: RunContext, writer: StageWriter) -> GroundTruth:
-    return read_ground_truth(
-        writer.read(ctx.out / "truth.jsonl", "ground truth (synthetic corpora only)")
-    )
+def _check_frames(path, found: dict[str, int], counts: dict[str, int]):
+    """Raise naming path unless found holds the acoustic features' frame
+    counts: the same utterances, each with as many frames."""
+    for utt in sorted(counts.keys() | found.keys()):
+        if found.get(utt) != counts.get(utt):
+            raise ValueError(f"{path}: {utt}: {found.get(utt, 'no')} frames, "
+                             f"the acoustic features have {counts.get(utt, 'no')}")
+
+
+def _read_truth(ctx: RunContext, writer: StageWriter) -> tuple[GroundTruth, dict]:
+    """The ground truth, checked against the acoustic features' index, and the
+    final labels of every level, checked against the truth."""
+    path = writer.read(ctx.out / "truth.jsonl", "ground truth (synthetic corpora only)")
+    truth = read_ground_truth(path)
+    _check_frames(path, truth.frame_counts(), _index_frame_counts(ctx, writer, "features"))
+    final = tok_dir(ctx.cfg.iterations, ctx.cfg.mr_rounds)
+    return truth, _read_levels(ctx, writer, final, truth.frame_counts())
 
 
 def _add_corpus(writer: StageWriter, rel_dir: str, corpus: Corpus):
@@ -142,35 +142,72 @@ def _add_corpus(writer: StageWriter, rel_dir: str, corpus: Corpus):
         writer.add_bytes(f"{rel_dir}/{name}", data)
 
 
+# Each kind of stage: its manifest key, filled with the iteration and round
+# cmd_{kind} takes, and the settings it reads.  stage() builds every stage.
+STAGE_KINDS = {
+    "synth": ("synth", ("seed", "synth")),
+    "features": ("features", ("audio_dir", "features")),
+    "init": ("iter{0}/init", ("seed", "grid", "init")),
+    "mat": ("iter{0}/mat_mr{1}", ("grid", "tokenizer")),
+    "mr": ("iter{0}/mr{1}", ("seed", "grid", "reinforce")),
+    "mdnn": ("iter{0}/mdnn", ("seed", "mr_rounds", "grid", "features", "mdnn")),
+    "extract": ("iter{0}/extract", ("mr_rounds", "features")),
+    "std": ("std", ("iterations", "mr_rounds", "grid", "retrieval")),
+    "eval": ("eval", ("iterations", "mr_rounds", "grid", "retrieval")),
+    "viz": ("viz", ("iterations", "mr_rounds", "grid")),
+}
+
+
+class Stage(NamedTuple):
+    key: str
+    settings: tuple[str, ...]
+    run: Callable[[RunContext], None]  # the cmd_* call that runs the stage
+
+
+def stage(kind: str, *args: int) -> Stage:
+    """The stage cmd_{kind}(ctx, *args) runs."""
+    key, settings = STAGE_KINDS[kind]
+    # looked up on each run, so a wrapper installed on the module is called
+    return Stage(key.format(*args), settings, lambda ctx: globals()[f"cmd_{kind}"](ctx, *args))
+
+
+def plan(cfg: PipelineConfig) -> list[Stage]:
+    """The stages iterate runs, in order: the corpus source, synth or (with
+    audio_dir set) features, then init -> MAT -> (MR -> MAT)* -> MDNN ->
+    extract once per iteration."""
+    stages = [stage("features" if cfg.audio_dir else "synth")]
+    for k in range(1, cfg.iterations + 1):
+        stages += [stage("init", k), stage("mat", k, 0)]
+        for r in range(1, cfg.mr_rounds + 1):
+            stages += [stage("mr", k, r), stage("mat", k, r)]
+        stages += [stage("mdnn", k), stage("extract", k)]
+    return stages
+
+
 # stages whose last outputs a stage's outputs replace, besides its own: the
 # two corpus sources both write features/
 REPLACES = {"synth": ("features",), "features": ("synth",)}
 
 
-def _run_stage(ctx: RunContext, key: str, settings: tuple[str, ...], work) -> bool:
-    """Run a stage unless the manifest shows it complete; returns True if run.
-    The stage reads the settings named (see config.SETTINGS): their files are
-    recorded as inputs, and work(ctx, writer) gets a context whose cfg holds
-    only those, so reading any other setting raises AttributeError.  The
-    files that its own last line or, per REPLACES, another stage's wrote and
-    it does not write again are removed."""
-    if ctx.manifest.is_complete(key, ctx.out):
-        return False
+def _run_stage(ctx: RunContext, stage: Stage, work):
+    """Run a stage unless the manifest shows it complete.  The stage reads
+    the settings it declares: their files are recorded as inputs, and
+    work(ctx, writer) gets a context whose cfg holds only those, so reading
+    any other setting raises AttributeError.  The files that its own last
+    line or, per REPLACES, another stage's wrote and it does not write again
+    are removed."""
+    if ctx.manifest.is_complete(stage.key, ctx.out):
+        return
     start = time.perf_counter()
     writer = StageWriter(ctx.out)
-    for name in settings:
+    for name in stage.settings:
         writer.read(_settings_path(ctx.out, name), f"setting {name}")
-    declared = SimpleNamespace(**{name: getattr(ctx.cfg, name) for name in settings})
+    declared = SimpleNamespace(**{name: getattr(ctx.cfg, name) for name in stage.settings})
     work(RunContext(declared, ctx.out, ctx.manifest), writer)
-    previous = [ctx.manifest.find(stage) for stage in (key, *REPLACES.get(key, ()))]
+    previous = [ctx.manifest.find(key) for key in (stage.key, *REPLACES.get(stage.key, ()))]
     outputs = writer.commit([path for line in previous if line for path in line["outputs"]])
-    ctx.manifest.record(key, outputs, writer.inputs, time.perf_counter() - start)
-    return True
+    ctx.manifest.record(stage.key, outputs, writer.inputs, time.perf_counter() - start)
 
-
-# ---------------------------------------------------------------------------
-# stages
-# ---------------------------------------------------------------------------
 
 def cmd_synth(ctx: RunContext):
     def work(ctx: RunContext, writer: StageWriter):
@@ -178,7 +215,7 @@ def cmd_synth(ctx: RunContext):
         _add_corpus(writer, "features", corpus)
         writer.add_text("truth.jsonl", ground_truth_jsonl(truth))
 
-    _run_stage(ctx, "synth", ("seed", "synth"), work)
+    _run_stage(ctx, stage("synth"), work)
 
 
 def cmd_features(ctx: RunContext):
@@ -189,15 +226,14 @@ def cmd_features(ctx: RunContext):
         wavs = sorted(audio_dir.glob("*.wav"))
         if not wavs:
             raise PipelineError(f"no .wav files in {audio_dir}")
-        sequences = []
-        for wav in wavs:
-            seq = extract_features(load_audio(writer.read(wav, "audio")), ctx.cfg.features)
-            if ctx.cfg.features.cmvn:
-                seq = apply_cmvn(seq)
-            sequences.append(seq)
+        writer.read(audio_dir / "*.wav", "WAV file names")  # an added WAV re-runs the stage
+        sequences = [extract_features(load_audio(writer.read(wav, "audio")), ctx.cfg.features)
+                     for wav in wavs]
+        if ctx.cfg.features.cmvn:
+            sequences = [apply_cmvn(seq) for seq in sequences]
         _add_corpus(writer, "features", Corpus(sequences))
 
-    _run_stage(ctx, "features", ("audio_dir", "features"), work)
+    _run_stage(ctx, stage("features"), work)
 
 
 def cmd_init(ctx: RunContext, iteration: int = 1):
@@ -207,26 +243,23 @@ def cmd_init(ctx: RunContext, iteration: int = 1):
         for n, labels in make_initial_labels(corpus, seeds, ctx.cfg.init).items():
             writer.add_text(f"iter{iteration}/init/labels_n{n}.jsonl", labels_to_jsonl(labels))
 
-    _run_stage(ctx, f"iter{iteration}/init", ("seed", "grid", "init"), work)
+    _run_stage(ctx, stage("init", iteration), work)
 
 
 def cmd_mat(ctx: RunContext, iteration: int = 1, mr_round: int = 0):
     def work(ctx: RunContext, writer: StageWriter):
         corpus = _read_corpus(ctx, writer, features_dir(iteration))
         src = f"iter{iteration}/mr{mr_round}" if mr_round else f"iter{iteration}/init"
-        init_labels = {
-            n: _read_labels(writer.read(ctx.out / src / f"labels_n{n}.jsonl",
-                                        f"{src} labels for n={n}"),
-                            corpus.frame_counts(), n)
-            for n in ctx.cfg.grid.phonetic
-        }
+        paths = {n: writer.read(ctx.out / src / f"labels_n{n}.jsonl", f"{src} labels for n={n}")
+                 for n in ctx.cfg.grid.phonetic}
+        init_labels = {n: _read_labels(path, corpus.frame_counts(), n) for n, path in paths.items()}
         models, labels = run_mat(corpus, ctx.cfg.grid, init_labels, ctx.cfg.tokenizer)
         base = tok_dir(iteration, mr_round)
         for g in ctx.cfg.grid.levels():
             writer.add_bytes(f"{base}/model_m{g.m}_n{g.n}.matm", tokenizer.matm_bytes(models[g]))
             writer.add_text(f"{base}/labels_m{g.m}_n{g.n}.jsonl", labels_to_jsonl(labels[g]))
 
-    _run_stage(ctx, f"iter{iteration}/mat_mr{mr_round}", ("grid", "tokenizer"), work)
+    _run_stage(ctx, stage("mat", iteration, mr_round), work)
 
 
 def cmd_mr(ctx: RunContext, iteration: int = 1, mr_round: int = 1):
@@ -236,10 +269,9 @@ def cmd_mr(ctx: RunContext, iteration: int = 1, mr_round: int = 1):
     def work(ctx: RunContext, writer: StageWriter):
         frame_counts = _index_frame_counts(ctx, writer, features_dir(iteration))
         level_labels = _read_levels(ctx, writer, tok_dir(iteration, mr_round - 1), frame_counts)
-        result = reinforce.mutual_reinforce(
-            level_labels, ctx.cfg.grid, _seed_map(ctx, f"mr/{iteration}/{mr_round}"),
-            ctx.cfg.reinforce,
-        )
+        result = reinforce.mutual_reinforce(level_labels, ctx.cfg.grid,
+                                            _seed_map(ctx, f"mr/{iteration}/{mr_round}"),
+                                            ctx.cfg.reinforce)
         base = f"iter{iteration}/mr{mr_round}"
         writer.add_text(f"{base}/fused.jsonl", reinforce.fused_jsonl(result.fused))
         writer.add_text(f"{base}/documents.jsonl", reinforce.documents_jsonl(result.documents))
@@ -247,7 +279,7 @@ def cmd_mr(ctx: RunContext, iteration: int = 1, mr_round: int = 1):
             writer.add_bytes(f"{base}/lda_n{n}.matl", reinforce.matl_bytes(result.models[n]))
             writer.add_text(f"{base}/labels_n{n}.jsonl", labels_to_jsonl(result.labels[n]))
 
-    _run_stage(ctx, f"iter{iteration}/mr{mr_round}", ("seed", "grid", "reinforce"), work)
+    _run_stage(ctx, stage("mr", iteration, mr_round), work)
 
 
 def _mdnn_inputs(ctx: RunContext, writer: StageWriter, iteration: int):
@@ -260,11 +292,7 @@ def _mdnn_inputs(ctx: RunContext, writer: StageWriter, iteration: int):
     for k in range(1, iteration):
         rel_dir = f"iter{k}/bnf"
         corpora.append(_read_corpus(ctx, writer, rel_dir))
-        found = corpora[-1].frame_counts()
-        for utt in sorted(counts.keys() | found.keys()):
-            if found.get(utt) != counts.get(utt):
-                raise ValueError(f"{ctx.out / rel_dir}: {utt}: {found.get(utt, 'no')} frames, "
-                                 f"the acoustic features have {counts.get(utt, 'no')}")
+        _check_frames(ctx.out / rel_dir, corpora[-1].frame_counts(), counts)
     radius = ctx.cfg.features.context_radius
     rows = {
         utt: make_iteration_input([window_context(c[utt], radius).frames for c in corpora],
@@ -284,59 +312,38 @@ def cmd_mdnn(ctx: RunContext, iteration: int = 1):
         level_labels = _read_levels(ctx, writer, tok_dir(iteration, ctx.cfg.mr_rounds),
                                     acoustic.frame_counts())
         targets_by_utt = build_targets(level_labels, ctx.cfg.grid)
-        order = sorted(rows)
-        X = np.vstack([rows[u] for u in order])
-        Y = np.vstack([targets_by_utt[u] for u in order])
+        X = np.vstack(list(rows.values()))  # rows are in sorted utterance order
+        Y = np.vstack([targets_by_utt[u] for u in rows])
         model, log = train_mdnn(X, Y, ctx.cfg.grid.levels(), ctx.cfg.mdnn,
                                 seed=stage_seed(ctx.cfg.seed, f"mdnn/{iteration}"))
         writer.add_bytes(_matn_name(ctx, iteration), mdnn.matn_bytes(model))
         writer.add_text(f"iter{iteration}/mdnn_log.csv", log.to_csv())
 
-    _run_stage(ctx, f"iter{iteration}/mdnn",
-               ("seed", "mr_rounds", "grid", "features", "mdnn"), work)
+    _run_stage(ctx, stage("mdnn", iteration), work)
 
 
 def cmd_extract(ctx: RunContext, iteration: int = 1):
     def work(ctx: RunContext, writer: StageWriter):
         model = read_matn(writer.read(ctx.out / _matn_name(ctx, iteration), "trained network"))
         rows, acoustic = _mdnn_inputs(ctx, writer, iteration)
-        sequences = []
-        for utt in acoustic.ids():
-            bnf = extract_bnf(model, rows[utt])
-            sequences.append(FeatureSequence(
-                bnf, acoustic[utt].frame_shift, acoustic[utt].frame_length, utt
-            ))
+        sequences = [FeatureSequence(extract_bnf(model, rows[utt]), acoustic[utt].frame_shift,
+                                     acoustic[utt].frame_length, utt) for utt in acoustic.ids()]
         _add_corpus(writer, f"iter{iteration}/bnf", Corpus(sequences, dict(acoustic.speakers)))
 
-    _run_stage(ctx, f"iter{iteration}/extract", ("mr_rounds", "features"), work)
+    _run_stage(ctx, stage("extract", iteration), work)
 
 
 def cmd_iterate(ctx: RunContext):
-    """The corpus source stage, synth or (with audio_dir set) features, then
-    init -> MAT -> (MR -> MAT)* -> MDNN -> extract, once per iteration; the
-    extracted features feed the next iteration's MAT and the network input.
-    The source re-runs when its line is missing, what it read changed, or
-    features/corpus.jsonl is no longer the index it wrote (the other source
-    wrote features/ since), so a feature file edited on purpose is kept."""
-    key, source = ("features", cmd_features) if ctx.cfg.audio_dir else ("synth", cmd_synth)
-    if not ctx.manifest.is_complete(key, ctx.out, outputs=("features/corpus.jsonl",)):
-        source(ctx)
-    for iteration in range(1, ctx.cfg.iterations + 1):
-        cmd_init(ctx, iteration)
-        cmd_mat(ctx, iteration, 0)
-        for r in range(1, ctx.cfg.mr_rounds + 1):
-            cmd_mr(ctx, iteration, r)
-            cmd_mat(ctx, iteration, r)
-        cmd_mdnn(ctx, iteration)
-        cmd_extract(ctx, iteration)
-
-
-# ---------------------------------------------------------------------------
-# retrieval / evaluation / visualization stages
-# ---------------------------------------------------------------------------
-
-def _final_tok_dir(ctx: RunContext) -> str:
-    return tok_dir(ctx.cfg.iterations, ctx.cfg.mr_rounds)
+    """The stages of plan(cfg), in order; the extracted features feed the next
+    iteration's MAT and the network input.  The corpus source re-runs when
+    its line is missing, what it read changed, or features/corpus.jsonl is no
+    longer the index it wrote (the other source wrote features/ since), so a
+    feature file edited on purpose is kept."""
+    source, *stages = plan(ctx.cfg)
+    if not ctx.manifest.is_complete(source.key, ctx.out, outputs=("features/corpus.jsonl",)):
+        source.run(ctx)
+    for each in stages:
+        each.run(ctx)
 
 
 def cmd_std(ctx: RunContext):
@@ -346,7 +353,7 @@ def cmd_std(ctx: RunContext):
         queries = ctx.cfg.retrieval.queries
         if not queries:
             raise PipelineError("no queries configured in [retrieval]")
-        base = _final_tok_dir(ctx)
+        base = tok_dir(ctx.cfg.iterations, ctx.cfg.mr_rounds)
         corpus = _read_corpus(ctx, writer, features_dir(ctx.cfg.iterations))
         for q in queries:
             if q not in corpus.ids():
@@ -357,14 +364,9 @@ def cmd_std(ctx: RunContext):
         level_labels = _read_levels(ctx, writer, base, corpus.frame_counts())
         models = {g: read_matm(path) for g, path in
                   _level_paths(ctx, writer, base, "model_m{m}_n{n}.matm").items()}
-
-        doc_labels = {
-            g: {u: level_labels[g][u] for u in doc_ids} for g in level_labels
-        }
+        doc_labels = {g: {u: level_labels[g][u] for u in doc_ids} for g in level_labels}
         index = retrieval.RetrievalIndex.build(
-            models, doc_labels,
-            Corpus([corpus[u] for u in doc_ids], dict(corpus.speakers)),
-        )
+            models, doc_labels, Corpus([corpus[u] for u in doc_ids], dict(corpus.speakers)))
         mode = ctx.cfg.retrieval.mode
         weights = list(ctx.cfg.retrieval.weights) or None
         lists = []
@@ -376,15 +378,14 @@ def cmd_std(ctx: RunContext):
             ))
         writer.add_text("std/rankings.tsv", retrieval.rankings_tsv(lists))
 
-    _run_stage(ctx, "std", ("iterations", "mr_rounds", "grid", "retrieval"), work)
+    _run_stage(ctx, stage("std"), work)
 
 
 def cmd_eval(ctx: RunContext):
     """Boundary PRF and purity/NMI per level against the synthetic ground
     truth, plus MAP over the written rankings when a relevance table exists."""
     def work(ctx: RunContext, writer: StageWriter):
-        truth = _read_truth(ctx, writer)
-        level_labels = _read_levels(ctx, writer, _final_tok_dir(ctx), truth.frame_counts())
+        truth, level_labels = _read_truth(ctx, writer)
         ref_bounds = {utt: truth.boundaries(utt) for utt in truth.spans}
         truth_labels = truth.label_set()
         lines = ["m,n,boundary_p,boundary_r,boundary_f,purity,nmi"]
@@ -403,15 +404,14 @@ def cmd_eval(ctx: RunContext):
             value = retrieval.mean_average_precision(lists, relevance)
             writer.add_text("eval/map.csv", f"map\n{value!r}\n")
 
-    _run_stage(ctx, "eval", ("iterations", "mr_rounds", "grid", "retrieval"), work)
+    _run_stage(ctx, stage("eval"), work)
 
 
 def cmd_viz(ctx: RunContext):
     """Per-level co-occurrence maps against the true tokens, speaker-token
     intensity maps, and the granularity grid of boundary F-scores."""
     def work(ctx: RunContext, writer: StageWriter):
-        truth = _read_truth(ctx, writer)
-        level_labels = _read_levels(ctx, writer, _final_tok_dir(ctx), truth.frame_counts())
+        truth, level_labels = _read_truth(ctx, writer)
         corpus = _read_corpus(ctx, writer, "features")
         ref_bounds = {utt: truth.boundaries(utt) for utt in truth.spans}
         grid_values = {}
@@ -430,5 +430,5 @@ def cmd_viz(ctx: RunContext):
             grid_values[(g.m, g.n)] = f
         writer.add_text("viz/grid_boundary_f.csv", evalviz.grid_csv(grid_values))
 
-    _run_stage(ctx, "viz", ("iterations", "mr_rounds", "grid"), work)
+    _run_stage(ctx, stage("viz"), work)
 

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import FeatureSequence, cosine_similarity, row_norms, unit_row_similarity, unit_rows
+from .labels import open_text
 from .tokenizer import (KERNEL_BLOCK_BYTES, GaussState, Granularity, LevelModel, _batches,
                         logsumexp, stack_states)
 
@@ -406,8 +407,7 @@ def read_rankings_tsv(path) -> list[RankedList]:
     A missing header or final newline, a row other than four fields, a rank
     or a document repeated within a query, or a query whose N ranks are not
     1..N raises a ValueError naming the file and the line."""
-    with open(path) as f:
-        lines = f.read().split("\n")
+    lines = open_text(path).read().split("\n")
     if lines[-1]:
         raise ValueError(f"{path}: no newline at the end of the file")
     if lines[0] != _RANKINGS_HEADER:
@@ -444,19 +444,18 @@ def read_relevance_csv(path) -> dict[str, dict[str, int]]:
     naming the file and the line (and, for a repeat, the first line)."""
     table: dict[str, dict[str, int]] = {}
     first_line: dict[tuple[str, str], int] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        for row in reader:
-            header = reader.line_num == 1 and len(row) == 3 and row[2] not in ("0", "1")
-            if not row or header:
-                continue
-            if len(row) != 3 or row[2] not in ("0", "1"):
-                raise ValueError(f"{path}: line {reader.line_num}: expected "
-                                 f"query_id,doc_id,0/1, got {','.join(row)!r}")
-            q, doc, bit = row
-            if (q, doc) in first_line:
-                raise ValueError(f"{path}: line {reader.line_num}: query {q} repeats document "
-                                 f"{doc} of line {first_line[q, doc]}")
-            first_line[q, doc] = reader.line_num
-            table.setdefault(q, {})[doc] = int(bit)
+    reader = csv.reader(open_text(path, newline=""))
+    for row in reader:
+        header = reader.line_num == 1 and len(row) == 3 and row[2] not in ("0", "1")
+        if not row or header:
+            continue
+        if len(row) != 3 or row[2] not in ("0", "1"):
+            raise ValueError(f"{path}: line {reader.line_num}: expected "
+                             f"query_id,doc_id,0/1, got {','.join(row)!r}")
+        q, doc, bit = row
+        if (q, doc) in first_line:
+            raise ValueError(f"{path}: line {reader.line_num}: query {q} repeats document "
+                             f"{doc} of line {first_line[q, doc]}")
+        first_line[q, doc] = reader.line_num
+        table.setdefault(q, {})[doc] = int(bit)
     return table

@@ -286,6 +286,17 @@ class TestReadmeDemo:
         cfg = load_config(text=self.readme_demo_ini())
         assert cfg.seed == 11 and cfg.iterations == 2
 
+    def test_settings_table_equals_the_stage_kinds(self):
+        text = (self.ROOT / "README.md").read_text()
+        table = text[text.index("| Stage | Settings it reads |"):].split("\n\n")[0]
+        declared = {}
+        for row in table.splitlines()[2:]:
+            kinds, settings = row.strip("|").split("|")
+            for kind in re.findall(r"`(\w+)`", kinds):
+                declared[kind] = tuple(re.findall(r"`\[?(\w+)\]?`", settings))
+        assert declared == {kind: settings
+                            for kind, (_, settings) in pipeline.STAGE_KINDS.items()}
+
 
 class TestManifest:
     def test_atomic_write_and_hash(self, tmp_path):
@@ -483,8 +494,9 @@ class TestStages:
         out = tmp_path / "run"
         real = pipeline._run_stage
 
-        def without_seed(ctx, key, settings, work):
-            return real(ctx, key, tuple(s for s in settings if s != "seed"), work)
+        def without_seed(ctx, stage, work):
+            settings = tuple(s for s in stage.settings if s != "seed")
+            return real(ctx, stage._replace(settings=settings), work)
 
         monkeypatch.setattr(pipeline, "_run_stage", without_seed)
         with pytest.raises(AttributeError, match="'seed'"):
@@ -504,11 +516,11 @@ class TestStages:
                 self._names.add(name)
                 return getattr(self._cfg, name)
 
-        def watch(ctx, key, settings, work):
+        def watch(ctx, stage, work):
             def watched(stage_ctx, writer):
-                stage_ctx.cfg = Watched(stage_ctx.cfg, read.setdefault(key, set()))
+                stage_ctx.cfg = Watched(stage_ctx.cfg, read.setdefault(stage.key, set()))
                 return work(stage_ctx, writer)
-            return real(ctx, key, settings, watched)
+            return real(ctx, stage, watched)
 
         monkeypatch.setattr(pipeline, "_run_stage", watch)
         for command in ("iterate", "std", "eval", "viz"):
@@ -552,6 +564,29 @@ class TestStages:
         assert _new_stages(out, len(stages)) == stages
         assert main(argv) == 0
         assert _new_stages(out, 2 * len(stages)) == []
+
+    def test_added_or_removed_wav_reruns_features_and_downstream(self, tmp_path):
+        wavs = tmp_path / "wavs"
+        wavs.mkdir()
+        for i in range(6):
+            write_tones(wavs / f"utt{i:03d}.wav", i)
+        cfg_path = write_config(tmp_path, TINY_CONFIG.replace(
+            "mr_rounds = 1", f"mr_rounds = 1\naudio_dir = {wavs}"))
+        out = tmp_path / "run"
+        argv = ["iterate", "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv) == 0
+        stages = _new_stages(out, 0)
+        for edit, count in [(lambda: write_tones(wavs / "utt006.wav", 6), 7),
+                            (lambda: (wavs / "utt006.wav").unlink(), 6)]:
+            before = len(Manifest(out).entries())
+            edit()
+            assert main(argv) == 0
+            assert _new_stages(out, before) == stages
+            assert len(list((out / "features").glob("*.matf"))) == count
+        (wavs / "notes.txt").write_text("not audio\n")
+        before = len(Manifest(out).entries())
+        assert main(argv) == 0
+        assert _new_stages(out, before) == []
 
     def test_switching_the_corpus_source_replaces_the_corpus(self, tmp_path):
         # 8 synthetic utterances, then 6 WAVs, then the 8 synthetic again:
@@ -634,7 +669,9 @@ class TestStages:
     @pytest.mark.parametrize("text, message", [
         ("seed = 3\n[run]\n", "File contains no section headers."),
         ("[run]\nseed = 3\nseed = 4\n", "option 'seed' in section 'run' already exists"),
-    ], ids=["no-section-header", "duplicate-option"])
+        ("[foo]\nx = 1\n", "unknown config section [foo]"),
+        ("[run]\nsede = 3\n", "unknown option 'sede' in section [run]"),
+    ], ids=["no-section-header", "duplicate-option", "unknown-section", "unknown-option"])
     def test_unparsable_config_names_the_file(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.ini"
         bad.write_text(text)
@@ -786,6 +823,16 @@ class TestIterate:
             "iter2/mdnn", "iter2/extract",
         ]
 
+    def test_plan_lists_the_stages_iterate_runs(self, full_run):
+        cfg_path, out = full_run
+        manifest = Manifest(out)
+        recorded = dict.fromkeys(e["stage"] for e in manifest.entries())
+        stages = pipeline.plan(load_config(cfg_path))
+        assert [s.key for s in stages] == [k for k in recorded if k not in ("std", "eval", "viz")]
+        for s in stages:
+            read = {k for k in manifest.find(s.key)["inputs"] if k.startswith("config/")}
+            assert read == {f"config/{name}.ini" for name in s.settings}
+
     def test_artifact_naming(self, full_run):
         _, out = full_run
         assert (out / "iter1/BNF-1st_MR-1.matn").exists()
@@ -863,8 +910,8 @@ class TestIterate:
         labels = _per_level(FINAL_TOK)
         models = _per_level(FINAL_TOK, "model", "matm")
         assert recorded["std"] == _settings("std") | BNF1 | labels | models
-        assert recorded["eval"] == (_settings("eval") | {str(rel), "std/rankings.tsv", "truth.jsonl"}
-                                    | labels)
+        assert recorded["eval"] == (_settings("eval") | {str(rel), "std/rankings.tsv", "truth.jsonl",
+                                                         "features/corpus.jsonl"} | labels)
         assert recorded["viz"] == _settings("viz") | FEATURES | {"truth.jsonl"} | labels
 
     def test_edited_feature_file_reruns_its_readers(self, full_run, tmp_path):
@@ -945,6 +992,39 @@ class TestIterate:
         iterate = [stage for stage in recorded if stage not in ("synth", "std", "eval", "viz")]
         assert worker._expected_stages(load_config(cfg_path)) == iterate + ["std", "eval"]
 
+
+    @pytest.mark.parametrize("name, command, edit", [
+        (f"run/{FINAL_TOK}/labels_m3_n4.jsonl", "std", "byte"),
+        ("run/features/corpus.jsonl", "init", "byte"),
+        ("run/truth.jsonl", "eval", "byte"),
+        ("run/manifest.jsonl", "std", "byte"),
+        ("run/std/rankings.tsv", "eval", "byte"),
+        ("rel.csv", "eval", "byte"),
+        ("rel.ini", "eval", "byte"),
+        ("run/truth.jsonl", "eval", "first-line"),
+    ], ids=["labels", "corpus", "truth", "manifest", "rankings", "relevance", "config",
+            "truth-first-line"])
+    def test_bad_text_file_is_named(self, full_run, tmp_path, capsys, name, command, edit):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        assert main(["std", "--config", str(cfg_path), "--out", str(run)]) == 0
+        rel = tmp_path / "rel.csv"
+        rel.write_text("".join(f"utt000,utt{i:03d},{i % 2}\n" for i in range(1, 8)))
+        cfg = tmp_path / "rel.ini"
+        cfg.write_text(cfg_path.read_text().replace(
+            "queries = utt000", f"queries = utt000\nrelevance = {rel}"))
+        path = tmp_path / name
+        data = bytearray(path.read_bytes())
+        if edit == "byte":
+            data[len(data) // 2] = 0xFF
+        else:
+            data = data[:data.index(b"\n") + 1]
+        path.write_bytes(bytes(data))
+        assert main([command, "--config", str(cfg), "--out", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"acoustok {command}: {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("weights", ["0 0", "1 -1"])
     def test_bad_fusion_weights_fail_cleanly(self, full_run, tmp_path, capsys, weights):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acoustok.labels import pick_boundaries
+from acoustok.labels import open_text, pick_boundaries, read_jsonl
 
 
 def reference_pick(score, eligible, min_gap, anchors=()):
@@ -60,3 +60,19 @@ class TestPickBoundaries:
             anchors = (0, length + 1) if rng.uniform() < 0.5 else ()
             assert pick_boundaries(score, eligible, min_gap, anchors) == \
                 reference_pick(score, eligible, min_gap, anchors)
+
+
+class TestOpenText:
+    def test_bad_byte_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(b'{"utt": "a"}\n{"utt": "\xff"}\n')
+        with pytest.raises(ValueError) as err:
+            read_jsonl(path, ("utt",))
+        assert str(err.value) == f"{path}: line 2: byte 0xff is not UTF-8 (invalid start byte)"
+
+    @pytest.mark.parametrize("newline", [None, ""])
+    def test_reads_as_open_reads(self, tmp_path, newline):
+        path = tmp_path / "a.txt"
+        path.write_bytes("a\r\nb\rcé\n".encode())
+        with open(path, newline=newline, encoding="utf-8") as f:
+            assert list(open_text(path, newline)) == list(f)
