@@ -6,6 +6,8 @@ from 25 ms windows every 10 ms.  Synthetic corpora are generated directly in
 feature space from known token state distributions so that every downstream
 stage can be checked against exact ground truth.
 
+A Corpus keeps its frames in one matrix, and each utterance views its rows.
+
 ArtifactReader frames every binary artifact (MATF, MATM, MATL, MATN): magic,
 optional version word, fields in file order, no trailing bytes.
 """
@@ -70,10 +72,22 @@ class FeatureSequence:
 
 @dataclass
 class Corpus:
+    """Utterances stacked once into one (T, d) frame matrix, `frames`, in the
+    order given; utterance u is rows offsets[u] to offsets[u + 1], and
+    `utterances`, `corpus[utt]` and iteration give views of those rows."""
+
     utterances: list[FeatureSequence]
     speakers: dict[str, str] = field(default_factory=dict)  # utterance id -> speaker id
 
     def __post_init__(self):
+        for u in self.utterances:
+            if u.dim != self.utterances[0].dim:
+                raise ValueError(f"utterance {u.utterance_id} has {u.dim}-dimensional features, "
+                                 f"{self.utterances[0].utterance_id} has {self.utterances[0].dim}")
+        self.frames = np.concatenate([u.frames for u in self.utterances] or [np.empty((0, 0))])
+        self.offsets = np.cumsum([0] + [u.n_frames for u in self.utterances])
+        self.utterances = [replace(u, frames=self.frames[a:b])
+                           for u, a, b in zip(self.utterances, self.offsets, self.offsets[1:])]
         self._by_id = {u.utterance_id: u for u in self.utterances}
         if len(self._by_id) != len(self.utterances):
             raise ValueError("duplicate utterance ids in corpus")

@@ -8,38 +8,39 @@ alternation so the likelihood cannot drop), then re-decode the corpus with the
 fitted models to obtain new labels.  Levels are trained independently; levels
 sharing the same n start from the same initial label set.
 
-A level trains and decodes as one batch of rows, not a loop over tokens.
-Every state density comes from one kernel, `_log_joints`, over a level's
-states stacked into arrays.  `train_level_hmms` stacks the level once per call
-(`_StackedLevel`: component counts, weights, means, variances, transitions),
-and EM, mixture splits included, updates those arrays; the `TokenHmm`s are
-built once, on return.  Decoding stacks a model once per pass over the
-corpus.  Training scores each frame of every token still in EM against its
-own token's states, for emissions and component posteriors, in one pass per
-EM iteration; decoding scores a batch of utterances against all n * m states
-in one pass, and that table also serves the likelihood trace.
+A level trains and decodes as one batch of rows, not a loop over tokens.  Its
+rows are rows of the corpus matrix, `Corpus.frames`: a labeled span is a row
+range gathered by index, and a decoding batch of consecutive utterances is a
+slice.  Every state density comes from one kernel, `_log_joints`, over a
+level's states stacked into arrays.  `train_level_hmms` stacks the level once
+per call (`_StackedLevel`: component counts, weights, means, variances,
+transitions), and EM, mixture splits and reseeding included, updates those
+arrays; the `TokenHmm`s are built once, on return.  Decoding stacks a model
+once per pass over the corpus.  Training scores each frame of every token
+still in EM against its own token's states in one pass per EM iteration;
+decoding scores a batch of utterances against all n * m states in one pass,
+and that table also serves the likelihood trace.
 
 The E-step runs once per EM iteration over the spans of every token still
 training: every span's alignment, from forward-backward or, for a span no
 path traverses, the uniform alignment the flat start also uses, fills one
-(N, m) occupancy table over the stacked frames.  One M-step then reestimates
-every token still training; the flat start is the same M-step over the
-uniform alignment.  Each state's occupancy and moments stay reductions of its
-own, and each token's log-likelihood, transition counts, em_tol check and
-mixture splits stay its own, so a token follows the course EM would take on
-it alone.
+(N, m) occupancy table over the gathered frames.  One M-step then
+reestimates every token still training from those frames; the flat start is
+the same M-step over the uniform alignment.  Each state's occupancy and
+moments stay reductions of its own, and each token's log-likelihood,
+transition counts, em_tol check and mixture splits stay its own, so a token
+follows the course EM would take on it alone.
 
-Each recursion runs once per batch of rows, not once per span or utterance.
-The E-step's forward-backward runs over the spans padded into one time-major
-(L, B, m) emission array, -inf past each span's end.  Decoding runs one
-token-loop Viterbi over a batch of consecutive utterances' padded (T, U, n, m)
-tables, and the likelihood trace scores every segment of the batch in one
-forward pass.  In the E-step and the trace, each row has its own token's
-transitions.  A batch's tables and its padded copy stay under BATCH_BYTES,
-a decoding batch's counted c times over for the kernel's joints.  The
-batched recursions repeat the per-row element-wise operations, and sums over
-frames and over spans add their terms in order, so the results do not depend
-on how rows are batched.  `logsumexp` is the package's one log-sum-exp.
+Each recursion runs once per batch of rows, not once per span or utterance:
+the E-step's forward-backward over spans padded into one time-major (L, B, m)
+emission array, -inf past each span's end, and decoding's token-loop Viterbi
+over a batch's padded (T, U, n, m) tables, whose segments the likelihood
+trace scores in one forward pass.  In the E-step and the trace, each row has
+its own token's transitions.  A batch's tables and its padded copy stay under
+BATCH_BYTES, a decoding batch's counted c times over for the kernel's joints.
+The batched recursions repeat the per-row element-wise operations, and sums
+over frames and over spans add their terms in order, so the results do not
+depend on how rows are batched.  `logsumexp` is the package's one log-sum-exp.
 """
 
 from __future__ import annotations
@@ -120,13 +121,6 @@ class GaussState:
             self.weights[None], self.means[None], self.variances[None],
             np.array([self.n_components]))
         return GaussState(weights[0], means[0], variances[0])
-
-    def perturbed(self, scale: float) -> "GaussState":
-        return GaussState(
-            self.weights.copy(),
-            self.means + scale * np.sqrt(self.variances),
-            self.variances.copy(),
-        )
 
 
 @dataclass
@@ -325,12 +319,18 @@ def _batches(lengths: np.ndarray, cell_bytes: int, budget: int,
     return batches
 
 
+def _ranges(first, lengths: np.ndarray) -> np.ndarray:
+    """The indices of consecutive ranges, concatenated: range i holds
+    lengths[i] indices from first[i] on (from first, when a scalar)."""
+    return np.arange(lengths.sum()) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+
+
 def _pad(stacked: np.ndarray, lengths: np.ndarray, fill: float = -np.inf) -> tuple[np.ndarray, tuple]:
     """The (longest, B, ...) time-major copy, fill where padded, of B rows
     stacked along axis 0, row b holding lengths[b] entries; and the (time, row)
     index of every stacked entry, which gathers the copy back."""
     rows = np.repeat(np.arange(len(lengths)), lengths)
-    time = np.arange(len(stacked)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    time = _ranges(0, lengths)
     padded = np.full((lengths.max(), len(lengths)) + stacked.shape[1:], fill)
     padded[time, rows] = stacked
     return padded, (time, rows)
@@ -426,25 +426,23 @@ def _e_step(emis: np.ndarray, edges: np.ndarray, log_self: np.ndarray,
     lost = np.flatnonzero(~np.isfinite(lls))
     if not len(lost):
         return lls, gamma, stays, moves
-    lost_edges = np.concatenate([[0], np.cumsum(lengths[lost])])
-    rows = np.arange(lost_edges[-1]) + np.repeat(edges[lost] - lost_edges[:-1], lengths[lost])
-    gamma[rows], stays[lost], moves[lost] = _uniform_alignment(lost_edges, m)
+    gamma[_ranges(edges[lost], lengths[lost])], stays[lost], moves[lost] = (
+        _uniform_alignment(lengths[lost], m))
     for i in lost:
         a, b = edges[i], edges[i + 1]
         lls[i] = emis[a:b][gamma[a:b] > 0].sum() + stays[i] @ log_self[i] + moves[i] @ log_adv[i]
     return lls, gamma, stays, moves
 
 
-def _uniform_alignment(edges: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hard alignment of stacked spans, span i being rows edges[i] to
-    edges[i + 1]: the one-hot (N, m) occupancy with each span's (spans, m)
-    self-loop and advance counts.  State s of a span of L frames takes its
-    frames L * s // m up to L * (s + 1) // m; when L < m, one frame per state
-    and the trailing states stay empty."""
-    lengths = np.diff(edges)
+def _uniform_alignment(lengths: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hard alignment of stacked spans, span i holding lengths[i] rows: the
+    one-hot (N, m) occupancy with each span's (spans, m) self-loop and advance
+    counts.  State s of a span of L frames takes its frames L * s // m up to
+    L * (s + 1) // m; when L < m, one frame per state and the trailing states
+    stay empty."""
     span = np.repeat(np.arange(len(lengths)), lengths)
     length = lengths[span]
-    frame = np.arange(edges[-1]) - edges[span]
+    frame = _ranges(0, lengths)
     # the last s with L * s // m <= frame
     state = np.where(length >= m, (m * (frame + 1) - 1) // length, frame)
     frames_in = np.bincount(span * m + state, minlength=len(lengths) * m).reshape(-1, m)
@@ -520,12 +518,11 @@ class _StackedLevel:
         return np.flatnonzero(short.any(axis=1))
 
 
-def _m_step(level: _StackedLevel, tokens: np.ndarray, resp: np.ndarray,
-            spans: list[tuple[np.ndarray, np.ndarray]], stay: np.ndarray, move: np.ndarray,
-            var_floor: np.ndarray):
-    """Reestimate tokens of level in place from the (N, m, c) component
-    responsibilities of their frames, token t's stacked frames being
-    spans[t][0], stacked in token order, and their (tokens, m) expected
+def _m_step(level: _StackedLevel, tokens: np.ndarray, frames: np.ndarray, n_frames: np.ndarray,
+            resp: np.ndarray, stay: np.ndarray, move: np.ndarray, var_floor: np.ndarray):
+    """Reestimate tokens of level in place from their (N, d) frames, stacked
+    in token order, token tokens[j] holding n_frames[j] of them, the frames'
+    (N, m, c) component responsibilities and the tokens' (tokens, m) expected
     self-loop and advance counts.  An unvisited state keeps its parameters,
     and so does an unvisited component of a visited state.
 
@@ -538,12 +535,10 @@ def _m_step(level: _StackedLevel, tokens: np.ndarray, resp: np.ndarray,
     occ = np.zeros((len(tokens), m, c))
     first = np.zeros((len(tokens), m, c, len(var_floor)))
     second = np.zeros_like(first)
-    at = 0
-    for j, token in enumerate(tokens.tolist()):
-        x = spans[token][0]
-        xx = x * x
-        token_resp = resp[at:at + len(x)]
-        at += len(x)
+    squares = frames * frames
+    ends = np.cumsum(n_frames).tolist()
+    for j, (token, at, end) in enumerate(zip(tokens.tolist(), [0] + ends, ends)):
+        x, xx, token_resp = frames[at:end], squares[at:end], resp[at:end]
         for s, k in enumerate(level.counts[token].tolist()):
             r = token_resp[:, s, :k]
             occ[j, s, :k] = r.sum(axis=0)
@@ -583,87 +578,83 @@ def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
     it and no density is evaluated.  States that no span reaches keep the
     template's global statistics.
     """
-    return _flat_start(_collect_spans(corpus, labels, g.n), _global_stats(corpus), g,
-                       cfg or TokenizerConfig())
+    spans = _collect_spans(corpus, labels, g.n)
+    level = _flat_start(corpus, spans, _global_stats(corpus), g, cfg or TokenizerConfig())
+    return LevelModel(g, level.hmms(), _estimate_prior(spans[0], g.n))
 
 
-def _flat_start(spans: list[tuple[np.ndarray, np.ndarray]],
+def _flat_start(corpus: Corpus, spans: tuple[np.ndarray, ...],
                 stats: tuple[np.ndarray, np.ndarray], g: Granularity,
-                cfg: TokenizerConfig) -> LevelModel:
-    """flat_start_model from already collected spans and global statistics:
-    one M-step of the whole level, every state starting from the template,
-    over the uniform alignment of every token's spans."""
+                cfg: TokenizerConfig) -> _StackedLevel:
+    """flat_start_model's level from already collected spans and global
+    statistics: one M-step of the whole level, every state starting from the
+    template, over the uniform alignment of every span."""
     template = GaussState.single(*stats)
     level = _StackedLevel(np.ones((g.n, g.m), dtype=np.int64),
                           *(np.broadcast_to(a, (g.n, g.m) + a.shape).copy()
                             for a in (template.weights, template.means, template.variances)),
                           np.full((g.n, g.m, 2), 0.5))
-    frame_at = np.cumsum([0] + [len(frames) for frames, _ in spans])
-    edges = np.concatenate([[0]] + [edges[1:] + at for (_, edges), at in zip(spans, frame_at)])
-    gamma, stays, moves = _uniform_alignment(edges, g.m)
-    n_spans = np.array([len(edges) - 1 for _, edges in spans])
-    _m_step(level, np.arange(g.n), gamma[:, :, None], spans, _token_sums(stays, n_spans),
-            _token_sums(moves, n_spans), cfg.var_floor_frac * stats[1])
-    return LevelModel(g, level.hmms(), _estimate_prior(spans))
+    tokens, first, lengths = spans
+    gamma, stays, moves = _uniform_alignment(lengths, g.m)
+    n_spans = np.bincount(tokens, minlength=g.n)
+    _m_step(level, np.arange(g.n), corpus.frames[_ranges(first, lengths)],
+            np.bincount(np.repeat(tokens, lengths), minlength=g.n), gamma[:, :, None],
+            _token_sums(stays, n_spans), _token_sums(moves, n_spans), cfg.var_floor_frac * stats[1])
+    return level
 
 
-def _collect_spans(corpus: Corpus, labels: LabelSet, n: int
-                   ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per token, its labeled frames stacked into one array and the edges that
-    cut the stack back into spans: span i is frames[edges[i]:edges[i + 1]]."""
-    # sorted utterance order fixes the reduction order, making training
-    # independent of how the corpus happens to be ordered
-    spans: list[list[np.ndarray]] = [[] for _ in range(n)]
-    for utt in sorted(corpus.ids()):
-        frames = corpus[utt].frames
-        for token, start, end in labels[utt].segments:
-            if token >= n:
-                raise ValueError(f"{utt}: token id {token} >= n={n}")
-            spans[token].append(frames[start:end])
-    dim = corpus.utterances[0].dim if corpus.utterances else 0
-    return [(np.concatenate(s) if s else np.empty((0, dim)), np.cumsum([0] + [len(f) for f in s]))
-            for s in spans]
+def _collect_spans(corpus: Corpus, labels: LabelSet, n: int) -> tuple[np.ndarray, ...]:
+    """The labels checked, every labeled span as rows of corpus.frames: its
+    token, first row and length, as (spans,) arrays stable-sorted by token."""
+    if not len(corpus):
+        raise ValueError("an empty corpus has no spans to train on")
+    validate_label_set(labels, corpus.frame_counts(), n)
+    # sorted utterance order, which the stable sort keeps per token, fixes the
+    # reduction order: training does not depend on how the corpus is ordered
+    at = dict(zip(corpus.ids(), corpus.offsets.tolist()))
+    spans = np.array([(token, at[utt] + start, end - start) for utt in sorted(at)
+                      for token, start, end in labels[utt].segments], dtype=np.int64).reshape(-1, 3)
+    return tuple(spans[np.argsort(spans[:, 0], kind="stable")].T)
 
 
 def _global_stats(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
-    frames = np.vstack([corpus[utt].frames for utt in sorted(corpus.ids())])
+    # gathered in sorted utterance order, as _collect_spans orders spans
+    order = sorted(range(len(corpus)), key=corpus.ids().__getitem__)
+    frames = corpus.frames[_ranges(corpus.offsets[order], np.diff(corpus.offsets)[order])]
     return frames.mean(axis=0), np.maximum(frames.var(axis=0), 1e-8)
 
 
-def _estimate_prior(spans: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Unigram prior from _collect_spans' per-token span counts."""
-    counts = np.array([len(edges) - 1 for _, edges in spans], dtype=float)
-    total = counts.sum()
-    return counts / total if total > 0 else np.full(len(spans), 1.0 / len(spans))
+def _estimate_prior(tokens: np.ndarray, n: int) -> np.ndarray:
+    """Unigram prior from the tokens of _collect_spans' spans."""
+    return np.bincount(tokens, minlength=n) / len(tokens)
 
 
 def _token_statistics(level: _StackedLevel, tokens: np.ndarray,
-                      spans: list[tuple[np.ndarray, np.ndarray]]):
-    """E-step statistics of several tokens at once, token t of level with the
-    stacked frames and span edges spans[t]: (lls, resp, stay, move), per token
-    of tokens its log-likelihood and (m,) expected self-loop and advance
-    counts, each added up over its spans in span order, and the (N, m, c)
-    component responsibilities of their frames, stacked in token order; c is
-    the most components a state of tokens holds.
+                      spans: tuple[np.ndarray, ...], frames: np.ndarray):
+    """E-step statistics of several tokens at once, tokens ascending, token t
+    of level with the spans of _collect_spans whose token is t, rows of the
+    corpus matrix frames: (lls, x, resp, stay, move), per token of tokens its
+    log-likelihood and (m,) expected self-loop and advance counts, each added
+    up over its spans in span order, and the (N, d) frames of those spans,
+    gathered in token order, with their (N, m, c) component
+    responsibilities; c is the most components a state of tokens holds.
 
     One kernel pass scores every frame against its own token's states, and one
     _e_step aligns every span, each with its token's transitions.
     """
     m = level.counts.shape[1]
-    n_frames = [len(spans[token][0]) for token in tokens]
-    n_spans = np.array([len(spans[token][1]) - 1 for token in tokens])
-    frame_at = np.cumsum([0] + n_frames)
-    frames = np.concatenate([spans[token][0] for token in tokens])
-    edges = np.concatenate([[0]] + [spans[token][1][1:] + at for token, at in zip(tokens, frame_at)])
-    states = np.repeat(tokens * m, n_frames)[:, None] + np.arange(m)
-    joint = _log_joints(level.density_stack(int(level.counts[tokens].max())), frames, states)
+    picked = np.bincount(tokens, minlength=len(level.counts))[spans[0]] > 0
+    owner, first, lengths = (a[picked] for a in spans)
+    x = frames[_ranges(first, lengths)]
+    states = np.repeat(owner * m, lengths)[:, None] + np.arange(m)
+    joint = _log_joints(level.density_stack(int(level.counts[tokens].max())), x, states)
     emis = logsumexp(joint, axis=2)
     log_self, log_adv = level.log_transitions()
-    owner = np.repeat(tokens, n_spans)
-    lls, gamma, stays, moves = _e_step(emis, edges, log_self[owner], log_adv[owner])
+    lls, gamma, stays, moves = _e_step(emis, np.concatenate([[0], np.cumsum(lengths)]),
+                                       log_self[owner], log_adv[owner])
     resp = gamma[:, :, None] * np.exp(joint - emis[:, :, None])
-    sums = _token_sums(np.column_stack([lls, stays, moves]), n_spans)
-    return sums[:, 0], resp, sums[:, 1:m + 1], sums[:, m + 1:]
+    sums = _token_sums(np.column_stack([lls, stays, moves]), np.bincount(owner)[tokens])
+    return sums[:, 0], x, resp, sums[:, 1:m + 1], sums[:, m + 1:]
 
 
 def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
@@ -683,15 +674,12 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
     populous token's model.
     """
     cfg = cfg or TokenizerConfig()
-    validate_label_set(labels, corpus.frame_counts(), g.n)
     spans = _collect_spans(corpus, labels, g.n)
     stats = _global_stats(corpus)
     var_floor = cfg.var_floor_frac * stats[1]
-    if init_model is None:
-        init_model = _flat_start(spans, stats, g, cfg)
-
-    level = _StackedLevel.of(init_model.hmms)
-    frames_per_token = np.array([len(frames) for frames, _ in spans])
+    level = (_flat_start(corpus, spans, stats, g, cfg) if init_model is None
+             else _StackedLevel.of(init_model.hmms))
+    frames_per_token = np.bincount(np.repeat(spans[0], spans[2]), minlength=g.n)
     split_at = set(cfg.mixture_schedule)
     prev_ll = np.full(g.n, np.nan)  # NaN: no likelihood to compare with yet
     training = np.flatnonzero(frames_per_token)  # the rest are reseeded
@@ -701,21 +689,21 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
         # a warm start already holds the components of earlier splits; a
         # split restarts its token's convergence check
         prev_ll[level.split(training, 2 ** sum(k <= it for k in split_at))] = np.nan
-        lls, resp, stay, move = _token_statistics(level, training, spans)
-        _m_step(level, training, resp, spans, stay, move, var_floor)
+        lls, frames, resp, stay, move = _token_statistics(level, training, spans, corpus.frames)
+        _m_step(level, training, frames, frames_per_token[training], resp, stay, move, var_floor)
         prev = prev_ll[training]
         converged = np.abs(lls - prev) / np.maximum(1.0, np.abs(prev)) < cfg.em_tol
         prev_ll[training] = lls
         training = training[~converged]
 
-    hmms = level.hmms()
-    if np.any(frames_per_token == 0) and np.any(frames_per_token > 0):
+    dead = frames_per_token == 0
+    if dead.any() and not dead.all():
         populous = int(np.argmax(frames_per_token))  # argmax ties -> lowest id
-        for token in np.flatnonzero(frames_per_token == 0):
-            donor = hmms[populous]
-            hmms[token] = TokenHmm(int(token), [s.perturbed(cfg.reseed_scale)
-                                                for s in donor.states], donor.transitions.copy())
-    return LevelModel(g, hmms, _estimate_prior(spans))
+        for a in (level.counts, level.weights, level.means, level.variances, level.transitions):
+            a[dead] = a[populous]
+        # padding components take perturbed means too, which nothing reads
+        level.means[dead] += cfg.reseed_scale * np.sqrt(level.variances[dead])
+    return LevelModel(g, level.hmms(), _estimate_prior(spans[0], g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -732,15 +720,15 @@ def _emission_table(stack: tuple[np.ndarray, ...], frames: np.ndarray,
 
 def _table_groups(model: LevelModel, corpus: Corpus):
     """Consecutive utterances of corpus.ids() in batches: each batch's ids, the
-    (frames, n, m) emission table of its utterances' stacked frames, from one
-    kernel pass, and their frame counts.  The model's states are stacked
+    (frames, n, m) emission table of its rows of corpus.frames, a slice, from
+    one kernel pass, and their frame counts.  The model's states are stacked
     once."""
-    g, ids = model.granularity, corpus.ids()
+    g, ids, at = model.granularity, corpus.ids(), corpus.offsets
     stack = _density_stack([s for hmm in model.hmms for s in hmm.states])
-    lengths = np.array([corpus[utt].n_frames for utt in ids], dtype=np.int64)
+    lengths = np.diff(at)
     # a frame's kernel joints take c times the bytes of its table row
     for batch in _batches(lengths, 8 * g.n * g.m * stack[0].shape[1], BATCH_BYTES):
-        frames = np.concatenate([corpus[utt].frames for utt in ids[batch]])
+        frames = corpus.frames[at[batch.start]:at[batch.stop]]
         yield ids[batch], _emission_table(stack, frames, g), lengths[batch]
 
 
@@ -836,13 +824,11 @@ def _segment_scores(model: LevelModel, table: np.ndarray, starts: np.ndarray,
     tokens, first, lengths = np.array(
         [(token, at + start, end - start) for at, segments in zip(starts.tolist(), segment_lists)
          for token, start, end in segments], dtype=np.int64).reshape(-1, 3).T
-    offsets = np.cumsum(lengths) - lengths
-    rows = np.arange(lengths.sum()) + np.repeat(first - offsets, lengths)
-    columns = table[rows, np.repeat(tokens, lengths)]
+    edges = np.concatenate([[0], np.cumsum(lengths)])
+    columns = table[_ranges(first, lengths), np.repeat(tokens, lengths)]
     lls = np.empty(len(lengths))
     for batch in _batches(lengths, 8 * model.granularity.m, BATCH_BYTES):
-        stop = offsets[batch.stop - 1] + lengths[batch.stop - 1]
-        padded, _ = _pad(columns[offsets[batch.start]:stop], lengths[batch])
+        padded, _ = _pad(columns[edges[batch.start]:edges[batch.stop]], lengths[batch])
         own = tokens[batch]
         alpha = _alpha(padded, log_self[own], log_adv[own])
         lls[batch] = alpha[lengths[batch] - 1, np.arange(len(own)), -1] + log_adv[own, -1]

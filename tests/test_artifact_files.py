@@ -2,6 +2,7 @@
 truncated JSONL or rankings file, and a malformed text row must each fail with
 a ValueError that names the file."""
 
+import json
 import struct
 
 import numpy as np
@@ -249,8 +250,15 @@ def test_corpus_index_listing_an_utterance_twice_names_the_file_and_line(tmp_pat
 
 
 def test_corpus_of_mixed_feature_dimensions_names_the_file_and_line(tmp_path):
-    save_corpus(tmp_path, Corpus([FeatureSequence(np.ones((10, 3)), utterance_id="a"),
-                                  FeatureSequence(np.ones((4, 2)), utterance_id="b")]))
+    # a Corpus of mixed dimensions cannot be built, so the files are written
+    # one by one
+    index = []
+    for seq in (FeatureSequence(np.ones((10, 3)), utterance_id="a"),
+                FeatureSequence(np.ones((4, 2)), utterance_id="b")):
+        (tmp_path / f"{seq.utterance_id}.matf").write_bytes(matf_bytes(seq))
+        index.append(json.dumps({"utt": seq.utterance_id, "frames": seq.n_frames,
+                                 "dim": seq.dim}) + "\n")
+    (tmp_path / "corpus.jsonl").write_text("".join(index))
     match = "line 2: b has 2-dimensional features, line 1 has 3$"
     with pytest.raises(ValueError, match=match) as excinfo:
         load_corpus(tmp_path)

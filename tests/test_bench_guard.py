@@ -1,0 +1,41 @@
+"""The benchmark's hold on the package: bench/ builds the std-scale inputs
+with package functions and, in its traced mode, wraps package functions and
+methods by name.  A refactor that breaks either fails here, in a fresh
+process, since the traced mode patches the package in place."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PROBE = """
+import json, sys
+from pathlib import Path
+sys.path[:0] = [{bench!r}, {src!r}]
+import tracing, workloads
+from acoustok.tokenizer import read_matm
+
+run_dir = Path({tmp!r}) / "run"
+sizes = workloads.setup("std-scale", 1, run_dir)
+models = {{}}
+for path in sorted(run_dir.glob("*.matm")):
+    model = read_matm(path)
+    g = model.granularity
+    models[path.name] = [g.m, g.n, sorted({{s.n_components for h in model.hmms
+                                            for s in h.states}})]
+tracing.install(tracing.Tracer())
+print(json.dumps({{"sizes": sizes, "models": models}}))
+"""
+
+
+def test_std_scale_setup_and_tracing_run_on_the_package(tmp_path):
+    probe = PROBE.format(bench=str(ROOT / "bench"), src=str(ROOT / "src"), tmp=str(tmp_path))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout.splitlines()[-1])
+    assert out["models"] == {f"model_m{m}_n{n}.matm": [m, n, [2]]
+                             for m in (3, 5) for n in (30, 50)}
+    assert out["sizes"]["documents"] == 60 and out["sizes"]["queries"] == 20

@@ -229,6 +229,27 @@ class TestCorpusLookup:
         with pytest.raises(ValueError, match="duplicate utterance ids"):
             Corpus(seqs)
 
+    def test_mixed_feature_dimensions_rejected_naming_the_utterance(self):
+        seqs = [FeatureSequence(np.zeros((4, d)), utterance_id=u)
+                for u, d in (("a", 3), ("b", 3), ("c", 2))]
+        with pytest.raises(ValueError,
+                           match="^utterance c has 2-dimensional features, a has 3$"):
+            Corpus(seqs)
+
+    def test_utterances_are_views_of_the_frame_matrix_in_id_order(self):
+        rng = np.random.default_rng(9)
+        seqs = [FeatureSequence(rng.normal(size=(T, 3)), utterance_id=u)
+                for u, T in (("b", 4), ("a", 1), ("c", 6))]
+        corpus = Corpus(seqs)
+        assert corpus.frames.shape == (11, 3)
+        assert corpus.offsets.tolist() == [0, 4, 5, 11]
+        for i, utt in enumerate(corpus.ids()):
+            view = corpus[utt].frames
+            assert np.shares_memory(view, corpus.frames)
+            rows = corpus.frames[corpus.offsets[i]:corpus.offsets[i + 1]]
+            assert view.__array_interface__["data"] == rows.__array_interface__["data"]
+            assert np.array_equal(view, seqs[i].frames)
+
 
 class TestFeatureFiles:
     def test_roundtrip_bit_exact(self, tmp_path):

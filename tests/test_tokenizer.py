@@ -211,10 +211,11 @@ class TestMixtureKernel:
         for s, state in enumerate(hmm.states):
             assert np.array_equal(state.log_density(frames), ref_emis[:, s])
         # responsibilities: the E-step's occupancy times the component posteriors
-        edges = np.array([0, len(frames)])
-        _, resp, _, _ = tok._token_statistics(tok._StackedLevel.of([hmm]), np.array([0]),
-                                              [(frames, edges)])
-        _, gamma, _, _ = reference_e_step(hmm, ref_emis, edges)
+        # one span of token 0: all the rows of frames
+        spans = (np.array([0]), np.array([0]), np.array([len(frames)]))
+        _, _, resp, _, _ = tok._token_statistics(tok._StackedLevel.of([hmm]), np.array([0]),
+                                                 spans, frames)
+        _, gamma, _, _ = reference_e_step(hmm, ref_emis, np.array([0, len(frames)]))
         for s, c in enumerate(components):
             assert np.array_equal(resp[:, s, :c],
                                   gamma[:, s, None] * np.exp(ref_joint[s] - ref_emis[:, s, None]))
@@ -347,6 +348,11 @@ class TestTraining:
         model = train_level_hmms(corpus, labels, Granularity(3, 2))
         assert len(model.hmms) == 2
 
+    def test_empty_corpus_rejected(self):
+        for train in (train_level_hmms, flat_start_model):
+            with pytest.raises(ValueError, match="empty corpus"):
+                train(Corpus([]), {}, Granularity(2, 3))
+
     def test_dead_token_reseeded(self):
         rng = np.random.default_rng(7)
         corpus = Corpus([FeatureSequence(rng.normal(size=(20, 3)), utterance_id="u")])
@@ -418,6 +424,7 @@ class TestTraining:
             for s1, s2 in zip(h1.states, h2.states):
                 assert np.array_equal(s1.means, s2.means)
                 assert np.array_equal(s1.variances, s2.variances)
+        assert matm_bytes(m1) == matm_bytes(m2)
 
     def test_transition_rows_normalized(self, small_corpus):
         spec, corpus, truth = small_corpus
@@ -712,8 +719,12 @@ def reference_train_level(corpus, labels, g, cfg, init):
     donor = hmms[int(np.argmax(frame_counts))]
     for token, count in enumerate(frame_counts):
         if count == 0:
-            hmms[token] = TokenHmm(token, [state.perturbed(cfg.reseed_scale)
-                                           for state in donor.states], donor.transitions.copy())
+            # each mean moved by reseed_scale standard deviations
+            hmms[token] = TokenHmm(token, [
+                GaussState(state.weights.copy(),
+                           state.means + cfg.reseed_scale * np.sqrt(state.variances),
+                           state.variances.copy()) for state in donor.states],
+                donor.transitions.copy())
     prior = np.array(span_counts, dtype=float) / sum(span_counts)
     return LevelModel(g, hmms, prior), iterations
 
@@ -865,6 +876,28 @@ class TestBatchedKernels:
         # an utterance shorter than m is one segment of the likeliest token
         for utt, T in (("u1", 2), ("u3", 1)):
             assert labels[utt].segments == [(int(np.argmax(model.prior)), 0, T)]
+
+    # budget None: the corpus in one batch; 1: every utterance a batch of its own
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_every_scored_block_is_a_slice_of_the_corpus_matrix(self, small_corpus,
+                                                                monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(tok, "BATCH_BYTES", budget)
+        spec, corpus, truth = small_corpus
+        model = flat_start_model(corpus, truth.label_set(), Granularity(3, spec.n_tokens))
+        blocks = []
+        real = tok._emission_table
+
+        def spy(stack, frames, g):
+            blocks.append(frames)
+            return real(stack, frames, g)
+
+        monkeypatch.setattr(tok, "_emission_table", spy)
+        groups = list(tok._table_groups(model, corpus))
+        assert len(groups) == (1 if budget is None else len(corpus))
+        assert [len(b) for b in blocks] == [lengths.sum() for _, _, lengths in groups]
+        assert all(np.shares_memory(b, corpus.frames) for b in blocks)
+        assert [u for utts, _, _ in groups for u in utts] == corpus.ids()
 
     def test_split_groups_give_the_same_labels_and_trace(self, small_corpus, monkeypatch):
         spec, corpus, _ = small_corpus
