@@ -14,6 +14,7 @@ optional version word, fields in file order, no trailing bytes.
 
 from __future__ import annotations
 
+import copy
 import json
 import struct
 import wave
@@ -86,8 +87,10 @@ class Corpus:
                                  f"{self.utterances[0].utterance_id} has {self.utterances[0].dim}")
         self.frames = np.concatenate([u.frames for u in self.utterances] or [np.empty((0, 0))])
         self.offsets = np.cumsum([0] + [u.n_frames for u in self.utterances])
-        self.utterances = [replace(u, frames=self.frames[a:b])
-                           for u, a, b in zip(self.utterances, self.offsets, self.offsets[1:])]
+        # copies, not replace, which would check every frame again
+        self.utterances = [copy.copy(u) for u in self.utterances]
+        for u, a, b in zip(self.utterances, self.offsets, self.offsets[1:]):
+            u.frames = self.frames[a:b]
         self._by_id = {u.utterance_id: u for u in self.utterances}
         if len(self._by_id) != len(self.utterances):
             raise ValueError("duplicate utterance ids in corpus")

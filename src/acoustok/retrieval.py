@@ -8,10 +8,11 @@ the query axis).  Scores are summed over levels.  Frame mode runs the same
 DTW over cosine distances between feature frames.  All scores are
 normalized by query length; lower is better.
 
-A KL table is one matrix product per state row (`_variational_kls`).  The
-rows run in blocks under the density kernel's KERNEL_BLOCK_BYTES: a block's
-per-row products are one stacked matmul and its log-sums one call, with the
-same bits as one row at a time.  The table rounds differently from the
+A KL table stacks its level once (`tokenizer._StackedLevel`); a state
+position's table reads a slice of it, one matrix product per state row
+(`_variational_kls`).  The rows run in blocks under KERNEL_BLOCK_BYTES: a
+block's per-row products are one stacked matmul and its log-sums one call,
+with the same bits as one row at a time.  The table rounds differently from the
 term-by-term closed form, by at most about 5e-15 relative on the levels it
 has been measured on.
 
@@ -49,7 +50,7 @@ import numpy as np
 from .corpus import FeatureSequence, cosine_similarity, row_norms, unit_row_similarity, unit_rows
 from .labels import open_text
 from .tokenizer import (KERNEL_BLOCK_BYTES, GaussState, Granularity, LevelModel, _batches,
-                        logsumexp, stack_states)
+                        _StackedLevel, logsumexp, stack_states)
 
 # bytes a block of documents may take in subsequence DTW: its one skewed
 # accumulator; a block holds at least one document
@@ -60,10 +61,12 @@ DTW_BLOCK_BYTES = 256 << 10
 # HMM state distances
 # ---------------------------------------------------------------------------
 
-def _variational_kls(states: list[GaussState]) -> np.ndarray:
-    """(n, n) variational approximations of KL(states[i] || states[j]) for
-    diagonal-covariance GMMs (Hershey & Olsen, ICASSP 2007); exact (the closed
-    form) between single components.  Computed in log domain.
+def _variational_kls(weights: np.ndarray, log_weights: np.ndarray, means: np.ndarray,
+                     variances: np.ndarray) -> np.ndarray:
+    """(n, n) variational approximations of KL(state i || state j) for n
+    diagonal-covariance GMMs, stacked as `stack_states` stacks them (Hershey &
+    Olsen, ICASSP 2007); exact (the closed form) between single components.
+    Computed in log domain.
 
     The padding of `stack_states` adds nothing to either sum.  The closed form
     between components p and q is expanded as Kaldi's diagonal GMMs store it
@@ -80,9 +83,6 @@ def _variational_kls(states: list[GaussState]) -> np.ndarray:
     matmul, which numpy runs as one product of the same shape per row, and its
     log-sums and weighted sums are one call each over element-wise terms, so
     every entry has the same bits however the blocks fall."""
-    if len({st.dim for st in states}) > 1:
-        raise ValueError("states have different feature dimensions")
-    weights, log_weights, means, variances = stack_states(states)
     n, c, d = means.shape
     means = means - means[np.isfinite(log_weights)].mean(axis=0)
     inv_var, log_det = 1.0 / variances, np.sum(np.log(variances), axis=-1)
@@ -106,15 +106,18 @@ def _variational_kls(states: list[GaussState]) -> np.ndarray:
 
 def state_kl(a: GaussState, b: GaussState) -> float:
     """Symmetric variational KL between two emission states, clamped at 0."""
-    K = _variational_kls([a, b])
+    K = _variational_kls(*stack_states([a, b]))
     return max(0.0, float(K[0, 1] + K[1, 0]))
 
 
 def token_distance_matrix(model: LevelModel) -> np.ndarray:
-    """S(i, j) = sum over states s of state_kl(HMM_i state s, HMM_j state s)."""
+    """S(i, j) = sum over states s of state_kl(HMM_i state s, HMM_j state s).
+    Position s is a slice of the level, cut to the most components it holds."""
+    level = _StackedLevel.of(model.hmms)
+    stacked = level.weights, level.log_weights(), level.means, level.variances
     S = np.zeros((model.granularity.n, model.granularity.n))
-    for s in range(model.granularity.m):
-        K = _variational_kls([hmm.states[s] for hmm in model.hmms])
+    for s, c in enumerate(level.counts.max(axis=0).tolist()):
+        K = _variational_kls(*(a[:, s, :c] for a in stacked))
         S += np.maximum(0.0, K + K.T)
     np.fill_diagonal(S, 0.0)
     return S

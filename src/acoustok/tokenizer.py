@@ -12,14 +12,14 @@ A level trains and decodes as one batch of rows, not a loop over tokens.  Its
 rows are rows of the corpus matrix, `Corpus.frames`: a labeled span is a row
 range gathered by index, and a decoding batch of consecutive utterances is a
 slice.  Every state density comes from one kernel, `_log_joints`, over a
-level's states stacked into arrays.  `train_level_hmms` stacks the level once
-per call (`_StackedLevel`: component counts, weights, means, variances,
-transitions), and EM, mixture splits and reseeding included, updates those
-arrays; the `TokenHmm`s are built once, on return.  Decoding stacks a model
-once per pass over the corpus.  Training scores each frame of every token
-still in EM against its own token's states in one pass per EM iteration;
-decoding scores a batch of utterances against all n * m states in one pass,
-and that table also serves the likelihood trace.
+level's states stacked into arrays, `_StackedLevel` (component counts,
+weights, means, variances, transitions).  Training, decoding, the likelihood
+trace and the KL tables (`retrieval`) each stack a level once per call.  EM,
+mixture splits and reseeding included, updates those arrays, and the
+`TokenHmm`s are built once, on return.  Training scores each frame of every
+token still in EM against its own token's states in one pass per EM
+iteration; decoding scores a batch of utterances against all n * m states in
+one pass, and that table also serves the likelihood trace.
 
 The E-step runs once per EM iteration over the spans of every token still
 training: every span's alignment, from forward-backward or, for a span no
@@ -34,8 +34,9 @@ follows the course EM would take on it alone.
 Each recursion runs once per batch of rows, not once per span or utterance:
 the E-step's forward-backward over spans padded into one time-major (L, B, m)
 emission array, -inf past each span's end, and decoding's token-loop Viterbi
-over a batch's padded (T, U, n, m) tables, whose segments the likelihood
-trace scores in one forward pass.  In the E-step and the trace, each row has
+over a batch's padded (T, U, n, m) tables, keeping one back-pointer flag per
+state and frame, whose segments the likelihood trace scores in one forward
+pass.  In the E-step and the trace, each row has
 its own token's transitions.  A batch's tables and its padded copy stay under
 BATCH_BYTES, a decoding batch's counted c times over for the kernel's joints.
 The batched recursions repeat the per-row element-wise operations, and sums
@@ -149,6 +150,8 @@ def stack_states(states: list[GaussState]) -> tuple[np.ndarray, ...]:
     """(S, c) weights and log-weights and (S, c, d) means and variances, c the
     most components a state holds; fewer are padded with weight 0, log-weight
     -inf, mean 0 and variance 1, which add nothing to a mixture sum."""
+    if len({st.dim for st in states}) > 1:
+        raise ValueError("states have different feature dimensions")
     S, c, d = len(states), max(st.n_components for st in states), states[0].dim
     weights, log_weights = np.zeros((S, c)), np.full((S, c), -np.inf)
     means, variances = np.zeros((S, c, d)), np.ones((S, c, d))
@@ -182,15 +185,9 @@ def _split_components(weights: np.ndarray, means: np.ndarray, variances: np.ndar
 def component_log_joints(states: list[GaussState], frames: np.ndarray) -> np.ndarray:
     """(T, S, c) log weight plus log density of every (padded) component of
     every state at every frame: the density kernel over the states, stacked."""
-    return _log_joints(_density_stack(states), frames, np.arange(len(states)))
-
-
-def _density_stack(states: list[GaussState]) -> tuple[np.ndarray, ...]:
-    """States as the density kernel reads them, stacked once: (S, c)
-    log-weights, (S, c, d) means and variances, and the (S, c) sums of log
-    variances."""
     _, log_weights, means, variances = stack_states(states)
-    return log_weights, means, variances, np.sum(np.log(variances), axis=2)
+    stack = log_weights, means, variances, np.sum(np.log(variances), axis=2)
+    return _log_joints(stack, frames, np.arange(len(states)))
 
 
 # bytes of the (frames, states, c, d) block one step of the density kernel
@@ -201,12 +198,12 @@ KERNEL_BLOCK_BYTES = 256 << 10
 def _log_joints(stack: tuple[np.ndarray, ...], frames: np.ndarray,
                 states: np.ndarray) -> np.ndarray:
     """(T, k, c) log weight plus log density of every (padded) component of k
-    stacked states at each of T frames.  states holds the k rows of the
-    _density_stack that every frame is scored against, (k,), or each frame's
-    own, (T, k).  The kernel broadcasts over blocks of frames and states whose
-    (frames, states, c, d) temporaries stay under KERNEL_BLOCK_BYTES, or hold
-    one frame and one state; every entry is the same element-wise formula,
-    however the blocks fall.
+    of the S states of stack, a _StackedLevel.density_stack, at each of T
+    frames: states holds the k that every frame is scored against, (k,), or
+    each frame's own, (T, k).  The kernel broadcasts over blocks of frames and
+    states whose (frames, states, c, d) temporaries stay under
+    KERNEL_BLOCK_BYTES, or hold one frame and one state; every entry is the
+    same element-wise formula, however the blocks fall.
 
     c is the most components a stacked state holds.  A state padded to it
     gains -inf joints, which add exact zeros to its mixture sums while c is
@@ -240,10 +237,6 @@ class LevelModel:
 
     def log_prior(self, lm_scale: float = 1.0) -> np.ndarray:
         return lm_scale * np.log(np.maximum(self.prior, PRIOR_FLOOR))
-
-    def log_transitions(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, m) log self-loop and advance probabilities of every token."""
-        return tuple(map(np.stack, zip(*(h.log_transitions() for h in self.hmms))))
 
 
 @dataclass
@@ -481,16 +474,19 @@ class _StackedLevel:
                                  for s, c in enumerate(counts)], self.transitions[token])
                 for token, counts in enumerate(self.counts.tolist())]
 
-    def density_stack(self, c: int) -> tuple[np.ndarray, ...]:
-        """The _density_stack of the level's n * m states, token-major, cut
-        to their first c components."""
-        n, m, _, d = self.means.shape
-        weights = self.weights.reshape(n * m, -1)[:, :c]
-        variances = self.variances.reshape(n * m, -1, d)[:, :c]
-        real = np.arange(c) < self.counts.reshape(-1, 1)
-        return (np.where(real, np.log(np.maximum(weights, 1e-300)), -np.inf),
-                self.means.reshape(n * m, -1, d)[:, :c], variances,
-                np.sum(np.log(variances), axis=2))
+    def log_weights(self) -> np.ndarray:
+        """(n, m, c) log weights, -inf on padding, as stack_states gives them."""
+        real = np.arange(self.weights.shape[2]) < self.counts[..., None]
+        return np.where(real, np.log(np.maximum(self.weights, 1e-300)), -np.inf)
+
+    def density_stack(self, c: int | None = None) -> tuple[np.ndarray, ...]:
+        """The n * m states, token-major, cut to their first c components (all
+        when c is None): (S, c) log-weights, (S, c, d) means and variances and
+        the (S, c) sums of log variances, as the density kernel reads them."""
+        S, d = self.counts.size, self.means.shape[3]
+        variances = self.variances.reshape(S, -1, d)[:, :c]
+        return (self.log_weights().reshape(S, -1)[:, :c], self.means.reshape(S, -1, d)[:, :c],
+                variances, np.sum(np.log(variances), axis=2))
 
     def log_transitions(self) -> tuple[np.ndarray, np.ndarray]:
         """(n, m) log self-loop and advance probabilities, as TokenHmm's."""
@@ -710,86 +706,80 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
 # decoding and the likelihood trace
 # ---------------------------------------------------------------------------
 
-def _emission_table(stack: tuple[np.ndarray, ...], frames: np.ndarray,
-                    g: Granularity) -> np.ndarray:
+def _emission_table(stack: tuple[np.ndarray, ...], frames: np.ndarray, m: int) -> np.ndarray:
     """(T, n, m) state log densities of T frames: one kernel pass over the
-    _density_stack of a level's n * m states, in token-major order."""
-    joint = _log_joints(stack, frames, np.arange(g.n * g.m))
-    return logsumexp(joint, axis=2).reshape(len(frames), g.n, g.m)
+    density_stack of a level's n * m states, in token-major order."""
+    joint = _log_joints(stack, frames, np.arange(len(stack[0])))
+    return logsumexp(joint, axis=2).reshape(len(frames), -1, m)
 
 
-def _table_groups(model: LevelModel, corpus: Corpus):
+def _table_groups(level: _StackedLevel, corpus: Corpus):
     """Consecutive utterances of corpus.ids() in batches: each batch's ids, the
     (frames, n, m) emission table of its rows of corpus.frames, a slice, from
-    one kernel pass, and their frame counts.  The model's states are stacked
-    once."""
-    g, ids, at = model.granularity, corpus.ids(), corpus.offsets
-    stack = _density_stack([s for hmm in model.hmms for s in hmm.states])
+    one kernel pass, and their frame counts."""
+    ids, at, m = corpus.ids(), corpus.offsets, level.counts.shape[1]
+    stack = level.density_stack()
     lengths = np.diff(at)
     # a frame's kernel joints take c times the bytes of its table row
-    for batch in _batches(lengths, 8 * g.n * g.m * stack[0].shape[1], BATCH_BYTES):
+    for batch in _batches(lengths, 8 * stack[0].size, BATCH_BYTES):
         frames = corpus.frames[at[batch.start]:at[batch.stop]]
-        yield ids[batch], _emission_table(stack, frames, g), lengths[batch]
+        yield ids[batch], _emission_table(stack, frames, m), lengths[batch]
 
 
-def _viterbi(model: LevelModel, table: np.ndarray, lengths: np.ndarray,
-             lm_scale: float) -> list[list]:
+def _viterbi(level: _StackedLevel, log_prior: np.ndarray, table: np.ndarray,
+             lengths: np.ndarray) -> list[list]:
     """Token-loop Viterbi over utterances' stacked emission table, utterance u
     holding lengths[u] rows, in one recursion over its padded (T, U, n, m)
-    copy: any token may follow any token, weighted by the prior.  Past an
-    utterance's last frame its -inf padding makes its scores -inf; its final
-    scores are kept at its last frame, and its backtrack runs alone."""
-    n, m = model.granularity.n, model.granularity.m
-    log_prior = model.log_prior(lm_scale)
-    log_self, log_adv = model.log_transitions()
+    copy: any token may follow any token, weighted by log_prior.  A token is
+    entered by an advance into its state 0, scored as the best exit plus its
+    log prior, so a frame makes one comparison per state and keeps one flag,
+    advanced or not; a self-loop wins an equal advance or entry, and the
+    lowest token id an equal exit.  Past an utterance's last frame its -inf
+    padding makes its scores -inf; its final scores are kept at its last
+    frame, and its backtrack runs alone."""
+    n, m = level.counts.shape
+    log_self, log_adv = level.log_transitions()
     emis, _ = _pad(table, lengths)
     T, U = len(emis), len(lengths)
 
     delta = np.full((U, n, m), -np.inf)
     delta[:, :, 0] = log_prior + emis[0, :, :, 0]
-    # choice codes: 0 = self-loop, 1 = advance within token, 2 = token switch
-    choice = np.zeros((T, U, n, m), dtype=np.int8)
+    advanced = np.zeros((T, U, n, m), dtype=bool)
     # exits[t]: the scores of leaving each token's last state after frame
     # t - 1; past an utterance's end its padding makes every score -inf, so
     # exits[L] holds the final scores of an utterance of L frames
     exits = np.full((T + 1, U, n), -np.inf)
-    stay, move = np.empty((U, n, m)), np.full((U, n, m), -np.inf)
-    stays = np.empty((U, n, m), dtype=bool)
+    stay, move = np.empty((U, n, m)), np.empty((U, n, m))
 
     for t in range(1, T):
         np.add(delta, log_self, out=stay)
         np.add(delta[:, :, :-1], log_adv[:, :-1], out=move[:, :, 1:])
         np.add(delta[:, :, m - 1], log_adv[:, m - 1], out=exits[t])
-        enter = exits[t].max(axis=1)[:, None] + log_prior  # into state 0
-        np.greater_equal(stay, move, out=stays)
-        delta = np.where(stays, stay, move)
-        np.logical_not(stays, out=choice[t])
-        entering = enter > delta[:, :, 0]
-        np.copyto(delta[:, :, 0], enter, where=entering)
-        np.copyto(choice[t, :, :, 0], 2, where=entering)
-        delta += emis[t]
+        np.add(exits[t].max(axis=1)[:, None], log_prior, out=move[:, :, 0])
+        np.less(stay, move, out=advanced[t])
+        np.copyto(stay, move, where=advanced[t])
+        np.add(stay, emis[t], out=delta)
     np.add(delta[:, :, m - 1], log_adv[:, m - 1], out=exits[T])
 
     switch_from = np.argmax(exits, axis=2)  # ties -> lowest token id
-    return [_backtrack(choice[:L, u], switch_from[:L, u], int(np.argmax(exits[L, u])))
+    return [_backtrack(advanced[:L, u], switch_from[:L, u], int(np.argmax(exits[L, u])))
             if L >= m else [(int(np.argmax(log_prior)), 0, L)]
             for u, L in enumerate(lengths.tolist())]
 
 
-def _backtrack(choice: np.ndarray, switch_from: np.ndarray, token: int) -> list:
-    """One utterance's segments from its (T, n, m) choice codes and (T,) switch
-    sources, ending in the last state of token."""
-    T, _, m = choice.shape
+def _backtrack(advanced: np.ndarray, switch_from: np.ndarray, token: int) -> list:
+    """One utterance's segments from its (T, n, m) advance flags and (T,)
+    switch sources, ending in the last state of token.  An advance into
+    state 0 is a token switch."""
+    T, _, m = advanced.shape
     state = m - 1
     boundaries = []  # segment start frames with their token
     for t in range(T - 1, 0, -1):
-        c = choice[t, token, state]
-        if c == 1:
+        if advanced[t, token, state] and state:
             state -= 1
-        elif c == 2:
+        elif advanced[t, token, state]:
             boundaries.append((t, token))
-            token = int(switch_from[t])
-            state = m - 1
+            token, state = int(switch_from[t]), m - 1
     boundaries.append((0, token))
     boundaries.reverse()
     ends = [start for start, _ in boundaries[1:]] + [T]
@@ -798,41 +788,42 @@ def _backtrack(choice: np.ndarray, switch_from: np.ndarray, token: int) -> list:
 
 def decode_utterance(model: LevelModel, frames: np.ndarray, lm_scale: float = 1.0) -> list:
     """Token-loop Viterbi: any token may follow any token, weighted by the prior."""
-    stack = _density_stack([s for hmm in model.hmms for s in hmm.states])
-    table = _emission_table(stack, frames, model.granularity)
-    return _viterbi(model, table, np.array([len(frames)]), lm_scale)[0]
+    level = _StackedLevel.of(model.hmms)
+    table = _emission_table(level.density_stack(), frames, model.granularity.m)
+    return _viterbi(level, model.log_prior(lm_scale), table, np.array([len(frames)]))[0]
 
 
 def decode_level(model: LevelModel, corpus: Corpus,
                  cfg: TokenizerConfig | None = None) -> LabelSet:
-    lm_scale = (cfg or TokenizerConfig()).lm_scale
+    level = _StackedLevel.of(model.hmms)
+    log_prior = model.log_prior((cfg or TokenizerConfig()).lm_scale)
     labels: LabelSet = {}
-    for utts, table, lengths in _table_groups(model, corpus):
-        for utt, segments in zip(utts, _viterbi(model, table, lengths, lm_scale)):
+    for utts, table, lengths in _table_groups(level, corpus):
+        for utt, segments in zip(utts, _viterbi(level, log_prior, table, lengths)):
             labels[utt] = TokenLabelSequence(utt, segments)
     return labels
 
 
-def _segment_scores(model: LevelModel, table: np.ndarray, starts: np.ndarray,
-                    segment_lists: list, lm_scale: float) -> np.ndarray:
+def _segment_scores(level: _StackedLevel, log_prior: np.ndarray, table: np.ndarray,
+                    starts: np.ndarray, segment_lists: list) -> np.ndarray:
     """Per segment, in list-then-segment order, its span forward log-likelihood
-    plus its token's scaled log prior, segment_lists[i] cutting the utterance
-    whose rows of the stacked emission table begin at starts[i]: one gather of
-    every segment's column, then one forward per batch of segments, each row
-    with its token's transitions."""
-    log_self, log_adv = model.log_transitions()
+    plus its token's log prior, segment_lists[i] cutting the utterance whose
+    rows of the stacked emission table begin at starts[i]: one gather of every
+    segment's column, then one forward per batch of segments, each row with
+    its token's transitions."""
+    log_self, log_adv = level.log_transitions()
     tokens, first, lengths = np.array(
         [(token, at + start, end - start) for at, segments in zip(starts.tolist(), segment_lists)
          for token, start, end in segments], dtype=np.int64).reshape(-1, 3).T
     edges = np.concatenate([[0], np.cumsum(lengths)])
     columns = table[_ranges(first, lengths), np.repeat(tokens, lengths)]
     lls = np.empty(len(lengths))
-    for batch in _batches(lengths, 8 * model.granularity.m, BATCH_BYTES):
+    for batch in _batches(lengths, 8 * level.counts.shape[1], BATCH_BYTES):
         padded, _ = _pad(columns[edges[batch.start]:edges[batch.stop]], lengths[batch])
         own = tokens[batch]
         alpha = _alpha(padded, log_self[own], log_adv[own])
         lls[batch] = alpha[lengths[batch] - 1, np.arange(len(own)), -1] + log_adv[own, -1]
-    return lls + model.log_prior(lm_scale)[tokens]
+    return lls + log_prior[tokens]
 
 
 def corpus_log_likelihood(model: LevelModel, corpus: Corpus, labels: LabelSet,
@@ -842,9 +833,10 @@ def corpus_log_likelihood(model: LevelModel, corpus: Corpus, labels: LabelSet,
     for utt in corpus.ids():
         if utt not in labels:
             raise ValueError(f"missing labels for {utt}")
-    scores = [_segment_scores(model, table, np.cumsum(lengths) - lengths,
-                              [labels[utt].segments for utt in utts], lm_scale)
-              for utts, table, lengths in _table_groups(model, corpus)]
+    level, log_prior = _StackedLevel.of(model.hmms), model.log_prior(lm_scale)
+    scores = [_segment_scores(level, log_prior, table, np.cumsum(lengths) - lengths,
+                              [labels[utt].segments for utt in utts])
+              for utts, table, lengths in _table_groups(level, corpus)]
     return float(_ordered_sum(np.concatenate([np.empty(0), *scores])))
 
 
@@ -866,18 +858,19 @@ def run_level(corpus: Corpus, init_labels: LabelSet, g: Granularity,
     trace: list[tuple[str, float]] = []
     for _ in range(cfg.outer_iters):
         model = train_level_hmms(corpus, labels, g, cfg, init_model=model)
+        level, log_prior = _StackedLevel.of(model.hmms), model.log_prior(cfg.lm_scale)
         # one emission table per batch of utterances serves decoding and both
         # trace points, whose segments share one forward per batch
         new_labels: LabelSet = {}
         train_scores, decode_scores = [], []
-        for utts, table, lengths in _table_groups(model, corpus):
-            decoded = _viterbi(model, table, lengths, cfg.lm_scale)
+        for utts, table, lengths in _table_groups(level, corpus):
+            decoded = _viterbi(level, log_prior, table, lengths)
             new_labels.update((utt, TokenLabelSequence(utt, segments))
                               for utt, segments in zip(utts, decoded))
             trained = [labels[utt].segments for utt in utts]
             starts = np.cumsum(lengths) - lengths
-            scores = _segment_scores(model, table, np.concatenate([starts, starts]),
-                                     trained + decoded, cfg.lm_scale)
+            scores = _segment_scores(level, log_prior, table, np.concatenate([starts, starts]),
+                                     trained + decoded)
             n_trained = sum(map(len, trained))
             train_scores.append(scores[:n_trained])
             decode_scores.append(scores[n_trained:])

@@ -23,6 +23,24 @@ def oracle_level_model(spec: SynthSpec) -> LevelModel:
     return LevelModel(Granularity(spec.states_per_token, spec.n_tokens), hmms, prior)
 
 
+def random_mixture(rng, c, d, zero_weight=False):
+    weights = rng.dirichlet(np.ones(c))
+    if zero_weight and c > 1:
+        weights[rng.integers(c)] = 0.0
+    return GaussState(weights, 2.0 * rng.normal(size=(c, d)), rng.uniform(0.1, 3.0, (c, d)))
+
+
+def ragged_level_states(rng, n, m, d):
+    """[token][state] mixtures of 1-3 components, one of them weighted 0."""
+    states = [[random_mixture(rng, int(rng.integers(1, 4)), d) for _ in range(m)]
+              for _ in range(n)]
+    states[2][1] = random_mixture(rng, 3, d, zero_weight=True)
+    counts = {st.n_components for row in states for st in row}
+    assert counts == {1, 2, 3}
+    assert any(np.any(st.weights == 0.0) for row in states for st in row)
+    return states
+
+
 def frame_error_rate(labels, truth) -> float:
     """Fraction of frames whose decoded id differs from the true id (same id space)."""
     wrong = 0

@@ -1,8 +1,10 @@
 """The benchmark's hold on the package: bench/ builds the std-scale inputs
-with package functions and, in its traced mode, wraps package functions and
-methods by name.  A refactor that breaks either fails here, in a fresh
-process, since the traced mode patches the package in place."""
+with package functions, in its traced mode wraps package functions and
+methods by name, and times kernels through package functions.  A refactor
+that breaks any of these fails here; the traced mode runs in a fresh
+process, since it patches the package in place."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -39,3 +41,19 @@ def test_std_scale_setup_and_tracing_run_on_the_package(tmp_path):
     assert out["models"] == {f"model_m{m}_n{n}.matm": [m, n, [2]]
                              for m in (3, 5) for n in (30, 50)}
     assert out["sizes"]["documents"] == 60 and out["sizes"]["queries"] == 20
+
+
+def test_kernel_microbenchmarks_run_on_the_package(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_kernels", ROOT / "bench" / "kernels.py")
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+
+    def one_call(fn, *args, **kwargs):
+        fn()
+        return 1.0
+
+    monkeypatch.setattr(kernels, "_time_per_call", one_call)
+    out = kernels.run()
+    spec_metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(out) == {m["name"] for m in spec_metrics if m["name"].startswith("kernel.")}
+    assert all(value > 0 for value in out.values())

@@ -250,6 +250,27 @@ class TestCorpusLookup:
             assert view.__array_interface__["data"] == rows.__array_interface__["data"]
             assert np.array_equal(view, seqs[i].frames)
 
+    def test_views_are_built_without_checking_the_frames_again(self, monkeypatch):
+        seqs = [FeatureSequence(np.full((T, 2), float(T)), frame_shift=0.02, utterance_id=u)
+                for u, T in (("b", 3), ("a", 5))]
+        checked = []
+        real = FeatureSequence.__post_init__
+
+        def counting(seq):
+            checked.append(seq.utterance_id)
+            real(seq)
+
+        monkeypatch.setattr(FeatureSequence, "__post_init__", counting)
+        corpus = Corpus(seqs)
+        assert checked == []
+        for seq in seqs:
+            view = corpus[seq.utterance_id]
+            assert view is not seq and np.shares_memory(view.frames, corpus.frames)
+            assert (view.frame_shift, view.frame_length) == (0.02, seq.frame_length)
+            assert np.array_equal(view.frames, seq.frames)
+            # the caller's sequences are left as they were, not views
+            assert not np.shares_memory(seq.frames, corpus.frames)
+
 
 class TestFeatureFiles:
     def test_roundtrip_bit_exact(self, tmp_path):

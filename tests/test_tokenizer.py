@@ -28,7 +28,7 @@ from acoustok.tokenizer import (
     train_level_hmms,
 )
 
-from conftest import frame_error_rate, oracle_level_model
+from conftest import frame_error_rate, oracle_level_model, ragged_level_states
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +41,14 @@ def _oracle_gauss_logpdf(x, mean, var):
     )
 
 
+def _oracle_state_logpdf(x, state):
+    """Mixture log density, summed directly over the components of nonzero
+    weight."""
+    return float(np.logaddexp.reduce([
+        np.log(w) + _oracle_gauss_logpdf(x, mean, var)
+        for w, mean, var in zip(state.weights, state.means, state.variances) if w > 0]))
+
+
 def _oracle_span_score(model, frames, token, start, end):
     """Best state-path score of frames[start:end] under one token HMM,
     enumerating every monotone path from state 0 to state m-1."""
@@ -51,15 +59,8 @@ def _oracle_span_score(model, frames, token, start, end):
         return -np.inf
     log_self = np.log(hmm.transitions[:, 0])
     log_adv = np.log(hmm.transitions[:, 1])
-    emis = np.array(
-        [
-            [
-                _oracle_gauss_logpdf(frames[start + t], s.means[0], s.variances[0])
-                for s in hmm.states
-            ]
-            for t in range(L)
-        ]
-    )
+    emis = np.array([[_oracle_state_logpdf(frames[start + t], s) for s in hmm.states]
+                     for t in range(L)])
     best = -np.inf
     for advances in itertools.combinations(range(L - 1), m - 1):
         ai = set(advances)
@@ -135,6 +136,19 @@ class TestViterbiOracle:
         rng = np.random.default_rng(1000)
         for _ in range(30):
             model, frames = random_instance(rng)
+            got = decode_utterance(model, frames)
+            want, _ = oracle_best_labeling(model, frames)
+            assert got == want
+
+    def test_matches_enumeration_on_a_ragged_level(self):
+        # states of 1, 2 and 3 components, one weighted 0: decoding pads every
+        # state to the level's largest count
+        rng = np.random.default_rng(1001)
+        for _ in range(10):
+            model, frames = random_instance(rng, n=3, m=3)
+            states = ragged_level_states(rng, 3, 3, frames.shape[1])
+            model.hmms = [TokenHmm(k, states[k], hmm.transitions)
+                          for k, hmm in enumerate(model.hmms)]
             got = decode_utterance(model, frames)
             want, _ = oracle_best_labeling(model, frames)
             assert got == want
@@ -256,7 +270,7 @@ class TestMixtureKernel:
         tokens = [random_token(rng, components, d, zero_weight=True)
                   for components in ((2, 3), (1, 1), (4, 2))]
         states = [state for hmm in tokens for state in hmm.states]
-        stack = tok._density_stack(states)
+        stack = tok._StackedLevel.of(tokens).density_stack()
         frames = 2.0 * rng.normal(size=(19, d))
         # every frame against every state, as decoding scores it
         joint = tok._log_joints(stack, frames, np.arange(len(states)))
@@ -869,7 +883,7 @@ class TestBatchedKernels:
         model, _ = random_instance(rng, n=3, m=3)
         corpus = Corpus([FeatureSequence(rng.normal(0, 2.0, size=(T, 2)), utterance_id=f"u{i}")
                          for i, T in enumerate([7, 2, 15, 1, 30, 3])])
-        assert len(list(tok._table_groups(model, corpus))) == 1
+        assert len(list(tok._table_groups(tok._StackedLevel.of(model.hmms), corpus))) == 1
         labels = decode_level(model, corpus)
         for utt in corpus.ids():
             assert labels[utt].segments == decode_utterance(model, corpus[utt].frames)
@@ -888,12 +902,12 @@ class TestBatchedKernels:
         blocks = []
         real = tok._emission_table
 
-        def spy(stack, frames, g):
+        def spy(stack, frames, m):
             blocks.append(frames)
-            return real(stack, frames, g)
+            return real(stack, frames, m)
 
         monkeypatch.setattr(tok, "_emission_table", spy)
-        groups = list(tok._table_groups(model, corpus))
+        groups = list(tok._table_groups(tok._StackedLevel.of(model.hmms), corpus))
         assert len(groups) == (1 if budget is None else len(corpus))
         assert [len(b) for b in blocks] == [lengths.sum() for _, _, lengths in groups]
         assert all(np.shares_memory(b, corpus.frames) for b in blocks)
@@ -907,9 +921,10 @@ class TestBatchedKernels:
         init = make_initial_labels(corpus, {spec.n_tokens: 0})[spec.n_tokens]
         cfg = TokenizerConfig(outer_iters=2, em_iters=2)
         model, labels, trace = run_level(corpus, init, g, cfg)
-        assert len(list(tok._table_groups(model, corpus))) == 1
+        level = tok._StackedLevel.of(model.hmms)
+        assert len(list(tok._table_groups(level, corpus))) == 1
         monkeypatch.setattr(tok, "BATCH_BYTES", 1)
-        assert len(list(tok._table_groups(model, corpus))) == len(corpus)
+        assert len(list(tok._table_groups(level, corpus))) == len(corpus)
         split_model, split_labels, split_trace = run_level(corpus, init, g, cfg)
         assert split_trace == trace
         assert matm_bytes(split_model) == matm_bytes(model)
@@ -924,7 +939,8 @@ def reference_viterbi(model, table, lm_scale=1.0):
     equal exits and among equal final scores."""
     T, n, m = table.shape
     log_prior = model.log_prior(lm_scale)
-    log_self, log_adv = model.log_transitions()
+    log_trans = np.log(np.maximum(np.stack([hmm.transitions for hmm in model.hmms]), 1e-300))
+    log_self, log_adv = log_trans[..., 0], log_trans[..., 1]
     if T < m:
         return [(int(np.argmax(log_prior)), 0, T)]
     delta = np.full((n, m), -np.inf)
@@ -972,7 +988,7 @@ class TestViterbiTies:
         # boundary rarely (in 2 of these 240 utterances), so there are many.
         real = tok._emission_table
         monkeypatch.setattr(tok, "_emission_table",
-                            lambda stack, frames, g: np.round(2 * real(stack, frames, g)) / 2)
+                            lambda stack, frames, m: np.round(2 * real(stack, frames, m)) / 2)
         rng = np.random.default_rng(70)
         n, m, d = 3, 3, 1
         for _ in range(40):
