@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import Corpus, FeatureSequence, unit_row_similarity, unit_rows
+from .corpus import Corpus, FeatureSequence, cosine_similarity, row_norms
 from .labels import LabelSet, label_set_from_spans, pick_boundaries
 from .tokenizer import KERNEL_BLOCK_BYTES
 
@@ -118,10 +118,10 @@ def segment_words(seq: FeatureSequence, cfg: InitConfig | None = None) -> list[i
 # ---------------------------------------------------------------------------
 
 def cosine_similarity_matrix(frames: np.ndarray) -> np.ndarray:
-    """Frame-pair cosine similarities; zero-norm frames score 0, diagonal 1."""
-    rows = unit_rows(frames)
-    sim = unit_row_similarity(rows, rows)
-    sim[~rows[1], ~rows[1]] = 1.0
+    """Frame-pair cosine similarities (`corpus.cosine_similarity`); zero-norm
+    frames score 0, every other frame exactly 1 against itself."""
+    sim = cosine_similarity(frames, frames)
+    np.fill_diagonal(sim, row_norms(frames) != 0)
     return sim
 
 

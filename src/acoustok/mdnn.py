@@ -180,11 +180,12 @@ class TrainingLog:
 
 
 def head_accuracies(model: MdnnModel, x: np.ndarray, targets: np.ndarray) -> list[float]:
-    _, head_probs = _forward(model, x)
-    return [
-        float(np.mean(np.argmax(probs, axis=1) == targets[:, h]))
-        for h, probs in enumerate(head_probs)
-    ]
+    """Per head, the share of rows whose largest logit is the target's: the
+    softmax keeps the logits' order, so it is not evaluated, and logits it
+    would round to one probability still rank apart."""
+    bottleneck = _trunk(model, x)[-1]
+    return [float(np.mean(np.argmax(bottleneck @ W + b, axis=1) == targets[:, h]))
+            for h, (W, b) in enumerate(zip(model.head_weights, model.head_biases))]
 
 
 def train_mdnn(inputs: np.ndarray, targets: np.ndarray, head_keys: list[Granularity],

@@ -50,7 +50,7 @@ import numpy as np
 from .corpus import FeatureSequence, cosine_similarity, row_norms, unit_row_similarity, unit_rows
 from .labels import open_text
 from .tokenizer import (KERNEL_BLOCK_BYTES, GaussState, Granularity, LevelModel, _batches,
-                        _StackedLevel, logsumexp, stack_states)
+                        _StackedLevel, logsumexp, padded_log_weights, stack_states)
 
 # bytes a block of documents may take in subsequence DTW: its one skewed
 # accumulator; a block holds at least one document
@@ -64,9 +64,9 @@ DTW_BLOCK_BYTES = 256 << 10
 def _variational_kls(weights: np.ndarray, log_weights: np.ndarray, means: np.ndarray,
                      variances: np.ndarray) -> np.ndarray:
     """(n, n) variational approximations of KL(state i || state j) for n
-    diagonal-covariance GMMs, stacked as `stack_states` stacks them (Hershey &
-    Olsen, ICASSP 2007); exact (the closed form) between single components.
-    Computed in log domain.
+    diagonal-covariance GMMs, stacked as `stack_states` stacks them, with the
+    log-weights of `padded_log_weights` (Hershey & Olsen, ICASSP 2007); exact
+    (the closed form) between single components.  Computed in log domain.
 
     The padding of `stack_states` adds nothing to either sum.  The closed form
     between components p and q is expanded as Kaldi's diagonal GMMs store it
@@ -106,7 +106,8 @@ def _variational_kls(weights: np.ndarray, log_weights: np.ndarray, means: np.nda
 
 def state_kl(a: GaussState, b: GaussState) -> float:
     """Symmetric variational KL between two emission states, clamped at 0."""
-    K = _variational_kls(*stack_states([a, b]))
+    counts, weights, means, variances = stack_states([a, b])
+    K = _variational_kls(weights, padded_log_weights(weights, counts), means, variances)
     return max(0.0, float(K[0, 1] + K[1, 0]))
 
 
@@ -114,7 +115,8 @@ def token_distance_matrix(model: LevelModel) -> np.ndarray:
     """S(i, j) = sum over states s of state_kl(HMM_i state s, HMM_j state s).
     Position s is a slice of the level, cut to the most components it holds."""
     level = _StackedLevel.of(model.hmms)
-    stacked = level.weights, level.log_weights(), level.means, level.variances
+    stacked = (level.weights, padded_log_weights(level.weights, level.counts), level.means,
+               level.variances)
     S = np.zeros((model.granularity.n, model.granularity.n))
     for s, c in enumerate(level.counts.max(axis=0).tolist()):
         K = _variational_kls(*(a[:, s, :c] for a in stacked))

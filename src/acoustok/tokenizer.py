@@ -13,8 +13,11 @@ rows are rows of the corpus matrix, `Corpus.frames`: a labeled span is a row
 range gathered by index, and a decoding batch of consecutive utterances is a
 slice.  Every state density comes from one kernel, `_log_joints`, over a
 level's states stacked into arrays, `_StackedLevel` (component counts,
-weights, means, variances, transitions).  Training, decoding, the likelihood
-trace and the KL tables (`retrieval`) each stack a level once per call.  EM,
+weights, means, variances, transitions).  `GaussState`, `TokenHmm` and
+`LevelModel` hold data, and every formula reads the stacked level: one
+state's density and one span's likelihood are the level's kernels on a level
+of one state or one token.  Training, decoding, the likelihood trace and the
+KL tables (`retrieval`) each stack a level once per call.  EM,
 mixture splits and reseeding included, updates those arrays, and the
 `TokenHmm`s are built once, on return.  Training scores each frame of every
 token still in EM against its own token's states in one pass per EM
@@ -113,8 +116,10 @@ class GaussState:
         return self.means.shape[1]
 
     def log_density(self, frames: np.ndarray) -> np.ndarray:
-        """(T,) mixture log densities."""
-        return logsumexp(component_log_joints([self], frames), axis=2)[:, 0]
+        """(T,) mixture log densities: the emission table of a level of one
+        one-state token."""
+        level = _StackedLevel.of([TokenHmm(0, [self], np.ones((1, 2)))])
+        return _emission_table(level.density_stack(), frames, 1)[:, 0, 0]
 
     def split(self) -> "GaussState":
         """Double the component count, offsetting means by +/- 0.2 std."""
@@ -137,30 +142,28 @@ class TokenHmm:
     def m(self) -> int:
         return len(self.states)
 
-    def log_transitions(self) -> tuple[np.ndarray, np.ndarray]:
-        t = np.maximum(self.transitions, TRANS_FLOOR)
-        return np.log(t[:, 0]), np.log(t[:, 1])
-
-    def emission_matrix(self, frames: np.ndarray) -> np.ndarray:
-        """(T, m) state log densities."""
-        return logsumexp(component_log_joints(self.states, frames), axis=2)
-
 
 def stack_states(states: list[GaussState]) -> tuple[np.ndarray, ...]:
-    """(S, c) weights and log-weights and (S, c, d) means and variances, c the
-    most components a state holds; fewer are padded with weight 0, log-weight
-    -inf, mean 0 and variance 1, which add nothing to a mixture sum."""
+    """(S,) component counts, (S, c) weights and (S, c, d) means and
+    variances, c the most components a state holds; fewer are padded with
+    weight 0, mean 0 and variance 1, which add nothing to a mixture sum."""
     if len({st.dim for st in states}) > 1:
         raise ValueError("states have different feature dimensions")
     S, c, d = len(states), max(st.n_components for st in states), states[0].dim
-    weights, log_weights = np.zeros((S, c)), np.full((S, c), -np.inf)
-    means, variances = np.zeros((S, c, d)), np.ones((S, c, d))
+    weights, means, variances = np.zeros((S, c)), np.zeros((S, c, d)), np.ones((S, c, d))
     for k, st in enumerate(states):
         weights[k, :st.n_components] = st.weights
-        log_weights[k, :st.n_components] = np.log(np.maximum(st.weights, 1e-300))
         means[k, :st.n_components] = st.means
         variances[k, :st.n_components] = st.variances
-    return weights, log_weights, means, variances
+    return np.array([st.n_components for st in states]), weights, means, variances
+
+
+def padded_log_weights(weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The log of stacked (..., c) weights, of which counts (...) are real in
+    each row, and -inf on the padding, which adds nothing to a mixture's
+    log-sum."""
+    real = np.arange(weights.shape[-1]) < counts[..., None]
+    return np.where(real, np.log(np.maximum(weights, 1e-300)), -np.inf)
 
 
 def _split_components(weights: np.ndarray, means: np.ndarray, variances: np.ndarray,
@@ -180,14 +183,6 @@ def _split_components(weights: np.ndarray, means: np.ndarray, variances: np.ndar
     return (np.where(real, weights[rows, source] / 2.0, 0.0),
             np.where(real[..., None], np.where(lower[..., None], mean - offset, mean + offset), 0.0),
             np.where(real[..., None], variance, 1.0))
-
-
-def component_log_joints(states: list[GaussState], frames: np.ndarray) -> np.ndarray:
-    """(T, S, c) log weight plus log density of every (padded) component of
-    every state at every frame: the density kernel over the states, stacked."""
-    _, log_weights, means, variances = stack_states(states)
-    stack = log_weights, means, variances, np.sum(np.log(variances), axis=2)
-    return _log_joints(stack, frames, np.arange(len(states)))
 
 
 # bytes of the (frames, states, c, d) block one step of the density kernel
@@ -374,10 +369,13 @@ def _beta(emis: np.ndarray, last: np.ndarray, log_self: np.ndarray,
 
 
 def segment_forward_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
-    """Forward log-likelihood of a span: enter state 0, exit from the last state."""
-    log_self, log_adv = hmm.log_transitions()
-    alpha = _alpha(hmm.emission_matrix(frames)[:, None], log_self, log_adv)
-    return float(alpha[-1, 0, -1] + log_adv[-1])
+    """Forward log-likelihood of a span: enter state 0, exit from the last
+    state; the forward recursion over a batch of one row of the emission
+    table of a level of one token."""
+    level = _StackedLevel.of([hmm])
+    log_self, log_adv = level.log_transitions()
+    alpha = _alpha(_emission_table(level.density_stack(), frames, hmm.m), log_self, log_adv)
+    return float(alpha[-1, 0, -1] + log_adv[0, -1])
 
 
 def _e_step(emis: np.ndarray, edges: np.ndarray, log_self: np.ndarray,
@@ -461,11 +459,10 @@ class _StackedLevel:
 
     @classmethod
     def of(cls, hmms: list[TokenHmm]) -> "_StackedLevel":
-        states = [state for hmm in hmms for state in hmm.states]
-        weights, _, means, variances = stack_states(states)
+        counts, weights, means, variances = stack_states(
+            [state for hmm in hmms for state in hmm.states])
         n, m, (c, d) = len(hmms), hmms[0].m, means.shape[1:]
-        return cls(np.array([state.n_components for state in states]).reshape(n, m),
-                   weights.reshape(n, m, c), means.reshape(n, m, c, d),
+        return cls(counts.reshape(n, m), weights.reshape(n, m, c), means.reshape(n, m, c, d),
                    variances.reshape(n, m, c, d), np.stack([hmm.transitions for hmm in hmms]))
 
     def hmms(self) -> list[TokenHmm]:
@@ -474,22 +471,17 @@ class _StackedLevel:
                                  for s, c in enumerate(counts)], self.transitions[token])
                 for token, counts in enumerate(self.counts.tolist())]
 
-    def log_weights(self) -> np.ndarray:
-        """(n, m, c) log weights, -inf on padding, as stack_states gives them."""
-        real = np.arange(self.weights.shape[2]) < self.counts[..., None]
-        return np.where(real, np.log(np.maximum(self.weights, 1e-300)), -np.inf)
-
     def density_stack(self, c: int | None = None) -> tuple[np.ndarray, ...]:
         """The n * m states, token-major, cut to their first c components (all
         when c is None): (S, c) log-weights, (S, c, d) means and variances and
         the (S, c) sums of log variances, as the density kernel reads them."""
         S, d = self.counts.size, self.means.shape[3]
         variances = self.variances.reshape(S, -1, d)[:, :c]
-        return (self.log_weights().reshape(S, -1)[:, :c], self.means.reshape(S, -1, d)[:, :c],
-                variances, np.sum(np.log(variances), axis=2))
+        return (padded_log_weights(self.weights, self.counts).reshape(S, -1)[:, :c],
+                self.means.reshape(S, -1, d)[:, :c], variances, np.sum(np.log(variances), axis=2))
 
     def log_transitions(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, m) log self-loop and advance probabilities, as TokenHmm's."""
+        """(n, m) log self-loop and advance probabilities."""
         log_t = np.log(np.maximum(self.transitions, TRANS_FLOOR))
         return log_t[..., 0], log_t[..., 1]
 

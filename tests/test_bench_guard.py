@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from acoustok import tokenizer
+
 ROOT = Path(__file__).resolve().parent.parent
 
 PROBE = """
@@ -47,13 +49,29 @@ def test_kernel_microbenchmarks_run_on_the_package(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_kernels", ROOT / "bench" / "kernels.py")
     kernels = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(kernels)
+    # the emission tables each timed callback builds: the MAT kernels must
+    # time the level's table, as the pipeline builds it
+    tables, per_callback = [], []
+    real_table = tokenizer._emission_table
+
+    def counted_table(*args):
+        tables.append(None)
+        return real_table(*args)
 
     def one_call(fn, *args, **kwargs):
+        before = len(tables)
         fn()
+        per_callback.append(len(tables) - before)
         return 1.0
 
+    monkeypatch.setattr(tokenizer, "_emission_table", counted_table)
     monkeypatch.setattr(kernels, "_time_per_call", one_call)
     out = kernels.run()
     spec_metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(out) == {m["name"] for m in spec_metrics if m["name"].startswith("kernel.")}
     assert all(value > 0 for value in out.values())
+    # each kernel records its time first, in the order it was timed
+    timed = [name.split(".")[1].rsplit("_", 1)[0] for name in out if name.count(".") == 1]
+    tables_of = dict(zip(timed, per_callback, strict=True))
+    for name in ("log_density", "segment_forward_ll", "decode_utterance"):
+        assert tables_of[name] == 1, name

@@ -118,6 +118,21 @@ class TestTraining:
         accs = head_accuracies(model, inputs, targets)
         assert accs == [1.0, 1.0]
 
+    def test_accuracy_ranks_logits_the_softmax_rounds_to_a_tie(self, monkeypatch):
+        # logits 0 and 1e-17 have one probability, 0.5, as the softmax rounds
+        # them; the larger logit is still the prediction
+        model = init_mdnn(3, [Granularity(3, 2)], MdnnConfig(hidden=(4,), bottleneck=2))
+        model.head_weights[0][:] = 0.0
+        model.head_biases[0][:] = [0.0, 1e-17]
+        assert np.all(_softmax(np.array([[0.0, 1e-17]])) == 0.5)
+
+        def no_softmax(z):
+            raise AssertionError("head_accuracies evaluated a softmax")
+
+        monkeypatch.setattr(mdnn, "_softmax", no_softmax)
+        x = np.random.default_rng(2).normal(size=(5, 3))
+        assert head_accuracies(model, x, np.ones((5, 1), dtype=np.int64)) == [1.0]
+
     def test_loss_trend_non_increasing_after_warmup(self):
         inputs, targets = toy_data()
         cfg = MdnnConfig(hidden=(8, 8), bottleneck=4, epochs=30, batch_size=32)

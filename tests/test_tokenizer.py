@@ -15,7 +15,6 @@ from acoustok.tokenizer import (
     LevelModel,
     TokenHmm,
     TokenizerConfig,
-    component_log_joints,
     corpus_log_likelihood,
     decode_level,
     decode_utterance,
@@ -191,6 +190,13 @@ def random_token(rng, components, d, zero_weight=False):
     return TokenHmm(0, states, np.full((len(components), 2), 0.5))
 
 
+def level_joints(hmm, frames):
+    """(T, m, c) component log-joints of one token's states from the level
+    kernel, over the stack of a level of that one token."""
+    stack = tok._StackedLevel.of([hmm]).density_stack()
+    return tok._log_joints(stack, frames, np.arange(hmm.m))
+
+
 # component counts per state, feature dimension, zero-weight components
 KERNEL_CASES = pytest.mark.parametrize("components, d, zero_weight", [
     ((4, 4, 4), 6, False),          # equal counts
@@ -207,7 +213,7 @@ class TestMixtureKernel:
         rng = np.random.default_rng(sum(components) * d)
         hmm = random_token(rng, components, d, zero_weight)
         frames = 2.0 * rng.normal(size=(17, d))
-        joint = component_log_joints(hmm.states, frames)
+        joint = level_joints(hmm, frames)
         assert joint.shape == (17, len(components), max(components))
         for s, (state, c) in enumerate(zip(hmm.states, components)):
             assert np.array_equal(joint[:, s, :c], reference_state_joint(state, frames))
@@ -221,7 +227,7 @@ class TestMixtureKernel:
         frames = 2.0 * rng.normal(size=(23, d))
         ref_joint = [reference_state_joint(state, frames) for state in hmm.states]
         ref_emis = np.stack([logsumexp(j, axis=1) for j in ref_joint], axis=1)
-        assert np.array_equal(hmm.emission_matrix(frames), ref_emis)
+        assert np.array_equal(tok.logsumexp(level_joints(hmm, frames), axis=2), ref_emis)
         for s, state in enumerate(hmm.states):
             assert np.array_equal(state.log_density(frames), ref_emis[:, s])
         # responsibilities: the E-step's occupancy times the component posteriors
@@ -235,6 +241,19 @@ class TestMixtureKernel:
                                   gamma[:, s, None] * np.exp(ref_joint[s] - ref_emis[:, s, None]))
             assert not resp[:, s, c:].any()
 
+    @KERNEL_CASES
+    def test_span_likelihood_equals_the_reference_forward(self, components, d, zero_weight):
+        rng = np.random.default_rng(sum(components) * d + 2)
+        hmm = random_token(rng, components, d, zero_weight)
+        self_p = rng.uniform(0.05, 0.95, size=len(components))
+        hmm.transitions = np.stack([self_p, 1 - self_p], axis=1)
+        frames = 2.0 * rng.normal(size=(23, d))
+        ref_emis = np.stack([logsumexp(reference_state_joint(state, frames), axis=1)
+                             for state in hmm.states], axis=1)
+        want, _, _, _ = reference_forward_backward(hmm, ref_emis)
+        assert np.isfinite(want)
+        assert segment_forward_ll(hmm, frames) == want
+
     def test_padding_to_eight_or_more_components_agrees_to_rounding(self):
         # numpy sums 8 or more terms pairwise, so a state padded from 7 to 8
         # components is summed in another grouping and may differ in the last
@@ -245,7 +264,8 @@ class TestMixtureKernel:
         hmm = TokenHmm(0, states, np.full((2, 2), 0.5))
         frames = rng.normal(size=(40, 6))
         ref = logsumexp(reference_state_joint(hmm.states[1], frames), axis=1)
-        np.testing.assert_allclose(hmm.emission_matrix(frames)[:, 1], ref, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(tok.logsumexp(level_joints(hmm, frames), axis=2)[:, 1], ref,
+                                   rtol=1e-14, atol=0)
 
     def test_emission_table_is_one_kernel_pass_over_the_level(self, monkeypatch):
         model, frames = random_instance(np.random.default_rng(3), T=6, n=3, m=2)
@@ -456,7 +476,7 @@ def reference_forward_backward(hmm, emis):
     None) when no path traverses it; stay_post[t, s] and move_post[t, s] are
     the posteriors of the self-loop and the advance out of state s at frame t."""
     L, m = emis.shape
-    log_self, log_adv = hmm.log_transitions()
+    log_self, log_adv = np.log(np.maximum(hmm.transitions, 1e-300)).T
     alpha = np.full((L, m), -np.inf)
     alpha[0, 0] = emis[0, 0]
     for t in range(1, L):
@@ -812,7 +832,7 @@ def reference_e_step(hmm, emis, edges):
     added up in span order: forward-backward, or the uniform alignment, scored
     along it, for a span no path traverses."""
     m = emis.shape[1]
-    log_self, log_adv = hmm.log_transitions()
+    log_self, log_adv = np.log(np.maximum(hmm.transitions, 1e-300)).T
     ll, gamma, stay, move = 0.0, np.empty_like(emis), np.zeros(m), np.zeros(m)
     for a, b in zip(edges[:-1], edges[1:]):
         span_ll, log_gamma, stay_post, move_post = reference_forward_backward(hmm, emis[a:b])
@@ -860,10 +880,11 @@ class TestBatchedKernels:
             hmm = TokenHmm(token, random_token(rng, (2,) * m, 3).states,
                            np.stack([self_p, 1 - self_p], axis=1))
             hmms.append(hmm)
-            emis.append(hmm.emission_matrix(rng.normal(0, 2.0, size=(sum(lengths), 3))))
+            frames = rng.normal(0, 2.0, size=(sum(lengths), 3))
+            emis.append(tok.logsumexp(level_joints(hmm, frames), axis=2))
             edges += list(edges[-1] + np.cumsum(lengths))
         owner = np.repeat(np.arange(3), [len(lengths) for lengths in token_lengths])
-        log_self, log_adv = map(np.stack, zip(*(hmm.log_transitions() for hmm in hmms)))
+        log_self, log_adv = tok._StackedLevel.of(hmms).log_transitions()
         lls, gamma, stays, moves = tok._e_step(np.concatenate(emis), np.array(edges),
                                                log_self[owner], log_adv[owner])
         span_at, frame_at = 0, 0
