@@ -265,29 +265,32 @@ class TestConfig:
         assert keys == expected - {("synth", "token_sequences")}
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_demo_ini() -> str:
+    """The demo.ini that README.md's "Running the pipeline" section shows."""
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Running the pipeline"):]
+    return re.search(r"^```ini\n(.*?)^```$", section, re.M | re.S).group(1)
+
+
 class TestReadmeDemo:
     """README's demo.ini is the bench's demo workload; the two change together."""
 
-    ROOT = Path(__file__).resolve().parent.parent
-
-    def readme_demo_ini(self):
-        text = (self.ROOT / "README.md").read_text()
-        section = text[text.index("## Running the pipeline"):]
-        return re.search(r"^```ini\n(.*?)^```$", section, re.M | re.S).group(1)
-
     def test_equals_the_bench_demo_workload(self):
-        path = self.ROOT / "bench" / "workloads.py"
+        path = ROOT / "bench" / "workloads.py"
         spec = importlib.util.spec_from_file_location("workloads", path)
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
-        assert self.readme_demo_ini() == workloads.DEMO_INI.format(seed=11)
+        assert readme_demo_ini() == workloads.DEMO_INI.format(seed=11)
 
     def test_loads(self):
-        cfg = load_config(text=self.readme_demo_ini())
+        cfg = load_config(text=readme_demo_ini())
         assert cfg.seed == 11 and cfg.iterations == 2
 
     def test_settings_table_equals_the_stage_kinds(self):
-        text = (self.ROOT / "README.md").read_text()
+        text = (ROOT / "README.md").read_text()
         table = text[text.index("| Stage | Settings it reads |"):].split("\n\n")[0]
         declared = {}
         for row in table.splitlines()[2:]:

@@ -1,0 +1,136 @@
+"""Golden digests: the README demo's artifacts, byte for byte.
+
+Three runs of `iterate`, `std`, `eval` and `viz` on README.md's demo.ini: at
+seed 11, at seed 1, and at seed 11 with the trained network (`[mdnn] epochs =
+30`, `learning_rate = 0.1`).  Every file each stage wrote is compared by its
+sha256 against tests/golden/readme_demo.json, so a change that moves one bit
+names the artifacts that moved.  The file also records the numpy version and
+the BLAS these hashes were made with; a mismatch prints both environments, so
+a different library is told apart from a change in the code.
+
+A change that moves artifacts on purpose re-records the file in the same
+change with `PYTHONPATH=src python tests/test_golden.py`, and lists what moved.
+
+Time: each run takes 1.3-1.6 s wall on a 2-core host; the three together
+must finish in RUN_BOUND_S.
+"""
+
+import hashlib
+import json
+import shutil
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from test_cli import readme_demo_ini
+
+from acoustok.cli import main
+from acoustok.corpus import load_corpus
+from acoustok.manifest import Manifest, file_sha256
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_demo.json"
+COMMANDS = ("iterate", "std", "eval", "viz")
+RUN_BOUND_S = 60.0
+
+# run name -> (seed, whether the network is the trained one)
+RUNS = {"readme_seed11": (11, False), "readme_seed1": (1, False), "trained_seed11": (11, True)}
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
+
+
+def run_demo(out: Path, seed: int, trained: bool) -> dict[str, dict[str, str]]:
+    """Run the four commands on the README demo into out; the manifest's
+    output hashes, stage -> {file: sha256}."""
+    ini = readme_demo_ini()
+    if trained:
+        assert "\nepochs = 3\n" in ini
+        ini = ini.replace("\nepochs = 3\n", "\nepochs = 30\nlearning_rate = 0.1\n")
+    out.mkdir(parents=True)
+    config = out.parent / f"{out.name}.ini"
+    config.write_text(ini)
+    for command in COMMANDS:
+        assert main([command, "--config", str(config), "--out", str(out),
+                     "--seed", str(seed)]) == 0
+    return Manifest(out).output_hashes()
+
+
+def digest(hashes: dict) -> str:
+    """One sha256 over a run's output hashes, the form PR texts cite."""
+    return hashlib.sha256(json.dumps(hashes, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def demo_runs(tmp_path_factory):
+    """name -> (run directory, output hashes), each run made once; the
+    directories are for reading or copying, not for changing."""
+    root = tmp_path_factory.mktemp("golden")
+    start = time.perf_counter()
+    runs = {name: (root / name, run_demo(root / name, seed, trained))
+            for name, (seed, trained) in RUNS.items()}
+    elapsed = time.perf_counter() - start
+    assert elapsed < RUN_BOUND_S, f"three demo runs took {elapsed:.1f} s"
+    return runs
+
+
+def moved_files(found: dict, recorded: dict) -> list[str]:
+    """'stage: file' of every artifact whose hash differs, or that only one
+    side wrote."""
+    keys = {(s, f) for side in (found, recorded) for s in side for f in side[s]}
+    return [f"{s}: {f}" for s, f in sorted(keys)
+            if found.get(s, {}).get(f) != recorded.get(s, {}).get(f)]
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_artifacts_match_the_recorded_digests(demo_runs, name):
+    golden = json.loads(GOLDEN.read_text())
+    recorded = golden["runs"][name]
+    assert (recorded["seed"], recorded["trained"]) == RUNS[name]
+    moved = moved_files(demo_runs[name][1], recorded["outputs"])
+    assert not moved, (
+        f"{len(moved)} artifacts of {name} moved:\n  " + "\n  ".join(moved)
+        + f"\nrecorded with {golden['environment']}, run with {environment()}")
+    assert digest(demo_runs[name][1]) == recorded["digest"]
+
+
+def test_network_rows_are_keyed_by_utterance_id(demo_runs, tmp_path):
+    """Reversing the lines of iter1/bnf's index reorders that corpus; the
+    iteration-2 network re-runs on it and writes the same bytes."""
+    out = tmp_path / "run"
+    shutil.copytree(demo_runs["readme_seed11"][0], out)
+    config = tmp_path / "demo.ini"
+    config.write_text(readme_demo_ini())
+    index = out / "iter1" / "bnf" / "corpus.jsonl"
+    lines = index.read_text().splitlines(keepends=True)
+    index.write_text("".join(reversed(lines)))
+    assert load_corpus(index.parent).ids() == list(reversed(load_corpus(out / "features").ids()))
+    written = {name: (out / "iter2" / name).read_bytes()
+               for name in ("BNF-2nd_MR-1.matn", "mdnn_log.csv")}
+
+    assert main(["mdnn", "--config", str(config), "--out", str(out), "--iteration", "2"]) == 0
+    assert Manifest(out).find("iter2/mdnn")["inputs"]["iter1/bnf/corpus.jsonl"] == \
+        file_sha256(index)
+    for name, data in written.items():
+        assert (out / "iter2" / name).read_bytes() == data, name
+
+
+def record(root: Path):
+    """Write GOLDEN from fresh runs under root."""
+    runs = {}
+    for name, (seed, trained) in RUNS.items():
+        hashes = run_demo(root / name, seed, trained)
+        runs[name] = {"seed": seed, "trained": trained, "digest": digest(hashes),
+                      "outputs": hashes}
+        print(name, digest(hashes))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({"environment": environment(), "runs": runs},
+                                 indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        record(Path(tmp))
