@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -71,9 +72,12 @@ def _parse_value(raw: str, kind, name: str):
     raw = raw.strip()
     if kind is not bool:
         try:
-            return kind(raw)
+            value = kind(raw)
         except ValueError as err:
             raise ValueError(f"{name}: {err}") from None
+        if kind is float and not math.isfinite(value):  # no setting means nan or inf
+            raise ValueError(f"{name}: expected a finite number, got {raw!r}")
+        return value
     if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
         raise ValueError(f"{name}: expected a boolean, got {raw!r}")
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
@@ -148,7 +152,7 @@ def load_config(path=None, text: str | None = None) -> PipelineConfig:
             if key not in options:
                 raise ValueError(f"{source}: unknown option {key!r} in section [{section}]")
             opt = options[key]
-            where = f"[{section}] {key}"
+            where = f"{source}: [{section}] {key}"
             if opt.many:
                 values[opt.name] = tuple(_parse_value(p, opt.kind, where) for p in raw.split())
             elif raw.strip():

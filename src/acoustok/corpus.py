@@ -282,16 +282,22 @@ def apply_cmvn(seq: FeatureSequence) -> FeatureSequence:
     return replace(seq, frames=(seq.frames - mean) / np.sqrt(var))
 
 
-def window_context(seq: FeatureSequence, radius: int) -> FeatureSequence:
-    """Concatenate radius frames on each side of every frame, replicating edges."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    T = seq.n_frames
-    blocks = []
-    for k in range(-radius, radius + 1):
-        idx = np.clip(np.arange(T) + k, 0, T - 1)
-        blocks.append(seq.frames[idx])
-    return FeatureSequence(np.hstack(blocks), seq.frame_shift, seq.frame_length, seq.utterance_id)
+def _ranges(first, lengths: np.ndarray) -> np.ndarray:
+    """The indices of consecutive ranges, concatenated: range i holds
+    lengths[i] indices from first[i] on (from first, when a scalar)."""
+    return np.arange(lengths.sum()) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+
+
+def context_rows(corpus: Corpus, ids: list[str], radius: int) -> np.ndarray:
+    """Every frame of the utterances ids, in that order, beside the radius
+    frames on each side of it: one (frames, (2 radius + 1) d) gather from
+    corpus.frames, in which an utterance repeats its own edge frames."""
+    where = {u: i for i, u in enumerate(corpus.ids())}
+    order = [where[u] for u in ids]
+    first, lengths = corpus.offsets[order], np.diff(corpus.offsets)[order]
+    lo, hi = (np.repeat(edge, lengths)[:, None] for edge in (first, first + lengths - 1))
+    rows = _ranges(first, lengths)[:, None] + np.arange(-radius, radius + 1)
+    return corpus.frames[np.clip(rows, lo, hi)].reshape(len(rows), -1)
 
 
 def utterance_stats(seq: FeatureSequence) -> np.ndarray:

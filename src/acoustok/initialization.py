@@ -17,7 +17,6 @@ memory does not grow with segments x clusters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,6 @@ class InitConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.dotplot_sigma >= 0:
             raise ValueError(f"dotplot_sigma must be >= 0, got {self.dotplot_sigma}")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
 
 # ---------------------------------------------------------------------------

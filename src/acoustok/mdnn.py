@@ -179,13 +179,18 @@ class TrainingLog:
         return "\n".join(lines) + "\n"
 
 
-def head_accuracies(model: MdnnModel, x: np.ndarray, targets: np.ndarray) -> list[float]:
-    """Per head, the share of rows whose largest logit is the target's: the
-    softmax keeps the logits' order, so it is not evaluated, and logits it
-    would round to one probability still rank apart."""
-    bottleneck = _trunk(model, x)[-1]
-    return [float(np.mean(np.argmax(bottleneck @ W + b, axis=1) == targets[:, h]))
-            for h, (W, b) in enumerate(zip(model.head_weights, model.head_biases))]
+def head_accuracies(model: MdnnModel, x: np.ndarray, targets: np.ndarray,
+                    batch_size: int = MdnnConfig.batch_size) -> list[float]:
+    """Per head, the share of rows whose largest logit is the target's, scored
+    batch_size rows at a time: the softmax keeps the logits' order, so it is
+    not evaluated, and logits it would round to one probability rank apart."""
+    hits = np.zeros(len(model.head_weights), dtype=np.int64)
+    for start in range(0, x.shape[0], batch_size):
+        rows = slice(start, start + batch_size)
+        bottleneck = _trunk(model, x[rows])[-1]
+        hits += [np.count_nonzero(np.argmax(bottleneck @ W + b, axis=1) == targets[rows, h])
+                 for h, (W, b) in enumerate(zip(model.head_weights, model.head_biases))]
+    return (hits / x.shape[0]).tolist()
 
 
 def train_mdnn(inputs: np.ndarray, targets: np.ndarray, head_keys: list[Granularity],
@@ -226,7 +231,7 @@ def train_mdnn(inputs: np.ndarray, targets: np.ndarray, head_keys: list[Granular
             epoch_loss += loss
             n_batches += 1
         log.losses.append(epoch_loss / max(n_batches, 1))
-        log.head_accuracy.append(head_accuracies(model, inputs, targets))
+        log.head_accuracy.append(head_accuracies(model, inputs, targets, cfg.batch_size))
     return model, log
 
 
@@ -234,47 +239,43 @@ def train_mdnn(inputs: np.ndarray, targets: np.ndarray, head_keys: list[Granular
 # targets and inputs
 # ---------------------------------------------------------------------------
 
-def build_targets(labels_by_level: dict[Granularity, LabelSet],
-                  grid: GranularityGrid) -> dict[str, np.ndarray]:
-    """Per-utterance (T, n_levels) target matrix; frame t of level h holds the
-    token id of the segment containing t, in grid level order."""
+def build_targets(labels_by_level: dict[Granularity, LabelSet], grid: GranularityGrid,
+                  ids: list[str]) -> np.ndarray:
+    """(frames, n_levels) targets over the utterances ids, in that order:
+    column h holds each frame's token id at grid level h."""
     levels = grid.levels()
+    columns = []
     for g in levels:
         if g not in labels_by_level:
             raise ValueError(f"missing labels for level {g}")
-    utt_ids = sorted(labels_by_level[levels[0]])
-    out: dict[str, np.ndarray] = {}
-    for utt in utt_ids:
-        T = labels_by_level[levels[0]][utt].n_frames
-        targets = np.empty((T, len(levels)), dtype=np.int64)
-        for h, g in enumerate(levels):
+        for utt in ids:
             if utt not in labels_by_level[g]:
                 raise ValueError(f"level {g} does not cover utterance {utt}")
-            seq = labels_by_level[g][utt]
-            if seq.n_frames != T:
-                raise ValueError(f"level {g} covers {seq.n_frames} frames of {utt}, expected {T}")
-            targets[:, h] = seq.frame_labels()
-        out[utt] = targets
-    return out
+            T, found = labels_by_level[levels[0]][utt].n_frames, labels_by_level[g][utt].n_frames
+            if found != T:
+                raise ValueError(f"level {g} covers {found} frames of {utt}, expected {T}")
+        columns.append(np.concatenate([labels_by_level[g][utt].frame_labels() for utt in ids]))
+    return np.stack(columns, axis=1)
 
 
-def make_iteration_input(blocks: list[np.ndarray], utterance_vector: np.ndarray) -> np.ndarray:
-    """The per-frame blocks side by side, in their order, then the
-    utterance-level vector tiled to every frame.  All blocks must agree on
-    the frame count."""
-    T = blocks[0].shape[0]
-    for b in blocks[1:]:
-        if b.shape[0] != T:
-            raise ValueError(f"frame count mismatch: {b.shape[0]} != {T}")
-    return np.hstack([*blocks, np.tile(utterance_vector, (T, 1))])
+def make_iteration_input(blocks: list[np.ndarray], statistics: np.ndarray) -> np.ndarray:
+    """The per-frame blocks side by side, in their order, then each frame's
+    row of utterance statistics.  All must agree on the frame count."""
+    for b in (*blocks, statistics):
+        if b.shape[0] != blocks[0].shape[0]:
+            raise ValueError(f"frame count mismatch: {b.shape[0]} != {blocks[0].shape[0]}")
+    return np.hstack([*blocks, statistics])
 
 
 def extract_bnf(model: MdnnModel, frames: np.ndarray) -> np.ndarray:
-    """Bottleneck activations of each input frame, (T, bottleneck width); no
-    head is evaluated."""
+    """Bottleneck activations of each input frame, (T, bottleneck width), in
+    blocks of the default minibatch's rows, so the activations held do not
+    grow with T; no head is evaluated."""
     if frames.shape[1] != model.input_dim:
         raise ValueError(f"input dim {frames.shape[1]} != model input {model.input_dim}")
-    return _trunk(model, frames)[-1]
+    block = MdnnConfig.batch_size
+    return np.concatenate([_trunk(model, frames[start:start + block])[-1]
+                           for start in range(0, frames.shape[0], block)])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -24,9 +24,9 @@ import numpy as np
 
 from . import evalviz, mdnn, reinforce, retrieval, tokenizer
 from .config import SETTINGS, PipelineConfig, dump_config
-from .corpus import (Corpus, FeatureSequence, GroundTruth, apply_cmvn, corpus_files,
+from .corpus import (Corpus, GroundTruth, apply_cmvn, context_rows, corpus_files,
                      extract_features, ground_truth_jsonl, load_audio, load_corpus,
-                     read_ground_truth, synthesize_corpus, utterance_stats, window_context)
+                     read_ground_truth, synthesize_corpus, utterance_stats)
 from .initialization import make_initial_labels
 from .labels import LabelSet, labels_to_jsonl, read_jsonl, read_labels_jsonl, validate_label_set
 from .manifest import SETTINGS_DIR, Manifest, PipelineError, StageWriter, atomic_write_text
@@ -283,9 +283,10 @@ def cmd_mr(ctx: RunContext, iteration: int = 1, mr_round: int = 1):
 
 
 def _mdnn_inputs(ctx: RunContext, writer: StageWriter, iteration: int):
-    """Per-utterance network input: the context of the acoustic features and
-    of every earlier iteration's bottleneck features, then the utterance
-    statistics vector.  Returns the rows and the acoustic corpus."""
+    """The network's input, one row per frame, utterances in sorted id order:
+    the context of the acoustic features and of every earlier iteration's
+    bottleneck features, each gathered from its corpus matrix, then the
+    utterance's statistics.  Returns the rows, their ids and the acoustic corpus."""
     acoustic = _read_corpus(ctx, writer, "features")
     counts = acoustic.frame_counts()
     corpora = [acoustic]
@@ -293,13 +294,10 @@ def _mdnn_inputs(ctx: RunContext, writer: StageWriter, iteration: int):
         rel_dir = f"iter{k}/bnf"
         corpora.append(_read_corpus(ctx, writer, rel_dir))
         _check_frames(ctx.out / rel_dir, corpora[-1].frame_counts(), counts)
-    radius = ctx.cfg.features.context_radius
-    rows = {
-        utt: make_iteration_input([window_context(c[utt], radius).frames for c in corpora],
-                                  utterance_stats(acoustic[utt]))
-        for utt in sorted(acoustic.ids())
-    }
-    return rows, acoustic
+    ids = sorted(acoustic.ids())
+    stats = np.repeat([utterance_stats(acoustic[u]) for u in ids], [counts[u] for u in ids], axis=0)
+    blocks = [context_rows(c, ids, ctx.cfg.features.context_radius) for c in corpora]
+    return make_iteration_input(blocks, stats), ids, acoustic
 
 
 def _matn_name(ctx: RunContext, iteration: int) -> str:
@@ -308,13 +306,11 @@ def _matn_name(ctx: RunContext, iteration: int) -> str:
 
 def cmd_mdnn(ctx: RunContext, iteration: int = 1):
     def work(ctx: RunContext, writer: StageWriter):
-        rows, acoustic = _mdnn_inputs(ctx, writer, iteration)
+        rows, ids, acoustic = _mdnn_inputs(ctx, writer, iteration)
         level_labels = _read_levels(ctx, writer, tok_dir(iteration, ctx.cfg.mr_rounds),
                                     acoustic.frame_counts())
-        targets_by_utt = build_targets(level_labels, ctx.cfg.grid)
-        X = np.vstack(list(rows.values()))  # rows are in sorted utterance order
-        Y = np.vstack([targets_by_utt[u] for u in rows])
-        model, log = train_mdnn(X, Y, ctx.cfg.grid.levels(), ctx.cfg.mdnn,
+        targets = build_targets(level_labels, ctx.cfg.grid, ids)
+        model, log = train_mdnn(rows, targets, ctx.cfg.grid.levels(), ctx.cfg.mdnn,
                                 seed=stage_seed(ctx.cfg.seed, f"mdnn/{iteration}"))
         writer.add_bytes(_matn_name(ctx, iteration), mdnn.matn_bytes(model))
         writer.add_text(f"iter{iteration}/mdnn_log.csv", log.to_csv())
@@ -325,9 +321,10 @@ def cmd_mdnn(ctx: RunContext, iteration: int = 1):
 def cmd_extract(ctx: RunContext, iteration: int = 1):
     def work(ctx: RunContext, writer: StageWriter):
         model = read_matn(writer.read(ctx.out / _matn_name(ctx, iteration), "trained network"))
-        rows, acoustic = _mdnn_inputs(ctx, writer, iteration)
-        sequences = [FeatureSequence(extract_bnf(model, rows[utt]), acoustic[utt].frame_shift,
-                                     acoustic[utt].frame_length, utt) for utt in acoustic.ids()]
+        rows, ids, acoustic = _mdnn_inputs(ctx, writer, iteration)
+        ends = np.cumsum([acoustic[u].n_frames for u in ids])
+        bnf = dict(zip(ids, np.split(extract_bnf(model, rows), ends[:-1])))
+        sequences = [replace(u, frames=bnf[u.utterance_id]) for u in acoustic]
         _add_corpus(writer, f"iter{iteration}/bnf", Corpus(sequences, dict(acoustic.speakers)))
 
     _run_stage(ctx, stage("extract", iteration), work)

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ArtifactReader, Corpus
+from .corpus import ArtifactReader, Corpus, _ranges
 from .labels import LabelSet, TokenLabelSequence, validate_label_set
 
 MATM_MAGIC = b"MATM"
@@ -305,12 +305,6 @@ def _batches(lengths: np.ndarray, cell_bytes: int, budget: int,
         batches.append(slice(start, start + max(1, fits)))
         start += max(1, fits)
     return batches
-
-
-def _ranges(first, lengths: np.ndarray) -> np.ndarray:
-    """The indices of consecutive ranges, concatenated: range i holds
-    lengths[i] indices from first[i] on (from first, when a scalar)."""
-    return np.arange(lengths.sum()) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
 
 
 def _pad(stacked: np.ndarray, lengths: np.ndarray, fill: float = -np.inf) -> tuple[np.ndarray, tuple]:

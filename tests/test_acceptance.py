@@ -350,8 +350,8 @@ class TestCriterion9:
 class TestCriterion10:
     def test_dimension_bookkeeping(self):
         start = time.perf_counter()
-        first = make_iteration_input([np.zeros((5, 351))], np.zeros(400))
-        second = make_iteration_input([np.zeros((5, 351))] * 3, np.zeros(400))
+        first = make_iteration_input([np.zeros((5, 351))], np.zeros((5, 400)))
+        second = make_iteration_input([np.zeros((5, 351))] * 3, np.zeros((5, 400)))
         elapsed = time.perf_counter() - start
         ok = first.shape[1] == 751 and second.shape[1] == 1453 and elapsed < 1
         report(10, ok, f"iteration-1 width {first.shape[1]} (=751), "

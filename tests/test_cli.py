@@ -17,7 +17,7 @@ from test_corpus import save_audio
 
 from acoustok import initialization, pipeline
 from acoustok.cli import main
-from acoustok.config import SETTINGS, PipelineConfig, dump_config, load_config
+from acoustok.config import _SCHEMA, SETTINGS, PipelineConfig, dump_config, load_config
 from acoustok.corpus import (
     Corpus, FeatureSequence, Waveform, load_corpus, matf_bytes, read_matf, save_corpus,
 )
@@ -218,16 +218,37 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, line, message", [
         ("tokenizer", "outer_iters = 3 ;2",
-         "[tokenizer] outer_iters: invalid literal for int() with base 10: '3 ;2'"),
+         "<string>: [tokenizer] outer_iters: invalid literal for int() with base 10: '3 ;2'"),
         ("tokenizer", "var_floor_frac = 0.0l",
-         "[tokenizer] var_floor_frac: could not convert string to float: '0.0l'"),
+         "<string>: [tokenizer] var_floor_frac: could not convert string to float: '0.0l'"),
         ("grid", "phonetic = 4 six",
-         "[grid] phonetic: invalid literal for int() with base 10: 'six'"),
+         "<string>: [grid] phonetic: invalid literal for int() with base 10: 'six'"),
     ])
     def test_parse_errors_name_the_setting(self, section, line, message):
         with pytest.raises(ValueError) as err:
             load_config(text=f"[{section}]\n{line}\n")
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", [(section, key)
+                                              for section, options in _SCHEMA.items()
+                                              for key, opt in options.items() if opt.kind is float])
+    def test_non_finite_float_setting_names_the_file_and_key(self, tmp_path, section, key, value):
+        path = tmp_path / "config.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value) == (f"{path}: [{section}] {key}: "
+                                  f"expected a finite number, got {value!r}")
+
+    def test_non_finite_setting_stops_iterate(self, tmp_path, capsys):
+        path = write_config(tmp_path, TINY_CONFIG.replace("[tokenizer]\n",
+                                                          "[tokenizer]\nlm_scale = nan\n"))
+        out = tmp_path / "run"
+        assert main(["iterate", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"acoustok iterate: {path}: [tokenizer] lm_scale: "
+                                           "expected a finite number, got 'nan'\n")
+        assert not out.exists()
 
     def test_write_config_override_replaces_value(self, tmp_path):
         cfg = load_config(write_config(tmp_path, outer_iters=4, phonetic="5 7"))
@@ -717,14 +738,13 @@ class TestStages:
         ("delta_window", "0", "[features] delta_window must be >= 1, got 0"),
         ("context_radius", "-1", "[features] context_radius must be >= 0, got -1"),
         ("dotplot_sigma", "-1", "[init] dotplot_sigma must be >= 0, got -1.0"),
-        ("alpha", "nan", "[init] alpha must be finite, got nan"),
     ], ids=["n_speakers", "bottleneck", "mode", "iterations", "mr_rounds", "phonetic",
             "temporal", "weights", "weights-negative", "weights-zero-sum", "queries-repeated",
             "lda_iters",
             "lda_beta", "lda_alpha", "overlap-above-1", "overlap-zero", "min_gap",
             "epochs", "hidden", "em_iters", "em_tol", "var_floor_frac", "window", "shift",
             "n_ceps-above-n_filters", "n_ceps-zero", "n_filters", "delta_window",
-            "context_radius", "dotplot_sigma", "alpha-nan"])
+            "context_radius", "dotplot_sigma"])
     def test_out_of_range_setting_fails_at_load(self, tmp_path, capsys, key, value, message):
         # TINY_CONFIG leaves these keys at their defaults; spell them out
         text = TINY_CONFIG.replace("[synth]\n", "[synth]\nn_speakers = 2\n").replace(

@@ -13,6 +13,7 @@ from acoustok.corpus import (
     Waveform,
     _dct_matrix,
     apply_cmvn,
+    context_rows,
     extract_features,
     load_audio,
     load_corpus,
@@ -21,7 +22,6 @@ from acoustok.corpus import (
     save_corpus,
     synthesize_corpus,
     utterance_stats,
-    window_context,
 )
 
 
@@ -132,31 +132,56 @@ class TestCmvn:
         assert np.all(out.frames[:, 2] == 0.0)
 
 
-class TestWindowContext:
+def one_utterance(frames) -> Corpus:
+    return Corpus([FeatureSequence(frames, utterance_id="u")])
+
+
+class TestContextRows:
     def test_width(self):
-        seq = FeatureSequence(np.zeros((10, 39)))
-        assert window_context(seq, 4).frames.shape == (10, 351)
+        assert context_rows(one_utterance(np.zeros((10, 39))), ["u"], 4).shape == (10, 351)
 
     def test_single_frame_replication(self):
-        seq = FeatureSequence(np.arange(39, dtype=float)[None, :])
-        ctx = window_context(seq, 4)
-        assert ctx.frames.shape == (1, 351)
-        assert np.array_equal(ctx.frames[0], np.tile(seq.frames[0], 9))
+        frame = np.arange(39, dtype=float)
+        ctx = context_rows(one_utterance(frame[None, :]), ["u"], 4)
+        assert ctx.shape == (1, 351)
+        assert np.array_equal(ctx[0], np.tile(frame, 9))
 
     def test_radius_zero_identity(self):
         rng = np.random.default_rng(2)
-        seq = FeatureSequence(rng.normal(size=(8, 4)))
-        assert np.array_equal(window_context(seq, 0).frames, seq.frames)
+        frames = rng.normal(size=(8, 4))
+        assert np.array_equal(context_rows(one_utterance(frames), ["u"], 0), frames)
 
     def test_blocks_are_clamped_source_rows(self):
         rng = np.random.default_rng(3)
-        seq = FeatureSequence(rng.normal(size=(6, 3)))
+        frames = rng.normal(size=(6, 3))
         r = 2
-        ctx = window_context(seq, r)
+        ctx = context_rows(one_utterance(frames), ["u"], r)
         for t in range(6):
             for bi, k in enumerate(range(-r, r + 1)):
                 src = min(max(t + k, 0), 5)
-                assert np.array_equal(ctx.frames[t, bi * 3 : (bi + 1) * 3], seq.frames[src])
+                assert np.array_equal(ctx[t, bi * 3 : (bi + 1) * 3], frames[src])
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7])
+    def test_mid_corpus_utterance_replicates_its_own_edges(self, length):
+        """An utterance between two others, some shorter than the radius,
+        gets the rows it gets alone: no neighbour's frame enters its context."""
+        rng = np.random.default_rng(length)
+        seqs = [FeatureSequence(rng.normal(size=(n, 3)), utterance_id=u)
+                for u, n in (("a", 5), ("mid", length), ("z", 4))]
+        r = 3
+        ctx = context_rows(Corpus(seqs), ["mid"], r)
+        assert np.array_equal(ctx, context_rows(Corpus([seqs[1]]), ["mid"], r))
+        own = {row.tobytes() for row in seqs[1].frames}
+        assert all(block.tobytes() in own for block in ctx.reshape(-1, 3))
+
+    def test_rows_follow_the_given_ids(self):
+        rng = np.random.default_rng(4)
+        seqs = [FeatureSequence(rng.normal(size=(n, 2)), utterance_id=u)
+                for u, n in (("b", 3), ("a", 2))]
+        corpus = Corpus(seqs)
+        ctx = context_rows(corpus, ["a", "b"], 1)
+        assert np.array_equal(ctx, np.vstack([context_rows(Corpus([s]), [s.utterance_id], 1)
+                                              for s in seqs[::-1]]))
 
 
 class TestUtteranceStats:

@@ -390,11 +390,6 @@ class TestKmeansArrays:
 
 
 class TestBootstrapSettings:
-    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_alpha_rejected(self, alpha):
-        with pytest.raises(ValueError, match="alpha must be finite"):
-            InitConfig(alpha=alpha)
-
     def test_too_few_segments_names_the_counts(self):
         corpus, spans = TestClusterSegments().make_corpus()
         with pytest.raises(ValueError, match=r"found 4 subword segments in 2 utterances, "

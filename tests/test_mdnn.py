@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import softmax
@@ -84,8 +86,8 @@ class TestBuildTargets:
     def test_single_segment_constant_target(self):
         grid = GranularityGrid((3,), (4,))
         labels = {Granularity(3, 4): {"u": TokenLabelSequence("u", [(2, 0, 7)])}}
-        targets = build_targets(labels, grid)
-        assert np.all(targets["u"][:, 0] == 2)
+        targets = build_targets(labels, grid, ["u"])
+        assert np.all(targets[:, 0] == 2)
 
     def test_sixteen_levels_sixteen_targets(self):
         grid = GranularityGrid((3, 5, 7, 9), (2, 3, 4, 5))
@@ -93,21 +95,39 @@ class TestBuildTargets:
             g: {"u": TokenLabelSequence("u", [(0, 0, 5), (1, 5, 10)])}
             for g in grid.levels()
         }
-        targets = build_targets(labels, grid)
-        assert targets["u"].shape == (10, 16)
+        targets = build_targets(labels, grid, ["u"])
+        assert targets.shape == (10, 16)
 
     def test_half_open_membership(self):
         grid = GranularityGrid((3,), (2,))
         labels = {Granularity(3, 2): {"u": TokenLabelSequence("u", [(0, 0, 4), (1, 4, 8)])}}
-        targets = build_targets(labels, grid)["u"][:, 0]
+        targets = build_targets(labels, grid, ["u"])[:, 0]
         assert targets[3] == 0
         assert targets[4] == 1
+
+    def test_rows_follow_the_given_ids(self):
+        grid = GranularityGrid((3,), (4,))
+        labels = {Granularity(3, 4): {"a": TokenLabelSequence("a", [(1, 0, 2)]),
+                                      "b": TokenLabelSequence("b", [(3, 0, 1), (2, 1, 3)])}}
+        targets = build_targets(labels, grid, ["b", "a"])
+        assert targets.tolist() == [[3], [2], [2], [1], [1]]
+
+    @pytest.mark.parametrize("second, message", [
+        ({}, "does not cover utterance u"),
+        ({"u": TokenLabelSequence("u", [(0, 0, 3)])}, "covers 3 frames of u, expected 4"),
+    ])
+    def test_level_disagreeing_with_the_first_rejected(self, second, message):
+        grid = GranularityGrid((3, 5), (2,))
+        labels = {Granularity(3, 2): {"u": TokenLabelSequence("u", [(0, 0, 4)])},
+                  Granularity(5, 2): second}
+        with pytest.raises(ValueError, match=message):
+            build_targets(labels, grid, ["u"])
 
     def test_missing_level_rejected(self):
         grid = GranularityGrid((3, 5), (2,))
         labels = {Granularity(3, 2): {"u": TokenLabelSequence("u", [(0, 0, 4)])}}
         with pytest.raises(ValueError, match="missing labels"):
-            build_targets(labels, grid)
+            build_targets(labels, grid, ["u"])
 
 
 class TestTraining:
@@ -132,6 +152,32 @@ class TestTraining:
         monkeypatch.setattr(mdnn, "_softmax", no_softmax)
         x = np.random.default_rng(2).normal(size=(5, 3))
         assert head_accuracies(model, x, np.ones((5, 1), dtype=np.int64)) == [1.0]
+
+    def test_accuracy_in_row_blocks_counts_every_row_once(self):
+        rng = np.random.default_rng(3)
+        model = init_mdnn(6, TOY_KEYS, MdnnConfig(hidden=(5,), bottleneck=3), seed=1)
+        x, targets = rng.normal(size=(50, 6)), rng.integers(0, 2, size=(50, 2))
+        whole = head_accuracies(model, x, targets, batch_size=50)
+        assert head_accuracies(model, x, targets, batch_size=7) == whole
+        assert whole == [float(np.mean(np.argmax(_forward(model, x)[1][h], axis=1)
+                                       == targets[:, h])) for h in range(2)]
+
+    def test_training_memory_does_not_grow_with_rows(self):
+        """Beyond its inputs, training holds a minibatch's activations, not
+        every row's: peak traced memory at 4N rows stays within 1 MB of N's."""
+        keys = [Granularity(3, 100), Granularity(5, 100)]
+        cfg = MdnnConfig(hidden=(64,), bottleneck=8, epochs=1, batch_size=64)
+        peaks = []
+        for n in (1500, 6000):
+            rng = np.random.default_rng(0)
+            x, targets = rng.normal(size=(n, 20)), rng.integers(0, 100, size=(n, 2))
+            tracemalloc.start()
+            try:
+                train_mdnn(x, targets, keys, cfg, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1_000_000, peaks
 
     def test_loss_trend_non_increasing_after_warmup(self):
         inputs, targets = toy_data()
@@ -280,28 +326,51 @@ class TestExtractBnf:
         with pytest.raises(ValueError, match="input dim"):
             extract_bnf(model, np.zeros((3, 5)))
 
+    def test_row_blocks_stitch_in_order(self):
+        model = init_mdnn(6, [Granularity(3, 2)], MdnnConfig(hidden=(8,), bottleneck=4))
+        frames = np.random.default_rng(3).normal(size=(2 * MdnnConfig.batch_size + 7, 6))
+        np.testing.assert_allclose(extract_bnf(model, frames), mdnn._trunk(model, frames)[-1],
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_memory_beyond_the_output_does_not_grow_with_rows(self):
+        model = init_mdnn(20, [Granularity(3, 2)], MdnnConfig(hidden=(64,), bottleneck=8))
+        extra = []
+        for n in (1500, 6000):
+            frames = np.random.default_rng(0).normal(size=(n, 20))
+            tracemalloc.start()
+            try:
+                out = extract_bnf(model, frames)
+                extra.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert extra[1] - extra[0] < 1_000_000, extra
+
 
 class TestIterationInput:
     def test_mfcc_bnf_stats_dimension(self):
-        out = make_iteration_input([np.zeros((10, 351)), np.zeros((10, 351))], np.zeros(78))
+        out = make_iteration_input([np.zeros((10, 351)), np.zeros((10, 351))], np.zeros((10, 78)))
         assert out.shape == (10, 780)
 
     def test_three_block_layout_width(self):
         blocks = [np.full((10, 351), float(i)) for i in range(3)]
-        out = make_iteration_input(blocks, np.full(400, 3.0))
+        out = make_iteration_input(blocks, np.full((10, 400), 3.0))
         assert out.shape == (10, 1453)
         assert np.array_equal(out, np.hstack([*blocks, np.full((10, 400), 3.0)]))
 
     def test_identity_without_extras(self):
         rng = np.random.default_rng(2)
-        ctx, vector = rng.normal(size=(6, 12)), rng.normal(size=3)
-        out = make_iteration_input([ctx], vector)
+        ctx, stats = rng.normal(size=(6, 12)), rng.normal(size=(6, 3))
+        out = make_iteration_input([ctx], stats)
         assert np.array_equal(out[:, :12], ctx)
-        assert np.array_equal(out[:, 12:], np.tile(vector, (6, 1)))
+        assert np.array_equal(out[:, 12:], stats)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="frame count mismatch: 6 != 5"):
-            make_iteration_input([np.zeros((5, 4)), np.zeros((6, 4))], np.zeros(2))
+            make_iteration_input([np.zeros((5, 4)), np.zeros((6, 4))], np.zeros((5, 2)))
+
+    def test_statistics_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="frame count mismatch: 6 != 5"):
+            make_iteration_input([np.zeros((5, 4))], np.zeros((6, 2)))
 
 
 class TestModelFile:
