@@ -1,8 +1,10 @@
 """Golden digests: the README demo's artifacts, byte for byte.
 
-Three runs of `iterate`, `std`, `eval` and `viz` on README.md's demo.ini: at
-seed 11, at seed 1, and at seed 11 with the trained network (`[mdnn] epochs =
-30`, `learning_rate = 0.1`).  Every file each stage wrote is compared by its
+Five runs of `iterate`, `std`, `eval` and `viz` on README.md's demo.ini: at
+seeds 11 and 1; with the trained network (`[mdnn] epochs = 30`,
+`learning_rate = 0.1`) at seeds 11 and 1; and at seed 11 with `[tokenizer]
+mixture_schedule = 2`, whose levels mix one- and two-component states, so the
+padded mixture paths are pinned too.  Every file each stage wrote is compared by its
 sha256 against tests/golden/readme_demo.json, so a change that moves one bit
 names the artifacts that moved.  The file also records the numpy version and
 the BLAS these hashes were made with; a mismatch prints both environments, so
@@ -11,7 +13,7 @@ a different library is told apart from a change in the code.
 A change that moves artifacts on purpose re-records the file in the same
 change with `PYTHONPATH=src python tests/test_golden.py`, and lists what moved.
 
-Time: each run takes 1.3-1.6 s wall on a 2-core host; the three together
+Time: each run takes 1.3-1.6 s wall on a 2-core host; the five together
 must finish in RUN_BOUND_S.
 """
 
@@ -34,8 +36,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_demo.json"
 COMMANDS = ("iterate", "std", "eval", "viz")
 RUN_BOUND_S = 60.0
 
-# run name -> (seed, whether the network is the trained one)
-RUNS = {"readme_seed11": (11, False), "readme_seed1": (1, False), "trained_seed11": (11, True)}
+# run name -> (seed, whether the network is the trained one, whether states
+# split into mixtures)
+RUNS = {"readme_seed11": (11, False, False), "readme_seed1": (1, False, False),
+        "trained_seed11": (11, True, False), "trained_seed1": (1, True, False),
+        "mixtures_seed11": (11, False, True)}
 
 
 def environment() -> dict:
@@ -43,13 +48,16 @@ def environment() -> dict:
     return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
 
 
-def run_demo(out: Path, seed: int, trained: bool) -> dict[str, dict[str, str]]:
+def run_demo(out: Path, seed: int, trained: bool, mixtures: bool) -> dict[str, dict[str, str]]:
     """Run the four commands on the README demo into out; the manifest's
     output hashes, stage -> {file: sha256}."""
     ini = readme_demo_ini()
     if trained:
         assert "\nepochs = 3\n" in ini
         ini = ini.replace("\nepochs = 3\n", "\nepochs = 30\nlearning_rate = 0.1\n")
+    if mixtures:
+        assert "\n[tokenizer]\n" in ini
+        ini = ini.replace("\n[tokenizer]\n", "\n[tokenizer]\nmixture_schedule = 2\n")
     out.mkdir(parents=True)
     config = out.parent / f"{out.name}.ini"
     config.write_text(ini)
@@ -70,10 +78,10 @@ def demo_runs(tmp_path_factory):
     directories are for reading or copying, not for changing."""
     root = tmp_path_factory.mktemp("golden")
     start = time.perf_counter()
-    runs = {name: (root / name, run_demo(root / name, seed, trained))
-            for name, (seed, trained) in RUNS.items()}
+    runs = {name: (root / name, run_demo(root / name, *settings))
+            for name, settings in RUNS.items()}
     elapsed = time.perf_counter() - start
-    assert elapsed < RUN_BOUND_S, f"three demo runs took {elapsed:.1f} s"
+    assert elapsed < RUN_BOUND_S, f"{len(RUNS)} demo runs took {elapsed:.1f} s"
     return runs
 
 
@@ -89,7 +97,7 @@ def moved_files(found: dict, recorded: dict) -> list[str]:
 def test_artifacts_match_the_recorded_digests(demo_runs, name):
     golden = json.loads(GOLDEN.read_text())
     recorded = golden["runs"][name]
-    assert (recorded["seed"], recorded["trained"]) == RUNS[name]
+    assert (recorded["seed"], recorded["trained"], recorded["mixtures"]) == RUNS[name]
     moved = moved_files(demo_runs[name][1], recorded["outputs"])
     assert not moved, (
         f"{len(moved)} artifacts of {name} moved:\n  " + "\n  ".join(moved)
@@ -121,10 +129,10 @@ def test_network_rows_are_keyed_by_utterance_id(demo_runs, tmp_path):
 def record(root: Path):
     """Write GOLDEN from fresh runs under root."""
     runs = {}
-    for name, (seed, trained) in RUNS.items():
-        hashes = run_demo(root / name, seed, trained)
-        runs[name] = {"seed": seed, "trained": trained, "digest": digest(hashes),
-                      "outputs": hashes}
+    for name, (seed, trained, mixtures) in RUNS.items():
+        hashes = run_demo(root / name, seed, trained, mixtures)
+        runs[name] = {"seed": seed, "trained": trained, "mixtures": mixtures,
+                      "digest": digest(hashes), "outputs": hashes}
         print(name, digest(hashes))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({"environment": environment(), "runs": runs},
