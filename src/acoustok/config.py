@@ -166,7 +166,7 @@ def load_config(path=None, text: str | None = None) -> PipelineConfig:
             else:
                 setattr(cfg, section, replace(getattr(cfg, section), **values))
         except ValueError as err:
-            raise ValueError(f"[{section}] {err}") from None
+            raise ValueError(f"{source}: [{section}] {err}") from None
     return cfg
 
 

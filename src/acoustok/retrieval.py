@@ -8,8 +8,8 @@ the query axis).  Scores are summed over levels.  Frame mode runs the same
 DTW over cosine distances between feature frames.  All scores are
 normalized by query length; lower is better.
 
-A KL table stacks its level once (`tokenizer._StackedLevel`); a state
-position's table reads a slice of it, one matrix product per state row
+A KL table reads the level's stacked arrays (`tokenizer.LevelModel`); a state
+position's table reads a slice of them, one matrix product per state row
 (`_variational_kls`).  The rows run in blocks under KERNEL_BLOCK_BYTES: a
 block's per-row products are one stacked matmul and its log-sums one call,
 with the same bits as one row at a time.  The table rounds differently from the
@@ -49,8 +49,8 @@ import numpy as np
 
 from .corpus import FeatureSequence, cosine_similarity, row_norms, unit_row_similarity, unit_rows
 from .labels import open_text
-from .tokenizer import (KERNEL_BLOCK_BYTES, GaussState, Granularity, LevelModel, _batches,
-                        _StackedLevel, logsumexp, padded_log_weights, stack_states)
+from .tokenizer import (KERNEL_BLOCK_BYTES, GaussState, Granularity, LevelModel, TokenHmm,
+                        _batches, logsumexp, padded_log_weights)
 
 # bytes a block of documents may take in subsequence DTW: its one skewed
 # accumulator; a block holds at least one document
@@ -64,13 +64,13 @@ DTW_BLOCK_BYTES = 256 << 10
 def _variational_kls(weights: np.ndarray, log_weights: np.ndarray, means: np.ndarray,
                      variances: np.ndarray) -> np.ndarray:
     """(n, n) variational approximations of KL(state i || state j) for n
-    diagonal-covariance GMMs, stacked as `stack_states` stacks them, with the
+    diagonal-covariance GMMs, padded as `LevelModel` pads them, with the
     log-weights of `padded_log_weights` (Hershey & Olsen, ICASSP 2007); exact
     (the closed form) between single components.  Computed in log domain.
 
-    The padding of `stack_states` adds nothing to either sum.  The closed form
-    between components p and q is expanded as Kaldi's diagonal GMMs store it
-    (Povey et al., ASRU 2011):
+    The padding adds nothing to either sum.  The closed form between
+    components p and q is expanded as Kaldi's diagonal GMMs store it (Povey
+    et al., ASRU 2011):
         2 KL(p || q) = (v_p + mu_p^2) . (1/v_q) + mu_p . (-2 mu_q/v_q)
                        + sum log v_q + sum mu_q^2/v_q - sum log v_p - d,
     so row i is one (c, 2d) x (2d, n c) matrix product plus per-component
@@ -105,20 +105,20 @@ def _variational_kls(weights: np.ndarray, log_weights: np.ndarray, means: np.nda
 
 
 def state_kl(a: GaussState, b: GaussState) -> float:
-    """Symmetric variational KL between two emission states, clamped at 0."""
-    counts, weights, means, variances = stack_states([a, b])
-    K = _variational_kls(weights, padded_log_weights(weights, counts), means, variances)
-    return max(0.0, float(K[0, 1] + K[1, 0]))
+    """Symmetric variational KL between two emission states, clamped at 0:
+    the distance table of a level of two one-state tokens."""
+    level = LevelModel(Granularity(1, 2), [TokenHmm(t, [st], np.ones((1, 2)))
+                                           for t, st in enumerate((a, b))], np.ones(2))
+    return float(token_distance_matrix(level)[0, 1])
 
 
 def token_distance_matrix(model: LevelModel) -> np.ndarray:
     """S(i, j) = sum over states s of state_kl(HMM_i state s, HMM_j state s).
     Position s is a slice of the level, cut to the most components it holds."""
-    level = _StackedLevel.of(model.hmms)
-    stacked = (level.weights, padded_log_weights(level.weights, level.counts), level.means,
-               level.variances)
+    stacked = (model.weights, padded_log_weights(model.weights, model.counts), model.means,
+               model.variances)
     S = np.zeros((model.granularity.n, model.granularity.n))
-    for s, c in enumerate(level.counts.max(axis=0).tolist()):
+    for s, c in enumerate(model.counts.max(axis=0).tolist()):
         K = _variational_kls(*(a[:, s, :c] for a in stacked))
         S += np.maximum(0.0, K + K.T)
     np.fill_diagonal(S, 0.0)

@@ -11,18 +11,19 @@ sharing the same n start from the same initial label set.
 A level trains and decodes as one batch of rows, not a loop over tokens.  Its
 rows are rows of the corpus matrix, `Corpus.frames`: a labeled span is a row
 range gathered by index, and a decoding batch of consecutive utterances is a
-slice.  Every state density comes from one kernel, `_log_joints`, over a
-level's states stacked into arrays, `_StackedLevel` (component counts,
-weights, means, variances, transitions).  `GaussState`, `TokenHmm` and
-`LevelModel` hold data, and every formula reads the stacked level: one
-state's density and one span's likelihood are the level's kernels on a level
-of one state or one token.  Training, decoding, the likelihood trace and the
-KL tables (`retrieval`) each stack a level once per call.  EM,
-mixture splits and reseeding included, updates those arrays, and the
-`TokenHmm`s are built once, on return.  Training scores each frame of every
-token still in EM against its own token's states in one pass per EM
-iteration; decoding scores a batch of utterances against all n * m states in
-one pass, and that table also serves the likelihood trace.
+slice.  A level's model, `LevelModel`, is its states stacked into arrays
+(component counts, weights, means, variances, transitions) with its token
+prior, and every state density comes from one kernel, `_log_joints`, over
+those arrays.  `GaussState` and `TokenHmm` records are the model's
+constructor input and views of its rows; one state's density and one span's
+likelihood are the level's kernels on a level of one state or one token.
+Training, decoding, the likelihood trace and the KL tables (`retrieval`)
+read the model they are given.  EM, mixture splits and reseeding included,
+updates a model's arrays in place: the flat start's, or a copy of the warm
+start's, so the model a caller passes in is never changed.  Training scores
+each frame of every token still in EM against its own token's states in one
+pass per EM iteration; decoding scores a batch of utterances against all
+n * m states in one pass, and that table also serves the likelihood trace.
 
 The E-step runs once per EM iteration over the spans of every token still
 training: every span's alignment, from forward-backward or, for a span no
@@ -49,6 +50,7 @@ depend on how rows are batched.  `logsumexp` is the package's one log-sum-exp.
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass
 
@@ -103,10 +105,6 @@ class GaussState:
     means: np.ndarray     # (c, d)
     variances: np.ndarray # (c, d)
 
-    @classmethod
-    def single(cls, mean: np.ndarray, variance: np.ndarray) -> "GaussState":
-        return cls(np.ones(1), mean[None, :].copy(), variance[None, :].copy())
-
     @property
     def n_components(self) -> int:
         return len(self.weights)
@@ -118,7 +116,7 @@ class GaussState:
     def log_density(self, frames: np.ndarray) -> np.ndarray:
         """(T,) mixture log densities: the emission table of a level of one
         one-state token."""
-        level = _StackedLevel.of([TokenHmm(0, [self], np.ones((1, 2)))])
+        level = LevelModel(Granularity(1, 1), [TokenHmm(0, [self], np.ones((1, 2)))], np.ones(1))
         return _emission_table(level.density_stack(), frames, 1)[:, 0, 0]
 
     def split(self) -> "GaussState":
@@ -143,21 +141,6 @@ class TokenHmm:
         return len(self.states)
 
 
-def stack_states(states: list[GaussState]) -> tuple[np.ndarray, ...]:
-    """(S,) component counts, (S, c) weights and (S, c, d) means and
-    variances, c the most components a state holds; fewer are padded with
-    weight 0, mean 0 and variance 1, which add nothing to a mixture sum."""
-    if len({st.dim for st in states}) > 1:
-        raise ValueError("states have different feature dimensions")
-    S, c, d = len(states), max(st.n_components for st in states), states[0].dim
-    weights, means, variances = np.zeros((S, c)), np.zeros((S, c, d)), np.ones((S, c, d))
-    for k, st in enumerate(states):
-        weights[k, :st.n_components] = st.weights
-        means[k, :st.n_components] = st.means
-        variances[k, :st.n_components] = st.variances
-    return np.array([st.n_components for st in states]), weights, means, variances
-
-
 def padded_log_weights(weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The log of stacked (..., c) weights, of which counts (...) are real in
     each row, and -inf on the padding, which adds nothing to a mixture's
@@ -172,7 +155,7 @@ def _split_components(weights: np.ndarray, means: np.ndarray, variances: np.ndar
     (S, c, d) means and variances, row i holding counts[i] components, its
     component j becomes components j and j + counts[i], with half the weight
     and the mean minus and plus 0.2 std.  The (S, 2c) and (S, 2c, d) results
-    are padded as stack_states pads."""
+    are padded as LevelModel pads."""
     j = np.arange(2 * weights.shape[1])
     k = counts[:, None]
     lower, real = j < k, j < 2 * k
@@ -193,7 +176,7 @@ KERNEL_BLOCK_BYTES = 256 << 10
 def _log_joints(stack: tuple[np.ndarray, ...], frames: np.ndarray,
                 states: np.ndarray) -> np.ndarray:
     """(T, k, c) log weight plus log density of every (padded) component of k
-    of the S states of stack, a _StackedLevel.density_stack, at each of T
+    of the S states of stack, a LevelModel.density_stack, at each of T
     frames: states holds the k that every frame is scored against, (k,), or
     each frame's own, (T, k).  The kernel broadcasts over blocks of frames and
     states whose (frames, states, c, d) temporaries stay under
@@ -220,18 +203,95 @@ def _log_joints(stack: tuple[np.ndarray, ...], frames: np.ndarray,
     return out
 
 
-@dataclass
 class LevelModel:
-    granularity: Granularity
-    hmms: list[TokenHmm]
-    prior: np.ndarray  # (n,) unigram token prior
+    """A level's n token HMMs of m states as stacked arrays: the (n, m)
+    component counts, (n, m, c) weights and (n, m, c, d) means and variances,
+    c the most components a state holds, and the (n, m, 2) transitions, with
+    the (n,) unigram token prior.  A state with fewer than c components is
+    padded with weight 0, mean 0 and variance 1, which add nothing to a
+    mixture sum.  EM updates the arrays in place, and c grows when states
+    split.
 
-    def __post_init__(self):
-        if len(self.hmms) != self.granularity.n:
+    LevelModel(granularity, hmms, prior) stacks the records once.  `hmms`
+    gives them back as views of the rows, each state cut to its own
+    components, so an in-place edit through a view edits the model."""
+
+    def __init__(self, granularity: Granularity, hmms: list[TokenHmm], prior: np.ndarray):
+        n, m = granularity.n, granularity.m
+        if len(hmms) != n:
             raise ValueError("model must hold exactly n token HMMs")
+        for token, hmm in enumerate(hmms):
+            if hmm.m != m or np.shape(hmm.transitions) != (m, 2):
+                raise ValueError(f"token {token}: {hmm.m} states and transitions of shape "
+                                 f"{np.shape(hmm.transitions)}, where m = {m} needs ({m}, 2)")
+        c = max(state.n_components for hmm in hmms for state in hmm.states)
+        d = hmms[0].states[0].dim
+        counts, weights = np.zeros((n, m), dtype=np.int64), np.zeros((n, m, c))
+        means, variances = np.zeros((n, m, c, d)), np.ones((n, m, c, d))
+        for token, hmm in enumerate(hmms):
+            for s, state in enumerate(hmm.states):
+                if state.dim != d:
+                    raise ValueError(f"token {token} state {s}: states have different feature "
+                                     f"dimensions, {state.dim} where token 0 state 0 has {d}")
+                k = counts[token, s] = state.n_components
+                weights[token, s, :k], means[token, s, :k], variances[token, s, :k] = (
+                    state.weights, state.means, state.variances)
+        self._hold(granularity, counts, weights, means, variances,
+                   np.stack([hmm.transitions for hmm in hmms]), prior)
+
+    def _hold(self, granularity: Granularity, counts: np.ndarray, weights: np.ndarray,
+              means: np.ndarray, variances: np.ndarray, transitions: np.ndarray,
+              prior: np.ndarray):
+        """Take stacked arrays as they are, without copying them."""
+        self.granularity, self.prior = granularity, prior
+        self.counts, self.weights, self.means, self.variances, self.transitions = (
+            counts, weights, means, variances, transitions)
+
+    @property
+    def hmms(self) -> list[TokenHmm]:
+        """The token HMMs as views of the rows, each state cut to its own
+        components."""
+        return [TokenHmm(token, [GaussState(self.weights[token, s, :c], self.means[token, s, :c],
+                                            self.variances[token, s, :c])
+                                 for s, c in enumerate(counts)], self.transitions[token])
+                for token, counts in enumerate(self.counts.tolist())]
 
     def log_prior(self, lm_scale: float = 1.0) -> np.ndarray:
         return lm_scale * np.log(np.maximum(self.prior, PRIOR_FLOOR))
+
+    def density_stack(self, c: int | None = None) -> tuple[np.ndarray, ...]:
+        """The n * m states, token-major, cut to their first c components (all
+        when c is None): (S, c) log-weights, (S, c, d) means and variances and
+        the (S, c) sums of log variances, as the density kernel reads them."""
+        S, d = self.counts.size, self.means.shape[3]
+        variances = self.variances.reshape(S, -1, d)[:, :c]
+        return (padded_log_weights(self.weights, self.counts).reshape(S, -1)[:, :c],
+                self.means.reshape(S, -1, d)[:, :c], variances, np.sum(np.log(variances), axis=2))
+
+    def log_transitions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, m) log self-loop and advance probabilities."""
+        log_t = np.log(np.maximum(self.transitions, TRANS_FLOOR))
+        return log_t[..., 0], log_t[..., 1]
+
+    def split(self, tokens: np.ndarray, target: int) -> np.ndarray:
+        """Split each state of tokens that holds fewer than target
+        components (_split_components); returns the tokens split."""
+        short = np.zeros(self.counts.shape, dtype=bool)
+        short[tokens] = self.counts[tokens] < target
+        if not short.any():
+            return tokens[:0]
+        grow = 2 * int(self.counts[short].max()) - self.weights.shape[2]
+        if grow > 0:  # the new columns are padding: weight 0, mean 0, variance 1
+            self.weights, self.means, self.variances = (
+                np.pad(a, [(0, 0), (0, 0), (0, grow)] + [(0, 0)] * (a.ndim - 3),
+                       constant_values=fill)
+                for a, fill in ((self.weights, 0.0), (self.means, 0.0), (self.variances, 1.0)))
+        c = self.weights.shape[2]
+        split = _split_components(self.weights[short], self.means[short], self.variances[short],
+                                  self.counts[short])
+        self.weights[short], self.means[short], self.variances[short] = (a[:, :c] for a in split)
+        self.counts[short] *= 2
+        return np.flatnonzero(short.any(axis=1))
 
 
 @dataclass
@@ -366,7 +426,7 @@ def segment_forward_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
     """Forward log-likelihood of a span: enter state 0, exit from the last
     state; the forward recursion over a batch of one row of the emission
     table of a level of one token."""
-    level = _StackedLevel.of([hmm])
+    level = LevelModel(Granularity(hmm.m, 1), [hmm], np.ones(1))
     log_self, log_adv = level.log_transitions()
     alpha = _alpha(_emission_table(level.density_stack(), frames, hmm.m), log_self, log_adv)
     return float(alpha[-1, 0, -1] + log_adv[0, -1])
@@ -438,69 +498,7 @@ def _uniform_alignment(lengths: np.ndarray, m: int) -> tuple[np.ndarray, np.ndar
 # EM on a level's stacked states
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _StackedLevel:
-    """A level's token HMMs as EM updates them, stacked once per
-    train_level_hmms call: the (n, m) component counts, (n, m, c) weights and
-    (n, m, c, d) means and variances, padded as stack_states pads them, and
-    the (n, m, 2) transitions.  c grows when states split."""
-
-    counts: np.ndarray
-    weights: np.ndarray
-    means: np.ndarray
-    variances: np.ndarray
-    transitions: np.ndarray
-
-    @classmethod
-    def of(cls, hmms: list[TokenHmm]) -> "_StackedLevel":
-        counts, weights, means, variances = stack_states(
-            [state for hmm in hmms for state in hmm.states])
-        n, m, (c, d) = len(hmms), hmms[0].m, means.shape[1:]
-        return cls(counts.reshape(n, m), weights.reshape(n, m, c), means.reshape(n, m, c, d),
-                   variances.reshape(n, m, c, d), np.stack([hmm.transitions for hmm in hmms]))
-
-    def hmms(self) -> list[TokenHmm]:
-        return [TokenHmm(token, [GaussState(self.weights[token, s, :c], self.means[token, s, :c],
-                                            self.variances[token, s, :c])
-                                 for s, c in enumerate(counts)], self.transitions[token])
-                for token, counts in enumerate(self.counts.tolist())]
-
-    def density_stack(self, c: int | None = None) -> tuple[np.ndarray, ...]:
-        """The n * m states, token-major, cut to their first c components (all
-        when c is None): (S, c) log-weights, (S, c, d) means and variances and
-        the (S, c) sums of log variances, as the density kernel reads them."""
-        S, d = self.counts.size, self.means.shape[3]
-        variances = self.variances.reshape(S, -1, d)[:, :c]
-        return (padded_log_weights(self.weights, self.counts).reshape(S, -1)[:, :c],
-                self.means.reshape(S, -1, d)[:, :c], variances, np.sum(np.log(variances), axis=2))
-
-    def log_transitions(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, m) log self-loop and advance probabilities."""
-        log_t = np.log(np.maximum(self.transitions, TRANS_FLOOR))
-        return log_t[..., 0], log_t[..., 1]
-
-    def split(self, tokens: np.ndarray, target: int) -> np.ndarray:
-        """Split each state of tokens that holds fewer than target
-        components (_split_components); returns the tokens split."""
-        short = np.zeros(self.counts.shape, dtype=bool)
-        short[tokens] = self.counts[tokens] < target
-        if not short.any():
-            return tokens[:0]
-        grow = 2 * int(self.counts[short].max()) - self.weights.shape[2]
-        if grow > 0:  # the new columns are padding: weight 0, mean 0, variance 1
-            self.weights, self.means, self.variances = (
-                np.pad(a, [(0, 0), (0, 0), (0, grow)] + [(0, 0)] * (a.ndim - 3),
-                       constant_values=fill)
-                for a, fill in ((self.weights, 0.0), (self.means, 0.0), (self.variances, 1.0)))
-        c = self.weights.shape[2]
-        split = _split_components(self.weights[short], self.means[short], self.variances[short],
-                                  self.counts[short])
-        self.weights[short], self.means[short], self.variances[short] = (a[:, :c] for a in split)
-        self.counts[short] *= 2
-        return np.flatnonzero(short.any(axis=1))
-
-
-def _m_step(level: _StackedLevel, tokens: np.ndarray, frames: np.ndarray, n_frames: np.ndarray,
+def _m_step(level: LevelModel, tokens: np.ndarray, frames: np.ndarray, n_frames: np.ndarray,
             resp: np.ndarray, stay: np.ndarray, move: np.ndarray, var_floor: np.ndarray):
     """Reestimate tokens of level in place from their (N, d) frames, stacked
     in token order, token tokens[j] holding n_frames[j] of them, the frames'
@@ -560,23 +558,22 @@ def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
     it and no density is evaluated.  States that no span reaches keep the
     template's global statistics.
     """
-    spans = _collect_spans(corpus, labels, g.n)
-    level = _flat_start(corpus, spans, _global_stats(corpus), g, cfg or TokenizerConfig())
-    return LevelModel(g, level.hmms(), _estimate_prior(spans[0], g.n))
+    return _flat_start(corpus, _collect_spans(corpus, labels, g.n), _global_stats(corpus), g,
+                       cfg or TokenizerConfig())
 
 
 def _flat_start(corpus: Corpus, spans: tuple[np.ndarray, ...],
                 stats: tuple[np.ndarray, np.ndarray], g: Granularity,
-                cfg: TokenizerConfig) -> _StackedLevel:
-    """flat_start_model's level from already collected spans and global
-    statistics: one M-step of the whole level, every state starting from the
-    template, over the uniform alignment of every span."""
-    template = GaussState.single(*stats)
-    level = _StackedLevel(np.ones((g.n, g.m), dtype=np.int64),
-                          *(np.broadcast_to(a, (g.n, g.m) + a.shape).copy()
-                            for a in (template.weights, template.means, template.variances)),
-                          np.full((g.n, g.m, 2), 0.5))
+                cfg: TokenizerConfig) -> LevelModel:
+    """flat_start_model from already collected spans and global statistics:
+    one M-step of the whole level, every state starting from the one-component
+    template of the global mean and variance, over the uniform alignment of
+    every span."""
     tokens, first, lengths = spans
+    level = LevelModel.__new__(LevelModel)
+    level._hold(g, np.ones((g.n, g.m), dtype=np.int64), np.ones((g.n, g.m, 1)),
+                *(np.broadcast_to(a, (g.n, g.m, 1, len(a))).copy() for a in stats),
+                np.full((g.n, g.m, 2), 0.5), _estimate_prior(tokens, g.n))
     gamma, stays, moves = _uniform_alignment(lengths, g.m)
     n_spans = np.bincount(tokens, minlength=g.n)
     _m_step(level, np.arange(g.n), corpus.frames[_ranges(first, lengths)],
@@ -611,7 +608,7 @@ def _estimate_prior(tokens: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(tokens, minlength=n) / len(tokens)
 
 
-def _token_statistics(level: _StackedLevel, tokens: np.ndarray,
+def _token_statistics(level: LevelModel, tokens: np.ndarray,
                       spans: tuple[np.ndarray, ...], frames: np.ndarray):
     """E-step statistics of several tokens at once, tokens ascending, token t
     of level with the spans of _collect_spans whose token is t, rows of the
@@ -644,7 +641,7 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
                      init_model: LevelModel | None = None) -> LevelModel:
     """Fit the n token HMMs to the labeled spans by EM, a level at a time.
 
-    The level is stacked once (_StackedLevel).  Each EM iteration runs one
+    EM updates one LevelModel in place.  Each EM iteration runs one
     E-step over the spans of every token still training (_token_statistics)
     and one M-step over their stacked states.  A token stops once its
     log-likelihood gain falls under em_tol, and its spans leave later
@@ -653,14 +650,18 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
     (otherwise from the flat start), so successive calls within the
     alternation cannot decrease the likelihood of the training labels.  Tokens
     with no assigned spans are reseeded from a perturbed copy of the most
-    populous token's model.
+    populous token's model.  init_model itself is left as it was: EM runs on
+    a copy of its arrays, whose prior it then re-estimates.
     """
     cfg = cfg or TokenizerConfig()
     spans = _collect_spans(corpus, labels, g.n)
     stats = _global_stats(corpus)
     var_floor = cfg.var_floor_frac * stats[1]
-    level = (_flat_start(corpus, spans, stats, g, cfg) if init_model is None
-             else _StackedLevel.of(init_model.hmms))
+    if init_model is None:
+        level = _flat_start(corpus, spans, stats, g, cfg)
+    else:
+        level = copy.deepcopy(init_model)
+        level.prior = _estimate_prior(spans[0], g.n)
     frames_per_token = np.bincount(np.repeat(spans[0], spans[2]), minlength=g.n)
     split_at = set(cfg.mixture_schedule)
     prev_ll = np.full(g.n, np.nan)  # NaN: no likelihood to compare with yet
@@ -685,7 +686,7 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
             a[dead] = a[populous]
         # padding components take perturbed means too, which nothing reads
         level.means[dead] += cfg.reseed_scale * np.sqrt(level.variances[dead])
-    return LevelModel(g, level.hmms(), _estimate_prior(spans[0], g.n))
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +700,7 @@ def _emission_table(stack: tuple[np.ndarray, ...], frames: np.ndarray, m: int) -
     return logsumexp(joint, axis=2).reshape(len(frames), -1, m)
 
 
-def _table_groups(level: _StackedLevel, corpus: Corpus):
+def _table_groups(level: LevelModel, corpus: Corpus):
     """Consecutive utterances of corpus.ids() in batches: each batch's ids, the
     (frames, n, m) emission table of its rows of corpus.frames, a slice, from
     one kernel pass, and their frame counts."""
@@ -712,7 +713,7 @@ def _table_groups(level: _StackedLevel, corpus: Corpus):
         yield ids[batch], _emission_table(stack, frames, m), lengths[batch]
 
 
-def _viterbi(level: _StackedLevel, log_prior: np.ndarray, table: np.ndarray,
+def _viterbi(level: LevelModel, log_prior: np.ndarray, table: np.ndarray,
              lengths: np.ndarray) -> list[list]:
     """Token-loop Viterbi over utterances' stacked emission table, utterance u
     holding lengths[u] rows, in one recursion over its padded (T, U, n, m)
@@ -774,23 +775,21 @@ def _backtrack(advanced: np.ndarray, switch_from: np.ndarray, token: int) -> lis
 
 def decode_utterance(model: LevelModel, frames: np.ndarray, lm_scale: float = 1.0) -> list:
     """Token-loop Viterbi: any token may follow any token, weighted by the prior."""
-    level = _StackedLevel.of(model.hmms)
-    table = _emission_table(level.density_stack(), frames, model.granularity.m)
-    return _viterbi(level, model.log_prior(lm_scale), table, np.array([len(frames)]))[0]
+    table = _emission_table(model.density_stack(), frames, model.granularity.m)
+    return _viterbi(model, model.log_prior(lm_scale), table, np.array([len(frames)]))[0]
 
 
 def decode_level(model: LevelModel, corpus: Corpus,
                  cfg: TokenizerConfig | None = None) -> LabelSet:
-    level = _StackedLevel.of(model.hmms)
     log_prior = model.log_prior((cfg or TokenizerConfig()).lm_scale)
     labels: LabelSet = {}
-    for utts, table, lengths in _table_groups(level, corpus):
-        for utt, segments in zip(utts, _viterbi(level, log_prior, table, lengths)):
+    for utts, table, lengths in _table_groups(model, corpus):
+        for utt, segments in zip(utts, _viterbi(model, log_prior, table, lengths)):
             labels[utt] = TokenLabelSequence(utt, segments)
     return labels
 
 
-def _segment_scores(level: _StackedLevel, log_prior: np.ndarray, table: np.ndarray,
+def _segment_scores(level: LevelModel, log_prior: np.ndarray, table: np.ndarray,
                     starts: np.ndarray, segment_lists: list) -> np.ndarray:
     """Per segment, in list-then-segment order, its span forward log-likelihood
     plus its token's log prior, segment_lists[i] cutting the utterance whose
@@ -819,10 +818,10 @@ def corpus_log_likelihood(model: LevelModel, corpus: Corpus, labels: LabelSet,
     for utt in corpus.ids():
         if utt not in labels:
             raise ValueError(f"missing labels for {utt}")
-    level, log_prior = _StackedLevel.of(model.hmms), model.log_prior(lm_scale)
-    scores = [_segment_scores(level, log_prior, table, np.cumsum(lengths) - lengths,
+    log_prior = model.log_prior(lm_scale)
+    scores = [_segment_scores(model, log_prior, table, np.cumsum(lengths) - lengths,
                               [labels[utt].segments for utt in utts])
-              for utts, table, lengths in _table_groups(level, corpus)]
+              for utts, table, lengths in _table_groups(model, corpus)]
     return float(_ordered_sum(np.concatenate([np.empty(0), *scores])))
 
 
@@ -844,18 +843,18 @@ def run_level(corpus: Corpus, init_labels: LabelSet, g: Granularity,
     trace: list[tuple[str, float]] = []
     for _ in range(cfg.outer_iters):
         model = train_level_hmms(corpus, labels, g, cfg, init_model=model)
-        level, log_prior = _StackedLevel.of(model.hmms), model.log_prior(cfg.lm_scale)
+        log_prior = model.log_prior(cfg.lm_scale)
         # one emission table per batch of utterances serves decoding and both
         # trace points, whose segments share one forward per batch
         new_labels: LabelSet = {}
         train_scores, decode_scores = [], []
-        for utts, table, lengths in _table_groups(level, corpus):
-            decoded = _viterbi(level, log_prior, table, lengths)
+        for utts, table, lengths in _table_groups(model, corpus):
+            decoded = _viterbi(model, log_prior, table, lengths)
             new_labels.update((utt, TokenLabelSequence(utt, segments))
                               for utt, segments in zip(utts, decoded))
             trained = [labels[utt].segments for utt in utts]
             starts = np.cumsum(lengths) - lengths
-            scores = _segment_scores(level, log_prior, table, np.concatenate([starts, starts]),
+            scores = _segment_scores(model, log_prior, table, np.concatenate([starts, starts]),
                                      trained + decoded)
             n_trained = sum(map(len, trained))
             train_scores.append(scores[:n_trained])
@@ -897,15 +896,13 @@ def run_mat(corpus: Corpus, grid: GranularityGrid, init_labels_per_n: dict[int, 
 def matm_bytes(model: LevelModel) -> bytes:
     """Versioned binary model file, parameters as little-endian 64-bit floats."""
     g = model.granularity
-    d = model.hmms[0].states[0].dim
-    parts = [MATM_MAGIC, struct.pack("<IIII", MATM_VERSION, g.m, g.n, d)]
-    for hmm in model.hmms:
-        for state in hmm.states:
-            parts.append(struct.pack("<I", state.n_components))
-            parts.append(np.asarray(state.weights, "<f8").tobytes())
-            parts.append(np.asarray(state.means, "<f8").tobytes())
-            parts.append(np.asarray(state.variances, "<f8").tobytes())
-        parts.append(np.asarray(hmm.transitions, "<f8").tobytes())
+    parts = [MATM_MAGIC, struct.pack("<IIII", MATM_VERSION, g.m, g.n, model.means.shape[3])]
+    for token, counts in enumerate(model.counts.tolist()):
+        for s, c in enumerate(counts):
+            parts.append(struct.pack("<I", c))
+            parts += [np.asarray(a[token, s, :c], "<f8").tobytes()
+                      for a in (model.weights, model.means, model.variances)]
+        parts.append(np.asarray(model.transitions[token], "<f8").tobytes())
     parts.append(np.asarray(model.prior, "<f8").tobytes())
     return b"".join(parts)
 

@@ -12,9 +12,8 @@ def oracle_level_model(spec: SynthSpec) -> LevelModel:
     self_prob = max(0.0, 1.0 - 1.0 / mean_dur)
     for token in range(spec.n_tokens):
         states = [
-            GaussState.single(
-                spec.state_mean(token, s), np.full(spec.dim, spec.emission_std**2)
-            )
+            GaussState(np.ones(1), spec.state_mean(token, s)[None],
+                       np.full((1, spec.dim), spec.emission_std**2))
             for s in range(spec.states_per_token)
         ]
         trans = np.tile([self_prob, 1.0 - self_prob], (spec.states_per_token, 1))

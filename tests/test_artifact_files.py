@@ -35,7 +35,7 @@ def tiny_matf() -> bytes:
 
 def tiny_level() -> LevelModel:
     hmms = [
-        TokenHmm(k, [GaussState.single(np.full(2, k), np.ones(2)),
+        TokenHmm(k, [GaussState(np.ones(1), np.full((1, 2), k), np.ones((1, 2))),
                      GaussState(np.array([0.4, 0.6]), np.zeros((2, 2)), np.ones((2, 2)))],
                  np.array([[0.5, 0.5], [0.5, 0.5]]))
         for k in range(2)

@@ -666,7 +666,7 @@ class TestStages:
         out = tmp_path / "run"
         assert main(["iterate", "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"acoustok iterate: [{section}] {key} must be >= 1, got 0\n"
+        assert err == f"acoustok iterate: {cfg_path}: [{section}] {key} must be >= 1, got 0\n"
         assert not out.exists()
 
     def test_grid_too_fine_for_the_corpus_names_the_counts(self, tmp_path, capsys):
@@ -758,7 +758,7 @@ class TestStages:
         cfg_path = write_config(tmp_path, text, **{key: value})
         out = tmp_path / "run"
         assert main(["iterate", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"acoustok iterate: {message}\n"
+        assert capsys.readouterr().err == f"acoustok iterate: {cfg_path}: {message}\n"
         assert not out.exists()
 
 
@@ -1060,7 +1060,7 @@ class TestIterate:
         before = Manifest(run).entries()
         assert main(["std", "--config", str(fusion), "--out", str(run)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("acoustok std: [retrieval] weights must be non-negative")
+        assert err.startswith(f"acoustok std: {fusion}: [retrieval] weights must be non-negative")
         assert Manifest(run).entries() == before
 
     def test_mr_seeds_come_from_stage_seed(self, full_run):

@@ -120,7 +120,7 @@ def random_instance(rng, T=None, n=None, m=None):
     hmms = []
     for token in range(n):
         states = [
-            GaussState.single(rng.normal(0, 2.0, d), rng.uniform(0.5, 2.0, d))
+            GaussState(np.ones(1), rng.normal(0, 2.0, (1, d)), rng.uniform(0.5, 2.0, (1, d)))
             for _ in range(m)
         ]
         self_p = rng.uniform(0.2, 0.8, size=m)
@@ -146,8 +146,9 @@ class TestViterbiOracle:
         for _ in range(10):
             model, frames = random_instance(rng, n=3, m=3)
             states = ragged_level_states(rng, 3, 3, frames.shape[1])
-            model.hmms = [TokenHmm(k, states[k], hmm.transitions)
-                          for k, hmm in enumerate(model.hmms)]
+            model = LevelModel(model.granularity, [TokenHmm(k, states[k], hmm.transitions)
+                                                   for k, hmm in enumerate(model.hmms)],
+                               model.prior)
             got = decode_utterance(model, frames)
             want, _ = oracle_best_labeling(model, frames)
             assert got == want
@@ -190,10 +191,15 @@ def random_token(rng, components, d, zero_weight=False):
     return TokenHmm(0, states, np.full((len(components), 2), 0.5))
 
 
+def level_of(hmms):
+    """The level of the given token HMMs, with a uniform prior."""
+    return LevelModel(Granularity(hmms[0].m, len(hmms)), hmms, np.full(len(hmms), 1.0 / len(hmms)))
+
+
 def level_joints(hmm, frames):
     """(T, m, c) component log-joints of one token's states from the level
     kernel, over the stack of a level of that one token."""
-    stack = tok._StackedLevel.of([hmm]).density_stack()
+    stack = level_of([hmm]).density_stack()
     return tok._log_joints(stack, frames, np.arange(hmm.m))
 
 
@@ -233,7 +239,7 @@ class TestMixtureKernel:
         # responsibilities: the E-step's occupancy times the component posteriors
         # one span of token 0: all the rows of frames
         spans = (np.array([0]), np.array([0]), np.array([len(frames)]))
-        _, _, resp, _, _ = tok._token_statistics(tok._StackedLevel.of([hmm]), np.array([0]),
+        _, _, resp, _, _ = tok._token_statistics(level_of([hmm]), np.array([0]),
                                                  spans, frames)
         _, gamma, _, _ = reference_e_step(hmm, ref_emis, np.array([0, len(frames)]))
         for s, c in enumerate(components):
@@ -290,7 +296,7 @@ class TestMixtureKernel:
         tokens = [random_token(rng, components, d, zero_weight=True)
                   for components in ((2, 3), (1, 1), (4, 2))]
         states = [state for hmm in tokens for state in hmm.states]
-        stack = tok._StackedLevel.of(tokens).density_stack()
+        stack = level_of(tokens).density_stack()
         frames = 2.0 * rng.normal(size=(19, d))
         # every frame against every state, as decoding scores it
         joint = tok._log_joints(stack, frames, np.arange(len(states)))
@@ -623,7 +629,8 @@ def reference_flat_start(corpus, labels, g):
     mean, var, var_floor = reference_global_stats(corpus)
     hmms = []
     for token in range(g.n):
-        template = TokenHmm(token, [GaussState.single(mean, var) for _ in range(g.m)],
+        template = TokenHmm(token, [GaussState(np.ones(1), mean[None], var[None])
+                                    for _ in range(g.m)],
                             np.full((g.m, 2), 0.5))
         stats = ReferenceStats(g.m, 1, len(mean))
         for span in reference_spans(corpus, labels, token):
@@ -807,7 +814,8 @@ class TestLevelOracle:
         for state in init.hmms[0].states:
             split = state.split()
             states.append(GaussState(np.array([1.0, 0.0]), split.means, split.variances))
-        init.hmms[0] = TokenHmm(0, states, init.hmms[0].transitions)
+        init = LevelModel(g, [TokenHmm(0, states, init.hmms[0].transitions)] + init.hmms[1:],
+                          init.prior)
         cfg = TokenizerConfig(em_iters=3, em_tol=0.0)
         want, iterations = reference_train_level(corpus, labels, g, cfg, init)
         model = train_level_hmms(corpus, labels, g, cfg, init_model=init)
@@ -884,7 +892,7 @@ class TestBatchedKernels:
             emis.append(tok.logsumexp(level_joints(hmm, frames), axis=2))
             edges += list(edges[-1] + np.cumsum(lengths))
         owner = np.repeat(np.arange(3), [len(lengths) for lengths in token_lengths])
-        log_self, log_adv = tok._StackedLevel.of(hmms).log_transitions()
+        log_self, log_adv = level_of(hmms).log_transitions()
         lls, gamma, stays, moves = tok._e_step(np.concatenate(emis), np.array(edges),
                                                log_self[owner], log_adv[owner])
         span_at, frame_at = 0, 0
@@ -904,7 +912,7 @@ class TestBatchedKernels:
         model, _ = random_instance(rng, n=3, m=3)
         corpus = Corpus([FeatureSequence(rng.normal(0, 2.0, size=(T, 2)), utterance_id=f"u{i}")
                          for i, T in enumerate([7, 2, 15, 1, 30, 3])])
-        assert len(list(tok._table_groups(tok._StackedLevel.of(model.hmms), corpus))) == 1
+        assert len(list(tok._table_groups(model, corpus))) == 1
         labels = decode_level(model, corpus)
         for utt in corpus.ids():
             assert labels[utt].segments == decode_utterance(model, corpus[utt].frames)
@@ -928,7 +936,7 @@ class TestBatchedKernels:
             return real(stack, frames, m)
 
         monkeypatch.setattr(tok, "_emission_table", spy)
-        groups = list(tok._table_groups(tok._StackedLevel.of(model.hmms), corpus))
+        groups = list(tok._table_groups(model, corpus))
         assert len(groups) == (1 if budget is None else len(corpus))
         assert [len(b) for b in blocks] == [lengths.sum() for _, _, lengths in groups]
         assert all(np.shares_memory(b, corpus.frames) for b in blocks)
@@ -942,10 +950,9 @@ class TestBatchedKernels:
         init = make_initial_labels(corpus, {spec.n_tokens: 0})[spec.n_tokens]
         cfg = TokenizerConfig(outer_iters=2, em_iters=2)
         model, labels, trace = run_level(corpus, init, g, cfg)
-        level = tok._StackedLevel.of(model.hmms)
-        assert len(list(tok._table_groups(level, corpus))) == 1
+        assert len(list(tok._table_groups(model, corpus))) == 1
         monkeypatch.setattr(tok, "BATCH_BYTES", 1)
-        assert len(list(tok._table_groups(level, corpus))) == len(corpus)
+        assert len(list(tok._table_groups(model, corpus))) == len(corpus)
         split_model, split_labels, split_trace = run_level(corpus, init, g, cfg)
         assert split_trace == trace
         assert matm_bytes(split_model) == matm_bytes(model)
@@ -1013,7 +1020,8 @@ class TestViterbiTies:
         rng = np.random.default_rng(70)
         n, m, d = 3, 3, 1
         for _ in range(40):
-            hmms = [TokenHmm(k, [GaussState.single(rng.integers(0, 2, d) * 1.0, np.ones(d))
+            hmms = [TokenHmm(k, [GaussState(np.ones(1), rng.integers(0, 2, (1, d)) * 1.0,
+                                            np.ones((1, d)))
                                  for _ in range(m)], np.full((m, 2), 0.5)) for k in range(n)]
             model = LevelModel(Granularity(m, n), hmms, np.full(n, 1.0 / n))
             # ragged lengths, some shorter than m
@@ -1058,7 +1066,7 @@ class TestLikelihood:
     def test_single_frame_hand_formula(self):
         d = 3
         x = np.array([0.5, -1.0, 2.0])
-        state = GaussState.single(x.copy(), np.full(d, 1.5))
+        state = GaussState(np.ones(1), x[None].copy(), np.full((1, d), 1.5))
         hmm = TokenHmm(0, [state], np.array([[0.3, 0.7]]))
         model = LevelModel(Granularity(1, 1), [hmm], np.array([1.0]))
         corpus = Corpus([FeatureSequence(x[None, :], utterance_id="u")])
@@ -1235,6 +1243,78 @@ class TestRunMat:
                 TokenizerConfig(outer_iters=1, em_iters=1))
         ids = {g: label_id for g, label_id in seen}
         assert ids[Granularity(2, spec.n_tokens)] == ids[Granularity(3, spec.n_tokens)]
+
+
+class TestLevelModel:
+    """The model is its stacked arrays; the records are its constructor input
+    and views of its rows."""
+
+    @staticmethod
+    def tokens(rng, n, m, d=2):
+        return [TokenHmm(k, [GaussState(np.ones(1), rng.normal(size=(1, d)), np.ones((1, d)))
+                             for _ in range(m)], np.full((m, 2), 0.5)) for k in range(n)]
+
+    def test_a_token_of_another_state_count_is_rejected(self):
+        hmms = self.tokens(np.random.default_rng(0), 2, 3)
+        with pytest.raises(ValueError, match=r"^token 0: 3 states and transitions of shape "
+                                             r"\(3, 2\), where m = 2 needs \(2, 2\)$"):
+            LevelModel(Granularity(2, 2), hmms, np.full(2, 0.5))
+
+    def test_transitions_of_another_shape_are_rejected(self):
+        hmms = self.tokens(np.random.default_rng(1), 2, 2)
+        hmms[1].transitions = np.full((3, 2), 0.5)
+        with pytest.raises(ValueError, match=r"^token 1: 2 states and transitions of shape "
+                                             r"\(3, 2\), where m = 2 needs \(2, 2\)$"):
+            LevelModel(Granularity(2, 2), hmms, np.full(2, 0.5))
+
+    def test_mixed_feature_dimensions_name_the_token_and_state(self):
+        hmms = self.tokens(np.random.default_rng(2), 3, 2)
+        hmms[2].states[1] = GaussState(np.ones(1), np.zeros((1, 3)), np.ones((1, 3)))
+        with pytest.raises(ValueError, match="^token 2 state 1: states have different feature "
+                                             "dimensions, 3 where token 0 state 0 has 2$"):
+            LevelModel(Granularity(2, 3), hmms, np.full(3, 1.0 / 3))
+
+    def test_stacked_once_and_viewed_per_state(self):
+        rng = np.random.default_rng(3)
+        states = ragged_level_states(rng, 4, 3, 5)
+        hmms = [TokenHmm(k, states[k], np.full((3, 2), 0.5)) for k in range(4)]
+        model = LevelModel(Granularity(3, 4), hmms, np.full(4, 0.25))
+        assert model.weights.shape == (4, 3, 3) and model.means.shape == (4, 3, 3, 5)
+        for token, hmm in enumerate(hmms):
+            for s, (view, state) in enumerate(zip(model.hmms[token].states, hmm.states)):
+                c = state.n_components
+                assert model.counts[token, s] == view.n_components == c
+                for name in ("weights", "means", "variances"):
+                    assert np.array_equal(getattr(view, name), getattr(state, name))
+                    assert np.shares_memory(getattr(view, name), getattr(model, name))
+                # padding: weight 0, mean 0, variance 1
+                assert not model.weights[token, s, c:].any()
+                assert not model.means[token, s, c:].any()
+                assert np.all(model.variances[token, s, c:] == 1.0)
+        # the records were copied: editing them leaves the model as it was
+        before = matm_bytes(model)
+        hmms[0].states[0].means += 1.0
+        assert matm_bytes(model) == before
+
+    def test_an_edit_through_a_view_edits_the_model(self):
+        model = LevelModel(Granularity(2, 3), self.tokens(np.random.default_rng(4), 3, 2),
+                           np.full(3, 1.0 / 3))
+        before = matm_bytes(model)
+        model.hmms[1].states[1].means[0, 1] = 7.5
+        assert matm_bytes(model) != before
+        assert model.means[1, 1, 0, 1] == 7.5
+
+    def test_a_warm_start_leaves_its_init_model_as_it_was(self, small_corpus):
+        spec, corpus, truth = small_corpus
+        g = Granularity(3, spec.n_tokens)
+        init = flat_start_model(corpus, truth.label_set(), g)
+        before = matm_bytes(init)
+        # a split grows the arrays; the M-steps and the reseeding update them
+        cfg = TokenizerConfig(em_iters=3, mixture_schedule=(1,))
+        labels = whole_utterance_labels(corpus, token=0)
+        model = train_level_hmms(corpus, labels, g, cfg, init_model=init)
+        assert matm_bytes(init) == before
+        assert matm_bytes(model) != before
 
 
 class TestModelFile:

@@ -7,7 +7,9 @@ from pathlib import Path
 
 from acoustok.cli import COMMANDS
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "acoustok").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "acoustok").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
 
 # qualified name -> why the package may leave it uncalled
 ALLOWED_UNREFERENCED = {
@@ -54,6 +56,23 @@ def references(tree: ast.Module) -> set[str]:
     return names
 
 
+def bench_references(tree: ast.Module) -> set[str]:
+    """references(tree), with every string constant that is an identifier:
+    the bench's tracer patches a function or method by its name."""
+    return references(tree) | {node.value for node in ast.walk(tree)
+                               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                               and node.value.isidentifier()}
+
+
+def stale_bench_reasons(allowed: dict[str, str], bench_sources) -> list[str]:
+    """The allowed names whose reason cites bench/ but that no bench source
+    references any more."""
+    used = set().union(*(bench_references(ast.parse(path.read_text(), str(path)))
+                         for path in bench_sources))
+    return [name for name, reason in allowed.items()
+            if "bench/" in reason and name.split(".")[-1] not in used]
+
+
 def unreferenced(sources) -> set[str]:
     trees = [ast.parse(path.read_text(), str(path)) for path in sources]
     used = set().union(*map(references, trees)) | {f"cmd_{name}" for name in COMMANDS}
@@ -63,6 +82,22 @@ def unreferenced(sources) -> set[str]:
 
 def test_only_the_listed_names_go_unreferenced():
     assert unreferenced(SOURCES) == set(ALLOWED_UNREFERENCED)
+
+
+def test_every_bench_reason_names_what_bench_still_uses():
+    assert stale_bench_reasons(ALLOWED_UNREFERENCED, BENCH) == []
+
+
+def test_bench_reasons_check_sees_calls_attributes_and_patched_names(tmp_path):
+    source = tmp_path / "bench.py"
+    source.write_text(
+        "from pkg import called\n"
+        "called(x.method())\n"
+        "tracer.patch_function(module, \"patched\", name=\"module.patched\")\n")
+    allowed = {"called": "bench/ times it", "A.method": "bench/ times it",
+               "patched": "bench/ traces it", "dropped": "bench/ builds with it",
+               "unlisted": "kept with its writer"}
+    assert stale_bench_reasons(allowed, [source]) == ["dropped"]
 
 
 def test_guard_sees_methods_and_dispatch(tmp_path):
