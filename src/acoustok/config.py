@@ -26,7 +26,6 @@ from .tokenizer import GranularityGrid, TokenizerConfig
 class RetrievalConfig:
     mode: str = "token"           # token | frame | fusion
     queries: tuple[str, ...] = () # utterance ids used as spoken queries
-    relevance: str = ""           # path to a (query_id, doc_id, 0/1) CSV
     weights: tuple[float, ...] = () # fusion weights: token, then frame
 
     def __post_init__(self):
@@ -50,6 +49,7 @@ class PipelineConfig:
     iterations: int = 1
     mr_rounds: int = 1
     audio_dir: str = ""
+    relevance: str = ""  # path to a (query_id, doc_id, 0/1) CSV, for eval's MAP
     features: FeatureConfig = field(default_factory=FeatureConfig)
     grid: GranularityGrid = field(
         default_factory=lambda: GranularityGrid((3, 5, 7, 9), (50, 100, 300, 500))

@@ -136,7 +136,6 @@ class FeatureConfig:
     preemphasis: float = 0.97
     delta_window: int = 2
     cmvn: bool = True
-    context_radius: int = 4
 
     def __post_init__(self):
         for name in ("window", "shift"):
@@ -147,8 +146,6 @@ class FeatureConfig:
                              f"got {self.n_ceps}")
         if self.delta_window < 1:
             raise ValueError(f"delta_window must be >= 1, got {self.delta_window}")
-        if self.context_radius < 0:
-            raise ValueError(f"context_radius must be >= 0, got {self.context_radius}")
 
 
 # ---------------------------------------------------------------------------
@@ -521,33 +518,42 @@ def save_corpus(directory, corpus: Corpus):
         (directory / name).write_bytes(data)
 
 
-def load_corpus(directory) -> Corpus:
-    """The utterances corpus.jsonl lists.  A .matf the index does not list (the
-    index was cut short) or of another shape than its record, an utterance
-    listed twice, and one of another feature dimension than the first, raise."""
-    directory = Path(directory)
-    index = directory / "corpus.jsonl"
+def read_corpus_index(index: Path) -> list[tuple[int, dict]]:
+    """Each record of a corpus.jsonl with its line number; raises on a frames or dim
+    not a positive JSON integer, a repeated utterance, mixed dims or an unlisted .matf."""
     records = read_jsonl(index, ("utt", "frames", "dim"))
-    unlisted = sorted({p.stem for p in directory.glob("*.matf")} - {r["utt"] for _, r in records})
+    unlisted = sorted({p.stem for p in index.parent.glob("*.matf")} - {r["utt"] for _, r in records})
     if unlisted:
         raise ValueError(f"{index}: {len(unlisted)} .matf files not listed, "
                          f"the first {unlisted[0]}.matf")
-    utterances, lines = [], {}
+    lines = {}
     for number, r in records:
-        if r["utt"] in lines:
+        for key in ("frames", "dim"):
+            if type(r[key]) is not int or r[key] < 1:
+                raise ValueError(f"{index}: line {number}: {key} must be a positive integer, "
+                                 f"got {json.dumps(r[key])}")
+        if lines.setdefault(r["utt"], number) != number:
             raise ValueError(f"{index}: line {number} repeats utterance {r['utt']} "
                              f"of line {lines[r['utt']]}")
-        lines[r["utt"]] = number
         if r["dim"] != records[0][1]["dim"]:
             raise ValueError(f"{index}: line {number}: {r['utt']} has {r['dim']}-dimensional "
                              f"features, line {records[0][0]} has {records[0][1]['dim']}")
-        seq = read_matf(directory / f"{r['utt']}.matf", r["utt"], r.get("frame_shift", 0.010))
+    return records
+
+
+def load_corpus(directory) -> Corpus:
+    """The utterances of the directory's corpus.jsonl, read through
+    read_corpus_index; a .matf of another shape than its record raises."""
+    index = Path(directory) / "corpus.jsonl"
+    records = read_corpus_index(index)
+    utterances = []
+    for number, r in records:
+        seq = read_matf(index.parent / f"{r['utt']}.matf", r["utt"], r.get("frame_shift", 0.010))
         if seq.frames.shape != (r["frames"], r["dim"]):
-            raise ValueError(f"{directory / r['utt']}.matf: {seq.n_frames} x {seq.dim} frames, "
+            raise ValueError(f"{index.parent / r['utt']}.matf: {seq.n_frames} x {seq.dim} frames, "
                              f"but line {number} of {index} records {r['frames']} x {r['dim']}")
         utterances.append(seq)
-    speakers = {r["utt"]: r["speaker"] for _, r in records if r.get("speaker")}
-    return Corpus(utterances, speakers)
+    return Corpus(utterances, {r["utt"]: r["speaker"] for _, r in records if r.get("speaker")})
 
 
 def ground_truth_jsonl(truth: GroundTruth) -> str:

@@ -28,6 +28,7 @@ class MdnnError(RuntimeError):
 
 @dataclass
 class MdnnConfig:
+    context_radius: int = 4  # frames of context on each side of an input frame
     hidden: tuple[int, ...] = (256, 256)
     bottleneck: int = 39
     epochs: int = 10
@@ -41,6 +42,12 @@ class MdnnConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
+        if self.context_radius < 0:
+            raise ValueError(f"context_radius must be >= 0, got {self.context_radius}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 @dataclass

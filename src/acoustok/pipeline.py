@@ -26,9 +26,9 @@ from . import evalviz, mdnn, reinforce, retrieval, tokenizer
 from .config import SETTINGS, PipelineConfig, dump_config
 from .corpus import (Corpus, GroundTruth, apply_cmvn, context_rows, corpus_files,
                      extract_features, ground_truth_jsonl, load_audio, load_corpus,
-                     read_ground_truth, synthesize_corpus, utterance_stats)
+                     read_corpus_index, read_ground_truth, synthesize_corpus, utterance_stats)
 from .initialization import make_initial_labels
-from .labels import LabelSet, labels_to_jsonl, read_jsonl, read_labels_jsonl, validate_label_set
+from .labels import LabelSet, labels_to_jsonl, read_labels_jsonl, validate_label_set
 from .manifest import SETTINGS_DIR, Manifest, PipelineError, StageWriter, atomic_write_text
 from .mdnn import build_targets, extract_bnf, make_iteration_input, read_matn, train_mdnn
 from .tokenizer import read_matm, run_mat
@@ -86,11 +86,10 @@ def _read_corpus(ctx: RunContext, writer: StageWriter, rel_dir: str) -> Corpus:
     return corpus
 
 
-def _index_frame_counts(ctx: RunContext, writer: StageWriter, rel_dir: str) -> dict[str, int]:
-    """Frames per utterance as a feature directory's index records them,
-    without loading its features."""
-    index = writer.read(ctx.out / rel_dir / "corpus.jsonl", f"feature directory {rel_dir}")
-    return {r["utt"]: r["frames"] for _, r in read_jsonl(index, ("utt", "frames"))}
+def _read_index(ctx: RunContext, writer: StageWriter, rel_dir: str) -> list[tuple[int, dict]]:
+    """The records of a feature directory's index, without loading its features."""
+    return read_corpus_index(writer.read(ctx.out / rel_dir / "corpus.jsonl",
+                                         f"feature directory {rel_dir}"))
 
 
 def _read_labels(path: Path, frame_counts: dict[str, int], n: int) -> LabelSet:
@@ -127,14 +126,15 @@ def _check_frames(path, found: dict[str, int], counts: dict[str, int]):
                              f"the acoustic features have {counts.get(utt, 'no')}")
 
 
-def _read_truth(ctx: RunContext, writer: StageWriter) -> tuple[GroundTruth, dict]:
-    """The ground truth, checked against the acoustic features' index, and the
-    final labels of every level, checked against the truth."""
+def _read_truth(ctx: RunContext, writer: StageWriter) -> tuple[GroundTruth, dict, list]:
+    """The ground truth, checked against the acoustic features' index, the
+    final labels of every level, checked against the truth, and the index."""
     path = writer.read(ctx.out / "truth.jsonl", "ground truth (synthetic corpora only)")
     truth = read_ground_truth(path)
-    _check_frames(path, truth.frame_counts(), _index_frame_counts(ctx, writer, "features"))
+    index = _read_index(ctx, writer, "features")
+    _check_frames(path, truth.frame_counts(), {r["utt"]: r["frames"] for _, r in index})
     final = tok_dir(ctx.cfg.iterations, ctx.cfg.mr_rounds)
-    return truth, _read_levels(ctx, writer, final, truth.frame_counts())
+    return truth, _read_levels(ctx, writer, final, truth.frame_counts()), index
 
 
 def _add_corpus(writer: StageWriter, rel_dir: str, corpus: Corpus):
@@ -150,10 +150,10 @@ STAGE_KINDS = {
     "init": ("iter{0}/init", ("seed", "grid", "init")),
     "mat": ("iter{0}/mat_mr{1}", ("grid", "tokenizer")),
     "mr": ("iter{0}/mr{1}", ("seed", "grid", "reinforce")),
-    "mdnn": ("iter{0}/mdnn", ("seed", "mr_rounds", "grid", "features", "mdnn")),
-    "extract": ("iter{0}/extract", ("mr_rounds", "features")),
+    "mdnn": ("iter{0}/mdnn", ("seed", "mr_rounds", "grid", "mdnn")),
+    "extract": ("iter{0}/extract", ("mr_rounds", "mdnn")),
     "std": ("std", ("iterations", "mr_rounds", "grid", "retrieval")),
-    "eval": ("eval", ("iterations", "mr_rounds", "grid", "retrieval")),
+    "eval": ("eval", ("iterations", "mr_rounds", "grid", "relevance")),
     "viz": ("viz", ("iterations", "mr_rounds", "grid")),
 }
 
@@ -267,7 +267,8 @@ def cmd_mr(ctx: RunContext, iteration: int = 1, mr_round: int = 1):
     round-r initial label sets plus the fused boundaries, the documents, and
     the per-n LDA models."""
     def work(ctx: RunContext, writer: StageWriter):
-        frame_counts = _index_frame_counts(ctx, writer, features_dir(iteration))
+        frame_counts = {r["utt"]: r["frames"]
+                        for _, r in _read_index(ctx, writer, features_dir(iteration))}
         level_labels = _read_levels(ctx, writer, tok_dir(iteration, mr_round - 1), frame_counts)
         result = reinforce.mutual_reinforce(level_labels, ctx.cfg.grid,
                                             _seed_map(ctx, f"mr/{iteration}/{mr_round}"),
@@ -296,7 +297,7 @@ def _mdnn_inputs(ctx: RunContext, writer: StageWriter, iteration: int):
         _check_frames(ctx.out / rel_dir, corpora[-1].frame_counts(), counts)
     ids = sorted(acoustic.ids())
     stats = np.repeat([utterance_stats(acoustic[u]) for u in ids], [counts[u] for u in ids], axis=0)
-    blocks = [context_rows(c, ids, ctx.cfg.features.context_radius) for c in corpora]
+    blocks = [context_rows(c, ids, ctx.cfg.mdnn.context_radius) for c in corpora]
     return make_iteration_input(blocks, stats), ids, acoustic
 
 
@@ -382,7 +383,7 @@ def cmd_eval(ctx: RunContext):
     """Boundary PRF and purity/NMI per level against the synthetic ground
     truth, plus MAP over the written rankings when a relevance table exists."""
     def work(ctx: RunContext, writer: StageWriter):
-        truth, level_labels = _read_truth(ctx, writer)
+        truth, level_labels, _ = _read_truth(ctx, writer)
         ref_bounds = {utt: truth.boundaries(utt) for utt in truth.spans}
         truth_labels = truth.label_set()
         lines = ["m,n,boundary_p,boundary_r,boundary_f,purity,nmi"]
@@ -393,9 +394,9 @@ def cmd_eval(ctx: RunContext):
             lines.append(f"{g.m},{g.n},{p!r},{r!r},{f!r},{purity!r},{nmi!r}")
         writer.add_text("eval/levels.csv", "\n".join(lines) + "\n")
 
-        if ctx.cfg.retrieval.relevance:
+        if ctx.cfg.relevance:
             relevance = retrieval.read_relevance_csv(
-                writer.read(ctx.cfg.retrieval.relevance, "relevance table"))
+                writer.read(ctx.cfg.relevance, "relevance table"))
             lists = retrieval.read_rankings_tsv(
                 writer.read(ctx.out / "std/rankings.tsv", "rankings (run std first)"))
             value = retrieval.mean_average_precision(lists, relevance)
@@ -408,8 +409,8 @@ def cmd_viz(ctx: RunContext):
     """Per-level co-occurrence maps against the true tokens, speaker-token
     intensity maps, and the granularity grid of boundary F-scores."""
     def work(ctx: RunContext, writer: StageWriter):
-        truth, level_labels = _read_truth(ctx, writer)
-        corpus = _read_corpus(ctx, writer, "features")
+        truth, level_labels, index = _read_truth(ctx, writer)
+        speakers = {r["utt"]: r["speaker"] for _, r in index if r.get("speaker")}
         ref_bounds = {utt: truth.boundaries(utt) for utt in truth.spans}
         grid_values = {}
         for g in ctx.cfg.grid.levels():
@@ -419,8 +420,8 @@ def cmd_viz(ctx: RunContext):
             peak = mat.counts.max()
             image = mat.counts[mat.grouped_row_order()] / peak if peak else mat.counts
             writer.add_bytes(f"viz/cooccurrence_{tag}.pgm", evalviz.pgm_bytes(image))
-            if corpus.speakers:
-                stm = evalviz.speaker_token_map(level_labels[g], corpus.speakers)
+            if speakers:
+                stm = evalviz.speaker_token_map(level_labels[g], speakers)
                 writer.add_bytes(f"viz/speaker_map_{tag}.pgm", evalviz.pgm_bytes(stm.intensities))
                 writer.add_text(f"viz/speaker_map_{tag}.csv", stm.to_csv())
             _, _, f = evalviz.corpus_boundary_prf(level_labels[g], ref_bounds)

@@ -220,6 +220,8 @@ class LevelModel:
         n, m = granularity.n, granularity.m
         if len(hmms) != n:
             raise ValueError("model must hold exactly n token HMMs")
+        if np.shape(prior) != (n,):
+            raise ValueError(f"prior of shape {np.shape(prior)}, where n = {n} needs ({n},)")
         for token, hmm in enumerate(hmms):
             if hmm.m != m or np.shape(hmm.transitions) != (m, 2):
                 raise ValueError(f"token {token}: {hmm.m} states and transitions of shape "

@@ -305,9 +305,6 @@ dim = 6
 n_utterances = 12
 tokens_per_utterance = 3 5
 
-[features]
-context_radius = 2
-
 [init]
 min_segment_frames = 4
 
@@ -319,6 +316,7 @@ outer_iters = 3
 lda_iters = 100
 
 [mdnn]
+context_radius = 2
 hidden = 32
 bottleneck = 8
 epochs = 3

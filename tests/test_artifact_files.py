@@ -16,6 +16,7 @@ from acoustok.corpus import (
     ground_truth_jsonl,
     load_corpus,
     matf_bytes,
+    read_corpus_index,
     read_ground_truth,
     read_matf,
     save_corpus,
@@ -247,6 +248,22 @@ def test_corpus_index_listing_an_utterance_twice_names_the_file_and_line(tmp_pat
     with pytest.raises(ValueError, match="line 3 repeats utterance utt000 of line 1") as excinfo:
         read(path)
     assert str(excinfo.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("value", ["10", 0, -1, 4.5, True, None])
+@pytest.mark.parametrize("key", ["frames", "dim"])
+def test_corpus_index_size_other_than_a_positive_integer_names_the_line(tmp_path, key, value):
+    save_corpus(tmp_path, Corpus([FeatureSequence(np.ones((10, 3)), utterance_id="a"),
+                                  FeatureSequence(np.ones((4, 3)), utterance_id="b")]))
+    index = tmp_path / "corpus.jsonl"
+    first, second = index.read_text().splitlines()
+    record = json.loads(second)
+    record[key] = value
+    index.write_text(f"{first}\n{json.dumps(record)}\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_corpus_index(index)
+    assert str(excinfo.value) == (f"{index}: line 2: {key} must be a positive integer, "
+                                  f"got {json.dumps(value)}")
 
 
 def test_corpus_of_mixed_feature_dimensions_names_the_file_and_line(tmp_path):

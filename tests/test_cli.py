@@ -44,9 +44,6 @@ dim = 6
 n_utterances = 8
 tokens_per_utterance = 3 5
 
-[features]
-context_radius = 2
-
 [init]
 min_segment_frames = 4
 
@@ -58,6 +55,7 @@ outer_iters = 2
 lda_iters = 30
 
 [mdnn]
+context_radius = 2
 hidden = 16
 bottleneck = 8
 epochs = 2
@@ -76,6 +74,7 @@ seed = 7
 iterations = 3
 mr_rounds = 2
 audio_dir = wavs
+relevance = rel.csv
 
 [features]
 window = 0.03
@@ -85,7 +84,6 @@ n_filters = 24
 preemphasis = 0.95
 delta_window = 3
 cmvn = false
-context_radius = 3
 
 [grid]
 temporal = 2 4
@@ -117,6 +115,7 @@ lda_beta = 0.1
 lda_alpha = 0.5
 
 [mdnn]
+context_radius = 3
 hidden = 32 16
 bottleneck = 8
 epochs = 3
@@ -127,7 +126,6 @@ momentum = 0.5
 [retrieval]
 mode = fusion
 queries = utt000 utt001
-relevance = rel.csv
 weights = 0.25 0.75
 
 [synth]
@@ -152,10 +150,10 @@ STAGE_SETTINGS = {
     "init": ("seed", "grid", "init"),
     "mat": ("grid", "tokenizer"),
     "mr": ("seed", "grid", "reinforce"),
-    "mdnn": ("seed", "mr_rounds", "grid", "features", "mdnn"),
-    "extract": ("mr_rounds", "features"),
+    "mdnn": ("seed", "mr_rounds", "grid", "mdnn"),
+    "extract": ("mr_rounds", "mdnn"),
     "std": ("iterations", "mr_rounds", "grid", "retrieval"),
-    "eval": ("iterations", "mr_rounds", "grid", "retrieval"),
+    "eval": ("iterations", "mr_rounds", "grid", "relevance"),
     "viz": ("iterations", "mr_rounds", "grid"),
 }
 SEED_FILE = "config/seed.ini"
@@ -198,7 +196,7 @@ class TestConfig:
         assert cfg.grid.temporal == (3, 5, 7, 9)
         assert cfg.grid.phonetic == (50, 100, 300, 500)
         assert cfg.mdnn.bottleneck == 39
-        assert cfg.features.context_radius == 4
+        assert cfg.mdnn.context_radius == 4
 
     def test_parse_overrides(self):
         cfg = load_config(text=TINY_CONFIG)
@@ -240,6 +238,16 @@ class TestConfig:
             load_config(path)
         assert str(err.value) == (f"{path}: [{section}] {key}: "
                                   f"expected a finite number, got {value!r}")
+
+    @pytest.mark.parametrize("section, key", [("features", "context_radius"),
+                                              ("retrieval", "relevance")])
+    def test_moved_setting_in_its_old_section_names_the_file_and_key(self, tmp_path,
+                                                                      section, key):
+        path = tmp_path / "old.ini"
+        path.write_text(f"[{section}]\n{key} = 2\n")
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: unknown option {key!r} in section [{section}]"
 
     def test_non_finite_setting_stops_iterate(self, tmp_path, capsys):
         path = write_config(tmp_path, TINY_CONFIG.replace("[tokenizer]\n",
@@ -309,6 +317,15 @@ class TestReadmeDemo:
     def test_loads(self):
         cfg = load_config(text=readme_demo_ini())
         assert cfg.seed == 11 and cfg.iterations == 2
+
+    def test_setting_names_are_in_the_schema(self):
+        """Every `[section]`, `[section] key` and `[section] key = value` in
+        README.md names a section of the config schema and a key of it."""
+        text = (ROOT / "README.md").read_text()
+        named = re.findall(r"`\[([a-z_]+)\](?: (\w+)(?: = [^`]*)?)?`", text)
+        assert len({pair for pair in named if pair[1]}) >= 13
+        assert [f"[{section}] {key}".strip() for section, key in named
+                if section not in _SCHEMA or key and key not in _SCHEMA[section]] == []
 
     def test_settings_table_equals_the_stage_kinds(self):
         text = (ROOT / "README.md").read_text()
@@ -736,7 +753,11 @@ class TestStages:
         ("n_ceps", "0", "[features] n_ceps must be >= 1 and <= n_filters (26), got 0"),
         ("n_filters", "0", "[features] n_ceps must be >= 1 and <= n_filters (0), got 13"),
         ("delta_window", "0", "[features] delta_window must be >= 1, got 0"),
-        ("context_radius", "-1", "[features] context_radius must be >= 0, got -1"),
+        ("context_radius", "-1", "[mdnn] context_radius must be >= 0, got -1"),
+        ("learning_rate", "-0.1", "[mdnn] learning_rate must be > 0, got -0.1"),
+        ("learning_rate", "0", "[mdnn] learning_rate must be > 0, got 0.0"),
+        ("momentum", "1.5", "[mdnn] momentum must be in [0, 1), got 1.5"),
+        ("momentum", "-1", "[mdnn] momentum must be in [0, 1), got -1.0"),
         ("dotplot_sigma", "-1", "[init] dotplot_sigma must be >= 0, got -1.0"),
     ], ids=["n_speakers", "bottleneck", "mode", "iterations", "mr_rounds", "phonetic",
             "temporal", "weights", "weights-negative", "weights-zero-sum", "queries-repeated",
@@ -744,7 +765,8 @@ class TestStages:
             "lda_beta", "lda_alpha", "overlap-above-1", "overlap-zero", "min_gap",
             "epochs", "hidden", "em_iters", "em_tol", "var_floor_frac", "window", "shift",
             "n_ceps-above-n_filters", "n_ceps-zero", "n_filters", "delta_window",
-            "context_radius", "dotplot_sigma"])
+            "context_radius", "learning_rate-negative", "learning_rate-zero",
+            "momentum-above-1", "momentum-negative", "dotplot_sigma"])
     def test_out_of_range_setting_fails_at_load(self, tmp_path, capsys, key, value, message):
         # TINY_CONFIG leaves these keys at their defaults; spell them out
         text = TINY_CONFIG.replace("[synth]\n", "[synth]\nn_speakers = 2\n").replace(
@@ -752,8 +774,9 @@ class TestStages:
             "lda_iters = 30\n",
             "lda_iters = 30\nlda_beta = 0.01\nlda_alpha = \noverlap = 0.5\nmin_gap = 2\n").replace(
             "em_iters = 3\n", "em_iters = 3\nem_tol = 0.0001\nvar_floor_frac = 0.0001\n").replace(
-            "[features]\n", "[features]\nwindow = 0.025\nshift = 0.01\nn_ceps = 13\n"
-            "n_filters = 26\ndelta_window = 2\n").replace(
+            "batch_size = 64\n", "batch_size = 64\nlearning_rate = 0.01\nmomentum = 0.9\n").replace(
+            "[init]\n", "[features]\nwindow = 0.025\nshift = 0.01\nn_ceps = 13\n"
+            "n_filters = 26\ndelta_window = 2\n\n[init]\n").replace(
             "[init]\n", "[init]\ndotplot_sigma = 1.0\nalpha = 1.0\n")
         cfg_path = write_config(tmp_path, text, **{key: value})
         out = tmp_path / "run"
@@ -901,10 +924,8 @@ class TestIterate:
         rel = tmp_path_factory.mktemp("rel") / "rel.csv"
         lines = [f"utt000,utt{i:03d},1" for i in range(1, 8)]
         rel.write_text("\n".join(lines) + "\n")
-        patched = cfg_path.read_text() + f"\n[retrieval]\nrelevance = {rel}\n"
-        # configparser forbids duplicate sections; splice the key instead
         patched = cfg_path.read_text().replace(
-            "queries = utt000", f"queries = utt000\nrelevance = {rel}"
+            "mr_rounds = 1", f"mr_rounds = 1\nrelevance = {rel}"
         )
         cfg2 = cfg_path.parent / "config_rel.ini"
         cfg2.write_text(patched)
@@ -935,7 +956,8 @@ class TestIterate:
         assert recorded["std"] == _settings("std") | BNF1 | labels | models
         assert recorded["eval"] == (_settings("eval") | {str(rel), "std/rankings.tsv", "truth.jsonl",
                                                          "features/corpus.jsonl"} | labels)
-        assert recorded["viz"] == _settings("viz") | FEATURES | {"truth.jsonl"} | labels
+        assert recorded["viz"] == (_settings("viz") | {"features/corpus.jsonl", "truth.jsonl"}
+                                   | labels)
 
     def test_edited_feature_file_reruns_its_readers(self, full_run, tmp_path):
         cfg_path, out = full_run
@@ -981,6 +1003,70 @@ class TestIterate:
         assert _new_stages(run, before) == list(dict.fromkeys(
             e["stage"] for e in Manifest(out).entries() if e["stage"] not in ("std", "eval", "viz")))
 
+    def test_front_end_setting_reruns_no_stage_of_a_synthetic_run(self, full_run, tmp_path):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        assert main(["iterate", "--config", str(cfg_path), "--out", str(run)]) == 0
+        window = tmp_path / "window.ini"
+        window.write_text(cfg_path.read_text() + "\n[features]\nwindow = 0.03\n")
+        before = len(Manifest(run).entries())
+        assert main(["iterate", "--config", str(window), "--out", str(run)]) == 0
+        assert "window = 0.03" in (run / "config/features.ini").read_text()
+        assert _new_stages(run, before) == []
+
+    def test_changed_weights_rerun_only_std_without_a_relevance_table(self, full_run, tmp_path):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        for command in ("std", "eval"):
+            assert main([command, "--config", str(cfg_path), "--out", str(run)]) == 0
+        weights = tmp_path / "weights.ini"
+        weights.write_text(cfg_path.read_text().replace("queries = utt000",
+                                                        "queries = utt000\nweights = 1 1"))
+        before = len(Manifest(run).entries())
+        for command in ("iterate", "std", "eval"):
+            assert main([command, "--config", str(weights), "--out", str(run)]) == 0
+        assert _new_stages(run, before) == ["std"]
+
+    def test_new_relevance_path_reruns_only_eval(self, full_run, tmp_path):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        for command in ("std", "eval"):
+            assert main([command, "--config", str(cfg_path), "--out", str(run)]) == 0
+        rel = tmp_path / "rel.csv"
+        rel.write_text("".join(f"utt000,utt{i:03d},1\n" for i in range(1, 8)))
+        cfg = tmp_path / "rel.ini"
+        cfg.write_text(cfg_path.read_text().replace(
+            "mr_rounds = 1", f"mr_rounds = 1\nrelevance = {rel}"))
+        before = len(Manifest(run).entries())
+        for command in ("iterate", "std", "eval"):
+            assert main([command, "--config", str(cfg), "--out", str(run)]) == 0
+        assert _new_stages(run, before) == ["eval"]
+        assert (run / "eval/map.csv").read_text() == "map\n1.0\n"
+
+    @pytest.mark.parametrize("command", ["init", "mr", "eval", "viz"])
+    @pytest.mark.parametrize("edit", ["repeat", "string", "zero", "fraction"])
+    def test_malformed_index_names_its_line_in_every_reader(self, full_run, tmp_path, capsys,
+                                                             command, edit):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        index = run / "features/corpus.jsonl"
+        lines = index.read_text().splitlines(keepends=True)
+        first = json.loads(lines[0])
+        if edit == "repeat":
+            lines.append(lines[0])
+            message = f"line {len(lines)} repeats utterance {first['utt']} of line 1"
+        else:
+            first["frames"] = {"string": str(first["frames"]), "zero": 0, "fraction": 4.5}[edit]
+            lines[0] = json.dumps(first) + "\n"
+            message = f"line 1: frames must be a positive integer, got {json.dumps(first['frames'])}"
+        index.write_text("".join(lines))
+        assert main([command, "--config", str(cfg_path), "--out", str(run)]) == 1
+        assert capsys.readouterr().err == f"acoustok {command}: {index}: {message}\n"
+
     def test_edited_relevance_table_reruns_eval(self, full_run, tmp_path):
         cfg_path, out = full_run
         run = tmp_path / "run"
@@ -989,7 +1075,7 @@ class TestIterate:
         rel.write_text("".join(f"utt000,utt{i:03d},1\n" for i in range(1, 8)))
         cfg = tmp_path / "rel.ini"
         cfg.write_text(cfg_path.read_text().replace(
-            "queries = utt000", f"queries = utt000\nrelevance = {rel}"))
+            "mr_rounds = 1", f"mr_rounds = 1\nrelevance = {rel}"))
         for stage in ("std", "eval"):
             assert main([stage, "--config", str(cfg), "--out", str(run)]) == 0
         assert (run / "eval/map.csv").read_text() == "map\n1.0\n"
@@ -1036,7 +1122,7 @@ class TestIterate:
         rel.write_text("".join(f"utt000,utt{i:03d},{i % 2}\n" for i in range(1, 8)))
         cfg = tmp_path / "rel.ini"
         cfg.write_text(cfg_path.read_text().replace(
-            "queries = utt000", f"queries = utt000\nrelevance = {rel}"))
+            "mr_rounds = 1", f"mr_rounds = 1\nrelevance = {rel}"))
         path = tmp_path / name
         data = bytearray(path.read_bytes())
         if edit == "byte":

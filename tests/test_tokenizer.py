@@ -1267,6 +1267,13 @@ class TestLevelModel:
                                              r"\(3, 2\), where m = 2 needs \(2, 2\)$"):
             LevelModel(Granularity(2, 2), hmms, np.full(2, 0.5))
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), ()])
+    def test_a_prior_of_another_shape_is_rejected(self, shape):
+        hmms = self.tokens(np.random.default_rng(4), 2, 2)
+        with pytest.raises(ValueError) as err:
+            LevelModel(Granularity(2, 2), hmms, np.full(shape, 0.5))
+        assert str(err.value) == f"prior of shape {shape}, where n = 2 needs (2,)"
+
     def test_mixed_feature_dimensions_name_the_token_and_state(self):
         hmms = self.tokens(np.random.default_rng(2), 3, 2)
         hmms[2].states[1] = GaussState(np.ones(1), np.zeros((1, 3)), np.ones((1, 3)))
