@@ -6,7 +6,7 @@ from 25 ms windows every 10 ms.  Synthetic corpora are generated directly in
 feature space from known token state distributions so that every downstream
 stage can be checked against exact ground truth.
 
-A Corpus keeps its frames in one matrix, and each utterance views its rows.
+A Corpus stacks its utterances, in id order, in one matrix; each views its rows.
 
 ArtifactReader frames every binary artifact (MATF, MATM, MATL, MATN): magic,
 optional version word, fields in file order, no trailing bytes.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import struct
 import wave
 from dataclasses import dataclass, field, replace
@@ -73,22 +74,24 @@ class FeatureSequence:
 
 @dataclass
 class Corpus:
-    """Utterances stacked once into one (T, d) frame matrix, `frames`, in the
-    order given; utterance u is rows offsets[u] to offsets[u + 1], and
-    `utterances`, `corpus[utt]` and iteration give views of those rows."""
+    """Utterances sorted by id, then stacked once into one (T, d) frame
+    matrix, `frames`; utterance u is rows offsets[u] to offsets[u + 1], and
+    `utterances`, `corpus[utt]` and iteration give views of those rows.  The
+    order the utterances are given in changes nothing."""
 
     utterances: list[FeatureSequence]
     speakers: dict[str, str] = field(default_factory=dict)  # utterance id -> speaker id
 
     def __post_init__(self):
+        # copies, not replace, which would check every frame again
+        self.utterances = [copy.copy(u) for u in
+                           sorted(self.utterances, key=lambda u: u.utterance_id)]
         for u in self.utterances:
             if u.dim != self.utterances[0].dim:
                 raise ValueError(f"utterance {u.utterance_id} has {u.dim}-dimensional features, "
                                  f"{self.utterances[0].utterance_id} has {self.utterances[0].dim}")
         self.frames = np.concatenate([u.frames for u in self.utterances] or [np.empty((0, 0))])
         self.offsets = np.cumsum([0] + [u.n_frames for u in self.utterances])
-        # copies, not replace, which would check every frame again
-        self.utterances = [copy.copy(u) for u in self.utterances]
         for u, a, b in zip(self.utterances, self.offsets, self.offsets[1:]):
             u.frames = self.frames[a:b]
         self._by_id = {u.utterance_id: u for u in self.utterances}
@@ -279,21 +282,14 @@ def apply_cmvn(seq: FeatureSequence) -> FeatureSequence:
     return replace(seq, frames=(seq.frames - mean) / np.sqrt(var))
 
 
-def _ranges(first, lengths: np.ndarray) -> np.ndarray:
-    """The indices of consecutive ranges, concatenated: range i holds
-    lengths[i] indices from first[i] on (from first, when a scalar)."""
-    return np.arange(lengths.sum()) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
-
-
-def context_rows(corpus: Corpus, ids: list[str], radius: int) -> np.ndarray:
-    """Every frame of the utterances ids, in that order, beside the radius
-    frames on each side of it: one (frames, (2 radius + 1) d) gather from
-    corpus.frames, in which an utterance repeats its own edge frames."""
-    where = {u: i for i, u in enumerate(corpus.ids())}
-    order = [where[u] for u in ids]
-    first, lengths = corpus.offsets[order], np.diff(corpus.offsets)[order]
-    lo, hi = (np.repeat(edge, lengths)[:, None] for edge in (first, first + lengths - 1))
-    rows = _ranges(first, lengths)[:, None] + np.arange(-radius, radius + 1)
+def context_rows(corpus: Corpus, radius: int) -> np.ndarray:
+    """Every frame of the corpus, in its id order, beside the radius frames on
+    each side of it: one (frames, (2 radius + 1) d) gather from corpus.frames,
+    in which an utterance repeats its own edge frames."""
+    lengths = np.diff(corpus.offsets)
+    lo = np.repeat(corpus.offsets[:-1], lengths)[:, None]
+    hi = np.repeat(corpus.offsets[1:] - 1, lengths)[:, None]
+    rows = np.arange(len(corpus.frames))[:, None] + np.arange(-radius, radius + 1)
     return corpus.frames[np.clip(rows, lo, hi)].reshape(len(rows), -1)
 
 
@@ -519,25 +515,44 @@ def save_corpus(directory, corpus: Corpus):
 
 
 def read_corpus_index(index: Path) -> list[tuple[int, dict]]:
-    """Each record of a corpus.jsonl with its line number; raises on a frames or dim
-    not a positive JSON integer, a repeated utterance, mixed dims or an unlisted .matf."""
+    """Each record of a corpus.jsonl with its line number.  Raises, naming the
+    file and the line, on an utt that cannot name a file in the index's
+    directory (not a non-empty string, a path separator or NUL in it, . or
+    ..), a speaker not a non-empty string or null, a frame_shift not a
+    positive number, a frames or dim not a positive JSON integer, a repeated
+    utterance, mixed dims, a speaker named on some lines and not on others;
+    and naming the file, on an unlisted .matf."""
     records = read_jsonl(index, ("utt", "frames", "dim"))
-    unlisted = sorted({p.stem for p in index.parent.glob("*.matf")} - {r["utt"] for _, r in records})
-    if unlisted:
-        raise ValueError(f"{index}: {len(unlisted)} .matf files not listed, "
-                         f"the first {unlisted[0]}.matf")
     lines = {}
     for number, r in records:
+        utt, speaker, shift = r["utt"], r.get("speaker"), r.get("frame_shift", 0.010)
+        if type(utt) is not str or utt in ("", ".", "..") or any(c in utt for c in "/\\\0"):
+            raise ValueError(f"{index}: line {number}: utt must be a non-empty string with no "
+                             f"path separator or NUL, not . or .., got {json.dumps(utt)}")
+        if speaker is not None and (type(speaker) is not str or not speaker):
+            raise ValueError(f"{index}: line {number}: speaker must be a non-empty string "
+                             f"or null, got {json.dumps(speaker)}")
+        if type(shift) not in (int, float) or not (math.isfinite(shift) and shift > 0):
+            raise ValueError(f"{index}: line {number}: frame_shift must be a positive number, "
+                             f"got {json.dumps(shift)}")
         for key in ("frames", "dim"):
             if type(r[key]) is not int or r[key] < 1:
                 raise ValueError(f"{index}: line {number}: {key} must be a positive integer, "
                                  f"got {json.dumps(r[key])}")
-        if lines.setdefault(r["utt"], number) != number:
-            raise ValueError(f"{index}: line {number} repeats utterance {r['utt']} "
-                             f"of line {lines[r['utt']]}")
-        if r["dim"] != records[0][1]["dim"]:
-            raise ValueError(f"{index}: line {number}: {r['utt']} has {r['dim']}-dimensional "
-                             f"features, line {records[0][0]} has {records[0][1]['dim']}")
+        if lines.setdefault(utt, number) != number:
+            raise ValueError(f"{index}: line {number} repeats utterance {utt} "
+                             f"of line {lines[utt]}")
+        first_number, first = records[0]
+        if r["dim"] != first["dim"]:
+            raise ValueError(f"{index}: line {number}: {utt} has {r['dim']}-dimensional "
+                             f"features, line {first_number} has {first['dim']}")
+        if (speaker is None) != (first.get("speaker") is None):
+            raise ValueError(f"{index}: line {number}: {utt} has speaker {json.dumps(speaker)}, "
+                             f"line {first_number} has {json.dumps(first.get('speaker'))}")
+    unlisted = sorted({p.stem for p in index.parent.glob("*.matf")} - set(lines))
+    if unlisted:
+        raise ValueError(f"{index}: {len(unlisted)} .matf files not listed, "
+                         f"the first {unlisted[0]}.matf")
     return records
 
 

@@ -284,21 +284,19 @@ def cmd_mr(ctx: RunContext, iteration: int = 1, mr_round: int = 1):
 
 
 def _mdnn_inputs(ctx: RunContext, writer: StageWriter, iteration: int):
-    """The network's input, one row per frame, utterances in sorted id order:
-    the context of the acoustic features and of every earlier iteration's
+    """The network's input, one row per frame, utterances in id order: the
+    context of the acoustic features and of every earlier iteration's
     bottleneck features, each gathered from its corpus matrix, then the
-    utterance's statistics.  Returns the rows, their ids and the acoustic corpus."""
+    utterance's statistics.  Returns the rows and the acoustic corpus."""
     acoustic = _read_corpus(ctx, writer, "features")
-    counts = acoustic.frame_counts()
     corpora = [acoustic]
     for k in range(1, iteration):
         rel_dir = f"iter{k}/bnf"
         corpora.append(_read_corpus(ctx, writer, rel_dir))
-        _check_frames(ctx.out / rel_dir, corpora[-1].frame_counts(), counts)
-    ids = sorted(acoustic.ids())
-    stats = np.repeat([utterance_stats(acoustic[u]) for u in ids], [counts[u] for u in ids], axis=0)
-    blocks = [context_rows(c, ids, ctx.cfg.mdnn.context_radius) for c in corpora]
-    return make_iteration_input(blocks, stats), ids, acoustic
+        _check_frames(ctx.out / rel_dir, corpora[-1].frame_counts(), acoustic.frame_counts())
+    stats = np.repeat([utterance_stats(u) for u in acoustic], np.diff(acoustic.offsets), axis=0)
+    blocks = [context_rows(c, ctx.cfg.mdnn.context_radius) for c in corpora]
+    return make_iteration_input(blocks, stats), acoustic
 
 
 def _matn_name(ctx: RunContext, iteration: int) -> str:
@@ -307,10 +305,10 @@ def _matn_name(ctx: RunContext, iteration: int) -> str:
 
 def cmd_mdnn(ctx: RunContext, iteration: int = 1):
     def work(ctx: RunContext, writer: StageWriter):
-        rows, ids, acoustic = _mdnn_inputs(ctx, writer, iteration)
+        rows, acoustic = _mdnn_inputs(ctx, writer, iteration)
         level_labels = _read_levels(ctx, writer, tok_dir(iteration, ctx.cfg.mr_rounds),
                                     acoustic.frame_counts())
-        targets = build_targets(level_labels, ctx.cfg.grid, ids)
+        targets = build_targets(level_labels, ctx.cfg.grid, acoustic.ids())
         model, log = train_mdnn(rows, targets, ctx.cfg.grid.levels(), ctx.cfg.mdnn,
                                 seed=stage_seed(ctx.cfg.seed, f"mdnn/{iteration}"))
         writer.add_bytes(_matn_name(ctx, iteration), mdnn.matn_bytes(model))
@@ -322,10 +320,9 @@ def cmd_mdnn(ctx: RunContext, iteration: int = 1):
 def cmd_extract(ctx: RunContext, iteration: int = 1):
     def work(ctx: RunContext, writer: StageWriter):
         model = read_matn(writer.read(ctx.out / _matn_name(ctx, iteration), "trained network"))
-        rows, ids, acoustic = _mdnn_inputs(ctx, writer, iteration)
-        ends = np.cumsum([acoustic[u].n_frames for u in ids])
-        bnf = dict(zip(ids, np.split(extract_bnf(model, rows), ends[:-1])))
-        sequences = [replace(u, frames=bnf[u.utterance_id]) for u in acoustic]
+        rows, acoustic = _mdnn_inputs(ctx, writer, iteration)
+        bnf = np.split(extract_bnf(model, rows), acoustic.offsets[1:-1])
+        sequences = [replace(u, frames=frames) for u, frames in zip(acoustic, bnf)]
         _add_corpus(writer, f"iter{iteration}/bnf", Corpus(sequences, dict(acoustic.speakers)))
 
     _run_stage(ctx, stage("extract", iteration), work)

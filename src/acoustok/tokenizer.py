@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ArtifactReader, Corpus, _ranges
+from .corpus import ArtifactReader, Corpus
 from .labels import LabelSet, TokenLabelSequence, validate_label_set
 
 MATM_MAGIC = b"MATM"
@@ -345,6 +345,12 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
+def _ranges(first, lengths: np.ndarray) -> np.ndarray:
+    """The indices of consecutive ranges, concatenated: range i holds
+    lengths[i] indices from first[i] on (from first, when a scalar)."""
+    return np.arange(lengths.sum()) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+
+
 def _batches(lengths: np.ndarray, cell_bytes: int, budget: int,
              stacked: bool = True) -> list[slice]:
     """Consecutive rows cut into batches of at most budget bytes, counting
@@ -590,19 +596,14 @@ def _collect_spans(corpus: Corpus, labels: LabelSet, n: int) -> tuple[np.ndarray
     if not len(corpus):
         raise ValueError("an empty corpus has no spans to train on")
     validate_label_set(labels, corpus.frame_counts(), n)
-    # sorted utterance order, which the stable sort keeps per token, fixes the
-    # reduction order: training does not depend on how the corpus is ordered
-    at = dict(zip(corpus.ids(), corpus.offsets.tolist()))
-    spans = np.array([(token, at[utt] + start, end - start) for utt in sorted(at)
+    spans = np.array([(token, first + start, end - start)
+                      for utt, first in zip(corpus.ids(), corpus.offsets.tolist())
                       for token, start, end in labels[utt].segments], dtype=np.int64).reshape(-1, 3)
     return tuple(spans[np.argsort(spans[:, 0], kind="stable")].T)
 
 
 def _global_stats(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
-    # gathered in sorted utterance order, as _collect_spans orders spans
-    order = sorted(range(len(corpus)), key=corpus.ids().__getitem__)
-    frames = corpus.frames[_ranges(corpus.offsets[order], np.diff(corpus.offsets)[order])]
-    return frames.mean(axis=0), np.maximum(frames.var(axis=0), 1e-8)
+    return corpus.frames.mean(axis=0), np.maximum(corpus.frames.var(axis=0), 1e-8)
 
 
 def _estimate_prior(tokens: np.ndarray, n: int) -> np.ndarray:

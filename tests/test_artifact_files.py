@@ -266,6 +266,48 @@ def test_corpus_index_size_other_than_a_positive_integer_names_the_line(tmp_path
                                   f"got {json.dumps(value)}")
 
 
+UTT = "utt must be a non-empty string with no path separator or NUL, not . or .."
+SPEAKER = "speaker must be a non-empty string or null"
+SHIFT = "frame_shift must be a positive number"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("utt", ["x"], UTT), ("utt", 7, UTT), ("utt", None, UTT), ("utt", "", UTT),
+    ("utt", ".", UTT), ("utt", "..", UTT), ("utt", "../a/x", UTT), ("utt", "a\\x", UTT),
+    ("utt", "a\0b", UTT),
+    ("speaker", ["s"], SPEAKER), ("speaker", "", SPEAKER), ("speaker", 1, SPEAKER),
+    ("frame_shift", 0, SHIFT), ("frame_shift", -0.01, SHIFT), ("frame_shift", "0.01", SHIFT),
+    ("frame_shift", True, SHIFT), ("frame_shift", None, SHIFT),
+])
+def test_corpus_index_field_that_names_nothing_names_the_line(tmp_path, key, value, message):
+    """An utt must name a file beside the index, a speaker a speaker, and a
+    frame_shift a duration; load_corpus stops at the index line."""
+    save_corpus(tmp_path, Corpus([FeatureSequence(np.ones((10, 3)), utterance_id="a"),
+                                  FeatureSequence(np.ones((4, 3)), utterance_id="b")],
+                                 {"a": "s1", "b": "s2"}))
+    index = tmp_path / "corpus.jsonl"
+    first, second = index.read_text().splitlines()
+    record = json.loads(second)
+    record[key] = value
+    index.write_text(f"{first}\n{json.dumps(record)}\n")
+    with pytest.raises(ValueError) as excinfo:
+        load_corpus(tmp_path)
+    assert str(excinfo.value) == f"{index}: line 2: {message}, got {json.dumps(value)}"
+
+
+@pytest.mark.parametrize("speakers, message", [
+    ({"a": "s1"}, 'line 2: b has speaker null, line 1 has "s1"'),
+    ({"b": "s2"}, 'line 2: b has speaker "s2", line 1 has null'),
+])
+def test_corpus_index_naming_some_speakers_names_the_first_line_that_differs(
+        tmp_path, speakers, message):
+    save_corpus(tmp_path, Corpus([FeatureSequence(np.ones((10, 3)), utterance_id=u)
+                                  for u in ("a", "b", "c")], speakers))
+    with pytest.raises(ValueError) as excinfo:
+        read_corpus_index(tmp_path / "corpus.jsonl")
+    assert str(excinfo.value) == f"{tmp_path / 'corpus.jsonl'}: {message}"
+
+
 def test_corpus_of_mixed_feature_dimensions_names_the_file_and_line(tmp_path):
     # a Corpus of mixed dimensions cannot be built, so the files are written
     # one by one

@@ -1067,6 +1067,20 @@ class TestIterate:
         assert main([command, "--config", str(cfg_path), "--out", str(run)]) == 1
         assert capsys.readouterr().err == f"acoustok {command}: {index}: {message}\n"
 
+    def test_index_naming_a_speaker_on_some_lines_stops_viz(self, full_run, tmp_path, capsys):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        index = run / "features/corpus.jsonl"
+        lines = index.read_text().splitlines(keepends=True)
+        record = json.loads(lines[3])
+        record["speaker"] = None
+        lines[3] = json.dumps(record) + "\n"
+        index.write_text("".join(lines))
+        assert main(["viz", "--config", str(cfg_path), "--out", str(run)]) == 1
+        assert capsys.readouterr().err == (
+            f'acoustok viz: {index}: line 4: utt003 has speaker null, line 1 has "spk0"\n')
+
     def test_edited_relevance_table_reruns_eval(self, full_run, tmp_path):
         cfg_path, out = full_run
         run = tmp_path / "run"
@@ -1237,7 +1251,8 @@ class TestIterate:
             kept += [cut, FeatureSequence(cut.frames, cut.frame_shift, cut.frame_length, "utt999")]
             utt, found, expected = "utt999", cut.n_frames, "no"
         shutil.rmtree(bnf)
-        save_corpus(bnf, Corpus(kept, dict(corpus.speakers)))
+        # every line of an index names a speaker or none does
+        save_corpus(bnf, Corpus(kept, dict(corpus.speakers, utt999="spk0")))
         argv = ["mdnn", "--iteration", "2", "--config", str(cfg_path), "--out", str(run)]
         assert main(argv) == 1
         assert capsys.readouterr().err == (f"acoustok mdnn: {bnf}: {utt}: {found} frames, "

@@ -138,24 +138,24 @@ def one_utterance(frames) -> Corpus:
 
 class TestContextRows:
     def test_width(self):
-        assert context_rows(one_utterance(np.zeros((10, 39))), ["u"], 4).shape == (10, 351)
+        assert context_rows(one_utterance(np.zeros((10, 39))), 4).shape == (10, 351)
 
     def test_single_frame_replication(self):
         frame = np.arange(39, dtype=float)
-        ctx = context_rows(one_utterance(frame[None, :]), ["u"], 4)
+        ctx = context_rows(one_utterance(frame[None, :]), 4)
         assert ctx.shape == (1, 351)
         assert np.array_equal(ctx[0], np.tile(frame, 9))
 
     def test_radius_zero_identity(self):
         rng = np.random.default_rng(2)
         frames = rng.normal(size=(8, 4))
-        assert np.array_equal(context_rows(one_utterance(frames), ["u"], 0), frames)
+        assert np.array_equal(context_rows(one_utterance(frames), 0), frames)
 
     def test_blocks_are_clamped_source_rows(self):
         rng = np.random.default_rng(3)
         frames = rng.normal(size=(6, 3))
         r = 2
-        ctx = context_rows(one_utterance(frames), ["u"], r)
+        ctx = context_rows(one_utterance(frames), r)
         for t in range(6):
             for bi, k in enumerate(range(-r, r + 1)):
                 src = min(max(t + k, 0), 5)
@@ -169,18 +169,19 @@ class TestContextRows:
         seqs = [FeatureSequence(rng.normal(size=(n, 3)), utterance_id=u)
                 for u, n in (("a", 5), ("mid", length), ("z", 4))]
         r = 3
-        ctx = context_rows(Corpus(seqs), ["mid"], r)
-        assert np.array_equal(ctx, context_rows(Corpus([seqs[1]]), ["mid"], r))
+        corpus = Corpus(seqs)
+        ctx = context_rows(corpus, r)[corpus.offsets[1]:corpus.offsets[2]]
+        assert np.array_equal(ctx, context_rows(Corpus([seqs[1]]), r))
         own = {row.tobytes() for row in seqs[1].frames}
         assert all(block.tobytes() in own for block in ctx.reshape(-1, 3))
 
-    def test_rows_follow_the_given_ids(self):
+    def test_rows_follow_id_order(self):
         rng = np.random.default_rng(4)
         seqs = [FeatureSequence(rng.normal(size=(n, 2)), utterance_id=u)
                 for u, n in (("b", 3), ("a", 2))]
         corpus = Corpus(seqs)
-        ctx = context_rows(corpus, ["a", "b"], 1)
-        assert np.array_equal(ctx, np.vstack([context_rows(Corpus([s]), [s.utterance_id], 1)
+        ctx = context_rows(corpus, 1)
+        assert np.array_equal(ctx, np.vstack([context_rows(Corpus([s]), 1)
                                               for s in seqs[::-1]]))
 
 
@@ -267,13 +268,24 @@ class TestCorpusLookup:
                 for u, T in (("b", 4), ("a", 1), ("c", 6))]
         corpus = Corpus(seqs)
         assert corpus.frames.shape == (11, 3)
-        assert corpus.offsets.tolist() == [0, 4, 5, 11]
+        assert corpus.ids() == ["a", "b", "c"]
+        assert corpus.offsets.tolist() == [0, 1, 5, 11]
+        given = {seq.utterance_id: seq for seq in seqs}
         for i, utt in enumerate(corpus.ids()):
             view = corpus[utt].frames
             assert np.shares_memory(view, corpus.frames)
             rows = corpus.frames[corpus.offsets[i]:corpus.offsets[i + 1]]
             assert view.__array_interface__["data"] == rows.__array_interface__["data"]
-            assert np.array_equal(view, seqs[i].frames)
+            assert np.array_equal(view, given[utt].frames)
+
+    def test_the_order_utterances_are_given_in_changes_nothing(self):
+        rng = np.random.default_rng(10)
+        seqs = [FeatureSequence(rng.normal(size=(T, 3)), utterance_id=u)
+                for u, T in (("c", 2), ("a", 5), ("d", 1), ("b", 3))]
+        forward, backward = Corpus(seqs), Corpus(seqs[::-1])
+        assert forward.ids() == backward.ids() == ["a", "b", "c", "d"]
+        assert np.array_equal(forward.offsets, backward.offsets)
+        assert np.array_equal(forward.frames, backward.frames)
 
     def test_views_are_built_without_checking_the_frames_again(self, monkeypatch):
         seqs = [FeatureSequence(np.full((T, 2), float(T)), frame_shift=0.02, utterance_id=u)

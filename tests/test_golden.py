@@ -13,8 +13,11 @@ a different library is told apart from a change in the code.
 A change that moves artifacts on purpose re-records the file in the same
 change with `PYTHONPATH=src python tests/test_golden.py`, and lists what moved.
 
+Two more tests reverse the lines of an index of the seed-11 run and re-run
+the stages after it: no other file may change.
+
 Time: each run takes 1.3-1.6 s wall on a 2-core host; the five together
-must finish in RUN_BOUND_S.
+must finish in RUN_BOUND_S.  The two index-order tests take 0.4-0.5 s each.
 """
 
 import hashlib
@@ -22,6 +25,7 @@ import json
 import shutil
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +33,10 @@ import pytest
 from test_cli import readme_demo_ini
 
 from acoustok.cli import main
+from acoustok.config import load_config
 from acoustok.corpus import load_corpus
 from acoustok.manifest import Manifest, file_sha256
+from acoustok.pipeline import RunContext, plan, stage
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_demo.json"
 COMMANDS = ("iterate", "std", "eval", "viz")
@@ -105,25 +111,53 @@ def test_artifacts_match_the_recorded_digests(demo_runs, name):
     assert digest(demo_runs[name][1]) == recorded["digest"]
 
 
-def test_network_rows_are_keyed_by_utterance_id(demo_runs, tmp_path):
-    """Reversing the lines of iter1/bnf's index reorders that corpus; the
-    iteration-2 network re-runs on it and writes the same bytes."""
+def run_files(root: Path) -> dict[str, bytes]:
+    """Every file of a run but its manifest, by path relative to root."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*")
+            if p.is_file() and p.name != "manifest.jsonl"}
+
+
+def rerun_on_reversed_index(demo_runs, tmp_path, rel_index: str, keys) -> list[str]:
+    """Copy the seed-11 README run, reverse the lines of its index rel_index,
+    and re-run those stages of plan() after the corpus source, then std and
+    eval, whose key passes keys.  The stages that read the index must have
+    read the reversed one; returns the files that differ from the original
+    run's, the index aside."""
+    original = demo_runs["readme_seed11"][0]
     out = tmp_path / "run"
-    shutil.copytree(demo_runs["readme_seed11"][0], out)
-    config = tmp_path / "demo.ini"
-    config.write_text(readme_demo_ini())
-    index = out / "iter1" / "bnf" / "corpus.jsonl"
+    shutil.copytree(original, out)
+    index = out / rel_index
     lines = index.read_text().splitlines(keepends=True)
     index.write_text("".join(reversed(lines)))
-    assert load_corpus(index.parent).ids() == list(reversed(load_corpus(out / "features").ids()))
-    written = {name: (out / "iter2" / name).read_bytes()
-               for name in ("BNF-2nd_MR-1.matn", "mdnn_log.csv")}
+    assert load_corpus(index.parent).ids() == sorted(json.loads(line)["utt"] for line in lines)
+    ctx = RunContext.create(replace(load_config(text=readme_demo_ini()), out=str(out)))
+    stages = [each for each in plan(ctx.cfg)[1:] + [stage("std"), stage("eval")]
+              if keys(each.key)]
+    for each in stages:
+        each.run(ctx)
+    manifest = Manifest(out)
+    readers = [each.key for each in stages if rel_index in manifest.find(each.key)["inputs"]]
+    assert readers and all(manifest.find(key)["inputs"][rel_index] == file_sha256(index)
+                           for key in readers)
+    before, after = run_files(original), run_files(out)
+    return sorted(name for name in before.keys() | after.keys()
+                  if name != rel_index and before.get(name) != after.get(name))
 
-    assert main(["mdnn", "--config", str(config), "--out", str(out), "--iteration", "2"]) == 0
-    assert Manifest(out).find("iter2/mdnn")["inputs"]["iter1/bnf/corpus.jsonl"] == \
-        file_sha256(index)
-    for name, data in written.items():
-        assert (out / "iter2" / name).read_bytes() == data, name
+
+def test_no_artifact_depends_on_the_order_of_the_index_lines(demo_runs, tmp_path):
+    """Reversing the lines of features/corpus.jsonl and re-running every stage
+    of the plan after the corpus source, then std and eval, leaves every other
+    file of the run as it was."""
+    assert rerun_on_reversed_index(demo_runs, tmp_path, "features/corpus.jsonl",
+                                   lambda key: True) == []
+
+
+def test_network_rows_are_keyed_by_utterance_id(demo_runs, tmp_path):
+    """Reversing the lines of iter1/bnf's index, which iteration 2 reads, and
+    re-running that iteration's stages (init, MAT, MR, MAT, the network and its
+    extraction) leaves every other file of the run as it was."""
+    assert rerun_on_reversed_index(demo_runs, tmp_path, "iter1/bnf/corpus.jsonl",
+                                   lambda key: key.startswith("iter2/")) == []
 
 
 def record(root: Path):

@@ -218,6 +218,12 @@ class TestMakeInitialLabels:
         b = make_initial_labels(corpus, {4: 3})[4]
         assert all(a[u].segments == b[u].segments for u in corpus.ids())
 
+    def test_the_order_of_the_utterances_changes_no_label(self):
+        corpus, _ = synthesize_corpus(SynthSpec(n_utterances=6), seed=2)
+        backward = Corpus(corpus.utterances[::-1], corpus.speakers)
+        seeds = {4: 3, 6: 5}
+        assert make_initial_labels(corpus, seeds) == make_initial_labels(backward, seeds)
+
     def test_subword_spans_tile_words(self):
         corpus, _ = synthesize_corpus(SynthSpec(n_utterances=3), seed=4)
         for utt in corpus.ids():
