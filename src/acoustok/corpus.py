@@ -31,6 +31,11 @@ MATF_MAGIC = b"MATF"
 LOG_FLOOR = 1e-10
 CMVN_VAR_FLOOR = 1e-8
 
+# bytes of the temporaries one block of a blocked kernel builds: k-means
+# distances, LDA updates and KL tables; a size that stays in cache, fixed,
+# not a setting
+KERNEL_BLOCK_BYTES = 256 << 10
+
 
 class AudioError(ValueError):
     """Unreadable or unsupported audio input."""

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import Corpus, FeatureSequence, cosine_similarity, row_norms
+from .corpus import KERNEL_BLOCK_BYTES, Corpus, FeatureSequence, cosine_similarity, row_norms
 from .labels import LabelSet, label_set_from_spans, pick_boundaries
-from .tokenizer import KERNEL_BLOCK_BYTES
 
 
 @dataclass

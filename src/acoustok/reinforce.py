@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ArtifactReader
+from .corpus import KERNEL_BLOCK_BYTES, ArtifactReader
 from .labels import LabelSet, TokenLabelSequence, label_set_from_spans, pick_boundaries
-from .tokenizer import KERNEL_BLOCK_BYTES, Granularity, GranularityGrid
+from .tokenizer import Granularity, GranularityGrid
 
 MATL_MAGIC = b"MATL"
 MATL_VERSION = 1

@@ -47,10 +47,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import FeatureSequence, cosine_similarity, row_norms, unit_row_similarity, unit_rows
+from .corpus import (KERNEL_BLOCK_BYTES, FeatureSequence, cosine_similarity, row_norms,
+                     unit_row_similarity, unit_rows)
 from .labels import open_text
-from .tokenizer import (KERNEL_BLOCK_BYTES, GaussState, Granularity, LevelModel, TokenHmm,
-                        _batches, logsumexp, padded_log_weights)
+from .tokenizer import (GaussState, Granularity, LevelModel, TokenHmm, _batches, logsumexp,
+                        padded_log_weights)
 
 # bytes a block of documents may take in subsequence DTW: its one skewed
 # accumulator; a block holds at least one document

@@ -14,16 +14,20 @@ range gathered by index, and a decoding batch of consecutive utterances is a
 slice.  A level's model, `LevelModel`, is its states stacked into arrays
 (component counts, weights, means, variances, transitions) with its token
 prior, and every state density comes from one kernel, `_log_joints`, over
-those arrays.  `GaussState` and `TokenHmm` records are the model's
+those arrays in the layout of Kaldi's diagonal GMMs (Povey et al., ASRU
+2011): a component's log joint is [x^2, x] times its row (-1/2v, mu/v) plus
+its constant, frames and means taken relative to a centre that depends on
+the model alone.  `GaussState` and `TokenHmm` records are the model's
 constructor input and views of its rows; one state's density and one span's
 likelihood are the level's kernels on a level of one state or one token.
 Training, decoding, the likelihood trace and the KL tables (`retrieval`)
 read the model they are given.  EM, mixture splits and reseeding included,
 updates a model's arrays in place: the flat start's, or a copy of the warm
 start's, so the model a caller passes in is never changed.  Training scores
-each frame of every token still in EM against its own token's states in one
-pass per EM iteration; decoding scores a batch of utterances against all
-n * m states in one pass, and that table also serves the likelihood trace.
+each frame of every token still in EM against its own token's states, one
+product per token and EM iteration; decoding scores a batch of utterances
+against all n * m states in one product, and that table also serves the
+likelihood trace.
 
 The E-step runs once per EM iteration over the spans of every token still
 training: every span's alignment, from forward-backward or, for a span no
@@ -43,9 +47,10 @@ state and frame, whose segments the likelihood trace scores in one forward
 pass.  In the E-step and the trace, each row has
 its own token's transitions.  A batch's tables and its padded copy stay under
 BATCH_BYTES, a decoding batch's counted c times over for the kernel's joints.
-The batched recursions repeat the per-row element-wise operations, and sums
-over frames and over spans add their terms in order, so the results do not
-depend on how rows are batched.  `logsumexp` is the package's one log-sum-exp.
+The batched recursions repeat the per-row element-wise operations, sums
+over frames and over spans add their terms in order, and every product of
+the kernel has one shape, so the results do not depend on how rows are
+batched.  `logsumexp` is the package's one log-sum-exp.
 """
 
 from __future__ import annotations
@@ -168,39 +173,42 @@ def _split_components(weights: np.ndarray, means: np.ndarray, variances: np.ndar
             np.where(real[..., None], variance, 1.0))
 
 
-# bytes of the (frames, states, c, d) block one step of the density kernel
-# builds; a size that stays in cache, fixed, not a setting
-KERNEL_BLOCK_BYTES = 256 << 10
+# frames per product of the density kernel: every product it makes has this
+# many rows, the last block padded, since BLAS may round a product of another
+# shape otherwise (a one-row product goes to gemv, small ones take other
+# kernels); fixed, not a setting
+PRODUCT_ROWS = 16
 
 
-def _log_joints(stack: tuple[np.ndarray, ...], frames: np.ndarray,
-                states: np.ndarray) -> np.ndarray:
-    """(T, k, c) log weight plus log density of every (padded) component of k
-    of the S states of stack, a LevelModel.density_stack, at each of T
-    frames: states holds the k that every frame is scored against, (k,), or
-    each frame's own, (T, k).  The kernel broadcasts over blocks of frames and
-    states whose (frames, states, c, d) temporaries stay under
-    KERNEL_BLOCK_BYTES, or hold one frame and one state; every entry is the
-    same element-wise formula, however the blocks fall.
+def _log_joints(stack: tuple[np.ndarray, ...], frames: np.ndarray) -> np.ndarray:
+    """(T, c, k) log weight plus log density of every (padded) component of
+    the k states of stack, a LevelModel.density_stack or a run of its states,
+    at each of T frames: [(x - centre)^2, x - centre] times each component's
+    row, plus its constant.  Component j of every state is one (T, k) slice,
+    so a mixture log-sum reduces over an outer axis, one slice at a time.
+
+    The frames go in blocks of PRODUCT_ROWS, the last padded with zero rows,
+    and the blocks' products are one stacked matmul, which numpy runs as one
+    product of the same shape per block.  So a frame's joints do not depend
+    on which frames share its batch or its block, nor on the thread count
+    (measured with OpenBLAS at 1 and 2 threads).  The expanded form rounds
+    differently from the element-wise (x - mu)^2 / v; the centre keeps its
+    cancellation at the scale of the level's spread.
 
     c is the most components a stacked state holds.  A state padded to it
     gains -inf joints, which add exact zeros to its mixture sums while c is
-    under 8; from 8 terms numpy sums pairwise, so a padded state's density may
-    move in the last bit."""
-    log_weights, means, variances, logdet = stack
-    c, d = means.shape[1:]
-    k = states.shape[-1]
-    cols = max(1, min(k, KERNEL_BLOCK_BYTES // (c * d * 8)))
-    rows = max(1, KERNEL_BLOCK_BYTES // (cols * c * d * 8))
-    out = np.empty((len(frames), k, c))
-    for r in range(0, len(frames), rows):
-        for s in range(0, k, cols):
-            pick = states[r:r + rows, s:s + cols] if states.ndim == 2 else states[s:s + cols]
-            diff = frames[r:r + rows, None, None, :] - means[pick]
-            quad = np.sum(diff * diff / variances[pick], axis=3)
-            out[r:r + rows, s:s + cols] = (-0.5 * (quad + logdet[pick] + d * LOG_2PI)
-                                           + log_weights[pick])
-    return out
+    under 8; from 8 terms numpy may sum pairwise, so a padded state's density
+    may move in the last bit."""
+    centre, rows, const = stack
+    c, k, width = rows.shape
+    d, T = width // 2, len(frames)
+    x = np.zeros((-(-T // PRODUCT_ROWS) * PRODUCT_ROWS, width))
+    np.subtract(frames, centre, out=x[:T, d:])
+    np.square(x[:T, d:], out=x[:T, :d])
+    joint = x.reshape(-1, PRODUCT_ROWS, width) @ rows.reshape(c * k, width).T
+    joint = joint.reshape(-1, c * k)[:T]
+    joint += const.reshape(c * k)
+    return joint.reshape(T, c, k)
 
 
 class LevelModel:
@@ -263,12 +271,24 @@ class LevelModel:
 
     def density_stack(self, c: int | None = None) -> tuple[np.ndarray, ...]:
         """The n * m states, token-major, cut to their first c components (all
-        when c is None): (S, c) log-weights, (S, c, d) means and variances and
-        the (S, c) sums of log variances, as the density kernel reads them."""
+        when c is None), as the density kernel reads them: the (d,) centre,
+        component-major (c, S, 2d) rows (-1/2v, mu/v) and (c, S) constants
+        log w - (sum mu^2/v + sum log v + d log 2 pi) / 2, mu taken relative to
+        the centre.  The centre is the mean of the means of every real
+        component of the level, whatever c, so a frame's joints depend on the
+        model alone.  A padding component's constant is -inf."""
         S, d = self.counts.size, self.means.shape[3]
-        variances = self.variances.reshape(S, -1, d)[:, :c]
-        return (padded_log_weights(self.weights, self.counts).reshape(S, -1)[:, :c],
-                self.means.reshape(S, -1, d)[:, :c], variances, np.sum(np.log(variances), axis=2))
+        centre = self.means[np.arange(self.weights.shape[2]) < self.counts[..., None]].mean(axis=0)
+        means, variances = self.means[:, :, :c] - centre, self.variances[:, :, :c]
+        inv_var = 1.0 / variances
+        scaled = means * inv_var
+        const = (padded_log_weights(self.weights, self.counts)[:, :, :c]
+                 - 0.5 * (np.sum(means * scaled, axis=3) + np.sum(np.log(variances), axis=3)
+                          + d * LOG_2PI))
+        rows = np.concatenate([-0.5 * inv_var, scaled], axis=3)
+        # (n, m, c, ...) to component-major (c, n * m, ...)
+        return (centre, rows.transpose(2, 0, 1, 3).reshape(-1, S, 2 * d),
+                const.transpose(2, 0, 1).reshape(-1, S))
 
     def log_transitions(self) -> tuple[np.ndarray, np.ndarray]:
         """(n, m) log self-loop and advance probabilities."""
@@ -329,20 +349,15 @@ BATCH_BYTES = 64 << 20
 
 
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along axis, by scipy.special.logsumexp's real-valued
-    formula (scipy 1.17), with which it agrees bit for bit: the maxima are
-    taken out of the sum as log1p(s / count) + log(count) + max, and where that
-    is not finite the direct log(sum(exp(a))) stands."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = np.max(a, axis=axis, keepdims=True)
-        at_top = a == top
-        count = np.sum(at_top, axis=axis, keepdims=True, dtype=a.dtype)
-        rest = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), axis=axis, keepdims=True)
-        out = np.log1p(np.where(rest == 0, rest, rest / count)) + np.log(count) + top
-        direct = ~np.isfinite(out)
-        if direct.any():
-            out = np.where(direct, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
-    return np.squeeze(out, axis=axis)
+    """log(sum(exp(a))) along axis, as top + log(sum(exp(a - top))), top the
+    maximum, or 0 where that is not finite: a single finite term comes back
+    unchanged, and a row all -inf gives -inf."""
+    top = np.max(a, axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    shifted = a - top
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(shifted, out=shifted), axis=axis))
+    return out + np.squeeze(top, axis=axis)
 
 
 def _ranges(first, lengths: np.ndarray) -> np.ndarray:
@@ -517,8 +532,11 @@ def _m_step(level: LevelModel, tokens: np.ndarray, frames: np.ndarray, n_frames:
     Each state's occupancy and first and second moments are reductions of its
     own, whose bits a stacked product would change; the divisions, variance
     floors, weights and transitions then run once over all the stacked
-    states.  A state padded to c components adds exact zeros to its total
-    occupancy while c is under 8."""
+    states.  A padding component's responsibility is an exact 0, its joint
+    being -inf (the -inf constant of LevelModel.density_stack), so a state
+    padded to c components adds exact zeros to its total occupancy while c
+    is under 8; from 8 terms numpy sums pairwise, and the total may move in
+    the last bit."""
     m, c = resp.shape[1:]
     occ = np.zeros((len(tokens), m, c))
     first = np.zeros((len(tokens), m, c, len(var_floor)))
@@ -621,20 +639,27 @@ def _token_statistics(level: LevelModel, tokens: np.ndarray,
     gathered in token order, with their (N, m, c) component
     responsibilities; c is the most components a state of tokens holds.
 
-    One kernel pass scores every frame against its own token's states, and one
-    _e_step aligns every span, each with its token's transitions.
+    One kernel product per token scores its frames against its own states,
+    and one _e_step aligns every span, each with its token's transitions.
     """
     m = level.counts.shape[1]
     picked = np.bincount(tokens, minlength=len(level.counts))[spans[0]] > 0
     owner, first, lengths = (a[picked] for a in spans)
     x = frames[_ranges(first, lengths)]
-    states = np.repeat(owner * m, lengths)[:, None] + np.arange(m)
-    joint = _log_joints(level.density_stack(int(level.counts[tokens].max())), x, states)
-    emis = logsumexp(joint, axis=2)
+    centre, rows, const = level.density_stack(int(level.counts[tokens].max()))
+    c = len(const)
+    joint = np.empty((len(x), c, m))
+    ends = np.cumsum(np.bincount(np.repeat(owner, lengths))[tokens]).tolist()
+    for token, at, end in zip(tokens.tolist(), [0] + ends, ends):
+        states = slice(token * m, token * m + m)
+        joint[at:end] = _log_joints((centre, rows[:, states], const[:, states]), x[at:end])
+    emis = logsumexp(joint, axis=1)
     log_self, log_adv = level.log_transitions()
     lls, gamma, stays, moves = _e_step(emis, np.concatenate([[0], np.cumsum(lengths)]),
                                        log_self[owner], log_adv[owner])
-    resp = gamma[:, :, None] * np.exp(joint - emis[:, :, None])
+    resp = np.empty((len(x), m, c))
+    np.exp(joint.transpose(0, 2, 1) - emis[:, :, None], out=resp)
+    resp *= gamma[:, :, None]
     sums = _token_sums(np.column_stack([lls, stays, moves]), np.bincount(owner)[tokens])
     return sums[:, 0], x, resp, sums[:, 1:m + 1], sums[:, m + 1:]
 
@@ -697,21 +722,20 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
 # ---------------------------------------------------------------------------
 
 def _emission_table(stack: tuple[np.ndarray, ...], frames: np.ndarray, m: int) -> np.ndarray:
-    """(T, n, m) state log densities of T frames: one kernel pass over the
+    """(T, n, m) state log densities of T frames: one kernel product over the
     density_stack of a level's n * m states, in token-major order."""
-    joint = _log_joints(stack, frames, np.arange(len(stack[0])))
-    return logsumexp(joint, axis=2).reshape(len(frames), -1, m)
+    return logsumexp(_log_joints(stack, frames), axis=1).reshape(len(frames), -1, m)
 
 
 def _table_groups(level: LevelModel, corpus: Corpus):
     """Consecutive utterances of corpus.ids() in batches: each batch's ids, the
     (frames, n, m) emission table of its rows of corpus.frames, a slice, from
-    one kernel pass, and their frame counts."""
+    one kernel product, and their frame counts."""
     ids, at, m = corpus.ids(), corpus.offsets, level.counts.shape[1]
     stack = level.density_stack()
     lengths = np.diff(at)
     # a frame's kernel joints take c times the bytes of its table row
-    for batch in _batches(lengths, 8 * stack[0].size, BATCH_BYTES):
+    for batch in _batches(lengths, 8 * stack[2].size, BATCH_BYTES):
         frames = corpus.frames[at[batch.start]:at[batch.stop]]
         yield ids[batch], _emission_table(stack, frames, m), lengths[batch]
 
