@@ -8,49 +8,38 @@ alternation so the likelihood cannot drop), then re-decode the corpus with the
 fitted models to obtain new labels.  Levels are trained independently; levels
 sharing the same n start from the same initial label set.
 
-A level trains and decodes as one batch of rows, not a loop over tokens.  Its
-rows are rows of the corpus matrix, `Corpus.frames`: a labeled span is a row
-range gathered by index, and a decoding batch of consecutive utterances is a
-slice.  A level's model, `LevelModel`, is its states stacked into arrays
-(component counts, weights, means, variances, transitions) with its token
-prior, and every state density comes from one kernel, `_log_joints`, over
-those arrays in the layout of Kaldi's diagonal GMMs (Povey et al., ASRU
-2011): a component's log joint is [x^2, x] times its row (-1/2v, mu/v) plus
-its constant, frames and means taken relative to a centre that depends on
-the model alone.  `GaussState` and `TokenHmm` records are the model's
-constructor input and views of its rows; one state's density and one span's
-likelihood are the level's kernels on a level of one state or one token.
-Training, decoding, the likelihood trace and the KL tables (`retrieval`)
-read the model they are given.  EM, mixture splits and reseeding included,
-updates a model's arrays in place: the flat start's, or a copy of the warm
-start's, so the model a caller passes in is never changed.  Training scores
-each frame of every token still in EM against its own token's states, one
-product per token and EM iteration; decoding scores a batch of utterances
-against all n * m states in one product, and that table also serves the
-likelihood trace.
+A level trains and decodes as one batch of rows of the corpus matrix,
+`Corpus.frames`, not a loop over tokens: a labeled span is a row range
+gathered by index, a decoding batch of consecutive utterances a slice.  Its
+model, `LevelModel`, is its states stacked into arrays (component counts,
+weights, means, variances, transitions) with its token prior, and every
+state density comes from one kernel, `_log_joints`, in the layout of Kaldi's
+diagonal GMMs (Povey et al., ASRU 2011): a component's log joint is [x^2, x]
+times its row (-1/2v, mu/v) plus its constant, frames and means taken
+relative to a centre that depends on the model alone.  `GaussState` and
+`TokenHmm` records are the model's constructor input and views of its rows.
+EM, mixture splits and reseeding included, updates a copy of the warm
+start's arrays, or the flat start's, in place.
 
-The E-step runs once per EM iteration over the spans of every token still
-training: every span's alignment, from forward-backward or, for a span no
-path traverses, the uniform alignment the flat start also uses, fills one
-(N, m) occupancy table over the gathered frames.  One M-step then
-reestimates every token still training from those frames; the flat start is
-the same M-step over the uniform alignment.  Each state's occupancy and
-moments stay reductions of its own, and each token's log-likelihood,
-transition counts, em_tol check and mixture splits stay its own, so a token
-follows the course EM would take on it alone.
+A training call lays its spans out once (`_SpanLayout`), and again only when
+a token leaves EM.  Each EM iteration scores each token's rows against its
+own states in one product, aligns every span still training in one E-step
+(forward-backward, or for a span no path traverses the uniform alignment the
+flat start uses), and takes each token's occupancies and moments in one
+product of the M-step; each token's log-likelihood, transition counts,
+em_tol check and splits stay its own, so it follows the course EM would take
+on it alone.  Decoding scores a batch of utterances against all n * m states
+in one product, a table that also serves the likelihood trace.
 
-Each recursion runs once per batch of rows, not once per span or utterance:
-the E-step's forward-backward over spans padded into one time-major (L, B, m)
-emission array, -inf past each span's end, and decoding's token-loop Viterbi
-over a batch's padded (T, U, n, m) tables, keeping one back-pointer flag per
-state and frame, whose segments the likelihood trace scores in one forward
-pass.  In the E-step and the trace, each row has
-its own token's transitions.  A batch's tables and its padded copy stay under
-BATCH_BYTES, a decoding batch's counted c times over for the kernel's joints.
-The batched recursions repeat the per-row element-wise operations, sums
-over frames and over spans add their terms in order, and every product of
-the kernel has one shape, so the results do not depend on how rows are
-batched.  `logsumexp` is the package's one log-sum-exp.
+Each recursion runs once per batch of rows padded time-major, -inf past each
+row's end: the E-step's forward-backward over (L, B, m) spans, and the
+token-loop Viterbi over (T, U, n, m) tables, with one back-pointer flag per
+state and frame, whose segments the trace scores in one forward pass.  A
+batch stays under BATCH_BYTES.  Per-row operations repeat, sums over frames
+and spans add in order, and every kernel product has one shape, so results
+do not depend on the batching.  `logsumexp`, the package's one log-sum-exp,
+folds components in one at a time: one component costs no pass, its density
+being a slice of the kernel's joints, and each further one rounds once.
 """
 
 from __future__ import annotations
@@ -196,9 +185,7 @@ def _log_joints(stack: tuple[np.ndarray, ...], frames: np.ndarray) -> np.ndarray
     cancellation at the scale of the level's spread.
 
     c is the most components a stacked state holds.  A state padded to it
-    gains -inf joints, which add exact zeros to its mixture sums while c is
-    under 8; from 8 terms numpy may sum pairwise, so a padded state's density
-    may move in the last bit."""
+    gains -inf joints, which logsumexp's fold adds as exact zeros."""
     centre, rows, const = stack
     c, k, width = rows.shape
     d, T = width // 2, len(frames)
@@ -322,8 +309,9 @@ class TokenizerConfig:
     em_tol: float = 1e-4           # relative per-token log-likelihood gain
     outer_iters: int = 5
     lm_scale: float = 1.0
-    # from each listed EM iteration on, states hold twice as many mixture
-    # components; a warm start that already holds them is not split again
+    # from each listed EM iteration on (counted from 0 on every training call,
+    # so strictly increasing and below em_iters), states hold twice as many
+    # mixture components; a warm start that already holds them is not split
     mixture_schedule: tuple[int, ...] = ()
     var_floor_frac: float = 1e-4   # floor = frac * global per-dimension variance
     reseed_scale: float = 0.1      # perturbation for dead-token reseeding
@@ -333,6 +321,10 @@ class TokenizerConfig:
             raise ValueError(f"em_iters must be >= 0, got {self.em_iters}")
         if not self.em_tol >= 0:
             raise ValueError(f"em_tol must be >= 0, got {self.em_tol}")
+        if tuple(self.mixture_schedule) != tuple(k for k in range(self.em_iters)
+                                                 if k in self.mixture_schedule):
+            raise ValueError(f"mixture_schedule must be strictly increasing EM iterations in "
+                             f"[0, {self.em_iters}), got {list(self.mixture_schedule)}")
         if self.outer_iters < 1:
             raise ValueError(f"outer_iters must be >= 1, got {self.outer_iters}")
         if not self.var_floor_frac > 0:  # a zero floor lets a variance reach 0
@@ -349,15 +341,21 @@ BATCH_BYTES = 64 << 20
 
 
 def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along axis, as top + log(sum(exp(a - top))), top the
-    maximum, or 0 where that is not finite: a single finite term comes back
-    unchanged, and a row all -inf gives -inf."""
-    top = np.max(a, axis=axis, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    shifted = a - top
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(shifted, out=shifted), axis=axis))
-    return out + np.squeeze(top, axis=axis)
+    """log(sum(exp(a))) along axis as a fold: term 0, a view of a, then each
+    further term as hi + log1p(exp(lo - hi)), hi and lo the larger and smaller
+    of the running sum and the term, lo - hi kept -inf where hi is -inf.  An
+    axis of one term comes back as a view, with no pass; a -inf term adds an
+    exact 0, so a single finite term comes back unchanged and a row all -inf
+    gives -inf; each further term rounds once more.  The result may be a
+    view of a, so no caller writes into it."""
+    terms = np.moveaxis(a, axis, 0)[:, None]  # a 1-D a keeps arrays to fold
+    out = terms[0]
+    for term in terms[1:]:
+        hi, lo = np.maximum(out, term), np.minimum(out, term)
+        np.subtract(lo, hi, out=lo, where=np.isfinite(hi))
+        hi += np.log1p(np.exp(lo, out=lo), out=lo)
+        out = hi
+    return out[0]
 
 
 def _ranges(first, lengths: np.ndarray) -> np.ndarray:
@@ -390,15 +388,19 @@ def _batches(lengths: np.ndarray, cell_bytes: int, budget: int,
     return batches
 
 
-def _pad(stacked: np.ndarray, lengths: np.ndarray, fill: float = -np.inf) -> tuple[np.ndarray, tuple]:
+def _pad_index(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (time, row) index of stacked rows of these lengths in their padded copy (_pad)."""
+    return _ranges(0, lengths), np.repeat(np.arange(len(lengths)), lengths)
+
+
+def _pad(stacked: np.ndarray, lengths: np.ndarray, fill: float = -np.inf, index=None) -> tuple:
     """The (longest, B, ...) time-major copy, fill where padded, of B rows
-    stacked along axis 0, row b holding lengths[b] entries; and the (time, row)
-    index of every stacked entry, which gathers the copy back."""
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    time = _ranges(0, lengths)
+    stacked along axis 0, row b holding lengths[b] entries; and its index
+    (_pad_index, unless given), which gathers the copy back."""
+    index = _pad_index(lengths) if index is None else index
     padded = np.full((lengths.max(), len(lengths)) + stacked.shape[1:], fill)
-    padded[time, rows] = stacked
-    return padded, (time, rows)
+    padded[index] = stacked
+    return padded, index
 
 
 def _ordered_sum(values: np.ndarray):
@@ -455,8 +457,13 @@ def segment_forward_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
     return float(alpha[-1, 0, -1] + log_adv[0, -1])
 
 
+def _e_step_batches(lengths: np.ndarray, m: int) -> list[tuple[slice, tuple]]:
+    """The E-step's batches of spans of these lengths, with their padded copies' index."""
+    return [(batch, _pad_index(lengths[batch])) for batch in _batches(lengths, 8 * m, BATCH_BYTES)]
+
+
 def _e_step(emis: np.ndarray, edges: np.ndarray, log_self: np.ndarray,
-            log_adv: np.ndarray):
+            log_adv: np.ndarray, batches: list | None = None):
     """Alignment of spans from their stacked (N, m) emissions, span i being
     emis[edges[i]:edges[i + 1]] with (m,) log transitions log_self[i] and
     log_adv[i], its token's: (lls, gamma, stays, moves).
@@ -466,17 +473,16 @@ def _e_step(emis: np.ndarray, edges: np.ndarray, log_self: np.ndarray,
     advance counts, the exit from the last state included.  A span no path
     traverses (shorter than m, or of zero likelihood) gets the uniform
     alignment, scored along it.  Forward and backward run once per batch of
-    spans, over their padded (L, B, m) emissions, each row with its own
-    transitions.
+    spans (_e_step_batches of the spans, unless given), over their padded
+    (L, B, m) emissions, each row with its own transitions.
     """
-    m = emis.shape[1]
-    lengths = np.diff(edges)
+    m, lengths = emis.shape[1], np.diff(edges)
     gamma = np.empty_like(emis)
     B = len(lengths)
     lls, stays, moves = np.empty(B), np.empty((B, m)), np.empty((B, m))
-    for batch in _batches(lengths, 8 * m, BATCH_BYTES):
+    for batch, index in batches or _e_step_batches(lengths, m):
         rows = slice(edges[batch.start], edges[batch.stop])
-        padded, index = _pad(emis[rows], lengths[batch])
+        padded, _ = _pad(emis[rows], lengths[batch], index=index)
         last, spans = lengths[batch] - 1, np.arange(batch.stop - batch.start)
         row_self, row_adv = log_self[batch], log_adv[batch]
         alpha = _alpha(padded, row_self, row_adv)
@@ -508,9 +514,8 @@ def _uniform_alignment(lengths: np.ndarray, m: int) -> tuple[np.ndarray, np.ndar
     counts.  State s of a span of L frames takes its frames L * s // m up to
     L * (s + 1) // m; when L < m, one frame per state and the trailing states
     stay empty."""
-    span = np.repeat(np.arange(len(lengths)), lengths)
+    frame, span = _pad_index(lengths)
     length = lengths[span]
-    frame = _ranges(0, lengths)
     # the last s with L * s // m <= frame
     state = np.where(length >= m, (m * (frame + 1) - 1) // length, frame)
     frames_in = np.bincount(span * m + state, minlength=len(lengths) * m).reshape(-1, m)
@@ -521,35 +526,43 @@ def _uniform_alignment(lengths: np.ndarray, m: int) -> tuple[np.ndarray, np.ndar
 # EM on a level's stacked states
 # ---------------------------------------------------------------------------
 
-def _m_step(level: LevelModel, tokens: np.ndarray, frames: np.ndarray, n_frames: np.ndarray,
-            resp: np.ndarray, stay: np.ndarray, move: np.ndarray, var_floor: np.ndarray):
-    """Reestimate tokens of level in place from their (N, d) frames, stacked
-    in token order, token tokens[j] holding n_frames[j] of them, the frames'
-    (N, m, c) component responsibilities and the tokens' (tokens, m) expected
+class _SpanLayout:
+    """The spans of tokens (ascending, each holding a span) among
+    _collect_spans' spans, as EM reads them: each span's token (owner), length
+    and edges in rows, the [1, x, x^2] of their frames in token order; the
+    E-step's batches; and per token its span count and edges in rows (cuts)."""
+
+    def __init__(self, tokens: np.ndarray, spans: tuple, frames: np.ndarray, m: int):
+        self.tokens, at = tokens, np.searchsorted(spans[0], tokens)  # spans sorted by token
+        self.n_spans = np.searchsorted(spans[0], tokens, "right") - at
+        self.owner, first, self.lengths = (a[_ranges(at, self.n_spans)] for a in spans)
+        x = frames[_ranges(first, self.lengths)]
+        self.rows = np.concatenate([np.ones((len(x), 1)), x, x * x], axis=1)
+        self.edges = np.concatenate([[0], np.cumsum(self.lengths)])
+        self.cuts = self.edges[np.concatenate([[0], np.cumsum(self.n_spans)])].tolist()
+        self.batches = _e_step_batches(self.lengths, m)
+
+
+def _m_step(level: LevelModel, layout: _SpanLayout, resp: np.ndarray, stay: np.ndarray,
+            move: np.ndarray, var_floor: np.ndarray):
+    """Reestimate the tokens of layout in place from the (N, m, c) component
+    responsibilities of its rows and the tokens' (tokens, m) expected
     self-loop and advance counts.  An unvisited state keeps its parameters,
     and so does an unvisited component of a visited state.
 
-    Each state's occupancy and first and second moments are reductions of its
-    own, whose bits a stacked product would change; the divisions, variance
-    floors, weights and transitions then run once over all the stacked
-    states.  A padding component's responsibility is an exact 0, its joint
-    being -inf (the -inf constant of LevelModel.density_stack), so a state
-    padded to c components adds exact zeros to its total occupancy while c
-    is under 8; from 8 terms numpy sums pairwise, and the total may move in
-    the last bit."""
-    m, c = resp.shape[1:]
-    occ = np.zeros((len(tokens), m, c))
-    first = np.zeros((len(tokens), m, c, len(var_floor)))
-    second = np.zeros_like(first)
-    squares = frames * frames
-    ends = np.cumsum(n_frames).tolist()
-    for j, (token, at, end) in enumerate(zip(tokens.tolist(), [0] + ends, ends)):
-        x, xx, token_resp = frames[at:end], squares[at:end], resp[at:end]
-        for s, k in enumerate(level.counts[token].tolist()):
-            r = token_resp[:, s, :k]
-            occ[j, s, :k] = r.sum(axis=0)
-            first[j, s, :k] = r.T @ x
-            second[j, s, :k] = r.T @ xx
+    Each token's occupancies and first and second moments are one product,
+    its (N_t, m c) responsibilities transposed times its rows [1, x, x^2];
+    the divisions, floors, weights and transitions then run once over all the
+    stacked states.  A padding component's responsibility is an exact 0 (its
+    joint is -inf), so its moments are exact zeros, which add nothing to its
+    state's total occupancy while c is under 8; from 8 terms numpy sums
+    pairwise, and the total may move in the last bit."""
+    tokens, (m, c), d, cuts = layout.tokens, resp.shape[1:], len(var_floor), layout.cuts
+    moments = np.empty((len(tokens), m * c, 1 + 2 * d))
+    for j, (at, end) in enumerate(zip(cuts, cuts[1:])):
+        np.matmul(resp[at:end].reshape(-1, m * c).T, layout.rows[at:end], out=moments[j])
+    moments = moments.reshape(len(tokens), m, c, -1)
+    occ, first, second = moments[..., 0], moments[..., 1:d + 1], moments[..., d + 1:]
     total = occ.sum(axis=2)
     visited = total > 1e-8
     seen = ((occ > 1e-8) & visited[..., None])[..., None]
@@ -584,27 +597,23 @@ def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
     it and no density is evaluated.  States that no span reaches keep the
     template's global statistics.
     """
-    return _flat_start(corpus, _collect_spans(corpus, labels, g.n), _global_stats(corpus), g,
-                       cfg or TokenizerConfig())
+    spans = _collect_spans(corpus, labels, g.n)
+    return _flat_start(_SpanLayout(np.unique(spans[0]), spans, corpus.frames, g.m),
+                       _global_stats(corpus), g, cfg or TokenizerConfig())
 
 
-def _flat_start(corpus: Corpus, spans: tuple[np.ndarray, ...],
-                stats: tuple[np.ndarray, np.ndarray], g: Granularity,
+def _flat_start(layout: _SpanLayout, stats: tuple[np.ndarray, np.ndarray], g: Granularity,
                 cfg: TokenizerConfig) -> LevelModel:
-    """flat_start_model from already collected spans and global statistics:
-    one M-step of the whole level, every state starting from the one-component
-    template of the global mean and variance, over the uniform alignment of
-    every span."""
-    tokens, first, lengths = spans
+    """flat_start_model from the layout of every span and global statistics:
+    one M-step from the template of the global mean and variance, over the
+    uniform alignment of every span."""
     level = LevelModel.__new__(LevelModel)
     level._hold(g, np.ones((g.n, g.m), dtype=np.int64), np.ones((g.n, g.m, 1)),
                 *(np.broadcast_to(a, (g.n, g.m, 1, len(a))).copy() for a in stats),
-                np.full((g.n, g.m, 2), 0.5), _estimate_prior(tokens, g.n))
-    gamma, stays, moves = _uniform_alignment(lengths, g.m)
-    n_spans = np.bincount(tokens, minlength=g.n)
-    _m_step(level, np.arange(g.n), corpus.frames[_ranges(first, lengths)],
-            np.bincount(np.repeat(tokens, lengths), minlength=g.n), gamma[:, :, None],
-            _token_sums(stays, n_spans), _token_sums(moves, n_spans), cfg.var_floor_frac * stats[1])
+                np.full((g.n, g.m, 2), 0.5), _estimate_prior(layout.owner, g.n))
+    gamma, stays, moves = _uniform_alignment(layout.lengths, g.m)
+    _m_step(level, layout, gamma[:, :, None], _token_sums(stays, layout.n_spans),
+            _token_sums(moves, layout.n_spans), cfg.var_floor_frac * stats[1])
     return level
 
 
@@ -629,39 +638,28 @@ def _estimate_prior(tokens: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(tokens, minlength=n) / len(tokens)
 
 
-def _token_statistics(level: LevelModel, tokens: np.ndarray,
-                      spans: tuple[np.ndarray, ...], frames: np.ndarray):
-    """E-step statistics of several tokens at once, tokens ascending, token t
-    of level with the spans of _collect_spans whose token is t, rows of the
-    corpus matrix frames: (lls, x, resp, stay, move), per token of tokens its
-    log-likelihood and (m,) expected self-loop and advance counts, each added
-    up over its spans in span order, and the (N, d) frames of those spans,
-    gathered in token order, with their (N, m, c) component
-    responsibilities; c is the most components a state of tokens holds.
-
-    One kernel product per token scores its frames against its own states,
-    and one _e_step aligns every span, each with its token's transitions.
-    """
-    m = level.counts.shape[1]
-    picked = np.bincount(tokens, minlength=len(level.counts))[spans[0]] > 0
-    owner, first, lengths = (a[picked] for a in spans)
-    x = frames[_ranges(first, lengths)]
-    centre, rows, const = level.density_stack(int(level.counts[tokens].max()))
-    c = len(const)
-    joint = np.empty((len(x), c, m))
-    ends = np.cumsum(np.bincount(np.repeat(owner, lengths))[tokens]).tolist()
-    for token, at, end in zip(tokens.tolist(), [0] + ends, ends):
+def _token_statistics(level: LevelModel, layout: _SpanLayout):
+    """E-step statistics of the tokens of layout: (lls, resp, stay, move), per
+    token its log-likelihood and (m,) expected self-loop and advance counts,
+    added up over its spans in span order, and the (N, m, c) component
+    responsibilities of the layout's rows, c the most components a state of
+    the tokens holds.  One kernel product per token scores its rows against
+    its own states, and one _e_step aligns every span."""
+    m, d, cuts = level.counts.shape[1], level.means.shape[3], layout.cuts
+    centre, rows, const = level.density_stack(int(level.counts[layout.tokens].max()))
+    joint = np.empty((len(layout.rows), len(const), m))
+    for token, at, end in zip(layout.tokens.tolist(), cuts, cuts[1:]):
         states = slice(token * m, token * m + m)
-        joint[at:end] = _log_joints((centre, rows[:, states], const[:, states]), x[at:end])
+        joint[at:end] = _log_joints((centre, rows[:, states], const[:, states]),
+                                    layout.rows[at:end, 1:d + 1])
     emis = logsumexp(joint, axis=1)
     log_self, log_adv = level.log_transitions()
-    lls, gamma, stays, moves = _e_step(emis, np.concatenate([[0], np.cumsum(lengths)]),
-                                       log_self[owner], log_adv[owner])
-    resp = np.empty((len(x), m, c))
-    np.exp(joint.transpose(0, 2, 1) - emis[:, :, None], out=resp)
+    lls, gamma, stays, moves = _e_step(emis, layout.edges, log_self[layout.owner],
+                                       log_adv[layout.owner], layout.batches)
+    resp = np.exp(joint.transpose(0, 2, 1) - emis[:, :, None], order="C")
     resp *= gamma[:, :, None]
-    sums = _token_sums(np.column_stack([lls, stays, moves]), np.bincount(owner)[tokens])
-    return sums[:, 0], x, resp, sums[:, 1:m + 1], sums[:, m + 1:]
+    sums = _token_sums(np.column_stack([lls, stays, moves]), layout.n_spans)
+    return sums[:, 0], resp, sums[:, 1:m + 1], sums[:, m + 1:]
 
 
 def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
@@ -685,23 +683,25 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
     spans = _collect_spans(corpus, labels, g.n)
     stats = _global_stats(corpus)
     var_floor = cfg.var_floor_frac * stats[1]
+    frames_per_token = np.bincount(np.repeat(spans[0], spans[2]), minlength=g.n)
+    training = np.flatnonzero(frames_per_token)  # the rest are reseeded
+    layout = _SpanLayout(training, spans, corpus.frames, g.m)
     if init_model is None:
-        level = _flat_start(corpus, spans, stats, g, cfg)
+        level = _flat_start(layout, stats, g, cfg)
     else:
         level = copy.deepcopy(init_model)
         level.prior = _estimate_prior(spans[0], g.n)
-    frames_per_token = np.bincount(np.repeat(spans[0], spans[2]), minlength=g.n)
-    split_at = set(cfg.mixture_schedule)
     prev_ll = np.full(g.n, np.nan)  # NaN: no likelihood to compare with yet
-    training = np.flatnonzero(frames_per_token)  # the rest are reseeded
     for it in range(cfg.em_iters):
         if not len(training):
             break
+        if len(training) < len(layout.tokens):  # tokens left EM
+            layout = _SpanLayout(training, spans, corpus.frames, g.m)
         # a warm start already holds the components of earlier splits; a
         # split restarts its token's convergence check
-        prev_ll[level.split(training, 2 ** sum(k <= it for k in split_at))] = np.nan
-        lls, frames, resp, stay, move = _token_statistics(level, training, spans, corpus.frames)
-        _m_step(level, training, frames, frames_per_token[training], resp, stay, move, var_floor)
+        prev_ll[level.split(training, 2 ** sum(k <= it for k in cfg.mixture_schedule))] = np.nan
+        lls, resp, stay, move = _token_statistics(level, layout)
+        _m_step(level, layout, resp, stay, move, var_floor)
         prev = prev_ll[training]
         converged = np.abs(lls - prev) / np.maximum(1.0, np.abs(prev)) < cfg.em_tol
         prev_ll[training] = lls

@@ -102,7 +102,7 @@ em_iters = 4
 em_tol = 0.001
 outer_iters = 2
 lm_scale = 0.5
-mixture_schedule = 2 4
+mixture_schedule = 2 3
 var_floor_frac = 0.001
 reseed_scale = 0.2
 
@@ -747,6 +747,9 @@ class TestStages:
         ("em_iters", "-1", "[tokenizer] em_iters must be >= 0, got -1"),
         ("em_tol", "-0.5", "[tokenizer] em_tol must be >= 0, got -0.5"),
         ("var_floor_frac", "0", "[tokenizer] var_floor_frac must be > 0, got 0.0"),
+        ("mixture_schedule", "1 3",
+         "[tokenizer] mixture_schedule must be strictly increasing EM iterations in [0, 3), "
+         "got [1, 3]"),
         ("window", "0", "[features] window must be > 0, got 0.0"),
         ("shift", "0", "[features] shift must be > 0, got 0.0"),
         ("n_ceps", "30", "[features] n_ceps must be >= 1 and <= n_filters (26), got 30"),
@@ -763,7 +766,8 @@ class TestStages:
             "temporal", "weights", "weights-negative", "weights-zero-sum", "queries-repeated",
             "lda_iters",
             "lda_beta", "lda_alpha", "overlap-above-1", "overlap-zero", "min_gap",
-            "epochs", "hidden", "em_iters", "em_tol", "var_floor_frac", "window", "shift",
+            "epochs", "hidden", "em_iters", "em_tol", "var_floor_frac",
+            "mixture_schedule", "window", "shift",
             "n_ceps-above-n_filters", "n_ceps-zero", "n_filters", "delta_window",
             "context_radius", "learning_rate-negative", "learning_rate-zero",
             "momentum-above-1", "momentum-negative", "dotplot_sigma"])
@@ -773,7 +777,8 @@ class TestStages:
             "queries = utt000", "queries = utt000\nmode = token\nweights = 1 1").replace(
             "lda_iters = 30\n",
             "lda_iters = 30\nlda_beta = 0.01\nlda_alpha = \noverlap = 0.5\nmin_gap = 2\n").replace(
-            "em_iters = 3\n", "em_iters = 3\nem_tol = 0.0001\nvar_floor_frac = 0.0001\n").replace(
+            "em_iters = 3\n",
+            "em_iters = 3\nem_tol = 0.0001\nvar_floor_frac = 0.0001\nmixture_schedule = \n").replace(
             "batch_size = 64\n", "batch_size = 64\nlearning_rate = 0.01\nmomentum = 0.9\n").replace(
             "[init]\n", "[features]\nwindow = 0.025\nshift = 0.01\nn_ceps = 13\n"
             "n_filters = 26\ndelta_window = 2\n\n[init]\n").replace(

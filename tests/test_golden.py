@@ -6,9 +6,10 @@ seeds 11 and 1; with the trained network (`[mdnn] epochs = 30`,
 mixture_schedule = 2`, whose levels mix one- and two-component states, so the
 padded mixture paths are pinned too.  Every file each stage wrote is compared by its
 sha256 against tests/golden/readme_demo.json, so a change that moves one bit
-names the artifacts that moved.  The file also records the numpy version and
-the BLAS these hashes were made with; a mismatch prints both environments, so
-a different library is told apart from a change in the code.
+names the artifacts that moved.  The file also records the numpy version, the
+BLAS and the kernels OpenBLAS picked for the CPU (its core) these hashes were
+made with; a mismatch prints both environments, so a different library or CPU
+is told apart from a change in the code.
 
 A change that moves artifacts on purpose re-records the file in the same
 change with `PYTHONPATH=src python tests/test_golden.py`, and lists what moved.
@@ -20,6 +21,7 @@ Time: each run takes 1.3-1.6 s wall on a 2-core host; the five together
 must finish in RUN_BOUND_S.  The two index-order tests take 0.4-0.5 s each.
 """
 
+import ctypes
 import hashlib
 import json
 import shutil
@@ -49,9 +51,23 @@ RUNS = {"readme_seed11": (11, False, False), "readme_seed1": (1, False, False),
         "mixtures_seed11": (11, False, True)}
 
 
+def blas_core() -> str:
+    """The kernels OpenBLAS picked for this CPU at run time, as the OpenBLAS
+    of the numpy wheel names them (`SkylakeX`, `Haswell`, ...), or `unknown`
+    when no library in numpy.libs exports scipy_openblas_get_corename64_."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
+    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "blas_core": blas_core()}
 
 
 def run_demo(out: Path, seed: int, trained: bool, mixtures: bool) -> dict[str, dict[str, str]]:

@@ -255,8 +255,8 @@ class TestMixtureKernel:
         # responsibilities: the E-step's occupancy times the component posteriors
         # one span of token 0: all the rows of frames
         spans = (np.array([0]), np.array([0]), np.array([len(frames)]))
-        _, _, resp, _, _ = tok._token_statistics(level_of([hmm]), np.array([0]),
-                                                 spans, frames)
+        layout = tok._SpanLayout(np.array([0]), spans, frames, len(components))
+        _, resp, _, _ = tok._token_statistics(level_of([hmm]), layout)
         _, gamma, _, _ = reference_e_step(hmm, ref_emis, np.array([0, len(frames)]))
         for s, c in enumerate(components):
             assert_close(resp[:, s, :c],
@@ -278,9 +278,9 @@ class TestMixtureKernel:
         assert segment_forward_ll(hmm, frames) == pytest.approx(want, rel=DENSITY_TOL)
 
     def test_padding_to_eight_or_more_components_agrees_to_rounding(self):
-        # numpy sums 8 or more terms pairwise, so a state padded from 7 to 8
-        # components is summed in another grouping and may differ in the last
-        # bit; equal weights and nearby means make such frames common
+        # a state padded from 7 to 8 components, equal weights and nearby
+        # means: the log-sum's fold adds its padding as exact zeros, where a
+        # pairwise sum of 8 or more terms could group them apart
         rng = np.random.default_rng(0)
         states = [GaussState(np.full(c, 1.0 / c), 0.1 * rng.normal(size=(c, 6)), np.ones((c, 6)))
                   for c in (8, 7)]
@@ -301,6 +301,21 @@ class TestMixtureKernel:
         monkeypatch.setattr(tok, "_log_joints", spy)
         decode_utterance(model, frames)
         assert calls == [(3 * 2, 6)]
+
+    def test_one_component_emission_table_is_a_slice_of_the_joints(self, monkeypatch):
+        model, frames = random_instance(np.random.default_rng(4), T=20, n=3, m=2)
+        assert model.weights.shape[2] == 1
+        joints = []
+        real = tok._log_joints
+
+        def spy(stack, frames):
+            joints.append(real(stack, frames))
+            return joints[-1]
+
+        monkeypatch.setattr(tok, "_log_joints", spy)
+        table = tok._emission_table(model.density_stack(), frames, 2)
+        assert np.shares_memory(table, joints[0])
+        assert np.array_equal(table.reshape(20, 6), joints[0][:, 0])
 
     def test_level_kernel_equals_the_per_state_formula(self):
         rng = np.random.default_rng(60)
@@ -468,6 +483,15 @@ class TestTraining:
         for hmm in model.hmms:
             assert [s.n_components for s in hmm.states] == [4, 4, 4]
 
+    @pytest.mark.parametrize("schedule", [(6,), (-1, 2), (2, 2), (4, 2)],
+                             ids=["at-em_iters", "negative", "repeated", "decreasing"])
+    def test_a_mixture_schedule_entry_that_never_acts_is_rejected(self, schedule):
+        # each training call counts EM iterations 0..em_iters-1 afresh
+        TokenizerConfig(em_iters=6, mixture_schedule=(0, 2, 5))
+        with pytest.raises(ValueError, match=r"^mixture_schedule must be strictly increasing "
+                                             r"EM iterations in \[0, 6\), got "):
+            TokenizerConfig(em_iters=6, mixture_schedule=schedule)
+
     @pytest.mark.parametrize("em_iters", [1, 3])
     def test_one_product_per_token_and_one_e_step_per_em_iteration(self, monkeypatch,
                                                                     em_iters):
@@ -484,9 +508,9 @@ class TestTraining:
             calls.append(len(frames))
             return real_kernel(stack, frames)
 
-        def e_step_spy(emis, edges, log_self, log_adv):
+        def e_step_spy(emis, edges, log_self, log_adv, batches):
             e_steps.append(len(edges) - 1)
-            return real_e_step(emis, edges, log_self, log_adv)
+            return real_e_step(emis, edges, log_self, log_adv, batches)
 
         monkeypatch.setattr(tok, "_log_joints", kernel_spy)
         monkeypatch.setattr(tok, "_e_step", e_step_spy)
@@ -498,6 +522,31 @@ class TestTraining:
         assert e_steps == [len(segments)] * em_iters
         assert len(calls) == em_iters * g.n
         assert sum(calls) == em_iters * labelled_frames
+
+    @pytest.mark.parametrize("start", ["flat", "warm"])
+    def test_span_rows_are_gathered_once_and_again_when_tokens_leave_em(self, monkeypatch,
+                                                                        start):
+        # TestLevelOracle's level: tokens 0-2 train 12, 2 and 2 EM iterations,
+        # token 3 holds no span
+        spec = SynthSpec(n_tokens=3, states_per_token=3, dim=4, n_utterances=6)
+        corpus, _ = synthesize_corpus(spec, seed=21)
+        labels = random_segments(corpus, 3, np.random.default_rng(21))
+        g = Granularity(3, 4)
+        cfg = TokenizerConfig(em_iters=14, em_tol=3e-3, mixture_schedule=(2,))
+        init = flat_start_model(corpus, labels, g) if start == "warm" else None
+        gathered = []
+
+        class Spy(tok._SpanLayout):
+            def __init__(self, tokens, spans, frames, m):
+                super().__init__(tokens, spans, frames, m)
+                gathered.append((tokens.tolist(), len(self.rows)))
+
+        monkeypatch.setattr(tok, "_SpanLayout", Spy)
+        train_level_hmms(corpus, labels, g, cfg, init_model=init)
+        frames = np.bincount([t for seq in labels.values() for t, a, b in seq.segments
+                              for _ in range(a, b)])
+        # the flat start reads the first layout too
+        assert gathered == [([0, 1, 2], frames.sum()), ([0], frames[0])]
 
     def test_order_independent(self, small_corpus):
         spec, corpus, truth = small_corpus
@@ -758,8 +807,8 @@ def reference_m_step(hmm, resp, frames, stay, move, var_floor):
     """A token reestimated from its (N, m, c) component responsibilities over
     its stacked frames and its (m,) expected self-loop and advance counts,
     state by state.  Unlike ReferenceStats.m_step, which adds the moments span
-    by span, it reduces each state's frames at once, as the level's M-step
-    does, so the two agree bit for bit."""
+    by span, it reduces each state's frames at once; the level's M-step takes
+    all of a token's states in one product, which rounds apart (EM_RTOL)."""
     squares = frames * frames
     states = []
     for s, state in enumerate(hmm.states):
@@ -1101,10 +1150,9 @@ class TestViterbiTies:
                 assert labels[utt].segments == want
 
 
-# the max-shift formula against scipy's, which takes the maxima out of the sum
-# through log1p: the largest relative difference measured on
-# test_agrees_with_scipy_without_warnings' 800 cases was 1.9e-14, at a result
-# near 0
+# the fold against scipy's max-shift sum: the largest relative difference
+# measured on test_agrees_with_scipy_without_warnings' 800 cases was 2.9e-15,
+# at a result near 0 (1.9e-14 for the max-shift formula the fold replaced)
 LOGSUMEXP_RTOL = 1e-13
 
 
@@ -1143,6 +1191,13 @@ class TestLogsumexp:
             assert np.array_equal(tok.logsumexp(values[:, None], axis=1), values)
             assert np.array_equal(tok.logsumexp(padded, axis=1), values)
             assert np.array_equal(tok.logsumexp(padded.T, axis=0), values)
+
+    def test_an_axis_of_one_term_comes_back_as_a_view(self):
+        # no pass over a one-component mixture: its log-sum is its own slice
+        a = np.random.default_rng(52).normal(size=(7, 1, 5))
+        got = tok.logsumexp(a, axis=1)
+        assert np.shares_memory(got, a)
+        assert np.array_equal(got, a[:, 0])
 
     def test_a_row_all_minus_inf_gives_minus_inf(self):
         a = np.full((4, 3), -np.inf)
