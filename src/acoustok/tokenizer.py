@@ -26,10 +26,18 @@ a token leaves EM.  Each EM iteration scores each token's rows against its
 own states in one product, aligns every span still training in one E-step
 (forward-backward, or for a span no path traverses the uniform alignment the
 flat start uses), and takes each token's occupancies and moments in one
-product of the M-step; each token's log-likelihood, transition counts,
-em_tol check and splits stay its own, so it follows the course EM would take
-on it alone.  Decoding scores a batch of utterances against all n * m states
-in one product, a table that also serves the likelihood trace.
+product of the M-step; each token's log-likelihood, em_tol check and splits
+stay its own, so it follows the course EM would take on it alone.  Decoding
+scores a batch of utterances against all n * m states in one product, a
+table that also serves the likelihood trace.
+
+Transitions are durations.  A left-to-right token with no skips, entered at
+state 0 and left from state m - 1, enters and leaves each state once on
+every path through a span, so a state's expected advances are its visits
+(one per span) and its expected self-loops its occupancy less its visits:
+the Baum-Welch ratio of expected transitions to occupancy (Rabiner, Proc.
+IEEE 1989) for this topology gives advance = visits / occupancy, the inverse
+of the state's mean duration.  The E-step computes no transition posterior.
 
 Each recursion runs once per batch of rows padded time-major, -inf past each
 row's end: the E-step's forward-backward over (L, B, m) spans, and the
@@ -414,16 +422,20 @@ def _alpha(emis: np.ndarray, log_self: np.ndarray, log_adv: np.ndarray) -> np.nd
     emissions, each entering state 0 at its first frame: the log-sum over the
     paths that reach each state at each frame.  The log transitions are one
     token's (m,) or each row's (B, m); a row's -inf padding keeps its alpha
-    -inf after its last frame."""
+    -inf after its last frame.  A frame makes four ufunc calls on views cut
+    before the loop."""
     L, B, m = emis.shape
-    alpha = np.full((L, B, m), -np.inf)
+    alpha = np.empty((L, B, m))  # the loop writes every frame after the first
+    alpha[0] = -np.inf
     alpha[0, :, 0] = emis[0, :, 0]
     stay, move = np.empty((B, m)), np.full((B, m), -np.inf)
-    for t in range(1, L):
-        np.add(alpha[t - 1], log_self, out=stay)
-        np.add(alpha[t - 1, :, :-1], log_adv[..., :-1], out=move[:, 1:])
-        np.logaddexp(stay, move, out=alpha[t])
-        alpha[t] += emis[t]
+    add, logaddexp = np.add, np.logaddexp
+    adv, into = log_adv[..., :-1], move[:, 1:]
+    for prev, head, cur, e in zip(alpha[:-1], alpha[:-1, :, :-1], alpha[1:], emis[1:]):
+        add(prev, log_self, out=stay)
+        add(head, adv, out=into)
+        logaddexp(stay, move, out=cur)
+        add(cur, e, out=cur)
     return alpha
 
 
@@ -431,7 +443,8 @@ def _beta(emis: np.ndarray, last: np.ndarray, log_self: np.ndarray,
           log_adv: np.ndarray) -> np.ndarray:
     """(L, B, m) backward recursion over B padded rows of emissions, row b
     leaving by the exit at its last frame last[b], with its own (B, m) log
-    transitions."""
+    transitions.  A frame makes three ufunc calls on views cut before the
+    loop, from the last frame back."""
     L, B, m = emis.shape
     beta = np.full((L, B, m), -np.inf)
     beta[last, np.arange(B), m - 1] = log_adv[:, m - 1]
@@ -439,11 +452,15 @@ def _beta(emis: np.ndarray, last: np.ndarray, log_self: np.ndarray,
     # at once; the recursion then adds beta, as (transition + emission) + beta
     stay_emis = log_self + emis[1:]
     move_emis = log_adv[:, :-1] + emis[1:, :, 1:]
+    live = (np.arange(L - 1)[:, None] < last)[:, :, None]  # frame t < row's last
     stay, move = np.empty((B, m)), np.full((B, m), -np.inf)
-    for t in range(L - 2, -1, -1):
-        np.add(stay_emis[t], beta[t + 1], out=stay)
-        np.add(move_emis[t], beta[t + 1, :, 1:], out=move[:, :-1])
-        np.logaddexp(stay, move, out=beta[t], where=(t < last)[:, None])
+    add, logaddexp = np.add, np.logaddexp
+    into = move[:, :-1]
+    for se, me, nxt, tail, cur, ok in zip(stay_emis[::-1], move_emis[::-1], beta[:0:-1],
+                                          beta[:0:-1, :, 1:], beta[-2::-1], live[::-1]):
+        add(se, nxt, out=stay)
+        add(me, tail, out=into)
+        logaddexp(stay, move, out=cur, where=ok)
     return beta
 
 
@@ -466,20 +483,22 @@ def _e_step(emis: np.ndarray, edges: np.ndarray, log_self: np.ndarray,
             log_adv: np.ndarray, batches: list | None = None):
     """Alignment of spans from their stacked (N, m) emissions, span i being
     emis[edges[i]:edges[i + 1]] with (m,) log transitions log_self[i] and
-    log_adv[i], its token's: (lls, gamma, stays, moves).
+    log_adv[i], its token's: (lls, gamma, visits).
 
-    lls holds each span's log-likelihood and gamma the (N, m) state occupancy;
-    the (spans, m) stays and moves hold each span's expected self-loop and
-    advance counts, the exit from the last state included.  A span no path
-    traverses (shorter than m, or of zero likelihood) gets the uniform
-    alignment, scored along it.  Forward and backward run once per batch of
-    spans (_e_step_batches of the spans, unless given), over their padded
-    (L, B, m) emissions, each row with its own transitions.
+    lls holds each span's log-likelihood, gamma the (N, m) state occupancy,
+    each frame's divided by their sum, and visits each span's (spans, m)
+    visits to each state: 1 per state for a span that paths traverse, since
+    each path enters and leaves every state once, which is all the M-step
+    needs for the transitions (_m_step), so no transition posterior is
+    computed.  A span no path traverses (shorter than m, or of zero
+    likelihood) gets the uniform alignment, scored along it.  Forward and
+    backward run once per batch of spans (_e_step_batches of the spans,
+    unless given), over their padded (L, B, m) emissions, each row with its
+    own transitions.
     """
     m, lengths = emis.shape[1], np.diff(edges)
     gamma = np.empty_like(emis)
-    B = len(lengths)
-    lls, stays, moves = np.empty(B), np.empty((B, m)), np.empty((B, m))
+    lls = np.empty(len(lengths))
     for batch, index in batches or _e_step_batches(lengths, m):
         rows = slice(edges[batch.start], edges[batch.stop])
         padded, _ = _pad(emis[rows], lengths[batch], index=index)
@@ -489,37 +508,39 @@ def _e_step(emis: np.ndarray, edges: np.ndarray, log_self: np.ndarray,
         beta = _beta(padded, last, row_self, row_adv)
         lls[batch] = alpha[last, spans, m - 1] + row_adv[:, m - 1]
         # a span no path traverses is realigned below; a 0 shift keeps its
-        # exponents at -inf, where its own -inf would give NaN
+        # exponents at -inf, where its own -inf would give NaN, and its
+        # frames' all-zero occupancies are not divided
         shift = np.where(np.isfinite(lls[batch]), lls[batch], 0.0)[:, None]
-        occupancy = np.exp(alpha + beta - shift)
-        gamma[rows] = occupancy[index]
-        stays[batch] = np.exp(alpha[:-1] + row_self + padded[1:] + beta[1:] - shift).sum(axis=0)
-        moves[batch, :-1] = np.exp(alpha[:-1, :, :-1] + row_adv[:, :-1] + padded[1:, :, 1:]
-                                   + beta[1:, :, 1:] - shift).sum(axis=0)
-        moves[batch, -1] = occupancy[last, spans, m - 1]
+        occupancy = np.exp(alpha + beta - shift)[index]
+        # a frame's occupancies sum to 1: dividing by their sum takes out the
+        # rounding they share, so a frame sure of its state gives it exactly 1
+        total = occupancy.sum(axis=1, keepdims=True)
+        np.divide(occupancy, total, out=gamma[rows], where=total > 0)
+    visits = np.ones((len(lengths), m))
     lost = np.flatnonzero(~np.isfinite(lls))
     if not len(lost):
-        return lls, gamma, stays, moves
-    gamma[_ranges(edges[lost], lengths[lost])], stays[lost], moves[lost] = (
-        _uniform_alignment(lengths[lost], m))
+        return lls, gamma, visits
+    gamma[_ranges(edges[lost], lengths[lost])], visits[lost] = _uniform_alignment(lengths[lost], m)
     for i in lost:
         a, b = edges[i], edges[i + 1]
-        lls[i] = emis[a:b][gamma[a:b] > 0].sum() + stays[i] @ log_self[i] + moves[i] @ log_adv[i]
-    return lls, gamma, stays, moves
+        # a state's frames less its visit are its self-loops
+        stays = gamma[a:b].sum(axis=0) - visits[i]
+        lls[i] = emis[a:b][gamma[a:b] > 0].sum() + stays @ log_self[i] + visits[i] @ log_adv[i]
+    return lls, gamma, visits
 
 
-def _uniform_alignment(lengths: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _uniform_alignment(lengths: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Hard alignment of stacked spans, span i holding lengths[i] rows: the
-    one-hot (N, m) occupancy with each span's (spans, m) self-loop and advance
-    counts.  State s of a span of L frames takes its frames L * s // m up to
-    L * (s + 1) // m; when L < m, one frame per state and the trailing states
-    stay empty."""
+    one-hot (N, m) occupancy and each span's (spans, m) visits, 1 for a state
+    that takes a frame and 0 for one left empty.  State s of a span of L
+    frames takes its frames L * s // m up to L * (s + 1) // m; when L < m,
+    one frame per state and the trailing states stay empty."""
     frame, span = _pad_index(lengths)
     length = lengths[span]
     # the last s with L * s // m <= frame
     state = np.where(length >= m, (m * (frame + 1) - 1) // length, frame)
     frames_in = np.bincount(span * m + state, minlength=len(lengths) * m).reshape(-1, m)
-    return np.eye(m)[state], np.maximum(frames_in - 1.0, 0.0), np.minimum(frames_in, 1.0)
+    return np.eye(m)[state], np.minimum(frames_in, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +564,12 @@ class _SpanLayout:
         self.batches = _e_step_batches(self.lengths, m)
 
 
-def _m_step(level: LevelModel, layout: _SpanLayout, resp: np.ndarray, stay: np.ndarray,
-            move: np.ndarray, var_floor: np.ndarray):
+def _m_step(level: LevelModel, layout: _SpanLayout, resp: np.ndarray, visits: np.ndarray,
+            var_floor: np.ndarray):
     """Reestimate the tokens of layout in place from the (N, m, c) component
-    responsibilities of its rows and the tokens' (tokens, m) expected
-    self-loop and advance counts.  An unvisited state keeps its parameters,
-    and so does an unvisited component of a visited state.
+    responsibilities of its rows and the tokens' (tokens, m) state visits
+    (_e_step).  An unvisited state keeps its parameters, and so does an
+    unvisited component of a visited state.
 
     Each token's occupancies and first and second moments are one product,
     its (N_t, m c) responsibilities transposed times its rows [1, x, x^2];
@@ -556,7 +577,14 @@ def _m_step(level: LevelModel, layout: _SpanLayout, resp: np.ndarray, stay: np.n
     stacked states.  A padding component's responsibility is an exact 0 (its
     joint is -inf), so its moments are exact zeros, which add nothing to its
     state's total occupancy while c is under 8; from 8 terms numpy sums
-    pairwise, and the total may move in the last bit."""
+    pairwise, and the total may move in the last bit.
+
+    Transitions are durations: a state's advance probability is its visits
+    over its total occupancy and its self-loop the rest, the Baum-Welch
+    ratio of expected transitions to occupancy when every path leaves the
+    state once per visit.  The advances are held at most the occupancy,
+    which rounding can put an ulp under the visits, so both probabilities
+    stay in [0, 1]."""
     tokens, (m, c), d, cuts = layout.tokens, resp.shape[1:], len(var_floor), layout.cuts
     moments = np.empty((len(tokens), m * c, 1 + 2 * d))
     for j, (at, end) in enumerate(zip(cuts, cuts[1:])):
@@ -572,14 +600,13 @@ def _m_step(level: LevelModel, layout: _SpanLayout, resp: np.ndarray, stay: np.n
         seen, np.maximum(second / occ_seen - means ** 2, var_floor),
         level.variances[tokens, :, :c])
     level.means[tokens, :, :c] = means
-    level.weights[tokens, :, :c] = np.where(visited[..., None],
-                                            occ / np.where(visited, total, 1.0)[..., None],
+    denom = np.where(visited, total, 1.0)[..., None]
+    level.weights[tokens, :, :c] = np.where(visited[..., None], occ / denom,
                                             level.weights[tokens, :, :c])
-    denom = stay + move
-    moved = (denom > 1e-8)[..., None]
-    level.transitions[tokens] = np.where(
-        moved, np.stack([stay, move], axis=2) / np.where(moved, denom[..., None], 1.0),
-        level.transitions[tokens])
+    move = np.minimum(visits, total)
+    level.transitions[tokens] = np.where(visited[..., None],
+                                         np.stack([total - move, move], axis=2) / denom,
+                                         level.transitions[tokens])
 
 
 def _token_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -611,9 +638,9 @@ def _flat_start(layout: _SpanLayout, stats: tuple[np.ndarray, np.ndarray], g: Gr
     level._hold(g, np.ones((g.n, g.m), dtype=np.int64), np.ones((g.n, g.m, 1)),
                 *(np.broadcast_to(a, (g.n, g.m, 1, len(a))).copy() for a in stats),
                 np.full((g.n, g.m, 2), 0.5), _estimate_prior(layout.owner, g.n))
-    gamma, stays, moves = _uniform_alignment(layout.lengths, g.m)
-    _m_step(level, layout, gamma[:, :, None], _token_sums(stays, layout.n_spans),
-            _token_sums(moves, layout.n_spans), cfg.var_floor_frac * stats[1])
+    gamma, visits = _uniform_alignment(layout.lengths, g.m)
+    _m_step(level, layout, gamma[:, :, None], _token_sums(visits, layout.n_spans),
+            cfg.var_floor_frac * stats[1])
     return level
 
 
@@ -639,12 +666,12 @@ def _estimate_prior(tokens: np.ndarray, n: int) -> np.ndarray:
 
 
 def _token_statistics(level: LevelModel, layout: _SpanLayout):
-    """E-step statistics of the tokens of layout: (lls, resp, stay, move), per
-    token its log-likelihood and (m,) expected self-loop and advance counts,
-    added up over its spans in span order, and the (N, m, c) component
-    responsibilities of the layout's rows, c the most components a state of
-    the tokens holds.  One kernel product per token scores its rows against
-    its own states, and one _e_step aligns every span."""
+    """E-step statistics of the tokens of layout: (lls, resp, visits), per
+    token its log-likelihood and (m,) state visits, added up over its spans
+    in span order, and the (N, m, c) component responsibilities of the
+    layout's rows, c the most components a state of the tokens holds.  One
+    kernel product per token scores its rows against its own states, and one
+    _e_step aligns every span."""
     m, d, cuts = level.counts.shape[1], level.means.shape[3], layout.cuts
     centre, rows, const = level.density_stack(int(level.counts[layout.tokens].max()))
     joint = np.empty((len(layout.rows), len(const), m))
@@ -654,12 +681,12 @@ def _token_statistics(level: LevelModel, layout: _SpanLayout):
                                     layout.rows[at:end, 1:d + 1])
     emis = logsumexp(joint, axis=1)
     log_self, log_adv = level.log_transitions()
-    lls, gamma, stays, moves = _e_step(emis, layout.edges, log_self[layout.owner],
-                                       log_adv[layout.owner], layout.batches)
+    lls, gamma, visits = _e_step(emis, layout.edges, log_self[layout.owner],
+                                 log_adv[layout.owner], layout.batches)
     resp = np.exp(joint.transpose(0, 2, 1) - emis[:, :, None], order="C")
     resp *= gamma[:, :, None]
-    sums = _token_sums(np.column_stack([lls, stays, moves]), layout.n_spans)
-    return sums[:, 0], resp, sums[:, 1:m + 1], sums[:, m + 1:]
+    sums = _token_sums(np.column_stack([lls, visits]), layout.n_spans)
+    return sums[:, 0], resp, sums[:, 1:]
 
 
 def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
@@ -700,8 +727,8 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
         # a warm start already holds the components of earlier splits; a
         # split restarts its token's convergence check
         prev_ll[level.split(training, 2 ** sum(k <= it for k in cfg.mixture_schedule))] = np.nan
-        lls, resp, stay, move = _token_statistics(level, layout)
-        _m_step(level, layout, resp, stay, move, var_floor)
+        lls, resp, visits = _token_statistics(level, layout)
+        _m_step(level, layout, resp, visits, var_floor)
         prev = prev_ll[training]
         converged = np.abs(lls - prev) / np.maximum(1.0, np.abs(prev)) < cfg.em_tol
         prev_ll[training] = lls
@@ -763,17 +790,22 @@ def _viterbi(level: LevelModel, log_prior: np.ndarray, table: np.ndarray,
     # t - 1; past an utterance's end its padding makes every score -inf, so
     # exits[L] holds the final scores of an utterance of L frames
     exits = np.full((T + 1, U, n), -np.inf)
-    stay, move = np.empty((U, n, m)), np.empty((U, n, m))
-
-    for t in range(1, T):
-        np.add(delta, log_self, out=stay)
-        np.add(delta[:, :, :-1], log_adv[:, :-1], out=move[:, :, 1:])
-        np.add(delta[:, :, m - 1], log_adv[:, m - 1], out=exits[t])
-        np.add(exits[t].max(axis=1)[:, None], log_prior, out=move[:, :, 0])
-        np.less(stay, move, out=advanced[t])
-        np.copyto(stay, move, where=advanced[t])
-        np.add(stay, emis[t], out=delta)
-    np.add(delta[:, :, m - 1], log_adv[:, m - 1], out=exits[T])
+    stay, move, best = np.empty((U, n, m)), np.empty((U, n, m)), np.empty((U, 1))
+    # the loop's views and ufuncs, bound once: a frame makes its eight calls
+    # and nothing else
+    add, less, copyto, reduce_max = np.add, np.less, np.copyto, np.maximum.reduce
+    head, tail, into, entry = delta[:, :, :-1], delta[:, :, m - 1], move[:, :, 1:], move[:, :, 0]
+    adv, exit_adv = log_adv[:, :-1], log_adv[:, m - 1]
+    for exit_t, advanced_t, e in zip(exits[1:T], advanced[1:], emis[1:]):
+        add(delta, log_self, out=stay)
+        add(head, adv, out=into)
+        add(tail, exit_adv, out=exit_t)
+        reduce_max(exit_t, axis=1, keepdims=True, out=best)
+        add(best, log_prior, out=entry)
+        less(stay, move, out=advanced_t)
+        copyto(stay, move, where=advanced_t)
+        add(stay, e, out=delta)
+    add(tail, exit_adv, out=exits[T])
 
     switch_from = np.argmax(exits, axis=2)  # ties -> lowest token id
     return [_backtrack(advanced[:L, u], switch_from[:L, u], int(np.argmax(exits[L, u])))
@@ -785,15 +817,19 @@ def _backtrack(advanced: np.ndarray, switch_from: np.ndarray, token: int) -> lis
     """One utterance's segments from its (T, n, m) advance flags and (T,)
     switch sources, ending in the last state of token.  An advance into
     state 0 is a token switch."""
-    T, _, m = advanced.shape
+    T, n, m = advanced.shape
+    # flag (t, token, state) as a byte of one bytes object, read without numpy
+    flags, sources = advanced.tobytes(), switch_from.tolist()
     state = m - 1
     boundaries = []  # segment start frames with their token
     for t in range(T - 1, 0, -1):
-        if advanced[t, token, state] and state:
+        if not flags[(t * n + token) * m + state]:
+            continue
+        if state:
             state -= 1
-        elif advanced[t, token, state]:
+        else:
             boundaries.append((t, token))
-            token, state = int(switch_from[t]), m - 1
+            token, state = sources[t], m - 1
     boundaries.append((0, token))
     boundaries.reverse()
     ends = [start for start, _ in boundaries[1:]] + [T]

@@ -6,25 +6,34 @@ seeds 11 and 1; with the trained network (`[mdnn] epochs = 30`,
 mixture_schedule = 2`, whose levels mix one- and two-component states, so the
 padded mixture paths are pinned too.  Every file each stage wrote is compared by its
 sha256 against tests/golden/readme_demo.json, so a change that moves one bit
-names the artifacts that moved.  The file also records the numpy version, the
-BLAS and the kernels OpenBLAS picked for the CPU (its core) these hashes were
-made with; a mismatch prints both environments, so a different library or CPU
-is told apart from a change in the code.
+names the artifacts that moved.
+
+The bytes depend on which kernels OpenBLAS picks for the CPU at run time (its
+core), so the five runs are made in a child process with OPENBLAS_CORETYPE
+set to PINNED_CORE, a core every x86-64 host with AVX2 can run.  The file
+also records the numpy version, the BLAS and the core the child reported; a
+mismatch prints both environments, so a different library or core is told
+apart from a change in the code.
 
 A change that moves artifacts on purpose re-records the file in the same
 change with `PYTHONPATH=src python tests/test_golden.py`, and lists what moved.
 
-Two more tests reverse the lines of an index of the seed-11 run and re-run
-the stages after it: no other file may change.
+Two more tests reverse the lines of an index of a seed-11 run made in the
+test process and re-run the stages after it: no other file may change.  They
+compare the run with itself, so they need no pinned core.
 
-Time: each run takes 1.3-1.6 s wall on a 2-core host; the five together
-must finish in RUN_BOUND_S.  The two index-order tests take 0.4-0.5 s each.
+Time: each run takes 1.3-1.6 s wall on a 2-core host; the five together,
+the child's start included, must finish in RUN_BOUND_S.  The two index-order
+tests take 0.4-0.5 s each, after 1.3-1.6 s for their own run.
 """
 
 import ctypes
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import replace
@@ -34,6 +43,7 @@ import numpy as np
 import pytest
 from test_cli import readme_demo_ini
 
+import acoustok
 from acoustok.cli import main
 from acoustok.config import load_config
 from acoustok.corpus import load_corpus
@@ -43,6 +53,8 @@ from acoustok.pipeline import RunContext, plan, stage
 GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_demo.json"
 COMMANDS = ("iterate", "std", "eval", "viz")
 RUN_BOUND_S = 60.0
+# the OpenBLAS core the golden runs are made with
+PINNED_CORE = "Haswell"
 
 # run name -> (seed, whether the network is the trained one, whether states
 # split into mixtures)
@@ -94,17 +106,37 @@ def digest(hashes: dict) -> str:
     return hashlib.sha256(json.dumps(hashes, sort_keys=True).encode()).hexdigest()
 
 
+def pinned_runs(root: Path) -> dict:
+    """Make every run of RUNS under root in a child process whose OpenBLAS
+    uses PINNED_CORE: {"environment": the child's environment(), "runs":
+    name -> output hashes}."""
+    paths = [str(Path(acoustok.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_CORETYPE=PINNED_CORE,
+               PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child = subprocess.run([sys.executable, __file__, "--runs", str(root)], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
+
+
 @pytest.fixture(scope="module")
 def demo_runs(tmp_path_factory):
-    """name -> (run directory, output hashes), each run made once; the
-    directories are for reading or copying, not for changing."""
-    root = tmp_path_factory.mktemp("golden")
+    """The pinned runs' environment and name -> output hashes, each run made
+    once."""
     start = time.perf_counter()
-    runs = {name: (root / name, run_demo(root / name, *settings))
-            for name, settings in RUNS.items()}
+    made = pinned_runs(tmp_path_factory.mktemp("golden"))
     elapsed = time.perf_counter() - start
     assert elapsed < RUN_BOUND_S, f"{len(RUNS)} demo runs took {elapsed:.1f} s"
-    return runs
+    return made
+
+
+@pytest.fixture(scope="module")
+def seed11_run(tmp_path_factory):
+    """The seed-11 README run made in this process, for reading or copying,
+    not for changing."""
+    out = tmp_path_factory.mktemp("order") / "readme_seed11"
+    run_demo(out, *RUNS["readme_seed11"])
+    return out
 
 
 def moved_files(found: dict, recorded: dict) -> list[str]:
@@ -120,11 +152,12 @@ def test_artifacts_match_the_recorded_digests(demo_runs, name):
     golden = json.loads(GOLDEN.read_text())
     recorded = golden["runs"][name]
     assert (recorded["seed"], recorded["trained"], recorded["mixtures"]) == RUNS[name]
-    moved = moved_files(demo_runs[name][1], recorded["outputs"])
+    found = demo_runs["runs"][name]
+    moved = moved_files(found, recorded["outputs"])
     assert not moved, (
         f"{len(moved)} artifacts of {name} moved:\n  " + "\n  ".join(moved)
-        + f"\nrecorded with {golden['environment']}, run with {environment()}")
-    assert digest(demo_runs[name][1]) == recorded["digest"]
+        + f"\nrecorded with {golden['environment']}, run with {demo_runs['environment']}")
+    assert digest(found) == recorded["digest"]
 
 
 def run_files(root: Path) -> dict[str, bytes]:
@@ -133,13 +166,12 @@ def run_files(root: Path) -> dict[str, bytes]:
             if p.is_file() and p.name != "manifest.jsonl"}
 
 
-def rerun_on_reversed_index(demo_runs, tmp_path, rel_index: str, keys) -> list[str]:
-    """Copy the seed-11 README run, reverse the lines of its index rel_index,
-    and re-run those stages of plan() after the corpus source, then std and
-    eval, whose key passes keys.  The stages that read the index must have
+def rerun_on_reversed_index(original: Path, tmp_path, rel_index: str, keys) -> list[str]:
+    """Copy the seed-11 README run original, reverse the lines of its index
+    rel_index, and re-run those stages of plan() after the corpus source,
+    then std and eval, whose key passes keys.  The stages that read the index must have
     read the reversed one; returns the files that differ from the original
     run's, the index aside."""
-    original = demo_runs["readme_seed11"][0]
     out = tmp_path / "run"
     shutil.copytree(original, out)
     index = out / rel_index
@@ -160,35 +192,46 @@ def rerun_on_reversed_index(demo_runs, tmp_path, rel_index: str, keys) -> list[s
                   if name != rel_index and before.get(name) != after.get(name))
 
 
-def test_no_artifact_depends_on_the_order_of_the_index_lines(demo_runs, tmp_path):
+def test_no_artifact_depends_on_the_order_of_the_index_lines(seed11_run, tmp_path):
     """Reversing the lines of features/corpus.jsonl and re-running every stage
     of the plan after the corpus source, then std and eval, leaves every other
     file of the run as it was."""
-    assert rerun_on_reversed_index(demo_runs, tmp_path, "features/corpus.jsonl",
+    assert rerun_on_reversed_index(seed11_run, tmp_path, "features/corpus.jsonl",
                                    lambda key: True) == []
 
 
-def test_network_rows_are_keyed_by_utterance_id(demo_runs, tmp_path):
+def test_network_rows_are_keyed_by_utterance_id(seed11_run, tmp_path):
     """Reversing the lines of iter1/bnf's index, which iteration 2 reads, and
     re-running that iteration's stages (init, MAT, MR, MAT, the network and its
     extraction) leaves every other file of the run as it was."""
-    assert rerun_on_reversed_index(demo_runs, tmp_path, "iter1/bnf/corpus.jsonl",
+    assert rerun_on_reversed_index(seed11_run, tmp_path, "iter1/bnf/corpus.jsonl",
                                    lambda key: key.startswith("iter2/")) == []
 
 
+def made_runs(root: Path) -> dict:
+    """Make every run of RUNS under root in this process: its environment()
+    and name -> output hashes."""
+    return {"environment": environment(),
+            "runs": {name: run_demo(root / name, *settings) for name, settings in RUNS.items()}}
+
+
 def record(root: Path):
-    """Write GOLDEN from fresh runs under root."""
+    """Write GOLDEN from fresh pinned runs under root."""
+    made = pinned_runs(root)
     runs = {}
     for name, (seed, trained, mixtures) in RUNS.items():
-        hashes = run_demo(root / name, seed, trained, mixtures)
+        hashes = made["runs"][name]
         runs[name] = {"seed": seed, "trained": trained, "mixtures": mixtures,
                       "digest": digest(hashes), "outputs": hashes}
         print(name, digest(hashes))
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({"environment": environment(), "runs": runs},
+    GOLDEN.write_text(json.dumps({"environment": made["environment"], "runs": runs},
                                  indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        record(Path(tmp))
+    if sys.argv[1:2] == ["--runs"]:  # the child of pinned_runs
+        print(json.dumps(made_runs(Path(sys.argv[2]))))
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            record(Path(tmp))

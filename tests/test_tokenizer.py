@@ -256,8 +256,8 @@ class TestMixtureKernel:
         # one span of token 0: all the rows of frames
         spans = (np.array([0]), np.array([0]), np.array([len(frames)]))
         layout = tok._SpanLayout(np.array([0]), spans, frames, len(components))
-        _, resp, _, _ = tok._token_statistics(level_of([hmm]), layout)
-        _, gamma, _, _ = reference_e_step(hmm, ref_emis, np.array([0, len(frames)]))
+        _, resp, _ = tok._token_statistics(level_of([hmm]), layout)
+        _, gamma, _ = reference_e_step(hmm, ref_emis, np.array([0, len(frames)]))
         for s, c in enumerate(components):
             assert_close(resp[:, s, :c],
                          gamma[:, s, None] * np.exp(ref_joint[s] - ref_emis[:, s, None]),
@@ -574,8 +574,9 @@ class TestTraining:
 # ---------------------------------------------------------------------------
 
 def reference_forward_backward(hmm, emis):
-    """(ll, log_gamma, stay_post, move_post) of one span, or (ll, None, None,
-    None) when no path traverses it; stay_post[t, s] and move_post[t, s] are
+    """(ll, gamma, stay_post, move_post) of one span, or (ll, None, None,
+    None) when no path traverses it; gamma[t] holds the state posteriors at
+    frame t, divided by their sum, and stay_post[t, s] and move_post[t, s]
     the posteriors of the self-loop and the advance out of state s at frame t."""
     L, m = emis.shape
     log_self, log_adv = np.log(np.maximum(hmm.transitions, 1e-300)).T
@@ -597,7 +598,8 @@ def reference_forward_backward(hmm, emis):
     move_post = np.zeros((L - 1, m))
     move_post[:, :-1] = np.exp(alpha[:-1, :-1] + log_adv[None, :-1] + emis[1:, 1:]
                                + beta[1:, 1:] - ll)
-    return float(ll), alpha + beta - ll, stay_post, move_post
+    gamma = np.exp(alpha + beta - ll)
+    return float(ll), gamma / gamma.sum(axis=1, keepdims=True), stay_post, move_post
 
 
 def reference_uniform_edges(length, m):
@@ -610,12 +612,13 @@ def reference_uniform_edges(length, m):
 
 class ReferenceStats:
     """Sufficient statistics of one token, accumulated span by span and state
-    by state."""
+    by state: component occupancies and moments, and how often each state is
+    entered (its visits)."""
 
     def __init__(self, m, c, d):
         self.occ = np.zeros((m, c))
         self.first, self.second = np.zeros((m, c, d)), np.zeros((m, c, d))
-        self.stay, self.move = np.zeros(m), np.zeros(m)
+        self.visits = np.zeros(m)
 
     def add_state(self, s, resp, frames):
         c = resp.shape[1]
@@ -623,14 +626,11 @@ class ReferenceStats:
         self.first[s, :c] += resp.T @ frames
         self.second[s, :c] += resp.T @ (frames * frames)
 
-    def add_soft(self, frames, post, log_gamma, stay_post, move_post):
-        gamma = np.exp(log_gamma)
-        m = gamma.shape[1]
-        for s in range(m):
+    def add_soft(self, frames, post, gamma):
+        """A span every path traverses: it visits each state once."""
+        for s in range(gamma.shape[1]):
             self.add_state(s, gamma[:, s : s + 1] * post[:, s], frames)
-        self.stay += stay_post.sum(axis=0)
-        self.move += move_post.sum(axis=0)
-        self.move[m - 1] += gamma[-1, m - 1]  # exit transition
+        self.visits += 1.0
 
     def add_hard(self, frames, post, m):
         edges = reference_uniform_edges(len(frames), m)
@@ -639,8 +639,7 @@ class ReferenceStats:
             if start == end:
                 continue
             self.add_state(s, post[start:end, s], frames[start:end])
-            self.stay[s] += end - start - 1
-            self.move[s] += 1.0
+            self.visits[s] += 1.0
 
     def add_rows(self, frames, m):
         """A flat start: every frame of a uniformly aligned state is its own."""
@@ -652,15 +651,17 @@ class ReferenceStats:
             self.occ[s, 0] += len(rows)
             self.first[s, 0] += rows.sum(axis=0)
             self.second[s, 0] += (rows * rows).sum(axis=0)
-            self.stay[s] += len(rows) - 1
-            self.move[s] += 1.0
+            self.visits[s] += 1.0
 
     def m_step(self, hmm, var_floor):
-        states = []
+        """Each visited state's mixture from its moments, and its transitions
+        from its occupancy: advance visits / occupancy, self-loop the rest."""
+        states, trans = [], hmm.transitions.copy()
         for s, state in enumerate(hmm.states):
             c = state.n_components
             occ = self.occ[s, :c]
-            if occ.sum() <= 1e-8:
+            total = occ.sum()
+            if total <= 1e-8:
                 states.append(state)
                 continue
             means, variances = state.means.copy(), state.variances.copy()
@@ -669,12 +670,9 @@ class ReferenceStats:
                     means[k] = self.first[s, k] / occ[k]
                     variances[k] = np.maximum(self.second[s, k] / occ[k] - means[k] ** 2,
                                               var_floor)
-            states.append(GaussState(occ / occ.sum(), means, variances))
-        trans = hmm.transitions.copy()
-        for s in range(hmm.m):
-            denom = self.stay[s] + self.move[s]
-            if denom > 1e-8:
-                trans[s] = self.stay[s] / denom, self.move[s] / denom
+            states.append(GaussState(occ / total, means, variances))
+            move = min(self.visits[s], total)
+            trans[s] = (total - move) / total, move / total
         return TokenHmm(hmm.token_id, states, trans)
 
 
@@ -711,11 +709,11 @@ def reference_em_iteration(corpus, labels, model):
         a = 0
         for frames in spans:
             b = a + len(frames)
-            _, log_gamma, stay_post, move_post = reference_forward_backward(hmm, emis[a:b])
-            if log_gamma is None:
+            _, gamma, _, _ = reference_forward_backward(hmm, emis[a:b])
+            if gamma is None:
                 stats.add_hard(frames, post[a:b], hmm.m)
             else:
-                stats.add_soft(frames, post[a:b], log_gamma, stay_post, move_post)
+                stats.add_soft(frames, post[a:b], gamma)
             a = b
         hmms.append(stats.m_step(hmm, var_floor))
     return hmms
@@ -771,6 +769,55 @@ def assert_models_match(got, want, transitions_rtol=0.0):
                                            rtol=EM_RTOL, atol=0)
 
 
+# the transition posteriors against the occupancies: over 2,000 random spans
+# (m of 1-6, m to 40 frames, emissions drawn from N(-5, 3^2), self-loops from
+# U(0.05, 0.95)), a state's self-loop sum differed from its occupancy less 1
+# by at most 2.4e-13 of the occupancy, and its advances, the exit included,
+# from 1 by at most 2.7e-13
+DURATION_RTOL = 1e-12
+
+
+class TestDurations:
+    def test_transition_posteriors_add_up_to_the_occupancies(self):
+        """A path through a span enters and leaves each state once, so per
+        span and state the expected self-loops are the occupancy less 1 and
+        the expected advances, the exit included, are 1: the identity the
+        M-step reads its transitions by."""
+        rng = np.random.default_rng(50)
+        for _ in range(300):
+            m = int(rng.integers(1, 7))
+            self_p = rng.uniform(0.05, 0.95, size=m)
+            hmm = TokenHmm(0, [], np.stack([self_p, 1 - self_p], axis=1))
+            emis = rng.normal(-5.0, 3.0, size=(int(rng.integers(m, 41)), m))
+            _, gamma, stay_post, move_post = reference_forward_backward(hmm, emis)
+            occupancy = gamma.sum(axis=0)
+            advances = move_post.sum(axis=0)
+            advances[m - 1] += gamma[-1, m - 1]  # the exit
+            assert np.all(np.abs(stay_post.sum(axis=0) - (occupancy - 1))
+                          <= DURATION_RTOL * occupancy)
+            assert np.all(np.abs(advances - 1) <= DURATION_RTOL)
+
+    def test_one_frame_states_keep_their_transitions_in_the_unit_interval(self, tmp_path):
+        """Spans of m frames give every state one frame per span, so its
+        occupancy equals its visits but for rounding, which can put it under
+        them; the transitions written must still be probabilities, as
+        read_matm requires."""
+        spec = SynthSpec(n_tokens=3, states_per_token=3, dim=4, n_utterances=6)
+        corpus, _ = synthesize_corpus(spec, seed=23)
+        g = Granularity(3, 3)
+        labels = {}
+        for utt in corpus.ids():
+            T = corpus[utt].n_frames
+            labels[utt] = TokenLabelSequence(utt, [(k % g.n, start, min(T, start + g.m))
+                                                   for k, start in enumerate(range(0, T, g.m))])
+        cfg = TokenizerConfig(em_iters=6, em_tol=0.0, mixture_schedule=(1, 3))
+        model = train_level_hmms(corpus, labels, g, cfg)
+        (tmp_path / "m.matm").write_bytes(matm_bytes(model))
+        back = read_matm(tmp_path / "m.matm")
+        assert np.array_equal(back.transitions, model.transitions)
+        assert np.all((model.transitions >= 0) & (model.transitions <= 1))
+
+
 class TestEStepReference:
     @pytest.fixture
     def spans(self):
@@ -803,14 +850,16 @@ class TestEStepReference:
         assert np.array_equal(model.prior, init.prior)
 
 
-def reference_m_step(hmm, resp, frames, stay, move, var_floor):
+def reference_m_step(hmm, resp, frames, visits, var_floor):
     """A token reestimated from its (N, m, c) component responsibilities over
-    its stacked frames and its (m,) expected self-loop and advance counts,
-    state by state.  Unlike ReferenceStats.m_step, which adds the moments span
-    by span, it reduces each state's frames at once; the level's M-step takes
-    all of a token's states in one product, which rounds apart (EM_RTOL)."""
+    its stacked frames and its (m,) state visits, state by state: each
+    visited state's mixture from its moments, and its transitions from its
+    occupancy, advance visits / occupancy and self-loop the rest.  Unlike
+    ReferenceStats.m_step, which adds the moments span by span, it reduces
+    each state's frames at once; the level's M-step takes all of a token's
+    states in one product, which rounds apart (EM_RTOL)."""
     squares = frames * frames
-    states = []
+    states, trans = [], hmm.transitions.copy()
     for s, state in enumerate(hmm.states):
         r = resp[:, s, :state.n_components]
         occ = r.sum(axis=0)
@@ -825,10 +874,8 @@ def reference_m_step(hmm, resp, frames, stay, move, var_floor):
         means[seen] = first[seen] / occ[seen, None]
         variances[seen] = np.maximum(second[seen] / occ[seen, None] - means[seen] ** 2, var_floor)
         states.append(GaussState(occ / total, means, variances))
-    trans = hmm.transitions.copy()
-    denom = stay + move
-    seen = denom > 1e-8
-    trans[seen] = np.stack([stay[seen], move[seen]], axis=1) / denom[seen, None]
+        move = min(visits[s], total)
+        trans[s] = (total - move) / total, move / total
     return TokenHmm(hmm.token_id, states, trans)
 
 
@@ -854,9 +901,10 @@ def reference_train_level(corpus, labels, g, cfg, init):
                 prev_ll = None
             frames = np.concatenate(spans)
             emis, post = reference_posteriors(hmm, frames)
-            ll, gamma, stay, move = reference_e_step(
+            ll, gamma, visits = reference_e_step(
                 hmm, emis, np.cumsum([0] + [len(span) for span in spans]))
-            hmm = reference_m_step(hmm, gamma[:, :, None] * post, frames, stay, move, var_floor)
+            hmm = reference_m_step(hmm, gamma[:, :, None] * post, frames, visits.sum(axis=0),
+                                   var_floor)
             ran += 1
             if prev_ll is not None and abs(ll - prev_ll) / max(1.0, abs(prev_ll)) < cfg.em_tol:
                 break
@@ -948,32 +996,33 @@ class TestLevelOracle:
 # ---------------------------------------------------------------------------
 
 def reference_e_step(hmm, emis, edges):
-    """(ll, gamma, stay, move) of a token's stacked spans, span by span and
-    added up in span order: forward-backward, or the uniform alignment, scored
-    along it, for a span no path traverses."""
+    """(ll, gamma, visits) of a token's stacked spans, span by span:
+    forward-backward, or the uniform alignment, scored along it, for a span
+    no path traverses.  ll is added up in span order; visits holds each
+    span's (m,) state visits, 1 per state where paths traverse the span, and
+    1 per state that takes a frame of a uniform alignment."""
     m = emis.shape[1]
     # rows of their own, as the level's: BLAS takes a dot product of strided
     # and of contiguous vectors in different loops, which may round apart
     log_self, log_adv = np.log(np.maximum(hmm.transitions, 1e-300)).T.copy()
-    ll, gamma, stay, move = 0.0, np.empty_like(emis), np.zeros(m), np.zeros(m)
+    ll, gamma, visits = 0.0, np.empty_like(emis), []
     for a, b in zip(edges[:-1], edges[1:]):
-        span_ll, log_gamma, stay_post, move_post = reference_forward_backward(hmm, emis[a:b])
-        if log_gamma is None:
+        span_ll, span_gamma, _, _ = reference_forward_backward(hmm, emis[a:b])
+        if span_gamma is None:
             bounds = reference_uniform_edges(b - a, m)
-            span_gamma, span_stay, span_move = np.zeros((b - a, m)), np.zeros(m), np.zeros(m)
+            span_gamma, span_stay, span_visits = np.zeros((b - a, m)), np.zeros(m), np.zeros(m)
             for s in range(m):
                 if bounds[s + 1] > bounds[s]:
                     span_gamma[bounds[s]:bounds[s + 1], s] = 1.0
-                    span_stay[s], span_move[s] = bounds[s + 1] - bounds[s] - 1, 1.0
+                    span_stay[s], span_visits[s] = bounds[s + 1] - bounds[s] - 1, 1.0
             span_ll = (emis[a:b][span_gamma > 0].sum() + span_stay @ log_self
-                       + span_move @ log_adv)
+                       + span_visits @ log_adv)
         else:
-            span_gamma = np.exp(log_gamma)
-            span_stay, span_move = stay_post.sum(axis=0), move_post.sum(axis=0)
-            span_move[m - 1] += span_gamma[-1, m - 1]  # exit transition
+            span_visits = np.ones(m)
         gamma[a:b] = span_gamma
-        ll, stay, move = ll + span_ll, stay + span_stay, move + span_move
-    return ll, gamma, stay, move
+        ll = ll + span_ll
+        visits.append(span_visits)
+    return ll, gamma, np.array(visits)
 
 
 def running_sum(values):
@@ -1007,18 +1056,17 @@ class TestBatchedKernels:
             edges += list(edges[-1] + np.cumsum(lengths))
         owner = np.repeat(np.arange(3), [len(lengths) for lengths in token_lengths])
         log_self, log_adv = level_of(hmms).log_transitions()
-        lls, gamma, stays, moves = tok._e_step(np.concatenate(emis), np.array(edges),
-                                               log_self[owner], log_adv[owner])
+        lls, gamma, visits = tok._e_step(np.concatenate(emis), np.array(edges),
+                                         log_self[owner], log_adv[owner])
         span_at, frame_at = 0, 0
         for hmm, token_emis, lengths in zip(hmms, emis, token_lengths):
             spans = slice(span_at, span_at + len(lengths))
             frames = slice(frame_at, frame_at + sum(lengths))
-            want_ll, want_gamma, want_stay, want_move = reference_e_step(
+            want_ll, want_gamma, want_visits = reference_e_step(
                 hmm, token_emis, np.cumsum([0] + lengths))
             assert running_sum(lls[spans]) == want_ll
             assert np.array_equal(gamma[frames], want_gamma)
-            assert np.array_equal(running_sum(stays[spans]), want_stay)
-            assert np.array_equal(running_sum(moves[spans]), want_move)
+            assert np.array_equal(visits[spans], want_visits)
             span_at, frame_at = spans.stop, frames.stop
 
     def test_decoding_a_group_equals_decoding_each_utterance_alone(self):
