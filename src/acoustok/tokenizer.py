@@ -39,10 +39,11 @@ the Baum-Welch ratio of expected transitions to occupancy (Rabiner, Proc.
 IEEE 1989) for this topology gives advance = visits / occupancy, the inverse
 of the state's mean duration.  The E-step computes no transition posterior.
 
-Each recursion runs once per batch of rows padded time-major, -inf past each
-row's end: the E-step's forward-backward over (L, B, m) spans, and the
-token-loop Viterbi over (T, U, n, m) tables, with one back-pointer flag per
-state and frame, whose segments the trace scores in one forward pass.  A
+Each recursion runs once per batch of rows padded time-major, state axis
+outside the rows and -inf past each row's end, so a frame's calls run on
+contiguous arrays: the E-step's forward-backward over (L, m, B) spans, and
+the token-loop Viterbi over (T, m, U, n) tables, with one back-pointer flag
+per state and frame, whose segments the trace scores in one forward pass.  A
 batch stays under BATCH_BYTES.  Per-row operations repeat, sums over frames
 and spans add in order, and every kernel product has one shape, so results
 do not depend on the batching.  `logsumexp`, the package's one log-sum-exp,
@@ -264,24 +265,24 @@ class LevelModel:
     def log_prior(self, lm_scale: float = 1.0) -> np.ndarray:
         return lm_scale * np.log(np.maximum(self.prior, PRIOR_FLOOR))
 
-    def density_stack(self, c: int | None = None) -> tuple[np.ndarray, ...]:
-        """The n * m states, token-major, cut to their first c components (all
-        when c is None), as the density kernel reads them: the (d,) centre,
-        component-major (c, S, 2d) rows (-1/2v, mu/v) and (c, S) constants
-        log w - (sum mu^2/v + sum log v + d log 2 pi) / 2, mu taken relative to
-        the centre.  The centre is the mean of the means of every real
-        component of the level, whatever c, so a frame's joints depend on the
-        model alone.  A padding component's constant is -inf."""
-        S, d = self.counts.size, self.means.shape[3]
+    def density_stack(self, c: int | None = None, tokens=slice(None)) -> tuple[np.ndarray, ...]:
+        """The S states of tokens (all n by default), token-major, cut to their
+        first c components (all when c is None), as the density kernel reads
+        them: the (d,) centre, component-major (c, S, 2d) rows (-1/2v, mu/v)
+        and (c, S) constants log w - (sum mu^2/v + sum log v + d log 2 pi) / 2,
+        mu taken relative to the centre, the mean of the means of every real
+        component of the level whatever c and tokens, so a frame's joints
+        depend on the model alone.  A padding component's constant is -inf."""
+        S, d = self.counts[tokens].size, self.means.shape[3]
         centre = self.means[np.arange(self.weights.shape[2]) < self.counts[..., None]].mean(axis=0)
-        means, variances = self.means[:, :, :c] - centre, self.variances[:, :, :c]
+        means, variances = self.means[tokens, :, :c] - centre, self.variances[tokens, :, :c]
         inv_var = 1.0 / variances
         scaled = means * inv_var
-        const = (padded_log_weights(self.weights, self.counts)[:, :, :c]
+        const = (padded_log_weights(self.weights[tokens], self.counts[tokens])[:, :, :c]
                  - 0.5 * (np.sum(means * scaled, axis=3) + np.sum(np.log(variances), axis=3)
                           + d * LOG_2PI))
         rows = np.concatenate([-0.5 * inv_var, scaled], axis=3)
-        # (n, m, c, ...) to component-major (c, n * m, ...)
+        # (tokens, m, c, ...) to component-major (c, S, ...)
         return (centre, rows.transpose(2, 0, 1, 3).reshape(-1, S, 2 * d),
                 const.transpose(2, 0, 1).reshape(-1, S))
 
@@ -396,19 +397,21 @@ def _batches(lengths: np.ndarray, cell_bytes: int, budget: int,
     return batches
 
 
-def _pad_index(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (time, row) index of stacked rows of these lengths in their padded copy (_pad)."""
-    return _ranges(0, lengths), np.repeat(np.arange(len(lengths)), lengths)
+def _pad_index(lengths: np.ndarray, k: int) -> np.ndarray:
+    """Where stacked rows of these lengths, of k entries each, go in their
+    padded copy (_pad): each entry's (N, k) flat offset in its (longest, k, B) axes."""
+    time, row = _ranges(0, lengths), np.repeat(np.arange(len(lengths)), lengths)
+    return (time[:, None] * k + np.arange(k)) * len(lengths) + row[:, None]
 
 
-def _pad(stacked: np.ndarray, lengths: np.ndarray, fill: float = -np.inf, index=None) -> tuple:
-    """The (longest, B, ...) time-major copy, fill where padded, of B rows
-    stacked along axis 0, row b holding lengths[b] entries; and its index
-    (_pad_index, unless given), which gathers the copy back."""
-    index = _pad_index(lengths) if index is None else index
-    padded = np.full((lengths.max(), len(lengths)) + stacked.shape[1:], fill)
-    padded[index] = stacked
-    return padded, index
+def _pad(stacked: np.ndarray, lengths: np.ndarray, fill: float = -np.inf, index=None):
+    """The (longest, k, B, ...) time-major copy, fill where padded, of B rows
+    stacked (N, k, ...), so a slice of k is contiguous: row b holds lengths[b]
+    entries, placed by index (_pad_index, unless given), which gathers them."""
+    k, rest = stacked.shape[1], stacked.shape[2:]
+    padded = np.full((lengths.max(), k, len(lengths)) + rest, fill)
+    padded.reshape((-1,) + rest)[_pad_index(lengths, k) if index is None else index] = stacked
+    return padded
 
 
 def _ordered_sum(values: np.ndarray):
@@ -418,49 +421,47 @@ def _ordered_sum(values: np.ndarray):
 
 
 def _alpha(emis: np.ndarray, log_self: np.ndarray, log_adv: np.ndarray) -> np.ndarray:
-    """(L, B, m) left-to-right forward recursion over B padded rows of
-    emissions, each entering state 0 at its first frame: the log-sum over the
-    paths that reach each state at each frame.  The log transitions are one
-    token's (m,) or each row's (B, m); a row's -inf padding keeps its alpha
-    -inf after its last frame.  A frame makes four ufunc calls on views cut
-    before the loop."""
-    L, B, m = emis.shape
-    alpha = np.empty((L, B, m))  # the loop writes every frame after the first
-    alpha[0] = -np.inf
-    alpha[0, :, 0] = emis[0, :, 0]
-    stay, move = np.empty((B, m)), np.full((B, m), -np.inf)
+    """(L, m, B) forward log-sums over B padded rows of state-major emissions
+    with their (B, m) log transitions, each row entering state 0 at its first
+    frame, -inf past its end.  A frame makes four ufunc calls on contiguous
+    views cut before the loop: its self-loops go straight into it, and
+    logaddexp adds the advances into states 1..m-1, logaddexp(x, -inf) being x."""
+    L, m, B = emis.shape
+    alpha = np.empty((L, m, B))  # the loop writes every frame after the first
+    alpha[0, 1:], alpha[0, 0] = -np.inf, emis[0, 0]
+    loop, adv, move = log_self.T.copy(), log_adv.T[:-1].copy(), np.empty((m - 1, B))
     add, logaddexp = np.add, np.logaddexp
-    adv, into = log_adv[..., :-1], move[:, 1:]
-    for prev, head, cur, e in zip(alpha[:-1], alpha[:-1, :, :-1], alpha[1:], emis[1:]):
-        add(prev, log_self, out=stay)
-        add(head, adv, out=into)
-        logaddexp(stay, move, out=cur)
+    for prev, head, cur, tail, e in zip(alpha[:-1], alpha[:-1, :-1], alpha[1:], alpha[1:, 1:],
+                                        emis[1:]):
+        add(prev, loop, out=cur)
+        add(head, adv, out=move)
+        logaddexp(tail, move, out=tail)
         add(cur, e, out=cur)
     return alpha
 
 
 def _beta(emis: np.ndarray, last: np.ndarray, log_self: np.ndarray,
           log_adv: np.ndarray) -> np.ndarray:
-    """(L, B, m) backward recursion over B padded rows of emissions, row b
-    leaving by the exit at its last frame last[b], with its own (B, m) log
-    transitions.  A frame makes three ufunc calls on views cut before the
-    loop, from the last frame back."""
-    L, B, m = emis.shape
-    beta = np.full((L, B, m), -np.inf)
-    beta[last, np.arange(B), m - 1] = log_adv[:, m - 1]
-    # each frame's emissions plus the transitions into them, for every frame
-    # at once; the recursion then adds beta, as (transition + emission) + beta
-    stay_emis = log_self + emis[1:]
-    move_emis = log_adv[:, :-1] + emis[1:, :, 1:]
-    live = (np.arange(L - 1)[:, None] < last)[:, :, None]  # frame t < row's last
-    stay, move = np.empty((B, m)), np.full((B, m), -np.inf)
+    """(L, m, B) backward recursion over B padded rows of state-major emissions
+    with their (B, m) log transitions, row b leaving at its last frame last[b]
+    by the exit, a move out of state m - 1 into an end holding 0 after it, so
+    no mask is needed.  A frame makes three ufunc calls on contiguous views
+    cut before the loop, from the last frame back: the self-loops go straight
+    into the frame, and logaddexp adds the advances out of states 0..m-2."""
+    L, m, B = emis.shape
+    t = np.arange(L)[:, None]
+    end = np.where(t > last, 0.0, log_adv[:, m - 1])  # state m - 1 from a row's last frame
+    # (transition + emission) for every frame at once; the recursion adds beta
+    stay, move = log_self.T + emis[1:], log_adv.T[:-1] + emis[1:, 1:]
+    np.copyto(stay[:, m - 1], end[:-1], where=t[:-1] >= last)
+    beta = np.empty((L, m, B))  # the loop writes every frame before the last
+    beta[-1, :-1], beta[-1, m - 1] = -np.inf, end[-1]
     add, logaddexp = np.add, np.logaddexp
-    into = move[:, :-1]
-    for se, me, nxt, tail, cur, ok in zip(stay_emis[::-1], move_emis[::-1], beta[:0:-1],
-                                          beta[:0:-1, :, 1:], beta[-2::-1], live[::-1]):
-        add(se, nxt, out=stay)
-        add(me, tail, out=into)
-        logaddexp(stay, move, out=cur, where=ok)
+    for st, mv, nxt, tail, cur, head in zip(stay[::-1], move[::-1], beta[:0:-1], beta[:0:-1, 1:],
+                                            beta[-2::-1], beta[-2::-1, :-1]):
+        add(st, nxt, out=cur)
+        add(mv, tail, out=mv)
+        logaddexp(head, mv, out=head)
     return beta
 
 
@@ -470,13 +471,13 @@ def segment_forward_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
     table of a level of one token."""
     level = LevelModel(Granularity(hmm.m, 1), [hmm], np.ones(1))
     log_self, log_adv = level.log_transitions()
-    alpha = _alpha(_emission_table(level.density_stack(), frames, hmm.m), log_self, log_adv)
-    return float(alpha[-1, 0, -1] + log_adv[0, -1])
+    table = _emission_table(level.density_stack(), frames, hmm.m)
+    return float(_alpha(table.transpose(0, 2, 1), log_self, log_adv)[-1, -1, 0] + log_adv[0, -1])
 
 
 def _e_step_batches(lengths: np.ndarray, m: int) -> list[tuple[slice, tuple]]:
     """The E-step's batches of spans of these lengths, with their padded copies' index."""
-    return [(batch, _pad_index(lengths[batch])) for batch in _batches(lengths, 8 * m, BATCH_BYTES)]
+    return [(b, _pad_index(lengths[b], m)) for b in _batches(lengths, 8 * m, BATCH_BYTES)]
 
 
 def _e_step(emis: np.ndarray, edges: np.ndarray, log_self: np.ndarray,
@@ -493,25 +494,24 @@ def _e_step(emis: np.ndarray, edges: np.ndarray, log_self: np.ndarray,
     computed.  A span no path traverses (shorter than m, or of zero
     likelihood) gets the uniform alignment, scored along it.  Forward and
     backward run once per batch of spans (_e_step_batches of the spans,
-    unless given), over their padded (L, B, m) emissions, each row with its
-    own transitions.
+    unless given), over their padded state-major (L, m, B) emissions, each
+    row with its own transitions; only the spans' real cells are exponentiated.
     """
     m, lengths = emis.shape[1], np.diff(edges)
-    gamma = np.empty_like(emis)
-    lls = np.empty(len(lengths))
+    gamma, lls = np.empty_like(emis), np.empty(len(lengths))
     for batch, index in batches or _e_step_batches(lengths, m):
         rows = slice(edges[batch.start], edges[batch.stop])
-        padded, _ = _pad(emis[rows], lengths[batch], index=index)
+        padded = _pad(emis[rows], lengths[batch], index=index)
         last, spans = lengths[batch] - 1, np.arange(batch.stop - batch.start)
         row_self, row_adv = log_self[batch], log_adv[batch]
         alpha = _alpha(padded, row_self, row_adv)
         beta = _beta(padded, last, row_self, row_adv)
-        lls[batch] = alpha[last, spans, m - 1] + row_adv[:, m - 1]
+        lls[batch] = alpha[last, m - 1, spans] + row_adv[:, m - 1]
         # a span no path traverses is realigned below; a 0 shift keeps its
         # exponents at -inf, where its own -inf would give NaN, and its
         # frames' all-zero occupancies are not divided
-        shift = np.where(np.isfinite(lls[batch]), lls[batch], 0.0)[:, None]
-        occupancy = np.exp(alpha + beta - shift)[index]
+        shift = np.repeat(np.where(np.isfinite(lls[batch]), lls[batch], 0.0), lengths[batch])
+        occupancy = np.exp(alpha.reshape(-1)[index] + beta.reshape(-1)[index] - shift[:, None])
         # a frame's occupancies sum to 1: dividing by their sum takes out the
         # rounding they share, so a frame sure of its state gives it exactly 1
         total = occupancy.sum(axis=1, keepdims=True)
@@ -535,7 +535,7 @@ def _uniform_alignment(lengths: np.ndarray, m: int) -> tuple[np.ndarray, np.ndar
     that takes a frame and 0 for one left empty.  State s of a span of L
     frames takes its frames L * s // m up to L * (s + 1) // m; when L < m,
     one frame per state and the trailing states stay empty."""
-    frame, span = _pad_index(lengths)
+    frame, span = _ranges(0, lengths), np.repeat(np.arange(len(lengths)), lengths)
     length = lengths[span]
     # the last s with L * s // m <= frame
     state = np.where(length >= m, (m * (frame + 1) - 1) // length, frame)
@@ -612,7 +612,7 @@ def _m_step(level: LevelModel, layout: _SpanLayout, resp: np.ndarray, visits: np
 def _token_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per run of consecutive rows of values, run j holding counts[j] rows,
     their sum along axis 0, added first to last (_ordered_sum)."""
-    return _ordered_sum(_pad(values, counts, fill=0.0)[0])
+    return _ordered_sum(_pad(values, counts, fill=0.0)).T
 
 
 def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
@@ -669,14 +669,14 @@ def _token_statistics(level: LevelModel, layout: _SpanLayout):
     """E-step statistics of the tokens of layout: (lls, resp, visits), per
     token its log-likelihood and (m,) state visits, added up over its spans
     in span order, and the (N, m, c) component responsibilities of the
-    layout's rows, c the most components a state of the tokens holds.  One
-    kernel product per token scores its rows against its own states, and one
-    _e_step aligns every span."""
-    m, d, cuts = level.counts.shape[1], level.means.shape[3], layout.cuts
-    centre, rows, const = level.density_stack(int(level.counts[layout.tokens].max()))
+    layout's rows, c the most components a state of the tokens holds.  Only
+    the tokens' states are stacked, and one kernel product per token scores
+    its rows against its own; one _e_step aligns every span."""
+    m, d, cuts, tokens = level.counts.shape[1], level.means.shape[3], layout.cuts, layout.tokens
+    centre, rows, const = level.density_stack(int(level.counts[tokens].max()), tokens)
     joint = np.empty((len(layout.rows), len(const), m))
-    for token, at, end in zip(layout.tokens.tolist(), cuts, cuts[1:]):
-        states = slice(token * m, token * m + m)
+    for j, (at, end) in enumerate(zip(cuts, cuts[1:])):
+        states = slice(j * m, j * m + m)
         joint[at:end] = _log_joints((centre, rows[:, states], const[:, states]),
                                     layout.rows[at:end, 1:d + 1])
     emis = logsumexp(joint, axis=1)
@@ -750,7 +750,8 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
 
 def _emission_table(stack: tuple[np.ndarray, ...], frames: np.ndarray, m: int) -> np.ndarray:
     """(T, n, m) state log densities of T frames: one kernel product over the
-    density_stack of a level's n * m states, in token-major order."""
+    density_stack of a level's n * m states, token-major; a recursion's padded
+    copy (_pad) of it, which it makes anyway, is its state-major layout."""
     return logsumexp(_log_joints(stack, frames), axis=1).reshape(len(frames), -1, m)
 
 
@@ -770,32 +771,31 @@ def _table_groups(level: LevelModel, corpus: Corpus):
 def _viterbi(level: LevelModel, log_prior: np.ndarray, table: np.ndarray,
              lengths: np.ndarray) -> list[list]:
     """Token-loop Viterbi over utterances' stacked emission table, utterance u
-    holding lengths[u] rows, in one recursion over its padded (T, U, n, m)
+    holding lengths[u] rows, in one recursion over its padded (T, m, U, n)
     copy: any token may follow any token, weighted by log_prior.  A token is
-    entered by an advance into its state 0, scored as the best exit plus its
-    log prior, so a frame makes one comparison per state and keeps one flag,
-    advanced or not; a self-loop wins an equal advance or entry, and the
-    lowest token id an equal exit.  Past an utterance's last frame its -inf
+    entered by an advance into its state 0, scored as the best exit (over the
+    trailing axis) plus its log prior, so a frame makes one comparison per
+    state and keeps one flag, advanced or not; a self-loop wins an equal
+    advance or entry, and the lowest token id an equal exit.  A frame makes
+    eight calls on contiguous arrays.  Past an utterance's end its -inf
     padding makes its scores -inf; its final scores are kept at its last
     frame, and its backtrack runs alone."""
-    n, m = level.counts.shape
-    log_self, log_adv = level.log_transitions()
-    emis, _ = _pad(table, lengths)
-    T, U = len(emis), len(lengths)
-
-    delta = np.full((U, n, m), -np.inf)
-    delta[:, :, 0] = log_prior + emis[0, :, :, 0]
-    advanced = np.zeros((T, U, n, m), dtype=bool)
+    emis = _pad(table.transpose(0, 2, 1), lengths)
+    T, m, U, n = emis.shape
+    # the transitions as contiguous (m, U, n) arrays, made once per batch
+    log_self, log_adv = (np.repeat(a.T[:, None], U, axis=1) for a in level.log_transitions())
+    delta = np.full((m, U, n), -np.inf)
+    delta[0] = log_prior + emis[0, 0]
+    advanced = np.zeros((T, m, U, n), dtype=bool)
     # exits[t]: the scores of leaving each token's last state after frame
     # t - 1; past an utterance's end its padding makes every score -inf, so
     # exits[L] holds the final scores of an utterance of L frames
     exits = np.full((T + 1, U, n), -np.inf)
-    stay, move, best = np.empty((U, n, m)), np.empty((U, n, m)), np.empty((U, 1))
-    # the loop's views and ufuncs, bound once: a frame makes its eight calls
-    # and nothing else
+    stay, move, best = np.empty((m, U, n)), np.empty((m, U, n)), np.empty((U, 1))
+    # the loop's views and ufuncs, bound once, so a frame makes its calls and nothing else
     add, less, copyto, reduce_max = np.add, np.less, np.copyto, np.maximum.reduce
-    head, tail, into, entry = delta[:, :, :-1], delta[:, :, m - 1], move[:, :, 1:], move[:, :, 0]
-    adv, exit_adv = log_adv[:, :-1], log_adv[:, m - 1]
+    head, tail, into, entry = delta[:-1], delta[m - 1], move[1:], move[0]
+    adv, exit_adv = log_adv[:-1], log_adv[m - 1]
     for exit_t, advanced_t, e in zip(exits[1:T], advanced[1:], emis[1:]):
         add(delta, log_self, out=stay)
         add(head, adv, out=into)
@@ -808,22 +808,22 @@ def _viterbi(level: LevelModel, log_prior: np.ndarray, table: np.ndarray,
     add(tail, exit_adv, out=exits[T])
 
     switch_from = np.argmax(exits, axis=2)  # ties -> lowest token id
-    return [_backtrack(advanced[:L, u], switch_from[:L, u], int(np.argmax(exits[L, u])))
+    return [_backtrack(advanced[:L, :, u], switch_from[:L, u], int(np.argmax(exits[L, u])))
             if L >= m else [(int(np.argmax(log_prior)), 0, L)]
             for u, L in enumerate(lengths.tolist())]
 
 
 def _backtrack(advanced: np.ndarray, switch_from: np.ndarray, token: int) -> list:
-    """One utterance's segments from its (T, n, m) advance flags and (T,)
-    switch sources, ending in the last state of token.  An advance into
-    state 0 is a token switch."""
-    T, n, m = advanced.shape
-    # flag (t, token, state) as a byte of one bytes object, read without numpy
+    """One utterance's segments from its state-major (T, m, n) advance flags
+    and (T,) switch sources, ending in the last state of token.  An advance
+    into state 0 is a token switch."""
+    T, m, n = advanced.shape
+    # flag (t, state, token) as a byte of one bytes object, read without numpy
     flags, sources = advanced.tobytes(), switch_from.tolist()
     state = m - 1
     boundaries = []  # segment start frames with their token
     for t in range(T - 1, 0, -1):
-        if not flags[(t * n + token) * m + state]:
+        if not flags[(t * m + state) * n + token]:
             continue
         if state:
             state -= 1
@@ -867,10 +867,10 @@ def _segment_scores(level: LevelModel, log_prior: np.ndarray, table: np.ndarray,
     columns = table[_ranges(first, lengths), np.repeat(tokens, lengths)]
     lls = np.empty(len(lengths))
     for batch in _batches(lengths, 8 * level.counts.shape[1], BATCH_BYTES):
-        padded, _ = _pad(columns[edges[batch.start]:edges[batch.stop]], lengths[batch])
+        padded = _pad(columns[edges[batch.start]:edges[batch.stop]], lengths[batch])
         own = tokens[batch]
         alpha = _alpha(padded, log_self[own], log_adv[own])
-        lls[batch] = alpha[lengths[batch] - 1, np.arange(len(own)), -1] + log_adv[own, -1]
+        lls[batch] = alpha[lengths[batch] - 1, -1, np.arange(len(own))] + log_adv[own, -1]
     return lls + log_prior[tokens]
 
 

@@ -1069,9 +1069,34 @@ class TestBatchedKernels:
             assert np.array_equal(visits[spans], want_visits)
             span_at, frame_at = spans.stop, frames.stop
 
+    def test_e_step_gives_each_span_the_same_bits_in_any_order(self):
+        # B = 6 spans, m = 4 states, L = 9 frames, so no axis of the padded
+        # batch can stand in for another; two spans end on the batch's last
+        # frame, the rest before it, and three (one of length 1) are shorter
+        # than m and take the uniform alignment
+        rng = np.random.default_rng(31)
+        m, lengths = 4, np.array([9, 1, 3, 9, 5, 2])
+        emis = rng.normal(-3.0, 2.0, size=(lengths.sum(), m))
+        self_p = rng.uniform(0.05, 0.95, size=(len(lengths), m))
+        log_self, log_adv = np.log(self_p), np.log1p(-self_p)
+        edges = np.concatenate([[0], np.cumsum(lengths)])
+        lls, gamma, visits = tok._e_step(emis, edges, log_self, log_adv)
+        assert np.all(np.isfinite(lls))
+        for order in ([3, 5, 0, 2, 4, 1], [1, 0, 4, 3, 2, 5]):
+            order = np.array(order)
+            rows = np.concatenate([np.arange(edges[i], edges[i + 1]) for i in order])
+            got_lls, got_gamma, got_visits = tok._e_step(
+                emis[rows], np.concatenate([[0], np.cumsum(lengths[order])]),
+                log_self[order], log_adv[order])
+            assert np.array_equal(got_lls, lls[order])
+            assert np.array_equal(got_gamma, gamma[rows])
+            assert np.array_equal(got_visits, visits[order])
+
     def test_decoding_a_group_equals_decoding_each_utterance_alone(self):
+        # n = 4 tokens, m = 3 states and U = 6 utterances: no axis of the
+        # padded table can stand in for another
         rng = np.random.default_rng(40)
-        model, _ = random_instance(rng, n=3, m=3)
+        model, _ = random_instance(rng, n=4, m=3)
         corpus = Corpus([FeatureSequence(rng.normal(0, 2.0, size=(T, 2)), utterance_id=f"u{i}")
                          for i, T in enumerate([7, 2, 15, 1, 30, 3])])
         assert len(list(tok._table_groups(model, corpus))) == 1
