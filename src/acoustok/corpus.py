@@ -32,9 +32,33 @@ LOG_FLOOR = 1e-10
 CMVN_VAR_FLOOR = 1e-8
 
 # bytes of the temporaries one block of a blocked kernel builds: k-means
-# distances, LDA updates and KL tables; a size that stays in cache, fixed,
-# not a setting
+# distances, LDA updates, KL tables and DTW accumulators; a size that stays
+# in cache, fixed, not a setting
 KERNEL_BLOCK_BYTES = 256 << 10
+
+
+def row_batches(lengths: np.ndarray, cell_bytes: int, budget: int,
+                stacked: bool = True) -> list[slice]:
+    """Consecutive rows cut into batches of at most budget bytes, counting
+    cell_bytes per cell of the rows' padded copy and, if stacked, of the rows
+    themselves (lengths[i] cells each); a batch holds at least one row."""
+    batches, start = [], 0
+    while start < len(lengths):
+        # a batch's bytes grow with every row it takes: it ends before the
+        # first row that would take it over the budget, looked for in a
+        # window of rows that doubles until it holds that row or the last
+        window = 256
+        while True:
+            rest = lengths[start:start + window]
+            cells = (np.cumsum(rest) * stacked
+                     + np.maximum.accumulate(rest) * np.arange(1, len(rest) + 1))
+            fits = int(np.count_nonzero(cells * cell_bytes <= budget))
+            if fits < len(rest) or start + window >= len(lengths):
+                break
+            window *= 2
+        batches.append(slice(start, start + max(1, fits)))
+        start += max(1, fits)
+    return batches
 
 
 class AudioError(ValueError):

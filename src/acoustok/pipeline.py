@@ -31,7 +31,7 @@ from .initialization import make_initial_labels
 from .labels import LabelSet, labels_to_jsonl, read_labels_jsonl, validate_label_set
 from .manifest import SETTINGS_DIR, Manifest, PipelineError, StageWriter, atomic_write_text
 from .mdnn import build_targets, extract_bnf, make_iteration_input, read_matn, train_mdnn
-from .tokenizer import read_matm, run_mat
+from .tokenizer import Granularity, LevelModel, read_matm, run_mat
 
 
 @dataclass
@@ -108,6 +108,20 @@ def _level_paths(ctx: RunContext, writer: StageWriter, rel_dir: str, name: str) 
     return {g: writer.read(ctx.out / rel_dir / name.format(m=g.m, n=g.n),
                            f"level artifact {rel_dir} ({g.m},{g.n})")
             for g in ctx.cfg.grid.levels()}
+
+
+def _read_model(path: Path, g: Granularity, d: int) -> LevelModel:
+    """A model file of level g over d-dimensional features; any other raises
+    a ValueError naming the file."""
+    model = read_matm(path)
+    if model.granularity != g:
+        m, n = model.granularity.m, model.granularity.n
+        raise ValueError(f"{path}: header m = {m}, n = {n}, where the file name gives "
+                         f"m = {g.m}, n = {g.n}")
+    if model.means.shape[3] != d:
+        raise ValueError(f"{path}: header d = {model.means.shape[3]}, where the features "
+                         f"searched have d = {d}")
+    return model
 
 
 def _read_levels(ctx: RunContext, writer: StageWriter, rel_dir: str,
@@ -319,9 +333,13 @@ def cmd_mdnn(ctx: RunContext, iteration: int = 1):
 
 def cmd_extract(ctx: RunContext, iteration: int = 1):
     def work(ctx: RunContext, writer: StageWriter):
-        model = read_matn(writer.read(ctx.out / _matn_name(ctx, iteration), "trained network"))
+        path = writer.read(ctx.out / _matn_name(ctx, iteration), "trained network")
+        model = read_matn(path)
         rows, acoustic = _mdnn_inputs(ctx, writer, iteration)
-        bnf = np.split(extract_bnf(model, rows), acoustic.offsets[1:-1])
+        try:  # extract_bnf checks the network's input width against the rows'
+            bnf = np.split(extract_bnf(model, rows), acoustic.offsets[1:-1])
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
         sequences = [replace(u, frames=frames) for u, frames in zip(acoustic, bnf)]
         _add_corpus(writer, f"iter{iteration}/bnf", Corpus(sequences, dict(acoustic.speakers)))
 
@@ -357,11 +375,10 @@ def cmd_std(ctx: RunContext):
         if not doc_ids:
             raise PipelineError("no documents left: every utterance is a query")
         level_labels = _read_levels(ctx, writer, base, corpus.frame_counts())
-        models = {g: read_matm(path) for g, path in
+        models = {g: _read_model(path, g, corpus.frames.shape[1]) for g, path in
                   _level_paths(ctx, writer, base, "model_m{m}_n{n}.matm").items()}
         doc_labels = {g: {u: level_labels[g][u] for u in doc_ids} for g in level_labels}
-        index = retrieval.RetrievalIndex.build(
-            models, doc_labels, Corpus([corpus[u] for u in doc_ids], dict(corpus.speakers)))
+        index = retrieval.RetrievalIndex.build(models, doc_labels, corpus)
         mode = ctx.cfg.retrieval.mode
         weights = list(ctx.cfg.retrieval.weights) or None
         lists = []

@@ -18,8 +18,8 @@ has been measured on.
 
 Subsequence DTW has one driver, `_dtw_scores`, for token search, frame
 search and `subsequence_dtw` (a block of one).  It takes the documents in
-stable order of length and cuts them into blocks by `tokenizer._batches`'
-rule, each block one skewed accumulator under DTW_BLOCK_BYTES, so documents
+stable order of length and cuts them into blocks by `corpus.row_batches`,
+each block one skewed accumulator under KERNEL_BLOCK_BYTES, so documents
 of like length share a block and pad little.  It lets its caller write the
 block's costs straight into the accumulator, runs one anti-diagonal
 wavefront over it and scatters the scores back to the documents' order:
@@ -47,15 +47,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import (KERNEL_BLOCK_BYTES, FeatureSequence, cosine_similarity, row_norms,
-                     unit_row_similarity, unit_rows)
+from .corpus import (KERNEL_BLOCK_BYTES, FeatureSequence, cosine_similarity, row_batches,
+                     row_norms, unit_row_similarity, unit_rows)
 from .labels import open_text
-from .tokenizer import (GaussState, Granularity, LevelModel, TokenHmm, _batches, logsumexp,
-                        padded_log_weights)
-
-# bytes a block of documents may take in subsequence DTW: its one skewed
-# accumulator; a block holds at least one document
-DTW_BLOCK_BYTES = 256 << 10
+from .tokenizer import GaussState, Granularity, LevelModel, TokenHmm, logsumexp, padded_log_weights
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +170,7 @@ def _dtw_scores(lengths: np.ndarray, q: int, fill) -> np.ndarray:
         raise ValueError("cost matrices must be non-empty")
     order = np.argsort(lengths, kind="stable")
     scores = np.empty(len(lengths))
-    for block in _batches(lengths[order] + q, 8 * (q + 1), DTW_BLOCK_BYTES, stacked=False):
+    for block in row_batches(lengths[order] + q, 8 * (q + 1), KERNEL_BLOCK_BYTES, stacked=False):
         docs = order[block]
         acc, cells = _skewed_accumulator(len(docs), lengths[docs].max(), q)
         fill(docs, cells)
@@ -244,9 +239,9 @@ class RetrievalIndex:
     def build(cls, models: dict[Granularity, LevelModel],
               labels: dict[Granularity, dict], corpus=None) -> "RetrievalIndex":
         """The index of the labelled documents in sorted id order.  The models
-        and the labels must cover the same levels, at least one, every level's
-        labels the same documents, and the corpus, when given, those documents
-        too."""
+        and the labels must cover the same levels, at least one, and every
+        level's labels the same documents.  The corpus, when given, holds at
+        least those documents; their features are its own, views of its rows."""
         unpaired = sorted(models.keys() ^ labels.keys(), key=lambda g: (g.m, g.n))
         if unpaired:
             g = unpaired[0]
@@ -264,8 +259,10 @@ class RetrievalIndex:
         }
         doc_features = {}
         if corpus is not None:
-            if set(corpus.ids()) != set(doc_ids):
-                raise ValueError("the corpus and the labels cover different documents")
+            held = set(corpus.ids())
+            for utt in doc_ids:
+                if utt not in held:
+                    raise ValueError(f"the corpus lacks the labelled document {utt}")
             doc_features = {utt: corpus[utt] for utt in doc_ids}
         return cls(distances, doc_tokens, doc_features)
 

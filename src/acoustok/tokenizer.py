@@ -17,9 +17,11 @@ state density comes from one kernel, `_log_joints`, in the layout of Kaldi's
 diagonal GMMs (Povey et al., ASRU 2011): a component's log joint is [x^2, x]
 times its row (-1/2v, mu/v) plus its constant, frames and means taken
 relative to a centre that depends on the model alone.  `GaussState` and
-`TokenHmm` records are the model's constructor input and views of its rows.
-EM, mixture splits and reseeding included, updates a copy of the warm
-start's arrays, or the flat start's, in place.
+`TokenHmm` records are the model's constructor input and views of its rows;
+`decode_utterance` and `segment_forward_ll` are `decode_level` and
+`corpus_log_likelihood` on a corpus of one.  EM, mixture splits and
+reseeding included, updates a copy of the warm start's arrays, or the flat
+start's, in place.
 
 A training call lays its spans out once (`_SpanLayout`), and again only when
 a token leaves EM.  Each EM iteration scores each token's rows against its
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ArtifactReader, Corpus
+from .corpus import ArtifactReader, Corpus, FeatureSequence, row_batches
 from .labels import LabelSet, TokenLabelSequence, validate_label_set
 
 MATM_MAGIC = b"MATM"
@@ -373,30 +375,6 @@ def _ranges(first, lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
 
 
-def _batches(lengths: np.ndarray, cell_bytes: int, budget: int,
-             stacked: bool = True) -> list[slice]:
-    """Consecutive rows cut into batches of at most budget bytes, counting
-    cell_bytes per cell of the rows' padded copy and, if stacked, of the rows
-    themselves (lengths[i] cells each)."""
-    batches, start = [], 0
-    while start < len(lengths):
-        # a batch's bytes grow with every row it takes: it ends before the
-        # first row that would take it over the budget, looked for in a
-        # window of rows that doubles until it holds that row or the last
-        window = 256
-        while True:
-            rest = lengths[start:start + window]
-            cells = (np.cumsum(rest) * stacked
-                     + np.maximum.accumulate(rest) * np.arange(1, len(rest) + 1))
-            fits = int(np.count_nonzero(cells * cell_bytes <= budget))
-            if fits < len(rest) or start + window >= len(lengths):
-                break
-            window *= 2
-        batches.append(slice(start, start + max(1, fits)))
-        start += max(1, fits)
-    return batches
-
-
 def _pad_index(lengths: np.ndarray, k: int) -> np.ndarray:
     """Where stacked rows of these lengths, of k entries each, go in their
     padded copy (_pad): each entry's (N, k) flat offset in its (longest, k, B) axes."""
@@ -465,23 +443,13 @@ def _beta(emis: np.ndarray, last: np.ndarray, log_self: np.ndarray,
     return beta
 
 
-def segment_forward_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
-    """Forward log-likelihood of a span: enter state 0, exit from the last
-    state; the forward recursion over a batch of one row of the emission
-    table of a level of one token."""
-    level = LevelModel(Granularity(hmm.m, 1), [hmm], np.ones(1))
-    log_self, log_adv = level.log_transitions()
-    table = _emission_table(level.density_stack(), frames, hmm.m)
-    return float(_alpha(table.transpose(0, 2, 1), log_self, log_adv)[-1, -1, 0] + log_adv[0, -1])
-
-
 def _e_step_batches(lengths: np.ndarray, m: int) -> list[tuple[slice, tuple]]:
     """The E-step's batches of spans of these lengths, with their padded copies' index."""
-    return [(b, _pad_index(lengths[b], m)) for b in _batches(lengths, 8 * m, BATCH_BYTES)]
+    return [(b, _pad_index(lengths[b], m)) for b in row_batches(lengths, 8 * m, BATCH_BYTES)]
 
 
 def _e_step(emis: np.ndarray, edges: np.ndarray, log_self: np.ndarray,
-            log_adv: np.ndarray, batches: list | None = None):
+            log_adv: np.ndarray, batches: list):
     """Alignment of spans from their stacked (N, m) emissions, span i being
     emis[edges[i]:edges[i + 1]] with (m,) log transitions log_self[i] and
     log_adv[i], its token's: (lls, gamma, visits).
@@ -493,13 +461,13 @@ def _e_step(emis: np.ndarray, edges: np.ndarray, log_self: np.ndarray,
     needs for the transitions (_m_step), so no transition posterior is
     computed.  A span no path traverses (shorter than m, or of zero
     likelihood) gets the uniform alignment, scored along it.  Forward and
-    backward run once per batch of spans (_e_step_batches of the spans,
-    unless given), over their padded state-major (L, m, B) emissions, each
-    row with its own transitions; only the spans' real cells are exponentiated.
+    backward run once per batch of spans (batches, _e_step_batches of the
+    spans), over their padded state-major (L, m, B) emissions, each row with
+    its own transitions; only the spans' real cells are exponentiated.
     """
     m, lengths = emis.shape[1], np.diff(edges)
     gamma, lls = np.empty_like(emis), np.empty(len(lengths))
-    for batch, index in batches or _e_step_batches(lengths, m):
+    for batch, index in batches:
         rows = slice(edges[batch.start], edges[batch.stop])
         padded = _pad(emis[rows], lengths[batch], index=index)
         last, spans = lengths[batch] - 1, np.arange(batch.stop - batch.start)
@@ -650,10 +618,15 @@ def _collect_spans(corpus: Corpus, labels: LabelSet, n: int) -> tuple[np.ndarray
     if not len(corpus):
         raise ValueError("an empty corpus has no spans to train on")
     validate_label_set(labels, corpus.frame_counts(), n)
-    spans = np.array([(token, first + start, end - start)
-                      for utt, first in zip(corpus.ids(), corpus.offsets.tolist())
-                      for token, start, end in labels[utt].segments], dtype=np.int64).reshape(-1, 3)
-    return tuple(spans[np.argsort(spans[:, 0], kind="stable")].T)
+    spans = _span_rows(corpus.offsets.tolist(), [labels[utt].segments for utt in corpus.ids()])
+    return tuple(spans[:, np.argsort(spans[0], kind="stable")])
+
+
+def _span_rows(starts: list[int], segment_lists: list) -> np.ndarray:
+    """The (3, segments) token, first row and length of each segment, list by
+    list, segment_lists[i] cutting the utterance whose rows begin at starts[i]."""
+    return np.array([(token, at + start, end - start) for at, segments in zip(starts, segment_lists)
+                     for token, start, end in segments], dtype=np.int64).reshape(-1, 3).T
 
 
 def _global_stats(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
@@ -763,7 +736,7 @@ def _table_groups(level: LevelModel, corpus: Corpus):
     stack = level.density_stack()
     lengths = np.diff(at)
     # a frame's kernel joints take c times the bytes of its table row
-    for batch in _batches(lengths, 8 * stack[2].size, BATCH_BYTES):
+    for batch in row_batches(lengths, 8 * stack[2].size, BATCH_BYTES):
         frames = corpus.frames[at[batch.start]:at[batch.stop]]
         yield ids[batch], _emission_table(stack, frames, m), lengths[batch]
 
@@ -836,12 +809,6 @@ def _backtrack(advanced: np.ndarray, switch_from: np.ndarray, token: int) -> lis
     return [(tok, start, end) for (start, tok), end in zip(boundaries, ends)]
 
 
-def decode_utterance(model: LevelModel, frames: np.ndarray, lm_scale: float = 1.0) -> list:
-    """Token-loop Viterbi: any token may follow any token, weighted by the prior."""
-    table = _emission_table(model.density_stack(), frames, model.granularity.m)
-    return _viterbi(model, model.log_prior(lm_scale), table, np.array([len(frames)]))[0]
-
-
 def decode_level(model: LevelModel, corpus: Corpus,
                  cfg: TokenizerConfig | None = None) -> LabelSet:
     log_prior = model.log_prior((cfg or TokenizerConfig()).lm_scale)
@@ -852,6 +819,12 @@ def decode_level(model: LevelModel, corpus: Corpus,
     return labels
 
 
+def decode_utterance(model: LevelModel, frames: np.ndarray, lm_scale: float = 1.0) -> list:
+    """Token-loop Viterbi of one utterance: decode_level on a corpus of it."""
+    corpus = Corpus([FeatureSequence(frames)])
+    return decode_level(model, corpus, TokenizerConfig(lm_scale=lm_scale))[""].segments
+
+
 def _segment_scores(level: LevelModel, log_prior: np.ndarray, table: np.ndarray,
                     starts: np.ndarray, segment_lists: list) -> np.ndarray:
     """Per segment, in list-then-segment order, its span forward log-likelihood
@@ -860,13 +833,11 @@ def _segment_scores(level: LevelModel, log_prior: np.ndarray, table: np.ndarray,
     segment's column, then one forward per batch of segments, each row with
     its token's transitions."""
     log_self, log_adv = level.log_transitions()
-    tokens, first, lengths = np.array(
-        [(token, at + start, end - start) for at, segments in zip(starts.tolist(), segment_lists)
-         for token, start, end in segments], dtype=np.int64).reshape(-1, 3).T
+    tokens, first, lengths = _span_rows(starts.tolist(), segment_lists)
     edges = np.concatenate([[0], np.cumsum(lengths)])
     columns = table[_ranges(first, lengths), np.repeat(tokens, lengths)]
     lls = np.empty(len(lengths))
-    for batch in _batches(lengths, 8 * level.counts.shape[1], BATCH_BYTES):
+    for batch in row_batches(lengths, 8 * level.counts.shape[1], BATCH_BYTES):
         padded = _pad(columns[edges[batch.start]:edges[batch.stop]], lengths[batch])
         own = tokens[batch]
         alpha = _alpha(padded, log_self[own], log_adv[own])
@@ -886,6 +857,14 @@ def corpus_log_likelihood(model: LevelModel, corpus: Corpus, labels: LabelSet,
                               [labels[utt].segments for utt in utts])
               for utts, table, lengths in _table_groups(model, corpus)]
     return float(_ordered_sum(np.concatenate([np.empty(0), *scores])))
+
+
+def segment_forward_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
+    """Forward log-likelihood of a span: corpus_log_likelihood of it as token
+    0 of a level of one token, whose log prior (log 1) adds an exact 0."""
+    level = LevelModel(Granularity(hmm.m, 1), [hmm], np.ones(1))
+    return corpus_log_likelihood(level, Corpus([FeatureSequence(frames)]),
+                                 {"": TokenLabelSequence("", [(0, 0, len(frames))])})
 
 
 # ---------------------------------------------------------------------------
@@ -986,6 +965,8 @@ def read_matm(path) -> LevelModel:
     m, n, d = f.unpack("<III", "header")
     if m < 1 or n < 1:
         raise ValueError(f"{path}: header m = {m}, n = {n}: both must be >= 1")
+    if d < 1:
+        raise ValueError(f"{path}: header d = {d}: must be >= 1")
     hmms = []
     for token in range(n):
         states = []

@@ -329,12 +329,16 @@ def _matm_header(m, n, d):
 
 
 # files whose every field is in place, but a count is 0: a .matm with m = 0 (no
-# states, so empty transitions) or n = 0 (no tokens, an empty prior), a .matm
-# whose first state holds 0 components, and a .matn head of m = 0 or n = 0
+# states, so empty transitions), n = 0 (no tokens, an empty prior) or d = 0
+# (means and variances of no values), a .matm whose first state holds 0
+# components, and a .matn head of m = 0 or n = 0
 ZERO_COUNTS = pytest.mark.parametrize("suffix, make, read, match", [
     ("matm", lambda: _matm_header(0, 1, 2) + struct.pack("<d", 1.0), read_matm,
      "header m = 0, n = 1: both must be >= 1"),
     ("matm", lambda: _matm_header(1, 0, 2), read_matm, "header m = 1, n = 0: both must be >= 1"),
+    # one token of one state: a count of 1, a weight, the transitions, the prior
+    ("matm", lambda: _matm_header(1, 1, 0) + struct.pack("<I4d", 1, 1.0, 0.5, 0.5, 1.0),
+     read_matm, "header d = 0: must be >= 1"),
     # the first state's count (at byte 20) set to 0 and its one component's
     # weight, means and variances (40 bytes) dropped
     ("matm", lambda: tiny_matm()[:20] + struct.pack("<I", 0) + tiny_matm()[64:], read_matm,
@@ -344,7 +348,7 @@ ZERO_COUNTS = pytest.mark.parametrize("suffix, make, read, match", [
      "head 0: m = 0, n = 2: both must be >= 1"),
     ("matn", lambda: tiny_matn()[:40] + struct.pack("<I", 0) + tiny_matn()[44:], read_matn,
      "head 0: m = 2, n = 0: both must be >= 1"),
-], ids=["matm-m", "matm-n", "matm-components", "matn-head-m", "matn-head-n"])
+], ids=["matm-m", "matm-n", "matm-d", "matm-components", "matn-head-m", "matn-head-n"])
 
 
 @ZERO_COUNTS

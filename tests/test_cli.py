@@ -22,10 +22,11 @@ from acoustok.corpus import (
     Corpus, FeatureSequence, Waveform, load_corpus, matf_bytes, read_matf, save_corpus,
 )
 from acoustok.manifest import Manifest, StageWriter, atomic_write_text, file_sha256
-from acoustok.mdnn import read_matn
+from acoustok.mdnn import matn_bytes, read_matn
 from acoustok.pipeline import stage_seed
 from acoustok.reinforce import read_matl
 from acoustok.retrieval import read_rankings_tsv
+from acoustok.tokenizer import matm_bytes, read_matm
 
 
 TINY_CONFIG = """
@@ -1225,6 +1226,47 @@ class TestIterate:
         (run / f"{FINAL_TOK}/model_m3_n4.matm").unlink()
         assert main(["std", "--config", str(cfg), "--out", str(run)]) == 1
         assert capsys.readouterr().err == f"acoustok std: {message}\n"
+
+    @pytest.mark.parametrize("found, named", [(6, 4), (4, 6)], ids=["n6-as-n4", "n4-as-n6"])
+    def test_model_of_another_level_is_named(self, full_run, tmp_path, capsys, found, named):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        path = run / f"{FINAL_TOK}/model_m3_n{named}.matm"
+        shutil.copyfile(run / f"{FINAL_TOK}/model_m3_n{found}.matm", path)
+        assert main(["std", "--config", str(cfg_path), "--out", str(run)]) == 1
+        assert capsys.readouterr().err == (
+            f"acoustok std: {path}: header m = 3, n = {found}, where the file name gives "
+            f"m = 3, n = {named}\n")
+
+    def test_model_of_another_feature_dimension_is_named(self, full_run, tmp_path, capsys):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        path = run / f"{FINAL_TOK}/model_m3_n4.matm"
+        model = read_matm(path)
+        # one more dimension, of mean 0 and variance 1, next to the corpus's 8
+        model.means = np.pad(model.means, [(0, 0)] * 3 + [(0, 1)])
+        model.variances = np.pad(model.variances, [(0, 0)] * 3 + [(0, 1)], constant_values=1.0)
+        path.write_bytes(matm_bytes(model))
+        assert main(["std", "--config", str(cfg_path), "--out", str(run)]) == 1
+        assert capsys.readouterr().err == (
+            f"acoustok std: {path}: header d = 9, where the features searched have d = 8\n")
+
+    def test_network_of_another_input_width_is_named(self, full_run, tmp_path, capsys):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        path = run / "iter1/BNF-1st_MR-1.matn"
+        model = read_matn(path)
+        width = model.input_dim
+        # three more input columns, of zero weight
+        model.layer_weights[0] = np.pad(model.layer_weights[0], [(0, 3), (0, 0)])
+        path.write_bytes(matn_bytes(model))
+        argv = ["extract", "--iteration", "1", "--config", str(cfg_path), "--out", str(run)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"acoustok extract: {path}: input dim {width} != model input {width + 3}\n")
 
     def test_non_finite_feature_file_is_named(self, full_run, tmp_path, capsys):
         cfg_path, out = full_run

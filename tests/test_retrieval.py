@@ -394,9 +394,9 @@ def per_document_frame_scores(index, query):
 
 class TestBlockedScores:
     # 1 byte: every document alone; 1 GiB: every document in one block
-    @pytest.mark.parametrize("budget", [retrieval.DTW_BLOCK_BYTES, 1500, 1, 1 << 30])
+    @pytest.mark.parametrize("budget", [retrieval.KERNEL_BLOCK_BYTES, 1500, 1, 1 << 30])
     def test_scores_equal_a_per_document_loop(self, monkeypatch, budget):
-        monkeypatch.setattr(retrieval, "DTW_BLOCK_BYTES", budget)
+        monkeypatch.setattr(retrieval, "KERNEL_BLOCK_BYTES", budget)
         rng = np.random.default_rng(15)
         # documents of 1-8 entries, then of 1-60 in shuffled order, which the
         # blocks visit in order of length
@@ -420,12 +420,12 @@ class TestBlockedScores:
                             for seq in index.doc_features.values())
             assert zero_docs > 0 and zero_queries > 0
 
-    @pytest.mark.parametrize("budget", [retrieval.DTW_BLOCK_BYTES, 1500, 1])
+    @pytest.mark.parametrize("budget", [retrieval.KERNEL_BLOCK_BYTES, 1500, 1])
     def test_blocks_take_the_documents_in_order_of_length(self, monkeypatch, budget):
         """Each document once, in one block, the blocks in order of length:
         the documents' lengths are distinct and shuffled, and a block's
         column b holds a document of as many cells (i, 0) as it is long."""
-        monkeypatch.setattr(retrieval, "DTW_BLOCK_BYTES", budget)
+        monkeypatch.setattr(retrieval, "KERNEL_BLOCK_BYTES", budget)
         real, blocks = retrieval._wavefront, []
 
         def spy(acc):
@@ -475,9 +475,9 @@ class TestBlockedScores:
         assert np.all(costs[0][2] == 1.0)
         assert np.array_equal(bits(costs[0]), bits(frame_cost_matrix(doc, query)))
 
-    @pytest.mark.parametrize("budget", [retrieval.DTW_BLOCK_BYTES, 1500, 1])
+    @pytest.mark.parametrize("budget", [retrieval.KERNEL_BLOCK_BYTES, 1500, 1])
     def test_a_block_is_one_accumulator_within_the_budget(self, monkeypatch, budget):
-        monkeypatch.setattr(retrieval, "DTW_BLOCK_BYTES", budget)
+        monkeypatch.setattr(retrieval, "KERNEL_BLOCK_BYTES", budget)
         real, blocks = retrieval._wavefront, []
         monkeypatch.setattr(retrieval, "_wavefront", lambda acc: blocks.append(acc) or real(acc))
         rng = np.random.default_rng(15)
@@ -492,7 +492,7 @@ class TestBlockedScores:
         assert any(acc.shape[2] > 1 for acc in blocks) == (budget > 1)
 
     def test_small_budget_splits_the_documents(self, monkeypatch):
-        monkeypatch.setattr(retrieval, "DTW_BLOCK_BYTES", 1500)
+        monkeypatch.setattr(retrieval, "KERNEL_BLOCK_BYTES", 1500)
         real, blocks = retrieval._wavefront, []
         monkeypatch.setattr(retrieval, "_wavefront", lambda acc: blocks.append(acc) or real(acc))
         index = random_index(np.random.default_rng(15), 17)
@@ -600,8 +600,27 @@ class TestRanking:
         corpus = Corpus([FeatureSequence(np.ones((3, 2)), utterance_id=u) for u in ids])
         index = RetrievalIndex.build({g: model}, labels, corpus)
         assert list(index.doc_tokens) == list(index.doc_features) == sorted(ids)
-        with pytest.raises(ValueError, match="cover different documents"):
+        with pytest.raises(ValueError, match="^the corpus lacks the labelled document d2$"):
             RetrievalIndex.build({g: model}, labels, Corpus(corpus.utterances[:2]))
+
+    def test_built_index_views_the_rows_of_a_corpus_holding_more(self):
+        # the corpus holds a query besides the two labelled documents
+        g = Granularity(2, 4)
+        model = tiny_level_model([[[float(t)], [float(t + 1)]] for t in range(4)])
+        rng = np.random.default_rng(19)
+        corpus = Corpus([FeatureSequence(rng.normal(size=(3 + i, 2)), utterance_id=u)
+                         for i, u in enumerate(["d0", "d1", "q0"])])
+        labels = {g: {u: TokenLabelSequence(u, [(i, 0, 3 + i)]) for i, u in enumerate(["d0", "d1"])}}
+        index = RetrievalIndex.build({g: model}, labels, corpus)
+        assert list(index.doc_features) == ["d0", "d1"]
+        for utt, seq in index.doc_features.items():
+            assert np.shares_memory(seq.frames, corpus.frames)
+            assert np.array_equal(seq.frames, corpus[utt].frames)
+        # the same scores as the index of a corpus of the documents alone
+        alone = RetrievalIndex.build({g: model}, labels, Corpus([corpus["d0"], corpus["d1"]]))
+        got, want = frame_scores(index, corpus["q0"]), frame_scores(alone, corpus["q0"])
+        assert list(got) == list(want)
+        assert np.array_equal(bits(list(got.values())), bits(list(want.values())))
 
     @pytest.mark.parametrize("modelled, labelled, lacks", [
         ([(2, 2), (3, 3)], [(2, 2)], "a model but no labels"),

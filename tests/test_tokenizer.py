@@ -1057,7 +1057,8 @@ class TestBatchedKernels:
         owner = np.repeat(np.arange(3), [len(lengths) for lengths in token_lengths])
         log_self, log_adv = level_of(hmms).log_transitions()
         lls, gamma, visits = tok._e_step(np.concatenate(emis), np.array(edges),
-                                         log_self[owner], log_adv[owner])
+                                         log_self[owner], log_adv[owner],
+                                         tok._e_step_batches(np.diff(edges), m))
         span_at, frame_at = 0, 0
         for hmm, token_emis, lengths in zip(hmms, emis, token_lengths):
             spans = slice(span_at, span_at + len(lengths))
@@ -1080,14 +1081,15 @@ class TestBatchedKernels:
         self_p = rng.uniform(0.05, 0.95, size=(len(lengths), m))
         log_self, log_adv = np.log(self_p), np.log1p(-self_p)
         edges = np.concatenate([[0], np.cumsum(lengths)])
-        lls, gamma, visits = tok._e_step(emis, edges, log_self, log_adv)
+        lls, gamma, visits = tok._e_step(emis, edges, log_self, log_adv,
+                                         tok._e_step_batches(lengths, m))
         assert np.all(np.isfinite(lls))
         for order in ([3, 5, 0, 2, 4, 1], [1, 0, 4, 3, 2, 5]):
             order = np.array(order)
             rows = np.concatenate([np.arange(edges[i], edges[i + 1]) for i in order])
             got_lls, got_gamma, got_visits = tok._e_step(
                 emis[rows], np.concatenate([[0], np.cumsum(lengths[order])]),
-                log_self[order], log_adv[order])
+                log_self[order], log_adv[order], tok._e_step_batches(lengths[order], m))
             assert np.array_equal(got_lls, lls[order])
             assert np.array_equal(got_gamma, gamma[rows])
             assert np.array_equal(got_visits, visits[order])

@@ -19,12 +19,10 @@ ALLOWED_UNREFERENCED = {
     "GaussState.log_density": "bench/ traces and times it",
     "segment_forward_ll": "bench/ times it",
     "decode_utterance": "decoding as a batch of one utterance; bench/ times it",
-    "decode_level": "acceptance criterion 2's decoder; bench/ traces it",
     "state_kl": "acceptance criterion 5's pairwise distance; bench/ traces it",
     "frame_cost_matrix": "the tests' per-document frame-cost reference; bench/ times it",
     "subsequence_dtw": "acceptance criterion 6's DTW, the search's driver on a block of one; "
                        "bench/ times and traces it",
-    "corpus_log_likelihood": "the check on run_level's trace; bench/ traces it",
     "flat_start_model": "EM's flat start from a corpus; bench/ builds std-scale's models with it",
     "read_matl": "the MATL format's reader, kept with its writer",
     "complete_data_log_posterior": "the LDA's convergence metric, for run telemetry",
