@@ -5,8 +5,21 @@ A level is one token inventory at a granularity (m states per token HMM,
 n distinct tokens).  Training a level alternates two half-steps: fit the n
 left-to-right HMMs to the current label spans (warm-started from the previous
 alternation so the likelihood cannot drop), then re-decode the corpus with the
-fitted models to obtain new labels.  Levels are trained independently; levels
-sharing the same n start from the same initial label set.
+fitted models to obtain new labels.  Levels sharing the same n start from the
+same initial label set.
+
+The levels of one m run as one batch, a group (run_mat), and each gets the
+bytes it would get alone: they share the corpus, the state count and every
+kernel shape, so each EM iteration lays out the spans of every level
+together, a level's token k being the group's token offset + k, and runs one
+E-step and one M-step call over them, and each batch of utterances gets one
+Viterbi recursion over the levels' tokens side by side, each level taking its
+best exit over its own tokens.  Each level keeps its own model (its density
+centre and component count, so every kernel product keeps the shape it has
+alone), prior, reseeding, emission table, likelihood trace, backtrack and
+outer-loop stop: a level leaves the group at its fixpoint.  Groups are cut in
+n order under BATCH_BYTES, a level counting as its emission table over the
+corpus, so a level too large to share a batch runs alone.
 
 A level trains and decodes as one batch of rows of the corpus matrix,
 `Corpus.frames`, not a loop over tokens: a labeled span is a row range
@@ -23,15 +36,16 @@ relative to a centre that depends on the model alone.  `GaussState` and
 reseeding included, updates a copy of the warm start's arrays, or the flat
 start's, in place.
 
-A training call lays its spans out once (`_SpanLayout`), and again only when
-a token leaves EM.  Each EM iteration scores each token's rows against its
-own states in one product, aligns every span still training in one E-step
-(forward-backward, or for a span no path traverses the uniform alignment the
-flat start uses), and takes each token's occupancies and moments in one
-product of the M-step; each token's log-likelihood, em_tol check and splits
-stay its own, so it follows the course EM would take on it alone.  Decoding
-scores a batch of utterances against all n * m states in one product, a
-table that also serves the likelihood trace.
+A training call lays its group's spans out once (`_SpanLayout`), and again
+only when a token leaves EM.  Each EM iteration scores each token's rows
+against its own states in one product, aligns every span still training in
+one E-step (forward-backward, or for a span no path traverses the uniform
+alignment the flat start uses), and takes each token's occupancies and
+moments in one product of the M-step; each token's log-likelihood, em_tol
+check and splits stay its own, so it follows the course EM would take on it
+alone.  Decoding scores a batch of utterances against all n * m states of a
+level in one product, a table that also serves the level's likelihood
+trace.
 
 Transitions are durations.  A left-to-right token with no skips, entered at
 state 0 and left from state m - 1, enters and leaves each state once on
@@ -48,7 +62,8 @@ the token-loop Viterbi over (T, m, U, n) tables, with one back-pointer flag
 per state and frame, whose segments the trace scores in one forward pass.  A
 batch stays under BATCH_BYTES.  Per-row operations repeat, sums over frames
 and spans add in order, and every kernel product has one shape, so results
-do not depend on the batching.  `logsumexp`, the package's one log-sum-exp,
+do not depend on the batching, as far as the density kernel's products do
+not (_log_joints).  `logsumexp`, the package's one log-sum-exp,
 folds components in one at a time: one component costs no pass, its density
 being a slice of the kernel's joints, and each further one rounds once.
 """
@@ -57,7 +72,7 @@ from __future__ import annotations
 
 import copy
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -189,9 +204,11 @@ def _log_joints(stack: tuple[np.ndarray, ...], frames: np.ndarray) -> np.ndarray
 
     The frames go in blocks of PRODUCT_ROWS, the last padded with zero rows,
     and the blocks' products are one stacked matmul, which numpy runs as one
-    product of the same shape per block.  So a frame's joints do not depend
-    on which frames share its batch or its block, nor on the thread count
-    (measured with OpenBLAS at 1 and 2 threads).  The expanded form rounds
+    product of the same shape per block.  So on levels of up to 150 states,
+    as measured, a frame's joints do not depend on which frames share its
+    batch or its block, nor on the thread count (OpenBLAS at 1 and 2
+    threads); on levels of 500 or more states under the SkylakeX core at
+    one thread they do, in the last bits.  The expanded form rounds
     differently from the element-wise (x - mu)^2 / v; the centre keeps its
     cancellation at the scale of the level's spread.
 
@@ -347,7 +364,9 @@ class TokenizerConfig:
 # ---------------------------------------------------------------------------
 
 # bytes a batch of rows may take: its tables, as stacked, plus their padded
-# (longest, rows) copy; a batch holds at least one row, however long
+# (longest, rows) copy; a batch holds at least one row, however long.  run_mat
+# cuts its groups of levels under it too, a level's rows being its tokens'
+# emission tables over the corpus
 BATCH_BYTES = 64 << 20
 
 
@@ -512,12 +531,12 @@ def _uniform_alignment(lengths: np.ndarray, m: int) -> tuple[np.ndarray, np.ndar
 
 
 # ---------------------------------------------------------------------------
-# EM on a level's stacked states
+# EM on the stacked states of a group of levels
 # ---------------------------------------------------------------------------
 
 class _SpanLayout:
     """The spans of tokens (ascending, each holding a span) among
-    _collect_spans' spans, as EM reads them: each span's token (owner), length
+    _group_spans' spans, as EM reads them: each span's token (owner), length
     and edges in rows, the [1, x, x^2] of their frames in token order; the
     E-step's batches; and per token its span count and edges in rows (cuts)."""
 
@@ -532,19 +551,37 @@ class _SpanLayout:
         self.batches = _e_step_batches(self.lengths, m)
 
 
-def _m_step(level: LevelModel, layout: _SpanLayout, resp: np.ndarray, visits: np.ndarray,
-            var_floor: np.ndarray):
-    """Reestimate the tokens of layout in place from the (N, m, c) component
-    responsibilities of its rows and the tokens' (tokens, m) state visits
+def _offsets(gs: list[Granularity]) -> list[int]:
+    """Where each level of a group begins on the group's token axis, the
+    levels' tokens side by side in order, and the axis' length last."""
+    return np.cumsum([0] + [g.n for g in gs]).tolist()
+
+
+def _level_parts(levels: list[LevelModel], layout: _SpanLayout) -> list[tuple]:
+    """(level, offset, tokens, part) for each level of a group holding tokens
+    of layout: level k of a group holds the group's tokens from offset, the
+    tokens of the levels before it, on; tokens are its own of layout, by
+    their ids in the level, and part the slice of layout.tokens they take."""
+    offsets = _offsets([level.granularity for level in levels])
+    bounds = np.searchsorted(layout.tokens, offsets).tolist()
+    return [(level, at, layout.tokens[lo:hi] - at, slice(lo, hi))
+            for level, at, lo, hi in zip(levels, offsets, bounds, bounds[1:]) if lo < hi]
+
+
+def _m_step(parts: list[tuple], layout: _SpanLayout, resps: list[np.ndarray],
+            visits: np.ndarray, var_floor: np.ndarray):
+    """Reestimate the tokens of layout, a group's, in place from the (N_k, m,
+    c_k) component responsibilities of the rows of each level holding tokens
+    of it (parts, _level_parts) and the tokens' (tokens, m) state visits
     (_e_step).  An unvisited state keeps its parameters, and so does an
     unvisited component of a visited state.
 
     Each token's occupancies and first and second moments are one product,
     its (N_t, m c) responsibilities transposed times its rows [1, x, x^2];
-    the divisions, floors, weights and transitions then run once over all the
-    stacked states.  A padding component's responsibility is an exact 0 (its
-    joint is -inf), so its moments are exact zeros, which add nothing to its
-    state's total occupancy while c is under 8; from 8 terms numpy sums
+    the divisions, floors, weights and transitions then run once over each
+    level's stacked states.  A padding component's responsibility is an exact
+    0 (its joint is -inf), so its moments are exact zeros, which add nothing
+    to its state's total occupancy while c is under 8; from 8 terms numpy sums
     pairwise, and the total may move in the last bit.
 
     Transitions are durations: a state's advance probability is its visits
@@ -553,28 +590,32 @@ def _m_step(level: LevelModel, layout: _SpanLayout, resp: np.ndarray, visits: np
     state once per visit.  The advances are held at most the occupancy,
     which rounding can put an ulp under the visits, so both probabilities
     stay in [0, 1]."""
-    tokens, (m, c), d, cuts = layout.tokens, resp.shape[1:], len(var_floor), layout.cuts
-    moments = np.empty((len(tokens), m * c, 1 + 2 * d))
-    for j, (at, end) in enumerate(zip(cuts, cuts[1:])):
-        np.matmul(resp[at:end].reshape(-1, m * c).T, layout.rows[at:end], out=moments[j])
-    moments = moments.reshape(len(tokens), m, c, -1)
-    occ, first, second = moments[..., 0], moments[..., 1:d + 1], moments[..., d + 1:]
-    total = occ.sum(axis=2)
-    visited = total > 1e-8
-    seen = ((occ > 1e-8) & visited[..., None])[..., None]
-    occ_seen = np.where(seen, occ[..., None], 1.0)
-    means = np.where(seen, first / occ_seen, level.means[tokens, :, :c])
-    level.variances[tokens, :, :c] = np.where(
-        seen, np.maximum(second / occ_seen - means ** 2, var_floor),
-        level.variances[tokens, :, :c])
-    level.means[tokens, :, :c] = means
-    denom = np.where(visited, total, 1.0)[..., None]
-    level.weights[tokens, :, :c] = np.where(visited[..., None], occ / denom,
-                                            level.weights[tokens, :, :c])
-    move = np.minimum(visits, total)
-    level.transitions[tokens] = np.where(visited[..., None],
-                                         np.stack([total - move, move], axis=2) / denom,
-                                         level.transitions[tokens])
+    d, cuts = len(var_floor), layout.cuts
+    for (level, _, tokens, part), resp in zip(parts, resps):
+        m, c = resp.shape[1:]
+        base = cuts[part.start]
+        moments = np.empty((len(tokens), m * c, 1 + 2 * d))
+        for j, (at, end) in enumerate(zip(cuts[part], cuts[part.start + 1:part.stop + 1])):
+            np.matmul(resp[at - base:end - base].reshape(-1, m * c).T, layout.rows[at:end],
+                      out=moments[j])
+        moments = moments.reshape(len(tokens), m, c, -1)
+        occ, first, second = moments[..., 0], moments[..., 1:d + 1], moments[..., d + 1:]
+        total = occ.sum(axis=2)
+        visited = total > 1e-8
+        seen = ((occ > 1e-8) & visited[..., None])[..., None]
+        occ_seen = np.where(seen, occ[..., None], 1.0)
+        means = np.where(seen, first / occ_seen, level.means[tokens, :, :c])
+        level.variances[tokens, :, :c] = np.where(
+            seen, np.maximum(second / occ_seen - means ** 2, var_floor),
+            level.variances[tokens, :, :c])
+        level.means[tokens, :, :c] = means
+        denom = np.where(visited, total, 1.0)[..., None]
+        level.weights[tokens, :, :c] = np.where(visited[..., None], occ / denom,
+                                                level.weights[tokens, :, :c])
+        move = np.minimum(visits[part], total)
+        level.transitions[tokens] = np.where(visited[..., None],
+                                             np.stack([total - move, move], axis=2) / denom,
+                                             level.transitions[tokens])
 
 
 def _token_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -592,24 +633,29 @@ def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
     it and no density is evaluated.  States that no span reaches keep the
     template's global statistics.
     """
-    spans = _collect_spans(corpus, labels, g.n)
+    spans = _group_spans(corpus, [labels], [g])
     return _flat_start(_SpanLayout(np.unique(spans[0]), spans, corpus.frames, g.m),
-                       _global_stats(corpus), g, cfg or TokenizerConfig())
+                       _global_stats(corpus), [g], cfg or TokenizerConfig())[0]
 
 
-def _flat_start(layout: _SpanLayout, stats: tuple[np.ndarray, np.ndarray], g: Granularity,
-                cfg: TokenizerConfig) -> LevelModel:
-    """flat_start_model from the layout of every span and global statistics:
-    one M-step from the template of the global mean and variance, over the
-    uniform alignment of every span."""
-    level = LevelModel.__new__(LevelModel)
-    level._hold(g, np.ones((g.n, g.m), dtype=np.int64), np.ones((g.n, g.m, 1)),
-                *(np.broadcast_to(a, (g.n, g.m, 1, len(a))).copy() for a in stats),
-                np.full((g.n, g.m, 2), 0.5), _estimate_prior(layout.owner, g.n))
-    gamma, visits = _uniform_alignment(layout.lengths, g.m)
-    _m_step(level, layout, gamma[:, :, None], _token_sums(visits, layout.n_spans),
-            cfg.var_floor_frac * stats[1])
-    return level
+def _flat_start(layout: _SpanLayout, stats: tuple[np.ndarray, np.ndarray],
+                gs: list[Granularity], cfg: TokenizerConfig) -> list[LevelModel]:
+    """flat_start_model of each level of a group from the layout of every span
+    of the group and global statistics: one M-step from the template of the
+    global mean and variance, over the uniform alignment of every span."""
+    levels = []
+    for g, prior in zip(gs, _estimate_priors(layout.owner, gs)):
+        level = LevelModel.__new__(LevelModel)
+        level._hold(g, np.ones((g.n, g.m), dtype=np.int64), np.ones((g.n, g.m, 1)),
+                    *(np.broadcast_to(a, (g.n, g.m, 1, len(a))).copy() for a in stats),
+                    np.full((g.n, g.m, 2), 0.5), prior)
+        levels.append(level)
+    gamma, visits = _uniform_alignment(layout.lengths, gs[0].m)
+    cuts, parts = layout.cuts, _level_parts(levels, layout)
+    _m_step(parts, layout, [gamma[cuts[part.start]:cuts[part.stop], :, None]
+                            for _, _, _, part in parts],
+            _token_sums(visits, layout.n_spans), cfg.var_floor_frac * stats[1])
+    return levels
 
 
 def _collect_spans(corpus: Corpus, labels: LabelSet, n: int) -> tuple[np.ndarray, ...]:
@@ -620,6 +666,16 @@ def _collect_spans(corpus: Corpus, labels: LabelSet, n: int) -> tuple[np.ndarray
     validate_label_set(labels, corpus.frame_counts(), n)
     spans = _span_rows(corpus.offsets.tolist(), [labels[utt].segments for utt in corpus.ids()])
     return tuple(spans[:, np.argsort(spans[0], kind="stable")])
+
+
+def _group_spans(corpus: Corpus, label_sets: list[LabelSet],
+                 gs: list[Granularity]) -> tuple[np.ndarray, ...]:
+    """_collect_spans of each level of a group, level after level, a level's
+    token k taken as the group's token offset + k, offset the tokens of the
+    levels before it: so the group's spans stay sorted by token."""
+    parts = [_collect_spans(corpus, labels, g.n) for labels, g in zip(label_sets, gs)]
+    return (np.concatenate([tokens + at for (tokens, _, _), at in zip(parts, _offsets(gs))]),
+            *(np.concatenate([part[i] for part in parts]) for i in (1, 2)))
 
 
 def _span_rows(starts: list[int], segment_lists: list) -> np.ndarray:
@@ -633,88 +689,118 @@ def _global_stats(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     return corpus.frames.mean(axis=0), np.maximum(corpus.frames.var(axis=0), 1e-8)
 
 
-def _estimate_prior(tokens: np.ndarray, n: int) -> np.ndarray:
-    """Unigram prior from the tokens of _collect_spans' spans."""
-    return np.bincount(tokens, minlength=n) / len(tokens)
+def _estimate_priors(tokens: np.ndarray, gs: list[Granularity]) -> list[np.ndarray]:
+    """Each level's unigram prior from the tokens of a group's spans
+    (_group_spans)."""
+    offsets = _offsets(gs)
+    counts = np.bincount(tokens, minlength=offsets[-1])
+    return [own / own.sum() for own in np.split(counts, offsets[1:-1])]
 
 
-def _token_statistics(level: LevelModel, layout: _SpanLayout):
-    """E-step statistics of the tokens of layout: (lls, resp, visits), per
-    token its log-likelihood and (m,) state visits, added up over its spans
-    in span order, and the (N, m, c) component responsibilities of the
-    layout's rows, c the most components a state of the tokens holds.  Only
-    the tokens' states are stacked, and one kernel product per token scores
-    its rows against its own; one _e_step aligns every span."""
-    m, d, cuts, tokens = level.counts.shape[1], level.means.shape[3], layout.cuts, layout.tokens
-    centre, rows, const = level.density_stack(int(level.counts[tokens].max()), tokens)
-    joint = np.empty((len(layout.rows), len(const), m))
-    for j, (at, end) in enumerate(zip(cuts, cuts[1:])):
-        states = slice(j * m, j * m + m)
-        joint[at:end] = _log_joints((centre, rows[:, states], const[:, states]),
-                                    layout.rows[at:end, 1:d + 1])
-    emis = logsumexp(joint, axis=1)
-    log_self, log_adv = level.log_transitions()
-    lls, gamma, visits = _e_step(emis, layout.edges, log_self[layout.owner],
-                                 log_adv[layout.owner], layout.batches)
-    resp = np.exp(joint.transpose(0, 2, 1) - emis[:, :, None], order="C")
-    resp *= gamma[:, :, None]
+def _token_statistics(levels: list[LevelModel], parts: list[tuple], layout: _SpanLayout):
+    """E-step statistics of the tokens of layout, those of a group's levels:
+    (lls, resps, visits), per token its log-likelihood and (m,) state visits,
+    added up over its spans in span order, and for each level holding tokens
+    of layout (parts, _level_parts) the (N_k, m, c_k) component
+    responsibilities of its rows, c_k the most components a state of its
+    tokens holds.  Each level stacks only those tokens' states, about its own
+    centre, and one kernel product per token scores its rows against its own;
+    one _e_step aligns every span of the group."""
+    cuts, joints = layout.cuts, []
+    for level, _, tokens, part in parts:
+        m, d = level.counts.shape[1], level.means.shape[3]
+        centre, rows, const = level.density_stack(int(level.counts[tokens].max()), tokens)
+        base = cuts[part.start]
+        joint = np.empty((cuts[part.stop] - base, len(const), m))
+        for j, (at, end) in enumerate(zip(cuts[part], cuts[part.start + 1:part.stop + 1])):
+            states = slice(j * m, j * m + m)
+            joint[at - base:end - base] = _log_joints((centre, rows[:, states], const[:, states]),
+                                                      layout.rows[at:end, 1:d + 1])
+        joints.append(joint)
+    emis = [logsumexp(joint, axis=1) for joint in joints]
+    log_self, log_adv = (np.concatenate(a)[layout.owner]
+                         for a in zip(*(level.log_transitions() for level in levels)))
+    lls, gamma, visits = _e_step(np.concatenate(emis), layout.edges, log_self, log_adv,
+                                 layout.batches)
+    resps = []
+    for joint, level_emis, (_, _, _, part) in zip(joints, emis, parts):
+        resp = np.exp(joint.transpose(0, 2, 1) - level_emis[:, :, None], order="C")
+        resp *= gamma[cuts[part.start]:cuts[part.stop], :, None]
+        resps.append(resp)
     sums = _token_sums(np.column_stack([lls, visits]), layout.n_spans)
-    return sums[:, 0], resp, sums[:, 1:]
+    return sums[:, 0], resps, sums[:, 1:]
 
 
 def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
                      cfg: TokenizerConfig | None = None,
                      init_model: LevelModel | None = None) -> LevelModel:
-    """Fit the n token HMMs to the labeled spans by EM, a level at a time.
+    """Fit the n token HMMs to the labeled spans by EM: _train_group of one
+    level.  Warm-starts from init_model when given (otherwise from the flat
+    start), so successive calls within the alternation cannot decrease the
+    likelihood of the training labels; init_model itself is left as it was."""
+    return _train_group(corpus, [labels], [g], cfg or TokenizerConfig(),
+                        None if init_model is None else [init_model])[0]
 
-    EM updates one LevelModel in place.  Each EM iteration runs one
-    E-step over the spans of every token still training (_token_statistics)
-    and one M-step over their stacked states.  A token stops once its
-    log-likelihood gain falls under em_tol, and its spans leave later
-    iterations; mixture splits are per token too, so every token follows the
-    course EM would take on it alone.  Warm-starts from init_model when given
-    (otherwise from the flat start), so successive calls within the
-    alternation cannot decrease the likelihood of the training labels.  Tokens
-    with no assigned spans are reseeded from a perturbed copy of the most
-    populous token's model.  init_model itself is left as it was: EM runs on
-    a copy of its arrays, whose prior it then re-estimates.
-    """
-    cfg = cfg or TokenizerConfig()
-    spans = _collect_spans(corpus, labels, g.n)
+
+def _train_group(corpus: Corpus, label_sets: list[LabelSet], gs: list[Granularity],
+                 cfg: TokenizerConfig, init_models: list[LevelModel] | None) -> list[LevelModel]:
+    """Fit each level of a group, levels of one m, to its labeled spans by EM,
+    the levels as one batch: their spans are laid out together (_group_spans),
+    and each EM iteration runs one E-step over the spans of every token still
+    training, of every level (_token_statistics), and one M-step.
+
+    EM updates each level's LevelModel in place, about its own centre and with
+    its own component count.  A token stops once its log-likelihood gain falls
+    under em_tol, and its spans leave later iterations; mixture splits are per
+    token too, so every token follows the course EM would take on it alone,
+    and every level gets the bytes it would get alone.  Warm-starts from
+    init_models when given (otherwise from the flat start): EM runs on copies
+    of their arrays, whose priors it then re-estimates.  Tokens with no
+    assigned spans are reseeded from a perturbed copy of their level's most
+    populous token's model."""
+    spans = _group_spans(corpus, label_sets, gs)
     stats = _global_stats(corpus)
     var_floor = cfg.var_floor_frac * stats[1]
-    frames_per_token = np.bincount(np.repeat(spans[0], spans[2]), minlength=g.n)
+    offsets = _offsets(gs)
+    frames_per_token = np.bincount(np.repeat(spans[0], spans[2]), minlength=offsets[-1])
     training = np.flatnonzero(frames_per_token)  # the rest are reseeded
-    layout = _SpanLayout(training, spans, corpus.frames, g.m)
-    if init_model is None:
-        level = _flat_start(layout, stats, g, cfg)
+    layout = _SpanLayout(training, spans, corpus.frames, gs[0].m)
+    if init_models is None:
+        levels = _flat_start(layout, stats, gs, cfg)
     else:
-        level = copy.deepcopy(init_model)
-        level.prior = _estimate_prior(spans[0], g.n)
-    prev_ll = np.full(g.n, np.nan)  # NaN: no likelihood to compare with yet
+        levels = copy.deepcopy(init_models)
+        for level, prior in zip(levels, _estimate_priors(spans[0], gs)):
+            level.prior = prior
+    parts = _level_parts(levels, layout)
+    prev_ll = np.full(len(frames_per_token), np.nan)  # NaN: no likelihood to compare with yet
     for it in range(cfg.em_iters):
         if not len(training):
             break
         if len(training) < len(layout.tokens):  # tokens left EM
-            layout = _SpanLayout(training, spans, corpus.frames, g.m)
+            layout = _SpanLayout(training, spans, corpus.frames, gs[0].m)
+            parts = _level_parts(levels, layout)
         # a warm start already holds the components of earlier splits; a
         # split restarts its token's convergence check
-        prev_ll[level.split(training, 2 ** sum(k <= it for k in cfg.mixture_schedule))] = np.nan
-        lls, resp, visits = _token_statistics(level, layout)
-        _m_step(level, layout, resp, visits, var_floor)
+        target = 2 ** sum(k <= it for k in cfg.mixture_schedule)
+        for level, at, tokens, _ in parts:
+            prev_ll[at + level.split(tokens, target)] = np.nan
+        lls, resps, visits = _token_statistics(levels, parts, layout)
+        _m_step(parts, layout, resps, visits, var_floor)
         prev = prev_ll[training]
         converged = np.abs(lls - prev) / np.maximum(1.0, np.abs(prev)) < cfg.em_tol
         prev_ll[training] = lls
         training = training[~converged]
 
-    dead = frames_per_token == 0
-    if dead.any() and not dead.all():
-        populous = int(np.argmax(frames_per_token))  # argmax ties -> lowest id
-        for a in (level.counts, level.weights, level.means, level.variances, level.transitions):
-            a[dead] = a[populous]
-        # padding components take perturbed means too, which nothing reads
-        level.means[dead] += cfg.reseed_scale * np.sqrt(level.variances[dead])
-    return level
+    for level, own in zip(levels, np.split(frames_per_token, offsets[1:-1])):
+        dead = own == 0
+        if dead.any() and not dead.all():
+            populous = int(np.argmax(own))  # argmax ties -> lowest id
+            for a in (level.counts, level.weights, level.means, level.variances,
+                      level.transitions):
+                a[dead] = a[populous]
+            # padding components take perturbed means too, which nothing reads
+            level.means[dead] += cfg.reseed_scale * np.sqrt(level.variances[dead])
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -728,35 +814,76 @@ def _emission_table(stack: tuple[np.ndarray, ...], frames: np.ndarray, m: int) -
     return logsumexp(_log_joints(stack, frames), axis=1).reshape(len(frames), -1, m)
 
 
-def _table_groups(level: LevelModel, corpus: Corpus):
-    """Consecutive utterances of corpus.ids() in batches: each batch's ids, the
-    (frames, n, m) emission table of its rows of corpus.frames, a slice, from
-    one kernel product, and their frame counts."""
-    ids, at, m = corpus.ids(), corpus.offsets, level.counts.shape[1]
-    stack = level.density_stack()
+def _table_groups(levels: list[LevelModel], corpus: Corpus):
+    """Consecutive utterances of corpus.ids() in batches: each batch's ids, for
+    each level of a group the (frames, n, m) emission table of its rows of
+    corpus.frames, a slice, from one kernel product, and their frame counts."""
+    ids, at, m = corpus.ids(), corpus.offsets, levels[0].counts.shape[1]
+    stacks = [level.density_stack() for level in levels]
     lengths = np.diff(at)
     # a frame's kernel joints take c times the bytes of its table row
-    for batch in row_batches(lengths, 8 * stack[2].size, BATCH_BYTES):
+    for batch in row_batches(lengths, 8 * sum(stack[2].size for stack in stacks), BATCH_BYTES):
         frames = corpus.frames[at[batch.start]:at[batch.stop]]
-        yield ids[batch], _emission_table(stack, frames, m), lengths[batch]
+        yield ids[batch], [_emission_table(stack, frames, m) for stack in stacks], lengths[batch]
 
 
-def _viterbi(level: LevelModel, log_prior: np.ndarray, table: np.ndarray,
-             lengths: np.ndarray) -> list[list]:
-    """Token-loop Viterbi over utterances' stacked emission table, utterance u
-    holding lengths[u] rows, in one recursion over its padded (T, m, U, n)
-    copy: any token may follow any token, weighted by log_prior.  A token is
-    entered by an advance into its state 0, scored as the best exit (over the
-    trailing axis) plus its log prior, so a frame makes one comparison per
-    state and keeps one flag, advanced or not; a self-loop wins an equal
-    advance or entry, and the lowest token id an equal exit.  A frame makes
-    eight calls on contiguous arrays.  Past an utterance's end its -inf
-    padding makes its scores -inf; its final scores are kept at its last
-    frame, and its backtrack runs alone."""
-    emis = _pad(table.transpose(0, 2, 1), lengths)
-    T, m, U, n = emis.shape
+def _pad_levels(tables: list[np.ndarray], lengths: np.ndarray) -> np.ndarray:
+    """_pad of a group's (N, n_k, m) emission tables, state-major, the levels'
+    tokens side by side: their (longest, m, B, n) copy, n the levels' tokens,
+    -inf where padded."""
+    m, n = tables[0].shape[2], sum(table.shape[1] for table in tables)
+    padded = np.full((lengths.max(), m, len(lengths), n), -np.inf)
+    flat, index, lo = padded.reshape(-1, n), _pad_index(lengths, m), 0
+    for table in tables:
+        flat[index, lo:lo + table.shape[1]] = table.transpose(0, 2, 1)
+        lo += table.shape[1]
+    return padded
+
+
+def _viterbi(levels: list[LevelModel], log_prior: np.ndarray, tables: list[np.ndarray],
+             lengths: np.ndarray) -> list[list[list]]:
+    """Token-loop Viterbi over utterances' stacked emission tables, one per
+    level of a group, utterance u holding lengths[u] rows: the recursion
+    (_viterbi_forward) over the levels' tokens side by side, then each
+    utterance's backtrack, alone and on each level's own flags.  In each
+    level any token may follow any token, weighted by log_prior, the levels'
+    log priors side by side; a self-loop wins an equal advance or entry, and
+    the lowest token id an equal exit.  An utterance shorter than m is one
+    segment of its level's likeliest token.  Returns each level's segments
+    per utterance."""
+    m = levels[0].counts.shape[1]
+    bounds = _offsets([level.granularity for level in levels])
+    advanced, exits = _viterbi_forward(levels, log_prior, tables, lengths)
+    decoded = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        own_exits = exits[:, :, lo:hi]
+        switch_from = np.argmax(own_exits, axis=2)  # ties -> lowest token id
+        decoded.append([_backtrack(advanced[:L, :, u, lo:hi], switch_from[:L, u],
+                                   int(np.argmax(own_exits[L, u])))
+                        if L >= m else [(int(np.argmax(log_prior[lo:hi])), 0, L)]
+                        for u, L in enumerate(lengths.tolist())])
+    return decoded
+
+
+def _viterbi_forward(levels: list[LevelModel], log_prior: np.ndarray, tables: list[np.ndarray],
+                     lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_viterbi's recursion, in one pass over the tables' padded (T, m, U, n)
+    copy, the levels' tokens side by side on its last axis: the (T, m, U, n)
+    advance flags and the (T + 1, U, n) exit scores.  A token is entered by an
+    advance into its state 0, scored as its level's best exit (a reduceat
+    over the level's tokens) plus its log prior, so a frame makes one
+    comparison per state and keeps one flag, advanced or not.  A frame makes
+    seven calls on contiguous arrays and one per level.  Past an utterance's
+    end its -inf padding makes its scores -inf, so its final scores are kept
+    at its last frame.  The padded copy is freed on return, before any
+    backtrack."""
+    m, U = levels[0].counts.shape[1], len(lengths)
+    bounds = _offsets([level.granularity for level in levels])
+    emis = _pad_levels(tables, lengths)
+    T, n = len(emis), bounds[-1]
     # the transitions as contiguous (m, U, n) arrays, made once per batch
-    log_self, log_adv = (np.repeat(a.T[:, None], U, axis=1) for a in level.log_transitions())
+    log_self, log_adv = (np.repeat(np.concatenate(a).T[:, None], U, axis=1)
+                         for a in zip(*(level.log_transitions() for level in levels)))
     delta = np.full((m, U, n), -np.inf)
     delta[0] = log_prior + emis[0, 0]
     advanced = np.zeros((T, m, U, n), dtype=bool)
@@ -764,26 +891,26 @@ def _viterbi(level: LevelModel, log_prior: np.ndarray, table: np.ndarray,
     # t - 1; past an utterance's end its padding makes every score -inf, so
     # exits[L] holds the final scores of an utterance of L frames
     exits = np.full((T + 1, U, n), -np.inf)
-    stay, move, best = np.empty((m, U, n)), np.empty((m, U, n)), np.empty((U, 1))
+    stay, move, best = np.empty((m, U, n)), np.empty((m, U, n)), np.empty((U, len(levels)))
     # the loop's views and ufuncs, bound once, so a frame makes its calls and nothing else
-    add, less, copyto, reduce_max = np.add, np.less, np.copyto, np.maximum.reduce
-    head, tail, into, entry = delta[:-1], delta[m - 1], move[1:], move[0]
+    add, less, copyto, reduceat = np.add, np.less, np.copyto, np.maximum.reduceat
+    head, tail, into, starts = delta[:-1], delta[m - 1], move[1:], np.array(bounds[:-1])
     adv, exit_adv = log_adv[:-1], log_adv[m - 1]
+    # per level: its best exit, its log prior and its tokens' entries
+    entries = [(best[:, k:k + 1], log_prior[lo:hi], move[0, :, lo:hi])
+               for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
     for exit_t, advanced_t, e in zip(exits[1:T], advanced[1:], emis[1:]):
         add(delta, log_self, out=stay)
         add(head, adv, out=into)
         add(tail, exit_adv, out=exit_t)
-        reduce_max(exit_t, axis=1, keepdims=True, out=best)
-        add(best, log_prior, out=entry)
+        reduceat(exit_t, starts, axis=1, out=best)
+        for level_best, prior, entry in entries:
+            add(level_best, prior, out=entry)
         less(stay, move, out=advanced_t)
         copyto(stay, move, where=advanced_t)
         add(stay, e, out=delta)
     add(tail, exit_adv, out=exits[T])
-
-    switch_from = np.argmax(exits, axis=2)  # ties -> lowest token id
-    return [_backtrack(advanced[:L, :, u], switch_from[:L, u], int(np.argmax(exits[L, u])))
-            if L >= m else [(int(np.argmax(log_prior)), 0, L)]
-            for u, L in enumerate(lengths.tolist())]
+    return advanced, exits
 
 
 def _backtrack(advanced: np.ndarray, switch_from: np.ndarray, token: int) -> list:
@@ -811,11 +938,13 @@ def _backtrack(advanced: np.ndarray, switch_from: np.ndarray, token: int) -> lis
 
 def decode_level(model: LevelModel, corpus: Corpus,
                  cfg: TokenizerConfig | None = None) -> LabelSet:
+    """Token-loop Viterbi of every utterance of corpus: _viterbi of one level."""
     log_prior = model.log_prior((cfg or TokenizerConfig()).lm_scale)
     labels: LabelSet = {}
-    for utts, table, lengths in _table_groups(model, corpus):
-        for utt, segments in zip(utts, _viterbi(model, log_prior, table, lengths)):
-            labels[utt] = TokenLabelSequence(utt, segments)
+    for utts, tables, lengths in _table_groups([model], corpus):
+        (decoded,) = _viterbi([model], log_prior, tables, lengths)
+        labels.update((utt, TokenLabelSequence(utt, segments))
+                      for utt, segments in zip(utts, decoded))
     return labels
 
 
@@ -855,7 +984,7 @@ def corpus_log_likelihood(model: LevelModel, corpus: Corpus, labels: LabelSet,
     log_prior = model.log_prior(lm_scale)
     scores = [_segment_scores(model, log_prior, table, np.cumsum(lengths) - lengths,
                               [labels[utt].segments for utt in utts])
-              for utts, table, lengths in _table_groups(model, corpus)]
+              for utts, (table,), lengths in _table_groups([model], corpus)]
     return float(_ordered_sum(np.concatenate([np.empty(0), *scores])))
 
 
@@ -871,52 +1000,92 @@ def segment_forward_ll(hmm: TokenHmm, frames: np.ndarray) -> float:
 # alternation and the grid
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _LevelRun:
+    """A level's alternation (_run_group): its granularity, and its labels,
+    model and likelihood trace so far."""
+
+    g: Granularity
+    labels: LabelSet
+    model: LevelModel | None = None
+    trace: list[tuple[str, float]] = field(default_factory=list)
+
+
 def run_level(corpus: Corpus, init_labels: LabelSet, g: Granularity,
               cfg: TokenizerConfig | None = None
               ) -> tuple[LevelModel, LabelSet, list[tuple[str, float]]]:
-    """Alternate model fitting and decoding until the labels stop changing.
+    """Alternate model fitting and decoding until the labels stop changing:
+    _run_group of one level.
 
     Returns the final model, the final labels, and a trace of the corpus
     log-likelihood after every half-step.
     """
-    cfg = cfg or TokenizerConfig()
-    labels = init_labels
-    model: LevelModel | None = None
-    trace: list[tuple[str, float]] = []
-    for _ in range(cfg.outer_iters):
-        model = train_level_hmms(corpus, labels, g, cfg, init_model=model)
-        log_prior = model.log_prior(cfg.lm_scale)
-        # one emission table per batch of utterances serves decoding and both
-        # trace points, whose segments share one forward per batch
-        new_labels: LabelSet = {}
-        train_scores, decode_scores = [], []
-        for utts, table, lengths in _table_groups(model, corpus):
-            decoded = _viterbi(model, log_prior, table, lengths)
-            new_labels.update((utt, TokenLabelSequence(utt, segments))
-                              for utt, segments in zip(utts, decoded))
-            trained = [labels[utt].segments for utt in utts]
+    (run,) = _run_group(corpus, [init_labels], [g], cfg or TokenizerConfig())
+    return run.model, run.labels, run.trace
+
+
+def _run_group(corpus: Corpus, init_labels: list[LabelSet], gs: list[Granularity],
+               cfg: TokenizerConfig) -> list[_LevelRun]:
+    """Alternate model fitting and decoding for each level of a group, levels
+    of one m, as one batch: each outer iteration trains the levels still
+    alternating together (_train_group) and decodes them in one Viterbi per
+    batch of utterances.  Each level scores its own trace, and leaves the
+    group once its labels stop changing, so it gets the model, labels and
+    trace it would get alone."""
+    runs = [_LevelRun(g, labels) for g, labels in zip(gs, init_labels)]
+    active = runs
+    for outer in range(cfg.outer_iters):
+        models = _train_group(corpus, [run.labels for run in active], [run.g for run in active],
+                              cfg, [run.model for run in active] if outer else None)
+        # the levels' log priors side by side, and each level's as a view of them
+        group_prior = np.concatenate([model.log_prior(cfg.lm_scale) for model in models])
+        log_priors = np.split(group_prior, _offsets([run.g for run in active])[1:-1])
+        # one emission table per level and batch of utterances serves decoding
+        # and both trace points, whose segments share one forward per batch
+        new_labels: list[LabelSet] = [{} for _ in active]
+        train_scores, decode_scores = [[] for _ in active], [[] for _ in active]
+        for utts, tables, lengths in _table_groups(models, corpus):
             starts = np.cumsum(lengths) - lengths
-            scores = _segment_scores(model, log_prior, table, np.concatenate([starts, starts]),
-                                     trained + decoded)
-            n_trained = sum(map(len, trained))
-            train_scores.append(scores[:n_trained])
-            decode_scores.append(scores[n_trained:])
-        trace += [("train", float(_ordered_sum(np.concatenate(train_scores)))),
-                  ("decode", float(_ordered_sum(np.concatenate(decode_scores))))]
-        changed = any(new_labels[utt].segments != labels[utt].segments for utt in corpus.ids())
-        labels = new_labels
-        if not changed:
+            decoded = _viterbi(models, group_prior, tables, lengths)
+            trained = [[run.labels[utt].segments for utt in utts] for run in active]
+            # a comprehension, so no table outlives its batch
+            scores = [_segment_scores(model, log_prior, table, np.concatenate([starts, starts]),
+                                      old + new)
+                      for model, log_prior, table, old, new in zip(models, log_priors, tables,
+                                                                   trained, decoded)]
+            for labels, new, old, level_scores, train, decode in zip(
+                    new_labels, decoded, trained, scores, train_scores, decode_scores):
+                labels.update((utt, TokenLabelSequence(utt, segments))
+                              for utt, segments in zip(utts, new))
+                n_trained = sum(map(len, old))
+                train.append(level_scores[:n_trained])
+                decode.append(level_scores[n_trained:])
+        still = []
+        for run, model, labels, train, decode in zip(active, models, new_labels, train_scores,
+                                                     decode_scores):
+            run.model = model
+            run.trace += [("train", float(_ordered_sum(np.concatenate(train)))),
+                          ("decode", float(_ordered_sum(np.concatenate(decode))))]
+            if any(labels[utt].segments != run.labels[utt].segments for utt in corpus.ids()):
+                still.append(run)
+            run.labels = labels
+        active = still
+        if not active:
             break
-    return model, labels, trace
+    return runs
 
 
 def run_mat(corpus: Corpus, grid: GranularityGrid, init_labels_per_n: dict[int, LabelSet],
             cfg: TokenizerConfig | None = None
             ) -> tuple[dict[Granularity, LevelModel], dict[Granularity, LabelSet]]:
-    """Train every level of the grid independently.
+    """Train every level of the grid.
 
-    All levels with the same phonetic granularity n start from the same
-    initial label set init_labels_per_n[n].
+    The levels of one m run as groups (_run_group), cut in n order under
+    BATCH_BYTES by row_batches, a level counting as its emission table over
+    the corpus, n rows of frames * m * 8 bytes: a level too large to share a
+    batch runs alone.  Each level gets the bytes it would get alone.  All
+    levels with the same phonetic granularity n start from the same initial
+    label set init_labels_per_n[n].
     """
     cfg = cfg or TokenizerConfig()
     for n in grid.phonetic:
@@ -924,10 +1093,12 @@ def run_mat(corpus: Corpus, grid: GranularityGrid, init_labels_per_n: dict[int, 
             raise ValueError(f"missing initial labels for n={n}")
     models: dict[Granularity, LevelModel] = {}
     labels: dict[Granularity, LabelSet] = {}
-    for g in grid.levels():
-        model, lab, _ = run_level(corpus, init_labels_per_n[g.n], g, cfg)
-        models[g] = model
-        labels[g] = lab
+    for m in grid.temporal:
+        for cut in row_batches(np.array(grid.phonetic), 8 * m * len(corpus.frames), BATCH_BYTES):
+            ns = grid.phonetic[cut]
+            for run in _run_group(corpus, [init_labels_per_n[n] for n in ns],
+                                  [Granularity(m, n) for n in ns], cfg):
+                models[run.g], labels[run.g] = run.model, run.labels
     return models, labels
 
 

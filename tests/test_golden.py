@@ -9,11 +9,14 @@ sha256 against tests/golden/readme_demo.json, so a change that moves one bit
 names the artifacts that moved.
 
 The bytes depend on which kernels OpenBLAS picks for the CPU at run time (its
-core), so the five runs are made in a child process with OPENBLAS_CORETYPE
-set to PINNED_CORE, a core every x86-64 host with AVX2 can run.  The file
-also records the numpy version, the BLAS and the core the child reported; a
-mismatch prints both environments, so a different library or core is told
-apart from a change in the code.
+core), and the network's also on the number of threads OpenBLAS runs, so the
+five runs are made in a child process with OPENBLAS_CORETYPE set to
+PINNED_CORE, a core every x86-64 host with AVX2 can run, and
+OPENBLAS_NUM_THREADS set to PINNED_THREADS, the default of the 2-core host the
+digests were recorded on.  The file also records the numpy version, the BLAS
+and the core the child reported; a mismatch prints both environments, with
+the thread count, so a different library, core or thread count is told apart
+from a change in the code.
 
 A change that moves artifacts on purpose re-records the file in the same
 change with `PYTHONPATH=src python tests/test_golden.py`, and lists what moved.
@@ -53,8 +56,9 @@ from acoustok.pipeline import RunContext, plan, stage
 GOLDEN = Path(__file__).resolve().parent / "golden" / "readme_demo.json"
 COMMANDS = ("iterate", "std", "eval", "viz")
 RUN_BOUND_S = 60.0
-# the OpenBLAS core the golden runs are made with
+# the OpenBLAS core and thread count the golden runs are made with
 PINNED_CORE = "Haswell"
+PINNED_THREADS = 2
 
 # run name -> (seed, whether the network is the trained one, whether states
 # split into mixtures)
@@ -63,23 +67,36 @@ RUNS = {"readme_seed11": (11, False, False), "readme_seed1": (1, False, False),
         "mixtures_seed11": (11, False, True)}
 
 
-def blas_core() -> str:
-    """The kernels OpenBLAS picked for this CPU at run time, as the OpenBLAS
-    of the numpy wheel names them (`SkylakeX`, `Haswell`, ...), or `unknown`
-    when no library in numpy.libs exports scipy_openblas_get_corename64_."""
+def openblas_call(symbol: str, restype):
+    """What the function symbol of the OpenBLAS of the numpy wheel returns,
+    called with no argument, or None when no library in numpy.libs exports
+    it."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
-        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
-    return "unknown"
+        function = getattr(ctypes.CDLL(str(path)), symbol, None)
+        if function is not None:
+            function.argtypes, function.restype = [], restype
+            return function()
+    return None
+
+
+def blas_core() -> str:
+    """The kernels OpenBLAS picked for this CPU at run time, as the OpenBLAS
+    of the numpy wheel names them (`SkylakeX`, `Haswell`, ...), or `unknown`."""
+    core = openblas_call("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return "unknown" if core is None else core.decode()
+
+
+def blas_threads() -> int | None:
+    """The number of threads the OpenBLAS of the numpy wheel runs, or None
+    when it does not say."""
+    return openblas_call("scipy_openblas_get_num_threads64_", ctypes.c_int)
 
 
 def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
-            "blas_core": blas_core()}
+            "blas_core": blas_core(), "blas_threads": blas_threads()}
 
 
 def run_demo(out: Path, seed: int, trained: bool, mixtures: bool) -> dict[str, dict[str, str]]:
@@ -108,10 +125,10 @@ def digest(hashes: dict) -> str:
 
 def pinned_runs(root: Path) -> dict:
     """Make every run of RUNS under root in a child process whose OpenBLAS
-    uses PINNED_CORE: {"environment": the child's environment(), "runs":
-    name -> output hashes}."""
+    uses PINNED_CORE and PINNED_THREADS: {"environment": the child's
+    environment(), "runs": name -> output hashes}."""
     paths = [str(Path(acoustok.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, OPENBLAS_CORETYPE=PINNED_CORE,
+    env = dict(os.environ, OPENBLAS_CORETYPE=PINNED_CORE, OPENBLAS_NUM_THREADS=str(PINNED_THREADS),
                PYTHONPATH=os.pathsep.join(filter(None, paths)))
     child = subprocess.run([sys.executable, __file__, "--runs", str(root)], env=env,
                            capture_output=True, text=True)

@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 
 import acoustok.tokenizer as tok
 from acoustok.corpus import Corpus, FeatureSequence, SynthSpec, synthesize_corpus
-from acoustok.labels import TokenLabelSequence
+from acoustok.labels import TokenLabelSequence, labels_to_jsonl
 from acoustok.tokenizer import (
     GaussState,
     Granularity,
@@ -256,7 +256,8 @@ class TestMixtureKernel:
         # one span of token 0: all the rows of frames
         spans = (np.array([0]), np.array([0]), np.array([len(frames)]))
         layout = tok._SpanLayout(np.array([0]), spans, frames, len(components))
-        _, resp, _ = tok._token_statistics(level_of([hmm]), layout)
+        level = level_of([hmm])
+        _, (resp,), _ = tok._token_statistics([level], tok._level_parts([level], layout), layout)
         _, gamma, _ = reference_e_step(hmm, ref_emis, np.array([0, len(frames)]))
         for s, c in enumerate(components):
             assert_close(resp[:, s, :c],
@@ -1101,7 +1102,7 @@ class TestBatchedKernels:
         model, _ = random_instance(rng, n=4, m=3)
         corpus = Corpus([FeatureSequence(rng.normal(0, 2.0, size=(T, 2)), utterance_id=f"u{i}")
                          for i, T in enumerate([7, 2, 15, 1, 30, 3])])
-        assert len(list(tok._table_groups(model, corpus))) == 1
+        assert len(list(tok._table_groups([model], corpus))) == 1
         labels = decode_level(model, corpus)
         for utt in corpus.ids():
             assert labels[utt].segments == decode_utterance(model, corpus[utt].frames)
@@ -1125,7 +1126,7 @@ class TestBatchedKernels:
             return real(stack, frames, m)
 
         monkeypatch.setattr(tok, "_emission_table", spy)
-        groups = list(tok._table_groups(model, corpus))
+        groups = list(tok._table_groups([model], corpus))
         assert len(groups) == (1 if budget is None else len(corpus))
         assert [len(b) for b in blocks] == [lengths.sum() for _, _, lengths in groups]
         assert all(np.shares_memory(b, corpus.frames) for b in blocks)
@@ -1139,9 +1140,9 @@ class TestBatchedKernels:
         init = make_initial_labels(corpus, {spec.n_tokens: 0})[spec.n_tokens]
         cfg = TokenizerConfig(outer_iters=2, em_iters=2)
         model, labels, trace = run_level(corpus, init, g, cfg)
-        assert len(list(tok._table_groups(model, corpus))) == 1
+        assert len(list(tok._table_groups([model], corpus))) == 1
         monkeypatch.setattr(tok, "BATCH_BYTES", 1)
-        assert len(list(tok._table_groups(model, corpus))) == len(corpus)
+        assert len(list(tok._table_groups([model], corpus))) == len(corpus)
         split_model, split_labels, split_trace = run_level(corpus, init, g, cfg)
         assert split_trace == trace
         assert matm_bytes(split_model) == matm_bytes(model)
@@ -1392,7 +1393,7 @@ class TestRunLevel:
         calls = {"train": [], "other": []}
         training = []
         real_density = tok._log_joints
-        real_train = tok.train_level_hmms
+        real_train = tok._train_group
 
         def density_spy(stack, frames):
             calls["train" if training else "other"].append((stack[1].shape[1], len(frames)))
@@ -1406,7 +1407,7 @@ class TestRunLevel:
                 training.pop()
 
         monkeypatch.setattr(tok, "_log_joints", density_spy)
-        monkeypatch.setattr(tok, "train_level_hmms", train_spy)
+        monkeypatch.setattr(tok, "_train_group", train_spy)
         run_level(corpus, truth.label_set(), g, TokenizerConfig(outer_iters=1, em_iters=1))
         assert calls["train"]
         # one kernel call per table batch, against all n * m states, whose
@@ -1457,18 +1458,148 @@ class TestRunMat:
 
         import acoustok.tokenizer as tok
 
-        real = tok.run_level
+        real = tok._run_group
 
-        def spy(corpus_, init_labels, g, cfg=None):
-            seen.append((g, id(init_labels)))
-            return real(corpus_, init_labels, g, cfg or TokenizerConfig(outer_iters=1, em_iters=1))
+        def spy(corpus_, init_labels, gs, cfg):
+            seen.extend((g, id(labels)) for g, labels in zip(gs, init_labels))
+            return real(corpus_, init_labels, gs, cfg)
 
-        monkeypatch.setattr(tok, "run_level", spy)
+        monkeypatch.setattr(tok, "_run_group", spy)
         grid = GranularityGrid((2, 3), (spec.n_tokens,))
         run_mat(corpus, grid, {spec.n_tokens: truth.label_set()},
                 TokenizerConfig(outer_iters=1, em_iters=1))
         ids = {g: label_id for g, label_id in seen}
         assert ids[Granularity(2, spec.n_tokens)] == ids[Granularity(3, spec.n_tokens)]
+
+
+def group_levels():
+    """Three levels of m = 3 on one corpus, in n order, for the group tests:
+    under group_config's mixture schedule (2, 5) they end with at most 2, 2
+    and 4 components a state; the n = 4 level's token 3 holds no span (it is
+    reseeded) and many of its spans are shorter than m."""
+    spec = SynthSpec(n_tokens=3, states_per_token=3, dim=4, n_utterances=6)
+    corpus, truth = synthesize_corpus(spec, seed=21)
+    label_sets = [random_segments(corpus, 2, np.random.default_rng(2), max_len=12),
+                  truth.label_set(), random_segments(corpus, 3, np.random.default_rng(21))]
+    return corpus, label_sets, [Granularity(3, n) for n in (2, 3, 4)]
+
+
+def group_config(**kwargs):
+    return TokenizerConfig(em_iters=14, em_tol=3e-3, mixture_schedule=(2, 5), **kwargs)
+
+
+class TestLevelGroups:
+    """The levels of one m run as one batch (_train_group, _viterbi over their
+    tokens side by side, _run_group), and each gets the bytes it gets alone."""
+
+    def test_group_training_gives_each_level_its_own_bytes(self):
+        corpus, label_sets, gs = group_levels()
+        cfg = group_config()
+        alone = [train_level_hmms(corpus, labels, g, cfg) for labels, g in zip(label_sets, gs)]
+        cold = tok._train_group(corpus, label_sets, gs, cfg, None)
+        assert [matm_bytes(model) for model in cold] == [matm_bytes(model) for model in alone]
+        # the levels end with different component counts, and the n = 4
+        # level's token 3 was reseeded from its most populous token
+        assert [model.weights.shape[2] for model in cold] == [2, 2, 4]
+        frames = np.bincount([t for seq in label_sets[2].values() for t, a, b in seq.segments
+                              for _ in range(a, b)], minlength=4)
+        populous = int(np.argmax(frames))
+        assert frames[3] == 0
+        assert np.array_equal(cold[2].transitions[3], cold[2].transitions[populous])
+        warm_alone = [train_level_hmms(corpus, labels, g, cfg, init_model=model)
+                      for labels, g, model in zip(label_sets, gs, alone)]
+        warm = tok._train_group(corpus, label_sets, gs, cfg, cold)
+        assert [matm_bytes(model) for model in warm] == [matm_bytes(model) for model in warm_alone]
+        # the warm starts are left as they were
+        assert [matm_bytes(model) for model in cold] == [matm_bytes(model) for model in alone]
+
+    def test_group_alternation_gives_each_level_its_own_models_labels_and_trace(self):
+        corpus, label_sets, gs = group_levels()
+        cfg = group_config(outer_iters=4)
+        runs = tok._run_group(corpus, label_sets, gs, cfg)
+        assert [run.g for run in runs] == gs
+        for run, labels, g in zip(runs, label_sets, gs):
+            model, got, trace = run_level(corpus, labels, g, cfg)
+            assert matm_bytes(run.model) == matm_bytes(model)
+            assert labels_to_jsonl(run.labels) == labels_to_jsonl(got)
+            assert run.trace == trace
+        # the levels reach their fixpoints after different outer iterations,
+        # so some leave the group before others
+        assert len({len(run.trace) for run in runs}) > 1
+
+    @pytest.mark.parametrize("em_iters", [1, 3])
+    def test_one_e_step_per_em_iteration_over_every_level(self, monkeypatch, em_iters):
+        corpus, label_sets, gs = group_levels()
+        e_steps = []
+        real = tok._e_step
+
+        def e_step_spy(emis, edges, log_self, log_adv, batches):
+            e_steps.append(len(edges) - 1)
+            return real(emis, edges, log_self, log_adv, batches)
+
+        monkeypatch.setattr(tok, "_e_step", e_step_spy)
+        # em_tol = 0: no token stops early
+        tok._train_group(corpus, label_sets, gs, TokenizerConfig(em_iters=em_iters, em_tol=0.0),
+                         None)
+        spans = sum(len(seq.segments) for labels in label_sets for seq in labels.values())
+        assert e_steps == [spans] * em_iters
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_group_viterbi_equals_each_level_decoded_alone(self, tied):
+        # with tied tables (emissions rounded to 0.5, equal transitions and
+        # priors, states of two means) many paths tie, and each level must keep
+        # the path the per-frame reference takes on it alone
+        rng = np.random.default_rng(71 + tied)
+        m, d = 3, 1
+        for _ in range(30):
+            levels = []
+            for n in (2, 3, 5):
+                hmms = [TokenHmm(k, [GaussState(np.ones(1), rng.integers(0, 2, (1, d)) * 1.0,
+                                                np.ones((1, d))) for _ in range(m)],
+                                 np.full((m, 2), 0.5) if tied else rng.dirichlet([1, 1], m))
+                        for k in range(n)]
+                levels.append(LevelModel(Granularity(m, n), hmms,
+                                         np.full(n, 1.0 / n) if tied else rng.dirichlet(np.ones(n))))
+            lengths = rng.integers(1, 25, size=6)  # ragged, some shorter than m
+            frames = rng.normal(0, 1.5, size=(lengths.sum(), d))
+            tables = [tok._emission_table(level.density_stack(), frames, m) for level in levels]
+            if tied:
+                tables = [np.round(2 * table) / 2 for table in tables]
+            log_priors = [level.log_prior(0.5) for level in levels]
+            decoded = tok._viterbi(levels, np.concatenate(log_priors), tables, lengths)
+            starts = np.cumsum(lengths) - lengths
+            for level, log_prior, table, got in zip(levels, log_priors, tables, decoded):
+                assert got == tok._viterbi([level], log_prior, [table], lengths)[0]
+                assert got == [reference_viterbi(level, table[a:a + T], 0.5)
+                               for a, T in zip(starts, lengths)]
+
+    def test_levels_each_in_a_group_of_their_own_write_the_same_bytes(self, small_corpus,
+                                                                       monkeypatch):
+        spec, corpus, _ = small_corpus
+        from acoustok.initialization import make_initial_labels
+
+        grid = GranularityGrid((2, 3), (3, 4, 6))
+        init = make_initial_labels(corpus, {n: 0 for n in grid.phonetic})
+        cfg = TokenizerConfig(outer_iters=3, em_iters=4, mixture_schedule=(2,))
+        groups = []
+        real = tok._run_group
+
+        def spy(corpus_, init_labels, gs, cfg_):
+            groups.append(gs)
+            return real(corpus_, init_labels, gs, cfg_)
+
+        monkeypatch.setattr(tok, "_run_group", spy)
+
+        def written():
+            models, labels = run_mat(corpus, grid, init, cfg)
+            return {g: (matm_bytes(models[g]), labels_to_jsonl(labels[g])) for g in grid.levels()}
+
+        grouped = written()
+        assert groups == [[Granularity(m, n) for n in grid.phonetic] for m in grid.temporal]
+        monkeypatch.setattr(tok, "BATCH_BYTES", 1)
+        groups.clear()
+        assert written() == grouped
+        assert groups == [[g] for g in grid.levels()]
 
 
 class TestLevelModel:

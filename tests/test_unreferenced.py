@@ -24,6 +24,9 @@ ALLOWED_UNREFERENCED = {
     "subsequence_dtw": "acceptance criterion 6's DTW, the search's driver on a block of one; "
                        "bench/ times and traces it",
     "flat_start_model": "EM's flat start from a corpus; bench/ builds std-scale's models with it",
+    "run_level": "one level's alternation, a group of one for the group runner; "
+                 "bench/ traces it",
+    "train_level_hmms": "one level's EM, a group of one for the group trainer; bench/ traces it",
     "read_matl": "the MATL format's reader, kept with its writer",
     "complete_data_log_posterior": "the LDA's convergence metric, for run telemetry",
 }
