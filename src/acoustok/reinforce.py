@@ -3,6 +3,10 @@ segmentation, re-describe the corpus as bags of pseudo-words over that
 segmentation, and relabel the segments by LDA topics to produce fresh initial
 label sets (one per phonetic granularity).
 
+The pseudo-words are the levels' tokens on one axis, the one a MAT group
+lays its levels out on (tokenizer.token_offsets): over the grid in order,
+level (m, n)'s token k is word offset + k.
+
 Level weights are proportional to m, so levels with longer HMMs (which produce
 fewer, more reliable boundaries) count more.  The joint boundary function is
 kept as exact integer numerators over a common denominator, so unanimity is
@@ -16,7 +20,6 @@ non-negative floats that sum to the document lengths and word frequencies.
 from __future__ import annotations
 
 import json
-import math
 import operator
 import struct
 from dataclasses import dataclass
@@ -25,7 +28,7 @@ import numpy as np
 
 from .corpus import KERNEL_BLOCK_BYTES, ArtifactReader
 from .labels import LabelSet, TokenLabelSequence, label_set_from_spans, pick_boundaries
-from .tokenizer import Granularity, GranularityGrid
+from .tokenizer import Granularity, GranularityGrid, token_offsets
 
 MATL_MAGIC = b"MATL"
 MATL_VERSION = 1
@@ -76,7 +79,7 @@ def fuse_utterance(b_by_level: dict[Granularity, np.ndarray],
     B(j-1) - 2 B(j) + B(j+1) is at most tau, thinned to the configured gap.
     """
     cfg = cfg or ReinforceConfig()
-    levels = sorted(b_by_level, key=lambda g: (g.m, g.n))
+    levels = sorted(b_by_level)
     denom = sum(g.m for g in levels)
     length = len(next(iter(b_by_level.values())))
     numer = np.zeros(length, dtype=np.int64)
@@ -119,16 +122,6 @@ class PseudoDocuments:
     vocab_size: int
 
 
-def level_offsets(grid: GranularityGrid) -> dict[Granularity, int]:
-    """Start index of each level's token ids in the shared pseudo-word vocabulary."""
-    offsets = {}
-    cursor = 0
-    for g in grid.levels():
-        offsets[g] = cursor
-        cursor += g.n
-    return offsets
-
-
 def build_documents(fused: dict[str, list[int]],
                     level_labels: dict[Granularity, LabelSet],
                     grid: GranularityGrid,
@@ -137,26 +130,26 @@ def build_documents(fused: dict[str, list[int]],
     least the configured fraction of the token's own span; fall back to the
     tokens covering the segment midpoint so no document is empty."""
     cfg = cfg or ReinforceConfig()
-    offsets = level_offsets(grid)
-    vocab_size = sum(g.n for g in grid.levels())
+    levels = grid.levels()
+    *offsets, vocab_size = token_offsets(levels)
     spans_out: list[tuple[str, int, int]] = []
     docs: list[list[int]] = []
     for utt in sorted(fused):
-        T = level_labels[grid.levels()[0]][utt].n_frames
+        T = level_labels[levels[0]][utt].n_frames
         edges = [0] + list(fused[utt]) + [T]
         for a, b in zip(edges[:-1], edges[1:]):
             words: list[int] = []
-            for g in grid.levels():
+            for g, offset in zip(levels, offsets):
                 for token, s, e in level_labels[g][utt].segments:
                     cover = min(b, e) - max(a, s)
                     if cover >= cfg.overlap * (e - s):
-                        words.append(offsets[g] + token)
+                        words.append(offset + token)
             if not words:
                 mid = (a + b) // 2
-                for g in grid.levels():
+                for g, offset in zip(levels, offsets):
                     for token, s, e in level_labels[g][utt].segments:
                         if s <= mid < e:
-                            words.append(offsets[g] + token)
+                            words.append(offset + token)
             spans_out.append((utt, a, b))
             docs.append(words)
     return PseudoDocuments(spans_out, docs, vocab_size)
@@ -262,30 +255,6 @@ def lda_fit(docs: list[list[int]], n_topics: int, vocab_size: int,
             gamma[block] = new / new.sum(axis=1, keepdims=True)
     doc_topic, word_topic, _ = counts()
     return LdaModel(K, word_topic.T.copy(), doc_topic, alpha, beta, seed)
-
-
-# elementwise log |Gamma(x)|, by the standard library's lgamma
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
-
-
-def complete_data_log_posterior(model: LdaModel) -> float:
-    """log P(w, z | alpha, beta) up to assignment-independent constants, the
-    collapsed joint of integer counts, evaluated at the model's expected
-    counts."""
-    K = model.n_topics
-    V = model.topic_word.shape[1]
-    a, b = model.alpha, model.beta
-    doc_len = model.doc_topic.sum(axis=1)
-    topic_total = model.topic_word.sum(axis=1)
-    doc_part = (
-        _lgamma(model.doc_topic + a).sum()
-        - _lgamma(doc_len + K * a).sum()
-    )
-    word_part = (
-        _lgamma(model.topic_word + b).sum()
-        - _lgamma(topic_total + V * b).sum()
-    )
-    return float(doc_part + word_part)
 
 
 def document_topic_log_scores(documents: PseudoDocuments, model: LdaModel) -> np.ndarray:

@@ -242,7 +242,7 @@ class RetrievalIndex:
         and the labels must cover the same levels, at least one, and every
         level's labels the same documents.  The corpus, when given, holds at
         least those documents; their features are its own, views of its rows."""
-        unpaired = sorted(models.keys() ^ labels.keys(), key=lambda g: (g.m, g.n))
+        unpaired = sorted(models.keys() ^ labels.keys())
         if unpaired:
             g = unpaired[0]
             lacks = "a model but no labels" if g in models else "labels but no model"
@@ -271,7 +271,7 @@ def token_scores(index: RetrievalIndex,
                  query_tokens: dict[Granularity, list[int]]) -> dict[str, float]:
     """Per-document token-DTW distance summed over the index's levels: one
     table lookup and one DTW per level and block of documents."""
-    levels = sorted(index.distances, key=lambda g: (g.m, g.n))
+    levels = sorted(index.distances)
     for g in levels:
         if g not in query_tokens:
             raise ValueError(f"missing level data for {g}")

@@ -11,15 +11,17 @@ same initial label set.
 The levels of one m run as one batch, a group (run_mat), and each gets the
 bytes it would get alone: they share the corpus, the state count and every
 kernel shape, so each EM iteration lays out the spans of every level
-together, a level's token k being the group's token offset + k, and runs one
-E-step and one M-step call over them, and each batch of utterances gets one
-Viterbi recursion over the levels' tokens side by side, each level taking its
-best exit over its own tokens.  Each level keeps its own model (its density
-centre and component count, so every kernel product keeps the shape it has
-alone), prior, reseeding, emission table, likelihood trace, backtrack and
-outer-loop stop: a level leaves the group at its fixpoint.  Groups are cut in
-n order under BATCH_BYTES, a level counting as its emission table over the
-corpus, so a level too large to share a batch runs alone.
+together and runs one E-step and one M-step call over them, and each batch
+of utterances gets one Viterbi recursion over the levels' tokens side by
+side, each level taking its best exit over its own tokens.  Side by side is
+one token axis, token_offsets, a level's token k being its offset + k; MR's
+pseudo-word vocabulary is the same axis over the grid.  Each level keeps its
+own model (its density centre and component count, so every kernel product
+keeps the shape it has alone), prior, reseeding, emission table, likelihood
+trace, backtrack and outer-loop stop: a level leaves the group at its
+fixpoint.  Groups are cut in n order under BATCH_BYTES, a level counting as
+its emission table over the corpus, so a level too large to share a batch
+runs alone.
 
 A level trains and decodes as one batch of rows of the corpus matrix,
 `Corpus.frames`, not a loop over tokens: a labeled span is a row range
@@ -87,7 +89,7 @@ TRANS_FLOOR = 1e-300
 LOG_2PI = np.log(2.0 * np.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)  # levels sort by m, then n
 class Granularity:
     m: int  # states per token HMM (temporal granularity)
     n: int  # distinct tokens (phonetic granularity)
@@ -115,6 +117,14 @@ class GranularityGrid:
 
     def levels(self) -> list[Granularity]:
         return [Granularity(m, n) for m in self.temporal for n in self.phonetic]
+
+
+def token_offsets(gs: list[Granularity]) -> list[int]:
+    """The token axis of levels side by side: where each level of gs begins,
+    its tokens following those of the levels before it, and the axis' length
+    last.  A MAT group lays its levels' spans, priors and Viterbi out on it,
+    and MR's pseudo-word vocabulary is it over the grid."""
+    return np.cumsum([0] + [g.n for g in gs]).tolist()
 
 
 @dataclass
@@ -538,9 +548,13 @@ class _SpanLayout:
     """The spans of tokens (ascending, each holding a span) among
     _group_spans' spans, as EM reads them: each span's token (owner), length
     and edges in rows, the [1, x, x^2] of their frames in token order; the
-    E-step's batches; and per token its span count and edges in rows (cuts)."""
+    E-step's batches; per token its span count and edges in rows (cuts); and
+    per level holding tokens of it, on the group's token axis offsets
+    (token_offsets), its part: the level's index in the group, its tokens by
+    their ids in the level, and the slice of tokens they take."""
 
-    def __init__(self, tokens: np.ndarray, spans: tuple, frames: np.ndarray, m: int):
+    def __init__(self, tokens: np.ndarray, spans: tuple, frames: np.ndarray, m: int,
+                 offsets: list[int]):
         self.tokens, at = tokens, np.searchsorted(spans[0], tokens)  # spans sorted by token
         self.n_spans = np.searchsorted(spans[0], tokens, "right") - at
         self.owner, first, self.lengths = (a[_ranges(at, self.n_spans)] for a in spans)
@@ -549,30 +563,17 @@ class _SpanLayout:
         self.edges = np.concatenate([[0], np.cumsum(self.lengths)])
         self.cuts = self.edges[np.concatenate([[0], np.cumsum(self.n_spans)])].tolist()
         self.batches = _e_step_batches(self.lengths, m)
+        bounds = np.searchsorted(tokens, offsets).tolist()
+        self.parts = [(k, tokens[lo:hi] - offset, slice(lo, hi))
+                      for k, (offset, lo, hi) in enumerate(zip(offsets, bounds, bounds[1:]))
+                      if lo < hi]
 
 
-def _offsets(gs: list[Granularity]) -> list[int]:
-    """Where each level of a group begins on the group's token axis, the
-    levels' tokens side by side in order, and the axis' length last."""
-    return np.cumsum([0] + [g.n for g in gs]).tolist()
-
-
-def _level_parts(levels: list[LevelModel], layout: _SpanLayout) -> list[tuple]:
-    """(level, offset, tokens, part) for each level of a group holding tokens
-    of layout: level k of a group holds the group's tokens from offset, the
-    tokens of the levels before it, on; tokens are its own of layout, by
-    their ids in the level, and part the slice of layout.tokens they take."""
-    offsets = _offsets([level.granularity for level in levels])
-    bounds = np.searchsorted(layout.tokens, offsets).tolist()
-    return [(level, at, layout.tokens[lo:hi] - at, slice(lo, hi))
-            for level, at, lo, hi in zip(levels, offsets, bounds, bounds[1:]) if lo < hi]
-
-
-def _m_step(parts: list[tuple], layout: _SpanLayout, resps: list[np.ndarray],
+def _m_step(levels: list[LevelModel], layout: _SpanLayout, resps: list[np.ndarray],
             visits: np.ndarray, var_floor: np.ndarray):
     """Reestimate the tokens of layout, a group's, in place from the (N_k, m,
     c_k) component responsibilities of the rows of each level holding tokens
-    of it (parts, _level_parts) and the tokens' (tokens, m) state visits
+    of it (layout.parts) and the tokens' (tokens, m) state visits
     (_e_step).  An unvisited state keeps its parameters, and so does an
     unvisited component of a visited state.
 
@@ -591,8 +592,8 @@ def _m_step(parts: list[tuple], layout: _SpanLayout, resps: list[np.ndarray],
     which rounding can put an ulp under the visits, so both probabilities
     stay in [0, 1]."""
     d, cuts = len(var_floor), layout.cuts
-    for (level, _, tokens, part), resp in zip(parts, resps):
-        m, c = resp.shape[1:]
+    for (k, tokens, part), resp in zip(layout.parts, resps):
+        level, (m, c) = levels[k], resp.shape[1:]
         base = cuts[part.start]
         moments = np.empty((len(tokens), m * c, 1 + 2 * d))
         for j, (at, end) in enumerate(zip(cuts[part], cuts[part.start + 1:part.stop + 1])):
@@ -633,49 +634,50 @@ def flat_start_model(corpus: Corpus, labels: LabelSet, g: Granularity,
     it and no density is evaluated.  States that no span reaches keep the
     template's global statistics.
     """
-    spans = _group_spans(corpus, [labels], [g])
-    return _flat_start(_SpanLayout(np.unique(spans[0]), spans, corpus.frames, g.m),
-                       _global_stats(corpus), [g], cfg or TokenizerConfig())[0]
+    offsets = token_offsets([g])
+    spans = _group_spans(corpus, [labels], offsets)
+    return _flat_start(_SpanLayout(np.unique(spans[0]), spans, corpus.frames, g.m, offsets),
+                       _global_stats(corpus), [g], _estimate_priors(spans[0], offsets),
+                       cfg or TokenizerConfig())[0]
 
 
 def _flat_start(layout: _SpanLayout, stats: tuple[np.ndarray, np.ndarray],
-                gs: list[Granularity], cfg: TokenizerConfig) -> list[LevelModel]:
-    """flat_start_model of each level of a group from the layout of every span
-    of the group and global statistics: one M-step from the template of the
-    global mean and variance, over the uniform alignment of every span."""
+                gs: list[Granularity], priors: list[np.ndarray],
+                cfg: TokenizerConfig) -> list[LevelModel]:
+    """flat_start_model of each level of a group, with its prior, from the
+    layout of every span of the group and global statistics: one M-step from
+    the template of the global mean and variance, over the uniform alignment
+    of every span."""
     levels = []
-    for g, prior in zip(gs, _estimate_priors(layout.owner, gs)):
+    for g, prior in zip(gs, priors):
         level = LevelModel.__new__(LevelModel)
         level._hold(g, np.ones((g.n, g.m), dtype=np.int64), np.ones((g.n, g.m, 1)),
                     *(np.broadcast_to(a, (g.n, g.m, 1, len(a))).copy() for a in stats),
                     np.full((g.n, g.m, 2), 0.5), prior)
         levels.append(level)
-    gamma, visits = _uniform_alignment(layout.lengths, gs[0].m)
-    cuts, parts = layout.cuts, _level_parts(levels, layout)
-    _m_step(parts, layout, [gamma[cuts[part.start]:cuts[part.stop], :, None]
-                            for _, _, _, part in parts],
+    (gamma, visits), cuts = _uniform_alignment(layout.lengths, gs[0].m), layout.cuts
+    _m_step(levels, layout, [gamma[cuts[part.start]:cuts[part.stop], :, None]
+                             for _, _, part in layout.parts],
             _token_sums(visits, layout.n_spans), cfg.var_floor_frac * stats[1])
     return levels
 
 
-def _collect_spans(corpus: Corpus, labels: LabelSet, n: int) -> tuple[np.ndarray, ...]:
-    """The labels checked, every labeled span as rows of corpus.frames: its
-    token, first row and length, as (spans,) arrays stable-sorted by token."""
+def _group_spans(corpus: Corpus, label_sets: list[LabelSet],
+                 offsets: list[int]) -> tuple[np.ndarray, ...]:
+    """Every labeled span of a group's levels, each level's labels checked, as
+    rows of corpus.frames: its token on the group's axis offsets
+    (token_offsets), first row and length, as (spans,) arrays stable-sorted
+    by token, so level after level."""
     if not len(corpus):
         raise ValueError("an empty corpus has no spans to train on")
-    validate_label_set(labels, corpus.frame_counts(), n)
-    spans = _span_rows(corpus.offsets.tolist(), [labels[utt].segments for utt in corpus.ids()])
+    starts, levels = corpus.offsets.tolist(), []
+    for labels, at, end in zip(label_sets, offsets, offsets[1:]):
+        validate_label_set(labels, corpus.frame_counts(), end - at)
+        spans = _span_rows(starts, [labels[utt].segments for utt in corpus.ids()])
+        spans[0] += at
+        levels.append(spans)
+    spans = np.concatenate(levels, axis=1)
     return tuple(spans[:, np.argsort(spans[0], kind="stable")])
-
-
-def _group_spans(corpus: Corpus, label_sets: list[LabelSet],
-                 gs: list[Granularity]) -> tuple[np.ndarray, ...]:
-    """_collect_spans of each level of a group, level after level, a level's
-    token k taken as the group's token offset + k, offset the tokens of the
-    levels before it: so the group's spans stay sorted by token."""
-    parts = [_collect_spans(corpus, labels, g.n) for labels, g in zip(label_sets, gs)]
-    return (np.concatenate([tokens + at for (tokens, _, _), at in zip(parts, _offsets(gs))]),
-            *(np.concatenate([part[i] for part in parts]) for i in (1, 2)))
 
 
 def _span_rows(starts: list[int], segment_lists: list) -> np.ndarray:
@@ -689,25 +691,25 @@ def _global_stats(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     return corpus.frames.mean(axis=0), np.maximum(corpus.frames.var(axis=0), 1e-8)
 
 
-def _estimate_priors(tokens: np.ndarray, gs: list[Granularity]) -> list[np.ndarray]:
+def _estimate_priors(tokens: np.ndarray, offsets: list[int]) -> list[np.ndarray]:
     """Each level's unigram prior from the tokens of a group's spans
-    (_group_spans)."""
-    offsets = _offsets(gs)
+    (_group_spans) on its token axis offsets."""
     counts = np.bincount(tokens, minlength=offsets[-1])
     return [own / own.sum() for own in np.split(counts, offsets[1:-1])]
 
 
-def _token_statistics(levels: list[LevelModel], parts: list[tuple], layout: _SpanLayout):
+def _token_statistics(levels: list[LevelModel], layout: _SpanLayout):
     """E-step statistics of the tokens of layout, those of a group's levels:
     (lls, resps, visits), per token its log-likelihood and (m,) state visits,
     added up over its spans in span order, and for each level holding tokens
-    of layout (parts, _level_parts) the (N_k, m, c_k) component
-    responsibilities of its rows, c_k the most components a state of its
-    tokens holds.  Each level stacks only those tokens' states, about its own
-    centre, and one kernel product per token scores its rows against its own;
-    one _e_step aligns every span of the group."""
+    of layout (layout.parts) the (N_k, m, c_k) component responsibilities of
+    its rows, c_k the most components a state of its tokens holds.  Each level
+    stacks only those tokens' states, about its own centre, and one kernel
+    product per token scores its rows against its own; one _e_step aligns
+    every span of the group."""
     cuts, joints = layout.cuts, []
-    for level, _, tokens, part in parts:
+    for k, tokens, part in layout.parts:
+        level = levels[k]
         m, d = level.counts.shape[1], level.means.shape[3]
         centre, rows, const = level.density_stack(int(level.counts[tokens].max()), tokens)
         base = cuts[part.start]
@@ -723,7 +725,7 @@ def _token_statistics(levels: list[LevelModel], parts: list[tuple], layout: _Spa
     lls, gamma, visits = _e_step(np.concatenate(emis), layout.edges, log_self, log_adv,
                                  layout.batches)
     resps = []
-    for joint, level_emis, (_, _, _, part) in zip(joints, emis, parts):
+    for joint, level_emis, (_, _, part) in zip(joints, emis, layout.parts):
         resp = np.exp(joint.transpose(0, 2, 1) - level_emis[:, :, None], order="C")
         resp *= gamma[cuts[part.start]:cuts[part.stop], :, None]
         resps.append(resp)
@@ -745,47 +747,47 @@ def train_level_hmms(corpus: Corpus, labels: LabelSet, g: Granularity,
 def _train_group(corpus: Corpus, label_sets: list[LabelSet], gs: list[Granularity],
                  cfg: TokenizerConfig, init_models: list[LevelModel] | None) -> list[LevelModel]:
     """Fit each level of a group, levels of one m, to its labeled spans by EM,
-    the levels as one batch: their spans are laid out together (_group_spans),
-    and each EM iteration runs one E-step over the spans of every token still
-    training, of every level (_token_statistics), and one M-step.
+    the levels as one batch: their spans are laid out together on the group's
+    token axis (_group_spans, token_offsets), and each EM iteration runs one
+    E-step over the spans of every token still training, of every level
+    (_token_statistics), and one M-step.
 
     EM updates each level's LevelModel in place, about its own centre and with
     its own component count.  A token stops once its log-likelihood gain falls
     under em_tol, and its spans leave later iterations; mixture splits are per
     token too, so every token follows the course EM would take on it alone,
-    and every level gets the bytes it would get alone.  Warm-starts from
-    init_models when given (otherwise from the flat start): EM runs on copies
-    of their arrays, whose priors it then re-estimates.  Tokens with no
+    and every level gets the bytes it would get alone.  Each level's prior is
+    estimated from its spans, for the flat start or for the warm start from
+    init_models when given: EM runs on copies of their arrays.  Tokens with no
     assigned spans are reseeded from a perturbed copy of their level's most
     populous token's model."""
-    spans = _group_spans(corpus, label_sets, gs)
+    offsets = token_offsets(gs)
+    spans = _group_spans(corpus, label_sets, offsets)
     stats = _global_stats(corpus)
     var_floor = cfg.var_floor_frac * stats[1]
-    offsets = _offsets(gs)
+    priors = _estimate_priors(spans[0], offsets)
     frames_per_token = np.bincount(np.repeat(spans[0], spans[2]), minlength=offsets[-1])
     training = np.flatnonzero(frames_per_token)  # the rest are reseeded
-    layout = _SpanLayout(training, spans, corpus.frames, gs[0].m)
+    layout = _SpanLayout(training, spans, corpus.frames, gs[0].m, offsets)
     if init_models is None:
-        levels = _flat_start(layout, stats, gs, cfg)
+        levels = _flat_start(layout, stats, gs, priors, cfg)
     else:
         levels = copy.deepcopy(init_models)
-        for level, prior in zip(levels, _estimate_priors(spans[0], gs)):
+        for level, prior in zip(levels, priors):
             level.prior = prior
-    parts = _level_parts(levels, layout)
     prev_ll = np.full(len(frames_per_token), np.nan)  # NaN: no likelihood to compare with yet
     for it in range(cfg.em_iters):
         if not len(training):
             break
         if len(training) < len(layout.tokens):  # tokens left EM
-            layout = _SpanLayout(training, spans, corpus.frames, gs[0].m)
-            parts = _level_parts(levels, layout)
+            layout = _SpanLayout(training, spans, corpus.frames, gs[0].m, offsets)
         # a warm start already holds the components of earlier splits; a
         # split restarts its token's convergence check
         target = 2 ** sum(k <= it for k in cfg.mixture_schedule)
-        for level, at, tokens, _ in parts:
-            prev_ll[at + level.split(tokens, target)] = np.nan
-        lls, resps, visits = _token_statistics(levels, parts, layout)
-        _m_step(parts, layout, resps, visits, var_floor)
+        for k, tokens, _ in layout.parts:
+            prev_ll[offsets[k] + levels[k].split(tokens, target)] = np.nan
+        lls, resps, visits = _token_statistics(levels, layout)
+        _m_step(levels, layout, resps, visits, var_floor)
         prev = prev_ll[training]
         converged = np.abs(lls - prev) / np.maximum(1.0, np.abs(prev)) < cfg.em_tol
         prev_ll[training] = lls
@@ -840,20 +842,21 @@ def _pad_levels(tables: list[np.ndarray], lengths: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _viterbi(levels: list[LevelModel], log_prior: np.ndarray, tables: list[np.ndarray],
+def _viterbi(levels: list[LevelModel], lm_scale: float, tables: list[np.ndarray],
              lengths: np.ndarray) -> list[list[list]]:
     """Token-loop Viterbi over utterances' stacked emission tables, one per
     level of a group, utterance u holding lengths[u] rows: the recursion
-    (_viterbi_forward) over the levels' tokens side by side, then each
-    utterance's backtrack, alone and on each level's own flags.  In each
-    level any token may follow any token, weighted by log_prior, the levels'
-    log priors side by side; a self-loop wins an equal advance or entry, and
-    the lowest token id an equal exit.  An utterance shorter than m is one
+    (_viterbi_forward) over the levels' tokens side by side (token_offsets),
+    then each utterance's backtrack, alone and on each level's own flags.  In
+    each level any token may follow any token, weighted by its log prior
+    scaled by lm_scale; a self-loop wins an equal advance or entry, and the
+    lowest token id an equal exit.  An utterance shorter than m is one
     segment of its level's likeliest token.  Returns each level's segments
     per utterance."""
     m = levels[0].counts.shape[1]
-    bounds = _offsets([level.granularity for level in levels])
-    advanced, exits = _viterbi_forward(levels, log_prior, tables, lengths)
+    bounds = token_offsets([level.granularity for level in levels])
+    log_prior = np.concatenate([level.log_prior(lm_scale) for level in levels])
+    advanced, exits = _viterbi_forward(levels, log_prior, bounds, tables, lengths)
     decoded = []
     for lo, hi in zip(bounds, bounds[1:]):
         own_exits = exits[:, :, lo:hi]
@@ -865,20 +868,20 @@ def _viterbi(levels: list[LevelModel], log_prior: np.ndarray, tables: list[np.nd
     return decoded
 
 
-def _viterbi_forward(levels: list[LevelModel], log_prior: np.ndarray, tables: list[np.ndarray],
+def _viterbi_forward(levels: list[LevelModel], log_prior: np.ndarray, bounds: list[int],
+                     tables: list[np.ndarray],
                      lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_viterbi's recursion, in one pass over the tables' padded (T, m, U, n)
-    copy, the levels' tokens side by side on its last axis: the (T, m, U, n)
-    advance flags and the (T + 1, U, n) exit scores.  A token is entered by an
-    advance into its state 0, scored as its level's best exit (a reduceat
-    over the level's tokens) plus its log prior, so a frame makes one
-    comparison per state and keeps one flag, advanced or not.  A frame makes
-    seven calls on contiguous arrays and one per level.  Past an utterance's
-    end its -inf padding makes its scores -inf, so its final scores are kept
-    at its last frame.  The padded copy is freed on return, before any
-    backtrack."""
+    copy, the levels' tokens side by side on its last axis, level k's from
+    bounds[k] on, with their log priors: the (T, m, U, n) advance flags and
+    the (T + 1, U, n) exit scores.  A token is entered by an advance into its
+    state 0, scored as its level's best exit (a reduceat over the level's
+    tokens) plus its log prior, so a frame makes one comparison per state and
+    keeps one flag, advanced or not.  A frame makes seven calls on contiguous
+    arrays and one per level.  Past an utterance's end its -inf padding makes
+    its scores -inf, so its final scores are kept at its last frame.  The
+    padded copy is freed on return, before any backtrack."""
     m, U = levels[0].counts.shape[1], len(lengths)
-    bounds = _offsets([level.granularity for level in levels])
     emis = _pad_levels(tables, lengths)
     T, n = len(emis), bounds[-1]
     # the transitions as contiguous (m, U, n) arrays, made once per batch
@@ -939,10 +942,10 @@ def _backtrack(advanced: np.ndarray, switch_from: np.ndarray, token: int) -> lis
 def decode_level(model: LevelModel, corpus: Corpus,
                  cfg: TokenizerConfig | None = None) -> LabelSet:
     """Token-loop Viterbi of every utterance of corpus: _viterbi of one level."""
-    log_prior = model.log_prior((cfg or TokenizerConfig()).lm_scale)
+    lm_scale = (cfg or TokenizerConfig()).lm_scale
     labels: LabelSet = {}
     for utts, tables, lengths in _table_groups([model], corpus):
-        (decoded,) = _viterbi([model], log_prior, tables, lengths)
+        (decoded,) = _viterbi([model], lm_scale, tables, lengths)
         labels.update((utt, TokenLabelSequence(utt, segments))
                       for utt, segments in zip(utts, decoded))
     return labels
@@ -954,13 +957,13 @@ def decode_utterance(model: LevelModel, frames: np.ndarray, lm_scale: float = 1.
     return decode_level(model, corpus, TokenizerConfig(lm_scale=lm_scale))[""].segments
 
 
-def _segment_scores(level: LevelModel, log_prior: np.ndarray, table: np.ndarray,
+def _segment_scores(level: LevelModel, lm_scale: float, table: np.ndarray,
                     starts: np.ndarray, segment_lists: list) -> np.ndarray:
     """Per segment, in list-then-segment order, its span forward log-likelihood
-    plus its token's log prior, segment_lists[i] cutting the utterance whose
-    rows of the stacked emission table begin at starts[i]: one gather of every
-    segment's column, then one forward per batch of segments, each row with
-    its token's transitions."""
+    plus its token's log prior scaled by lm_scale, segment_lists[i] cutting
+    the utterance whose rows of the stacked emission table begin at
+    starts[i]: one gather of every segment's column, then one forward per
+    batch of segments, each row with its token's transitions."""
     log_self, log_adv = level.log_transitions()
     tokens, first, lengths = _span_rows(starts.tolist(), segment_lists)
     edges = np.concatenate([[0], np.cumsum(lengths)])
@@ -971,7 +974,7 @@ def _segment_scores(level: LevelModel, log_prior: np.ndarray, table: np.ndarray,
         own = tokens[batch]
         alpha = _alpha(padded, log_self[own], log_adv[own])
         lls[batch] = alpha[lengths[batch] - 1, -1, np.arange(len(own))] + log_adv[own, -1]
-    return lls + log_prior[tokens]
+    return lls + level.log_prior(lm_scale)[tokens]
 
 
 def corpus_log_likelihood(model: LevelModel, corpus: Corpus, labels: LabelSet,
@@ -981,8 +984,7 @@ def corpus_log_likelihood(model: LevelModel, corpus: Corpus, labels: LabelSet,
     for utt in corpus.ids():
         if utt not in labels:
             raise ValueError(f"missing labels for {utt}")
-    log_prior = model.log_prior(lm_scale)
-    scores = [_segment_scores(model, log_prior, table, np.cumsum(lengths) - lengths,
+    scores = [_segment_scores(model, lm_scale, table, np.cumsum(lengths) - lengths,
                               [labels[utt].segments for utt in utts])
               for utts, (table,), lengths in _table_groups([model], corpus)]
     return float(_ordered_sum(np.concatenate([np.empty(0), *scores])))
@@ -1037,22 +1039,18 @@ def _run_group(corpus: Corpus, init_labels: list[LabelSet], gs: list[Granularity
     for outer in range(cfg.outer_iters):
         models = _train_group(corpus, [run.labels for run in active], [run.g for run in active],
                               cfg, [run.model for run in active] if outer else None)
-        # the levels' log priors side by side, and each level's as a view of them
-        group_prior = np.concatenate([model.log_prior(cfg.lm_scale) for model in models])
-        log_priors = np.split(group_prior, _offsets([run.g for run in active])[1:-1])
         # one emission table per level and batch of utterances serves decoding
         # and both trace points, whose segments share one forward per batch
         new_labels: list[LabelSet] = [{} for _ in active]
         train_scores, decode_scores = [[] for _ in active], [[] for _ in active]
         for utts, tables, lengths in _table_groups(models, corpus):
             starts = np.cumsum(lengths) - lengths
-            decoded = _viterbi(models, group_prior, tables, lengths)
+            decoded = _viterbi(models, cfg.lm_scale, tables, lengths)
             trained = [[run.labels[utt].segments for utt in utts] for run in active]
             # a comprehension, so no table outlives its batch
-            scores = [_segment_scores(model, log_prior, table, np.concatenate([starts, starts]),
+            scores = [_segment_scores(model, cfg.lm_scale, table, np.concatenate([starts, starts]),
                                       old + new)
-                      for model, log_prior, table, old, new in zip(models, log_priors, tables,
-                                                                   trained, decoded)]
+                      for model, table, old, new in zip(models, tables, trained, decoded)]
             for labels, new, old, level_scores, train, decode in zip(
                     new_labels, decoded, trained, scores, train_scores, decode_scores):
                 labels.update((utt, TokenLabelSequence(utt, segments))

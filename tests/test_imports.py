@@ -1,7 +1,7 @@
 """The package depends on the standard library and numpy only.  scipy stays
 with the tests, as the reference for the package's own log-sum-exp, softmax,
-Gaussian smoothing, DCT and log-gamma; no module of `src/` imports it.  No
-module imports another module's underscore name: what modules share is public."""
+Gaussian smoothing and DCT; no module of `src/` imports it.  No module
+imports another module's underscore name: what modules share is public."""
 
 import ast
 import os

@@ -255,9 +255,8 @@ class TestMixtureKernel:
         # responsibilities: the E-step's occupancy times the component posteriors
         # one span of token 0: all the rows of frames
         spans = (np.array([0]), np.array([0]), np.array([len(frames)]))
-        layout = tok._SpanLayout(np.array([0]), spans, frames, len(components))
-        level = level_of([hmm])
-        _, (resp,), _ = tok._token_statistics([level], tok._level_parts([level], layout), layout)
+        layout = tok._SpanLayout(np.array([0]), spans, frames, len(components), [0, 1])
+        _, (resp,), _ = tok._token_statistics([level_of([hmm])], layout)
         _, gamma, _ = reference_e_step(hmm, ref_emis, np.array([0, len(frames)]))
         for s, c in enumerate(components):
             assert_close(resp[:, s, :c],
@@ -538,8 +537,8 @@ class TestTraining:
         gathered = []
 
         class Spy(tok._SpanLayout):
-            def __init__(self, tokens, spans, frames, m):
-                super().__init__(tokens, spans, frames, m)
+            def __init__(self, tokens, spans, frames, m, offsets):
+                super().__init__(tokens, spans, frames, m, offsets)
                 gathered.append((tokens.tolist(), len(self.rows)))
 
         monkeypatch.setattr(tok, "_SpanLayout", Spy)
@@ -1544,6 +1543,20 @@ class TestLevelGroups:
         spans = sum(len(seq.segments) for labels in label_sets for seq in labels.values())
         assert e_steps == [spans] * em_iters
 
+    def test_layout_parts_skip_a_level_holding_no_training_token(self):
+        # levels of n = 2, 3 and 2 on one token axis; of the spans' tokens 1,
+        # 3, 5 and 6, token 3 (the middle level's token 1) has left EM
+        offsets = tok.token_offsets([Granularity(2, n) for n in (2, 3, 2)])
+        assert offsets == [0, 2, 5, 7]
+        spans = (np.array([1, 3, 5, 5, 6]), np.array([0, 3, 5, 8, 10]),
+                 np.array([3, 2, 3, 2, 2]))
+        frames = np.arange(24.0).reshape(12, 2)
+        layout = tok._SpanLayout(np.array([1, 5, 6]), spans, frames, 2, offsets)
+        assert [(k, tokens.tolist(), part) for k, tokens, part in layout.parts] == [
+            (0, [1], slice(0, 1)), (2, [0, 1], slice(1, 3))]
+        assert layout.n_spans.tolist() == [1, 2, 1]
+        assert layout.cuts == [0, 3, 8, 10]
+
     @pytest.mark.parametrize("tied", [True, False])
     def test_group_viterbi_equals_each_level_decoded_alone(self, tied):
         # with tied tables (emissions rounded to 0.5, equal transitions and
@@ -1565,11 +1578,10 @@ class TestLevelGroups:
             tables = [tok._emission_table(level.density_stack(), frames, m) for level in levels]
             if tied:
                 tables = [np.round(2 * table) / 2 for table in tables]
-            log_priors = [level.log_prior(0.5) for level in levels]
-            decoded = tok._viterbi(levels, np.concatenate(log_priors), tables, lengths)
+            decoded = tok._viterbi(levels, 0.5, tables, lengths)
             starts = np.cumsum(lengths) - lengths
-            for level, log_prior, table, got in zip(levels, log_priors, tables, decoded):
-                assert got == tok._viterbi([level], log_prior, [table], lengths)[0]
+            for level, table, got in zip(levels, tables, decoded):
+                assert got == tok._viterbi([level], 0.5, [table], lengths)[0]
                 assert got == [reference_viterbi(level, table[a:a + T], 0.5)
                                for a, T in zip(starts, lengths)]
 

@@ -1,6 +1,8 @@
 """Every function, class and method in the package is run by the package
 itself, apart from a short list of named exceptions: one implementation per
-algorithm, and no helper that only the tests call."""
+algorithm, and no helper that only the tests call.  A method or property
+counts as used only where some module reads it as an attribute, so a
+parameter or a local of its name does not hide it."""
 
 import ast
 from pathlib import Path
@@ -28,7 +30,7 @@ ALLOWED_UNREFERENCED = {
                  "bench/ traces it",
     "train_level_hmms": "one level's EM, a group of one for the group trainer; bench/ traces it",
     "read_matl": "the MATL format's reader, kept with its writer",
-    "complete_data_log_posterior": "the LDA's convergence metric, for run telemetry",
+    "LevelModel.hmms": "the model as token records; bench/ reads records through it",
 }
 
 
@@ -46,23 +48,25 @@ def definitions(tree: ast.Module) -> list[tuple[str, str]]:
     return found
 
 
-def references(tree: ast.Module) -> set[str]:
-    """Every name loaded or attribute accessed in a module."""
-    names = set()
+def references(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Every name a module uses, and every attribute it reads."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+    return names, attributes
 
 
 def bench_references(tree: ast.Module) -> set[str]:
-    """references(tree), with every string constant that is an identifier:
-    the bench's tracer patches a function or method by its name."""
-    return references(tree) | {node.value for node in ast.walk(tree)
-                               if isinstance(node, ast.Constant) and isinstance(node.value, str)
-                               and node.value.isidentifier()}
+    """references(tree), names and attributes, with every string constant that
+    is an identifier: the bench's tracer patches a function or method by its
+    name."""
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and node.value.isidentifier()}
+    return set().union(*references(tree)) | strings
 
 
 def stale_bench_reasons(allowed: dict[str, str], bench_sources) -> list[str]:
@@ -75,10 +79,14 @@ def stale_bench_reasons(allowed: dict[str, str], bench_sources) -> list[str]:
 
 
 def unreferenced(sources) -> set[str]:
+    """The definitions of sources that none of them uses: a function or class
+    that no module names or reads as an attribute (a command counts as named
+    by its dispatch), a method that no module reads as an attribute."""
     trees = [ast.parse(path.read_text(), str(path)) for path in sources]
-    used = set().union(*map(references, trees)) | {f"cmd_{name}" for name in COMMANDS}
+    names, attributes = (set().union(*found) for found in zip(*map(references, trees)))
+    names |= attributes | {f"cmd_{name}" for name in COMMANDS}
     return {qualified for tree in trees for qualified, bare in definitions(tree)
-            if bare not in used}
+            if bare not in (attributes if "." in qualified else names)}
 
 
 def test_only_the_listed_names_go_unreferenced():
@@ -112,3 +120,15 @@ def test_guard_sees_methods_and_dispatch(tmp_path):
         "def cmd_bogus(ctx): pass\n"
         "def helper(): return A()\n")
     assert unreferenced([source]) == {"A.idle", "cmd_bogus", "helper"}
+
+
+def test_a_method_used_only_as_a_bare_name_goes_unreferenced(tmp_path):
+    # the parameter hmms shares the method's name, but nothing reads .hmms
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "class A:\n"
+        "    def __init__(self, hmms): self.size(hmms)\n"
+        "    def hmms(self): pass\n"
+        "    def size(self, n): pass\n"
+        "A(0)\n")
+    assert unreferenced([source]) == {"A.hmms"}
