@@ -2,9 +2,9 @@
 
 Each utterance is split into word-like segments at spectral discontinuities,
 every word-like segment is further split into subword-like pieces by a
-watershed transform of its self-similarity dotplot, and the subword segments
-are clustered corpus-wide by k-means on their mean feature vectors.  The
-resulting per-utterance token sequences seed the per-level HMM training.
+watershed transform of its self-similarity dotplot, and the subword segments'
+mean vectors, taken once, are clustered corpus-wide by k-means for each n.
+The resulting per-utterance token sequences seed the per-level HMM training.
 
 Every step is array code that gives the bits of the plain per-frame and
 per-cell loops: the discontinuity takes its window means through
@@ -261,19 +261,20 @@ def kmeans(points: np.ndarray, n: int, seed: int,
 def cluster_segments(
     corpus: Corpus,
     segment_spans: dict[str, list[tuple[int, int]]],
-    n: int,
-    seed: int,
+    seeds: dict[int, int],
     iters: int = 100,
-) -> LabelSet:
-    """k-means over segment mean vectors; emits per-utterance token sequences."""
+) -> dict[int, LabelSet]:
+    """k-means over the segment mean vectors, taken once, with seed seeds[n]
+    for each n; every n is checked against the segment count first."""
     spans = [(utt, start, end) for utt in corpus.ids() for start, end in segment_spans[utt]]
-    if len(spans) < n:
-        raise ValueError(f"insufficient segments: the bootstrap found {len(spans)} subword "
-                         f"segments in {len(corpus)} utterances, too few for n = {n} "
-                         f"clusters; lower [grid] phonetic or add utterances")
+    for n in seeds:
+        if len(spans) < n:
+            raise ValueError(f"insufficient segments: the bootstrap found {len(spans)} subword "
+                             f"segments in {len(corpus)} utterances, too few for n = {n} "
+                             f"clusters; lower [grid] phonetic or add utterances")
     reps = np.vstack([corpus[utt].frames[start:end].mean(axis=0) for utt, start, end in spans])
-    assign, _ = kmeans(reps, n, seed, iters)
-    return label_set_from_spans(spans, assign)
+    return {n: label_set_from_spans(spans, kmeans(reps, n, seed, iters)[0])
+            for n, seed in seeds.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +317,10 @@ def make_initial_labels(corpus: Corpus, seeds: dict[int, int],
     """The whole bootstrap: word segmentation, watershed refinement, k-means ids.
 
     seeds maps each phonetic granularity n to its k-means seed.  Every
-    utterance is segmented once, and the same subword spans are clustered
+    utterance is segmented once, and the same subword means are clustered
     into n ids for each n.  The word-like structure is flattened: each label
     set holds one subword-like token sequence per utterance, tiling it exactly.
     """
     cfg = cfg or InitConfig()
     spans = {utt: subword_spans(corpus[utt], cfg) for utt in corpus.ids()}
-    return {n: cluster_segments(corpus, spans, n, seed, cfg.kmeans_iters)
-            for n, seed in seeds.items()}
+    return cluster_segments(corpus, spans, seeds, cfg.kmeans_iters)

@@ -303,6 +303,8 @@ def matn_bytes(model: MdnnModel) -> bytes:
 
 
 def read_matn(path) -> MdnnModel:
+    """Inverse of matn_bytes.  A parameter that is not finite raises a
+    ValueError naming the file, the field and the layer or head."""
     f = ArtifactReader(path, MATN_MAGIC, MATN_VERSION)
     (seed,) = f.unpack("<q", "seed")
     (n_sizes,) = f.unpack("<I", "layer count")
@@ -323,4 +325,10 @@ def read_matn(path) -> MdnnModel:
     head_weights = [f.array((sizes[-1], g.n), "head weights") for g in head_keys]
     head_biases = [f.array((g.n,), "head biases") for g in head_keys]
     f.end()
+    for field, arrays in (("layer weights", layer_weights), ("layer biases", layer_biases),
+                          ("head weights", head_weights), ("head biases", head_biases)):
+        for i, values in enumerate(arrays):
+            bad = values[~np.isfinite(values)]
+            if len(bad):
+                raise ValueError(f"{path}: {field} {i}: value {float(bad[0])} is not finite")
     return MdnnModel(layer_weights, layer_biases, head_weights, head_biases, head_keys, seed)

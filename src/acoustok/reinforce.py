@@ -5,7 +5,8 @@ label sets (one per phonetic granularity).
 
 The pseudo-words are the levels' tokens on one axis, the one a MAT group
 lays its levels out on (tokenizer.token_offsets): over the grid in order,
-level (m, n)'s token k is word offset + k.
+level (m, n)'s token k is word offset + k.  Each utterance's documents come
+from one table of its segments across levels.
 
 Level weights are proportional to m, so levels with longer HMMs (which produce
 fewer, more reliable boundaries) count more.  The joint boundary function is
@@ -128,30 +129,27 @@ def build_documents(fused: dict[str, list[int]],
                     cfg: ReinforceConfig | None = None) -> PseudoDocuments:
     """Collect, per fused segment, every level's tokens overlapping it by at
     least the configured fraction of the token's own span; fall back to the
-    tokens covering the segment midpoint so no document is empty."""
+    tokens covering the segment midpoint so no document is empty.  Both tests
+    read one (word, start, end) table per utterance, whose rows, every level's
+    segments in grid and then time order, give a document its word order."""
     cfg = cfg or ReinforceConfig()
     levels = grid.levels()
     *offsets, vocab_size = token_offsets(levels)
     spans_out: list[tuple[str, int, int]] = []
     docs: list[list[int]] = []
     for utt in sorted(fused):
-        T = level_labels[levels[0]][utt].n_frames
-        edges = [0] + list(fused[utt]) + [T]
-        for a, b in zip(edges[:-1], edges[1:]):
-            words: list[int] = []
-            for g, offset in zip(levels, offsets):
-                for token, s, e in level_labels[g][utt].segments:
-                    cover = min(b, e) - max(a, s)
-                    if cover >= cfg.overlap * (e - s):
-                        words.append(offset + token)
-            if not words:
-                mid = (a + b) // 2
-                for g, offset in zip(levels, offsets):
-                    for token, s, e in level_labels[g][utt].segments:
-                        if s <= mid < e:
-                            words.append(offset + token)
-            spans_out.append((utt, a, b))
-            docs.append(words)
+        words, s, e = np.array([(offset + token, start, end)
+                                for g, offset in zip(levels, offsets)
+                                for token, start, end in level_labels[g][utt].segments],
+                               dtype=np.int64).T
+        edges = [0, *fused[utt], level_labels[levels[0]][utt].n_frames]
+        a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+        member = np.minimum(b, e) - np.maximum(a, s) >= cfg.overlap * (e - s)
+        empty = ~member.any(axis=1)
+        mid = (a[empty] + b[empty]) // 2
+        member[empty] = (s <= mid) & (mid < e)
+        spans_out.extend((utt, start, end) for start, end in zip(edges[:-1], edges[1:]))
+        docs.extend(words[row].tolist() for row in member)
     return PseudoDocuments(spans_out, docs, vocab_size)
 
 

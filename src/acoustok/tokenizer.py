@@ -980,10 +980,9 @@ def _segment_scores(level: LevelModel, lm_scale: float, table: np.ndarray,
 def corpus_log_likelihood(model: LevelModel, corpus: Corpus, labels: LabelSet,
                           lm_scale: float = 1.0) -> float:
     """Sum over segments of the span forward log-likelihood plus scaled prior
-    terms, added in utterance and segment order."""
-    for utt in corpus.ids():
-        if utt not in labels:
-            raise ValueError(f"missing labels for {utt}")
+    terms, added in utterance and segment order.  The labels must tile
+    exactly the corpus' utterances with ids below the level's n."""
+    validate_label_set(labels, corpus.frame_counts(), model.granularity.n)
     scores = [_segment_scores(model, lm_scale, table, np.cumsum(lengths) - lengths,
                               [labels[utt].segments for utt in utts])
               for utts, (table,), lengths in _table_groups([model], corpus)]

@@ -387,6 +387,21 @@ def test_inconsistent_matn_names_the_file(tmp_path, make, match):
     assert str(excinfo.value) == f"{path}: {match}"
 
 
+@pytest.mark.parametrize("field, index, value", [
+    ("layer weights", 1, np.nan), ("layer biases", 0, np.inf),
+    ("head weights", 0, -np.inf), ("head biases", 0, np.nan),
+])
+def test_non_finite_matn_parameter_names_the_file_and_field(tmp_path, field, index, value):
+    model = init_mdnn(2, [Granularity(2, 2)], MdnnConfig(hidden=(3,), bottleneck=2), seed=1)
+    arrays = getattr(model, field.replace(" ", "_"))
+    arrays[index].flat[-1] = value
+    path = tmp_path / "tiny.matn"
+    path.write_bytes(matn_bytes(model))
+    with pytest.raises(ValueError) as excinfo:
+        read_matn(path)
+    assert str(excinfo.value) == f"{path}: {field} {index}: value {value} is not finite"
+
+
 def test_repeated_relevance_pair_names_both_lines(tmp_path):
     # the bits disagree, so the table would depend on row order; a repeat that
     # agrees is refused all the same

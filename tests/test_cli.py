@@ -1268,6 +1268,19 @@ class TestIterate:
         assert capsys.readouterr().err == (
             f"acoustok extract: {path}: input dim {width} != model input {width + 3}\n")
 
+    def test_non_finite_network_parameter_is_named(self, full_run, tmp_path, capsys):
+        cfg_path, out = full_run
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        path = run / "iter1/BNF-1st_MR-1.matn"
+        model = read_matn(path)
+        model.layer_weights[0][0, 0] = np.nan
+        path.write_bytes(matn_bytes(model))
+        argv = ["extract", "--iteration", "1", "--config", str(cfg_path), "--out", str(run)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"acoustok extract: {path}: layer weights 0: value nan is not finite\n")
+
     def test_non_finite_feature_file_is_named(self, full_run, tmp_path, capsys):
         cfg_path, out = full_run
         run = tmp_path / "run"

@@ -190,7 +190,7 @@ class TestClusterSegments:
 
     def test_pure_assignment(self):
         corpus, spans = self.make_corpus()
-        labels = cluster_segments(corpus, spans, 2, seed=0)
+        labels = cluster_segments(corpus, spans, {2: 0})[2]
         low = labels["u0"].segments[0][0]
         high = labels["u0"].segments[1][0]
         assert low != high
@@ -199,7 +199,7 @@ class TestClusterSegments:
 
     def test_labels_tile(self):
         corpus, spans = self.make_corpus()
-        labels = cluster_segments(corpus, spans, 2, seed=0)
+        labels = cluster_segments(corpus, spans, {2: 0})[2]
         for utt, seq in labels.items():
             assert seq.n_frames == corpus[utt].n_frames
 
@@ -223,6 +223,19 @@ class TestMakeInitialLabels:
         backward = Corpus(corpus.utterances[::-1], corpus.speakers)
         seeds = {4: 3, 6: 5}
         assert make_initial_labels(corpus, seeds) == make_initial_labels(backward, seeds)
+
+    def test_segment_means_are_taken_once_for_every_n(self, monkeypatch):
+        corpus, _ = synthesize_corpus(SynthSpec(n_utterances=6), seed=2)
+        calls = []
+
+        def spy(points, n, seed, iters=100):
+            calls.append((points, n, seed))
+            return kmeans(points, n, seed, iters)
+
+        monkeypatch.setattr(initialization, "kmeans", spy)
+        make_initial_labels(corpus, {4: 3, 6: 5})
+        assert [(n, seed) for _, n, seed in calls] == [(4, 3), (6, 5)]
+        assert calls[0][0] is calls[1][0]
 
     def test_subword_spans_tile_words(self):
         corpus, _ = synthesize_corpus(SynthSpec(n_utterances=3), seed=4)
@@ -400,4 +413,4 @@ class TestBootstrapSettings:
         corpus, spans = TestClusterSegments().make_corpus()
         with pytest.raises(ValueError, match=r"found 4 subword segments in 2 utterances, "
                                              r"too few for n = 5 clusters"):
-            cluster_segments(corpus, spans, 5, seed=0)
+            cluster_segments(corpus, spans, {5: 0})

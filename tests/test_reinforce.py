@@ -162,6 +162,63 @@ class TestBuildDocuments:
         assert all(len(d) > 0 for d in docs.docs)
         assert docs.docs[1] == [2]
 
+    @pytest.mark.parametrize("overlap", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_per_segment_loop(self, seed, overlap):
+        rng = np.random.default_rng(seed)
+        grid = GranularityGrid(
+            tuple(sorted(rng.choice(np.arange(1, 10), rng.integers(1, 5), replace=False).tolist())),
+            tuple(sorted(rng.choice(np.arange(1, 9), rng.integers(1, 5), replace=False).tolist())))
+        lengths = {f"u{i}": T for i, T in enumerate([1, 2, *rng.integers(1, 30, size=3).tolist()])}
+        level_labels = {}
+        for g in grid.levels():
+            level_labels[g] = {}
+            for utt, T in lengths.items():
+                cuts = sorted(rng.choice(np.arange(1, T), rng.integers(0, T), replace=False).tolist())
+                edges = [0, *cuts, T]
+                level_labels[g][utt] = seq(utt, [(int(rng.integers(g.n)), a, b)
+                                                 for a, b in zip(edges[:-1], edges[1:])])
+        fused = {utt: list(range(1, T)) if i % 2 else
+                 sorted(rng.choice(np.arange(1, T), rng.integers(0, T), replace=False).tolist())
+                 for i, (utt, T) in enumerate(lengths.items())}
+        cfg = ReinforceConfig(overlap=overlap)
+        want = reference_documents(fused, level_labels, grid, cfg)
+        got = build_documents(fused, level_labels, grid, cfg)
+        assert got.docs == want.docs
+        assert got.spans == want.spans
+        assert got.vocab_size == want.vocab_size
+        assert {type(x) for doc in got.docs for x in doc} <= {int}
+        assert {type(x) for span in got.spans for x in span[1:]} == {int}
+        assert type(got.vocab_size) is int
+
+
+def reference_documents(fused, level_labels, grid, cfg):
+    """build_documents as a double loop: every fused segment walks every
+    level's segments for the overlap rule, then again for the midpoint
+    fallback."""
+    levels = grid.levels()
+    *offsets, vocab_size = token_offsets(levels)
+    spans_out, docs = [], []
+    for utt in sorted(fused):
+        T = level_labels[levels[0]][utt].n_frames
+        edges = [0] + list(fused[utt]) + [T]
+        for a, b in zip(edges[:-1], edges[1:]):
+            words = []
+            for g, offset in zip(levels, offsets):
+                for token, s, e in level_labels[g][utt].segments:
+                    cover = min(b, e) - max(a, s)
+                    if cover >= cfg.overlap * (e - s):
+                        words.append(offset + token)
+            if not words:
+                mid = (a + b) // 2
+                for g, offset in zip(levels, offsets):
+                    for token, s, e in level_labels[g][utt].segments:
+                        if s <= mid < e:
+                            words.append(offset + token)
+            spans_out.append((utt, a, b))
+            docs.append(words)
+    return reinforce.PseudoDocuments(spans_out, docs, vocab_size)
+
 
 def disjoint_corpus_docs(n_docs=40, words_per_doc=8, seed=1):
     """Two groups of documents over disjoint 5-word vocabularies."""

@@ -1321,6 +1321,32 @@ class TestLikelihood:
         model, frames = random_instance(np.random.default_rng(10), T=4, n=1, m=2)
         assert segment_forward_ll(model.hmms[0], frames[:1]) == -np.inf
 
+    def flat_start_case(self):
+        rng = np.random.default_rng(12)
+        corpus = Corpus([FeatureSequence(rng.normal(size=(24, 2)), utterance_id=f"u{i}")
+                         for i in range(3)])
+        labels = {utt: TokenLabelSequence(utt, [(k % 5, 6 * k, 6 * k + 6) for k in range(4)])
+                  for utt in corpus.ids()}
+        return flat_start_model(corpus, labels, Granularity(3, 5)), corpus, labels
+
+    def test_labels_short_of_an_utterance_rejected(self):
+        model, corpus, labels = self.flat_start_case()
+        short = {utt: TokenLabelSequence(utt, seq.segments[:-1]) for utt, seq in labels.items()}
+        with pytest.raises(ValueError, match="u0: labels cover 18 frames, utterance has 24"):
+            corpus_log_likelihood(model, corpus, short)
+
+    def test_token_id_beyond_n_rejected(self):
+        model, corpus, labels = self.flat_start_case()
+        labels["u1"] = TokenLabelSequence("u1", [(7, 0, 24)])
+        with pytest.raises(ValueError, match=r"u1: token ids \[7\] out of range \[0, 5\)"):
+            corpus_log_likelihood(model, corpus, labels)
+
+    def test_labels_for_an_utterance_the_corpus_lacks_rejected(self):
+        model, corpus, labels = self.flat_start_case()
+        labels["v"] = TokenLabelSequence("v", [(0, 0, 24)])
+        with pytest.raises(ValueError, match="labels for utterance v, which the corpus lacks"):
+            corpus_log_likelihood(model, corpus, labels)
+
 
 class TestDecode:
     def test_single_token_model_labels_everything(self):
